@@ -1,38 +1,46 @@
-//! First-argument bitmap clause index — `(pred, arity,
-//! leading-functor-of-arg1)` → compressed clause-id bitmaps.
+//! First-argument bitmap clause index — one copy-on-write segment per
+//! predicate: program-order clause list plus `leading-functor-of-arg1` →
+//! compressed clause-id bitmap.
 //!
 //! This is the classic first-argument-indexing lever of Prolog engines,
 //! rebuilt on the compressed bitmaps of [`bitmap`](crate::bitmap) so it
-//! can live as a **per-epoch immutable structure** in the MVCC store:
-//! one [`BitmapClauseIndex`] is built when a store is opened, a write
-//! transaction clones and patches it copy-on-write, and commit installs
-//! the new `Arc` exactly like the predicate index swap.
+//! can live as a **per-epoch immutable structure** in the MVCC store.
+//! A [`BitmapClauseIndex`] maps each `(functor, arity)` to an
+//! `Arc`-shared segment holding, for *that* predicate only:
 //!
-//! The index keeps three bitmap families:
-//!
-//! - `pred[(f, n)]` — every clause defining predicate `f/n`;
-//! - `first_arg[k]` — every clause (any predicate) whose head's first
-//!   argument has [`ArgKey`] `k`;
-//! - `var_headed` — every clause whose head has no first-argument key
+//! - `ids` — its defining clauses in program order (the candidate list
+//!   when nothing narrows);
+//! - `first_arg[k]` — its clauses whose head's first argument has
+//!   [`ArgKey`] `k`;
+//! - `var_headed` — its clauses whose head has no first-argument key
 //!   (variable first argument, or an atom head with no arguments at
 //!   all), i.e. clauses no bound key can rule out.
 //!
 //! A goal `p(t, ...)` whose first argument dereferences (through the
-//! live [`BindingLookup`]) to key `k` resolves to the **lazy**
-//! intersection `pred[(p, n)] ∩ (first_arg[k] ∪ var_headed)` — ascending
-//! clause-id order, which is program order, so the result is exactly the
-//! subsequence of the full predicate range that first-argument filtering
-//! keeps. The database's own [`arg_key`] discriminator is reused so both
-//! index implementations agree on what "the leading functor" means; the
-//! differential oracle tests in `tests/index_props.rs` hold them to it.
+//! live [`BindingLookup`]) to key `k` resolves to `first_arg[k] ∪
+//! var_headed` of `p/n`'s segment — ascending clause-id order, which is
+//! program order, so the result is exactly the subsequence of the full
+//! predicate range that first-argument filtering keeps. The database's
+//! own [`arg_key`] discriminator is reused so both index implementations
+//! agree on what "the leading functor" means; the differential oracle
+//! tests in `tests/index_props.rs` hold them to it.
+//!
+//! Cloning an index copies `PRED_SHARDS` pointers. The first insert or
+//! remove under a predicate after a clone copies that predicate's shard
+//! of the map (pointers again) and its segment (the id list and the
+//! key → bitmap map; a [`ClauseBitmap`] clones without allocating), then
+//! the one bitmap it changes — which is what lets a write transaction
+//! start from the committed epoch's index and pay only for the
+//! predicates it asserts into or retracts from.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use blog_logic::{arg_key, ArgKey, BindingLookup, Clause, ClauseDb, ClauseId, Sym, Term};
 use serde::Serialize;
 
-use crate::bitmap::{intersect_union, ClauseBitmap};
+use crate::bitmap::ClauseBitmap;
 
 /// Candidate-selection policy for the paged and MVCC stores.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug, Serialize)]
@@ -72,16 +80,36 @@ pub enum IndexedCandidates {
     Narrowed(Vec<ClauseId>),
 }
 
-/// Immutable-per-epoch bitmap index over a clause snapshot.
+/// Shards of the predicate map: the first write under a predicate after
+/// a clone copies `1/PRED_SHARDS` of the map's pointers.
+const PRED_SHARDS: usize = 64;
+
+/// Everything candidate selection knows about one predicate.
 #[derive(Clone, Default, Debug)]
-pub struct BitmapClauseIndex {
-    /// Predicate `(functor, arity)` → defining clauses.
-    pred: HashMap<(Sym, u32), ClauseBitmap>,
-    /// Head-first-argument key → clauses with that key, cross-predicate
-    /// (the `pred` intersection does the per-predicate narrowing).
+struct PredSegment {
+    /// Defining clauses in program order (ascending id).
+    ids: Vec<ClauseId>,
+    /// Head-first-argument key → this predicate's clauses with that key.
     first_arg: HashMap<ArgKey, ClauseBitmap>,
     /// Clauses with no head-first-argument key: match any bound key.
     var_headed: ClauseBitmap,
+}
+
+type PredShard = HashMap<(Sym, u32), Arc<PredSegment>>;
+
+/// Immutable-per-epoch candidate index over a clause snapshot: one
+/// [`Arc`]-shared segment per predicate (see the module docs).
+#[derive(Clone, Debug)]
+pub struct BitmapClauseIndex {
+    shards: [Arc<PredShard>; PRED_SHARDS],
+}
+
+impl Default for BitmapClauseIndex {
+    fn default() -> Self {
+        BitmapClauseIndex {
+            shards: std::array::from_fn(|_| Arc::default()),
+        }
+    }
 }
 
 /// The head's first-argument key, `None` when the head cannot
@@ -91,6 +119,10 @@ fn head_first_key(clause: &Clause) -> Option<ArgKey> {
         Term::Struct(_, args) => arg_key(&args[0]),
         _ => None,
     }
+}
+
+fn shard_of(pred: (Sym, u32)) -> usize {
+    (pred.0.index() + pred.1 as usize) % PRED_SHARDS
 }
 
 impl BitmapClauseIndex {
@@ -103,44 +135,62 @@ impl BitmapClauseIndex {
         idx
     }
 
-    /// Add one clause (store build, or an assert inside a `WriteTxn`'s
-    /// copy-on-write rebuild).
+    fn segment(&self, pred: (Sym, u32)) -> Option<&PredSegment> {
+        self.shards[shard_of(pred)].get(&pred).map(|seg| &**seg)
+    }
+
+    /// Add one clause (store build, or an assert inside a `WriteTxn`).
     pub fn insert_clause(&mut self, id: ClauseId, clause: &Clause) {
-        self.pred.entry(clause.head_pred()).or_default().insert(id);
+        let pred = clause.head_pred();
+        let shard = Arc::make_mut(&mut self.shards[shard_of(pred)]);
+        let seg = Arc::make_mut(shard.entry(pred).or_default());
+        // Ids are allocated densely, so this is a push in practice.
+        let at = seg.ids.partition_point(|&earlier| earlier < id);
+        seg.ids.insert(at, id);
         match head_first_key(clause) {
             Some(key) => {
-                self.first_arg.entry(key).or_default().insert(id);
+                seg.first_arg.entry(key).or_default().insert(id);
             }
             None => {
-                self.var_headed.insert(id);
+                seg.var_headed.insert(id);
             }
         }
     }
 
-    /// Remove one clause (a retract inside a `WriteTxn`). Empty bitmap
-    /// entries are dropped so unknown predicates/functors stay
-    /// recognizably absent.
+    /// Remove one clause (a retract inside a `WriteTxn`). Emptied key
+    /// buckets and predicates are dropped so unknown predicates/functors
+    /// stay recognizably absent.
     pub fn remove_clause(&mut self, id: ClauseId, clause: &Clause) {
         let pred = clause.head_pred();
-        if let Some(bm) = self.pred.get_mut(&pred) {
-            bm.remove(id);
-            if bm.is_empty() {
-                self.pred.remove(&pred);
-            }
+        let shard = Arc::make_mut(&mut self.shards[shard_of(pred)]);
+        let Some(seg) = shard.get_mut(&pred).map(Arc::make_mut) else {
+            return;
+        };
+        if let Ok(at) = seg.ids.binary_search(&id) {
+            seg.ids.remove(at);
         }
         match head_first_key(clause) {
             Some(key) => {
-                if let Some(bm) = self.first_arg.get_mut(&key) {
+                if let Some(bm) = seg.first_arg.get_mut(&key) {
                     bm.remove(id);
                     if bm.is_empty() {
-                        self.first_arg.remove(&key);
+                        seg.first_arg.remove(&key);
                     }
                 }
             }
             None => {
-                self.var_headed.remove(id);
+                seg.var_headed.remove(id);
             }
         }
+        if seg.ids.is_empty() {
+            shard.remove(&pred);
+        }
+    }
+
+    /// Every clause defining `pred`, in program order (empty for an
+    /// unknown predicate).
+    pub fn clauses_of(&self, pred: (Sym, u32)) -> &[ClauseId] {
+        self.segment(pred).map_or(&[], |seg| &seg.ids)
     }
 
     /// Resolve a goal's candidate clauses through the index,
@@ -154,29 +204,19 @@ impl BitmapClauseIndex {
         let Some(key) = arg_key(bindings.walk(&args[0])) else {
             return IndexedCandidates::Fallback;
         };
-        let Some(pred_bm) = self.pred.get(&(*f, args.len() as u32)) else {
+        let Some(seg) = self.segment((*f, args.len() as u32)) else {
             // Unknown predicate: nothing to resolve against.
             return IndexedCandidates::Narrowed(Vec::new());
         };
-        let var = (!self.var_headed.is_empty()).then_some(&self.var_headed);
-        let ids = match (self.first_arg.get(&key), var) {
-            // Unknown functor and no var-headed clauses: provably empty
-            // before any page is touched.
-            (None, None) => Vec::new(),
-            (Some(by_key), var) => intersect_union(pred_bm, by_key, var).collect(),
-            (None, Some(var)) => intersect_union(pred_bm, var, None).collect(),
+        let ids = match seg.first_arg.get(&key) {
+            // Unknown functor: only clauses no key can rule out — none
+            // at all, before any page is touched, when there are no
+            // var-headed ones.
+            None => seg.var_headed.iter().collect(),
+            Some(by_key) if seg.var_headed.is_empty() => by_key.iter().collect(),
+            Some(by_key) => by_key.union(&seg.var_headed).collect(),
         };
         IndexedCandidates::Narrowed(ids)
-    }
-
-    /// Number of predicate bitmaps (diagnostics).
-    pub fn pred_count(&self) -> usize {
-        self.pred.len()
-    }
-
-    /// Number of distinct first-argument keys (diagnostics).
-    pub fn key_count(&self) -> usize {
-        self.first_arg.len()
     }
 }
 

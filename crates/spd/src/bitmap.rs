@@ -2,7 +2,9 @@
 //! navigation — the set representation behind the first-argument clause
 //! index ([`bitidx`](crate::bitidx)).
 //!
-//! A [`ClauseBitmap`] stores a set of clause ids in two levels, in the
+//! A [`ClauseBitmap`] whose ids all fall in one 64-id chunk — most of the
+//! index's per-predicate, per-key sets — is that chunk's number and one
+//! word, inline, no heap. Anything wider is a tree of two levels, in the
 //! style of hierarchical sparse arrays (dense tree + rank-indexed
 //! levels):
 //!
@@ -16,15 +18,19 @@
 //!
 //! Membership, insertion, and removal are `O(1)` popcount arithmetic
 //! plus (for structural changes) a dense `Vec` shift — acceptable
-//! because mutation happens only on store build and per-commit
-//! copy-on-write rebuilds, never on the query path.
+//! because mutation happens only on store build and in write
+//! transactions, never on the query path. The tree sits behind an `Arc`
+//! and is copied by the first change after a clone, so cloning a bitmap
+//! (a write transaction branching a predicate's index segment clones all
+//! of that predicate's) never allocates.
 //!
-//! The query path's primitive is [`intersect_union`]: a **lazy**
-//! iterator over `a ∩ (b ∪ c)` that ANDs summary words first and leaf
-//! words second, yielding set bits in ascending order without
-//! materializing any intermediate bitmap. Ascending clause-id order *is*
-//! program order (ids are allocated densely in insertion order), which
-//! is the candidate-order contract every engine relies on.
+//! The query path reads a bitmap through [`iter`](ClauseBitmap::iter), or
+//! two of them through [`union`](ClauseBitmap::union): set bits in
+//! ascending order, nothing materialized in between. Ascending clause-id
+//! order *is* program order (ids are allocated densely in insertion
+//! order), which is the candidate-order contract every engine relies on.
+
+use std::sync::Arc;
 
 use blog_logic::ClauseId;
 
@@ -32,8 +38,21 @@ use blog_logic::ClauseId;
 const WORD_BITS: usize = 64;
 
 /// A compressed set of clause ids. See the module docs for the layout.
-#[derive(Clone, Default, Debug, PartialEq, Eq)]
-pub struct ClauseBitmap {
+#[derive(Clone, Debug)]
+pub struct ClauseBitmap(Repr);
+
+#[derive(Clone, Debug)]
+enum Repr {
+    /// Every id is in chunk `chunk`; `bits` is that chunk's leaf word
+    /// (zero: the empty set, whatever `chunk` says).
+    Word { chunk: usize, bits: u64 },
+    /// Ids in two chunks or more.
+    Tree(Arc<Tree>),
+}
+
+/// The two-level form. See the module docs.
+#[derive(Clone, Default, Debug)]
+struct Tree {
     /// Bit `c % 64` of `summary[c / 64]` is set iff leaf chunk `c` has a
     /// stored (nonzero) word. Trailing zero summary words are allowed
     /// (an insert far out grows the level; removals do not shrink it).
@@ -45,6 +64,76 @@ pub struct ClauseBitmap {
     leaves: Vec<u64>,
     /// Cached set-bit count.
     len: u32,
+}
+
+impl Tree {
+    /// The dense index of chunk `chunk`'s leaf word, if stored.
+    fn leaf_index(&self, chunk: usize) -> Option<usize> {
+        let (s, bit) = (chunk / WORD_BITS, chunk % WORD_BITS);
+        let word = *self.summary.get(s)?;
+        if word & (1u64 << bit) == 0 {
+            return None;
+        }
+        let below = word & ((1u64 << bit) - 1);
+        Some(self.ranks[s] as usize + below.count_ones() as usize)
+    }
+
+    fn contains(&self, chunk: usize, mask: u64) -> bool {
+        self.leaf_index(chunk)
+            .is_some_and(|li| self.leaves[li] & mask != 0)
+    }
+
+    /// Set the `mask` bits of chunk `chunk`, none of which is set yet.
+    fn insert(&mut self, chunk: usize, mask: u64) {
+        self.len += mask.count_ones();
+        if let Some(li) = self.leaf_index(chunk) {
+            self.leaves[li] |= mask;
+            return;
+        }
+        // New chunk: grow the summary level if needed, splice the leaf
+        // word in at its rank, and bump every later rank.
+        let (s, bit) = (chunk / WORD_BITS, chunk % WORD_BITS);
+        if s >= self.summary.len() {
+            self.summary.resize(s + 1, 0);
+            // Ranks of empty trailing words equal the total leaf count.
+            self.ranks.resize(s + 1, self.leaves.len() as u32);
+        }
+        let below = self.summary[s] & ((1u64 << bit) - 1);
+        let li = self.ranks[s] as usize + below.count_ones() as usize;
+        self.leaves.insert(li, mask);
+        self.summary[s] |= 1u64 << bit;
+        for r in &mut self.ranks[s + 1..] {
+            *r += 1;
+        }
+    }
+
+    /// Clear bit `mask` of chunk `chunk`, which is set.
+    fn remove(&mut self, chunk: usize, mask: u64) {
+        let li = self.leaf_index(chunk).expect("the bit's chunk is stored");
+        self.leaves[li] &= !mask;
+        self.len -= 1;
+        if self.leaves[li] == 0 {
+            // Chunk emptied: unsplice the leaf and fix the ranks.
+            let (s, bit) = (chunk / WORD_BITS, chunk % WORD_BITS);
+            self.leaves.remove(li);
+            self.summary[s] &= !(1u64 << bit);
+            for r in &mut self.ranks[s + 1..] {
+                *r -= 1;
+            }
+        }
+    }
+}
+
+impl Default for ClauseBitmap {
+    fn default() -> Self {
+        ClauseBitmap(Repr::Word { chunk: 0, bits: 0 })
+    }
+}
+
+/// The chunk of `id` and its bit in that chunk's word.
+fn locate(id: ClauseId) -> (usize, u64) {
+    let i = id.0 as usize;
+    (i / WORD_BITS, 1u64 << (i % WORD_BITS))
 }
 
 impl ClauseBitmap {
@@ -64,111 +153,101 @@ impl ClauseBitmap {
 
     /// Number of ids in the set.
     pub fn len(&self) -> usize {
-        self.len as usize
+        match &self.0 {
+            Repr::Word { bits, .. } => bits.count_ones() as usize,
+            Repr::Tree(tree) => tree.len as usize,
+        }
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The dense index of chunk `chunk`'s leaf word, if stored.
-    fn leaf_index(&self, chunk: usize) -> Option<usize> {
-        let (s, bit) = (chunk / WORD_BITS, chunk % WORD_BITS);
-        let word = *self.summary.get(s)?;
-        if word & (1u64 << bit) == 0 {
-            return None;
-        }
-        let below = word & ((1u64 << bit) - 1);
-        Some(self.ranks[s] as usize + below.count_ones() as usize)
+        self.len() == 0
     }
 
     /// Whether `id` is in the set.
     pub fn contains(&self, id: ClauseId) -> bool {
-        let i = id.0 as usize;
-        match self.leaf_index(i / WORD_BITS) {
-            Some(li) => self.leaves[li] & (1u64 << (i % WORD_BITS)) != 0,
-            None => false,
+        let (chunk, mask) = locate(id);
+        match &self.0 {
+            Repr::Word { chunk: c, bits } => *c == chunk && bits & mask != 0,
+            Repr::Tree(tree) => tree.contains(chunk, mask),
         }
     }
 
     /// Insert `id`; returns whether it was newly inserted.
     pub fn insert(&mut self, id: ClauseId) -> bool {
-        let i = id.0 as usize;
-        let chunk = i / WORD_BITS;
-        let mask = 1u64 << (i % WORD_BITS);
-        if let Some(li) = self.leaf_index(chunk) {
-            if self.leaves[li] & mask != 0 {
-                return false;
+        if self.contains(id) {
+            return false;
+        }
+        let (chunk, mask) = locate(id);
+        match &mut self.0 {
+            Repr::Word { chunk: c, bits } if *bits == 0 || *c == chunk => {
+                *c = chunk;
+                *bits |= mask;
             }
-            self.leaves[li] |= mask;
-            self.len += 1;
-            return true;
+            Repr::Word { chunk: c, bits } => {
+                let mut tree = Tree::default();
+                tree.insert(*c, *bits);
+                tree.insert(chunk, mask);
+                self.0 = Repr::Tree(Arc::new(tree));
+            }
+            Repr::Tree(tree) => Arc::make_mut(tree).insert(chunk, mask),
         }
-        // New chunk: grow the summary level if needed, splice the leaf
-        // word in at its rank, and bump every later rank.
-        let (s, bit) = (chunk / WORD_BITS, chunk % WORD_BITS);
-        if s >= self.summary.len() {
-            self.summary.resize(s + 1, 0);
-            // Ranks of empty trailing words equal the total leaf count.
-            self.ranks.resize(s + 1, self.leaves.len() as u32);
-        }
-        let below = self.summary[s] & ((1u64 << bit) - 1);
-        let li = self.ranks[s] as usize + below.count_ones() as usize;
-        self.leaves.insert(li, mask);
-        self.summary[s] |= 1u64 << bit;
-        for r in &mut self.ranks[s + 1..] {
-            *r += 1;
-        }
-        self.len += 1;
         true
     }
 
     /// Remove `id`; returns whether it was present.
     pub fn remove(&mut self, id: ClauseId) -> bool {
-        let i = id.0 as usize;
-        let chunk = i / WORD_BITS;
-        let mask = 1u64 << (i % WORD_BITS);
-        let Some(li) = self.leaf_index(chunk) else {
-            return false;
-        };
-        if self.leaves[li] & mask == 0 {
+        if !self.contains(id) {
             return false;
         }
-        self.leaves[li] &= !mask;
-        self.len -= 1;
-        if self.leaves[li] == 0 {
-            // Chunk emptied: unsplice the leaf and fix the ranks.
-            let (s, bit) = (chunk / WORD_BITS, chunk % WORD_BITS);
-            self.leaves.remove(li);
-            self.summary[s] &= !(1u64 << bit);
-            for r in &mut self.ranks[s + 1..] {
-                *r -= 1;
-            }
+        let (chunk, mask) = locate(id);
+        match &mut self.0 {
+            Repr::Word { bits, .. } => *bits &= !mask,
+            Repr::Tree(tree) => Arc::make_mut(tree).remove(chunk, mask),
         }
         true
     }
 
-    /// The leaf word of chunk `chunk` (zero when not stored).
-    fn word(&self, chunk: usize) -> u64 {
-        self.leaf_index(chunk).map_or(0, |li| self.leaves[li])
-    }
-
-    /// Summary word `s` (zero past the end).
-    fn summary_word(&self, s: usize) -> u64 {
-        self.summary.get(s).copied().unwrap_or(0)
-    }
-
     /// Iterate the set ids in ascending order.
     pub fn iter(&self) -> BitmapIter<'_> {
-        BitmapIter {
-            bm: self,
-            s: 0,
-            summary_rest: self.summary_word(0),
-            next_leaf: 0,
-            chunk: 0,
-            word_rest: 0,
+        match &self.0 {
+            Repr::Word { chunk, bits } => BitmapIter {
+                summary: &[],
+                leaves: &[],
+                s: 0,
+                summary_rest: 0,
+                chunk: *chunk,
+                word_rest: *bits,
+            },
+            Repr::Tree(tree) => BitmapIter {
+                summary: &tree.summary,
+                leaves: &tree.leaves,
+                s: 0,
+                summary_rest: tree.summary.first().copied().unwrap_or(0),
+                chunk: 0,
+                word_rest: 0,
+            },
         }
+    }
+
+    /// Lazy `self ∪ other`, ascending: the two walks merged, an id in
+    /// both yielded once. Nothing is materialized until the caller
+    /// collects.
+    pub fn union<'a>(&'a self, other: &'a ClauseBitmap) -> impl Iterator<Item = ClauseId> + 'a {
+        let (mut a, mut b) = (self.iter().peekable(), other.iter().peekable());
+        std::iter::from_fn(move || match (a.peek().copied(), b.peek().copied()) {
+            (Some(x), Some(y)) => {
+                if x <= y {
+                    a.next();
+                }
+                if y <= x {
+                    b.next();
+                }
+                Some(x.min(y))
+            }
+            (Some(_), None) => a.next(),
+            (None, _) => b.next(),
+        })
     }
 }
 
@@ -176,13 +255,15 @@ impl ClauseBitmap {
 /// rank navigation is implicit in the walk order).
 #[derive(Debug)]
 pub struct BitmapIter<'a> {
-    bm: &'a ClauseBitmap,
+    /// The tree's levels; both empty for the inline form, whose one word
+    /// starts out in `word_rest`.
+    summary: &'a [u64],
+    /// The leaf words not consumed yet.
+    leaves: &'a [u64],
     /// Current summary word index.
     s: usize,
     /// Unconsumed bits of the current summary word.
     summary_rest: u64,
-    /// Dense index of the next leaf word to consume.
-    next_leaf: usize,
     /// Chunk of the word currently being drained.
     chunk: usize,
     /// Unconsumed bits of that word.
@@ -201,103 +282,17 @@ impl Iterator for BitmapIter<'_> {
             }
             while self.summary_rest == 0 {
                 self.s += 1;
-                if self.s >= self.bm.summary.len() {
+                if self.s >= self.summary.len() {
                     return None;
                 }
-                self.summary_rest = self.bm.summary[self.s];
+                self.summary_rest = self.summary[self.s];
             }
             let bit = self.summary_rest.trailing_zeros() as usize;
             self.summary_rest &= self.summary_rest - 1;
             self.chunk = self.s * WORD_BITS + bit;
-            self.word_rest = self.bm.leaves[self.next_leaf];
-            self.next_leaf += 1;
-        }
-    }
-}
-
-/// Lazy `a ∩ (b ∪ c)` over three bitmaps (`c` optional), ascending.
-///
-/// Summary words are ANDed first, so whole 4096-id spans absent from
-/// either side are skipped without touching a leaf; surviving chunks AND
-/// (OR) leaf words and yield set bits. Nothing is materialized — not the
-/// union, not the intersection — which is what makes candidate selection
-/// free of per-goal allocation until the caller collects the result.
-pub fn intersect_union<'a>(
-    a: &'a ClauseBitmap,
-    b: &'a ClauseBitmap,
-    c: Option<&'a ClauseBitmap>,
-) -> IntersectUnion<'a> {
-    let n = a.summary.len().min(match c {
-        Some(c) => b.summary.len().max(c.summary.len()),
-        None => b.summary.len(),
-    });
-    IntersectUnion {
-        a,
-        b,
-        c,
-        n_summary: n,
-        s: 0,
-        summary_rest: 0,
-        chunk: 0,
-        word_rest: 0,
-        primed: false,
-    }
-}
-
-/// Iterator state for [`intersect_union`].
-#[derive(Debug)]
-pub struct IntersectUnion<'a> {
-    a: &'a ClauseBitmap,
-    b: &'a ClauseBitmap,
-    c: Option<&'a ClauseBitmap>,
-    /// Summary words worth visiting (min of the operands' coverage).
-    n_summary: usize,
-    s: usize,
-    /// Unconsumed bits of the current ANDed summary word.
-    summary_rest: u64,
-    chunk: usize,
-    word_rest: u64,
-    primed: bool,
-}
-
-impl IntersectUnion<'_> {
-    fn summary_at(&self, s: usize) -> u64 {
-        let rhs = match self.c {
-            Some(c) => self.b.summary_word(s) | c.summary_word(s),
-            None => self.b.summary_word(s),
-        };
-        self.a.summary_word(s) & rhs
-    }
-}
-
-impl Iterator for IntersectUnion<'_> {
-    type Item = ClauseId;
-
-    fn next(&mut self) -> Option<ClauseId> {
-        loop {
-            if self.word_rest != 0 {
-                let bit = self.word_rest.trailing_zeros() as usize;
-                self.word_rest &= self.word_rest - 1;
-                return Some(ClauseId((self.chunk * WORD_BITS + bit) as u32));
-            }
-            while self.summary_rest == 0 {
-                if self.primed {
-                    self.s += 1;
-                }
-                self.primed = true;
-                if self.s >= self.n_summary {
-                    return None;
-                }
-                self.summary_rest = self.summary_at(self.s);
-            }
-            let bit = self.summary_rest.trailing_zeros() as usize;
-            self.summary_rest &= self.summary_rest - 1;
-            self.chunk = self.s * WORD_BITS + bit;
-            let rhs = match self.c {
-                Some(c) => self.b.word(self.chunk) | c.word(self.chunk),
-                None => self.b.word(self.chunk),
-            };
-            self.word_rest = self.a.word(self.chunk) & rhs;
+            let (word, rest) = self.leaves.split_first().expect("one leaf per summary bit");
+            self.word_rest = *word;
+            self.leaves = rest;
         }
     }
 }
@@ -391,48 +386,34 @@ mod tests {
     }
 
     #[test]
-    fn intersect_union_matches_btreeset_model() {
+    fn union_matches_btreeset_model() {
         let a_ids = [0u32, 1, 63, 64, 65, 127, 128, 4095, 4096, 9000];
-        let b_ids = [1u32, 64, 127, 4096, 8999];
-        let c_ids = [0u32, 65, 9000, 20_000];
+        let b_ids = [1u32, 64, 127, 4096, 8999, 20_000];
         let a = ClauseBitmap::from_ids(ids(&a_ids));
         let b = ClauseBitmap::from_ids(ids(&b_ids));
-        let c = ClauseBitmap::from_ids(ids(&c_ids));
 
         let sa: BTreeSet<u32> = a_ids.into_iter().collect();
         let sb: BTreeSet<u32> = b_ids.into_iter().collect();
-        let sc: BTreeSet<u32> = c_ids.into_iter().collect();
-
-        // Two-way: a ∩ b.
-        let want2: Vec<u32> = sa.intersection(&sb).copied().collect();
-        let got2: Vec<u32> = intersect_union(&a, &b, None).map(|x| x.0).collect();
-        assert_eq!(got2, want2);
-
-        // Three-way: a ∩ (b ∪ c).
-        let bc: BTreeSet<u32> = sb.union(&sc).copied().collect();
-        let want3: Vec<u32> = sa.intersection(&bc).copied().collect();
-        let got3: Vec<u32> = intersect_union(&a, &b, Some(&c)).map(|x| x.0).collect();
-        assert_eq!(got3, want3);
+        let want: Vec<u32> = sa.union(&sb).copied().collect();
+        let got: Vec<u32> = a.union(&b).map(|x| x.0).collect();
+        assert_eq!(got, want);
+        let flipped: Vec<u32> = b.union(&a).map(|x| x.0).collect();
+        assert_eq!(flipped, want);
     }
 
     #[test]
-    fn intersect_with_empty_is_empty() {
+    fn union_with_empty_is_the_other_side() {
         let a = ClauseBitmap::from_ids(ids(&[1, 2, 3, 4096]));
         let empty = ClauseBitmap::new();
-        assert_eq!(intersect_union(&a, &empty, None).count(), 0);
-        assert_eq!(intersect_union(&empty, &a, None).count(), 0);
-        // Empty union side with a populated c still works.
-        let got: Vec<u32> = intersect_union(&a, &empty, Some(&a)).map(|x| x.0).collect();
-        assert_eq!(got, vec![1, 2, 3, 4096]);
-    }
-
-    #[test]
-    fn summary_bit_without_leaf_overlap_yields_nothing() {
-        // 0 and 63 share a leaf chunk but not a bit: the summary AND
-        // passes, the leaf AND must still reject.
-        let a = ClauseBitmap::from_ids(ids(&[0]));
-        let b = ClauseBitmap::from_ids(ids(&[63]));
-        assert_eq!(intersect_union(&a, &b, None).count(), 0);
+        assert_eq!(
+            a.union(&empty).map(|x| x.0).collect::<Vec<_>>(),
+            collect(&a)
+        );
+        assert_eq!(
+            empty.union(&a).map(|x| x.0).collect::<Vec<_>>(),
+            collect(&a)
+        );
+        assert_eq!(empty.union(&empty).count(), 0);
     }
 
     #[test]

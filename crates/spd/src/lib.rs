@@ -50,7 +50,7 @@ pub mod spd;
 pub mod timing;
 
 pub use bitidx::{BitmapClauseIndex, IndexCounters, IndexPolicy, IndexedCandidates};
-pub use bitmap::{intersect_union, ClauseBitmap};
+pub use bitmap::ClauseBitmap;
 pub use block::{Block, BlockId, NamedPointer};
 pub use bridge::{build_spd_from_db, DbLayout};
 pub use cache::TrackCache;

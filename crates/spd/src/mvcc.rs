@@ -3,44 +3,82 @@
 //! [`PagedClauseStore`](crate::paged::PagedClauseStore) is read-only: the
 //! clause database is built once, before any search starts. This module
 //! adds the write path the paper's multiprogramming story needs —
-//! clauses asserted and retracted *while* queries run — in the style of
-//! RustDB's `SharedPagedStorage`:
+//! clauses asserted and retracted *while* queries run.
 //!
-//! - **Copy-on-write pages.** Clause data lives in per-track
-//!   `PageData` pages behind `Arc`s. A [`WriteTxn`] clones each page it
-//!   dirties; untouched pages are shared structurally with every older
-//!   version of the database.
-//! - **Epoch counter.** Committing stamps the next epoch `E+1`, moves
-//!   each dirtied page's old version into a per-track *stash* tagged
-//!   `superseded_at = E+1`, and installs the new versions — all under
-//!   one brief lock, **after** the simulated write I/O has been paid, so
-//!   in-flight readers are never blocked on a committing writer (the
-//!   [`CommitMode::StopTheWorld`] baseline exists precisely to measure
-//!   what that non-blocking install buys).
-//! - **Reader epochs.** [`begin_read`](MvccClauseStore::begin_read) pins
-//!   the committed epoch and registers the reader; every page the
-//!   snapshot touches resolves through the stash to the version that was
-//!   current at the pinned epoch. Dropping the snapshot deregisters it
-//!   and retires stash entries no remaining reader can see:
+//! # One immutable version per epoch
 //!
-//!   > a stashed version with `superseded_at = S` is visible only to
-//!   > readers pinned at epochs `< S`, so it is retired as soon as the
-//!   > minimum active reader epoch reaches `S` (with no readers at all,
-//!   > the stash drains completely).
+//! Everything a query can observe — clause pages, candidate index,
+//! symbol table, clause count — hangs off one immutable `Version`, and
+//! the store holds the committed one behind `current:
+//! Mutex<Arc<Version>>`:
 //!
-//! The track cache ([`TrackCache`]) is shared with the read-only store
-//! and is deliberately *version-blind*: an access touches the same
-//! [`TrackId`] whichever page version it resolves to, so replacement
-//! behavior and the golden trace fixtures are unchanged by writes until
-//! a write actually moves a clause. The correctness contract — **a query
+//! ```text
+//! current ─► Version { epoch, len, symbols, index, pages }
+//!                                    │       │      │
+//!     Arc<SymbolTable> ◄─────────────┘       │      └─► [chunk 0][chunk 1]…   one Arc per chunk
+//!     (chunked names, sharded lookup)        │             │
+//!                                            │             └─► 64 × Arc<Page>  one Arc per track
+//!     (functor, arity) ─► Arc<segment> ◄─────┘
+//!     (program-order ids, first-arg key ─► bitmap, var-headed bitmap)
+//! ```
+//!
+//! - **[`begin_read`](MvccClauseStore::begin_read)** clones the `Arc`
+//!   under the mutex and that is all: a [`Snapshot`] *is* a pinned
+//!   version. Resolving a clause's page is two indexed loads into the
+//!   pinned page table — no lock, nothing per-track to set up. Dropping
+//!   a snapshot is one reference-count decrement.
+//! - **[`begin_write`](MvccClauseStore::begin_write)** clones the same
+//!   `Arc` as the transaction's base. A [`WriteTxn`] copies a page the
+//!   first time it dirties it, the index segment of a predicate the
+//!   first time it asserts into or retracts from it, and one shard of
+//!   the symbol table the first time it interns a new name; everything
+//!   else stays shared with the base.
+//! - **[`commit`](WriteTxn::commit)** pays the simulated write I/O, then
+//!   builds the next `Version` *outside* the mutex — copy the page
+//!   table's top level, re-point the dirtied chunks — swaps the pointer
+//!   under it, and drops the previous version after unlocking
+//!   ([`CommitMode::StopTheWorld`] exists to measure what that
+//!   non-blocking install buys).
+//!
+//! # Retirement is reference counting
+//!
+//! A page version that a commit replaced stays alive exactly as long as
+//! some live version's page table still points at it, i.e.
+//!
+//! > a page version installed at epoch `I` and superseded at epoch `S`
+//! > is retired when the last snapshot pinned at an epoch in `I..S`
+//! > drops (immediately at commit, when there is none).
+//!
+//! Nobody walks anything to find that out: the page's own `Drop` counts
+//! the retirement. [`stash_depth`](MvccClauseStore::stash_depth) — the
+//! number of superseded page versions still alive — is "superseded so
+//! far" minus "retired so far", two atomics.
+//!
+//! # Locks
+//!
+//! - `current` guards the pointer to the committed version and nothing
+//!   else. Its critical sections are one `Arc` clone or one pointer swap
+//!   and contain nothing that can panic.
+//! - `writer` serializes transactions; it guards no data. A thread that
+//!   panics with a transaction open has aborted it (nothing of a
+//!   transaction is shared before commit), so a poisoned `writer` is
+//!   taken over, not propagated.
+//! - The [`TrackCache`] mutex guards residency and its meters, as in the
+//!   read-only store.
+//!
+//! The track cache is shared with the read-only store and is
+//! deliberately *version-blind*: an access touches the same [`TrackId`]
+//! whichever page version it resolves to, so replacement behavior and
+//! the golden trace fixtures are unchanged by writes until a write
+//! actually moves a clause. The correctness contract — **a query
 //! admitted at epoch E returns exactly the sequential solution set of
 //! the epoch-E snapshot** — is enforced by `tests/mvcc_props.rs` and the
 //! serving churn suite.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use blog_logic::{
     parse_clauses_interning, BindingLookup, Clause, ClauseDb, ClauseId, ClauseSource, ParseError,
@@ -54,16 +92,12 @@ use crate::paged::{PagedStoreConfig, PagedStoreStats, PoolTouchStats, TrackId};
 use crate::policy::PolicyStats;
 use crate::timing::Geometry;
 
-/// Predicate `(functor, arity)` → defining clauses, in program order —
-/// the same shape as `ClauseDb`'s index, rebuilt per epoch.
-type PredIndex = HashMap<(Sym, u32), Vec<ClauseId>>;
-
 /// How a committing writer treats in-flight readers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum CommitMode {
-    /// Snapshot isolation: the writer pays its simulated write I/O
-    /// outside every lock, then installs new page versions under one
-    /// brief mutex. Readers are never blocked.
+    /// Snapshot isolation: the writer pays its simulated write I/O and
+    /// builds the next version outside every lock, then installs it with
+    /// one pointer swap. Readers are never blocked.
     Mvcc,
     /// The baseline MVCC is measured against: the writer takes a global
     /// reader/writer gate for the whole commit (I/O included), so every
@@ -81,70 +115,64 @@ impl CommitMode {
     }
 }
 
-/// One track's worth of clauses: the MVCC page. Slot `i` holds the
-/// clause whose [`BlockAddr`](crate::timing::BlockAddr) maps there;
-/// `None` is an empty or retracted slot.
-#[derive(Clone, Debug)]
-struct PageData {
+/// Tracks per shared chunk of a version's page table: a commit copies
+/// one chunk of pointers per chunk it dirties.
+const PAGES_PER_CHUNK: usize = 64;
+
+/// What installed pages and snapshots report into as they come and go.
+///
+/// `superseded` and `retired` are read together as a difference, so
+/// every access to them is `SeqCst`; a page's `superseded` increment
+/// happens before the commit that replaces it publishes the next
+/// version, hence before its `retired` one.
+#[derive(Default, Debug)]
+struct VersionGauges {
+    /// Installed page versions replaced by a commit, ever.
+    superseded: AtomicU64,
+    /// Installed page versions dropped, ever. The committed version
+    /// keeps every current page alive, so each of these was superseded
+    /// first.
+    retired: AtomicU64,
+    /// Snapshots alive. Publishes nothing: `Relaxed`.
+    readers: AtomicUsize,
+}
+
+/// One installed version of one track's clauses: the MVCC page. Slot `i`
+/// holds the clause whose [`BlockAddr`](crate::timing::BlockAddr) maps
+/// there; `None` is an empty or retracted slot.
+#[derive(Debug)]
+struct Page {
     clauses: Vec<Option<Clause>>,
+    gauges: Arc<VersionGauges>,
 }
 
-/// An old page version, kept while some reader epoch can still see it.
-#[derive(Debug)]
-struct StashedPage {
-    /// The epoch whose commit replaced this version: visible to readers
-    /// pinned at epochs `< superseded_at`.
-    superseded_at: u64,
-    data: Arc<PageData>,
+impl Drop for Page {
+    fn drop(&mut self) {
+        self.gauges.retired.fetch_add(1, Ordering::SeqCst);
+    }
 }
 
-/// One track's current page plus its stash of superseded versions
-/// (ascending by `superseded_at`).
+/// The database as of one epoch. Immutable once built; see the module
+/// docs for what is shared between consecutive versions.
 #[derive(Debug)]
-struct PageSlot {
-    current: Arc<PageData>,
-    /// Epoch at which `current` was installed.
-    current_since: u64,
-    stash: Vec<StashedPage>,
-}
-
-/// Everything a commit swaps and a `begin_read` pins, under one mutex.
-#[derive(Debug)]
-struct VersionState {
-    /// One slot per track, indexed by `cylinder * n_sps + sp`.
-    pages: Vec<PageSlot>,
-    index: Arc<PredIndex>,
-    /// First-argument bitmap index for this epoch, rebuilt copy-on-write
-    /// per commit and swapped exactly like `index` (always maintained so
-    /// a policy flip never needs a rebuild; consulted only under
-    /// [`IndexPolicy::FirstArg`]).
-    bitidx: Arc<BitmapClauseIndex>,
-    symbols: Arc<SymbolTable>,
+struct Version {
+    /// Epoch 0 is the seed database.
+    epoch: u64,
     /// Clause count: ids `0..len` have been allocated (some retracted).
     len: usize,
-    /// The committed epoch; epoch 0 is the seed database.
-    committed: u64,
-    /// Active readers per pinned epoch.
-    readers: BTreeMap<u64, usize>,
-    /// Cumulative stash entries retired (diagnostics).
-    pages_retired: u64,
+    /// Track `t` (`cylinder * n_sps + sp`) is
+    /// `pages[t / PAGES_PER_CHUNK][t % PAGES_PER_CHUNK]`.
+    pages: Vec<Arc<[Arc<Page>]>>,
+    /// Candidate selection for this epoch (always maintained so a policy
+    /// flip never needs a rebuild; narrowing is consulted only under
+    /// [`IndexPolicy::FirstArg`]).
+    index: BitmapClauseIndex,
+    symbols: Arc<SymbolTable>,
 }
 
-impl VersionState {
-    /// Drop every stash entry no active reader can see (see module docs
-    /// for the retirement rule).
-    fn retire(&mut self) {
-        let min_reader = self.readers.keys().next().copied();
-        for slot in &mut self.pages {
-            let before = slot.stash.len();
-            match min_reader {
-                // A stashed version superseded at S is dead once the
-                // oldest reader is pinned at an epoch >= S.
-                Some(min) => slot.stash.retain(|s| s.superseded_at > min),
-                None => slot.stash.clear(),
-            }
-            self.pages_retired += (before - slot.stash.len()) as u64;
-        }
+impl Version {
+    fn page(&self, track: usize) -> &Page {
+        &self.pages[track / PAGES_PER_CHUNK][track % PAGES_PER_CHUNK]
     }
 }
 
@@ -157,9 +185,9 @@ pub struct MvccStats {
     pub commits: u64,
     /// Snapshots currently holding an epoch pin.
     pub active_readers: usize,
-    /// Old page versions currently stashed across all tracks.
+    /// Superseded page versions still alive, across all tracks.
     pub stashed_pages: usize,
-    /// Stash entries retired over the store's lifetime.
+    /// Superseded page versions retired over the store's lifetime.
     pub pages_retired: u64,
 }
 
@@ -222,7 +250,9 @@ pub struct MvccClauseStore {
     /// Candidate-selection meters (atomics — selection never locks).
     index_counters: IndexCounters,
     cache: TrackCache,
-    versions: Mutex<VersionState>,
+    /// The committed version. Held only to clone or swap the pointer.
+    current: Mutex<Arc<Version>>,
+    gauges: Arc<VersionGauges>,
     /// Serializes writers (one transaction at a time).
     writer: Mutex<()>,
     /// The stop-the-world gate: committing writers in
@@ -255,21 +285,24 @@ impl MvccClauseStore {
         );
         let g = config.geometry;
         let n_tracks = (g.n_sps * g.n_cylinders) as usize;
-        let mut pages = vec![
-            PageData {
-                clauses: vec![None; g.blocks_per_track as usize],
-            };
-            n_tracks
-        ];
-        let mut index: PredIndex = HashMap::new();
-        let mut bitidx = BitmapClauseIndex::default();
+        let mut tracks = vec![vec![None; g.blocks_per_track as usize]; n_tracks];
+        let mut index = BitmapClauseIndex::default();
         for (i, clause) in db.clauses().iter().enumerate() {
             let addr = g.addr_of_index(i as u32);
             let ti = (addr.cylinder * g.n_sps + addr.sp) as usize;
-            pages[ti].clauses[addr.slot as usize] = Some(clause.clone());
-            index.entry(clause.head_pred()).or_default().push(ClauseId(i as u32));
-            bitidx.insert_clause(ClauseId(i as u32), clause);
+            tracks[ti][addr.slot as usize] = Some(clause.clone());
+            index.insert_clause(ClauseId(i as u32), clause);
         }
+        let gauges = Arc::new(VersionGauges::default());
+        let pages: Vec<Arc<Page>> = tracks
+            .into_iter()
+            .map(|clauses| {
+                Arc::new(Page {
+                    clauses,
+                    gauges: Arc::clone(&gauges),
+                })
+            })
+            .collect();
         MvccClauseStore {
             geometry: g,
             policy_kind: config.policy,
@@ -278,23 +311,14 @@ impl MvccClauseStore {
             index_counters: IndexCounters::default(),
             cache: TrackCache::new(config.policy, config.capacity_tracks, g.n_sps, config.cost)
                 .with_faults(config.fault),
-            versions: Mutex::new(VersionState {
-                pages: pages
-                    .into_iter()
-                    .map(|p| PageSlot {
-                        current: Arc::new(p),
-                        current_since: 0,
-                        stash: Vec::new(),
-                    })
-                    .collect(),
-                index: Arc::new(index),
-                bitidx: Arc::new(bitidx),
-                symbols: Arc::new(db.symbols().clone()),
+            current: Mutex::new(Arc::new(Version {
+                epoch: 0,
                 len: db.len(),
-                committed: 0,
-                readers: BTreeMap::new(),
-                pages_retired: 0,
-            }),
+                pages: pages.chunks(PAGES_PER_CHUNK).map(Arc::from).collect(),
+                index,
+                symbols: Arc::new(db.symbols().clone()),
+            })),
+            gauges,
             writer: Mutex::new(()),
             stw_gate: RwLock::new(()),
             write_stall_ns_per_tick: AtomicU64::new(0),
@@ -302,22 +326,28 @@ impl MvccClauseStore {
         }
     }
 
-    fn versions(&self) -> MutexGuard<'_, VersionState> {
-        self.versions.lock().unwrap()
+    /// The committed version's slot. Recovers from poisoning: no
+    /// critical section on this mutex can panic, so the flag could only
+    /// be stale.
+    fn current(&self) -> MutexGuard<'_, Arc<Version>> {
+        self.current.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Dense index of the track holding block address components.
-    fn track_index(&self, track: TrackId) -> usize {
-        (track.cylinder * self.geometry.n_sps + track.sp) as usize
+    /// Where clause `cid` lives: its track, that track's index into a
+    /// version's page table, and its slot in the page.
+    fn place(&self, cid: ClauseId) -> (TrackId, usize, usize) {
+        let addr = self.geometry.addr_of_index(cid.0);
+        let track = TrackId {
+            sp: addr.sp,
+            cylinder: addr.cylinder,
+        };
+        let index = addr.cylinder * self.geometry.n_sps + addr.sp;
+        (track, index as usize, addr.slot as usize)
     }
 
     /// The track (cache page) holding clause `cid`.
     pub fn track_of(&self, cid: ClauseId) -> TrackId {
-        let addr = self.geometry.addr_of_index(cid.0);
-        TrackId {
-            sp: addr.sp,
-            cylinder: addr.cylinder,
-        }
+        self.place(cid).0
     }
 
     /// This store's commit mode.
@@ -347,24 +377,19 @@ impl MvccClauseStore {
     /// [`CommitMode::StopTheWorld`] it happens while holding the global
     /// gate — that difference is the whole experiment.
     pub fn set_write_stall(&self, ns_per_tick: u64) {
-        self.write_stall_ns_per_tick.store(ns_per_tick, Ordering::Relaxed);
+        self.write_stall_ns_per_tick
+            .store(ns_per_tick, Ordering::Relaxed);
     }
 
-    /// Pin the committed epoch and return a read snapshot. The snapshot
-    /// keeps every page version it may need alive until dropped.
+    /// Pin the committed version and return a read snapshot. The
+    /// snapshot keeps every page version it may need alive until
+    /// dropped.
     pub fn begin_read(&self) -> Snapshot<'_> {
-        let n_tracks = (self.geometry.n_sps * self.geometry.n_cylinders) as usize;
-        let mut v = self.versions();
-        let epoch = v.committed;
-        *v.readers.entry(epoch).or_insert(0) += 1;
+        let version = Arc::clone(&self.current());
+        self.gauges.readers.fetch_add(1, Ordering::Relaxed);
         Snapshot {
             store: self,
-            epoch,
-            len: v.len,
-            symbols: Arc::clone(&v.symbols),
-            index: Arc::clone(&v.index),
-            bitidx: Arc::clone(&v.bitidx),
-            resolved: (0..n_tracks).map(|_| OnceLock::new()).collect(),
+            version,
             pool: None,
             stall_ns_per_tick: 0,
             deps: None,
@@ -375,85 +400,66 @@ impl MvccClauseStore {
     /// Start a write transaction. Writers are serialized: this blocks
     /// while another transaction is open. Readers are unaffected.
     pub fn begin_write(&self) -> WriteTxn<'_> {
-        let guard = self.writer.lock().unwrap();
+        // A poisoned `writer` means a thread unwound with a transaction
+        // open, which aborted it: nothing to repair.
+        let guard = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         // No commit can interleave past this point (we hold the writer
-        // mutex), so the state read here stays the transaction's base.
-        let v = self.versions();
+        // mutex), so the version read here stays the transaction's base.
+        let base = Arc::clone(&self.current());
         WriteTxn {
             store: self,
-            base_epoch: v.committed,
-            len: v.len,
+            len: base.len,
+            base,
             dirty: HashMap::new(),
-            index: (*v.index).clone(),
-            bitidx: (*v.bitidx).clone(),
-            symbols: (*v.symbols).clone(),
+            index: None,
+            symbols: None,
             touched: BTreeSet::new(),
             trace: None,
             _writer: guard,
         }
     }
 
-    /// The page version visible at `epoch` for track `ti`.
-    fn page_at(&self, ti: usize, epoch: u64) -> Arc<PageData> {
-        let v = self.versions();
-        let slot = &v.pages[ti];
-        if slot.current_since <= epoch {
-            return Arc::clone(&slot.current);
-        }
-        // The stash is ascending by superseded_at; the version current at
-        // `epoch` is the first one replaced *after* it.
-        slot.stash
-            .iter()
-            .find(|s| s.superseded_at > epoch)
-            .map(|s| Arc::clone(&s.data))
-            .expect("page version for a pinned reader epoch was retired early")
-    }
-
-    /// Deregister a reader pinned at `epoch` and retire what it alone
-    /// kept alive.
-    fn end_read(&self, epoch: u64) {
-        let mut v = self.versions();
-        match v.readers.get_mut(&epoch) {
-            Some(n) if *n > 1 => *n -= 1,
-            Some(_) => {
-                v.readers.remove(&epoch);
-            }
-            None => unreachable!("end_read without begin_read at epoch {epoch}"),
-        }
-        v.retire();
-    }
-
     /// The committed epoch (0 until the first commit).
     pub fn committed_epoch(&self) -> u64 {
-        self.versions().committed
+        self.current().epoch
+    }
+
+    /// `(superseded page versions still alive, retired so far)`.
+    fn stash(&self) -> (usize, u64) {
+        // `retired` first: a concurrent commit can then only make the
+        // difference read high, never negative.
+        let retired = self.gauges.retired.load(Ordering::SeqCst);
+        let superseded = self.gauges.superseded.load(Ordering::SeqCst);
+        (superseded.saturating_sub(retired) as usize, retired)
     }
 
     /// MVCC diagnostics (see [`MvccStats`]).
     pub fn mvcc_stats(&self) -> MvccStats {
-        let v = self.versions();
+        let (stashed_pages, pages_retired) = self.stash();
         MvccStats {
-            committed_epoch: v.committed,
+            committed_epoch: self.committed_epoch(),
             commits: self.commits.load(Ordering::Relaxed),
-            active_readers: v.readers.values().sum(),
-            stashed_pages: v.pages.iter().map(|p| p.stash.len()).sum(),
-            pages_retired: v.pages_retired,
+            active_readers: self.reader_count(),
+            stashed_pages,
+            pages_retired,
         }
     }
 
     /// Snapshots currently holding an epoch pin.
     pub fn reader_count(&self) -> usize {
-        self.versions().readers.values().sum()
+        self.gauges.readers.load(Ordering::Relaxed)
     }
 
-    /// Old page versions currently stashed across all tracks.
+    /// Superseded page versions still alive (some pinned snapshot can
+    /// still read them), across all tracks.
     pub fn stash_depth(&self) -> usize {
-        self.versions().pages.iter().map(|p| p.stash.len()).sum()
+        self.stash().0
     }
 
     /// Clause count at the committed epoch (allocated ids, including
     /// retracted ones — ids are never reused).
     pub fn committed_len(&self) -> usize {
-        self.versions().len
+        self.current().len
     }
 
     /// Track-cache counters (lock-traffic and candidate-selection meters
@@ -504,26 +510,15 @@ impl MvccClauseStore {
 /// An epoch-pinned, immutable view of the store — the [`ClauseSource`]
 /// queries execute against.
 ///
-/// Every page is resolved lazily on first touch through the version
-/// stash (see `MvccClauseStore::page_at`) and cached in the snapshot,
-/// so a clause fetched twice resolves once and commits that land *after*
-/// `begin_read` are never observed. Dropping the snapshot releases its
-/// epoch pin and retires stash entries nobody else needs.
+/// The snapshot holds the version that was committed at
+/// [`begin_read`](MvccClauseStore::begin_read): pages, index and symbol
+/// table all resolve through it, so commits that land afterwards are
+/// never observed. Dropping the snapshot releases the version, and with
+/// it every superseded page nobody else still pins.
 #[derive(Debug)]
 pub struct Snapshot<'s> {
     store: &'s MvccClauseStore,
-    epoch: u64,
-    len: usize,
-    symbols: Arc<SymbolTable>,
-    index: Arc<PredIndex>,
-    /// The pinned epoch's first-argument bitmap index: a commit landing
-    /// after `begin_read` swaps the store's `Arc` but cannot change what
-    /// this snapshot resolves candidates through.
-    bitidx: Arc<BitmapClauseIndex>,
-    /// Per-track page resolution cache (`OnceLock` so `fetch_clause` can
-    /// stay `&self` and the returned `&Clause` borrows from the
-    /// snapshot).
-    resolved: Vec<OnceLock<Arc<PageData>>>,
+    version: Arc<Version>,
     pool: Option<usize>,
     stall_ns_per_tick: u64,
     /// When enabled (see [`recording_deps`](Self::recording_deps)), every
@@ -590,13 +585,13 @@ impl<'s> Snapshot<'s> {
 
     /// The epoch this snapshot is pinned at.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.version.epoch
     }
 
     /// The symbol table as of the pinned epoch (append-only across
     /// epochs, so handles valid at older epochs stay valid here).
     pub fn symbols(&self) -> &SymbolTable {
-        &self.symbols
+        &self.version.symbols
     }
 
     /// The store this snapshot reads.
@@ -620,17 +615,11 @@ impl<'s> Snapshot<'s> {
             }
         }
     }
-
-    /// The page holding `cid` as visible at this snapshot's epoch.
-    fn page_for(&self, cid: ClauseId) -> &PageData {
-        let ti = self.store.track_index(self.store.track_of(cid));
-        self.resolved[ti].get_or_init(|| self.store.page_at(ti, self.epoch))
-    }
 }
 
 impl Drop for Snapshot<'_> {
     fn drop(&mut self) {
-        self.store.end_read(self.epoch);
+        self.store.gauges.readers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -642,16 +631,34 @@ impl ClauseSource for Snapshot<'_> {
         // committing writer panicked mid-STW swap — readers cannot
         // verify the swap completed, so fail the fetch rather than risk
         // a torn read (MVCC snapshots are immune by construction).
-        let _gate = match self.store.commit_mode {
-            CommitMode::StopTheWorld => Some(self.store.stw_gate.read().map_err(|_| {
-                StoreError::permanent("stop-the-world writer panicked mid-commit")
-            })?),
-            CommitMode::Mvcc => None,
+        let _gate =
+            match self.store.commit_mode {
+                CommitMode::StopTheWorld => Some(self.store.stw_gate.read().map_err(|_| {
+                    StoreError::permanent("stop-the-world writer panicked mid-commit")
+                })?),
+                CommitMode::Mvcc => None,
+            };
+        // An id the pinned epoch does not hold is refused before any
+        // track is touched. Ids at or past `len` include every id the
+        // geometry cannot place.
+        let v = &*self.version;
+        if id.index() >= v.len {
+            return Err(StoreError::permanent(format!(
+                "clause {} is not allocated at epoch {} ({} clauses)",
+                id.0, v.epoch, v.len
+            )));
+        }
+        let (track, page, slot) = self.store.place(id);
+        let Some(clause) = &v.page(page).clauses[slot] else {
+            return Err(StoreError::permanent(format!(
+                "clause {} is retracted at epoch {}",
+                id.0, v.epoch
+            )));
         };
         let outcome = self
             .store
             .cache
-            .try_touch(self.store.track_of(id), self.pool)
+            .try_touch(track, self.pool)
             .inspect_err(|e| {
                 if let Some(t) = &self.trace {
                     t.event("store_fault", format!("clause {}: {e}", id.0));
@@ -670,10 +677,7 @@ impl ClauseSource for Snapshot<'_> {
                 outcome.fault_ticks * self.stall_ns_per_tick,
             ));
         }
-        let addr = self.store.geometry.addr_of_index(id.0);
-        Ok(self.page_for(id).clauses[addr.slot as usize]
-            .as_ref()
-            .expect("fetched a clause not visible at this snapshot's epoch"))
+        Ok(clause)
     }
 
     fn try_candidate_clauses<'a>(
@@ -683,20 +687,23 @@ impl ClauseSource for Snapshot<'_> {
     ) -> Result<Cow<'a, [ClauseId]>, StoreError> {
         // Candidate lists ride in the caller's block (figure 4), already
         // paid for when the caller was fetched — same accounting as the
-        // read-only store. Both indexes are pinned with the snapshot, so
-        // a concurrent commit cannot leak clauses from another epoch in.
+        // read-only store. The index is pinned with the snapshot, so a
+        // concurrent commit cannot leak clauses from another epoch in.
+        let index = &self.version.index;
         let full = match goal.functor() {
             Some(pred) => {
                 if let Some(deps) = &self.deps {
                     deps.lock().unwrap().insert(pred);
                 }
-                self.index.get(&pred).map(Vec::as_slice).unwrap_or(&[])
+                index.clauses_of(pred)
             }
             None => &[][..],
         };
         if self.store.index_policy == IndexPolicy::FirstArg {
-            if let IndexedCandidates::Narrowed(ids) = self.bitidx.lookup(goal, bindings) {
-                self.store.index_counters.record_indexed(full.len(), ids.len());
+            if let IndexedCandidates::Narrowed(ids) = index.lookup(goal, bindings) {
+                self.store
+                    .index_counters
+                    .record_indexed(full.len(), ids.len());
                 return Ok(Cow::Owned(ids));
             }
         }
@@ -705,7 +712,7 @@ impl ClauseSource for Snapshot<'_> {
     }
 
     fn clause_count(&self) -> usize {
-        self.len
+        self.version.len
     }
 
     fn backend_name(&self) -> String {
@@ -734,33 +741,36 @@ impl ClauseSource for Snapshot<'_> {
 
 /// A write transaction: assert/retract clauses, then [`commit`](Self::commit).
 ///
-/// The transaction copy-on-writes each page it dirties and interns new
-/// vocabulary into a private clone of the symbol table; nothing is
-/// visible to readers until commit installs the new versions atomically
-/// under the next epoch. Dropping without committing aborts with no
-/// trace. Writers are serialized by the store (one open transaction at a
-/// time); readers never wait for a transaction, open or committing
-/// (except under [`CommitMode::StopTheWorld`]).
+/// The transaction copies what it changes — a page, a predicate's index
+/// segment, a shard of the symbol table — the first time it changes it,
+/// and shares the rest with its base version; nothing is visible to
+/// readers until commit installs the next version atomically. Dropping
+/// without committing aborts with no trace. Writers are serialized by
+/// the store (one open transaction at a time); readers never wait for a
+/// transaction, open or committing (except under
+/// [`CommitMode::StopTheWorld`]).
 #[derive(Debug)]
 pub struct WriteTxn<'s> {
     store: &'s MvccClauseStore,
-    base_epoch: u64,
+    /// The version this transaction branched from.
+    base: Arc<Version>,
     /// Next clause id; ids are allocated densely and never reused.
     len: usize,
     /// Copy-on-write pages, by track index.
-    dirty: HashMap<usize, PageData>,
-    index: PredIndex,
-    /// Copy-on-write first-argument bitmap index, patched incrementally
-    /// by asserts and retracts and installed whole at commit.
-    bitidx: BitmapClauseIndex,
-    symbols: SymbolTable,
+    dirty: HashMap<usize, Vec<Option<Clause>>>,
+    /// The next version's index, branched from the base's by the first
+    /// assert or retract.
+    index: Option<BitmapClauseIndex>,
+    /// The next version's symbol table, branched from the base's by the
+    /// first [`assert_text`](Self::assert_text).
+    symbols: Option<SymbolTable>,
     /// Head predicates of every assert and retract in this transaction —
     /// the commit's *touched set*, which an answer cache intersects with
     /// cached queries' dependency footprints to invalidate precisely.
     touched: BTreeSet<(Sym, u32)>,
     /// Span context of the request this commit belongs to (`None` — the
     /// default — is untraced). With it set, [`commit`](Self::commit)
-    /// records its write-I/O wait and install phases as spans and stash
+    /// records its write-I/O wait and install phases as spans and page
     /// retirement as an event.
     trace: Option<blog_obs::SpanCtx>,
     _writer: MutexGuard<'s, ()>,
@@ -769,7 +779,7 @@ pub struct WriteTxn<'s> {
 impl WriteTxn<'_> {
     /// The committed epoch this transaction branched from.
     pub fn base_epoch(&self) -> u64 {
-        self.base_epoch
+        self.base.epoch
     }
 
     /// Clause ids allocated so far (committed base plus this
@@ -786,11 +796,11 @@ impl WriteTxn<'_> {
     /// The transaction's symbol table (base table plus any vocabulary
     /// interned by [`assert_text`](Self::assert_text) so far).
     pub fn symbols(&self) -> &SymbolTable {
-        &self.symbols
+        self.symbols.as_ref().unwrap_or(&self.base.symbols)
     }
 
     /// This transaction with its commit phases (write-I/O wait, version
-    /// install, stash retirement) reported onto `trace`'s span tree.
+    /// install, page retirement) reported onto `trace`'s span tree.
     /// `None` (the default) keeps the commit untraced.
     pub fn with_trace(mut self, trace: Option<blog_obs::SpanCtx>) -> Self {
         self.trace = trace;
@@ -806,15 +816,16 @@ impl WriteTxn<'_> {
         self.touched.iter().copied().collect()
     }
 
-    /// The copy-on-write page for `ti`, cloning the committed version on
-    /// first touch.
-    fn dirty_page(&mut self, ti: usize) -> &mut PageData {
-        self.dirty.entry(ti).or_insert_with(|| {
-            let v = self.store.versions();
-            // Writers are serialized and the committed state cannot move
-            // under an open transaction, so `current` IS the base page.
-            (*v.pages[ti].current).clone()
-        })
+    /// The copy-on-write page for `track`, copied from the base version
+    /// on first touch.
+    fn dirty_page(&mut self, track: usize) -> &mut Vec<Option<Clause>> {
+        self.dirty
+            .entry(track)
+            .or_insert_with(|| self.base.page(track).clauses.clone())
+    }
+
+    fn index_mut(&mut self) -> &mut BitmapClauseIndex {
+        self.index.get_or_insert_with(|| self.base.index.clone())
     }
 
     /// Assert `clause`, allocating the next clause id. The head and all
@@ -833,13 +844,10 @@ impl WriteTxn<'_> {
             });
         }
         let cid = ClauseId(self.len as u32);
-        let addr = self.store.geometry.addr_of_index(cid.0);
-        let ti = (addr.cylinder * self.store.geometry.n_sps + addr.sp) as usize;
-        let pred = clause.head_pred();
-        self.bitidx.insert_clause(cid, &clause);
-        self.dirty_page(ti).clauses[addr.slot as usize] = Some(clause);
-        self.index.entry(pred).or_default().push(cid);
-        self.touched.insert(pred);
+        let (_, track, slot) = self.store.place(cid);
+        self.index_mut().insert_clause(cid, &clause);
+        self.touched.insert(clause.head_pred());
+        self.dirty_page(track)[slot] = Some(clause);
         self.len += 1;
         Ok(cid)
     }
@@ -849,7 +857,10 @@ impl WriteTxn<'_> {
     /// transaction's symbol table — this is how the update lane
     /// introduces vocabulary the read-only parse path keeps rejecting.
     pub fn assert_text(&mut self, src: &str) -> Result<Vec<ClauseId>, MvccError> {
-        let clauses = parse_clauses_interning(&mut self.symbols, src)?;
+        let symbols = self
+            .symbols
+            .get_or_insert_with(|| SymbolTable::clone(&self.base.symbols));
+        let clauses = parse_clauses_interning(symbols, src)?;
         clauses.into_iter().map(|c| self.assert_clause(c)).collect()
     }
 
@@ -860,39 +871,36 @@ impl WriteTxn<'_> {
         if cid.index() >= self.len {
             return Err(MvccError::NoSuchClause(cid));
         }
-        let addr = self.store.geometry.addr_of_index(cid.0);
-        let ti = (addr.cylinder * self.store.geometry.n_sps + addr.sp) as usize;
-        let page = self.dirty_page(ti);
-        let Some(clause) = page.clauses[addr.slot as usize].take() else {
+        let (_, track, slot) = self.store.place(cid);
+        let Some(clause) = self.dirty_page(track)[slot].take() else {
             return Err(MvccError::AlreadyRetracted(cid));
         };
-        let pred = clause.head_pred();
-        if let Some(ids) = self.index.get_mut(&pred) {
-            ids.retain(|&id| id != cid);
-        }
-        self.bitidx.remove_clause(cid, &clause);
-        self.touched.insert(pred);
+        self.index_mut().remove_clause(cid, &clause);
+        self.touched.insert(clause.head_pred());
         Ok(())
     }
 
     /// Commit: pay the simulated write I/O (one `track_load` per dirty
-    /// page), then install the new page versions, index, and symbol
-    /// table under the next epoch. Returns the new committed epoch (or
+    /// page), then install the next version — new pages, index, symbol
+    /// table — under the next epoch. Returns the new committed epoch (or
     /// the unchanged one for an empty transaction).
     ///
-    /// Under [`CommitMode::Mvcc`] the I/O sleep happens before any lock
-    /// is taken, and the install itself is a brief mutex hold — readers
-    /// keep resolving pages (old epochs through the stash) the whole
-    /// time. Under [`CommitMode::StopTheWorld`] the store-wide gate is
-    /// held across I/O *and* install.
+    /// Under [`CommitMode::Mvcc`] the I/O sleep and the building of the
+    /// next version happen before any lock is taken, and the install is
+    /// one pointer swap — readers keep pinning and reading versions the
+    /// whole time. Under [`CommitMode::StopTheWorld`] the store-wide gate
+    /// is held across I/O *and* install.
     pub fn commit(self) -> u64 {
         let store = self.store;
-        if self.dirty.is_empty() {
-            // Nothing to install; symbol-only or empty transactions do
-            // not bump the epoch (no page version changed).
-            return self.base_epoch;
-        }
-        let io_ticks = self.dirty.len() as u64 * store.cache.cost().track_load;
+        let base = self.base;
+        let Some(index) = self.index else {
+            // No assert or retract got as far as the index, so no page
+            // changed either: symbol-only and empty transactions do not
+            // bump the epoch.
+            return base.epoch;
+        };
+        let n_dirty = self.dirty.len() as u64;
+        let io_ticks = n_dirty * store.cache.cost().track_load;
         let stall_ns = store.write_stall_ns_per_tick.load(Ordering::Relaxed);
         let io = std::time::Duration::from_nanos(io_ticks * stall_ns);
         let trace = self.trace;
@@ -915,35 +923,44 @@ impl WriteTxn<'_> {
                 None
             }
         };
-
         drop(io_span);
 
         let install_span = trace.as_ref().map(|t| t.span("commit_install"));
-        let mut v = store.versions();
-        let new_epoch = v.committed + 1;
-        let retired_before = v.pages_retired;
-        for (ti, page) in self.dirty {
-            let slot = &mut v.pages[ti];
-            let old = std::mem::replace(&mut slot.current, Arc::new(page));
-            slot.stash.push(StashedPage {
-                superseded_at: new_epoch,
-                data: old,
-            });
-            slot.current_since = new_epoch;
+        let mut pages = base.pages.clone();
+        for (track, clauses) in self.dirty {
+            // The first dirty page of a chunk copies the chunk's 64
+            // pointers; its later ones find the copy unshared.
+            Arc::make_mut(&mut pages[track / PAGES_PER_CHUNK])[track % PAGES_PER_CHUNK] =
+                Arc::new(Page {
+                    clauses,
+                    gauges: Arc::clone(&store.gauges),
+                });
         }
-        v.index = Arc::new(self.index);
-        v.bitidx = Arc::new(self.bitidx);
-        v.symbols = Arc::new(self.symbols);
-        v.len = self.len;
-        v.committed = new_epoch;
-        v.retire();
+        let next = Arc::new(Version {
+            epoch: base.epoch + 1,
+            len: self.len,
+            pages,
+            index,
+            symbols: match self.symbols {
+                Some(symbols) => Arc::new(symbols),
+                None => Arc::clone(&base.symbols),
+            },
+        });
+        let new_epoch = next.epoch;
+        let retired_before = store.gauges.retired.load(Ordering::SeqCst);
+        store.gauges.superseded.fetch_add(n_dirty, Ordering::SeqCst);
+        let previous = std::mem::replace(&mut *store.current(), next);
+        // Unlocked again: whatever only the previous version kept alive
+        // is freed here, on the writer's time, not under the mutex.
+        drop(previous);
+        drop(base);
         if let Some(t) = &trace {
+            let retired = store.gauges.retired.load(Ordering::SeqCst) - retired_before;
             t.event(
                 "retire",
-                format!("epoch {new_epoch}: {} pages retired", v.pages_retired - retired_before),
+                format!("epoch {new_epoch}: {retired} pages retired"),
             );
         }
-        drop(v);
         drop(install_span);
         store.commits.fetch_add(1, Ordering::Relaxed);
         new_epoch
@@ -978,9 +995,8 @@ mod tests {
 
     fn solutions(snap: &Snapshot<'_>, query: &str) -> Vec<String> {
         let q = parse_query_symbols(snap.symbols(), query).unwrap();
-        let weights = blog_core::weight::WeightStore::new(
-            blog_core::weight::WeightParams::default(),
-        );
+        let weights =
+            blog_core::weight::WeightStore::new(blog_core::weight::WeightParams::default());
         let mut local = std::collections::HashMap::new();
         let mut view = blog_core::weight::WeightView::new(&mut local, &weights);
         let r = blog_core::engine::best_first_with(
@@ -1063,13 +1079,16 @@ mod tests {
             txn.retract(ClauseId(999)),
             Err(MvccError::NoSuchClause(ClauseId(999)))
         );
+        // Refused retracts change nothing: there is no epoch to install.
+        assert_eq!(txn.commit(), 1);
+        assert_eq!(store.mvcc_stats().commits, 1);
     }
 
     #[test]
     fn snapshot_resolves_pages_superseded_after_begin_read() {
-        // The stash's reason to exist: pin a snapshot, overwrite a page
-        // it has NOT touched yet, then touch it — the fetch must resolve
-        // through the stash to the pinned version.
+        // Pin a snapshot, overwrite a page it has NOT touched yet, then
+        // touch it — the fetch must resolve to the pinned version, which
+        // the snapshot's page table keeps alive.
         let p = parse_program(FAMILY).unwrap();
         let store = MvccClauseStore::new(&p.db, store_config(8), CommitMode::Mvcc);
         let snap = store.begin_read();
@@ -1077,7 +1096,11 @@ mod tests {
         let mut txn = store.begin_write();
         txn.retract(ClauseId(3)).unwrap(); // f(sam,larry)
         txn.commit();
-        assert!(store.stash_depth() > 0, "old version must be stashed");
+        assert_eq!(
+            store.stash_depth(),
+            1,
+            "the pin keeps the old version alive"
+        );
 
         // First touch of clause 3's page happens *after* the commit.
         let c = snap.fetch_clause(ClauseId(3));
@@ -1183,14 +1206,116 @@ mod tests {
         assert_eq!(
             store.stash_depth(),
             depth_while_pinned,
-            "second epoch-0 reader still pins the stash"
+            "second epoch-0 reader still pins the old versions"
         );
         drop(s0b);
-        assert_eq!(store.stash_depth(), 0, "no reader => stash drains");
+        assert_eq!(
+            store.stash_depth(),
+            0,
+            "no reader => nothing superseded survives"
+        );
         let m = store.mvcc_stats();
         assert_eq!(m.active_readers, 0);
-        assert!(m.pages_retired >= depth_while_pinned as u64);
+        assert_eq!(m.pages_retired, depth_while_pinned as u64);
         assert_eq!(m.commits, 1);
+    }
+
+    #[test]
+    fn a_pin_keeps_only_the_versions_it_can_read() {
+        let p = parse_program(FAMILY).unwrap();
+        let store = MvccClauseStore::new(&p.db, store_config(8), CommitMode::Mvcc);
+        let pin = store.begin_read();
+        // Clauses 0 and 1 share a track (two blocks per track).
+        for (commit, cid) in [ClauseId(0), ClauseId(1)].into_iter().enumerate() {
+            let mut txn = store.begin_write();
+            txn.retract(cid).unwrap();
+            txn.commit();
+            // The epoch-0 version of the track stays for the pin. The
+            // version commit 1 installed is replaced by commit 2 with no
+            // snapshot ever pinned at epoch 1: it retires on the spot.
+            assert_eq!(store.stash_depth(), 1);
+            assert_eq!(store.mvcc_stats().pages_retired, commit as u64);
+        }
+        drop(pin);
+        assert_eq!(store.stash_depth(), 0);
+        assert_eq!(store.mvcc_stats().pages_retired, 2);
+    }
+
+    #[test]
+    fn fallible_fetch_refuses_clauses_the_epoch_does_not_hold() {
+        let p = parse_program(FAMILY).unwrap();
+        let store = MvccClauseStore::new(&p.db, store_config(8), CommitMode::Mvcc);
+        let old = store.begin_read();
+        let mut txn = store.begin_write();
+        txn.retract(ClauseId(3)).unwrap();
+        let new_id = txn.assert_text("f(sam,zoe).").unwrap()[0];
+        txn.commit();
+        let new = store.begin_read();
+
+        // Beyond the geometry (2 x 8 x 2 = 32 blocks) altogether.
+        for snap in [&old, &new] {
+            let e = snap.try_fetch_clause(ClauseId(10_000)).unwrap_err();
+            assert!(!e.is_transient(), "{e}");
+        }
+        // Asserted after the pinned epoch: visible at 1, not at 0.
+        assert!(new.try_fetch_clause(new_id).is_ok());
+        let e = old.try_fetch_clause(new_id).unwrap_err();
+        assert!(
+            !e.is_transient() && e.detail.contains("not allocated"),
+            "{e}"
+        );
+        // Retracted: visible at 0, not at 1.
+        assert!(old.try_fetch_clause(ClauseId(3)).is_ok());
+        let e = new.try_fetch_clause(ClauseId(3)).unwrap_err();
+        assert!(!e.is_transient() && e.detail.contains("retracted"), "{e}");
+        // A refused fetch touches no track.
+        assert_eq!(store.stats().accesses, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "retracted at epoch 1")]
+    fn infallible_fetch_of_a_retracted_clause_still_panics() {
+        let p = parse_program(FAMILY).unwrap();
+        let store = MvccClauseStore::new(&p.db, store_config(8), CommitMode::Mvcc);
+        let mut txn = store.begin_write();
+        txn.retract(ClauseId(3)).unwrap();
+        txn.commit();
+        store.begin_read().fetch_clause(ClauseId(3));
+    }
+
+    #[test]
+    fn a_panic_inside_a_transaction_is_an_abort() {
+        let p = parse_program(FAMILY).unwrap();
+        let store = MvccClauseStore::new(&p.db, store_config(8), CommitMode::Mvcc);
+        let crashed = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let mut txn = store.begin_write();
+                    txn.assert_text("f(larry,ghost).").unwrap();
+                    txn.retract(ClauseId(0)).unwrap();
+                    panic!("writer dies with the transaction open");
+                })
+                .join()
+        });
+        assert!(crashed.is_err());
+
+        // The next writer and the next reader get through, and see
+        // nothing of the dead transaction.
+        let txn = store.begin_write();
+        assert_eq!(txn.base_epoch(), 0);
+        assert_eq!(txn.len(), p.db.len());
+        drop(txn);
+        let snap = store.begin_read();
+        assert_eq!(store.committed_epoch(), 0);
+        assert_eq!(snap.clause_count(), p.db.len());
+        assert!(parse_query_symbols(snap.symbols(), "f(larry,ghost)").is_err());
+        assert_eq!(solutions(&snap, "gf(sam,G)"), vec!["G = den", "G = doug"]);
+        assert_eq!(store.stash_depth(), 0);
+
+        // And the store still commits.
+        let mut txn = store.begin_write();
+        txn.assert_text("f(larry,zoe).").unwrap();
+        assert_eq!(txn.commit(), 1);
     }
 
     #[test]
@@ -1315,9 +1440,7 @@ mod tests {
                 for i in 0..rounds {
                     let mut txn = store.begin_write();
                     txn.retract(live).unwrap();
-                    let ids = txn
-                        .assert_text(&format!("flag(state{i})."))
-                        .unwrap();
+                    let ids = txn.assert_text(&format!("flag(state{i}).")).unwrap();
                     live = ids[0];
                     txn.commit();
                 }
@@ -1337,6 +1460,10 @@ mod tests {
             }
         });
         assert_eq!(store.committed_epoch(), rounds);
-        assert_eq!(store.stash_depth(), 0, "all readers gone => stash drained");
+        assert_eq!(
+            store.stash_depth(),
+            0,
+            "all readers gone => nothing superseded survives"
+        );
     }
 }

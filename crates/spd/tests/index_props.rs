@@ -93,30 +93,13 @@ proptest! {
         }
     }
 
-    /// The lazy `a ∩ (b ∪ c)` iterator against set algebra on the model.
+    /// The lazy `a ∪ b` iterator against set algebra on the model.
     #[test]
-    fn intersect_union_matches_model(
-        a in arb_clause_ids(),
-        b in arb_clause_ids(),
-        c in arb_clause_ids(),
-    ) {
-        let (bm_a, bm_b, bm_c) = (bitmap_of(&a), bitmap_of(&b), bitmap_of(&c));
-
-        let got: Vec<u32> = blog_spd::intersect_union(&bm_a, &bm_b, Some(&bm_c))
-            .map(|id| id.0)
-            .collect();
-        let want: Vec<u32> = a
-            .iter()
-            .filter(|i| b.contains(i) || c.contains(i))
-            .copied()
-            .collect();
+    fn union_matches_model(a in arb_clause_ids(), b in arb_clause_ids()) {
+        let (bm_a, bm_b) = (bitmap_of(&a), bitmap_of(&b));
+        let got: Vec<u32> = bm_a.union(&bm_b).map(|id| id.0).collect();
+        let want: Vec<u32> = a.union(&b).copied().collect();
         prop_assert_eq!(got, want);
-
-        let got2: Vec<u32> = blog_spd::intersect_union(&bm_a, &bm_b, None)
-            .map(|id| id.0)
-            .collect();
-        let want2: Vec<u32> = a.intersection(&b).copied().collect();
-        prop_assert_eq!(got2, want2);
     }
 }
 

@@ -257,8 +257,12 @@ struct MvccGolden {
 /// Replay the family trace through an [`MvccClauseStore`] under `policy`
 /// at half the working-set capacity, committing one small transaction
 /// (retract the previous probe, assert a new one) between segments while
-/// an epoch-0 snapshot stays pinned — so the stash grows by exactly the
-/// committed page versions and nothing retires until the pin drops.
+/// an epoch-0 snapshot stays pinned. A superseded page version lives
+/// only while some pinned version's page table points at it, so `stash`
+/// counts the *epoch-0* versions of the tracks dirtied so far — the only
+/// ones the pin can read. A version installed by one of these commits
+/// and replaced by a later one retires at that later commit: no
+/// snapshot was ever pinned between the two.
 fn mvcc_write_path_replay(
     program: &Program,
     trace: &[ClauseId],
@@ -302,7 +306,7 @@ fn mvcc_write_path_replay(
             stash: store.stash_depth(),
         });
     }
-    // Dropping the epoch-0 pin retires every stashed version.
+    // Dropping the epoch-0 pin retires what it alone kept alive.
     drop(pin);
     assert_eq!(store.stash_depth(), 0, "{policy}: stash leak after pin drop");
     out
