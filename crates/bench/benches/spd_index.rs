@@ -11,7 +11,8 @@ use std::hint::black_box;
 use blog_bench::spd_exp::{engine_run_through, t6b_geometry, t6b_total_tracks, traced_workload};
 use blog_logic::{Bindings, ClauseSource, Term};
 use blog_spd::{
-    BitmapClauseIndex, CostModel, IndexPolicy, PagedClauseStore, PagedStoreConfig, PolicyKind,
+    BitmapClauseIndex, CommitMode, CostModel, IndexPolicy, MvccClauseStore, PagedStoreConfig,
+    PolicyKind,
 };
 
 fn bench_index(c: &mut Criterion) {
@@ -46,8 +47,8 @@ fn bench_index(c: &mut Criterion) {
             &index,
             |b, &index| {
                 b.iter_batched(
-                    || PagedClauseStore::new(&program.db, cfg(index)),
-                    |paged| black_box(engine_run_through(&paged, &program)),
+                    || MvccClauseStore::new(&program.db, cfg(index), CommitMode::Mvcc),
+                    |paged| black_box(engine_run_through(&paged.begin_read(), &program)),
                     criterion::BatchSize::SmallInput,
                 )
             },
@@ -56,19 +57,19 @@ fn bench_index(c: &mut Criterion) {
     group.bench_function("build_from_db", |b| {
         b.iter(|| black_box(BitmapClauseIndex::from_db(&program.db)))
     });
-    let store = PagedClauseStore::new(&program.db, cfg(IndexPolicy::FirstArg));
+    let store = MvccClauseStore::new(&program.db, cfg(IndexPolicy::FirstArg), CommitMode::Mvcc);
+    let snap = store.begin_read();
     let bindings = Bindings::new();
     group.bench_function("bound_lookup", |b| {
-        b.iter(|| black_box(store.candidate_clauses(&bound_goal, &bindings)))
+        b.iter(|| black_box(snap.try_candidate_clauses(&bound_goal, &bindings)))
     });
     group.finish();
 
     // Print the candidate-traffic picture once so `cargo bench` output
     // carries the pruning numbers alongside the timings.
     for index in [IndexPolicy::None, IndexPolicy::FirstArg] {
-        let paged = PagedClauseStore::new(&program.db, cfg(index));
-        engine_run_through(&paged, &program);
-        let s = paged.stats();
+        let paged = MvccClauseStore::new(&program.db, cfg(index), CommitMode::Mvcc);
+        let (_, _, s) = engine_run_through(&paged.begin_read(), &program);
         println!(
             "spd_index {:>9} @ {capacity_tracks:>2}/{total_tracks} tracks: accesses {} \
              misses {} index_hits {} pruned {} scanned {}",

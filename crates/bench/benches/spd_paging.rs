@@ -8,9 +8,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use blog_bench::spd_exp::{engine_run_through, t6b_geometry, t6b_total_tracks, traced_workload};
-use blog_logic::ClauseId;
+use blog_logic::{ClauseId, ClauseSource};
 use blog_spd::{
-    build_spd_from_db, CostModel, Geometry, IndexPolicy, PageRequest, PagedClauseStore,
+    build_spd_from_db, CommitMode, CostModel, Geometry, IndexPolicy, MvccClauseStore, PageRequest,
     PagedStoreConfig, Pager, PolicyKind, SpMode,
 };
 
@@ -105,8 +105,8 @@ fn bench_paged_store(c: &mut Criterion) {
             &capacity_tracks,
             |b, _| {
                 b.iter_batched(
-                    || PagedClauseStore::new(&program.db, cfg.clone()),
-                    |paged| black_box(engine_run_through(&paged, &program)),
+                    || MvccClauseStore::new(&program.db, cfg.clone(), CommitMode::Mvcc),
+                    |paged| black_box(engine_run_through(&paged.begin_read(), &program)),
                     criterion::BatchSize::SmallInput,
                 )
             },
@@ -116,8 +116,14 @@ fn bench_paged_store(c: &mut Criterion) {
             &capacity_tracks,
             |b, _| {
                 b.iter_batched(
-                    || PagedClauseStore::new(&program.db, cfg.clone()),
-                    |paged| black_box(paged.replay(&trace)),
+                    || MvccClauseStore::new(&program.db, cfg.clone(), CommitMode::Mvcc),
+                    |paged| {
+                        let snap = paged.begin_read();
+                        for &cid in &trace {
+                            snap.try_fetch_clause(cid).expect("fault-free store");
+                        }
+                        black_box(paged.stats())
+                    },
                     criterion::BatchSize::SmallInput,
                 )
             },
@@ -128,7 +134,7 @@ fn bench_paged_store(c: &mut Criterion) {
     // Print the cache behavior once so `cargo bench` output carries the
     // hit/miss/eviction numbers alongside the timings.
     for capacity_tracks in capacities {
-        let paged = PagedClauseStore::new(
+        let paged = MvccClauseStore::new(
             &program.db,
             PagedStoreConfig {
                 geometry,
@@ -138,8 +144,9 @@ fn bench_paged_store(c: &mut Criterion) {
                 index: IndexPolicy::None,
                 fault: None,
             },
+            CommitMode::Mvcc,
         );
-        let (_, _, s) = engine_run_through(&paged, &program);
+        let (_, _, s) = engine_run_through(&paged.begin_read(), &program);
         println!(
             "paged_store capacity={capacity_tracks:>2}: accesses {} hits {} misses {} \
              evictions {} fault-ticks {} (hit rate {:.1}%)",

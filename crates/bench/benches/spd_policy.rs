@@ -9,7 +9,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use blog_bench::spd_exp::{engine_run_through, t6b_geometry, t6b_total_tracks, traced_workload};
-use blog_spd::{CostModel, IndexPolicy, PagedClauseStore, PagedStoreConfig, PolicyKind};
+use blog_logic::ClauseSource;
+use blog_spd::{
+    CommitMode, CostModel, IndexPolicy, MvccClauseStore, PagedStoreConfig, PolicyKind,
+};
 
 fn bench_policies(c: &mut Criterion) {
     let (program, _, trace) = traced_workload();
@@ -36,8 +39,8 @@ fn bench_policies(c: &mut Criterion) {
             &policy,
             |b, _| {
                 b.iter_batched(
-                    || PagedClauseStore::new(&program.db, cfg.clone()),
-                    |paged| black_box(engine_run_through(&paged, &program)),
+                    || MvccClauseStore::new(&program.db, cfg.clone(), CommitMode::Mvcc),
+                    |paged| black_box(engine_run_through(&paged.begin_read(), &program)),
                     criterion::BatchSize::SmallInput,
                 )
             },
@@ -47,8 +50,14 @@ fn bench_policies(c: &mut Criterion) {
             &policy,
             |b, _| {
                 b.iter_batched(
-                    || PagedClauseStore::new(&program.db, cfg.clone()),
-                    |paged| black_box(paged.replay(&trace)),
+                    || MvccClauseStore::new(&program.db, cfg.clone(), CommitMode::Mvcc),
+                    |paged| {
+                        let snap = paged.begin_read();
+                        for &cid in &trace {
+                            snap.try_fetch_clause(cid).expect("fault-free store");
+                        }
+                        black_box(paged.stats())
+                    },
                     criterion::BatchSize::SmallInput,
                 )
             },
@@ -59,7 +68,7 @@ fn bench_policies(c: &mut Criterion) {
     // Print each policy's cache behavior once so `cargo bench` output
     // carries the locality numbers alongside the timings.
     for policy in PolicyKind::CACHE_SWEEP {
-        let paged = PagedClauseStore::new(
+        let paged = MvccClauseStore::new(
             &program.db,
             PagedStoreConfig {
                 geometry,
@@ -69,8 +78,9 @@ fn bench_policies(c: &mut Criterion) {
                 index: IndexPolicy::None,
                 fault: None,
             },
+            CommitMode::Mvcc,
         );
-        let (_, _, s) = engine_run_through(&paged, &program);
+        let (_, _, s) = engine_run_through(&paged.begin_read(), &program);
         println!(
             "spd_policy {:>5} @ {capacity_tracks:>2}/{total_tracks} tracks: accesses {} \
              hits {} misses {} evictions {} fault-ticks {} (hit rate {:.1}%)",

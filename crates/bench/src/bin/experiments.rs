@@ -6,20 +6,18 @@
 //! cargo run --release -p blog-bench --bin experiments -- t6 --policy=2q
 //! ```
 //!
-//! Experiment ids match DESIGN.md's index: f1 f3 f4 w1 t1 t2 t3 t4 t5 t6
-//! t7 t8 t8f t9 a1 a2 a3. `--policy=<lru|2q|clock|fifo>` restricts the
-//! T6c replacement-policy sweep (every `blog-workloads` generator runs
-//! through the paged clause store) to one policy; given without
+//! Experiment ids match DESIGN.md's index: f1 f3 f4 w1 w2 t1 t2 t3 t4 t5
+//! t6 t7 t8 t8f t9 t11 t12 t13 t14 a1 a2 a3 a4.
+//! `--policy=<lru|2q|clock|fifo>` restricts the T6c replacement-policy
+//! sweep (every `blog-workloads` generator runs through an epoch-0
+//! snapshot of the paged clause store) to one policy; given without
 //! experiment ids it implies `t6`. `--workers=<n>` restricts the T8f
 //! frontier-scaling sweep to one worker count (the CI smoke-run path);
 //! given without experiment ids it implies `t8f`. `--pools=<n>` and
 //! `--requests=<n>` restrict the T9 serving sweep's pool axis and
 //! offered-load axis (the CI smoke path runs `t9 --pools=2
 //! --requests=50`); given without experiment ids they imply `t9`.
-//! `--writers=<n>` restricts the T10 MVCC-churn sweep's writer axis to
-//! `{0, n}` (baseline plus churn; the CI smoke path runs `t10
-//! --writers=2 --requests=50`); given without experiment ids it implies
-//! `t10`. The T11 first-argument-index sweep, the T12 answer-cache
+//! The T11 first-argument-index sweep, the T12 answer-cache
 //! sweep and the T13 chaos sweep honor `--requests` too (the CI smoke
 //! paths run `t11 --requests=50`, `t12 --requests=50`, `t13
 //! --requests=50` and `t14 --requests=50`; capped T12/T13/T14 runs also
@@ -34,8 +32,7 @@
 //! `--json[=PATH]` writes the machine-readable rows of the experiments
 //! that emit them — the T7 state sweep to `BENCH_T7_STATE.json`, the
 //! T8f frontier sweep to `BENCH_T8_FRONTIER.json`, the T9 serving sweep
-//! to `BENCH_T9_SERVE.json`, the T10 churn sweep to
-//! `BENCH_T10_MVCC.json`, the T11 index sweep to
+//! to `BENCH_T9_SERVE.json`, the T11 index sweep to
 //! `BENCH_T11_INDEX.json`, the T12 cache sweep to
 //! `BENCH_T12_CACHE.json`, the T13 chaos sweep to
 //! `BENCH_T13_CHAOS.json`, and the T14 telemetry-overhead sweep to
@@ -45,9 +42,8 @@
 
 use blog_bench::report::Json;
 use blog_bench::{
-    andp_exp, cache_exp, chaos_exp, figures, frontier_exp, index_exp, machine_exp, mvcc_exp,
-    obs_exp, serve_exp,
-    sessions_exp, spd_exp, state_exp, strategies, threads_exp,
+    andp_exp, cache_exp, chaos_exp, figures, frontier_exp, index_exp, machine_exp, obs_exp,
+    serve_exp, sessions_exp, spd_exp, state_exp, strategies, threads_exp,
 };
 use blog_spd::PolicyKind;
 
@@ -57,7 +53,6 @@ fn main() {
     let mut workers: Option<usize> = None;
     let mut pools: Option<usize> = None;
     let mut requests: Option<usize> = None;
-    let mut writers: Option<usize> = None;
     let mut stats_json = false;
     let mut args: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {
@@ -93,14 +88,6 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-        } else if let Some(spec) = arg.strip_prefix("--writers=") {
-            match spec.parse::<usize>() {
-                Ok(n) => writers = Some(n),
-                _ => {
-                    eprintln!("--writers: expected a writer-thread count, got {spec:?}");
-                    std::process::exit(2);
-                }
-            }
         } else if arg == "--stats-json" {
             stats_json = true;
         } else if arg == "--json" {
@@ -125,16 +112,12 @@ fn main() {
         if pools.is_some() || requests.is_some() || stats_json {
             args.push("t9".to_string());
         }
-        if writers.is_some() {
-            args.push("t10".to_string());
-        }
         if json_path.is_some()
             && !args
                 .iter()
                 .any(|a| {
                     a == "t8f"
                         || a == "t9"
-                        || a == "t10"
                         || a == "t11"
                         || a == "t12"
                         || a == "t13"
@@ -152,7 +135,6 @@ fn main() {
             a == "t7"
                 || a == "t8f"
                 || a == "t9"
-                || a == "t10"
                 || a == "t11"
                 || a == "t12"
                 || a == "t13"
@@ -161,7 +143,7 @@ fn main() {
         })
     {
         eprintln!(
-            "--json: include t7, t8f, t9, t10, t11, t12, t13 or t14 (the JSON-emitting experiments) in the id list"
+            "--json: include t7, t8f, t9, t11, t12, t13 or t14 (the JSON-emitting experiments) in the id list"
         );
         std::process::exit(2);
     }
@@ -234,10 +216,6 @@ fn main() {
     section("t9", "serving sweep: offered load x pools x routing", &mut || {
         t9_serve_rows = serve_exp::run_t9(pools, requests, stats_json);
     });
-    let mut t10_mvcc_rows: Vec<mvcc_exp::MvccRow> = Vec::new();
-    section("t10", "MVCC churn: readers vs concurrent writers vs stop-the-world", &mut || {
-        t10_mvcc_rows = mvcc_exp::run_t10(writers, requests);
-    });
     let mut t11_index_rows: Vec<index_exp::IndexRow> = Vec::new();
     section("t11", "first-argument bitmap index: touches and faults per solution", &mut || {
         t11_index_rows = index_exp::run_t11(requests);
@@ -279,7 +257,7 @@ fn main() {
 
     if ran == 0 {
         eprintln!(
-            "unknown experiment id(s): {:?}\nknown: f1 f3 f4 w1 w2 t1 t2 t3 t4 t5 t6 t7 t8 t8f t9 t10 t11 t12 t13 t14 a1 a2 a3 a4 trace-dump (or no args for all; trace-dump only runs when named)\nflags: --policy=<lru|2q|clock|fifo> (restricts the T6c sweep), --workers=<n> (restricts the T8f sweep), --pools=<n> / --requests=<n> (restrict the T9/T11/T12/T13/T14 sweeps), --writers=<n> (restricts the T10 sweep), --stats-json (T9 prints its final ServeStats as JSON), --json[=PATH] (write machine-readable rows)",
+            "unknown experiment id(s): {:?}\nknown: f1 f3 f4 w1 w2 t1 t2 t3 t4 t5 t6 t7 t8 t8f t9 t11 t12 t13 t14 a1 a2 a3 a4 trace-dump (or no args for all; trace-dump only runs when named)\nflags: --policy=<lru|2q|clock|fifo> (restricts the T6c sweep), --workers=<n> (restricts the T8f sweep), --pools=<n> / --requests=<n> (restrict the T9/T11/T12/T13/T14 sweeps), --stats-json (T9 prints its final ServeStats as JSON), --json[=PATH] (write machine-readable rows)",
             args
         );
         std::process::exit(2);
@@ -289,14 +267,13 @@ fn main() {
         if t7_state_rows.is_empty()
             && t8_frontier_rows.is_empty()
             && t9_serve_rows.is_empty()
-            && t10_mvcc_rows.is_empty()
             && t11_index_rows.is_empty()
             && t12_cache_rows.is_empty()
             && t13_chaos_rows.is_empty()
             && t14_obs_rows.is_empty()
         {
             eprintln!(
-                "--json: no JSON-emitting experiment ran (include t7, t8f, t9, t10, t11, t12, t13 or t14)"
+                "--json: no JSON-emitting experiment ran (include t7, t8f, t9, t11, t12, t13 or t14)"
             );
             std::process::exit(2);
         }
@@ -335,15 +312,6 @@ fn main() {
                     Json::Obj(vec![(
                         "t9_serve".to_string(),
                         serve_exp::rows_to_json(&t9_serve_rows),
-                    )]),
-                );
-            }
-            if !t10_mvcc_rows.is_empty() {
-                write(
-                    "BENCH_T10_MVCC.json",
-                    Json::Obj(vec![(
-                        "t10_mvcc".to_string(),
-                        mvcc_exp::rows_to_json(&t10_mvcc_rows),
                     )]),
                 );
             }
@@ -402,12 +370,6 @@ fn main() {
                 fields.push((
                     "t9_serve".to_string(),
                     serve_exp::rows_to_json(&t9_serve_rows),
-                ));
-            }
-            if !t10_mvcc_rows.is_empty() {
-                fields.push((
-                    "t10_mvcc".to_string(),
-                    mvcc_exp::rows_to_json(&t10_mvcc_rows),
                 ));
             }
             if !t11_index_rows.is_empty() {

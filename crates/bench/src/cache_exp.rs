@@ -28,7 +28,7 @@
 //!
 //! Correctness is asserted, not assumed, in every phase: each response —
 //! **cache hits included** — is diffed against a sequential oracle
-//! rebuilt at the epoch the response executed at (T10's replay scheme).
+//! rebuilt at the epoch the response executed at.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,8 +76,8 @@ const HEADROOM: usize = 4096;
 /// Pause between one churn writer's transactions.
 const WRITER_PAUSE: Duration = Duration::from_micros(500);
 
-/// Churn writer's transaction budget (see T10's rationale: churn must
-/// stay a perturbation, not a runaway database growth).
+/// Churn writer's transaction budget (churn must stay a perturbation,
+/// not a runaway database growth).
 const MAX_TXNS: usize = 400;
 
 /// Cap on the churn writer's live asserted facts.
@@ -289,8 +289,8 @@ fn oracle_solutions(db: &ClauseDb, text: &str) -> Vec<String> {
 }
 
 /// Diff every response — cache hits included — against a sequential
-/// oracle rebuilt at the response's epoch (T10's replay: seed clauses
-/// plus the writer's committed log up to that epoch). Returns the total
+/// oracle rebuilt at the response's epoch (seed clauses plus the
+/// writer's committed log up to that epoch). Returns the total
 /// solution count.
 fn verify_against_oracle(
     p: &Program,

@@ -35,8 +35,8 @@ use blog_core::engine::{best_first_with, BestFirstConfig};
 use blog_core::weight::{WeightParams, WeightStore, WeightView};
 use blog_logic::{parse_query, Program, Query};
 use blog_spd::{
-    CostModel, Geometry, IndexPolicy, PagedClauseStore, PagedStoreConfig, PagedStoreStats,
-    PolicyKind,
+    CommitMode, CostModel, Geometry, IndexPolicy, MvccClauseStore, PagedStoreConfig,
+    PagedStoreStats, PolicyKind,
 };
 use blog_workloads::{
     family_program, mapcolor_program, queens_program, tenant_mix_program, tenant_mix_requests,
@@ -211,7 +211,12 @@ fn percentile(samples: &[f64], q: f64) -> f64 {
 /// Run one workload's stream under `index`; returns the row plus the
 /// per-query sorted solution sets (for the cross-point assertion).
 fn measure_point(spec: &WorkloadSpec, index: IndexPolicy) -> (IndexRow, Vec<Vec<String>>) {
-    let store = PagedClauseStore::new(&spec.program.db, store_config(spec.program.db.len(), index));
+    let store = MvccClauseStore::new(
+        &spec.program.db,
+        store_config(spec.program.db.len(), index),
+        CommitMode::Mvcc,
+    );
+    let snap = store.begin_read();
     let weights = WeightStore::new(WeightParams::default());
     let cfg = BestFirstConfig {
         // Each query independent: no cross-query learning, so the two
@@ -227,7 +232,7 @@ fn measure_point(spec: &WorkloadSpec, index: IndexPolicy) -> (IndexRow, Vec<Vec<
         let mut overlay = HashMap::new();
         let mut view = WeightView::new(&mut overlay, &weights);
         let t0 = Instant::now();
-        let r = best_first_with(&store, q, &mut view, &cfg);
+        let r = best_first_with(&snap, q, &mut view, &cfg);
         latencies.push(t0.elapsed().as_secs_f64() * 1e3);
         let mut texts = r.solution_texts(&spec.program.db);
         texts.sort();

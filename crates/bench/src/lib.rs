@@ -18,7 +18,6 @@
 //! | T8 | [`andp_exp`] | AND-parallel fork-join and semi-join |
 //! | T8 (frontier) | [`frontier_exp`] | frontier scaling: global-mutex vs sharded chain stores |
 //! | T9 | [`serve_exp`] | serving sweep: offered load × pools × routing over one shared store |
-//! | T10 | [`mvcc_exp`] | MVCC churn: reader latency under concurrent writers vs stop-the-world |
 //! | T11 | [`index_exp`] | first-argument bitmap index: clause touches and faults per solution |
 //! | T12 | [`cache_exp`] | answer cache: open-loop sustainable rate, invalidation precision, governed admission |
 //! | T13 | [`chaos_exp`] | chaos: availability under injected faults, retries vs no-retry, degraded cache-only serving |
@@ -31,7 +30,6 @@ pub mod figures;
 pub mod frontier_exp;
 pub mod index_exp;
 pub mod machine_exp;
-pub mod mvcc_exp;
 pub mod obs_exp;
 pub mod report;
 pub mod serve_exp;

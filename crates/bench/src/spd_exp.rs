@@ -1,6 +1,7 @@
 //! T6: semantic paging — hit rate and I/O time vs page distance, SP mode,
 //! and the weight filter. T6b drives the *live* paged clause store: the
-//! best-first engine resolves through an LRU track cache, so hit rates
+//! best-first engine resolves through an epoch-0 snapshot's LRU track
+//! cache, so hit rates
 //! come from the search's real access stream, not a canned trace. T6c
 //! sweeps the same live path across every replacement policy and every
 //! workload generator, reading results through the backend-agnostic
@@ -10,8 +11,8 @@ use blog_core::engine::{best_first, best_first_with, BestFirstConfig};
 use blog_core::weight::{WeightParams, WeightStore, WeightView};
 use blog_logic::{ClauseId, ClauseSource, Program, SourceStats};
 use blog_spd::{
-    build_spd_from_db, CostModel, Geometry, IndexPolicy, PagedClauseStore, PagedStoreConfig,
-    PagedStoreStats, Pager, PagerStats, PolicyKind, SpMode,
+    build_spd_from_db, CommitMode, CostModel, Geometry, IndexPolicy, MvccClauseStore,
+    PagedStoreConfig, PagedStoreStats, Pager, PagerStats, PolicyKind, Snapshot, SpMode,
 };
 use blog_workloads::{family_program, FamilyParams};
 
@@ -171,7 +172,7 @@ pub fn t6b_total_tracks(n_clauses: usize) -> usize {
 /// `(nodes expanded, solutions found, store stats)` — the recipe shared
 /// by [`run_t6b`] and the `spd_paging` bench.
 pub fn engine_run_through(
-    paged: &PagedClauseStore<'_>,
+    paged: &Snapshot<'_>,
     program: &Program,
 ) -> (u64, usize, PagedStoreStats) {
     let store = WeightStore::new(WeightParams::default());
@@ -183,7 +184,7 @@ pub fn engine_run_through(
         &mut view,
         &BestFirstConfig::default(),
     );
-    (r.stats.nodes_expanded, r.solutions.len(), paged.stats())
+    (r.stats.nodes_expanded, r.solutions.len(), paged.store().stats())
 }
 
 /// T6b: run the best-first engine *through* the paged clause store at a
@@ -219,7 +220,7 @@ pub fn run_t6b() -> Vec<PagedRow> {
         if !seen.insert(capacity_tracks) {
             continue;
         }
-        let paged = PagedClauseStore::new(
+        let paged = MvccClauseStore::new(
             &program.db,
             PagedStoreConfig {
                 geometry,
@@ -231,8 +232,10 @@ pub fn run_t6b() -> Vec<PagedRow> {
                 index: IndexPolicy::None,
                 fault: None,
             },
+            CommitMode::Mvcc,
         );
-        let (nodes_expanded, solutions, stats) = engine_run_through(&paged, &program);
+        let (nodes_expanded, solutions, stats) =
+            engine_run_through(&paged.begin_read(), &program);
         t.row(vec![
             capacity_tracks.to_string(),
             stats.accesses.to_string(),
@@ -338,7 +341,7 @@ pub fn run_t6c(only: Option<PolicyKind>) -> Vec<PolicyRow> {
         ]);
         for capacity_tracks in t6c_capacities(total_tracks) {
             for &policy in &policies {
-                let paged = PagedClauseStore::new(
+                let paged = MvccClauseStore::new(
                     &program.db,
                     PagedStoreConfig {
                         geometry,
@@ -348,11 +351,13 @@ pub fn run_t6c(only: Option<PolicyKind>) -> Vec<PolicyRow> {
                         index: IndexPolicy::None,
                         fault: None,
                     },
+                    CommitMode::Mvcc,
                 );
-                let (nodes_expanded, solutions, _) = engine_run_through(&paged, &program);
+                let snap = paged.begin_read();
+                let (nodes_expanded, solutions, _) = engine_run_through(&snap, &program);
                 // Read the counters back through the trait seam: the
                 // table must not care what backend served the search.
-                let source: &dyn ClauseSource = &paged;
+                let source: &dyn ClauseSource = &snap;
                 let stats = source
                     .source_stats()
                     .expect("paged store exposes source stats");

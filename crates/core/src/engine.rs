@@ -215,12 +215,14 @@ pub fn best_first(
 
 /// [`best_first`], generalized over any [`ClauseSource`].
 ///
-/// This is how the engine searches a *paged* clause database: pass
-/// `blog-spd`'s `PagedClauseStore` and every clause the search touches is
-/// routed through its LRU page cache, producing real hit/miss/eviction
-/// statistics for the access pattern the bound policy actually generates.
-/// Results are identical to running over the backing [`ClauseDb`]
-/// directly — paging is semantically transparent.
+/// This is how the engine searches a *paged* clause database: pass a
+/// `Snapshot` of `blog-spd`'s `MvccClauseStore` and every clause the
+/// search touches is routed through its track cache, producing real
+/// hit/miss/eviction statistics for the access pattern the bound policy
+/// actually generates. Results are identical to running over the backing
+/// [`ClauseDb`] directly — paging is semantically transparent. A store
+/// fault ends the search with `fault` set on the result; it never
+/// panics.
 pub fn best_first_with<S: ClauseSource + ?Sized>(
     source: &S,
     query: &Query,

@@ -43,7 +43,7 @@ pub trait BindingLookup {
     /// alive); only a walk that actually moved clones the (cheap,
     /// `Arc`-shared) destination term.
     ///
-    /// This is the read path for [`expand_via`](crate::node::expand_via)
+    /// This is the read path for [`try_expand_via`](crate::node::try_expand_via)
     /// and the depth-first engine, which must keep the dereferenced goal
     /// alive while mutating the store.
     fn walk_cow<'a>(&self, t: &'a Term) -> Cow<'a, Term> {

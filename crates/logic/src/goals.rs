@@ -2,7 +2,7 @@
 //!
 //! The second half of the paper's §6 sprouting cost: rebuilding the goal
 //! `Vec` for every child copies the whole continuation. A [`GoalStack`] is
-//! an immutable cons list, so [`expand_via`](crate::node::expand_via)
+//! an immutable cons list, so [`try_expand_via`](crate::node::try_expand_via)
 //! pushes a clause's renamed body goals in front of the *shared* tail —
 //! every child of a node (and every node of a chain) aliases the same
 //! continuation cells, and sprouting copies only the new body goals.

@@ -60,7 +60,7 @@ pub use clause::{Clause, ClauseId};
 pub use frames::{BindingFrame, DeltaBindings, DEFAULT_FLATTEN_THRESHOLD};
 pub use goals::GoalStack;
 pub use node::{
-    expand, expand_via, try_expand_via, Caller, Expansion, Goal, NodeState, PointerKey, SearchNode,
+    expand, try_expand_via, Caller, Expansion, Goal, NodeState, PointerKey, SearchNode,
     StateRepr,
 };
 pub use source::{ClauseSource, SourceStats, StoreError, StoreErrorKind};

@@ -328,14 +328,15 @@ fn shared_sprout_bytes(fz: &FreezeStats, body_goals: usize) -> u64 {
 /// Returns an empty vector if the node is a solution (nothing to expand)
 /// or if every candidate fails to unify (the node is a *failure* leaf).
 pub fn expand(db: &ClauseDb, node: &SearchNode, stats: &mut ExpandStats) -> Vec<Expansion> {
-    expand_via(db, node, stats)
+    try_expand_via(db, node, stats).expect("the in-memory ClauseDb never faults")
 }
 
-/// [`expand`], generalized over any [`ClauseSource`].
+/// [`expand`], generalized over any [`ClauseSource`], with storage
+/// faults surfaced as values.
 ///
 /// Every clause touched during candidate matching is fetched through the
 /// source, so a paged backend observes the search's true block-access
-/// stream — one [`fetch_clause`](ClauseSource::fetch_clause) per
+/// stream — one [`try_fetch_clause`](ClauseSource::try_fetch_clause) per
 /// unification attempt.
 ///
 /// Children inherit the node's [`StateRepr`]: under `Cloned` each child
@@ -343,25 +344,12 @@ pub fn expand(db: &ClauseDb, node: &SearchNode, stats: &mut ExpandStats) -> Vec<
 /// parent's frame plus this step's delta, and the goal continuation is
 /// aliased. One pre-sized [`Trail`] is reused across all candidate
 /// attempts.
-pub fn expand_via<S: ClauseSource + ?Sized>(
-    source: &S,
-    node: &SearchNode,
-    stats: &mut ExpandStats,
-) -> Vec<Expansion> {
-    match try_expand_via(source, node, stats) {
-        Ok(out) => out,
-        Err(e) => panic!("expand_via on a faulting source: {e}"),
-    }
-}
-
-/// [`expand_via`], with storage faults surfaced instead of panicking.
 ///
-/// Engines on the serving path expand through this form so an injected
-/// [`StoreError`] from a fault-planned backend propagates as a value the
-/// retry/breaker machinery can classify. On `Err` the children sprouted
-/// before the fault are discarded — the caller abandons the whole
-/// expansion and either retries the request against a fresh snapshot or
-/// fails it; partial expansions are never searched.
+/// A [`StoreError`] from a fault-planned backend propagates as a value
+/// the retry/breaker machinery can classify. On `Err` the children
+/// sprouted before the fault are discarded — the caller abandons the
+/// whole expansion and either retries the request against a fresh
+/// snapshot or fails it; partial expansions are never searched.
 pub fn try_expand_via<S: ClauseSource + ?Sized>(
     source: &S,
     node: &SearchNode,

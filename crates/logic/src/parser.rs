@@ -11,7 +11,9 @@
 //!
 //! Variables start with an uppercase letter or `_`; atoms start lowercase
 //! or are quoted (`'Like This'`); `%` starts a line comment. Lists use the
-//! usual `[a, b | Tail]` sugar desugared onto `'.'/2` and `[]`.
+//! usual `[a, b | Tail]` sugar desugared onto `'.'/2` and `[]`. Terms may
+//! nest at most 128 levels deep, a list's length counting as depth; deeper
+//! text is a [`ParseError`], never a stack overflow.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -270,6 +272,16 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// Deepest term nesting the reader accepts, list spines included
+/// (`[a, b, …]` is a cons chain as deep as it is long). The reader, and
+/// most of what walks a term downstream — symbol remapping, variable
+/// renaming, canonicalization, rendering, `Drop` — recurses once per
+/// level, and a stack overflow aborts the process where a panic would
+/// only fail the request. The bound keeps the deepest accepted term well inside a
+/// default 2 MiB thread stack in an unoptimized build; it is a property
+/// of those recursions, not a tuning knob.
+const MAX_TERM_DEPTH: usize = 128;
+
 struct Parser<'a> {
     lexer: Lexer<'a>,
     lookahead: Spanned,
@@ -277,6 +289,8 @@ struct Parser<'a> {
     /// Variable name → index, reset per clause/query.
     vars: HashMap<String, VarId>,
     var_names: Vec<String>,
+    /// Terms enclosing the one being read (see [`MAX_TERM_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -289,6 +303,7 @@ impl<'a> Parser<'a> {
             db: ClauseDb::new(),
             vars: HashMap::new(),
             var_names: Vec::new(),
+            depth: 0,
         })
     }
 
@@ -336,9 +351,15 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_term(&mut self) -> Result<Term, ParseError> {
-        match self.advance()?.tok {
-            Tok::Int(n) => Ok(Term::Int(n)),
-            Tok::Var(name) => Ok(Term::Var(self.var_id(name))),
+        if self.depth >= MAX_TERM_DEPTH {
+            return Err(self.err_here(format!(
+                "term nested more than {MAX_TERM_DEPTH} levels deep"
+            )));
+        }
+        self.depth += 1;
+        let term = match self.advance()?.tok {
+            Tok::Int(n) => Term::Int(n),
+            Tok::Var(name) => Term::Var(self.var_id(name)),
             Tok::Atom(name) => {
                 if self.lookahead.tok == Tok::LParen {
                     self.advance()?;
@@ -349,14 +370,16 @@ impl<'a> Parser<'a> {
                     }
                     self.expect(Tok::RParen, "')' closing argument list")?;
                     let f = self.db.intern(&name);
-                    Ok(Term::app(f, args))
+                    Term::app(f, args)
                 } else {
-                    Ok(Term::Atom(self.db.intern(&name)))
+                    Term::Atom(self.db.intern(&name))
                 }
             }
-            Tok::LBracket => self.parse_list(),
-            other => Err(self.err_here(format!("expected a term, found {other:?}"))),
-        }
+            Tok::LBracket => self.parse_list()?,
+            other => return Err(self.err_here(format!("expected a term, found {other:?}"))),
+        };
+        self.depth -= 1;
+        Ok(term)
     }
 
     fn parse_list(&mut self) -> Result<Term, ParseError> {
@@ -365,9 +388,13 @@ impl<'a> Parser<'a> {
             self.advance()?;
             return Ok(nil);
         }
+        // Item `i` sits under `i` more cons cells than item 0 does, so
+        // every further item is read one level deeper.
+        let outer = self.depth;
         let mut items = vec![self.parse_term()?];
         while self.lookahead.tok == Tok::Comma {
             self.advance()?;
+            self.depth += 1;
             items.push(self.parse_term()?);
         }
         let tail = if self.lookahead.tok == Tok::Pipe {
@@ -376,6 +403,7 @@ impl<'a> Parser<'a> {
         } else {
             nil
         };
+        self.depth = outer;
         self.expect(Tok::RBracket, "']' closing list")?;
         let cons = self.db.intern(".");
         Ok(items
@@ -731,6 +759,79 @@ mod tests {
     fn parse_clauses_interning_rejects_queries() {
         let mut syms = SymbolTable::new();
         assert!(parse_clauses_interning(&mut syms, "f(a,b). ?- f(a,X).").is_err());
+    }
+
+    /// `f(f(…f(a)…))`, `levels` terms deep (the innermost `a` included).
+    fn nested(levels: usize) -> String {
+        format!("{}a{}", "f(".repeat(levels - 1), ")".repeat(levels - 1))
+    }
+
+    /// `f([a, a, …, a])` whose last item sits `levels` terms deep: `f`,
+    /// then one cons cell per item, then the item.
+    fn long_list(levels: usize) -> String {
+        format!("f([{}a])", "a,".repeat(levels - 3))
+    }
+
+    /// Run `body` on a thread with the default stack — what a server
+    /// worker or a test thread gets — and propagate its panic, if any.
+    fn on_default_stack(body: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .spawn(body)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn terms_at_the_depth_limit_parse_through_every_entry_point() {
+        on_default_stack(|| {
+            let mut p = parse_program("f([a]).").unwrap();
+            for text in [nested(MAX_TERM_DEPTH), long_list(MAX_TERM_DEPTH)] {
+                assert!(parse_program(&format!("{text}. ?- {text}.")).is_ok());
+                assert!(parse_query_symbols(p.db.symbols(), &text).is_ok());
+                assert!(parse_query_shared(&p.db, &text).is_ok());
+                let mut syms = p.db.symbols().clone();
+                assert_eq!(
+                    parse_clauses_interning(&mut syms, &format!("{text}.")).map(|c| c.len()),
+                    Ok(1)
+                );
+                assert!(parse_query(&mut p.db, &text).is_ok());
+            }
+        });
+    }
+
+    #[test]
+    fn terms_past_the_depth_limit_are_a_positioned_error_not_an_overflow() {
+        on_default_stack(|| {
+            let mut p = parse_program("f([a]).").unwrap();
+            // One level too many, and the 2 KB hostile query that used to
+            // abort the process, as nested structures and as nested and
+            // flat lists.
+            let hostile = [
+                nested(MAX_TERM_DEPTH + 1),
+                long_list(MAX_TERM_DEPTH + 1),
+                nested(1_000),
+                long_list(100_000),
+                format!("f({}a{})", "[".repeat(1_000), "]".repeat(1_000)),
+            ];
+            for text in &hostile {
+                let errs = [
+                    parse_program(&format!("{text}.")).map(|_| ()).unwrap_err(),
+                    parse_program(&format!("?- {text}.")).map(|_| ()).unwrap_err(),
+                    parse_query_symbols(p.db.symbols(), text).unwrap_err(),
+                    parse_query_shared(&p.db, text).unwrap_err(),
+                    parse_clauses_interning(&mut p.db.symbols().clone(), &format!("{text}."))
+                        .unwrap_err(),
+                    parse_query(&mut p.db, text).unwrap_err(),
+                ];
+                for e in errs {
+                    assert!(e.message.contains("levels deep"), "{e}");
+                    assert!(e.line == 1 && e.col > 1, "points at the offending token: {e}");
+                }
+            }
+            // The reader is still usable afterwards.
+            assert!(parse_query_shared(&p.db, "f([a, a])").is_ok());
+        });
     }
 
     #[test]

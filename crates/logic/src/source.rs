@@ -3,11 +3,14 @@
 //! The paper's machine does not hold the whole program in processor
 //! memory: clauses live on Semantic Paging Disks and are faulted in as the
 //! search touches them (§6). [`ClauseSource`] is the software seam for
-//! that: [`expand_via`](crate::node::expand_via) resolves goals through
-//! this trait, so the same engine runs against the in-memory
-//! [`ClauseDb`] or against a paged backend (see
-//! `blog-spd`'s `PagedClauseStore`) that counts cache hits, misses, and
-//! evictions as the search streams over it.
+//! that: [`try_expand_via`](crate::node::try_expand_via) resolves goals
+//! through this trait, so the same engine runs against the in-memory
+//! [`ClauseDb`] or against the paged store (a `Snapshot` of `blog-spd`'s
+//! `MvccClauseStore`) that counts cache hits, misses, and evictions as
+//! the search streams over it.
+//!
+//! Every access has one spelling and it is fallible: a store fault is a
+//! [`StoreError`] value the caller classifies, never a panic.
 //!
 //! Implementations must be *semantically transparent*: the clauses and
 //! candidate lists returned must be identical to the backing database's,
@@ -35,8 +38,9 @@ pub enum StoreErrorKind {
 
 /// A typed storage failure surfaced by a fallible [`ClauseSource`].
 ///
-/// Fault-free backends never construct one; the paged/MVCC backends in
-/// `blog-spd` return them when a configured fault plan fires, and the
+/// Fault-free backends never construct one; the paged store in
+/// `blog-spd` returns them when a configured fault plan fires (or a
+/// clause id is not held by the pinned epoch), and the
 /// serving layer decides between retrying ([`StoreErrorKind::Transient`])
 /// and failing the request ([`StoreErrorKind::Permanent`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -121,45 +125,17 @@ impl SourceStats {
 /// means a lock or atomics, never a `Cell`).
 pub trait ClauseSource: Sync {
     /// Fetch a clause block. For paged backends this is *the* accounted
-    /// access: one call is one block touch.
-    ///
-    /// Infallible convenience form: backends with a configured fault
-    /// plan panic here on an injected fault, so fault-aware callers
-    /// (the serving layer) go through
-    /// [`try_fetch_clause`](ClauseSource::try_fetch_clause) instead.
-    fn fetch_clause(&self, id: ClauseId) -> &Clause {
-        match self.try_fetch_clause(id) {
-            Ok(c) => c,
-            Err(e) => panic!("fetch_clause on a faulting source: {e}"),
-        }
-    }
-
-    /// Fallible clause fetch. Fault-free backends (everything except a
-    /// store with an active fault plan) always return `Ok`.
+    /// access: one call is one block touch. Fault-free backends
+    /// (everything except a store with an active fault plan, or a
+    /// snapshot asked for an id its epoch does not hold) always return
+    /// `Ok`.
     fn try_fetch_clause(&self, id: ClauseId) -> Result<&Clause, StoreError>;
 
     /// Candidate resolvers for a goal under the backend's index mode,
     /// dereferencing through `bindings` — any binding representation, so
     /// the same backend serves cloned-store and frame-chain searches (see
-    /// [`ClauseDb::candidates_for_resolved`]).
-    ///
-    /// Infallible convenience form of
-    /// [`try_candidate_clauses`](ClauseSource::try_candidate_clauses);
-    /// panics on an injected fault like
-    /// [`fetch_clause`](ClauseSource::fetch_clause).
-    fn candidate_clauses<'a>(
-        &'a self,
-        goal: &Term,
-        bindings: &dyn BindingLookup,
-    ) -> Cow<'a, [ClauseId]> {
-        match self.try_candidate_clauses(goal, bindings) {
-            Ok(c) => c,
-            Err(e) => panic!("candidate_clauses on a faulting source: {e}"),
-        }
-    }
-
-    /// Fallible candidate lookup. Fault-free backends always return
-    /// `Ok`; backends whose index consults storage may surface a
+    /// [`ClauseDb::candidates_for_resolved`]). Fault-free backends always
+    /// return `Ok`; backends whose index consults storage may surface a
     /// [`StoreError`] under an active fault plan.
     fn try_candidate_clauses<'a>(
         &'a self,
@@ -185,22 +161,8 @@ pub trait ClauseSource: Sync {
 
 impl ClauseSource for ClauseDb {
     #[inline]
-    fn fetch_clause(&self, id: ClauseId) -> &Clause {
-        self.clause(id)
-    }
-
-    #[inline]
     fn try_fetch_clause(&self, id: ClauseId) -> Result<&Clause, StoreError> {
         Ok(self.clause(id))
-    }
-
-    #[inline]
-    fn candidate_clauses<'a>(
-        &'a self,
-        goal: &Term,
-        bindings: &dyn BindingLookup,
-    ) -> Cow<'a, [ClauseId]> {
-        self.candidates_for_resolved(goal, bindings)
     }
 
     #[inline]
@@ -231,12 +193,12 @@ mod tests {
         assert_eq!(db.clause_count(), db.len());
         for i in 0..db.len() {
             let id = ClauseId(i as u32);
-            assert_eq!(db.fetch_clause(id).head, db.clause(id).head);
+            assert_eq!(db.try_fetch_clause(id).unwrap().head, db.clause(id).head);
         }
         let q_goal = p.db.clause(ClauseId(2)).body[0].clone();
         let b = Bindings::new();
         assert_eq!(
-            db.candidate_clauses(&q_goal, &b).as_ref(),
+            db.try_candidate_clauses(&q_goal, &b).unwrap().as_ref(),
             db.candidates_for_resolved(&q_goal, &b).as_ref()
         );
     }

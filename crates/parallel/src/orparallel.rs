@@ -334,9 +334,9 @@ pub fn par_best_first(
 
 /// [`par_best_first`], generalized over any [`ClauseSource`] — the same
 /// seam [`best_first_with`](blog_core::engine) opened for the sequential
-/// engine. Pass `blog-spd`'s `PagedClauseStore` (or one of its per-pool
-/// views) and every worker thread resolves clauses *through the shared
-/// cache*: the source's `Sync` bound is what makes this sound. Results
+/// engine. Pass a `Snapshot` of `blog-spd`'s `MvccClauseStore` (pool-
+/// tagged or not) and every worker thread resolves clauses *through the
+/// shared cache*: the source's `Sync` bound is what makes this sound. Results
 /// are identical to running over the backing [`ClauseDb`] directly.
 pub fn par_best_first_with<S: ClauseSource + ?Sized>(
     source: &S,

@@ -26,9 +26,9 @@
 //! it executed at, and the contract — a query admitted at epoch `E`
 //! returns exactly the sequential solution set of the epoch-`E` snapshot
 //! — is enforced by the churn test suites against a single-threaded
-//! oracle rebuilt per epoch. [`ServeConfig::commit`] selects snapshot
-//! isolation ([`CommitMode::Mvcc`]) or the stop-the-world baseline the
-//! T10 experiment measures it against.
+//! oracle rebuilt per epoch. Commits are snapshot-isolated: queries never
+//! wait for one ([`ServeConfig::commit`] has the single value
+//! [`CommitMode::Mvcc`] and is inert).
 //!
 //! The scheduler's one real decision is **session affinity**
 //! ([`Routing::SessionAffinity`]): requests from the same session hash

@@ -184,10 +184,10 @@ pub struct ServeConfig {
     /// CPU-light. The update lane's commit I/O stalls under the same
     /// scale.
     pub stall_ns_per_tick: u64,
-    /// How a committing update treats in-flight queries:
-    /// [`CommitMode::Mvcc`] (readers never wait) or the
-    /// [`CommitMode::StopTheWorld`] baseline (every clause fetch waits
-    /// out the commit) — the T10 ablation.
+    /// Inert: [`CommitMode::Mvcc`] (readers never wait for a commit) is
+    /// the only commit mode. The field stays because the frozen
+    /// `benchmark/` crate reads it, and goes with the next `[benchmark]`
+    /// change.
     pub commit: CommitMode,
     /// Candidate-selection policy for the server's store (applied to the
     /// store config at construction, so serving sweeps flip it in one
@@ -756,7 +756,8 @@ impl QueryServer {
     /// This is the update lane's primitive; it can also be called
     /// directly — including from other threads while
     /// [`serve`](Self::serve) is running, which is exactly the churn the
-    /// T10/T12 experiments measure. Commits through this path notify the
+    /// T12 experiment and the `paged_churn` benchmark workload measure.
+    /// Commits through this path notify the
     /// answer cache with the transaction's touched predicates, in commit
     /// order (commits that bypass it — a raw
     /// [`MvccClauseStore::begin_write`] — leave the cache behind, which

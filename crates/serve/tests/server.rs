@@ -11,7 +11,7 @@ use blog_logic::{parse_program, parse_query_shared, Program, SolveConfig};
 use blog_parallel::FrontierPolicy;
 use blog_serve::{
     Admission, CacheConfig, CacheMode, ExecMode, Outcome, QueryRequest, QueryServer, Routing,
-    ServeConfig, ServedFrom, SessionId, UpdateOp,
+    ServeConfig, ServedFrom, SessionId, UpdateOp, UpdateOutcome,
 };
 use blog_spd::{Geometry, PagedStoreConfig, PolicyKind};
 use blog_workloads::{tenant_mix_program, tenant_mix_requests, FamilyParams, TenantMix};
@@ -202,6 +202,42 @@ fn malformed_and_unknown_queries_reject_without_engine_work() {
     );
     let after = server.serve(vec![QueryRequest::new(1, "gf(sam, G)")]);
     assert!(after.responses[0].warm, "a completed request does");
+}
+
+#[test]
+fn hostile_deep_query_text_is_a_parse_rejection_and_the_pool_keeps_serving() {
+    // 2 KB of `f(f(f(…` used to overflow the parsing thread's stack — a
+    // process abort no `catch_unwind` contains. It must come back as an
+    // ordinary rejection, on both lanes, and leave the pool serving.
+    let p = parse_program(FAMILY).unwrap();
+    let server = QueryServer::new(&p.db, store_cfg(p.db.len(), 4), ServeConfig::default());
+    let hostile = format!("{}sam{}", "f(".repeat(1_000), ")".repeat(1_000));
+    let (report, ()) = server.serve_open(|s| {
+        s.submit(QueryRequest::new(1, hostile.clone()));
+        s.quiesce();
+        s.update(
+            SessionId(2),
+            &[UpdateOp::Assert {
+                text: format!("{hostile}."),
+            }],
+        );
+        s.submit(QueryRequest::new(1, "gf(sam, G)"));
+        s.quiesce();
+    });
+    let Outcome::Rejected { error } = &report.responses[0].outcome else {
+        panic!("hostile query must be rejected: {:?}", report.responses[0].outcome);
+    };
+    assert!(error.contains("levels deep"), "{error}");
+    assert_eq!(report.responses[0].stats.nodes_expanded, 0);
+    let UpdateOutcome::Rejected { error } = &report.updates[0].outcome else {
+        panic!("hostile assert must be rejected: {:?}", report.updates[0].outcome);
+    };
+    assert!(error.contains("levels deep"), "{error}");
+    assert_eq!(report.stats.commits, 0);
+    assert_eq!(
+        report.responses[1].outcome.solutions(),
+        sequential_solutions(&p, "gf(sam, G)")
+    );
 }
 
 #[test]

@@ -15,9 +15,6 @@
 //!   same way. A torn page — a reader observing half a commit — cannot
 //!   produce the exact solution set of *any* single epoch, let alone the
 //!   one it was admitted at.
-//!
-//! Both run under MVCC and the stop-the-world baseline: the modes differ
-//! in blocking, never in answers.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,7 +25,7 @@ use blog_core::engine::{best_first, BestFirstConfig};
 use blog_core::weight::{WeightParams, WeightStore, WeightView};
 use blog_logic::{clause_to_source, parse_program, parse_query_shared, ClauseId, Program};
 use blog_serve::{
-    CommitMode, QueryRequest, QueryServer, ServeConfig, UpdateOp, UpdateOutcome, UpdateRequest,
+    QueryRequest, QueryServer, ServeConfig, UpdateOp, UpdateOutcome, UpdateRequest,
 };
 use blog_spd::{Geometry, PagedStoreConfig, PolicyKind};
 use blog_workloads::{
@@ -167,7 +164,7 @@ fn with_watchdog(what: &str, f: impl FnOnce() + Send + 'static) {
 // Update lane: deterministic churn through serve_mixed
 // ---------------------------------------------------------------------------
 
-fn run_mixed_batch(mode: CommitMode) {
+fn run_mixed_batch() {
     let m = mix();
     let (p, metas) = tenant_mix_program(&m);
     let originals = tenant_mix_requests(&m, &metas);
@@ -208,7 +205,6 @@ fn run_mixed_batch(mode: CommitMode) {
         store_cfg(p.db.len(), 256),
         ServeConfig {
             n_pools: 2,
-            commit: mode,
             ..ServeConfig::default()
         },
     );
@@ -258,21 +254,14 @@ fn run_mixed_batch(mode: CommitMode) {
 
 #[test]
 fn mixed_batch_is_epoch_exact_under_mvcc() {
-    with_watchdog("mixed batch (mvcc)", || run_mixed_batch(CommitMode::Mvcc));
-}
-
-#[test]
-fn mixed_batch_is_epoch_exact_under_stop_the_world() {
-    with_watchdog("mixed batch (stw)", || {
-        run_mixed_batch(CommitMode::StopTheWorld)
-    });
+    with_watchdog("mixed batch (mvcc)", run_mixed_batch);
 }
 
 // ---------------------------------------------------------------------------
 // Free-running writers: N threads churning while M pools serve
 // ---------------------------------------------------------------------------
 
-fn run_writer_storm(mode: CommitMode, n_writers: usize, n_pools: usize) {
+fn run_writer_storm(n_writers: usize, n_pools: usize) {
     let m = mix();
     let (p, metas) = tenant_mix_program(&m);
     let originals = tenant_mix_requests(&m, &metas);
@@ -287,7 +276,6 @@ fn run_writer_storm(mode: CommitMode, n_writers: usize, n_pools: usize) {
         store_cfg(p.db.len(), 1024),
         ServeConfig {
             n_pools,
-            commit: mode,
             ..ServeConfig::default()
         },
     );
@@ -347,7 +335,7 @@ fn run_writer_storm(mode: CommitMode, n_writers: usize, n_pools: usize) {
         &query_texts,
         &report.responses,
         logs,
-        &format!("writer storm ({} w={n_writers} p={n_pools})", mode.name()),
+        &format!("writer storm (mvcc w={n_writers} p={n_pools})"),
     );
     assert_eq!(server.store().reader_count(), 0, "leaked epoch pin");
     assert_eq!(server.store().stash_depth(), 0, "stash leak after batch");
@@ -355,23 +343,12 @@ fn run_writer_storm(mode: CommitMode, n_writers: usize, n_pools: usize) {
 
 #[test]
 fn writer_storm_is_epoch_exact_under_mvcc() {
-    with_watchdog("writer storm (mvcc 4x3)", || {
-        run_writer_storm(CommitMode::Mvcc, 4, 3)
-    });
-}
-
-#[test]
-fn writer_storm_is_epoch_exact_under_stop_the_world() {
-    with_watchdog("writer storm (stw 4x3)", || {
-        run_writer_storm(CommitMode::StopTheWorld, 4, 3)
-    });
+    with_watchdog("writer storm (mvcc 4x3)", || run_writer_storm(4, 3));
 }
 
 #[test]
 fn single_writer_single_pool_still_interleaves() {
-    with_watchdog("writer storm (mvcc 1x1)", || {
-        run_writer_storm(CommitMode::Mvcc, 1, 1)
-    });
+    with_watchdog("writer storm (mvcc 1x1)", || run_writer_storm(1, 1));
 }
 
 // ---------------------------------------------------------------------------

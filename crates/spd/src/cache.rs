@@ -1,14 +1,12 @@
-//! The policy-driven track cache shared by both clause-store backends.
+//! The policy-driven track cache inside the paged clause store.
 //!
-//! [`PagedClauseStore`](crate::paged::PagedClauseStore) (read-only, PR 2)
-//! and [`MvccClauseStore`](crate::mvcc::MvccClauseStore) (snapshot-
-//! isolated writes) meter exactly the same thing: which *tracks* are
-//! resident, what a fault costs under the SPD cost model, and how much
-//! lock traffic the metering itself generates. [`TrackCache`] is that
-//! shared substance, extracted from `paged.rs` — one mutex around a
-//! replacement policy, per-SP head positions, global and per-pool touch
-//! counters, and lock meters kept *outside* the mutex so a contended
-//! acquisition can be counted before the thread blocks on it.
+//! [`MvccClauseStore`](crate::mvcc::MvccClauseStore) meters which
+//! *tracks* are resident, what a fault costs under the SPD cost model,
+//! and how much lock traffic the metering itself generates. [`TrackCache`]
+//! is that substance — one mutex around a replacement policy, per-SP head
+//! positions, global and per-pool touch counters, and lock meters kept
+//! *outside* the mutex so a contended acquisition can be counted before
+//! the thread blocks on it.
 //!
 //! Residency is tracked per [`TrackId`] only; the cache knows nothing
 //! about clause data or page versions. That is what keeps MVCC cheap:
@@ -39,7 +37,7 @@ struct CacheCore {
 }
 
 /// A policy-driven track cache with SPD cost accounting (see the module
-/// docs). One of these sits inside every paged clause-store backend.
+/// docs). One of these sits inside every paged clause store.
 #[derive(Debug)]
 pub struct TrackCache {
     cost: CostModel,
@@ -110,18 +108,6 @@ impl TrackCache {
     /// fault cost (seek if the SP's head moves, plus the track load) and
     /// both counter sets; the pool counter table grows on first use of
     /// each pool id.
-    ///
-    /// Infallible form for fault-free caches; panics if a configured
-    /// [`FaultPlan`] injects an error (fault-aware callers go through
-    /// [`try_touch`](Self::try_touch)).
-    pub fn touch(&self, track: TrackId, pool: Option<usize>) -> TouchOutcome {
-        match self.try_touch(track, pool) {
-            Ok(outcome) => outcome,
-            Err(e) => panic!("touch on a faulting cache: {e}"),
-        }
-    }
-
-    /// [`touch`](Self::touch), with injected faults surfaced as values.
     ///
     /// With no fault plan this never returns `Err`. With one, the plan
     /// decides *before* the cache mutex is taken: an injected error
@@ -240,10 +226,9 @@ impl TrackCache {
 
     /// Reset counters — the cache's and the policy's, which stay two
     /// views over the same accesses, plus the per-pool, lock-traffic and
-    /// fault meters; resident tracks and head positions persist (use
-    /// [`clear`](Self::clear) to also drop the cache). The fault plan's
-    /// *schedule position* and damaged-track set persist too: resetting
-    /// statistics does not repair the medium.
+    /// fault meters; resident tracks and head positions persist. The
+    /// fault plan's *schedule position* and damaged-track set persist
+    /// too: resetting statistics does not repair the medium.
     pub fn reset_stats(&self) {
         let mut state = self.lock();
         state.stats = PagedStoreStats::default();
@@ -257,30 +242,8 @@ impl TrackCache {
         }
     }
 
-    /// Drop every resident track, park the heads, and reset counters
-    /// (fault schedule position and damage persist, as for
-    /// [`reset_stats`](Self::reset_stats)).
-    pub fn clear(&self) {
-        let mut state = self.lock();
-        state.policy.clear();
-        state.heads.fill(0);
-        state.stats = PagedStoreStats::default();
-        state.pools.clear();
-        self.lock_acquisitions.store(0, Ordering::Relaxed);
-        self.lock_contended.store(0, Ordering::Relaxed);
-        if let Some(f) = &self.faults {
-            f.transient_faults.store(0, Ordering::Relaxed);
-            f.permanent_faults.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Number of resident tracks.
     pub fn resident_tracks(&self) -> usize {
         self.lock().policy.len()
-    }
-
-    /// Whether `track` is resident (no recency effect).
-    pub fn contains(&self, track: &TrackId) -> bool {
-        self.lock().policy.contains(track)
     }
 }

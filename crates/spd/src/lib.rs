@@ -26,14 +26,17 @@
 //! paper's "we can decide whether we wish to retrieve another block by
 //! examining these weights, before we access the block").
 //!
-//! Beyond the trace-replay simulator, [`paged`] turns the layout into a
-//! *live storage backend*: [`PagedClauseStore`] implements
-//! [`ClauseSource`](blog_logic::ClauseSource) over a track cache whose
-//! replacement algorithm is a [`policy`] seam — exact [`lru`],
+//! Beyond the trace-replay simulator, [`mvcc`] turns the layout into the
+//! *live storage backend*: [`MvccClauseStore`] owns the clauses, and a
+//! [`Snapshot`] of it implements
+//! [`ClauseSource`](blog_logic::ClauseSource) over a track [`cache`]
+//! whose replacement algorithm is a [`policy`] seam — exact [`lru`],
 //! scan-resistant 2Q, CLOCK, or FIFO, selected by [`PolicyKind`] — so
 //! the `blog-core` best-first engine resolves clauses through the cache
 //! and the paging statistics reflect the search's real access stream
-//! rather than a canned trace.
+//! rather than a canned trace. A database that is only searched is a
+//! store that stays at epoch 0. [`paged`] holds the configuration and
+//! counter types the store and the cache share.
 
 pub mod bitidx;
 pub mod bitmap;
@@ -57,10 +60,7 @@ pub use cache::TrackCache;
 pub use fault::{FaultKind, FaultPlan, FaultScope, FaultSite};
 pub use lru::{LruSet, Touch};
 pub use mvcc::{CommitMode, MvccClauseStore, MvccError, MvccStats, Snapshot, WriteTxn};
-pub use paged::{
-    PagedClauseStore, PagedStoreConfig, PagedStoreStats, PoolTouchStats, PoolView, TouchOutcome,
-    TrackId,
-};
+pub use paged::{PagedStoreConfig, PagedStoreStats, PoolTouchStats, TouchOutcome, TrackId};
 pub use pager::{Pager, PagerStats};
 pub use policy::{Clock, Fifo, Lru, PolicyKind, PolicyStats, ReplacementPolicy, TwoQ};
 pub use spd::{GcReport, PageRequest, PageResult, SpMode, SpdArray, SpdStats, TrackFull};

@@ -1,9 +1,9 @@
 //! A fixed-capacity LRU residency set with O(1) touch and eviction.
 //!
-//! This is the page-replacement policy behind
-//! [`PagedClauseStore`](crate::paged::PagedClauseStore): it tracks *which*
-//! pages are resident, not their contents (block data always lives in the
-//! backing [`ClauseDb`](blog_logic::ClauseDb) — the "disk"). Entries are
+//! This is the default page-replacement policy of the
+//! [`TrackCache`](crate::cache::TrackCache): it tracks *which* pages are
+//! resident, not their contents (clause data always lives in the store's
+//! page versions — the "disk"). Entries are
 //! kept in recency order by an intrusive doubly-linked list over a slot
 //! vector, so `touch` is a hash lookup plus pointer swaps.
 //!

@@ -1,9 +1,16 @@
-//! Snapshot-isolated writes for the paged clause store (MVCC).
+//! The paged clause store: clauses on SPD tracks behind a track cache,
+//! read through epoch-pinned snapshots, written by snapshot-isolated
+//! transactions (MVCC).
 //!
-//! [`PagedClauseStore`](crate::paged::PagedClauseStore) is read-only: the
-//! clause database is built once, before any search starts. This module
-//! adds the write path the paper's multiprogramming story needs —
-//! clauses asserted and retracted *while* queries run.
+//! This is the crate's one live storage backend. [`MvccClauseStore`] lays
+//! a [`ClauseDb`] out across SPD tracks; a [`Snapshot`] implements
+//! [`ClauseSource`], so the best-first engine in `blog-core` — or any
+//! engine built on [`try_expand_via`](blog_logic::try_expand_via) —
+//! resolves candidates *through* the cache, one accounted track touch per
+//! unification attempt. A database that is built once and only searched
+//! is a store that stays at epoch 0; the write path is what the paper's
+//! multiprogramming story adds — clauses asserted and retracted *while*
+//! queries run.
 //!
 //! # One immutable version per epoch
 //!
@@ -36,9 +43,8 @@
 //! - **[`commit`](WriteTxn::commit)** pays the simulated write I/O, then
 //!   builds the next `Version` *outside* the mutex — copy the page
 //!   table's top level, re-point the dirtied chunks — swaps the pointer
-//!   under it, and drops the previous version after unlocking
-//!   ([`CommitMode::StopTheWorld`] exists to measure what that
-//!   non-blocking install buys).
+//!   under it, and drops the previous version after unlocking. Readers
+//!   never wait for a commit.
 //!
 //! # Retirement is reference counting
 //!
@@ -63,22 +69,20 @@
 //!   panics with a transaction open has aborted it (nothing of a
 //!   transaction is shared before commit), so a poisoned `writer` is
 //!   taken over, not propagated.
-//! - The [`TrackCache`] mutex guards residency and its meters, as in the
-//!   read-only store.
+//! - The [`TrackCache`] mutex guards residency and its meters.
 //!
-//! The track cache is shared with the read-only store and is
-//! deliberately *version-blind*: an access touches the same [`TrackId`]
-//! whichever page version it resolves to, so replacement behavior and
-//! the golden trace fixtures are unchanged by writes until a write
-//! actually moves a clause. The correctness contract — **a query
-//! admitted at epoch E returns exactly the sequential solution set of
-//! the epoch-E snapshot** — is enforced by `tests/mvcc_props.rs` and the
-//! serving churn suite.
+//! The track cache is deliberately *version-blind*: an access touches
+//! the same [`TrackId`] whichever page version it resolves to, so
+//! replacement behavior and the golden trace fixtures are unchanged by
+//! writes until a write actually moves a clause. The correctness
+//! contract — **a query admitted at epoch E returns exactly the
+//! sequential solution set of the epoch-E snapshot** — is enforced by
+//! `tests/mvcc_props.rs` and the serving churn suite.
 
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use blog_logic::{
     parse_clauses_interning, BindingLookup, Clause, ClauseDb, ClauseId, ClauseSource, ParseError,
@@ -92,27 +96,16 @@ use crate::paged::{PagedStoreConfig, PagedStoreStats, PoolTouchStats, TrackId};
 use crate::policy::PolicyStats;
 use crate::timing::Geometry;
 
-/// How a committing writer treats in-flight readers.
+/// How a committing writer treats in-flight readers. There is one way,
+/// so the parameter that carries this value ([`MvccClauseStore::new`]'s
+/// third) is inert: it stays only because the frozen `benchmark/` crate
+/// passes it, and goes with the next `[benchmark]` change.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum CommitMode {
     /// Snapshot isolation: the writer pays its simulated write I/O and
     /// builds the next version outside every lock, then installs it with
     /// one pointer swap. Readers are never blocked.
     Mvcc,
-    /// The baseline MVCC is measured against: the writer takes a global
-    /// reader/writer gate for the whole commit (I/O included), so every
-    /// clause fetch admitted meanwhile waits for the commit to finish.
-    StopTheWorld,
-}
-
-impl CommitMode {
-    /// Short name for reports (`mvcc` / `stw`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CommitMode::Mvcc => "mvcc",
-            CommitMode::StopTheWorld => "stw",
-        }
-    }
 }
 
 /// Tracks per shared chunk of a version's page table: a commit copies
@@ -234,18 +227,16 @@ impl From<ParseError> for MvccError {
     }
 }
 
-/// A clause database with snapshot-isolated writes, served through the
-/// same policy-driven track cache as [`PagedClauseStore`](crate::paged::PagedClauseStore). See the
-/// module docs for the protocol.
+/// A clause database with snapshot-isolated writes, served through a
+/// policy-driven track cache. See the module docs for the protocol.
 ///
-/// Unlike the read-only store, this one **owns** its clauses (they are
-/// copied out of the seed `ClauseDb` at construction), so it has no
-/// lifetime parameter and can outlive the database it was built from.
+/// The store **owns** its clauses (they are copied out of the seed
+/// `ClauseDb` at construction), so it has no lifetime parameter and can
+/// outlive the database it was built from.
 #[derive(Debug)]
 pub struct MvccClauseStore {
     geometry: Geometry,
     policy_kind: crate::policy::PolicyKind,
-    commit_mode: CommitMode,
     index_policy: IndexPolicy,
     /// Candidate-selection meters (atomics — selection never locks).
     index_counters: IndexCounters,
@@ -255,10 +246,6 @@ pub struct MvccClauseStore {
     gauges: Arc<VersionGauges>,
     /// Serializes writers (one transaction at a time).
     writer: Mutex<()>,
-    /// The stop-the-world gate: committing writers in
-    /// [`CommitMode::StopTheWorld`] hold it exclusively; readers in that
-    /// mode take it shared around every fetch. Unused under MVCC.
-    stw_gate: RwLock<()>,
     /// Nanoseconds slept per simulated tick of commit write I/O
     /// (0 = account only).
     write_stall_ns_per_tick: AtomicU64,
@@ -267,16 +254,17 @@ pub struct MvccClauseStore {
 
 impl MvccClauseStore {
     /// Build epoch 0 from `db`: clauses are laid out with the same
-    /// round-robin placement as [`PagedClauseStore`](crate::paged::PagedClauseStore) (both call
-    /// [`Geometry::addr_of_index`]), so the access stream — and
-    /// therefore every cache counter — is identical until a write
-    /// actually changes a page.
+    /// round-robin placement
+    /// [`SpdArray::add_block`](crate::spd::SpdArray::add_block) uses
+    /// (both call [`Geometry::addr_of_index`]), so a store and a
+    /// simulator built over the same database agree block by block.
+    /// `_mode` is inert (see [`CommitMode`]).
     ///
     /// # Panics
     /// Panics if the geometry cannot hold one block per clause. Size the
     /// geometry with headroom: asserts allocate fresh blocks and fail
     /// with [`MvccError::CapacityExhausted`] once the geometry is full.
-    pub fn new(db: &ClauseDb, config: PagedStoreConfig, mode: CommitMode) -> MvccClauseStore {
+    pub fn new(db: &ClauseDb, config: PagedStoreConfig, _mode: CommitMode) -> MvccClauseStore {
         assert!(
             config.geometry.capacity() as usize >= db.len(),
             "SPD geometry too small: capacity {} < {} clauses",
@@ -306,7 +294,6 @@ impl MvccClauseStore {
         MvccClauseStore {
             geometry: g,
             policy_kind: config.policy,
-            commit_mode: mode,
             index_policy: config.index,
             index_counters: IndexCounters::default(),
             cache: TrackCache::new(config.policy, config.capacity_tracks, g.n_sps, config.cost)
@@ -320,7 +307,6 @@ impl MvccClauseStore {
             })),
             gauges,
             writer: Mutex::new(()),
-            stw_gate: RwLock::new(()),
             write_stall_ns_per_tick: AtomicU64::new(0),
             commits: AtomicU64::new(0),
         }
@@ -350,11 +336,6 @@ impl MvccClauseStore {
         self.place(cid).0
     }
 
-    /// This store's commit mode.
-    pub fn commit_mode(&self) -> CommitMode {
-        self.commit_mode
-    }
-
     /// Which replacement algorithm the track cache runs.
     pub fn policy_kind(&self) -> crate::policy::PolicyKind {
         self.policy_kind
@@ -372,10 +353,8 @@ impl MvccClauseStore {
     }
 
     /// Sleep this many nanoseconds per simulated tick of commit write
-    /// I/O (one `track_load` per dirtied page). Under [`CommitMode::Mvcc`]
-    /// the sleep happens outside every lock; under
-    /// [`CommitMode::StopTheWorld`] it happens while holding the global
-    /// gate — that difference is the whole experiment.
+    /// I/O (one `track_load` per dirtied page). The sleep happens
+    /// outside every lock.
     pub fn set_write_stall(&self, ns_per_tick: u64) {
         self.write_stall_ns_per_tick
             .store(ns_per_tick, Ordering::Relaxed);
@@ -463,8 +442,7 @@ impl MvccClauseStore {
     }
 
     /// Track-cache counters (lock-traffic and candidate-selection meters
-    /// included) — the same surface as
-    /// [`PagedClauseStore::stats`](crate::paged::PagedClauseStore::stats).
+    /// included).
     pub fn stats(&self) -> PagedStoreStats {
         let mut s = self.cache.stats();
         let (hits, prunes, scanned) = self.index_counters.snapshot();
@@ -545,16 +523,19 @@ impl<'s> Snapshot<'s> {
 
     /// This snapshot with faults stalling the caller `ns_per_tick`
     /// nanoseconds per simulated tick (0 = no stall, accounting only).
-    /// The sleep happens after the cache mutex is released, exactly like
-    /// [`PoolView::with_stall`](crate::paged::PoolView::with_stall).
+    /// This is the SPD's disk latency made real: a multi-pool server
+    /// overlaps one pool's I/O stall with another pool's computation
+    /// exactly as the paper's processors hide track-load latency. The
+    /// sleep happens **after** the cache mutex is released; residency
+    /// bookkeeping is never held across a stall.
     pub fn with_stall(mut self, ns_per_tick: u64) -> Self {
         self.stall_ns_per_tick = ns_per_tick;
         self
     }
 
     /// This snapshot with dependency recording on: every
-    /// `candidate_clauses` resolution notes the goal's `(functor, arity)`
-    /// pair. A commit can only change the candidate sets of the
+    /// `try_candidate_clauses` resolution notes the goal's
+    /// `(functor, arity)` pair. A commit can only change the candidate sets of the
     /// predicates it asserts or retracts, so the first divergence between
     /// this epoch's search tree and a later epoch's must occur at a goal
     /// whose predicate the commit touched — if no recorded predicate was
@@ -625,19 +606,6 @@ impl Drop for Snapshot<'_> {
 
 impl ClauseSource for Snapshot<'_> {
     fn try_fetch_clause(&self, id: ClauseId) -> Result<&Clause, StoreError> {
-        // Under the stop-the-world baseline a committing writer blocks
-        // every fetch for its whole commit; under MVCC the gate is never
-        // write-locked, so readers sail through. A poisoned gate means a
-        // committing writer panicked mid-STW swap — readers cannot
-        // verify the swap completed, so fail the fetch rather than risk
-        // a torn read (MVCC snapshots are immune by construction).
-        let _gate =
-            match self.store.commit_mode {
-                CommitMode::StopTheWorld => Some(self.store.stw_gate.read().map_err(|_| {
-                    StoreError::permanent("stop-the-world writer panicked mid-commit")
-                })?),
-                CommitMode::Mvcc => None,
-            };
         // An id the pinned epoch does not hold is refused before any
         // track is touched. Ids at or past `len` include every id the
         // geometry cannot place.
@@ -685,10 +653,11 @@ impl ClauseSource for Snapshot<'_> {
         goal: &Term,
         bindings: &dyn BindingLookup,
     ) -> Result<Cow<'a, [ClauseId]>, StoreError> {
-        // Candidate lists ride in the caller's block (figure 4), already
-        // paid for when the caller was fetched — same accounting as the
-        // read-only store. The index is pinned with the snapshot, so a
-        // concurrent commit cannot leak clauses from another epoch in.
+        // Candidate lists are the figure-4 pointers stored *in the
+        // caller's block*, which the search touched when it fetched the
+        // caller; reading them costs no extra fault. The index is pinned
+        // with the snapshot, so a concurrent commit cannot leak clauses
+        // from another epoch in.
         let index = &self.version.index;
         let full = match goal.functor() {
             Some(pred) => {
@@ -723,14 +692,29 @@ impl ClauseSource for Snapshot<'_> {
     }
 
     fn source_stats(&self) -> Option<SourceStats> {
-        let s = self.touch_stats();
-        Some(SourceStats {
-            accesses: s.accesses,
-            hits: s.hits,
-            misses: s.misses,
-            // Evictions are a store-wide event; they cannot be attributed
-            // to the snapshot whose fault happened to trigger them.
-            evictions: 0,
+        Some(match self.pool {
+            Some(p) => {
+                let s = self.store.pool_stats(p);
+                SourceStats {
+                    accesses: s.accesses,
+                    hits: s.hits,
+                    misses: s.misses,
+                    // Evictions are a store-wide event; they cannot be
+                    // attributed to the pool whose fault happened to
+                    // trigger them.
+                    evictions: 0,
+                }
+            }
+            // Untagged: the store-wide counters, all four of them.
+            None => {
+                let s = self.store.stats();
+                SourceStats {
+                    accesses: s.accesses,
+                    hits: s.hits,
+                    misses: s.misses,
+                    evictions: s.evictions,
+                }
+            }
         })
     }
 }
@@ -747,8 +731,7 @@ impl ClauseSource for Snapshot<'_> {
 /// readers until commit installs the next version atomically. Dropping
 /// without committing aborts with no trace. Writers are serialized by
 /// the store (one open transaction at a time); readers never wait for a
-/// transaction, open or committing (except under
-/// [`CommitMode::StopTheWorld`]).
+/// transaction, open or committing.
 #[derive(Debug)]
 pub struct WriteTxn<'s> {
     store: &'s MvccClauseStore,
@@ -885,11 +868,9 @@ impl WriteTxn<'_> {
     /// table — under the next epoch. Returns the new committed epoch (or
     /// the unchanged one for an empty transaction).
     ///
-    /// Under [`CommitMode::Mvcc`] the I/O sleep and the building of the
-    /// next version happen before any lock is taken, and the install is
-    /// one pointer swap — readers keep pinning and reading versions the
-    /// whole time. Under [`CommitMode::StopTheWorld`] the store-wide gate
-    /// is held across I/O *and* install.
+    /// The I/O sleep and the building of the next version happen before
+    /// any lock is taken, and the install is one pointer swap — readers
+    /// keep pinning and reading versions the whole time.
     pub fn commit(self) -> u64 {
         let store = self.store;
         let base = self.base;
@@ -906,23 +887,10 @@ impl WriteTxn<'_> {
         let trace = self.trace;
 
         let io_span = trace.as_ref().map(|t| t.span("commit_io"));
-        let _gate = match store.commit_mode {
-            CommitMode::StopTheWorld => {
-                let gate = store.stw_gate.write().unwrap();
-                // The whole world waits out the write I/O.
-                if !io.is_zero() {
-                    std::thread::sleep(io);
-                }
-                Some(gate)
-            }
-            CommitMode::Mvcc => {
-                // Pay the I/O before touching any shared state.
-                if !io.is_zero() {
-                    std::thread::sleep(io);
-                }
-                None
-            }
-        };
+        // Pay the I/O before touching any shared state.
+        if !io.is_zero() {
+            std::thread::sleep(io);
+        }
         drop(io_span);
 
         let install_span = trace.as_ref().map(|t| t.span("commit_install"));
@@ -1103,7 +1071,7 @@ mod tests {
         );
 
         // First touch of clause 3's page happens *after* the commit.
-        let c = snap.fetch_clause(ClauseId(3));
+        let c = snap.try_fetch_clause(ClauseId(3)).unwrap();
         assert_eq!(c.head, p.db.clause(ClauseId(3)).head);
         assert_eq!(solutions(&snap, "gf(sam,G)"), vec!["G = den", "G = doug"]);
     }
@@ -1126,13 +1094,13 @@ mod tests {
 
         let q = parse_query_symbols(old.symbols(), "f(sam,Q)").unwrap();
         let bindings = blog_logic::Bindings::new();
-        let old_ids = old.candidate_clauses(&q.goals[0], &bindings).into_owned();
-        assert_eq!(old_ids, vec![ClauseId(3)], "epoch-0 index still lists it");
+        let old_ids = old.try_candidate_clauses(&q.goals[0], &bindings).unwrap();
+        assert_eq!(*old_ids, [ClauseId(3)], "epoch-0 index still lists it");
 
         let new = store.begin_read();
         let q2 = parse_query_symbols(new.symbols(), "f(sam,Q)").unwrap();
-        let got = new.candidate_clauses(&q2.goals[0], &bindings).into_owned();
-        assert_eq!(got, new_ids, "epoch-1 index lists only the replacement");
+        let got = new.try_candidate_clauses(&q2.goals[0], &bindings).unwrap();
+        assert_eq!(*got, new_ids[..], "epoch-1 index lists only the replacement");
 
         // And the meters saw two indexed resolutions.
         let s = store.stats();
@@ -1273,17 +1241,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "retracted at epoch 1")]
-    fn infallible_fetch_of_a_retracted_clause_still_panics() {
-        let p = parse_program(FAMILY).unwrap();
-        let store = MvccClauseStore::new(&p.db, store_config(8), CommitMode::Mvcc);
-        let mut txn = store.begin_write();
-        txn.retract(ClauseId(3)).unwrap();
-        txn.commit();
-        store.begin_read().fetch_clause(ClauseId(3));
-    }
-
-    #[test]
     fn a_panic_inside_a_transaction_is_an_abort() {
         let p = parse_program(FAMILY).unwrap();
         let store = MvccClauseStore::new(&p.db, store_config(8), CommitMode::Mvcc);
@@ -1367,52 +1324,6 @@ mod tests {
         assert_eq!(snap.clause_count(), p.db.len());
         assert!(parse_query_symbols(snap.symbols(), "f(larry,ghost)").is_err());
         assert_eq!(solutions(&snap, "gf(sam,G)"), vec!["G = den", "G = doug"]);
-    }
-
-    #[test]
-    fn stop_the_world_mode_reaches_the_same_states() {
-        let p = parse_program(FAMILY).unwrap();
-        for mode in [CommitMode::Mvcc, CommitMode::StopTheWorld] {
-            let store = MvccClauseStore::new(&p.db, store_config(8), mode);
-            let old = store.begin_read();
-            let mut txn = store.begin_write();
-            txn.assert_text("f(larry,zoe).").unwrap();
-            txn.retract(ClauseId(5)).unwrap();
-            assert_eq!(txn.commit(), 1);
-            assert_eq!(
-                solutions(&old, "gf(sam,G)"),
-                vec!["G = den", "G = doug"],
-                "{mode:?}"
-            );
-            let new = store.begin_read();
-            assert_eq!(
-                solutions(&new, "gf(sam,G)"),
-                vec!["G = doug", "G = zoe"],
-                "{mode:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn cache_counters_match_the_readonly_store_at_epoch_zero() {
-        // The MVCC store must be access-stream identical to the
-        // read-only store until a write happens: same placement, same
-        // candidate order, same hit/miss counters for the same run.
-        let p = parse_program(FAMILY).unwrap();
-        let cfg = store_config(2);
-        let mvcc = MvccClauseStore::new(&p.db, cfg.clone(), CommitMode::Mvcc);
-        let paged = crate::paged::PagedClauseStore::new(&p.db, cfg);
-        let snap = mvcc.begin_read();
-        for i in 0..p.db.len() {
-            snap.fetch_clause(ClauseId(i as u32));
-            paged.fetch_clause(ClauseId(i as u32));
-        }
-        let (a, b) = (mvcc.stats(), paged.stats());
-        assert_eq!(a.accesses, b.accesses);
-        assert_eq!(a.hits, b.hits);
-        assert_eq!(a.misses, b.misses);
-        assert_eq!(a.evictions, b.evictions);
-        assert_eq!(a.fault_ticks, b.fault_ticks);
     }
 
     #[test]

@@ -1,39 +1,37 @@
-//! A paged clause-store backend: `ClauseDb` behind a policy-driven track
-//! cache.
+//! The paged clause store's value types: what configures it and what it
+//! reports.
 //!
-//! The [`Pager`](crate::pager::Pager) replays *recorded* traces against the
-//! simulated disk; this module closes the loop. [`PagedClauseStore`] lays a
-//! [`ClauseDb`] out across SPD tracks (same placement rule as
-//! [`SpdArray`](crate::spd::SpdArray): one block per clause, round-robin
-//! over slots, SPs, and cylinders) and implements [`ClauseSource`], so
-//! the best-first engine in
-//! `blog-core` — or any engine built on
-//! [`expand_via`](blog_logic::expand_via) — resolves candidates *through*
-//! the cache. Every unification attempt touches the candidate clause's
-//! track: a resident track is a **hit**; a miss charges the cost model for
-//! the seek and track load and may **evict** a resident track, chosen by
-//! the configured [`ReplacementPolicy`](crate::policy::ReplacementPolicy) (LRU by default; see
-//! [`PolicyKind`] for the scan-resistant 2Q and the CLOCK approximation).
+//! The paper's §6 keeps clauses on semantic paging disks and faults them
+//! in through a track cache as the search touches them. In this crate
+//! that is one store, [`MvccClauseStore`](crate::mvcc::MvccClauseStore),
+//! read through epoch-pinned [`Snapshot`](crate::mvcc::Snapshot)s — a
+//! store nobody writes to is simply one that stays at epoch 0 — over one
+//! [`TrackCache`](crate::cache::TrackCache). This module holds the plain
+//! data both share: the [`TrackId`] a clause's block address maps to, the
+//! [`PagedStoreConfig`] a store is built from, and the counters
+//! ([`PagedStoreStats`], [`PoolTouchStats`], [`TouchOutcome`]) the cache
+//! meters every touch into.
 //!
-//! Clause data itself always lives in the backing [`ClauseDb`] (the
-//! "disk"), so paging is semantically transparent: searches return exactly
-//! the solutions the in-memory database yields, while the store reports
-//! the hit/miss/eviction behavior of the access pattern the search
-//! actually generated. The integration tests in `tests/paged_store.rs`
-//! assert both halves of that claim.
+//! Clauses are laid out with the same placement rule as
+//! [`SpdArray`](crate::spd::SpdArray) (one block per clause, round-robin
+//! over slots, SPs, and cylinders). Every unification attempt touches the
+//! candidate clause's track: a resident track is a **hit**; a miss
+//! charges the cost model for the seek and track load and may **evict** a
+//! resident track, chosen by the configured
+//! [`ReplacementPolicy`](crate::policy::ReplacementPolicy) (LRU by
+//! default; see [`PolicyKind`] for the scan-resistant 2Q and the CLOCK
+//! approximation). Paging is semantically transparent: searches return
+//! exactly the solutions the in-memory database yields, while the store
+//! reports the hit/miss/eviction behavior of the access pattern the
+//! search actually generated. The integration tests in
+//! `tests/paged_store.rs` assert both halves of that claim.
 
-use std::borrow::Cow;
-
-use blog_logic::{
-    BindingLookup, Clause, ClauseDb, ClauseId, ClauseSource, SourceStats, StoreError, Term,
-};
 use serde::Serialize;
 
-use crate::bitidx::{BitmapClauseIndex, IndexCounters, IndexPolicy, IndexedCandidates};
-use crate::cache::TrackCache;
+use crate::bitidx::IndexPolicy;
 use crate::fault::FaultPlan;
-use crate::policy::{PolicyKind, PolicyStats};
-use crate::timing::{BlockAddr, CostModel, Geometry};
+use crate::policy::PolicyKind;
+use crate::timing::{CostModel, Geometry};
 
 /// Identity of one track: the unit of caching (and of disk transfer).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize)]
@@ -44,7 +42,7 @@ pub struct TrackId {
     pub cylinder: u32,
 }
 
-/// Configuration for a [`PagedClauseStore`].
+/// Configuration for a paged clause store.
 #[derive(Clone, Debug, Serialize)]
 pub struct PagedStoreConfig {
     /// Disk layout; `blocks_per_track` is the page size in clauses.
@@ -114,7 +112,7 @@ pub struct PagedStoreStats {
     /// a serving fleet the `contended / acquisitions` ratio attributes
     /// slowdowns to store contention rather than scheduling.
     pub lock_contended: u64,
-    /// `candidate_clauses` calls resolved through the first-argument
+    /// `try_candidate_clauses` calls resolved through the first-argument
     /// bitmap index (zero under [`IndexPolicy::None`] and for goals
     /// whose first argument was unbound).
     pub index_hits: u64,
@@ -232,8 +230,10 @@ pub struct TouchOutcome {
     /// Whether the clause's track was resident.
     pub hit: bool,
     /// Ticks charged for the fault (zero on a hit) — seek plus track
-    /// load. A latency-simulating caller (the serving layer's
-    /// [`PoolView`]) can convert these into a real stall.
+    /// load. A latency-simulating caller (a
+    /// [`Snapshot`](crate::mvcc::Snapshot) built
+    /// [`with_stall`](crate::mvcc::Snapshot::with_stall)) converts these
+    /// into a real sleep.
     pub fault_ticks: u64,
     /// The slice of [`fault_ticks`](Self::fault_ticks) an injected
     /// latency spike contributed (zero without a [`FaultPlan`]), so
@@ -242,374 +242,16 @@ pub struct TouchOutcome {
     pub spike_ticks: u64,
 }
 
-/// A [`ClauseDb`] served through a policy-driven track cache with SPD
-/// cost accounting. See the module docs for the model. The cache
-/// machinery itself lives in [`TrackCache`],
-/// shared with the MVCC backend.
-#[derive(Debug)]
-pub struct PagedClauseStore<'a> {
-    db: &'a ClauseDb,
-    geometry: Geometry,
-    policy_kind: PolicyKind,
-    cache: TrackCache,
-    /// First-argument bitmap index, built once over the (static) backing
-    /// database when the config asks for it.
-    bitidx: Option<BitmapClauseIndex>,
-    /// Candidate-selection meters (atomics — selection never locks).
-    index_counters: IndexCounters,
-}
-
-impl<'a> PagedClauseStore<'a> {
-    /// Wrap `db` in a paged view.
-    ///
-    /// # Panics
-    /// Panics if the geometry cannot hold one block per clause, or if the
-    /// track capacity is zero.
-    pub fn new(db: &'a ClauseDb, config: PagedStoreConfig) -> PagedClauseStore<'a> {
-        assert!(
-            config.geometry.capacity() as usize >= db.len(),
-            "SPD geometry too small: capacity {} < {} clauses",
-            config.geometry.capacity(),
-            db.len()
-        );
-        PagedClauseStore {
-            db,
-            geometry: config.geometry,
-            policy_kind: config.policy,
-            cache: TrackCache::new(
-                config.policy,
-                config.capacity_tracks,
-                config.geometry.n_sps,
-                config.cost,
-            )
-            .with_faults(config.fault),
-            bitidx: match config.index {
-                IndexPolicy::None => None,
-                IndexPolicy::FirstArg => Some(BitmapClauseIndex::from_db(db)),
-            },
-            index_counters: IndexCounters::default(),
-        }
-    }
-
-    /// Which replacement algorithm this store runs.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy_kind
-    }
-
-    /// Which candidate-selection policy this store runs.
-    pub fn index_policy(&self) -> IndexPolicy {
-        if self.bitidx.is_some() {
-            IndexPolicy::FirstArg
-        } else {
-            IndexPolicy::None
-        }
-    }
-
-    /// Resolve a goal's candidates: through the bitmap index when the
-    /// policy is `FirstArg` and the goal's first argument is bound,
-    /// otherwise the full predicate range. Selection costs no page
-    /// touch either way — candidate lists ride in the caller's block —
-    /// but only the metered [`fetch_clause`](ClauseSource::fetch_clause)
-    /// calls that *follow* differ, which is the entire point.
-    fn candidates<'s>(
-        &'s self,
-        goal: &Term,
-        bindings: &dyn BindingLookup,
-    ) -> Cow<'s, [ClauseId]> {
-        if let Some(idx) = &self.bitidx {
-            if let IndexedCandidates::Narrowed(ids) = idx.lookup(goal, bindings) {
-                let full = self.db.candidates_for(goal).len();
-                self.index_counters.record_indexed(full, ids.len());
-                return Cow::Owned(ids);
-            }
-        }
-        let full = self.db.candidates_for_resolved(goal, bindings);
-        self.index_counters.record_scan(full.len());
-        full
-    }
-
-    /// The policy's own counters (a second view over the same accesses
-    /// [`stats`](Self::stats) meters, minus the cost-model fields).
-    pub fn policy_stats(&self) -> PolicyStats {
-        self.cache.policy_stats()
-    }
-
-    /// The backing database.
-    pub fn db(&self) -> &'a ClauseDb {
-        self.db
-    }
-
-    /// Where clause `cid` lives — the same round-robin placement
-    /// [`SpdArray::add_block`](crate::spd::SpdArray::add_block) uses
-    /// (both call [`Geometry::addr_of_index`]), so a store and a
-    /// simulator built over the same database agree block by block.
-    pub fn addr_of(&self, cid: ClauseId) -> BlockAddr {
-        self.geometry.addr_of_index(cid.0)
-    }
-
-    /// The track (cache page) holding clause `cid`.
-    pub fn track_of(&self, cid: ClauseId) -> TrackId {
-        let addr = self.addr_of(cid);
-        TrackId {
-            sp: addr.sp,
-            cylinder: addr.cylinder,
-        }
-    }
-
-    /// Touch one clause through the cache; returns whether it hit.
-    ///
-    /// This is the accounting primitive behind
-    /// [`fetch_clause`](ClauseSource::fetch_clause); trace replays can
-    /// call it directly.
-    pub fn touch_clause(&self, cid: ClauseId) -> bool {
-        self.touch_clause_for_pool(cid, None).hit
-    }
-
-    /// [`touch_clause`](Self::touch_clause), attributing the access to
-    /// worker pool `pool` (see [`PoolTouchStats`]). One lock acquisition
-    /// covers the global and per-pool accounting; the pool counter table
-    /// grows on first use of each pool id.
-    pub fn touch_clause_for_pool(&self, cid: ClauseId, pool: Option<usize>) -> TouchOutcome {
-        self.cache.touch(self.track_of(cid), pool)
-    }
-
-    /// [`touch_clause_for_pool`](Self::touch_clause_for_pool), with
-    /// injected faults surfaced as values instead of panics. Never
-    /// `Err` without a configured [`FaultPlan`].
-    pub fn try_touch_clause_for_pool(
-        &self,
-        cid: ClauseId,
-        pool: Option<usize>,
-    ) -> Result<TouchOutcome, StoreError> {
-        self.cache.try_touch(self.track_of(cid), pool)
-    }
-
-    /// A [`ClauseSource`] view of this store that attributes every touch
-    /// to worker pool `pool` and (optionally) *stalls* the calling thread
-    /// on faults — the concurrent read path a multi-pool query server
-    /// executes through.
-    pub fn pool_view(&self, pool: usize) -> PoolView<'_, 'a> {
-        PoolView {
-            store: self,
-            pool,
-            stall_ns_per_tick: 0,
-            trace: None,
-        }
-    }
-
-    /// This pool's touch counters (zeros for a pool never seen).
-    pub fn pool_stats(&self, pool: usize) -> PoolTouchStats {
-        self.cache.pool_stats(pool)
-    }
-
-    /// Lock-traffic meters: `(acquisitions, contended acquisitions)`.
-    ///
-    /// Also folded into [`stats`](Self::stats); this accessor reads them
-    /// without taking the cache mutex at all, so it never perturbs the
-    /// contention it reports.
-    pub fn lock_stats(&self) -> (u64, u64) {
-        self.cache.lock_stats()
-    }
-
-    /// Replay a clause-access trace; returns the cumulative stats.
-    pub fn replay(&self, trace: &[ClauseId]) -> PagedStoreStats {
-        for &cid in trace {
-            self.touch_clause(cid);
-        }
-        self.stats()
-    }
-
-    /// Counters so far (lock-traffic and candidate-selection meters
-    /// included).
-    pub fn stats(&self) -> PagedStoreStats {
-        let mut s = self.cache.stats();
-        let (hits, prunes, scanned) = self.index_counters.snapshot();
-        s.index_hits = hits;
-        s.index_prunes = prunes;
-        s.candidates_scanned = scanned;
-        s
-    }
-
-    /// Reset counters — the store's and the policy's, which stay two
-    /// views over the same accesses, plus the per-pool, lock-traffic and
-    /// candidate-selection meters; resident tracks and head positions
-    /// persist (use [`clear`](Self::clear) to also drop the cache).
-    pub fn reset_stats(&self) {
-        self.cache.reset_stats();
-        self.index_counters.reset();
-    }
-
-    /// Drop every resident track, park the heads, and reset counters.
-    pub fn clear(&self) {
-        self.cache.clear();
-        self.index_counters.reset();
-    }
-
-    /// Number of resident tracks.
-    pub fn resident_tracks(&self) -> usize {
-        self.cache.resident_tracks()
-    }
-
-    /// Whether clause `cid`'s track is resident (no recency effect).
-    pub fn is_resident(&self, cid: ClauseId) -> bool {
-        self.cache.contains(&self.track_of(cid))
-    }
-}
-
-/// A pool-tagged [`ClauseSource`] view over a shared
-/// [`PagedClauseStore`].
-///
-/// Many pools hold views over **one** store: all share the same resident
-/// tracks (a track faulted in by one pool hits for every pool — the §5
-/// warm-cache effect a serving layer schedules for) while touches are
-/// attributed per pool. With [`stall_ns_per_tick`](Self::with_stall) set,
-/// a fault also *sleeps* the calling thread for the fault's simulated
-/// ticks — the SPD's disk latency made real, so a multi-pool server
-/// overlaps one pool's I/O stall with another pool's computation exactly
-/// as the paper's processors hide track-load latency. The sleep happens
-/// **after** the cache mutex is released; residency bookkeeping is never
-/// held across a stall.
-#[derive(Clone, Debug)]
-pub struct PoolView<'s, 'db> {
-    store: &'s PagedClauseStore<'db>,
-    pool: usize,
-    stall_ns_per_tick: u64,
-    /// Span context of the request this view serves (`None` — the
-    /// default — is untraced). With it set, injected faults and latency
-    /// spikes surface as trace events.
-    trace: Option<blog_obs::SpanCtx>,
-}
-
-impl<'s, 'db> PoolView<'s, 'db> {
-    /// This view with faults stalling the caller `ns_per_tick`
-    /// nanoseconds per simulated tick (0 = no stall, accounting only).
-    pub fn with_stall(mut self, ns_per_tick: u64) -> Self {
-        self.stall_ns_per_tick = ns_per_tick;
-        self
-    }
-
-    /// This view with store events (injected faults, latency spikes)
-    /// reported onto `trace`'s span tree. `None` (the default) keeps
-    /// every fetch untraced.
-    pub fn with_trace(mut self, trace: Option<blog_obs::SpanCtx>) -> Self {
-        self.trace = trace;
-        self
-    }
-
-    /// The pool id this view attributes touches to.
-    pub fn pool(&self) -> usize {
-        self.pool
-    }
-
-    /// The shared store behind this view.
-    pub fn store(&self) -> &'s PagedClauseStore<'db> {
-        self.store
-    }
-
-    /// This pool's touch counters so far.
-    pub fn stats(&self) -> PoolTouchStats {
-        self.store.pool_stats(self.pool)
-    }
-}
-
-impl ClauseSource for PoolView<'_, '_> {
-    fn try_fetch_clause(&self, id: ClauseId) -> Result<&Clause, StoreError> {
-        let outcome = self
-            .store
-            .try_touch_clause_for_pool(id, Some(self.pool))
-            .inspect_err(|e| {
-                if let Some(t) = &self.trace {
-                    t.event("store_fault", format!("clause {}: {e}", id.0));
-                }
-            })?;
-        if let Some(t) = &self.trace {
-            if outcome.spike_ticks > 0 {
-                t.event(
-                    "latency_spike",
-                    format!("clause {}: +{} ticks", id.0, outcome.spike_ticks),
-                );
-            }
-        }
-        if self.stall_ns_per_tick > 0 && outcome.fault_ticks > 0 {
-            std::thread::sleep(std::time::Duration::from_nanos(
-                outcome.fault_ticks * self.stall_ns_per_tick,
-            ));
-        }
-        Ok(self.store.db.clause(id))
-    }
-
-    fn try_candidate_clauses<'a>(
-        &'a self,
-        goal: &Term,
-        bindings: &dyn BindingLookup,
-    ) -> Result<Cow<'a, [ClauseId]>, StoreError> {
-        // As for the store itself: candidate lists ride in the caller's
-        // block, already paid for when the caller was fetched — so
-        // selection itself cannot fault.
-        Ok(self.store.candidates(goal, bindings))
-    }
-
-    fn clause_count(&self) -> usize {
-        self.store.db.len()
-    }
-
-    fn backend_name(&self) -> String {
-        format!("paged/{}/pool{}", self.store.policy_kind.name(), self.pool)
-    }
-
-    fn source_stats(&self) -> Option<SourceStats> {
-        let s = self.stats();
-        Some(SourceStats {
-            accesses: s.accesses,
-            hits: s.hits,
-            misses: s.misses,
-            // Evictions are a store-wide event; they cannot be attributed
-            // to the pool whose fault happened to trigger them.
-            evictions: 0,
-        })
-    }
-}
-
-impl ClauseSource for PagedClauseStore<'_> {
-    fn try_fetch_clause(&self, id: ClauseId) -> Result<&Clause, StoreError> {
-        self.try_touch_clause_for_pool(id, None)?;
-        Ok(self.db.clause(id))
-    }
-
-    fn try_candidate_clauses<'a>(
-        &'a self,
-        goal: &Term,
-        bindings: &dyn BindingLookup,
-    ) -> Result<Cow<'a, [ClauseId]>, StoreError> {
-        // Candidate lists are the figure-4 pointers stored *in the
-        // caller's block*, which the search touched when it fetched the
-        // caller; reading them costs no extra fault.
-        Ok(self.candidates(goal, bindings))
-    }
-
-    fn clause_count(&self) -> usize {
-        self.db.len()
-    }
-
-    fn backend_name(&self) -> String {
-        format!("paged/{}", self.policy_kind.name())
-    }
-
-    fn source_stats(&self) -> Option<SourceStats> {
-        let s = self.stats();
-        Some(SourceStats {
-            accesses: s.accesses,
-            hits: s.hits,
-            misses: s.misses,
-            evictions: s.evictions,
-        })
-    }
-}
-
+/// What the types above mean, pinned by driving their two consumers:
+/// [`TrackCache::try_touch`](crate::cache::TrackCache::try_touch) for the
+/// counters, an epoch-0 [`Snapshot`](crate::mvcc::Snapshot) for the
+/// configuration.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blog_logic::parse_program;
+    use crate::cache::TrackCache;
+    use crate::mvcc::{CommitMode, MvccClauseStore};
+    use blog_logic::{parse_program, ClauseId, ClauseSource};
 
     const FAMILY: &str = "
         gf(X,Z) :- f(X,Y), f(Y,Z).
@@ -619,6 +261,9 @@ mod tests {
         m(elain,john). m(marian,elain). m(peg,den). m(peg,doug).
         ?- gf(sam,G).
     ";
+
+    /// Clauses in [`FAMILY`].
+    const N_CLAUSES: u32 = 12;
 
     fn small_config(capacity_tracks: usize) -> PagedStoreConfig {
         // Index pinned off: these tests are about paging, and the
@@ -637,11 +282,30 @@ mod tests {
         }
     }
 
+    fn store(p: &blog_logic::Program, cfg: PagedStoreConfig) -> MvccClauseStore {
+        MvccClauseStore::new(&p.db, cfg, CommitMode::Mvcc)
+    }
+
+    /// The bare cache a store built from `cfg` would hold.
+    fn cache(cfg: &PagedStoreConfig) -> TrackCache {
+        TrackCache::new(cfg.policy, cfg.capacity_tracks, cfg.geometry.n_sps, cfg.cost)
+            .with_faults(cfg.fault.clone())
+    }
+
+    /// The track clause `i` lands on under [`small_config`]'s geometry.
+    fn track(i: u32) -> TrackId {
+        let addr = small_config(1).geometry.addr_of_index(i);
+        TrackId {
+            sp: addr.sp,
+            cylinder: addr.cylinder,
+        }
+    }
+
     #[test]
     fn placement_matches_spd_array() {
         let p = parse_program(FAMILY).unwrap();
         let cfg = small_config(4);
-        let store = PagedClauseStore::new(&p.db, cfg.clone());
+        let store = store(&p, cfg.clone());
         let weights =
             blog_core::weight::WeightStore::new(blog_core::weight::WeightParams::default());
         let (spd, layout) = crate::bridge::build_spd_from_db(
@@ -653,19 +317,26 @@ mod tests {
         );
         for i in 0..p.db.len() {
             let cid = ClauseId(i as u32);
-            assert_eq!(store.addr_of(cid), spd.addr(layout.block_of(cid)));
+            let addr = spd.addr(layout.block_of(cid));
+            assert_eq!(cfg.geometry.addr_of_index(cid.0), addr);
+            assert_eq!(
+                store.track_of(cid),
+                TrackId {
+                    sp: addr.sp,
+                    cylinder: addr.cylinder
+                }
+            );
         }
     }
 
     #[test]
     fn same_track_hits_other_track_faults() {
-        let p = parse_program(FAMILY).unwrap();
-        let store = PagedClauseStore::new(&p.db, small_config(4));
+        let cache = cache(&small_config(4));
         // Clauses 0 and 1 share track (sp 0, cyl 0) with blocks_per_track=2.
-        assert!(!store.touch_clause(ClauseId(0)));
-        assert!(store.touch_clause(ClauseId(1)));
-        assert!(!store.touch_clause(ClauseId(2)));
-        let s = store.stats();
+        assert!(!cache.try_touch(track(0), None).unwrap().hit);
+        assert!(cache.try_touch(track(1), None).unwrap().hit);
+        assert!(!cache.try_touch(track(2), None).unwrap().hit);
+        let s = cache.stats();
         assert_eq!(s.accesses, 3);
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);
@@ -675,58 +346,62 @@ mod tests {
 
     #[test]
     fn capacity_bounds_residency_and_counts_evictions() {
-        let p = parse_program(FAMILY).unwrap();
-        let store = PagedClauseStore::new(&p.db, small_config(1));
-        for i in 0..p.db.len() {
-            store.touch_clause(ClauseId(i as u32));
+        let cache = cache(&small_config(1));
+        for i in 0..N_CLAUSES {
+            cache.try_touch(track(i), None).unwrap();
         }
-        assert_eq!(store.resident_tracks(), 1);
-        let s = store.stats();
+        assert_eq!(cache.resident_tracks(), 1);
+        let s = cache.stats();
         assert!(s.evictions > 0, "single-track cache must evict: {s:?}");
     }
 
     #[test]
     fn fetch_returns_backing_clause() {
         let p = parse_program(FAMILY).unwrap();
-        let store = PagedClauseStore::new(&p.db, small_config(2));
+        let store = store(&p, small_config(2));
+        let snap = store.begin_read();
         for i in 0..p.db.len() {
             let cid = ClauseId(i as u32);
-            assert_eq!(store.fetch_clause(cid).head, p.db.clause(cid).head);
+            assert_eq!(
+                snap.try_fetch_clause(cid).unwrap().head,
+                p.db.clause(cid).head
+            );
         }
         assert_eq!(store.stats().accesses, p.db.len() as u64);
     }
 
     #[test]
-    fn clear_and_reset_behave() {
-        let p = parse_program(FAMILY).unwrap();
-        let store = PagedClauseStore::new(&p.db, small_config(2));
-        store.touch_clause(ClauseId(0));
-        store.reset_stats();
-        assert_eq!(store.stats().accesses, 0);
-        assert_eq!(store.policy_stats().touches, 0, "policy counters reset too");
-        assert!(store.is_resident(ClauseId(0)), "reset keeps residency");
-        store.clear();
-        assert!(!store.is_resident(ClauseId(0)));
-        assert_eq!(store.resident_tracks(), 0);
+    fn reset_stats_keeps_residency() {
+        let cache = cache(&small_config(2));
+        cache.try_touch(track(0), None).unwrap();
+        cache.reset_stats();
+        assert_eq!(cache.stats().accesses, 0);
+        assert_eq!(cache.policy_stats().touches, 0, "policy counters reset too");
+        assert_eq!(cache.resident_tracks(), 1);
+        assert!(
+            cache.try_touch(track(0), None).unwrap().hit,
+            "reset keeps residency"
+        );
     }
 
     #[test]
     fn every_policy_bounds_residency_and_meters_accesses() {
         let p = parse_program(FAMILY).unwrap();
         for policy in PolicyKind::ALL {
-            let store = PagedClauseStore::new(&p.db, small_config(2).with_policy(policy));
-            assert_eq!(store.policy_kind(), policy);
+            let cfg = small_config(2).with_policy(policy);
+            assert_eq!(store(&p, cfg.clone()).policy_kind(), policy);
+            let cache = cache(&cfg);
             for _ in 0..3 {
-                for i in 0..p.db.len() {
-                    store.touch_clause(ClauseId(i as u32));
+                for i in 0..N_CLAUSES {
+                    cache.try_touch(track(i), None).unwrap();
                 }
             }
-            assert!(store.resident_tracks() <= 2, "{policy}");
-            let s = store.stats();
-            assert_eq!(s.accesses, 3 * p.db.len() as u64, "{policy}");
+            assert!(cache.resident_tracks() <= 2, "{policy}");
+            let s = cache.stats();
+            assert_eq!(s.accesses, 3 * u64::from(N_CLAUSES), "{policy}");
             assert_eq!(s.hits + s.misses, s.accesses, "{policy}");
-            // The policy's own counters and the store's must agree.
-            let ps = store.policy_stats();
+            // The policy's own counters and the cache's must agree.
+            let ps = cache.policy_stats();
             assert_eq!(ps.touches, s.accesses, "{policy}");
             assert_eq!(ps.hits, s.hits, "{policy}");
             assert_eq!(ps.evictions, s.evictions, "{policy}");
@@ -736,77 +411,82 @@ mod tests {
     #[test]
     fn source_stats_surface_matches_store_stats() {
         let p = parse_program(FAMILY).unwrap();
-        let store = PagedClauseStore::new(&p.db, small_config(2).with_policy(PolicyKind::TwoQ));
-        assert_eq!(ClauseSource::backend_name(&store), "paged/2q");
+        let store = store(&p, small_config(2).with_policy(PolicyKind::TwoQ));
+        let snap = store.begin_read();
+        assert_eq!(snap.backend_name(), "mvcc/2q");
         for i in 0..p.db.len() {
-            store.fetch_clause(ClauseId(i as u32));
+            snap.try_fetch_clause(ClauseId(i as u32)).unwrap();
         }
         let s = store.stats();
-        let src = store.source_stats().expect("paged store meters fetches");
+        let src = snap.source_stats().expect("paged store meters fetches");
         assert_eq!(src.accesses, s.accesses);
         assert_eq!(src.hits, s.hits);
         assert_eq!(src.misses, s.misses);
-        assert_eq!(src.evictions, s.evictions);
+        assert!(s.evictions > 0, "six tracks through two slots: {s:?}");
+        assert_eq!(src.evictions, s.evictions, "untagged: store-wide");
         assert_eq!(src.hit_rate(), s.hit_rate());
     }
 
     #[test]
-    fn pool_views_split_the_shared_counters() {
+    fn pool_snapshots_split_the_shared_counters() {
         let p = parse_program(FAMILY).unwrap();
-        let store = PagedClauseStore::new(&p.db, small_config(4));
-        let v0 = store.pool_view(0);
-        let v1 = store.pool_view(1);
+        let store = store(&p, small_config(1));
+        let v0 = store.begin_read().for_pool(0);
+        let v1 = store.begin_read().for_pool(1);
         // Pool 0 faults the track in; pool 1 then hits the SAME cache.
-        v0.fetch_clause(ClauseId(0));
-        v1.fetch_clause(ClauseId(0));
-        v1.fetch_clause(ClauseId(1));
-        let s0 = v0.stats();
-        let s1 = v1.stats();
-        assert_eq!((s0.accesses, s0.hits, s0.misses), (1, 0, 1));
+        v0.try_fetch_clause(ClauseId(0)).unwrap();
+        v1.try_fetch_clause(ClauseId(0)).unwrap();
+        v1.try_fetch_clause(ClauseId(1)).unwrap();
+        // ... and pool 0's next fault evicts it from the one-track cache.
+        v0.try_fetch_clause(ClauseId(2)).unwrap();
+        let s0 = v0.touch_stats();
+        let s1 = v1.touch_stats();
+        assert_eq!((s0.accesses, s0.hits, s0.misses), (2, 0, 2));
         assert_eq!((s1.accesses, s1.hits, s1.misses), (2, 2, 0), "warm via pool 0");
         let total = store.stats();
-        assert_eq!(total.accesses, 3);
+        assert_eq!(total.accesses, 4);
         assert_eq!(total.hits, s0.hits + s1.hits);
         assert_eq!(total.misses, s0.misses + s1.misses);
         assert_eq!(total.fault_ticks, s0.fault_ticks + s1.fault_ticks);
-        assert_eq!(ClauseSource::backend_name(&v1), "paged/lru/pool1");
+        assert_eq!(total.evictions, 1);
+        assert_eq!(v1.backend_name(), "mvcc/lru/pool1");
         let src = v1.source_stats().unwrap();
         assert_eq!((src.accesses, src.hits), (2, 2));
+        // An eviction belongs to no pool.
+        assert_eq!(v0.source_stats().unwrap().evictions, 0);
+        assert_eq!(src.evictions, 0);
     }
 
     #[test]
     fn untouched_pool_reports_zeros() {
-        let p = parse_program(FAMILY).unwrap();
-        let store = PagedClauseStore::new(&p.db, small_config(4));
-        let s = store.pool_stats(7);
+        let s = cache(&small_config(4)).pool_stats(7);
         assert_eq!(s.accesses, 0);
         assert_eq!(s.hit_rate(), 0.0);
     }
 
     #[test]
     fn lock_meter_counts_acquisitions_and_resets() {
-        let p = parse_program(FAMILY).unwrap();
-        let store = PagedClauseStore::new(&p.db, small_config(4));
-        store.touch_clause(ClauseId(0));
-        store.touch_clause(ClauseId(1));
-        let s = store.stats();
+        let cache = cache(&small_config(4));
+        cache.try_touch(track(0), Some(0)).unwrap();
+        cache.try_touch(track(1), Some(0)).unwrap();
+        let s = cache.stats();
         // Two touches plus the stats() read itself.
         assert_eq!(s.lock_acquisitions, 3);
         assert_eq!(s.lock_contended, 0, "single thread never contends");
-        let (acq, cont) = store.lock_stats();
+        let (acq, cont) = cache.lock_stats();
         assert_eq!((acq, cont), (3, 0), "lock_stats reads without locking");
-        store.reset_stats();
-        let s = store.stats();
+        cache.reset_stats();
+        let s = cache.stats();
         assert_eq!(s.lock_acquisitions, 1, "just the stats() read");
-        assert_eq!(store.pool_stats(0).accesses, 0, "pool meters reset too");
+        assert_eq!(cache.pool_stats(0).accesses, 0, "pool meters reset too");
     }
 
     #[test]
     fn shared_store_is_concurrency_safe_and_exact() {
-        // N threads hammer one store through per-pool views; the global
-        // counters must balance exactly and residency stay bounded.
+        // N threads hammer one store through per-pool snapshots; the
+        // global counters must balance exactly and residency stay bounded.
         let p = parse_program(FAMILY).unwrap();
-        let store = PagedClauseStore::new(&p.db, small_config(2));
+        let store = store(&p, small_config(2));
         let n_threads = 4;
         let rounds = 50;
         std::thread::scope(|scope| {
@@ -814,12 +494,12 @@ mod tests {
                 let store = &store;
                 let db = &p.db;
                 scope.spawn(move || {
-                    let view = store.pool_view(t);
+                    let view = store.begin_read().for_pool(t);
                     for r in 0..rounds {
                         for i in 0..db.len() {
                             // Offset start per thread/round to vary interleaving.
                             let cid = ClauseId(((i + t + r) % db.len()) as u32);
-                            view.fetch_clause(cid);
+                            view.try_fetch_clause(cid).unwrap();
                         }
                     }
                 });
@@ -838,13 +518,13 @@ mod tests {
     #[test]
     fn stalling_view_sleeps_on_faults_only() {
         let p = parse_program(FAMILY).unwrap();
-        let store = PagedClauseStore::new(&p.db, small_config(4));
+        let store = store(&p, small_config(4));
         // ~1µs per tick; a default-cost fault is >= track_load ticks.
-        let view = store.pool_view(0).with_stall(1_000);
+        let view = store.begin_read().for_pool(0).with_stall(1_000);
         let t0 = std::time::Instant::now();
-        view.fetch_clause(ClauseId(0));
+        view.try_fetch_clause(ClauseId(0)).unwrap();
         let fault_elapsed = t0.elapsed();
-        let ticks = view.stats().fault_ticks;
+        let ticks = view.touch_stats().fault_ticks;
         assert!(ticks > 0);
         assert!(
             fault_elapsed >= std::time::Duration::from_nanos(ticks * 1_000),
@@ -852,16 +532,15 @@ mod tests {
         );
         // Hits never stall (can't assert an upper bound on a loaded box,
         // but the accounting must show zero new fault ticks).
-        view.fetch_clause(ClauseId(0));
-        assert_eq!(view.stats().fault_ticks, ticks);
+        view.try_fetch_clause(ClauseId(0)).unwrap();
+        assert_eq!(view.touch_stats().fault_ticks, ticks);
     }
 
     #[test]
     fn indexed_store_narrows_and_meters_candidates() {
         let p = parse_program(FAMILY).unwrap();
-        let baseline = PagedClauseStore::new(&p.db, small_config(4));
-        let indexed =
-            PagedClauseStore::new(&p.db, small_config(4).with_index(IndexPolicy::FirstArg));
+        let baseline = store(&p, small_config(4));
+        let indexed = store(&p, small_config(4).with_index(IndexPolicy::FirstArg));
         assert_eq!(baseline.index_policy(), IndexPolicy::None);
         assert_eq!(indexed.index_policy(), IndexPolicy::FirstArg);
 
@@ -870,10 +549,11 @@ mod tests {
         let goal = &query.goals[0];
         let bindings = blog_logic::Bindings::new();
 
-        let full = baseline.candidate_clauses(goal, &bindings).into_owned();
-        let narrowed = indexed.candidate_clauses(goal, &bindings).into_owned();
+        let (base_snap, idx_snap) = (baseline.begin_read(), indexed.begin_read());
+        let full = base_snap.try_candidate_clauses(goal, &bindings).unwrap();
+        let narrowed = idx_snap.try_candidate_clauses(goal, &bindings).unwrap();
         assert_eq!(full.len(), 6, "f/2 has six clauses");
-        assert_eq!(narrowed, vec![ClauseId(3)], "only f(sam,larry) can match");
+        assert_eq!(*narrowed, [ClauseId(3)], "only f(sam,larry) can match");
 
         let bs = baseline.stats();
         assert_eq!((bs.index_hits, bs.index_prunes), (0, 0));
@@ -891,14 +571,15 @@ mod tests {
     #[test]
     fn indexed_store_falls_back_when_first_arg_unbound() {
         let p = parse_program(FAMILY).unwrap();
-        let indexed =
-            PagedClauseStore::new(&p.db, small_config(4).with_index(IndexPolicy::FirstArg));
+        let indexed = store(&p, small_config(4).with_index(IndexPolicy::FirstArg));
         let mut db = p.db.clone();
         let query = blog_logic::parse_query(&mut db, "f(X,Y)").unwrap();
         let got = indexed
-            .candidate_clauses(&query.goals[0], &blog_logic::Bindings::new())
-            .into_owned();
-        assert_eq!(got.len(), 6, "unbound first arg sees every f/2 clause");
+            .begin_read()
+            .try_candidate_clauses(&query.goals[0], &blog_logic::Bindings::new())
+            .unwrap()
+            .len();
+        assert_eq!(got, 6, "unbound first arg sees every f/2 clause");
         let s = indexed.stats();
         assert_eq!(s.index_hits, 0, "fallback is not an index hit");
         assert_eq!(s.candidates_scanned, 6);
@@ -907,52 +588,54 @@ mod tests {
     #[test]
     fn fault_plan_surfaces_typed_errors_and_meters_them() {
         use crate::fault::{FaultPlan, FaultSite};
-        let p = parse_program(FAMILY).unwrap();
         let cfg = small_config(4).with_fault(Some(FaultPlan::transient(17, 1.0)));
-        let store = PagedClauseStore::new(&p.db, cfg);
-        let err = store.try_fetch_clause(ClauseId(0)).unwrap_err();
+        let cache = cache(&cfg);
+        let err = cache.try_touch(track(0), None).unwrap_err();
         assert!(err.is_transient());
-        let s = store.stats();
+        let s = cache.stats();
         assert_eq!(s.transient_faults, 1);
         // A faulted touch is not an access: the policy never saw it.
         assert_eq!(s.accesses, 0);
-        assert!(!store.is_resident(ClauseId(0)));
+        assert_eq!(cache.resident_tracks(), 0);
 
-        // Permanent damage sticks across retries.
+        // Permanent damage sticks across retries, and a snapshot hands
+        // the cache's error to its caller unchanged.
+        let p = parse_program(FAMILY).unwrap();
         let cfg = small_config(4).with_fault(Some(
             FaultPlan::new(3).with_site(FaultSite::permanent_track(1.0).between(0, 1)),
         ));
-        let store = PagedClauseStore::new(&p.db, cfg);
-        assert!(!store.try_fetch_clause(ClauseId(0)).unwrap_err().is_transient());
-        assert!(!store.try_fetch_clause(ClauseId(0)).unwrap_err().is_transient());
+        let store = store(&p, cfg);
+        let snap = store.begin_read();
+        assert!(!snap.try_fetch_clause(ClauseId(0)).unwrap_err().is_transient());
+        assert!(!snap.try_fetch_clause(ClauseId(0)).unwrap_err().is_transient());
         assert_eq!(store.stats().permanent_faults, 2);
     }
 
     #[test]
     fn latency_spike_charges_ticks_but_succeeds() {
         use crate::fault::{FaultPlan, FaultSite};
-        let p = parse_program(FAMILY).unwrap();
         let cfg = small_config(4)
             .with_fault(Some(FaultPlan::new(1).with_site(FaultSite::latency_spike(1.0, 500))));
-        let store = PagedClauseStore::new(&p.db, cfg);
-        let out = store.try_touch_clause_for_pool(ClauseId(0), Some(0)).unwrap();
+        let cache = cache(&cfg);
+        let out = cache.try_touch(track(0), Some(0)).unwrap();
         assert!(out.fault_ticks >= 500, "spike ticks flow into the outcome");
-        let s = store.stats();
+        let s = cache.stats();
         assert_eq!(s.latency_spikes, 1);
         assert_eq!(s.latency_spike_ticks, 500);
         assert_eq!(s.accesses, 1, "a spiked touch still counts as an access");
         assert_eq!(s.transient_faults + s.permanent_faults, 0);
         // Pool attribution includes the spike, and global fault_ticks
         // still balances against the per-pool sum.
-        assert_eq!(store.pool_stats(0).fault_ticks, s.fault_ticks);
+        assert_eq!(cache.pool_stats(0).fault_ticks, s.fault_ticks);
     }
 
     #[test]
     fn fault_free_config_never_errors_through_the_fallible_surface() {
         let p = parse_program(FAMILY).unwrap();
-        let store = PagedClauseStore::new(&p.db, small_config(2));
+        let store = store(&p, small_config(2));
+        let snap = store.begin_read();
         for i in 0..p.db.len() {
-            assert!(store.try_fetch_clause(ClauseId(i as u32)).is_ok());
+            assert!(snap.try_fetch_clause(ClauseId(i as u32)).is_ok());
         }
     }
 
@@ -960,8 +643,8 @@ mod tests {
     #[should_panic(expected = "too small")]
     fn undersized_geometry_rejected() {
         let p = parse_program(FAMILY).unwrap();
-        let _ = PagedClauseStore::new(
-            &p.db,
+        let _ = store(
+            &p,
             PagedStoreConfig {
                 geometry: Geometry {
                     n_sps: 1,

@@ -39,7 +39,7 @@ pub struct PagerStats {
     /// Contended acquisitions. The replay pager is `&mut self` —
     /// exclusive by construction — so this is structurally zero; a
     /// nonzero value can only come from the shared, mutex-guarded
-    /// [`PagedClauseStore`](crate::paged::PagedClauseStore) path.
+    /// [`TrackCache`](crate::cache::TrackCache) path.
     pub lock_contended: u64,
 }
 

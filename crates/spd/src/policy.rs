@@ -5,8 +5,8 @@
 //! database between revisits of any one track, and against that scan
 //! pattern pure LRU gets *no* benefit from extra capacity until the whole
 //! database fits (hit-rate cliff at the working-set boundary).
-//! [`ReplacementPolicy`] abstracts the residency decision so
-//! [`PagedClauseStore`](crate::paged::PagedClauseStore) and
+//! [`ReplacementPolicy`] abstracts the residency decision so the clause
+//! store's [`TrackCache`](crate::cache::TrackCache) and the
 //! [`Pager`](crate::pager::Pager) can swap algorithms per workload:
 //!
 //! | Policy | Structure | Strength |
@@ -218,9 +218,8 @@ pub struct ListPolicy<K: Eq + Hash + Copy, const PROMOTE_ON_HIT: bool> {
     stats: PolicyStats,
 }
 
-/// Exact least-recently-used replacement: the seed behavior of
-/// [`PagedClauseStore`](crate::paged::PagedClauseStore), now trait-backed
-/// over the same [`LruSet`].
+/// Exact least-recently-used replacement — the clause store's default —
+/// over an [`LruSet`].
 pub type Lru<K> = ListPolicy<K, true>;
 
 /// First-in-first-out replacement: hits never refresh position, the

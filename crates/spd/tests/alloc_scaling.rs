@@ -89,7 +89,7 @@ fn a_snapshot_allocates_the_same_on_1k_and_64k_tracks() {
         let store = MvccClauseStore::new(&p.db, cfg, CommitMode::Mvcc);
         let cycle = || {
             let snap = store.begin_read().for_pool(0);
-            snap.fetch_clause(ClauseId(2)).n_vars
+            snap.try_fetch_clause(ClauseId(2)).unwrap().n_vars
         };
         // The first cycle faults the track in and grows the pool's
         // counters; the second is the steady state.

@@ -6,12 +6,12 @@
 //! what a brute-force scan of the predicate range — keeping every
 //! clause whose raw head first-argument key is absent or equal to the
 //! goal's dereferenced key — would produce, in the same (program)
-//! order. Three independent implementations are held to that single
+//! order. Two independent implementations are held to that single
 //! oracle on generated programs and goal streams:
 //!
-//! - the bitmap index inside `PagedClauseStore` (`IndexPolicy::FirstArg`),
-//!   across all four replacement policies;
-//! - the per-epoch bitmap index inside an `MvccClauseStore` snapshot;
+//! - the per-epoch bitmap index a paged-store `Snapshot` resolves
+//!   through (`IndexPolicy::FirstArg`), across all four replacement
+//!   policies;
 //! - the `ClauseDb`'s own merge-based `FirstArgIndex`
 //!   (`IndexMode::FirstArg`).
 //!
@@ -41,12 +41,10 @@ use blog_logic::{
     ClauseDb, ClauseId, ClauseSource, DeltaBindings, IndexMode, Program, SolveConfig, StateRepr,
     Term, Trail, VarId, DEFAULT_FLATTEN_THRESHOLD,
 };
-use blog_spd::{
-    ClauseBitmap, CommitMode, IndexPolicy, MvccClauseStore, PagedClauseStore, PolicyKind,
-};
+use blog_spd::{ClauseBitmap, IndexPolicy, MvccClauseStore, PagedStoreStats, PolicyKind, Snapshot};
 use proptest::prelude::*;
 
-use support::{arb_clause_ids, paged_config};
+use support::{arb_clause_ids, paged_config, paged_store};
 
 // ---------------------------------------------------------------------------
 // Bitmap vs BTreeSet model
@@ -317,9 +315,8 @@ proptest! {
     /// The differential property: on arbitrary programs and goal
     /// streams, every indexed store equals the brute-force oracle and
     /// every baseline store equals the full predicate range — ids *and*
-    /// order — across all four replacement policies, the MVCC snapshot
-    /// path, the db's own first-argument index, and every binding
-    /// representation.
+    /// order — across all four replacement policies, the db's own
+    /// first-argument index, and every binding representation.
     #[test]
     fn indexed_candidates_equal_brute_force_oracle(
         clauses in proptest::collection::vec((0u8..3, 0u8..12), 1..24),
@@ -328,34 +325,20 @@ proptest! {
         let p = program_from(&clauses);
         let n = p.db.len();
 
-        // The db's own merge-based index is the third implementation
+        // The db's own merge-based index is the second implementation
         // under test.
         let mut db_fa = p.db.clone();
         db_fa.set_index_mode(IndexMode::FirstArg);
 
-        let paged_fa: Vec<PagedClauseStore<'_>> = PolicyKind::ALL
+        let paged_fa: Vec<MvccClauseStore> = PolicyKind::ALL
             .iter()
             .map(|&pk| {
-                PagedClauseStore::new(
-                    &p.db,
-                    paged_config(pk, 2, 4, n).with_index(IndexPolicy::FirstArg),
-                )
+                paged_store(&p, paged_config(pk, 2, 4, n).with_index(IndexPolicy::FirstArg))
             })
             .collect();
-        let paged_none =
-            PagedClauseStore::new(&p.db, paged_config(PolicyKind::Lru, 2, 4, n));
-        let mvcc_fa = MvccClauseStore::new(
-            &p.db,
-            paged_config(PolicyKind::TwoQ, 2, 4, n).with_index(IndexPolicy::FirstArg),
-            CommitMode::Mvcc,
-        );
-        let mvcc_none = MvccClauseStore::new(
-            &p.db,
-            paged_config(PolicyKind::TwoQ, 2, 4, n),
-            CommitMode::Mvcc,
-        );
-        let snap_fa = mvcc_fa.begin_read();
-        let snap_none = mvcc_none.begin_read();
+        let snaps_fa: Vec<Snapshot<'_>> = paged_fa.iter().map(|s| s.begin_read()).collect();
+        let paged_none = paged_store(&p, paged_config(PolicyKind::Lru, 2, 4, n));
+        let snap_none = paged_none.begin_read();
 
         for (pred_sel, key_sel) in &goals {
             let case = build_goal_case(&p.db, *pred_sel, *key_sel);
@@ -367,19 +350,15 @@ proptest! {
                 // strictly ascending subsequence of the full range.
                 prop_assert!(oracle.windows(2).all(|w| w[0] < w[1]));
 
-                for store in &paged_fa {
-                    let got = store.candidate_clauses(goal, bindings);
+                for snap in &snaps_fa {
+                    let got = snap.try_candidate_clauses(goal, bindings).unwrap();
                     prop_assert_eq!(got.as_ref(), oracle.as_slice());
                 }
-                let got = snap_fa.candidate_clauses(goal, bindings);
-                prop_assert_eq!(got.as_ref(), oracle.as_slice());
                 let got = db_fa.candidates_for_resolved(goal, bindings);
                 prop_assert_eq!(got.as_ref(), oracle.as_slice());
 
-                // Baselines: the untouched predicate range.
-                let got = paged_none.candidate_clauses(goal, bindings);
-                prop_assert_eq!(got.as_ref(), full);
-                let got = snap_none.candidate_clauses(goal, bindings);
+                // Baseline: the untouched predicate range.
+                let got = snap_none.try_candidate_clauses(goal, bindings).unwrap();
                 prop_assert_eq!(got.as_ref(), full);
                 Ok(())
             })?;
@@ -411,9 +390,9 @@ fn paged_run(
     program: &Program,
     index: IndexPolicy,
     repr: StateRepr,
-) -> (Vec<String>, blog_spd::PagedStoreStats) {
+) -> (Vec<String>, PagedStoreStats) {
     let cfg = paged_config(PolicyKind::Lru, 2, 4, program.db.len()).with_index(index);
-    let paged = PagedClauseStore::new(&program.db, cfg);
+    let paged = paged_store(program, cfg);
     let store = WeightStore::new(WeightParams::default());
     let mut local = HashMap::new();
     let mut view = WeightView::new(&mut local, &store);
@@ -421,7 +400,7 @@ fn paged_run(
         solve: SolveConfig::all().with_state_repr(repr),
         ..BestFirstConfig::default()
     };
-    let r = best_first_with(&paged, &program.queries[0], &mut view, &bf);
+    let r = best_first_with(&paged.begin_read(), &program.queries[0], &mut view, &bf);
     let mut texts = r.solution_texts(&program.db);
     texts.sort();
     (texts, paged.stats())

@@ -379,7 +379,8 @@ fn check_schedule(
             let cq =
                 parse_query_symbols(snap.symbols(), "f(a0,Q)").expect("candidate probe parses");
             let got: Vec<u32> = snap
-                .candidate_clauses(&cq.goals[0], &Bindings::new())
+                .try_candidate_clauses(&cq.goals[0], &Bindings::new())
+                .unwrap()
                 .iter()
                 .map(|c| c.0)
                 .collect();

@@ -10,10 +10,11 @@ use std::collections::HashMap;
 use blog_core::engine::{best_first_with, BestFirstConfig};
 use blog_core::weight::{WeightParams, WeightStore, WeightView};
 use blog_logic::ClauseId;
-use blog_spd::{PagedClauseStore, PolicyKind};
+use blog_spd::PolicyKind;
 
 use support::{
-    family_workload, figure_1_program, paged_config, paged_solutions, reference_solutions,
+    family_workload, figure_1_program, paged_config, paged_solutions, paged_store,
+    reference_solutions, replay,
 };
 
 #[test]
@@ -137,7 +138,7 @@ fn figure_1_trace_replay_smoke() {
     let cfg = paged_config(PolicyKind::Lru, 2, 2, program.db.len());
 
     // Live run, capturing the access stream via a tracing wrapper run.
-    let paged = PagedClauseStore::new(&program.db, cfg.clone());
+    let paged = paged_store(&program, cfg.clone());
     let store = WeightStore::new(WeightParams::default());
     let mut local = HashMap::new();
     let mut view = WeightView::new(&mut local, &store);
@@ -145,22 +146,23 @@ fn figure_1_trace_replay_smoke() {
         record_trace: true,
         ..BestFirstConfig::default()
     };
-    let r = best_first_with(&paged, &program.queries[0], &mut view, &trace_cfg);
+    let r = best_first_with(&paged.begin_read(), &program.queries[0], &mut view, &trace_cfg);
     assert!(!r.trace.is_empty(), "record_trace must capture arcs");
     let live = paged.stats();
 
     // Replay the popped-arc trace (a subset of all touches: one per
     // expanded chain) against a fresh store.
     let trace: Vec<ClauseId> = r.trace.iter().map(|arc| arc.target).collect();
-    let fresh = PagedClauseStore::new(&program.db, cfg);
-    let cold = fresh.replay(&trace);
+    let fresh = paged_store(&program, cfg);
+    let snap = fresh.begin_read();
+    let cold = replay(&snap, &trace);
     assert_eq!(cold.accesses, trace.len() as u64);
     assert!(cold.misses > 0);
     assert!(cold.accesses < live.accesses, "popped-arc trace is sparser");
 
     // Warm replay: residency carries over, so hits can only improve.
     let before_hits = cold.hits;
-    let warm = fresh.replay(&trace);
+    let warm = replay(&snap, &trace);
     assert!(
         warm.hits - before_hits >= before_hits,
         "warm replay should hit at least as often as the cold one: {warm:?}"
@@ -189,18 +191,16 @@ fn learning_through_the_cache_matches_learning_without() {
         (first.stats.nodes_expanded, second.stats.nodes_expanded)
     };
     let run_paged = |policy: PolicyKind| {
-        let paged = PagedClauseStore::new(
-            &program.db,
-            paged_config(policy, 2, 2, program.db.len()),
-        );
+        let paged = paged_store(&program, paged_config(policy, 2, 2, program.db.len()));
+        let snap = paged.begin_read();
         let store = WeightStore::new(WeightParams::default());
         let mut local = HashMap::new();
         let first = {
             let mut view = WeightView::new(&mut local, &store);
-            best_first_with(&paged, &program.queries[0], &mut view, &cfg)
+            best_first_with(&snap, &program.queries[0], &mut view, &cfg)
         };
         let mut view = WeightView::new(&mut local, &store);
-        let second = best_first_with(&paged, &program.queries[0], &mut view, &cfg);
+        let second = best_first_with(&snap, &program.queries[0], &mut view, &cfg);
         (first.stats.nodes_expanded, second.stats.nodes_expanded)
     };
 

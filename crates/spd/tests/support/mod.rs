@@ -3,9 +3,9 @@
 //! `paged_store.rs`, `policy_props.rs`, and `trace_replay.rs` all need
 //! the same plumbing — a store config sized to a clause database, a
 //! reference best-first run over the unpaged `ClauseDb`, the same run
-//! routed through a `PagedClauseStore`, and a way to record the clause
-//! stream a search actually fetches. It lives here once instead of
-//! inline in each test file.
+//! routed through an epoch-0 `Snapshot` of the paged store, and ways to
+//! record and replay the clause stream a search actually fetches. It
+//! lives here once instead of inline in each test file.
 //!
 //! Each test crate uses a subset of these helpers, so the module as a
 //! whole allows dead code.
@@ -19,7 +19,10 @@ use blog_core::weight::{WeightParams, WeightStore, WeightView};
 use blog_logic::{
     parse_program, BindingLookup, Clause, ClauseDb, ClauseId, ClauseSource, Program, Term,
 };
-use blog_spd::{CostModel, Geometry, IndexPolicy, PagedClauseStore, PagedStoreConfig, PolicyKind};
+use blog_spd::{
+    CommitMode, CostModel, Geometry, IndexPolicy, MvccClauseStore, PagedStoreConfig,
+    PagedStoreStats, PolicyKind, Snapshot,
+};
 use blog_workloads::{
     family_program, queens_program, FamilyParams, QueensParams, PAPER_FIGURE_1,
 };
@@ -113,17 +116,19 @@ pub fn reference_solutions(program: &Program) -> Vec<String> {
     texts
 }
 
+/// A paged store over `program`'s database (read through `begin_read`).
+pub fn paged_store(program: &Program, cfg: PagedStoreConfig) -> MvccClauseStore {
+    MvccClauseStore::new(&program.db, cfg, CommitMode::Mvcc)
+}
+
 /// Solutions of the same run routed through a paged store, plus its stats.
-pub fn paged_solutions(
-    program: &Program,
-    cfg: PagedStoreConfig,
-) -> (Vec<String>, blog_spd::PagedStoreStats) {
-    let paged = PagedClauseStore::new(&program.db, cfg);
+pub fn paged_solutions(program: &Program, cfg: PagedStoreConfig) -> (Vec<String>, PagedStoreStats) {
+    let paged = paged_store(program, cfg);
     let store = WeightStore::new(WeightParams::default());
     let mut local = HashMap::new();
     let mut view = WeightView::new(&mut local, &store);
     let r = best_first_with(
-        &paged,
+        &paged.begin_read(),
         &program.queries[0],
         &mut view,
         &BestFirstConfig::default(),
@@ -131,6 +136,15 @@ pub fn paged_solutions(
     let mut texts = r.solution_texts(&program.db);
     texts.sort();
     (texts, paged.stats())
+}
+
+/// Fetch every clause of `trace` through `snap`, in order; returns the
+/// store's cumulative stats.
+pub fn replay(snap: &Snapshot<'_>, trace: &[ClauseId]) -> PagedStoreStats {
+    for &cid in trace {
+        snap.try_fetch_clause(cid).unwrap();
+    }
+    snap.store().stats()
 }
 
 /// A transparent [`ClauseSource`] over a [`ClauseDb`] that records every

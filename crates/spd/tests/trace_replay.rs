@@ -30,10 +30,12 @@ use std::path::PathBuf;
 
 use blog_core::engine::{best_first_with, BestFirstConfig};
 use blog_core::weight::{WeightParams, WeightStore, WeightView};
-use blog_logic::{ClauseId, ClauseSource, Program};
-use blog_spd::{CommitMode, IndexPolicy, MvccClauseStore, PagedClauseStore, PolicyKind};
+use blog_logic::{ClauseId, Program};
+use blog_spd::{IndexPolicy, PolicyKind};
 
-use support::{family_workload, paged_config, queens_workload, record_access_trace};
+use support::{
+    family_workload, paged_config, paged_store, queens_workload, record_access_trace,
+};
 
 /// Blocks per track used by every replay in this file.
 const BLOCKS_PER_TRACK: u32 = 4;
@@ -103,11 +105,11 @@ fn replay(
     policy: PolicyKind,
     capacity_tracks: usize,
 ) -> (u64, u64) {
-    let store = PagedClauseStore::new(
-        &program.db,
+    let store = paged_store(
+        program,
         paged_config(policy, capacity_tracks, BLOCKS_PER_TRACK, program.db.len()),
     );
-    let stats = store.replay(trace);
+    let stats = support::replay(&store.begin_read(), trace);
     (stats.hits, stats.accesses)
 }
 
@@ -254,7 +256,7 @@ struct MvccGolden {
     stash: usize,
 }
 
-/// Replay the family trace through an [`MvccClauseStore`] under `policy`
+/// Replay the family trace through the paged store under `policy`
 /// at half the working-set capacity, committing one small transaction
 /// (retract the previous probe, assert a new one) between segments while
 /// an epoch-0 snapshot stays pinned. A superseded page version lives
@@ -269,26 +271,21 @@ fn mvcc_write_path_replay(
     policy: PolicyKind,
 ) -> Vec<MvccGolden> {
     let total_tracks = (program.db.len() as u32).div_ceil(BLOCKS_PER_TRACK) as usize;
-    let store = MvccClauseStore::new(
-        &program.db,
+    let store = paged_store(
+        program,
         paged_config(
             policy,
             (total_tracks / 2).max(1),
             BLOCKS_PER_TRACK,
             program.db.len() + 2 * MVCC_SEGMENTS,
         ),
-        CommitMode::Mvcc,
     );
     let pin = store.begin_read();
     let chunk = trace.len().div_ceil(MVCC_SEGMENTS);
     let mut out = Vec::new();
     let mut last_probe: Option<ClauseId> = None;
     for (seg, ids) in trace.chunks(chunk).enumerate() {
-        let snap = store.begin_read();
-        for &cid in ids {
-            let _ = snap.fetch_clause(cid);
-        }
-        drop(snap);
+        support::replay(&store.begin_read(), ids);
         let mut txn = store.begin_write();
         if let Some(old) = last_probe.take() {
             txn.retract(old).unwrap();
@@ -459,12 +456,12 @@ fn indexed_family_run(
         program.db.len(),
     )
     .with_index(index);
-    let store = PagedClauseStore::new(&program.db, cfg);
+    let store = paged_store(program, cfg);
     let weights = WeightStore::new(WeightParams::default());
     let mut local = HashMap::new();
     let mut view = WeightView::new(&mut local, &weights);
     let r = best_first_with(
-        &store,
+        &store.begin_read(),
         &program.queries[0],
         &mut view,
         &BestFirstConfig::default(),

@@ -16,7 +16,7 @@ use b_log::logic::node::StateRepr;
 use b_log::logic::{parse_program, parse_query_shared, Program, SolveConfig};
 use b_log::serve::tuning::churn_store_config;
 use b_log::serve::{
-    CacheConfig, CacheMode, CommitMode, Outcome, QueryRequest, QueryResponse, QueryServer,
+    CacheConfig, CacheMode, Outcome, QueryRequest, QueryResponse, QueryServer,
     ServeConfig, ServedFrom, SessionId, UpdateOp, UpdateOutcome,
 };
 use proptest::prelude::*;
@@ -102,14 +102,13 @@ fn sequential(src: &str, solve: &SolveConfig, text: &str) -> Vec<String> {
     texts
 }
 
-fn server_for(p: &Program, solve: &SolveConfig, mode: CacheMode, commit: CommitMode) -> QueryServer {
+fn server_for(p: &Program, solve: &SolveConfig, mode: CacheMode) -> QueryServer {
     QueryServer::new(
         &p.db,
         churn_store_config(p.db.len(), 512),
         ServeConfig {
             n_pools: 2,
             solve: solve.clone(),
-            commit,
             cache: CacheConfig {
                 mode,
                 ..CacheConfig::default()
@@ -196,8 +195,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Cache on == cache off == sequential oracle, under interleaved
-    /// commits, for both state representations, both commit modes, and
-    /// both invalidation flavors.
+    /// commits, for both state representations and both invalidation
+    /// flavors.
     #[test]
     fn cached_serving_equals_uncached_and_sequential(
         case in arb_program(),
@@ -207,41 +206,39 @@ proptest! {
         let p = parse_program(&src).expect("generated program parses");
         for repr in [StateRepr::shared(), StateRepr::Cloned] {
             let solve = SolveConfig::all().with_max_depth(depth).with_state_repr(repr);
-            for commit in [CommitMode::Mvcc, CommitMode::StopTheWorld] {
-                let mut runs = Vec::new();
-                for mode in [CacheMode::Off, CacheMode::Precise, CacheMode::ClearAll] {
-                    let server = server_for(&p, &solve, mode, commit);
-                    let run = run_schedule(&server, &src, &schedule);
-                    for (r, live_src, text) in &run {
-                        prop_assert!(
-                            !matches!(r.outcome, Outcome::Rejected { .. }),
-                            "schedule queries always parse"
-                        );
-                        let expect = sequential(live_src, &solve, text);
-                        prop_assert_eq!(
-                            r.outcome.solutions(),
-                            expect.as_slice(),
-                            "{:?} {:?} {:?}: {} at epoch {} ({}) diverged from the \
-                             sequential oracle of its live program",
-                            repr, commit, mode, text, r.epoch, r.served_from.label()
-                        );
-                    }
-                    runs.push((mode, run));
+            let mut runs = Vec::new();
+            for mode in [CacheMode::Off, CacheMode::Precise, CacheMode::ClearAll] {
+                let server = server_for(&p, &solve, mode);
+                let run = run_schedule(&server, &src, &schedule);
+                for (r, live_src, text) in &run {
+                    prop_assert!(
+                        !matches!(r.outcome, Outcome::Rejected { .. }),
+                        "schedule queries always parse"
+                    );
+                    let expect = sequential(live_src, &solve, text);
+                    prop_assert_eq!(
+                        r.outcome.solutions(),
+                        expect.as_slice(),
+                        "{:?} {:?}: {} at epoch {} ({}) diverged from the \
+                         sequential oracle of its live program",
+                        repr, mode, text, r.epoch, r.served_from.label()
+                    );
                 }
-                // Pairwise: cached modes are observationally identical
-                // to cache-off, epoch tags included.
-                let (_, off) = &runs[0];
-                for (mode, cached) in &runs[1..] {
-                    prop_assert_eq!(cached.len(), off.len());
-                    for ((c, _, _), (o, _, _)) in cached.iter().zip(off) {
-                        prop_assert_eq!(
-                            c.outcome.solutions(),
-                            o.outcome.solutions(),
-                            "{:?} {:?} {:?} diverged from CacheMode::Off on request {}",
-                            repr, commit, mode, c.request
-                        );
-                        prop_assert_eq!(c.epoch, o.epoch);
-                    }
+                runs.push((mode, run));
+            }
+            // Pairwise: cached modes are observationally identical
+            // to cache-off, epoch tags included.
+            let (_, off) = &runs[0];
+            for (mode, cached) in &runs[1..] {
+                prop_assert_eq!(cached.len(), off.len());
+                for ((c, _, _), (o, _, _)) in cached.iter().zip(off) {
+                    prop_assert_eq!(
+                        c.outcome.solutions(),
+                        o.outcome.solutions(),
+                        "{:?} {:?} diverged from CacheMode::Off on request {}",
+                        repr, mode, c.request
+                    );
+                    prop_assert_eq!(c.epoch, o.epoch);
                 }
             }
         }
@@ -259,7 +256,7 @@ proptest! {
         let (src, depth) = case;
         let p = parse_program(&src).expect("generated program parses");
         let solve = SolveConfig::all().with_max_depth(depth);
-        let server = server_for(&p, &solve, CacheMode::Precise, CommitMode::Mvcc);
+        let server = server_for(&p, &solve, CacheMode::Precise);
         let fill = server.serve(vec![
             QueryRequest::new(0, "top(X, Z)"),
             QueryRequest::new(0, "a(X, Z)"),

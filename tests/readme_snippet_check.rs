@@ -6,6 +6,24 @@ use b_log::spd::PagedStoreConfig;
 use std::time::Duration;
 
 #[test]
+fn readme_paged_backend_snippet() {
+    use b_log::core::engine::{best_first_with, BestFirstConfig};
+    use b_log::core::weight::{WeightParams, WeightStore, WeightView};
+    use b_log::spd::{CommitMode, MvccClauseStore};
+
+    let program = b_log::logic::parse_program(b_log::workloads::PAPER_FIGURE_1).unwrap();
+    let store = MvccClauseStore::new(&program.db, PagedStoreConfig::default(), CommitMode::Mvcc);
+    let snap = store.begin_read();
+    let weights = WeightStore::new(WeightParams::default());
+    let mut local = std::collections::HashMap::new();
+    let mut view = WeightView::new(&mut local, &weights);
+    let r = best_first_with(&snap, &program.queries[0], &mut view, &BestFirstConfig::default());
+    assert_eq!(r.solutions.len(), 2);
+    let stats = store.stats();
+    assert!(stats.accesses > 0);
+}
+
+#[test]
 fn readme_serving_v2_snippet() {
     let program = b_log::logic::parse_program(b_log::workloads::PAPER_FIGURE_1).unwrap();
     let config = ServeConfig {
