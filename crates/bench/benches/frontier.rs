@@ -1,7 +1,6 @@
-//! The `frontier` group: push/acquire throughput of the chain-store
-//! policies under 1/4/8 worker threads, on synthetic chains (no
-//! unification, so the store itself is the measured object — unlike the
-//! T8 experiment rows, which measure whole searches).
+//! The `frontier` group: push/acquire throughput of the sharded chain
+//! store under 1/4/8 worker threads, on synthetic chains (no
+//! unification, so the store itself is the measured object).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -23,8 +22,8 @@ fn chain(bound: u64) -> Chain {
 /// acquisition fans out three children until the op budget is spent, then
 /// the frontier drains. Exercises push batching, the D/published-min
 /// comparator, steals, and the termination protocol.
-fn churn(policy: FrontierPolicy, workers: usize, ops: i64) -> u64 {
-    let f = Frontier::new(workers, policy, chain(0));
+fn churn(workers: usize, ops: i64) -> u64 {
+    let f = Frontier::new(workers, FrontierPolicy::Sharded { d: 512 }, chain(0));
     // Signed so concurrent decrements past zero go negative instead of
     // wrapping (a wrapped unsigned budget would fan out forever).
     let budget = AtomicI64::new(ops);
@@ -59,17 +58,11 @@ fn bench_frontier(c: &mut Criterion) {
     group.sample_size(10);
     const OPS: i64 = 12_000;
     for workers in [1usize, 4, 8] {
-        for policy in [
-            FrontierPolicy::SharedHeap,
-            FrontierPolicy::LocalPools { d: 512 },
-            FrontierPolicy::Sharded { d: 512 },
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("push_acquire/{}", policy.label()), workers),
-                &workers,
-                |b, &workers| b.iter(|| black_box(churn(policy, workers, OPS))),
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("push_acquire/sharded", workers),
+            &workers,
+            |b, &workers| b.iter(|| black_box(churn(workers, OPS))),
+        );
     }
     group.finish();
 }

@@ -7,13 +7,11 @@
 //! ```
 //!
 //! Experiment ids match DESIGN.md's index: f1 f3 f4 w1 w2 t1 t2 t3 t4 t5
-//! t6 t7 t8 t8f t9 t11 t12 t13 t14 a1 a2 a3 a4.
+//! t6 t7 t8 t9 t11 t12 t13 t14 a1 a2 a3 a4.
 //! `--policy=<lru|2q|clock|fifo>` restricts the T6c replacement-policy
 //! sweep (every `blog-workloads` generator runs through an epoch-0
 //! snapshot of the paged clause store) to one policy; given without
-//! experiment ids it implies `t6`. `--workers=<n>` restricts the T8f
-//! frontier-scaling sweep to one worker count (the CI smoke-run path);
-//! given without experiment ids it implies `t8f`. `--pools=<n>` and
+//! experiment ids it implies `t6`. `--pools=<n>` and
 //! `--requests=<n>` restrict the T9 serving sweep's pool axis and
 //! offered-load axis (the CI smoke path runs `t9 --pools=2
 //! --requests=50`); given without experiment ids they imply `t9`.
@@ -31,8 +29,7 @@
 //! runs as part of `all`.
 //! `--json[=PATH]` writes the machine-readable rows of the experiments
 //! that emit them — the T7 state sweep to `BENCH_T7_STATE.json`, the
-//! T8f frontier sweep to `BENCH_T8_FRONTIER.json`, the T9 serving sweep
-//! to `BENCH_T9_SERVE.json`, the T11 index sweep to
+//! T9 serving sweep to `BENCH_T9_SERVE.json`, the T11 index sweep to
 //! `BENCH_T11_INDEX.json`, the T12 cache sweep to
 //! `BENCH_T12_CACHE.json`, the T13 chaos sweep to
 //! `BENCH_T13_CHAOS.json`, and the T14 telemetry-overhead sweep to
@@ -42,15 +39,14 @@
 
 use blog_bench::report::Json;
 use blog_bench::{
-    andp_exp, cache_exp, chaos_exp, figures, frontier_exp, index_exp, machine_exp, obs_exp,
-    serve_exp, sessions_exp, spd_exp, state_exp, strategies, threads_exp,
+    andp_exp, cache_exp, chaos_exp, figures, index_exp, machine_exp, obs_exp, serve_exp,
+    sessions_exp, spd_exp, state_exp, strategies, threads_exp,
 };
 use blog_spd::PolicyKind;
 
 fn main() {
     let mut policy: Option<PolicyKind> = None;
     let mut json_path: Option<String> = None;
-    let mut workers: Option<usize> = None;
     let mut pools: Option<usize> = None;
     let mut requests: Option<usize> = None;
     let mut stats_json = false;
@@ -61,14 +57,6 @@ fn main() {
                 Some(kind) => policy = Some(kind),
                 None => {
                     eprintln!("unknown policy {spec:?}; known: lru 2q clock fifo");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(spec) = arg.strip_prefix("--workers=") {
-            match spec.parse::<usize>() {
-                Ok(n) if n >= 1 => workers = Some(n),
-                _ => {
-                    eprintln!("--workers: expected a worker count >= 1, got {spec:?}");
                     std::process::exit(2);
                 }
             }
@@ -106,9 +94,6 @@ fn main() {
         if policy.is_some() {
             args.push("t6".to_string());
         }
-        if workers.is_some() {
-            args.push("t8f".to_string());
-        }
         if pools.is_some() || requests.is_some() || stats_json {
             args.push("t9".to_string());
         }
@@ -116,8 +101,7 @@ fn main() {
             && !args
                 .iter()
                 .any(|a| {
-                    a == "t8f"
-                        || a == "t9"
+                    a == "t9"
                         || a == "t11"
                         || a == "t12"
                         || a == "t13"
@@ -133,7 +117,6 @@ fn main() {
         && !args.is_empty()
         && !args.iter().any(|a| {
             a == "t7"
-                || a == "t8f"
                 || a == "t9"
                 || a == "t11"
                 || a == "t12"
@@ -143,7 +126,7 @@ fn main() {
         })
     {
         eprintln!(
-            "--json: include t7, t8f, t9, t11, t12, t13 or t14 (the JSON-emitting experiments) in the id list"
+            "--json: include t7, t9, t11, t12, t13 or t14 (the JSON-emitting experiments) in the id list"
         );
         std::process::exit(2);
     }
@@ -208,10 +191,6 @@ fn main() {
         andp_exp::run_t8_forkjoin();
         andp_exp::run_t8_semijoin();
     });
-    let mut t8_frontier_rows: Vec<frontier_exp::FrontierRow> = Vec::new();
-    section("t8f", "frontier scaling: global-mutex vs sharded chain stores", &mut || {
-        t8_frontier_rows = frontier_exp::run_t8_frontier(workers);
-    });
     let mut t9_serve_rows: Vec<serve_exp::ServeRow> = Vec::new();
     section("t9", "serving sweep: offered load x pools x routing", &mut || {
         t9_serve_rows = serve_exp::run_t9(pools, requests, stats_json);
@@ -257,7 +236,7 @@ fn main() {
 
     if ran == 0 {
         eprintln!(
-            "unknown experiment id(s): {:?}\nknown: f1 f3 f4 w1 w2 t1 t2 t3 t4 t5 t6 t7 t8 t8f t9 t11 t12 t13 t14 a1 a2 a3 a4 trace-dump (or no args for all; trace-dump only runs when named)\nflags: --policy=<lru|2q|clock|fifo> (restricts the T6c sweep), --workers=<n> (restricts the T8f sweep), --pools=<n> / --requests=<n> (restrict the T9/T11/T12/T13/T14 sweeps), --stats-json (T9 prints its final ServeStats as JSON), --json[=PATH] (write machine-readable rows)",
+            "unknown experiment id(s): {:?}\nknown: f1 f3 f4 w1 w2 t1 t2 t3 t4 t5 t6 t7 t8 t9 t11 t12 t13 t14 a1 a2 a3 a4 trace-dump (or no args for all; trace-dump only runs when named)\nflags: --policy=<lru|2q|clock|fifo> (restricts the T6c sweep), --pools=<n> / --requests=<n> (restrict the T9/T11/T12/T13/T14 sweeps), --stats-json (T9 prints its final ServeStats as JSON), --json[=PATH] (write machine-readable rows)",
             args
         );
         std::process::exit(2);
@@ -265,7 +244,6 @@ fn main() {
 
     if let Some(path) = json_path {
         if t7_state_rows.is_empty()
-            && t8_frontier_rows.is_empty()
             && t9_serve_rows.is_empty()
             && t11_index_rows.is_empty()
             && t12_cache_rows.is_empty()
@@ -273,7 +251,7 @@ fn main() {
             && t14_obs_rows.is_empty()
         {
             eprintln!(
-                "--json: no JSON-emitting experiment ran (include t7, t8f, t9, t11, t12, t13 or t14)"
+                "--json: no JSON-emitting experiment ran (include t7, t9, t11, t12, t13 or t14)"
             );
             std::process::exit(2);
         }
@@ -294,15 +272,6 @@ fn main() {
                     Json::Obj(vec![(
                         "t7_state".to_string(),
                         state_exp::rows_to_json(&t7_state_rows),
-                    )]),
-                );
-            }
-            if !t8_frontier_rows.is_empty() {
-                write(
-                    "BENCH_T8_FRONTIER.json",
-                    Json::Obj(vec![(
-                        "t8_frontier".to_string(),
-                        frontier_exp::rows_to_json(&t8_frontier_rows),
                     )]),
                 );
             }
@@ -358,12 +327,6 @@ fn main() {
                 fields.push((
                     "t7_state".to_string(),
                     state_exp::rows_to_json(&t7_state_rows),
-                ));
-            }
-            if !t8_frontier_rows.is_empty() {
-                fields.push((
-                    "t8_frontier".to_string(),
-                    frontier_exp::rows_to_json(&t8_frontier_rows),
                 ));
             }
             if !t9_serve_rows.is_empty() {

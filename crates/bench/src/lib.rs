@@ -16,7 +16,6 @@
 //! | T6 | [`spd_exp`] | semantic paging hit rates and I/O time |
 //! | T7 (state) | [`state_exp`] | §6 copying cost: Cloned vs Shared search state |
 //! | T8 | [`andp_exp`] | AND-parallel fork-join and semi-join |
-//! | T8 (frontier) | [`frontier_exp`] | frontier scaling: global-mutex vs sharded chain stores |
 //! | T9 | [`serve_exp`] | serving sweep: offered load × pools × routing over one shared store |
 //! | T11 | [`index_exp`] | first-argument bitmap index: clause touches and faults per solution |
 //! | T12 | [`cache_exp`] | answer cache: open-loop sustainable rate, invalidation precision, governed admission |
@@ -27,7 +26,6 @@ pub mod andp_exp;
 pub mod cache_exp;
 pub mod chaos_exp;
 pub mod figures;
-pub mod frontier_exp;
 pub mod index_exp;
 pub mod machine_exp;
 pub mod obs_exp;

@@ -112,6 +112,33 @@ impl Chain {
     }
 }
 
+/// A chain waiting in a frontier heap, ordered by `key` alone:
+/// `(priority, seq)`, where the monotone `seq` makes ties deterministic.
+/// Wrap in `Reverse` for a min-heap.
+pub struct Queued {
+    /// `(priority, seq)`.
+    pub key: (u64, u64),
+    /// The waiting chain.
+    pub chain: Chain,
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl Eq for Queued {}
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,31 +3,40 @@
 //! "An approach based on a branch-and-bound algorithm seems more
 //! appropriate\[,\] using best-first search guided by a bound. … Each
 //! processor works on the chains with the lowest bounds" (§3). This module
-//! is the single-processor engine; `blog-machine` simulates, and
-//! `blog-parallel` actually runs, the multi-processor version around the
-//! same expansion and update rules.
+//! holds the one search loop: [`expand_chain`] does everything B-LOG does
+//! to one chain — cancellation, incumbent pruning, solution extraction,
+//! the depth and node limits, expansion, the store-fault abort, the §5
+//! hooks and sprouting — against an [`Executor`], which owns where chains
+//! wait and where a query's shared outcomes go. The single-processor
+//! executor here is a thread-local min-heap; `blog-parallel`'s sharded
+//! worker is the other, and `blog-machine` simulates the same rules on the
+//! paper's machine.
 //!
-//! The frontier is a min-heap of chains keyed by bound, with a strictly
-//! monotone sequence number as a deterministic tie-break. Weight updates
-//! happen *during* the search, exactly as in the paper's machine: a
-//! success immediately rewrites its chain's weights in the local database,
-//! a failure plants an infinity. Chains already in the frontier keep the
-//! bound they were priced at — the paper's "approximation to true
-//! best-first searching".
+//! The heap is keyed by bound, with a strictly monotone sequence number as
+//! a deterministic tie-break. Learning is one of two sinks of the same
+//! loop. [`best_first_with`] learns *during* the search, exactly as in the
+//! paper's machine: a success immediately rewrites its chain's weights in
+//! the local database, a failure plants an infinity. Chains already in the
+//! frontier keep the bound they were priced at — the paper's
+//! "approximation to true best-first searching". [`best_first_deferred`]
+//! and the parallel executors read a frozen weight store instead and log
+//! each closed chain, applying the log at join.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use blog_logic::node::ExpandStats;
-use blog_logic::{try_expand_via, Query, SearchNode, SearchStats, SolveConfig, Solution};
+use blog_logic::{
+    try_expand_via, PointerKey, Query, SearchNode, SearchStats, Solution, SolveConfig, StoreError,
+};
 use blog_logic::{ClauseDb, ClauseSource};
 use serde::Serialize;
 
-use crate::chain::Chain;
-use crate::update::{failure_update, success_update, InfinityPlacement};
+use crate::chain::{Chain, Queued};
+use crate::update::{chain_update, InfinityPlacement, UpdateOutcome};
 use crate::util::SplitMix64;
-use crate::weight::{Bound, Weight, WeightView};
+use crate::weight::{Bound, Weight, WeightStore, WeightView};
 
 /// How a chain's priority key is computed. `Weights` is B-LOG; the other
 /// policies exist for the A2 ablation, which shows that the *bound* — not
@@ -167,39 +176,329 @@ impl BlogResult {
     }
 }
 
-/// Heap key: `(priority, seq)`, wrapped for a min-heap.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct HeapKey(u64, u64);
+/// The §5 evidence of one closed chain: its arcs root→leaf and whether it
+/// solved the query. Executors that defer learning log these in
+/// completion order and replay them through [`chain_update`] at join.
+pub type ChainOutcome = (Vec<PointerKey>, bool);
 
-struct HeapEntry {
-    key: HeapKey,
+/// One query as every executor's step sees it: the clause source, the
+/// query, and the limits and switches of `config` (of which the step
+/// reads `solve`, `prune`, `learn` and `cancel`).
+pub struct Search<'a, S: ?Sized> {
+    source: &'a S,
+    query: &'a Query,
+    config: &'a BestFirstConfig,
+    var_names: Arc<Vec<String>>,
+}
+
+impl<'a, S: ClauseSource + ?Sized> Search<'a, S> {
+    /// Describe one search of `query` over `source`.
+    pub fn new(source: &'a S, query: &'a Query, config: &'a BestFirstConfig) -> Self {
+        let var_names = Arc::new(query.var_names.clone());
+        Search {
+            source,
+            query,
+            config,
+            var_names,
+        }
+    }
+
+    /// The root chain: the query's goals at bound zero.
+    pub fn root(&self) -> Chain {
+        Chain::root(SearchNode::root_with(
+            &self.query.goals,
+            self.config.solve.state_repr,
+        ))
+    }
+}
+
+/// Where one search's chains wait and where its shared outcomes go — the
+/// seam between [`expand_chain`] and a frontier.
+///
+/// Two implementations: the thread-local heap behind [`best_first_with`]
+/// and [`best_first_deferred`] (no atomics, no locks), and
+/// `blog-parallel`'s sharded worker, which shares the frontier,
+/// incumbent, node count and solution list of one query across threads.
+pub trait Executor {
+    /// The weight added to a bound when following `arc`.
+    fn weight(&self, arc: PointerKey) -> Weight;
+
+    /// The best solution bound found so far, for incumbent pruning;
+    /// `own` is the best this executor closed itself.
+    fn incumbent(&self, own: Option<Bound>) -> Option<Bound>;
+
+    /// Record `solution` unless `cap` solutions are already recorded.
+    /// Returns `None` when the solution was refused, else whether it met
+    /// the cap.
+    fn close(&mut self, solution: BoundedSolution, cap: Option<usize>) -> Option<bool>;
+
+    /// Claim one expansion against the node `budget`; `expanded` counts
+    /// this executor's own expansions so far. `false` means the budget is
+    /// spent.
+    fn claim_node(&mut self, expanded: u64, budget: u64) -> bool;
+
+    /// Take the §5 evidence of a closed chain: apply it now and say what
+    /// it changed, or log it for the join and return `None`.
+    fn learn(&mut self, arcs: Vec<PointerKey>, success: bool) -> Option<UpdateOutcome>;
+
+    /// Queue freshly sprouted chains, draining `children`. Returns a child
+    /// to expand next instead of queueing it (a dive), if any.
+    fn sprout(&mut self, children: &mut Vec<Chain>) -> Option<Chain>;
+
+    /// End the whole search: cancelled, a limit met, or `fault`.
+    fn stop(&mut self, fault: Option<StoreError>);
+}
+
+/// Process one chain: cancellation, incumbent pruning, solution
+/// extraction, the depth and node limits, expansion (a store fault stops
+/// the search), the §5 hooks, and sprouting the children into `buf` (a
+/// buffer reused across calls) for `exec` to queue. Returns the child
+/// `exec` chose to expand next, if any.
+pub fn expand_chain<S: ClauseSource + ?Sized, E: Executor>(
+    search: &Search<'_, S>,
+    exec: &mut E,
+    stats: &mut SearchStats,
+    blog: &mut BlogStats,
     chain: Chain,
+    buf: &mut Vec<Chain>,
+) -> Option<Chain> {
+    let config = search.config;
+    // Cooperative cancellation (a deadline reaper, a server shedding
+    // load) ends the search like an exhausted node budget.
+    if config.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+        stats.truncated = true;
+        exec.stop(None);
+        return None;
+    }
+
+    // Incumbent pruning: drop chains that can no longer beat (or tie
+    // within slack of) the best solution. Bounds are monotone along
+    // chains, so this never cuts a chain that could close at or under
+    // the threshold.
+    if let PruneMode::Incumbent { slack } = config.prune {
+        let best = exec.incumbent(blog.best_bound);
+        if best.is_some_and(|best| chain.bound > best.plus(slack)) {
+            blog.pruned += 1;
+            return None;
+        }
+    }
+
+    if chain.node.is_solution() {
+        // Solution extraction resolves through the node's state — under
+        // `Shared`, that chases the persistent frame chain, whose frames
+        // are `Arc`-shared across workers.
+        let terms = (0..search.var_names.len() as u32)
+            .map(|i| chain.node.resolve_var(i))
+            .collect();
+        let solution = BoundedSolution {
+            solution: Solution {
+                var_names: Arc::clone(&search.var_names),
+                terms,
+                depth: chain.node.depth,
+            },
+            bound: chain.bound,
+        };
+        let Some(cap_met) = exec.close(solution, config.solve.max_solutions) else {
+            exec.stop(None);
+            return None;
+        };
+        stats.solutions += 1;
+        blog.best_bound = Some(blog.best_bound.map_or(chain.bound, |b| b.min(chain.bound)));
+        if config.learn {
+            if let Some(out) = exec.learn(chain.arcs_root_to_leaf(), true) {
+                blog.success_updates += 1;
+                blog.anomalies += u64::from(out.anomaly);
+            }
+        }
+        if cap_met {
+            exec.stop(None);
+        }
+        return None;
+    }
+
+    if let Some(limit) = config.solve.max_depth {
+        if chain.node.depth >= limit {
+            stats.depth_cutoff = true;
+            return None;
+        }
+    }
+    if let Some(budget) = config.solve.max_nodes {
+        if !exec.claim_node(stats.nodes_expanded, budget) {
+            stats.truncated = true;
+            exec.stop(None);
+            return None;
+        }
+    }
+
+    stats.nodes_expanded += 1;
+    let mut est = ExpandStats::default();
+    let children = match try_expand_via(search.source, &chain.node, &mut est) {
+        Ok(children) => children,
+        Err(e) => {
+            // A storage fault aborts the search at the faulted expansion:
+            // the solution set so far is incomplete, so mark the run
+            // truncated and surface the error for the caller's retry/fail
+            // decision.
+            stats.truncated = true;
+            exec.stop(Some(e));
+            return None;
+        }
+    };
+    stats.unify_attempts += est.unify_attempts;
+    stats.unify_successes += est.unify_successes;
+    stats.bytes_copied += est.bytes_copied;
+
+    if children.is_empty() {
+        // A failure leaf: a goal remained but nothing resolved it.
+        stats.failures += 1;
+        if config.learn {
+            if let Some(out) = exec.learn(chain.arcs_root_to_leaf(), false) {
+                blog.failure_updates += 1;
+                blog.anomalies += u64::from(out.anomaly);
+            }
+        }
+        return None;
+    }
+
+    debug_assert!(buf.is_empty());
+    buf.extend(children.into_iter().map(|c| {
+        let w = exec.weight(c.arc);
+        chain.extend(c.arc, w, c.node)
+    }));
+    exec.sprout(buf)
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-fn priority(policy: BoundPolicy, bound: Bound, depth: u32, seq: u64) -> HeapKey {
+fn priority(policy: BoundPolicy, bound: Bound, depth: u32, seq: u64) -> (u64, u64) {
     match policy {
-        BoundPolicy::Weights => HeapKey(bound.0, seq),
-        BoundPolicy::Uniform => HeapKey(depth as u64, seq),
-        BoundPolicy::Lifo => HeapKey(0, u64::MAX - seq),
-        BoundPolicy::Fifo => HeapKey(0, seq),
+        BoundPolicy::Weights => (bound.0, seq),
+        BoundPolicy::Uniform => (depth as u64, seq),
+        BoundPolicy::Lifo => (0, u64::MAX - seq),
+        BoundPolicy::Fifo => (0, seq),
     }
+}
+
+/// The single-processor executor: a thread-local min-heap of chains keyed
+/// by [`BoundPolicy`] with a monotone `seq` tie-break. It reads weights
+/// through a [`WeightView`] and either learns during the search or, given
+/// a `log`, records each [`ChainOutcome`] there and leaves the view
+/// untouched.
+struct Heap<'v, 'w> {
+    entries: BinaryHeap<Reverse<Queued>>,
+    seq: u64,
+    policy: BoundPolicy,
+    view: &'v mut WeightView<'w>,
+    placement: InfinityPlacement,
+    rng: SplitMix64,
+    log: Option<Vec<ChainOutcome>>,
+    solutions: Vec<BoundedSolution>,
+    store_error: Option<StoreError>,
+    max_len: usize,
+}
+
+impl Executor for Heap<'_, '_> {
+    fn weight(&self, arc: PointerKey) -> Weight {
+        self.view.effective_weight(arc)
+    }
+
+    fn incumbent(&self, own: Option<Bound>) -> Option<Bound> {
+        own
+    }
+
+    fn close(&mut self, solution: BoundedSolution, cap: Option<usize>) -> Option<bool> {
+        if cap.is_some_and(|m| self.solutions.len() >= m) {
+            return None;
+        }
+        self.solutions.push(solution);
+        Some(cap.is_some_and(|m| self.solutions.len() >= m))
+    }
+
+    fn claim_node(&mut self, expanded: u64, budget: u64) -> bool {
+        expanded < budget
+    }
+
+    fn learn(&mut self, arcs: Vec<PointerKey>, success: bool) -> Option<UpdateOutcome> {
+        if let Some(log) = &mut self.log {
+            log.push((arcs, success));
+            return None;
+        }
+        Some(chain_update(
+            self.view,
+            &arcs,
+            success,
+            self.placement,
+            &mut self.rng,
+        ))
+    }
+
+    fn sprout(&mut self, children: &mut Vec<Chain>) -> Option<Chain> {
+        // Under LIFO, sibling order must match the clause order a stack
+        // would see (first clause on top), so enqueue them in reverse.
+        if self.policy == BoundPolicy::Lifo {
+            children.reverse();
+        }
+        for chain in children.drain(..) {
+            let key = priority(self.policy, chain.bound, chain.node.depth, self.seq);
+            self.seq += 1;
+            self.entries.push(Reverse(Queued { key, chain }));
+        }
+        self.max_len = self.max_len.max(self.entries.len());
+        None
+    }
+
+    fn stop(&mut self, fault: Option<StoreError>) {
+        self.entries.clear();
+        if fault.is_some() {
+            self.store_error = fault;
+        }
+    }
+}
+
+/// Pop and expand the cheapest chain until the heap empties or the search
+/// stops, recording the arc of every popped chain in pop order when
+/// `config.record_trace` is set. With `log` the §5 evidence is logged and
+/// returned instead of learned.
+fn run_heap<S: ClauseSource + ?Sized>(
+    search: &Search<'_, S>,
+    view: &mut WeightView<'_>,
+    log: Option<Vec<ChainOutcome>>,
+) -> (BlogResult, Vec<ChainOutcome>) {
+    let config = search.config;
+    let root = search.root();
+    let key = priority(config.bound_policy, root.bound, 0, 0);
+    let mut heap = Heap {
+        entries: BinaryHeap::from([Reverse(Queued { key, chain: root })]),
+        seq: 1,
+        policy: config.bound_policy,
+        view,
+        placement: config.infinity_placement,
+        rng: SplitMix64::new(config.seed),
+        log,
+        solutions: Vec::new(),
+        store_error: None,
+        max_len: 0,
+    };
+    let (mut stats, mut blog) = (SearchStats::default(), BlogStats::default());
+    let mut trace = Vec::new();
+    let mut buf = Vec::new();
+    // `stop` empties the heap, ending the loop.
+    while let Some(Reverse(Queued { chain, .. })) = heap.entries.pop() {
+        if config.record_trace {
+            if let Some(link) = &chain.last {
+                trace.push(link.arc);
+            }
+        }
+        let dive = expand_chain(search, &mut heap, &mut stats, &mut blog, chain, &mut buf);
+        debug_assert!(dive.is_none(), "the heap queues every child");
+    }
+    stats.max_frontier = heap.max_len;
+    let result = BlogResult {
+        solutions: heap.solutions,
+        stats,
+        blog,
+        trace,
+        store_error: heap.store_error,
+    };
+    (result, heap.log.unwrap_or_default())
 }
 
 /// Run the B-LOG best-first branch-and-bound search for `query`, reading
@@ -229,153 +528,26 @@ pub fn best_first_with<S: ClauseSource + ?Sized>(
     view: &mut WeightView<'_>,
     config: &BestFirstConfig,
 ) -> BlogResult {
-    let var_names = Arc::new(query.var_names.clone());
-    let n_query_vars = query.var_names.len() as u32;
-    let mut stats = SearchStats::default();
-    let mut blog = BlogStats::default();
-    let mut solutions: Vec<BoundedSolution> = Vec::new();
-    let mut rng = SplitMix64::new(config.seed);
-    let mut seq: u64 = 0;
-    let mut incumbent: Option<Bound> = None;
+    run_heap(&Search::new(source, query, config), view, None).0
+}
 
-    let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::new();
-    let root = Chain::root(SearchNode::root_with(&query.goals, config.solve.state_repr));
-    heap.push(Reverse(HeapEntry {
-        key: priority(config.bound_policy, root.bound, 0, seq),
-        chain: root,
-    }));
-    seq += 1;
-
-    let mut trace: Vec<blog_logic::PointerKey> = Vec::new();
-    let mut store_error: Option<blog_logic::StoreError> = None;
-
-    while let Some(Reverse(entry)) = heap.pop() {
-        if config.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            stats.truncated = true;
-            break;
-        }
-        let chain = entry.chain;
-        if config.record_trace {
-            if let Some(link) = &chain.last {
-                trace.push(link.arc);
-            }
-        }
-
-        // Incumbent pruning: drop chains that can no longer beat (or tie
-        // within slack of) the best solution. Bounds are monotone along
-        // chains, so this never cuts a chain that could close at or under
-        // the threshold.
-        if let (PruneMode::Incumbent { slack }, Some(best)) = (config.prune, incumbent) {
-            if chain.bound > best.plus(slack) {
-                blog.pruned += 1;
-                continue;
-            }
-        }
-
-        if chain.node.is_solution() {
-            // Solution extraction resolves through the node's state —
-            // under `Shared`, that chases the persistent frame chain.
-            let terms = (0..n_query_vars)
-                .map(|i| chain.node.resolve_var(i))
-                .collect();
-            solutions.push(BoundedSolution {
-                solution: Solution {
-                    var_names: Arc::clone(&var_names),
-                    terms,
-                    depth: chain.node.depth,
-                },
-                bound: chain.bound,
-            });
-            stats.solutions += 1;
-            incumbent = Some(match incumbent {
-                Some(b) if b <= chain.bound => b,
-                _ => chain.bound,
-            });
-            blog.best_bound = incumbent;
-            if config.learn {
-                let out = success_update(view, &chain.arcs_root_to_leaf());
-                blog.success_updates += 1;
-                blog.anomalies += u64::from(out.anomaly);
-            }
-            if let Some(max) = config.solve.max_solutions {
-                if solutions.len() >= max {
-                    break;
-                }
-            }
-            continue;
-        }
-
-        if let Some(limit) = config.solve.max_depth {
-            if chain.node.depth >= limit {
-                stats.depth_cutoff = true;
-                continue;
-            }
-        }
-        if let Some(budget) = config.solve.max_nodes {
-            if stats.nodes_expanded >= budget {
-                stats.truncated = true;
-                break;
-            }
-        }
-
-        stats.nodes_expanded += 1;
-        let mut est = ExpandStats::default();
-        let children = match try_expand_via(source, &chain.node, &mut est) {
-            Ok(children) => children,
-            Err(e) => {
-                // A storage fault aborts the search at the faulted
-                // expansion: the solution set so far is incomplete, so
-                // mark the run truncated and surface the error for the
-                // caller's retry/fail decision.
-                stats.truncated = true;
-                store_error = Some(e);
-                break;
-            }
-        };
-        stats.unify_attempts += est.unify_attempts;
-        stats.unify_successes += est.unify_successes;
-        stats.bytes_copied += est.bytes_copied;
-
-        if children.is_empty() {
-            // A failure leaf: a goal remained but nothing resolved it.
-            stats.failures += 1;
-            if config.learn {
-                let out = failure_update(
-                    view,
-                    &chain.arcs_root_to_leaf(),
-                    config.infinity_placement,
-                    &mut rng,
-                );
-                blog.failure_updates += 1;
-                blog.anomalies += u64::from(out.anomaly);
-            }
-            continue;
-        }
-
-        // Under LIFO, sibling order must match the clause order a stack
-        // would see (first clause on top), so enqueue them in reverse.
-        let ordered: Vec<_> = if config.bound_policy == BoundPolicy::Lifo {
-            children.into_iter().rev().collect()
-        } else {
-            children
-        };
-        for child in ordered {
-            let w = view.effective_weight(child.arc);
-            let next = chain.extend(child.arc, w, child.node);
-            let key = priority(config.bound_policy, next.bound, next.node.depth, seq);
-            seq += 1;
-            heap.push(Reverse(HeapEntry { key, chain: next }));
-        }
-        stats.max_frontier = stats.max_frontier.max(heap.len());
-    }
-
-    BlogResult {
-        solutions,
-        stats,
-        blog,
-        trace,
-        store_error,
-    }
+/// [`best_first_with`] over the frozen `weights`, with learning deferred:
+/// each closed chain's [`ChainOutcome`] is returned in completion order
+/// (when `config.learn`) for the caller to apply at join, as the parallel
+/// executors do, instead of steering the rest of this search.
+pub fn best_first_deferred<S: ClauseSource + ?Sized>(
+    source: &S,
+    query: &Query,
+    weights: &WeightStore,
+    config: &BestFirstConfig,
+) -> (BlogResult, Vec<ChainOutcome>) {
+    let mut overlay = HashMap::new();
+    let mut view = WeightView::new(&mut overlay, weights);
+    run_heap(
+        &Search::new(source, query, config),
+        &mut view,
+        Some(Vec::new()),
+    )
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! - [`weight`] — fixed-point weights, the `N`-target coding of section 5
 //!   (`unknown = N+1`, `infinity = A*N`), and the global weight store.
 //! - [`chain`] — chains (root-to-frontier paths) with their monotone bounds.
-//! - [`engine`] — the best-first branch-and-bound engine, with pluggable
-//!   bound policies for ablation.
+//! - [`engine`] — the best-first branch-and-bound engine: the one
+//!   per-chain step every executor runs, the sequential heap executor,
+//!   and pluggable bound policies for ablation.
 //! - [`update`] — the section-5 success/failure weight-update rules.
 //! - [`session`] — sessions: local strong updates, conservative global merge.
 //! - [`theory`] — the section-4 theoretical model: enumerate all chains and
@@ -57,8 +58,9 @@ pub mod weight;
 
 pub use chain::{Chain, ChainLink};
 pub use engine::{
-    best_first, best_first_with, BestFirstConfig, BlogResult, BlogStats, BoundPolicy, PruneMode,
+    best_first, best_first_deferred, best_first_with, expand_chain, BestFirstConfig, BlogResult,
+    BlogStats, BoundPolicy, ChainOutcome, Executor, PruneMode, Search,
 };
 pub use session::{MergePolicy, MergeReport, Session, SessionManager};
-pub use update::{failure_update, success_update, InfinityPlacement, UpdateOutcome};
+pub use update::{chain_update, failure_update, success_update, InfinityPlacement, UpdateOutcome};
 pub use weight::{Bound, Weight, WeightParams, WeightState, WeightStore, WeightView};

@@ -134,6 +134,22 @@ pub fn failure_update(
     }
 }
 
+/// Apply the success or failure rule to one closed chain (arcs given
+/// root→leaf), as its outcome says.
+pub fn chain_update(
+    view: &mut WeightView<'_>,
+    arcs_root_to_leaf: &[PointerKey],
+    success: bool,
+    placement: InfinityPlacement,
+    rng: &mut SplitMix64,
+) -> UpdateOutcome {
+    if success {
+        success_update(view, arcs_root_to_leaf)
+    } else {
+        failure_update(view, arcs_root_to_leaf, placement, rng)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,21 +3,12 @@
 //! Per-worker chain pools with a minimum-seeking acquisition rule: a free
 //! worker compares its own cheapest chain against the cheapest chain on
 //! any other worker and takes the remote one only when it is more than
-//! `D` cheaper — §6's arbitration network. Three reproductions of that
-//! hardware, from most to least serialized:
-//!
-//! - [`FrontierPolicy::SharedHeap`] — one global heap under one mutex
-//!   (idealized best-first, the "sorting network" design of §3);
-//! - [`FrontierPolicy::LocalPools`] — per-worker heaps, still under one
-//!   global mutex, with the D-threshold scan playing the comparator tree
-//!   (the PR-0 baseline);
-//! - [`FrontierPolicy::Sharded`] — per-worker heaps each under their own
-//!   small lock, plus a lock-free comparator: an `AtomicU64`
-//!   published-minimum per pool, refreshed on every push/pop, so the §6
-//!   D-threshold decision reads N atomics instead of peeking N heaps
-//!   under a global lock. Termination is an atomic outstanding-chain
-//!   count plus an eventcount-style sleep protocol (no global condvar on
-//!   the hot path).
+//! `D` cheaper — §6's arbitration network. Each pool is a heap under its
+//! own small lock, and the comparator is lock-free: an `AtomicU64`
+//! published minimum per pool, refreshed on every push/pop, so the §6
+//! D-threshold decision reads N atomics instead of peeking N heaps.
+//! Termination is an atomic outstanding-chain count plus an
+//! eventcount-style sleep protocol (no global condvar on the hot path).
 //!
 //! The sharded shape also enables two executor-side levers (see
 //! `orparallel`): **batched sprouts** (all children of one expansion enter
@@ -30,61 +21,19 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 
-use blog_core::chain::Chain;
+use blog_core::chain::{Chain, Queued};
 use blog_core::weight::Bound;
 use parking_lot::{Condvar, Mutex};
 
 /// How workers share chains.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FrontierPolicy {
-    /// One global pool: every acquisition takes the global minimum
-    /// (idealized best-first, the "sorting network" design of §3).
-    SharedHeap,
-    /// Per-worker pools with the §6 D-threshold arbitration, all under a
-    /// single global mutex (the pre-sharding baseline).
-    LocalPools {
-        /// The communication threshold `D`, in bound units.
-        d: u64,
-    },
     /// Per-worker pools, each under its own lock, with the D-threshold
     /// decision made over per-pool `AtomicU64` published minimums.
     Sharded {
         /// The communication threshold `D`, in bound units.
         d: u64,
     },
-}
-
-impl FrontierPolicy {
-    /// Short label for tables and JSON rows.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FrontierPolicy::SharedHeap => "shared-heap",
-            FrontierPolicy::LocalPools { .. } => "local-pools",
-            FrontierPolicy::Sharded { .. } => "sharded",
-        }
-    }
-}
-
-struct Item {
-    key: (u64, u64), // (bound, seq)
-    chain: Chain,
-}
-
-impl PartialEq for Item {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for Item {}
-impl PartialOrd for Item {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Item {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
 }
 
 /// Outcome counters returned by [`Frontier::counters`].
@@ -100,16 +49,12 @@ pub struct FrontierCounters {
     /// executor, which is where dives happen; always 0 straight from
     /// [`Frontier::counters`]).
     pub dives: u64,
-    /// Lock acquisitions on the chain store: shard locks (one per push
-    /// batch or pop) under [`FrontierPolicy::Sharded`]; under the
-    /// global-mutex policies, every acquisition of the one state mutex
-    /// from push/acquire/finish — including condvar re-acquisitions,
-    /// which re-enter that same store-protecting mutex. The sharded
-    /// store's small sleep mutex guards no chain state and is not
+    /// Shard-lock acquisitions on the chain store: one per push batch or
+    /// pop. The small sleep mutex guards no chain state and is not
     /// counted.
     pub shard_locks: u64,
-    /// Published-minimum refreshes (sharded only; each covers a whole
-    /// push batch or pop).
+    /// Published-minimum refreshes (each covers a whole push batch or
+    /// pop).
     pub min_publishes: u64,
     /// Wakeups after which the woken worker found nothing to pop.
     pub spurious_wakeups: u64,
@@ -129,203 +74,11 @@ impl blog_obs::RecordInto for FrontierCounters {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Legacy global-mutex frontier (SharedHeap + LocalPools)
-// ---------------------------------------------------------------------------
-
-struct GlobalState {
-    pools: Vec<BinaryHeap<Reverse<Item>>>,
-    /// Chains popped and still being expanded.
-    active: usize,
-    /// Monotone sequence for deterministic per-pool tie-breaks.
-    seq: u64,
-    /// Set when the search is complete or aborted.
-    done: bool,
-    /// Workers currently blocked in the condvar.
-    waiting: usize,
-    steals: u64,
-    local: u64,
-    max_len: usize,
-    spurious: u64,
-    locks: u64,
-}
-
-struct GlobalFrontier {
-    state: Mutex<GlobalState>,
-    cv: Condvar,
-}
-
-impl GlobalFrontier {
-    fn new(n_pools: usize, root: Chain) -> GlobalFrontier {
-        let mut pools: Vec<BinaryHeap<Reverse<Item>>> =
-            (0..n_pools).map(|_| BinaryHeap::new()).collect();
-        pools[0].push(Reverse(Item {
-            key: (root.bound.0, 0),
-            chain: root,
-        }));
-        GlobalFrontier {
-            state: Mutex::new(GlobalState {
-                pools,
-                active: 0,
-                seq: 1,
-                done: false,
-                waiting: 0,
-                steals: 0,
-                local: 0,
-                max_len: 1,
-                spurious: 0,
-                locks: 0,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push_children(&self, pool: usize, children: &mut Vec<Chain>) {
-        let n = children.len();
-        let mut st = self.state.lock();
-        st.locks += 1;
-        for chain in children.drain(..) {
-            st.seq += 1;
-            let key = (chain.bound.0, st.seq);
-            st.pools[pool].push(Reverse(Item { key, chain }));
-        }
-        let total: usize = st.pools.iter().map(BinaryHeap::len).sum();
-        st.max_len = st.max_len.max(total);
-        // Wake at most the number of sleeping workers: more wakeups than
-        // waiters (the old notify-per-child storm) only produce spurious
-        // condvar traffic.
-        let wake = n.min(st.waiting);
-        drop(st);
-        for _ in 0..wake {
-            self.cv.notify_one();
-        }
-    }
-
-    fn acquire(&self, policy: FrontierPolicy, my_pool: usize) -> Option<Chain> {
-        let mut st = self.state.lock();
-        st.locks += 1;
-        let mut woke = false;
-        loop {
-            if st.done {
-                return None;
-            }
-            let chosen = Self::choose_pool(policy, &st, my_pool);
-            if let Some(pool) = chosen {
-                let Reverse(item) = st.pools[pool].pop().expect("chosen pool non-empty");
-                st.active += 1;
-                if pool == my_pool {
-                    st.local += 1;
-                } else {
-                    st.steals += 1;
-                }
-                return Some(item.chain);
-            }
-            if woke {
-                // Woken with nothing to show for it.
-                st.spurious += 1;
-            }
-            if st.active == 0 {
-                // Nothing in flight and nothing queued: search over.
-                st.done = true;
-                self.cv.notify_all();
-                return None;
-            }
-            st.waiting += 1;
-            // Timed for the same liveness-belt reason as the sharded
-            // store: a lost wakeup degrades to a bounded nap, not a hang.
-            self.cv.wait_for(&mut st, std::time::Duration::from_millis(2));
-            st.waiting -= 1;
-            st.locks += 1; // condvar re-acquisition
-            woke = true;
-        }
-    }
-
-    /// Pick the pool to pop from, honoring the D-threshold.
-    fn choose_pool(policy: FrontierPolicy, st: &GlobalState, my_pool: usize) -> Option<usize> {
-        let min_of = |p: usize| st.pools[p].peek().map(|Reverse(i)| i.key.0);
-        match policy {
-            FrontierPolicy::SharedHeap => min_of(0).map(|_| 0),
-            FrontierPolicy::LocalPools { d } | FrontierPolicy::Sharded { d } => {
-                let local = min_of(my_pool);
-                let mut best_remote: Option<(usize, u64)> = None;
-                for p in 0..st.pools.len() {
-                    if p == my_pool {
-                        continue;
-                    }
-                    if let Some(b) = min_of(p) {
-                        if best_remote.is_none_or(|(_, bb)| b < bb) {
-                            best_remote = Some((p, b));
-                        }
-                    }
-                }
-                match (local, best_remote) {
-                    (None, None) => None,
-                    (Some(_), None) => Some(my_pool),
-                    (None, Some((p, _))) => Some(p),
-                    (Some(lb), Some((p, rb))) => {
-                        if rb.saturating_add(d) < lb {
-                            Some(p)
-                        } else {
-                            Some(my_pool)
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn finish(&self) {
-        let mut st = self.state.lock();
-        st.locks += 1;
-        st.active -= 1;
-        if st.active == 0 {
-            // Either the search is over (everything empty) or the waiters
-            // may now be able to pick up the remaining work.
-            if st.pools.iter().all(BinaryHeap::is_empty) {
-                st.done = true;
-            }
-            self.cv.notify_all();
-        }
-    }
-
-    fn abort(&self) {
-        let mut st = self.state.lock();
-        st.done = true;
-        self.cv.notify_all();
-    }
-
-    fn global_min(&self) -> Option<Bound> {
-        let st = self.state.lock();
-        st.pools
-            .iter()
-            .filter_map(|p| p.peek().map(|Reverse(i)| i.key.0))
-            .min()
-            .map(Bound)
-    }
-
-    fn counters(&self) -> FrontierCounters {
-        let st = self.state.lock();
-        FrontierCounters {
-            steals: st.steals,
-            local: st.local,
-            max_len: st.max_len,
-            dives: 0,
-            shard_locks: st.locks,
-            min_publishes: 0,
-            spurious_wakeups: st.spurious,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded frontier
-// ---------------------------------------------------------------------------
-
 /// Sentinel published by an empty shard.
 const EMPTY_MIN: u64 = u64::MAX;
 
 struct ShardHeap {
-    heap: BinaryHeap<Reverse<Item>>,
+    heap: BinaryHeap<Reverse<Queued>>,
     /// Per-shard monotone sequence for deterministic tie-breaks.
     seq: u64,
 }
@@ -334,7 +87,7 @@ struct Shard {
     heap: Mutex<ShardHeap>,
     /// Cheapest queued bound in this shard, [`EMPTY_MIN`] when empty.
     /// Written only under the shard lock; read lock-free by the §6
-    /// comparator ([`ShardedFrontier::choose_shard`]) and the dive rule.
+    /// comparator ([`Frontier::choose_shard`]) and the dive rule.
     published_min: AtomicU64,
 }
 
@@ -350,7 +103,8 @@ impl Shard {
     }
 }
 
-struct ShardedFrontier {
+/// The shared frontier (one per parallel query).
+pub struct Frontier {
     shards: Vec<Shard>,
     d: u64,
     /// Chains pushed but not yet `finish`ed (queued + being expanded).
@@ -375,16 +129,21 @@ struct ShardedFrontier {
     max_len: AtomicU64,
 }
 
-impl ShardedFrontier {
-    fn new(n_shards: usize, d: u64, root: Chain) -> ShardedFrontier {
-        let shards: Vec<Shard> = (0..n_shards).map(|_| Shard::new()).collect();
+impl Frontier {
+    /// A frontier for `n_workers` workers, seeded with the root chain in
+    /// worker 0's pool (the paper: "initially, one processor is given the
+    /// initial query").
+    pub fn new(n_workers: usize, policy: FrontierPolicy, root: Chain) -> Frontier {
+        assert!(n_workers >= 1);
+        let FrontierPolicy::Sharded { d } = policy;
+        let shards: Vec<Shard> = (0..n_workers).map(|_| Shard::new()).collect();
         let root_bound = root.bound.0;
-        shards[0].heap.lock().heap.push(Reverse(Item {
+        shards[0].heap.lock().heap.push(Reverse(Queued {
             key: (root_bound, 0),
             chain: root,
         }));
         shards[0].published_min.store(root_bound, SeqCst);
-        ShardedFrontier {
+        Frontier {
             shards,
             d,
             outstanding: AtomicU64::new(1),
@@ -402,22 +161,27 @@ impl ShardedFrontier {
         }
     }
 
-    /// Push a whole expansion batch into `pool` under one lock
-    /// acquisition, publishing the new minimum once.
-    fn push_children(&self, pool: usize, children: &mut Vec<Chain>) {
+    /// Push freshly sprouted chains from `worker`, draining `children` so
+    /// the caller can reuse the buffer across expansions. The whole batch
+    /// enters the worker's pool under one lock acquisition, publishing the
+    /// new minimum once.
+    pub fn push_children_from(&self, worker: usize, children: &mut Vec<Chain>) {
+        if children.is_empty() {
+            return;
+        }
         let n = children.len() as u64;
         // Count the new chains as outstanding *before* they become
         // poppable, so the termination detector can never observe zero
         // while queued work exists.
         self.outstanding.fetch_add(n, SeqCst);
-        let shard = &self.shards[pool];
+        let shard = &self.shards[worker];
         {
             let mut sh = shard.heap.lock();
             self.shard_locks.fetch_add(1, Relaxed);
             for chain in children.drain(..) {
                 sh.seq += 1;
                 let key = (chain.bound.0, sh.seq);
-                sh.heap.push(Reverse(Item { key, chain }));
+                sh.heap.push(Reverse(Queued { key, chain }));
             }
             // Update the length gauge BEFORE the items become poppable
             // (i.e. before this lock is released): a racing pop could
@@ -487,23 +251,28 @@ impl ShardedFrontier {
             self.total_len.fetch_sub(1, Relaxed);
         }
         let new_min = sh.heap.peek().map_or(EMPTY_MIN, |Reverse(i)| i.key.0);
-        shard.published_min.store(new_min, std::sync::atomic::Ordering::Release);
+        shard
+            .published_min
+            .store(new_min, std::sync::atomic::Ordering::Release);
         drop(sh);
         self.min_publishes.fetch_add(1, Relaxed);
         popped.map(|Reverse(item)| item.chain)
     }
 
-    fn acquire(&self, my_pool: usize) -> Option<Chain> {
+    /// Acquire the next chain for `worker`, blocking while the frontier
+    /// is temporarily empty but other workers are still expanding.
+    /// Returns `None` when the search is complete (or aborted).
+    pub fn acquire(&self, worker: usize) -> Option<Chain> {
         let mut woke = false;
         loop {
             if self.done.load(SeqCst) {
                 return None;
             }
-            if let Some(pool) = self.choose_shard(my_pool) {
+            if let Some(pool) = self.choose_shard(worker) {
                 if let Some(chain) = self.try_pop(pool) {
                     // The chain moves from queued to active: `outstanding`
                     // is unchanged until `finish`.
-                    if pool == my_pool {
+                    if pool == worker {
                         self.local.fetch_add(1, Relaxed);
                     } else {
                         self.steals.fetch_add(1, Relaxed);
@@ -530,7 +299,7 @@ impl ShardedFrontier {
                 woke = false;
             }
             if self.outstanding.load(SeqCst) == 0 {
-                self.terminate();
+                self.abort();
                 return None;
             }
             // Every published minimum is empty but chains are in flight:
@@ -558,134 +327,31 @@ impl ShardedFrontier {
         }
     }
 
-    fn finish(&self) {
-        if self.outstanding.fetch_sub(1, SeqCst) == 1 {
-            // Last outstanding chain: every pushed chain has been fully
-            // expanded, so every heap is empty. Search over.
-            self.terminate();
-        }
-    }
-
-    fn terminate(&self) {
-        self.done.store(true, SeqCst);
-        let _g = self.sleep.lock();
-        self.cv.notify_all();
-    }
-
-    fn global_min(&self) -> Option<Bound> {
-        self.shards
-            .iter()
-            .map(|s| s.published_min.load(SeqCst))
-            .filter(|&b| b != EMPTY_MIN)
-            .min()
-            .map(Bound)
-    }
-
-    fn counters(&self) -> FrontierCounters {
-        FrontierCounters {
-            steals: self.steals.load(Relaxed),
-            local: self.local.load(Relaxed),
-            max_len: self.max_len.load(Relaxed) as usize,
-            dives: 0,
-            shard_locks: self.shard_locks.load(Relaxed),
-            min_publishes: self.min_publishes.load(Relaxed),
-            spurious_wakeups: self.spurious.load(Relaxed),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Public facade
-// ---------------------------------------------------------------------------
-
-enum Imp {
-    Global(GlobalFrontier),
-    Sharded(ShardedFrontier),
-}
-
-/// The shared frontier (one per parallel query).
-pub struct Frontier {
-    policy: FrontierPolicy,
-    imp: Imp,
-}
-
-impl Frontier {
-    /// A frontier for `n_workers` workers, seeded with the root chain in
-    /// worker 0's pool (the paper: "initially, one processor is given the
-    /// initial query").
-    pub fn new(n_workers: usize, policy: FrontierPolicy, root: Chain) -> Frontier {
-        assert!(n_workers >= 1);
-        let imp = match policy {
-            FrontierPolicy::SharedHeap => Imp::Global(GlobalFrontier::new(1, root)),
-            FrontierPolicy::LocalPools { .. } => Imp::Global(GlobalFrontier::new(n_workers, root)),
-            FrontierPolicy::Sharded { d } => Imp::Sharded(ShardedFrontier::new(n_workers, d, root)),
-        };
-        Frontier { policy, imp }
-    }
-
-    fn pool_of(&self, worker: usize) -> usize {
-        match self.policy {
-            FrontierPolicy::SharedHeap => 0,
-            FrontierPolicy::LocalPools { .. } | FrontierPolicy::Sharded { .. } => worker,
-        }
-    }
-
-    /// Push freshly sprouted chains from `worker`, draining `children` so
-    /// the caller can reuse the buffer across expansions. The whole batch
-    /// enters the worker's pool under one lock acquisition.
-    pub fn push_children_from(&self, worker: usize, children: &mut Vec<Chain>) {
-        if children.is_empty() {
-            return;
-        }
-        let pool = self.pool_of(worker);
-        match &self.imp {
-            Imp::Global(g) => g.push_children(pool, children),
-            Imp::Sharded(s) => s.push_children(pool, children),
-        }
-    }
-
-    /// Push freshly sprouted chains from `worker` (owned-vector form).
-    pub fn push_children(&self, worker: usize, mut children: Vec<Chain>) {
-        self.push_children_from(worker, &mut children);
-    }
-
-    /// Acquire the next chain for `worker`, blocking while the frontier
-    /// is temporarily empty but other workers are still expanding.
-    /// Returns `None` when the search is complete (or aborted).
-    pub fn acquire(&self, worker: usize) -> Option<Chain> {
-        match &self.imp {
-            Imp::Global(g) => g.acquire(self.policy, self.pool_of(worker)),
-            Imp::Sharded(s) => s.acquire(self.pool_of(worker)),
-        }
-    }
-
     /// Mark one acquired chain as fully processed. Must be called exactly
     /// once per successful [`acquire`](Self::acquire) — a local dive
     /// (expanding a child without re-acquiring) extends the chain's
     /// active slot rather than opening a new one.
     pub fn finish(&self, _worker: usize) {
-        match &self.imp {
-            Imp::Global(g) => g.finish(),
-            Imp::Sharded(s) => s.finish(),
+        if self.outstanding.fetch_sub(1, SeqCst) == 1 {
+            // Last outstanding chain: every pushed chain has been fully
+            // expanded, so every heap is empty. Search over.
+            self.abort();
         }
     }
 
-    /// Abort the search: wake everyone, acquire returns `None`.
+    /// End the search (complete or aborted): wake everyone, acquire
+    /// returns `None`.
     pub fn abort(&self) {
-        match &self.imp {
-            Imp::Global(g) => g.abort(),
-            Imp::Sharded(s) => s.terminate(),
-        }
+        self.done.store(true, SeqCst);
+        let _g = self.sleep.lock();
+        self.cv.notify_all();
     }
 
     /// Whether the search has completed or been aborted (advisory, for
     /// tests and monitoring; the executor's dive cutoff after an abort
     /// happens inside [`should_dive`](Self::should_dive)).
     pub fn is_done(&self) -> bool {
-        match &self.imp {
-            Imp::Global(g) => g.state.lock().done,
-            Imp::Sharded(s) => s.done.load(SeqCst),
-        }
+        self.done.load(SeqCst)
     }
 
     /// The §6 dive rule: keep expanding the freshly sprouted child
@@ -695,43 +361,43 @@ impl Frontier {
     /// lock-free atomic loads over the per-pool published minimums.
     /// A child more than `D` above the global minimum goes back through
     /// arbitration instead (diving on it would pin the worker to a
-    /// globally uncompetitive subtree). Always false for the
-    /// global-mutex policies, whose store publishes no minimums to
-    /// compare against, and after an abort.
+    /// globally uncompetitive subtree). Always false after an abort.
     pub fn should_dive(&self, _worker: usize, child_bound: Bound) -> bool {
-        match &self.imp {
-            Imp::Global(_) => false,
-            Imp::Sharded(s) => {
-                // Lock-free — `step` runs this once per expansion.
-                if s.done.load(Relaxed) {
-                    return false;
-                }
-                let global_min = s
-                    .shards
-                    .iter()
-                    .map(|shard| shard.published_min.load(Relaxed))
-                    .min()
-                    .unwrap_or(EMPTY_MIN);
-                child_bound.0 <= global_min.saturating_add(s.d)
-            }
+        // Lock-free — the executor runs this once per expansion.
+        if self.done.load(Relaxed) {
+            return false;
         }
+        let global_min = self
+            .shards
+            .iter()
+            .map(|shard| shard.published_min.load(Relaxed))
+            .min()
+            .unwrap_or(EMPTY_MIN);
+        child_bound.0 <= global_min.saturating_add(self.d)
     }
 
     /// The globally cheapest queued bound, if any (for tests/monitoring).
-    /// Under [`FrontierPolicy::Sharded`] this reads the published
-    /// minimums, so it can briefly trail the heaps during a push.
+    /// This reads the published minimums, so it can briefly trail the
+    /// heaps during a push.
     pub fn global_min(&self) -> Option<Bound> {
-        match &self.imp {
-            Imp::Global(g) => g.global_min(),
-            Imp::Sharded(s) => s.global_min(),
-        }
+        self.shards
+            .iter()
+            .map(|s| s.published_min.load(SeqCst))
+            .filter(|&b| b != EMPTY_MIN)
+            .min()
+            .map(Bound)
     }
 
     /// Steal/local/contention counters.
     pub fn counters(&self) -> FrontierCounters {
-        match &self.imp {
-            Imp::Global(g) => g.counters(),
-            Imp::Sharded(s) => s.counters(),
+        FrontierCounters {
+            steals: self.steals.load(Relaxed),
+            local: self.local.load(Relaxed),
+            max_len: self.max_len.load(Relaxed) as usize,
+            dives: 0,
+            shard_locks: self.shard_locks.load(Relaxed),
+            min_publishes: self.min_publishes.load(Relaxed),
+            spurious_wakeups: self.spurious.load(Relaxed),
         }
     }
 }
@@ -747,124 +413,90 @@ mod tests {
         c
     }
 
-    fn policies() -> [FrontierPolicy; 3] {
-        [
-            FrontierPolicy::SharedHeap,
-            FrontierPolicy::LocalPools { d: 5 },
-            FrontierPolicy::Sharded { d: 5 },
-        ]
+    fn sharded(d: u64) -> FrontierPolicy {
+        FrontierPolicy::Sharded { d }
     }
 
     #[test]
     fn seeded_root_is_acquired_first() {
-        for policy in policies() {
-            let f = Frontier::new(2, policy, chain(7));
-            let c = f.acquire(0).unwrap();
-            assert_eq!(c.bound, Bound(7), "{policy:?}");
-            f.finish(0);
-            assert!(f.acquire(0).is_none(), "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn shared_heap_pops_global_minimum() {
-        let f = Frontier::new(2, FrontierPolicy::SharedHeap, chain(5));
-        let first = f.acquire(0).unwrap();
-        assert_eq!(first.bound, Bound(5));
-        f.push_children(0, vec![chain(9), chain(3), chain(6)]);
-        let next = f.acquire(1).unwrap();
-        assert_eq!(next.bound, Bound(3));
-        f.abort();
+        let f = Frontier::new(2, sharded(5), chain(7));
+        let c = f.acquire(0).unwrap();
+        assert_eq!(c.bound, Bound(7));
+        f.finish(0);
+        assert!(f.acquire(0).is_none());
     }
 
     #[test]
     fn local_pools_respect_d() {
-        for mk in [
-            |d| FrontierPolicy::LocalPools { d },
-            |d| FrontierPolicy::Sharded { d },
-        ] {
-            // Worker 0 holds bounds {10}; worker 1 holds {13}. With D=5
-            // the remote 10 is not 5 cheaper than 13, so worker 1 stays
-            // local.
-            let f = Frontier::new(2, mk(5), chain(10));
-            // Seed worker 1's pool by pushing from worker 1.
-            f.push_children(1, vec![chain(13)]);
-            let got = f.acquire(1).unwrap();
-            assert_eq!(got.bound, Bound(13), "D gate keeps worker 1 local");
-            // With D=1, worker 1 steals the 10.
-            let f2 = Frontier::new(2, mk(1), chain(10));
-            f2.push_children(1, vec![chain(13)]);
-            let got2 = f2.acquire(1).unwrap();
-            assert_eq!(got2.bound, Bound(10));
-            assert_eq!(f2.counters().steals, 1);
-            f.abort();
-            f2.abort();
-        }
+        // Worker 0 holds bounds {10}; worker 1 holds {13}. With D=5 the
+        // remote 10 is not 5 cheaper than 13, so worker 1 stays local.
+        let f = Frontier::new(2, sharded(5), chain(10));
+        // Seed worker 1's pool by pushing from worker 1.
+        f.push_children_from(1, &mut vec![chain(13)]);
+        let got = f.acquire(1).unwrap();
+        assert_eq!(got.bound, Bound(13), "D gate keeps worker 1 local");
+        // With D=1, worker 1 steals the 10.
+        let f2 = Frontier::new(2, sharded(1), chain(10));
+        f2.push_children_from(1, &mut vec![chain(13)]);
+        let got2 = f2.acquire(1).unwrap();
+        assert_eq!(got2.bound, Bound(10));
+        assert_eq!(f2.counters().steals, 1);
+        f.abort();
+        f2.abort();
     }
 
     #[test]
     fn empty_local_pool_always_steals() {
-        for mk in [
-            |d| FrontierPolicy::LocalPools { d },
-            |d| FrontierPolicy::Sharded { d },
-        ] {
-            let f = Frontier::new(2, mk(1_000), chain(42));
-            let got = f.acquire(1).unwrap();
-            assert_eq!(got.bound, Bound(42));
-            assert_eq!(f.counters().steals, 1);
-            f.abort();
-        }
+        let f = Frontier::new(2, sharded(1_000), chain(42));
+        let got = f.acquire(1).unwrap();
+        assert_eq!(got.bound, Bound(42));
+        assert_eq!(f.counters().steals, 1);
+        f.abort();
     }
 
     #[test]
     fn finish_without_work_terminates_all() {
-        for policy in policies() {
-            let f = Frontier::new(1, policy, chain(1));
-            let _c = f.acquire(0).unwrap();
-            f.finish(0); // no children pushed → done
-            assert!(f.acquire(0).is_none(), "{policy:?}");
-            assert!(f.is_done(), "{policy:?}");
-        }
+        let f = Frontier::new(1, sharded(5), chain(1));
+        let _c = f.acquire(0).unwrap();
+        f.finish(0); // no children pushed → done
+        assert!(f.acquire(0).is_none());
+        assert!(f.is_done());
     }
 
     #[test]
     fn blocking_acquire_wakes_on_push() {
         use std::sync::Arc;
-        for policy in policies() {
-            let f = Arc::new(Frontier::new(2, policy, chain(1)));
-            let c = f.acquire(0).unwrap();
-            assert_eq!(c.bound, Bound(1));
-            let f2 = Arc::clone(&f);
-            let handle = std::thread::spawn(move || f2.acquire(1).map(|c| c.bound));
-            // The spawned worker blocks (active == 1, pool empty);
-            // pushing work must wake it.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            f.push_children(0, vec![chain(8)]);
-            f.finish(0);
-            let got = handle.join().unwrap();
-            assert_eq!(got, Some(Bound(8)), "{policy:?}");
-            f.abort();
-        }
+        let f = Arc::new(Frontier::new(2, sharded(5), chain(1)));
+        let c = f.acquire(0).unwrap();
+        assert_eq!(c.bound, Bound(1));
+        let f2 = Arc::clone(&f);
+        let handle = std::thread::spawn(move || f2.acquire(1).map(|c| c.bound));
+        // The spawned worker blocks (one chain active, every pool
+        // empty); pushing work must wake it.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        f.push_children_from(0, &mut vec![chain(8)]);
+        f.finish(0);
+        let got = handle.join().unwrap();
+        assert_eq!(got, Some(Bound(8)));
+        f.abort();
     }
 
     #[test]
     fn max_len_tracks_peak() {
-        for policy in policies() {
-            let f = Frontier::new(1, policy, chain(1));
-            let _ = f.acquire(0).unwrap();
-            f.push_children(0, vec![chain(2), chain(3), chain(4)]);
-            assert_eq!(f.counters().max_len, 3, "{policy:?}");
-            f.abort();
-        }
+        let f = Frontier::new(1, sharded(5), chain(1));
+        let _ = f.acquire(0).unwrap();
+        f.push_children_from(0, &mut vec![chain(2), chain(3), chain(4)]);
+        assert_eq!(f.counters().max_len, 3);
+        f.abort();
     }
 
     #[test]
     fn sharded_publishes_minimums() {
-        let f = Frontier::new(2, FrontierPolicy::Sharded { d: 0 }, chain(9));
+        let f = Frontier::new(2, sharded(0), chain(9));
         assert_eq!(f.global_min(), Some(Bound(9)));
         let _root = f.acquire(0).unwrap();
         assert_eq!(f.global_min(), None, "popped root leaves empty pools");
-        f.push_children(0, vec![chain(4), chain(6)]);
+        f.push_children_from(0, &mut vec![chain(4), chain(6)]);
         assert_eq!(f.global_min(), Some(Bound(4)));
         let c = f.counters();
         assert!(c.min_publishes >= 3, "seed + pop + batch push");
@@ -874,10 +506,10 @@ mod tests {
 
     #[test]
     fn batch_push_takes_one_lock_and_one_publish() {
-        let f = Frontier::new(1, FrontierPolicy::Sharded { d: 0 }, chain(1));
+        let f = Frontier::new(1, sharded(0), chain(1));
         let _ = f.acquire(0).unwrap();
         let before = f.counters();
-        f.push_children(0, vec![chain(2), chain(3), chain(4), chain(5)]);
+        f.push_children_from(0, &mut vec![chain(2), chain(3), chain(4), chain(5)]);
         let after = f.counters();
         assert_eq!(after.shard_locks - before.shard_locks, 1);
         assert_eq!(after.min_publishes - before.min_publishes, 1);
@@ -886,26 +518,23 @@ mod tests {
 
     #[test]
     fn dive_rule_follows_the_d_margin() {
-        let f = Frontier::new(1, FrontierPolicy::Sharded { d: 5 }, chain(10));
+        let f = Frontier::new(1, sharded(5), chain(10));
         let _root = f.acquire(0).unwrap();
         // Empty pool: any child is worth keeping.
         assert!(f.should_dive(0, Bound(1_000)));
-        f.push_children(0, vec![chain(10)]);
+        f.push_children_from(0, &mut vec![chain(10)]);
         // Child within D of the queued minimum: keep diving.
         assert!(f.should_dive(0, Bound(15)));
         // Queued chain more than D cheaper: go through the frontier.
         assert!(!f.should_dive(0, Bound(16)));
-        // Global-mutex policies never dive.
-        let g = Frontier::new(1, FrontierPolicy::LocalPools { d: 5 }, chain(10));
-        let _ = g.acquire(0).unwrap();
-        assert!(!g.should_dive(0, Bound(0)));
+        // Nothing dives once the search is over.
         f.abort();
-        g.abort();
+        assert!(!f.should_dive(0, Bound(0)));
     }
 
     #[test]
     fn push_children_from_reuses_the_buffer() {
-        let f = Frontier::new(1, FrontierPolicy::Sharded { d: 0 }, chain(1));
+        let f = Frontier::new(1, sharded(0), chain(1));
         let _ = f.acquire(0).unwrap();
         let mut buf = vec![chain(2), chain(3)];
         f.push_children_from(0, &mut buf);
@@ -920,7 +549,7 @@ mod tests {
         // 4 workers × a seeded pool; every worker drains until the
         // termination detector fires. Repeated to shake races out.
         for _ in 0..50 {
-            let f = Arc::new(Frontier::new(4, FrontierPolicy::Sharded { d: 2 }, chain(1)));
+            let f = Arc::new(Frontier::new(4, sharded(2), chain(1)));
             let handles: Vec<_> = (0..4)
                 .map(|w| {
                     let f = Arc::clone(&f);
@@ -929,10 +558,8 @@ mod tests {
                         while let Some(c) = f.acquire(w) {
                             // Fan out a little synthetic work.
                             if c.bound.0 < 6 {
-                                f.push_children(
-                                    w,
-                                    vec![chain(c.bound.0 + 2), chain(c.bound.0 + 3)],
-                                );
+                                let b = c.bound.0;
+                                f.push_children_from(w, &mut vec![chain(b + 2), chain(b + 3)]);
                             }
                             f.finish(w);
                             popped += 1;

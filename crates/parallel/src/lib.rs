@@ -6,23 +6,26 @@
 //! sketched in 1985:
 //!
 //! - [`frontier`] — the shared weighted frontier: per-worker chain pools
-//!   with the communication threshold **D** gating remote acquisition.
-//!   Three reproductions of the §6 comparator network are selectable via
-//!   [`FrontierPolicy`]: a global heap, per-worker pools under one mutex,
-//!   and the sharded store (per-pool locks + lock-free `AtomicU64`
-//!   published minimums + atomic-count termination).
-//! - [`orparallel`] — OR-parallel best-first search: workers expand the
+//!   with the communication threshold **D** gating remote acquisition,
+//!   the §6 comparator network as a sharded store (per-pool locks +
+//!   lock-free `AtomicU64` published minimums + atomic-count
+//!   termination).
+//! - [`orparallel`] — OR-parallel best-first search: every chain runs
+//!   `blog-core`'s one per-chain step (`expand_chain`). One worker is the
+//!   sequential heap, inline on the caller's thread; more expand the
 //!   globally cheapest chains concurrently, with incumbent-bound pruning
-//!   shared through an atomic, batched sprouts, and (under the sharded
-//!   policy) local dives that keep a worker on its own cheapest child.
+//!   shared through an atomic, batched sprouts, and local dives that keep
+//!   a worker on its own cheapest child.
 //! - [`andparallel`] — the §7 extensions: variable-sharing independence
 //!   analysis, fork-join evaluation of independent goal groups, and the
 //!   semi-join strategy for goals that do share variables.
 //!
 //! ## Weight-update semantics under parallelism
 //!
-//! Within one parallel query the weight database is frozen (workers read
-//! an immutable snapshot); solved and failed chains are logged and the §5
+//! Learning is one of two sinks of the same search loop. The sequential
+//! engine learns during the search (§5 on one processor). Within one
+//! parallel query the weight database is frozen (workers read an
+//! immutable snapshot); solved and failed chains are logged and the §5
 //! updates are applied when the query completes. The paper itself keeps
 //! strong updates in a session-local database and only consults weights
 //! to *guide* the search, so deferring the writes to the query boundary

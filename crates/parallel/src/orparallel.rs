@@ -1,34 +1,39 @@
-//! OR-parallel best-first execution on real threads.
+//! OR-parallel best-first execution.
 //!
 //! "Parallel searching is possible in a branch-and-bound problem …
 //! Each processor works on the chains with the lowest bounds" (§3).
-//! Workers are OS threads; the frontier is [`Frontier`]; pruning shares
-//! the incumbent bound through an atomic; weight learning is applied at
-//! the query boundary (see the crate docs for why).
+//! Every chain goes through `blog-core`'s one per-chain step,
+//! [`expand_chain`]; this module holds the multi-threaded executor and
+//! the join. One worker is `blog-core`'s thread-local heap
+//! ([`best_first_deferred`]) on the caller's thread; two or more are OS
+//! threads sharing a sharded [`Frontier`] and an atomic incumbent. Either
+//! way the weights stay frozen and every closed chain is logged, and the
+//! §5 updates are applied at join (see the crate docs for why): the
+//! deferred sink of the same loop that learns during the search in
+//! `best_first_with`.
 //!
-//! Under [`FrontierPolicy::Sharded`] the worker loop adds the paper's "a
-//! processor keeps its own cheapest chain": after an expansion, if the
-//! cheapest sprouted child is within `D` of the **global** published
-//! minimum (N lock-free atomic loads — the §6 comparison; see
-//! [`Frontier::should_dive`](crate::frontier::Frontier::should_dive)),
-//! the worker **dives** — it expands that child immediately, pushing
-//! only the siblings, so the common deepening step costs one shard lock
-//! instead of a push + acquire round-trip. A per-acquisition dive budget
-//! bounds how far a worker may run ahead of the frontier order.
+//! The sharded worker adds the paper's "a processor keeps its own
+//! cheapest chain": after an expansion, if the cheapest sprouted child is
+//! within `D` of the **global** published minimum (N lock-free atomic
+//! loads — the §6 comparison; see [`Frontier::should_dive`]), the worker
+//! **dives** — it expands that child immediately, pushing only the
+//! siblings, so the common deepening step costs one shard lock instead of
+//! a push + acquire round-trip. A per-acquisition dive budget bounds how
+//! far a worker may run ahead of the frontier order.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use blog_core::chain::Chain;
-use blog_core::engine::{BoundedSolution, PruneMode};
-use blog_core::update::{failure_update, success_update, InfinityPlacement};
+use blog_core::engine::{
+    best_first_deferred, expand_chain, BestFirstConfig, BlogStats, BoundedSolution, ChainOutcome,
+    Executor, PruneMode, Search,
+};
+use blog_core::update::{chain_update, InfinityPlacement, UpdateOutcome};
 use blog_core::util::SplitMix64;
-use blog_core::weight::{Bound, WeightParams, WeightState, WeightStore, WeightView};
-use blog_logic::node::ExpandStats;
+use blog_core::weight::{Bound, Weight, WeightState, WeightStore, WeightView};
 use blog_logic::{
-    try_expand_via, CancelToken, ClauseDb, ClauseSource, PointerKey, Query, SearchNode,
-    SearchStats, Solution, SolveConfig, StoreError,
+    CancelToken, ClauseDb, ClauseSource, PointerKey, Query, SearchStats, SolveConfig, StoreError,
 };
 use parking_lot::Mutex;
 
@@ -37,9 +42,10 @@ use crate::frontier::{Frontier, FrontierCounters, FrontierPolicy};
 /// Configuration for [`par_best_first`].
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
-    /// Worker threads (the paper's processors).
+    /// Workers (the paper's processors). One runs inline on the caller's
+    /// thread; more are OS threads.
     pub n_workers: usize,
-    /// Frontier sharing policy.
+    /// Frontier sharing policy for two or more workers.
     pub policy: FrontierPolicy,
     /// Incumbent pruning mode.
     pub prune: PruneMode,
@@ -51,13 +57,13 @@ pub struct ParallelConfig {
     pub infinity_placement: InfinityPlacement,
     /// Seed for the `Random` placement ablation.
     pub seed: u64,
-    /// Maximum consecutive local dives per acquisition (sharded policy
-    /// only; 0 disables diving). Each acquire refreshes the budget.
+    /// Maximum consecutive local dives per acquisition (two or more
+    /// workers; 0 disables diving). Each acquire refreshes the budget.
     pub dive_budget: u32,
-    /// Cooperative cancellation, observed once per processed chain and
-    /// folded into the frontier's abort flag (the same flag the node
-    /// budget and `max_solutions` exits use), so every worker drains and
-    /// joins promptly. Reported as [`SearchStats::truncated`].
+    /// Cooperative cancellation, observed once per processed chain. It
+    /// stops the search exactly like the node budget and the
+    /// `max_solutions` exits, so every worker drains and joins promptly.
+    /// Reported as [`SearchStats::truncated`].
     pub cancel: Option<CancelToken>,
 }
 
@@ -88,6 +94,7 @@ pub struct ParallelResult {
     /// Chains discarded by incumbent pruning.
     pub pruned: u64,
     /// Frontier counters (steals, locals, dives, lock/publish traffic).
+    /// A one-worker run has no shared frontier: only `max_len` is set.
     pub counters: FrontierCounters,
     /// Nodes expanded by each worker (the load-balance picture).
     pub per_worker_expanded: Vec<u64>,
@@ -96,232 +103,159 @@ pub struct ParallelResult {
     pub learned: HashMap<PointerKey, WeightState>,
     /// The first storage fault any worker hit, if one did. `Some` only
     /// when searching a fault-planned source: the run aborted (every
-    /// worker drained via the frontier's abort flag, `stats.truncated`
-    /// set) and `solutions` holds whatever closed before the fault —
-    /// callers must treat the set as partial, never complete.
+    /// worker drained, `stats.truncated` set) and `solutions` holds
+    /// whatever closed before the fault — callers must treat the set as
+    /// partial, never complete.
     pub store_error: Option<StoreError>,
 }
 
-struct SharedCtx<'a, S: ClauseSource + ?Sized> {
-    source: &'a S,
+/// Query-wide state the sharded workers share.
+struct Shared<'a> {
     weights: &'a WeightStore,
-    frontier: Frontier,
     config: &'a ParallelConfig,
+    frontier: Frontier,
+    /// Best solution bound so far; `u64::MAX` before the first.
     incumbent: AtomicU64,
+    /// Expansions claimed against the node budget, all workers.
     nodes: AtomicU64,
     solutions: Mutex<Vec<BoundedSolution>>,
     /// First storage fault observed by any worker (first writer wins;
     /// later faults are aftershocks of the same abort).
     store_error: Mutex<Option<StoreError>>,
-    var_names: Arc<Vec<String>>,
-    n_query_vars: u32,
 }
 
-/// Per-worker outcome, merged (deterministically, by worker id) at join.
-#[derive(Default)]
-struct WorkerStats {
-    stats: SearchStats,
-    pruned: u64,
+/// One sharded worker: the multi-threaded [`Executor`].
+struct Worker<'s, 'a> {
+    shared: &'s Shared<'a>,
+    w: usize,
+    dives_left: u32,
     dives: u64,
     /// §5 chain log, kept thread-local so the hot path never touches a
-    /// shared mutex; `(arcs root→leaf, success)` in completion order.
-    chain_log: Vec<(Vec<PointerKey>, bool)>,
+    /// shared mutex; in completion order.
+    chain_log: Vec<ChainOutcome>,
 }
 
-/// What to do with the active slot after processing one chain.
-enum Step {
-    /// The chain's lineage ended (solution, failure, cutoff, pushed).
-    Done,
-    /// Keep the slot: expand this dived child next.
-    Dive(Chain),
-}
-
-/// Process one chain: prune/solution/limit checks, expansion, sprouting
-/// into `buf`, then either dive into the cheapest child or push the whole
-/// batch. Shared by the acquired chain and every dived descendant.
-#[allow(clippy::too_many_arguments)]
-fn step<S: ClauseSource + ?Sized>(
-    ctx: &SharedCtx<'_, S>,
-    w: usize,
-    out: &mut WorkerStats,
-    chain: Chain,
-    buf: &mut Vec<Chain>,
-    dives_left: &mut u32,
-    params: WeightParams,
-) -> Step {
-    // Cooperative cancellation (a deadline reaper, a server shedding
-    // load): fold into the frontier's abort flag so every worker exits.
-    if ctx.config.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-        out.stats.truncated = true;
-        ctx.frontier.abort();
-        return Step::Done;
+impl Executor for Worker<'_, '_> {
+    fn weight(&self, arc: PointerKey) -> Weight {
+        let weights = self.shared.weights;
+        weights.get(arc).effective(weights.params())
     }
 
-    // Incumbent pruning.
-    if let PruneMode::Incumbent { slack } = ctx.config.prune {
-        let best = ctx.incumbent.load(Ordering::Acquire);
-        if best != u64::MAX && chain.bound.0 > best.saturating_add(slack.0 as u64) {
-            out.pruned += 1;
-            return Step::Done;
-        }
+    fn incumbent(&self, _own: Option<Bound>) -> Option<Bound> {
+        let best = self.shared.incumbent.load(Ordering::Acquire);
+        (best != u64::MAX).then_some(Bound(best))
     }
 
-    if chain.node.is_solution() {
-        // Resolves through the shared frame chain under the default
-        // representation — frames are `Arc`-shared across workers, so
-        // extraction never copies another thread's state.
-        let terms = (0..ctx.n_query_vars)
-            .map(|i| chain.node.resolve_var(i))
-            .collect();
-        let bounded = BoundedSolution {
-            solution: Solution {
-                var_names: Arc::clone(&ctx.var_names),
-                terms,
-                depth: chain.node.depth,
-            },
-            bound: chain.bound,
-        };
-        out.stats.solutions += 1;
-        ctx.incumbent.fetch_min(chain.bound.0, Ordering::AcqRel);
-        if ctx.config.learn {
-            out.chain_log.push((chain.arcs_root_to_leaf(), true));
+    fn close(&mut self, solution: BoundedSolution, cap: Option<usize>) -> Option<bool> {
+        // Check the cap and push under one lock: a worker still holding a
+        // solution chain when another meets the cap must not push past it.
+        // The incumbent drops to this bound for every worker.
+        let mut solutions = self.shared.solutions.lock();
+        if cap.is_some_and(|m| solutions.len() >= m) {
+            return None;
         }
-        let mut sols = ctx.solutions.lock();
-        sols.push(bounded);
-        let enough = ctx
-            .config
-            .solve
-            .max_solutions
-            .is_some_and(|m| sols.len() >= m);
-        drop(sols);
-        if enough {
-            ctx.frontier.abort();
-        }
-        return Step::Done;
+        self.shared
+            .incumbent
+            .fetch_min(solution.bound.0, Ordering::AcqRel);
+        solutions.push(solution);
+        Some(cap.is_some_and(|m| solutions.len() >= m))
     }
 
-    if let Some(limit) = ctx.config.solve.max_depth {
-        if chain.node.depth >= limit {
-            out.stats.depth_cutoff = true;
-            return Step::Done;
-        }
-    }
-    if let Some(budget) = ctx.config.solve.max_nodes {
-        if ctx.nodes.fetch_add(1, Ordering::Relaxed) >= budget {
-            out.stats.truncated = true;
-            ctx.frontier.abort();
-            return Step::Done;
-        }
-    } else {
-        ctx.nodes.fetch_add(1, Ordering::Relaxed);
+    fn claim_node(&mut self, _expanded: u64, budget: u64) -> bool {
+        self.shared.nodes.fetch_add(1, Ordering::Relaxed) < budget
     }
 
-    out.stats.nodes_expanded += 1;
-    let mut est = ExpandStats::default();
-    let children = match try_expand_via(ctx.source, &chain.node, &mut est) {
-        Ok(children) => children,
-        Err(e) => {
-            // A storage fault aborts the whole query: record the first
-            // error, mark the run truncated, and drain every worker
-            // through the frontier's abort flag (the same path a node
-            // budget or cancel uses), so no worker strands.
-            let mut slot = ctx.store_error.lock();
-            if slot.is_none() {
-                *slot = Some(e);
+    fn learn(&mut self, arcs: Vec<PointerKey>, success: bool) -> Option<UpdateOutcome> {
+        self.chain_log.push((arcs, success));
+        None
+    }
+
+    fn sprout(&mut self, children: &mut Vec<Chain>) -> Option<Chain> {
+        let frontier = &self.shared.frontier;
+        // Local dive: keep the cheapest child when it is within D of the
+        // global published minimum, pushing only the siblings.
+        if self.dives_left > 0 {
+            let (min_idx, min_bound) = children
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (i, c.bound))
+                .min_by_key(|&(_, b)| b)
+                .expect("a sprout has at least one child");
+            if frontier.should_dive(self.w, min_bound) {
+                self.dives_left -= 1;
+                self.dives += 1;
+                if let Some(t) = &self.shared.config.solve.trace {
+                    t.event("dive", format!("worker {} bound {min_bound}", self.w));
+                }
+                let next = children.swap_remove(min_idx);
+                frontier.push_children_from(self.w, children);
+                return Some(next);
             }
-            drop(slot);
-            out.stats.truncated = true;
-            ctx.frontier.abort();
-            return Step::Done;
         }
-    };
-    out.stats.unify_attempts += est.unify_attempts;
-    out.stats.unify_successes += est.unify_successes;
-    out.stats.bytes_copied += est.bytes_copied;
-
-    if children.is_empty() {
-        out.stats.failures += 1;
-        if ctx.config.learn {
-            out.chain_log.push((chain.arcs_root_to_leaf(), false));
-        }
-        return Step::Done;
+        frontier.push_children_from(self.w, children);
+        None
     }
 
-    // Batched sprout: build the whole batch in the reusable buffer, then
-    // hand it to the frontier under one shard-lock acquisition.
-    debug_assert!(buf.is_empty());
-    buf.extend(children.into_iter().map(|c| {
-        let wgt = ctx.weights.get(c.arc).effective(params);
-        chain.extend(c.arc, wgt, c.node)
-    }));
-
-    // Local dive: keep the cheapest child when it is within D of the
-    // global published minimum, pushing only the siblings.
-    if *dives_left > 0 {
-        let (min_idx, min_bound) = buf
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, c.bound))
-            .min_by_key(|&(_, b)| b)
-            .expect("children non-empty");
-        if ctx.frontier.should_dive(w, min_bound) {
-            *dives_left -= 1;
-            out.dives += 1;
-            if let Some(t) = &ctx.config.solve.trace {
-                t.event("dive", format!("worker {w} bound {min_bound}"));
-            }
-            let next = buf.swap_remove(min_idx);
-            ctx.frontier.push_children_from(w, buf);
-            return Step::Dive(next);
+    fn stop(&mut self, fault: Option<StoreError>) {
+        if let Some(e) = fault {
+            self.shared.store_error.lock().get_or_insert(e);
         }
+        // Every worker drains through the frontier's abort flag, so none
+        // strands waiting for work.
+        self.shared.frontier.abort();
     }
-    ctx.frontier.push_children_from(w, buf);
-    Step::Done
 }
 
 /// Aborts the frontier if the worker unwinds, so a panicking worker
 /// (whose `finish` never runs) fails the whole query loudly at join
 /// instead of leaving its active slot leaked and the surviving workers
 /// waiting for a termination signal that can never come.
-struct AbortOnPanic<'a>(&'a Frontier);
-
-impl Drop for AbortOnPanic<'_> {
+impl Drop for Worker<'_, '_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.abort();
+            self.shared.frontier.abort();
         }
     }
 }
 
-fn worker_loop<S: ClauseSource + ?Sized>(ctx: &SharedCtx<'_, S>, w: usize) -> WorkerStats {
-    let _abort_guard = AbortOnPanic(&ctx.frontier);
+fn worker_loop<'s, 'a, S: ClauseSource + ?Sized>(
+    search: &Search<'_, S>,
+    shared: &'s Shared<'a>,
+    w: usize,
+) -> (SearchStats, BlogStats, Worker<'s, 'a>) {
     // One span per worker thread, parented under the request's engine
     // span: the flight record shows each worker's busy interval, with
     // its dive events nested by timestamp.
-    let _worker_span = ctx
+    let _worker_span = shared
         .config
         .solve
         .trace
         .as_ref()
         .map(|t| t.span(format!("worker{w}")));
-    let mut out = WorkerStats::default();
-    let params = ctx.weights.params();
+    let mut worker = Worker {
+        shared,
+        w,
+        dives_left: 0,
+        dives: 0,
+        chain_log: Vec::new(),
+    };
+    let mut stats = SearchStats::default();
+    let mut blog = BlogStats::default();
     // Reused across every expansion this worker performs.
     let mut buf: Vec<Chain> = Vec::new();
-    while let Some(chain) = ctx.frontier.acquire(w) {
-        let mut cur = chain;
-        let mut dives_left = ctx.config.dive_budget;
-        while let Step::Dive(next) = step(ctx, w, &mut out, cur, &mut buf, &mut dives_left, params)
-        {
-            cur = next;
+    while let Some(chain) = shared.frontier.acquire(w) {
+        worker.dives_left = shared.config.dive_budget;
+        let mut next = Some(chain);
+        while let Some(chain) = next {
+            next = expand_chain(search, &mut worker, &mut stats, &mut blog, chain, &mut buf);
         }
         // One `finish` per acquire: the dive lineage shares the slot.
-        ctx.frontier.finish(w);
+        shared.frontier.finish(w);
     }
-    out
+    (stats, blog, worker)
 }
 
-/// Run OR-parallel best-first search with `config.n_workers` threads,
+/// Run OR-parallel best-first search with `config.n_workers` workers,
 /// reading weights from the frozen `weights` snapshot.
 pub fn par_best_first(
     db: &ClauseDb,
@@ -345,44 +279,85 @@ pub fn par_best_first_with<S: ClauseSource + ?Sized>(
     config: &ParallelConfig,
 ) -> ParallelResult {
     assert!(config.n_workers >= 1);
-    let root = Chain::root(SearchNode::root_with(&query.goals, config.solve.state_repr));
-    let ctx = SharedCtx {
-        source,
+    let cfg = BestFirstConfig {
+        solve: config.solve.clone(),
+        prune: config.prune,
+        learn: config.learn,
+        cancel: config.cancel.clone(),
+        ..BestFirstConfig::default()
+    };
+    let (mut result, logs) = if config.n_workers == 1 {
+        // One worker: `blog-core`'s heap on the caller's thread — no
+        // thread spawn, no locks — logging like a sharded worker.
+        let (r, log) = best_first_deferred(source, query, weights, &cfg);
+        let result = ParallelResult {
+            per_worker_expanded: vec![r.stats.nodes_expanded],
+            counters: FrontierCounters {
+                max_len: r.stats.max_frontier,
+                ..FrontierCounters::default()
+            },
+            pruned: r.blog.pruned,
+            solutions: r.solutions,
+            stats: r.stats,
+            learned: HashMap::new(),
+            store_error: r.store_error,
+        };
+        (result, vec![log])
+    } else {
+        run_sharded(&Search::new(source, query, &cfg), weights, config)
+    };
+
+    // Apply the deferred §5 updates from the per-worker logs, merged
+    // deterministically: by worker id, then per-worker completion order.
+    let (placement, mut rng) = (config.infinity_placement, SplitMix64::new(config.seed));
+    let mut view = WeightView::new(&mut result.learned, weights);
+    for (arcs, success) in logs.iter().flatten() {
+        chain_update(&mut view, arcs, *success, placement, &mut rng);
+    }
+    result
+}
+
+/// Two or more workers: scoped OS threads sharing a sharded frontier.
+fn run_sharded<S: ClauseSource + ?Sized>(
+    search: &Search<'_, S>,
+    weights: &WeightStore,
+    config: &ParallelConfig,
+) -> (ParallelResult, Vec<Vec<ChainOutcome>>) {
+    let shared = Shared {
         weights,
-        frontier: Frontier::new(config.n_workers, config.policy, root),
         config,
+        frontier: Frontier::new(config.n_workers, config.policy, search.root()),
         incumbent: AtomicU64::new(u64::MAX),
         nodes: AtomicU64::new(0),
         solutions: Mutex::new(Vec::new()),
         store_error: Mutex::new(None),
-        var_names: Arc::new(query.var_names.clone()),
-        n_query_vars: query.var_names.len() as u32,
     };
-
-    let mut per_worker: Vec<WorkerStats> = Vec::with_capacity(config.n_workers);
-    std::thread::scope(|scope| {
+    let per_worker: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.n_workers)
             .map(|w| {
-                let ctx_ref = &ctx;
-                scope.spawn(move || worker_loop(ctx_ref, w))
+                let shared = &shared;
+                scope.spawn(move || worker_loop(search, shared, w))
             })
             .collect();
-        for h in handles {
-            per_worker.push(h.join().expect("worker thread panicked"));
-        }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect()
     });
 
     let mut stats = SearchStats::default();
     let mut pruned = 0;
     let mut dives = 0;
     let mut per_worker_expanded = Vec::with_capacity(per_worker.len());
-    for w in &per_worker {
-        stats.merge(&w.stats);
-        pruned += w.pruned;
-        dives += w.dives;
-        per_worker_expanded.push(w.stats.nodes_expanded);
+    let mut logs = Vec::with_capacity(per_worker.len());
+    for (w_stats, blog, mut worker) in per_worker {
+        stats.merge(&w_stats);
+        pruned += blog.pruned;
+        dives += worker.dives;
+        per_worker_expanded.push(w_stats.nodes_expanded);
+        logs.push(std::mem::take(&mut worker.chain_log));
     }
-    let mut counters = ctx.frontier.counters();
+    let mut counters = shared.frontier.counters();
     counters.dives = dives;
     stats.max_frontier = counters.max_len;
     if let Some(t) = &config.solve.trace {
@@ -394,42 +369,16 @@ pub fn par_best_first_with<S: ClauseSource + ?Sized>(
             ),
         );
     }
-
-    // Apply the deferred §5 updates from the per-worker logs, merged
-    // deterministically: by worker id, then per-worker completion order.
-    let mut learned: HashMap<PointerKey, WeightState> = HashMap::new();
-    if config.learn {
-        let mut rng = SplitMix64::new(config.seed);
-        let mut view = WeightView::new(&mut learned, weights);
-        for wstats in &per_worker {
-            for (arcs, success) in &wstats.chain_log {
-                if *success {
-                    success_update(&mut view, arcs);
-                } else {
-                    failure_update(&mut view, arcs, config.infinity_placement, &mut rng);
-                }
-            }
-        }
-    }
-
-    let solutions = ctx.solutions.into_inner();
-    stats.solutions = solutions.len() as u64;
-    let store_error = ctx.store_error.into_inner();
-    ParallelResult {
-        solutions,
+    let result = ParallelResult {
+        solutions: shared.solutions.into_inner(),
         stats,
         pruned,
         counters,
         per_worker_expanded,
-        learned,
-        store_error,
-    }
-}
-
-/// Convenience: the incumbent bound as a [`Bound`], if any solution was
-/// found.
-pub fn best_bound(result: &ParallelResult) -> Option<Bound> {
-    result.solutions.iter().map(|s| s.bound).min()
+        learned: HashMap::new(),
+        store_error: shared.store_error.into_inner(),
+    };
+    (result, logs)
 }
 
 #[cfg(test)]
@@ -447,22 +396,14 @@ mod tests {
         ?- gf(sam,G).
     ";
 
+    /// Worker counts that select each executor: the inline heap and the
+    /// sharded threads.
+    const EXECUTORS: [usize; 2] = [1, 4];
+
     fn sorted_texts(db: &ClauseDb, r: &ParallelResult) -> Vec<String> {
-        let mut v: Vec<String> = r
-            .solutions
-            .iter()
-            .map(|s| s.solution.to_text(db))
-            .collect();
+        let mut v: Vec<String> = r.solutions.iter().map(|s| s.solution.to_text(db)).collect();
         v.sort();
         v
-    }
-
-    fn all_policies() -> [FrontierPolicy; 3] {
-        [
-            FrontierPolicy::SharedHeap,
-            FrontierPolicy::LocalPools { d: 512 },
-            FrontierPolicy::Sharded { d: 512 },
-        ]
     }
 
     #[test]
@@ -470,20 +411,19 @@ mod tests {
         let p = parse_program(FAMILY).unwrap();
         let weights = WeightStore::new(WeightParams::default());
         let d = dfs_all(&p.db, &p.queries[0], &SolveConfig::all());
-        let mut expect: Vec<String> =
-            d.solutions.iter().map(|s| s.to_text(&p.db)).collect();
+        let mut expect: Vec<String> = d.solutions.iter().map(|s| s.to_text(&p.db)).collect();
         expect.sort();
-        for policy in all_policies() {
+        for n_workers in EXECUTORS {
             let r = par_best_first(
                 &p.db,
                 &p.queries[0],
                 &weights,
                 &ParallelConfig {
-                    policy,
+                    n_workers,
                     ..ParallelConfig::default()
                 },
             );
-            assert_eq!(sorted_texts(&p.db, &r), expect, "{policy:?}");
+            assert_eq!(sorted_texts(&p.db, &r), expect, "x{n_workers}");
         }
     }
 
@@ -517,33 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn policies_agree_on_set_and_total_work() {
-        // The T8 equivalence claim in miniature: same solution set and
-        // (pruning off) same nodes expanded under every frontier policy.
-        let p = parse_program(FAMILY).unwrap();
-        let weights = WeightStore::new(WeightParams::default());
-        let runs: Vec<_> = all_policies()
-            .into_iter()
-            .map(|policy| {
-                par_best_first(
-                    &p.db,
-                    &p.queries[0],
-                    &weights,
-                    &ParallelConfig {
-                        n_workers: 4,
-                        policy,
-                        ..ParallelConfig::default()
-                    },
-                )
-            })
-            .collect();
-        for r in &runs[1..] {
-            assert_eq!(sorted_texts(&p.db, &runs[0]), sorted_texts(&p.db, r));
-            assert_eq!(runs[0].stats.nodes_expanded, r.stats.nodes_expanded);
-        }
-    }
-
-    #[test]
     fn sharded_runs_dive() {
         let p = parse_program(FAMILY).unwrap();
         let weights = WeightStore::new(WeightParams::default());
@@ -559,10 +472,7 @@ mod tests {
         );
         assert!(r.counters.dives > 0, "family search deepens via dives");
         // Dived chains never pass through the frontier store.
-        assert!(
-            r.counters.dives + r.counters.local + r.counters.steals
-                >= r.stats.nodes_expanded
-        );
+        assert!(r.counters.dives + r.counters.local + r.counters.steals >= r.stats.nodes_expanded);
     }
 
     #[test]
@@ -586,7 +496,7 @@ mod tests {
     fn pre_cancelled_token_aborts_every_policy() {
         let p = parse_program(FAMILY).unwrap();
         let weights = WeightStore::new(WeightParams::default());
-        for policy in all_policies() {
+        for n_workers in EXECUTORS {
             let token = CancelToken::new();
             token.cancel();
             let r = par_best_first(
@@ -594,13 +504,13 @@ mod tests {
                 &p.queries[0],
                 &weights,
                 &ParallelConfig {
-                    policy,
+                    n_workers,
                     cancel: Some(token),
                     ..ParallelConfig::default()
                 },
             );
-            assert!(r.stats.truncated, "{policy:?}");
-            assert_eq!(r.stats.nodes_expanded, 0, "{policy:?}");
+            assert!(r.stats.truncated, "x{n_workers}");
+            assert_eq!(r.stats.nodes_expanded, 0, "x{n_workers}");
         }
     }
 
@@ -640,16 +550,19 @@ mod tests {
     fn max_solutions_stops_early() {
         let p = parse_program(FAMILY).unwrap();
         let weights = WeightStore::new(WeightParams::default());
-        let r = par_best_first(
-            &p.db,
-            &p.queries[0],
-            &weights,
-            &ParallelConfig {
-                solve: SolveConfig::first(),
-                ..ParallelConfig::default()
-            },
-        );
-        assert!(!r.solutions.is_empty());
+        for n_workers in EXECUTORS {
+            let r = par_best_first(
+                &p.db,
+                &p.queries[0],
+                &weights,
+                &ParallelConfig {
+                    n_workers,
+                    solve: SolveConfig::first(),
+                    ..ParallelConfig::default()
+                },
+            );
+            assert_eq!(r.solutions.len(), 1, "x{n_workers}");
+        }
     }
 
     #[test]
@@ -675,9 +588,9 @@ mod tests {
     #[test]
     fn learned_overlay_is_stable_across_workers_and_policies() {
         // The per-worker chain logs (merged by worker id at join) must
-        // produce the same overlay the old shared-mutex log did: on the
+        // produce the same overlay as the inline one-worker heap: on the
         // family workload the §5 updates commute, so any worker count and
-        // any policy lands on the same weights.
+        // any D lands on the same weights.
         let p = parse_program(FAMILY).unwrap();
         let weights = WeightStore::new(WeightParams::default());
         let base = par_best_first(
@@ -686,11 +599,10 @@ mod tests {
             &weights,
             &ParallelConfig {
                 n_workers: 1,
-                policy: FrontierPolicy::SharedHeap,
                 ..ParallelConfig::default()
             },
         );
-        for policy in all_policies() {
+        for d in [0, 512] {
             for n_workers in [1, 4, 8] {
                 let r = par_best_first(
                     &p.db,
@@ -698,13 +610,13 @@ mod tests {
                     &weights,
                     &ParallelConfig {
                         n_workers,
-                        policy,
+                        policy: FrontierPolicy::Sharded { d },
                         ..ParallelConfig::default()
                     },
                 );
                 assert_eq!(
                     r.learned, base.learned,
-                    "{policy:?} x{n_workers}: overlay must be unchanged"
+                    "D={d} x{n_workers}: overlay must be unchanged"
                 );
             }
         }
@@ -724,22 +636,6 @@ mod tests {
             },
         );
         assert!(r.learned.is_empty());
-    }
-
-    #[test]
-    fn shared_heap_policy_works() {
-        let p = parse_program(FAMILY).unwrap();
-        let weights = WeightStore::new(WeightParams::default());
-        let r = par_best_first(
-            &p.db,
-            &p.queries[0],
-            &weights,
-            &ParallelConfig {
-                policy: FrontierPolicy::SharedHeap,
-                ..ParallelConfig::default()
-            },
-        );
-        assert_eq!(r.solutions.len(), 2);
     }
 
     #[test]
@@ -783,13 +679,13 @@ mod tests {
         )
         .unwrap();
         let weights = WeightStore::new(WeightParams::default());
-        for policy in all_policies() {
+        for n_workers in EXECUTORS {
             let r = par_best_first(
                 &p.db,
                 &p.queries[0],
                 &weights,
                 &ParallelConfig {
-                    policy,
+                    n_workers,
                     solve: SolveConfig {
                         max_nodes: Some(500),
                         ..SolveConfig::all()
@@ -797,46 +693,22 @@ mod tests {
                     ..ParallelConfig::default()
                 },
             );
-            assert!(r.stats.truncated, "{policy:?}");
+            assert!(r.stats.truncated, "x{n_workers}");
         }
     }
 
     #[test]
     fn queens_parallel_matches_sequential_count() {
         // A bigger nondeterministic workload exercises real contention.
-        let src = {
-            // Inline 4-queens via the dom/ok encoding.
-            let mut s = String::new();
-            for c in 1..=4 {
-                s.push_str(&format!("dom({c}).\n"));
-            }
-            for d in 1..4i64 {
-                for c1 in 1..=4i64 {
-                    for c2 in 1..=4i64 {
-                        let dc = c1 - c2;
-                        if dc != 0 && dc.abs() != d {
-                            s.push_str(&format!("ok({d},{c1},{c2}).\n"));
-                        }
-                    }
-                }
-            }
-            s.push_str(
-                "q(Q1,Q2,Q3,Q4) :- dom(Q1), dom(Q2), ok(1,Q1,Q2), dom(Q3), \
-                 ok(2,Q1,Q3), ok(1,Q2,Q3), dom(Q4), ok(3,Q1,Q4), ok(2,Q2,Q4), \
-                 ok(1,Q3,Q4).\n?- q(Q1,Q2,Q3,Q4).\n",
-            );
-            s
-        };
-        let p = parse_program(&src).unwrap();
+        let (p, _) = blog_workloads::queens_program(&blog_workloads::QueensParams { n: 4 });
         let weights = WeightStore::new(WeightParams::default());
-        for policy in all_policies() {
+        for n_workers in [1, 8] {
             let r = par_best_first(
                 &p.db,
                 &p.queries[0],
                 &weights,
                 &ParallelConfig {
-                    n_workers: 8,
-                    policy,
+                    n_workers,
                     ..ParallelConfig::default()
                 },
             );
@@ -848,7 +720,7 @@ mod tests {
             assert_eq!(
                 r.per_worker_expanded.iter().sum::<u64>(),
                 r.stats.nodes_expanded,
-                "{policy:?}"
+                "x{n_workers}"
             );
         }
     }

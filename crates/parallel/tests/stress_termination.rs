@@ -16,15 +16,17 @@ use blog_parallel::{par_best_first, FrontierPolicy, ParallelConfig};
 /// by budget or early exit, never by exhaustion — the adversarial case
 /// for termination detection.
 fn cyclic_program() -> Arc<Program> {
-    Arc::new(parse_program(
-        "
+    Arc::new(
+        parse_program(
+            "
         edge(a,b). edge(b,c). edge(c,a). edge(b,a).
         path(X,Y) :- edge(X,Y).
         path(X,Z) :- edge(X,Y), path(Y,Z).
         ?- path(a,c).
     ",
+        )
+        .unwrap(),
     )
-    .unwrap())
 }
 
 /// Run one configuration under a watchdog; panics (failing the test) if
@@ -63,7 +65,9 @@ fn sharded_termination_survives_budget_aborts_and_early_exits() {
         let budget = 20 + (i % 37) as u64 * 3;
         let cfg = ParallelConfig {
             n_workers: 8,
-            policy: FrontierPolicy::Sharded { d: (i % 5) as u64 * 64 },
+            policy: FrontierPolicy::Sharded {
+                d: (i % 5) as u64 * 64,
+            },
             dive_budget: (i % 4) as u32 * 8,
             learn: false,
             solve: SolveConfig {
@@ -108,32 +112,38 @@ fn sharded_termination_survives_max_solutions_exits() {
 }
 
 #[test]
-fn legacy_policies_survive_the_same_stress() {
-    // The wake-storm fix changed the global-mutex wakeup path; give it
-    // the same adversarial treatment (fewer iterations — it is the
-    // baseline, not the subject).
-    let p = cyclic_program();
-    for policy in [
-        FrontierPolicy::SharedHeap,
-        FrontierPolicy::LocalPools { d: 128 },
-    ] {
-        for i in 0..50 {
+fn max_solutions_cap_holds_under_contention() {
+    // 30³ solutions; every `c/1` expansion sprouts 30 solution chains at
+    // once, so workers still holding solution chains race to close them
+    // after another met the cap. A response must never carry more
+    // answers than the request asked for.
+    let mut src = String::new();
+    for pred in ["a", "b", "c"] {
+        for i in 0..30 {
+            src.push_str(&format!("{pred}(k{i}).\n"));
+        }
+    }
+    src.push_str("p(X,Y,Z) :- a(X), b(Y), c(Z).\n?- p(X,Y,Z).\n");
+    let p = parse_program(&src).unwrap();
+    let weights = WeightStore::new(WeightParams::default());
+    for n_workers in [2, 8] {
+        for i in 0..100 {
             let cfg = ParallelConfig {
-                n_workers: 8,
-                policy,
+                n_workers,
                 learn: false,
                 solve: SolveConfig {
-                    max_nodes: Some(20 + (i % 23) as u64 * 5),
+                    max_solutions: Some(3),
                     ..SolveConfig::all()
                 },
                 ..ParallelConfig::default()
             };
-            run_with_watchdog(
-                &p,
-                cfg,
-                Duration::from_secs(10),
-                &format!("{policy:?} iteration {i}"),
+            let r = par_best_first(&p.db, &p.queries[0], &weights, &cfg);
+            assert_eq!(
+                r.solutions.len(),
+                3,
+                "{n_workers} workers, run {i}: the cap is 3"
             );
+            assert_eq!(r.stats.solutions, 3, "{n_workers} workers, run {i}");
         }
     }
 }

@@ -78,7 +78,8 @@ pub enum ExecMode {
     Sequential,
     /// The OR-parallel executor: every request fans out over
     /// `n_workers` threads that share the pool's store view (and
-    /// therefore its touch attribution).
+    /// therefore its touch attribution). One worker runs the sequential
+    /// heap inline on the pool's thread.
     OrParallel {
         /// Worker threads per request.
         n_workers: usize,

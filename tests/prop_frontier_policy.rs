@@ -1,12 +1,16 @@
-//! Property tests for the frontier policies: on arbitrary generated
-//! programs, `SharedHeap` (one global heap), `LocalPools` (per-worker
-//! heaps under one mutex), and `Sharded` (per-pool locks + published-min
-//! comparator + local dives) must be observationally equivalent with
-//! pruning off — same solution sets, same bounds, same total nodes
-//! expanded — the way `prop_state_repr` pins the search-state
-//! representations to each other.
+//! Property tests for the two frontiers the one search loop runs on: on
+//! arbitrary generated programs, the sequential engine's thread-local
+//! heap (`best_first`, learning off), `par_best_first` at one worker (the
+//! same heap, inline, with the deferred-learning sink) and at three
+//! workers (the sharded frontier with local dives) must be
+//! observationally equivalent with pruning off — same solution sets, same
+//! bounds, same nodes expanded and unifications — the way
+//! `prop_state_repr` pins the search-state representations to each other.
 
-use b_log::core::weight::{WeightParams, WeightStore};
+use std::collections::HashMap;
+
+use b_log::core::engine::{best_first, BestFirstConfig};
+use b_log::core::weight::{WeightParams, WeightStore, WeightView};
 use b_log::logic::{parse_program, Program, SolveConfig};
 use b_log::parallel::{par_best_first, FrontierPolicy, ParallelConfig, ParallelResult};
 use proptest::prelude::*;
@@ -50,8 +54,8 @@ fn parse(src: &str) -> Program {
     parse_program(src).expect("generated program parses")
 }
 
-/// Run one policy with pruning off and learning on.
-fn run(p: &Program, policy: FrontierPolicy, workers: usize, depth: u32) -> ParallelResult {
+/// Run the parallel executor with pruning off and learning on.
+fn run(p: &Program, workers: usize, depth: u32) -> ParallelResult {
     let weights = WeightStore::new(WeightParams::default());
     par_best_first(
         &p.db,
@@ -59,18 +63,20 @@ fn run(p: &Program, policy: FrontierPolicy, workers: usize, depth: u32) -> Paral
         &weights,
         &ParallelConfig {
             n_workers: workers,
-            policy,
+            policy: FrontierPolicy::Sharded { d: 64 },
             solve: SolveConfig::all().with_max_depth(depth),
             ..ParallelConfig::default()
         },
     )
 }
 
-/// Sorted `(text, bound)` pairs — the policy-blind observable.
-fn solution_set(p: &Program, r: &ParallelResult) -> Vec<(String, u64)> {
-    let mut v: Vec<(String, u64)> = r
-        .solutions
-        .iter()
+/// Sorted `(text, bound)` pairs — the executor-blind observable.
+fn solution_set<'a>(
+    p: &Program,
+    solutions: impl IntoIterator<Item = &'a b_log::core::engine::BoundedSolution>,
+) -> Vec<(String, u64)> {
+    let mut v: Vec<(String, u64)> = solutions
+        .into_iter()
         .map(|s| (s.solution.to_text(&p.db), s.bound.0))
         .collect();
     v.sort();
@@ -85,35 +91,37 @@ proptest! {
         // (The vendored proptest macro only binds plain idents.)
         let (src, depth) = case;
         let p = parse(&src);
-        let base = run(&p, FrontierPolicy::SharedHeap, 1, depth);
-        let base_set = solution_set(&p, &base);
-        for policy in [
-            FrontierPolicy::SharedHeap,
-            FrontierPolicy::LocalPools { d: 64 },
-            FrontierPolicy::Sharded { d: 64 },
-        ] {
-            for workers in [1usize, 3] {
-                let r = run(&p, policy, workers, depth);
-                prop_assert_eq!(
-                    &solution_set(&p, &r), &base_set,
-                    "{:?} x{}", policy, workers
-                );
-                // Pruning off: every policy expands the whole (depth-
-                // limited) tree, dives included.
-                prop_assert_eq!(
-                    r.stats.nodes_expanded, base.stats.nodes_expanded,
-                    "{:?} x{}", policy, workers
-                );
-                prop_assert_eq!(
-                    r.stats.unify_successes, base.stats.unify_successes,
-                    "{:?} x{}", policy, workers
-                );
-                prop_assert_eq!(
-                    r.per_worker_expanded.iter().sum::<u64>(),
-                    r.stats.nodes_expanded,
-                    "{:?} x{}: accounting", policy, workers
-                );
-            }
+        let weights = WeightStore::new(WeightParams::default());
+        let mut overlay = HashMap::new();
+        let seq = best_first(
+            &p.db,
+            &p.queries[0],
+            &mut WeightView::new(&mut overlay, &weights),
+            &BestFirstConfig {
+                solve: SolveConfig::all().with_max_depth(depth),
+                learn: false,
+                ..BestFirstConfig::default()
+            },
+        );
+        let seq_set = solution_set(&p, &seq.solutions);
+        for workers in [1usize, 3] {
+            let r = run(&p, workers, depth);
+            prop_assert_eq!(&solution_set(&p, &r.solutions), &seq_set, "x{}", workers);
+            // Pruning off: every executor expands the whole (depth-
+            // limited) tree, dives included.
+            prop_assert_eq!(
+                r.stats.nodes_expanded, seq.stats.nodes_expanded,
+                "x{}", workers
+            );
+            prop_assert_eq!(
+                r.stats.unify_successes, seq.stats.unify_successes,
+                "x{}", workers
+            );
+            prop_assert_eq!(
+                r.per_worker_expanded.iter().sum::<u64>(),
+                r.stats.nodes_expanded,
+                "x{}: accounting", workers
+            );
         }
     }
 
@@ -131,7 +139,7 @@ proptest! {
         };
         let none = par_best_first(&p.db, &p.queries[0], &weights, &mk(0));
         let some = par_best_first(&p.db, &p.queries[0], &weights, &mk(budget));
-        prop_assert_eq!(solution_set(&p, &none), solution_set(&p, &some));
+        prop_assert_eq!(solution_set(&p, &none.solutions), solution_set(&p, &some.solutions));
         prop_assert_eq!(none.stats.nodes_expanded, some.stats.nodes_expanded);
         prop_assert_eq!(none.counters.dives, 0);
     }

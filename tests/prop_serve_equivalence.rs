@@ -2,7 +2,8 @@
 //! the query server must produce exactly the same solution sets as the
 //! same requests run sequentially against the raw database — whatever
 //! the search-state representation, the per-request engine (sequential
-//! best-first or OR-parallel under any frontier policy), the routing
+//! best-first, or OR-parallel on one inline worker or on two sharded
+//! ones), the routing
 //! policy, and however small the shared store's cache is. This extends
 //! the `prop_frontier_policy` equivalence pattern one layer up, to the
 //! scheduler.
@@ -110,7 +111,7 @@ proptest! {
             for exec in [
                 ExecMode::Sequential,
                 ExecMode::OrParallel { n_workers: 2, policy: FrontierPolicy::Sharded { d: 64 } },
-                ExecMode::OrParallel { n_workers: 2, policy: FrontierPolicy::SharedHeap },
+                ExecMode::OrParallel { n_workers: 1, policy: FrontierPolicy::Sharded { d: 64 } },
             ] {
                 for routing in [Routing::SessionAffinity, Routing::RoundRobin] {
                     let server = QueryServer::new(
