@@ -203,6 +203,11 @@ impl<'a, S: ClauseSource + ?Sized> Search<'a, S> {
         }
     }
 
+    /// The clause source every chain resolves through.
+    pub fn source(&self) -> &'a S {
+        self.source
+    }
+
     /// The root chain: the query's goals at bound zero.
     pub fn root(&self) -> Chain {
         Chain::root(SearchNode::root_with(

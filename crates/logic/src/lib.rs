@@ -76,4 +76,4 @@ pub use solve::{
 pub use store::{arg_key, ArgKey, ClauseDb, IndexMode};
 pub use symbol::{Sym, SymbolTable};
 pub use term::{Term, VarId};
-pub use unify::unify;
+pub use unify::{unify, unify_head};

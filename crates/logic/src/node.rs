@@ -27,7 +27,9 @@
 //!   flattened past a configurable threshold so walks stay bounded.
 //!
 //! Both representations resolve goals through the same
-//! [`unify`] and produce identical children (the
+//! [`unify_head`] — the clause head read in place, renamed apart by an
+//! offset, never copied for an attempt that fails — and produce
+//! identical children (the
 //! `state_repr` property suite in `tests/` holds them equal on arbitrary
 //! programs); [`ExpandStats::bytes_copied`] meters the difference.
 
@@ -42,7 +44,7 @@ use crate::goals::GoalStack;
 use crate::source::{ClauseSource, StoreError};
 use crate::store::ClauseDb;
 use crate::term::{Term, VarId};
-use crate::unify::unify;
+use crate::unify::unify_head;
 
 /// Where a goal came from: the query itself or the body of a clause.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -378,13 +380,19 @@ pub fn try_expand_via<S: ClauseSource + ?Sized>(
                 stats.unify_attempts += 1;
                 let clause = source.try_fetch_clause(cid)?;
                 let base = node.next_var;
-                let renamed_head = clause.head.offset_vars(base);
 
                 // Child state: clone bindings, try the head match.
                 let mut child_bindings = bindings.clone();
                 child_bindings.ensure((base + clause.n_vars) as usize);
                 trail.clear();
-                if !unify(&mut child_bindings, &mut trail, &goal_term, &renamed_head, false) {
+                if !unify_head(
+                    &mut child_bindings,
+                    &mut trail,
+                    &goal_term,
+                    &clause.head,
+                    base,
+                    false,
+                ) {
                     continue;
                 }
                 stats.unify_successes += 1;
@@ -429,11 +437,10 @@ pub fn try_expand_via<S: ClauseSource + ?Sized>(
                 stats.unify_attempts += 1;
                 let clause = source.try_fetch_clause(cid)?;
                 let base = node.next_var;
-                let renamed_head = clause.head.offset_vars(base);
 
                 delta.clear();
                 trail.clear();
-                if !unify(&mut delta, &mut trail, &goal_term, &renamed_head, false) {
+                if !unify_head(&mut delta, &mut trail, &goal_term, &clause.head, base, false) {
                     continue;
                 }
                 stats.unify_successes += 1;

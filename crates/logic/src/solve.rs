@@ -26,7 +26,7 @@ use crate::parser::Query;
 use crate::pretty::term_to_string;
 use crate::store::ClauseDb;
 use crate::term::{Term, VarId};
-use crate::unify::unify;
+use crate::unify::unify_head;
 
 /// A cooperative cancellation flag shared between a search and whoever
 /// may need to stop it mid-flight (a deadline reaper, a user hitting
@@ -305,12 +305,12 @@ impl<'a> DfsEngine<'a> {
             let base = self.next_var;
             let mark = self.trail.mark();
             self.bindings.ensure((base + clause.n_vars) as usize);
-            let renamed_head = clause.head.offset_vars(base);
-            if unify(
+            if unify_head(
                 &mut self.bindings,
                 &mut self.trail,
                 &goal_term,
-                &renamed_head,
+                &clause.head,
+                base,
                 false,
             ) {
                 self.stats.unify_successes += 1;

@@ -122,7 +122,7 @@ impl SourceStats {
 /// contract honest — a source must be shareable across threads, because
 /// the OR-parallel engine's workers and the query server's pools all
 /// resolve through **one** store at once (interior mutability therefore
-/// means a lock or atomics, never a `Cell`).
+/// means a lock, atomics or per-thread state, never a shared `Cell`).
 pub trait ClauseSource: Sync {
     /// Fetch a clause block. For paged backends this is *the* accounted
     /// access: one call is one block touch. Fault-free backends
@@ -157,6 +157,13 @@ pub trait ClauseSource: Sync {
     fn source_stats(&self) -> Option<SourceStats> {
         None
     }
+
+    /// Apply whatever access bookkeeping the calling thread has deferred
+    /// (the paged store batches resident hits per thread). A thread that
+    /// searched through a shared source calls this when it stops, so the
+    /// source's counters include its accesses; a no-op for sources that
+    /// defer nothing.
+    fn flush_deferred(&self) {}
 }
 
 impl ClauseSource for ClauseDb {

@@ -1,10 +1,19 @@
 //! Robinson unification over the binding store.
 //!
 //! Implemented iteratively with an explicit work stack so that deep terms
-//! cannot overflow the call stack. The occurs check is optional and off by
-//! default, matching the DEC-10 Prolog the paper takes as its baseline;
+//! cannot overflow the call stack. The stack's first 16 entries live in
+//! the call frame, so unifying against a clause head of arity ≤ 8
+//! allocates nothing. The occurs check is optional and off by default,
+//! matching the DEC-10 Prolog the paper takes as its baseline;
 //! the B-LOG engines run with whatever the caller configures, so baseline
 //! and best-first searches always unify identically.
+//!
+//! Resolution unifies a goal with a clause head *renamed apart*: head
+//! variable `v` stands for `v + base`. [`unify_head`] reads the head in
+//! place under that offset and builds only the head subterm a goal
+//! variable gets bound to, so a failed attempt copies nothing and never
+//! touches the reference counts of the program's shared clause terms.
+//! [`unify`] is the same loop with no offset.
 
 use crate::bindings::{BindingLookup, BindingWrite, Trail};
 use crate::term::{Term, VarId};
@@ -28,40 +37,167 @@ pub fn unify<B: BindingWrite + ?Sized>(
     b: &Term,
     occurs_check: bool,
 ) -> bool {
-    let mut stack: Vec<(Term, Term)> = vec![(a.clone(), b.clone())];
+    unify_head(bindings, trail, a, b, 0, occurs_check)
+}
+
+/// [`unify`] `goal` with `head.offset_vars(base)` — the clause head
+/// renamed apart — without building the renamed copy.
+///
+/// Head variables are read as `v + base` in place. Only a head subterm
+/// that a goal variable gets bound to is materialised (with
+/// [`Term::offset_vars`]), so the result, the bindings and their order on
+/// `trail` are exactly those of unifying against the renamed copy.
+pub fn unify_head<B: BindingWrite + ?Sized>(
+    bindings: &mut B,
+    trail: &mut Trail,
+    goal: &Term,
+    head: &Term,
+    base: u32,
+    occurs_check: bool,
+) -> bool {
+    let mut stack = WorkStack::new();
+    stack.push((Side::Ref(goal, 0), Side::Ref(head, base)));
     while let Some((x, y)) = stack.pop() {
-        let x = bindings.walk(&x).clone();
-        let y = bindings.walk(&y).clone();
-        match (x, y) {
-            (Term::Var(v), Term::Var(w)) if v == w => {}
-            (Term::Var(v), t) | (t, Term::Var(v)) => {
+        match (x.walk(bindings), y.walk(bindings)) {
+            (Walked::Var(v), Walked::Var(w)) if v == w => {}
+            (Walked::Var(v), t) | (t, Walked::Var(v)) => {
+                let t = t.into_term();
                 if occurs_check && occurs(bindings, v, &t) {
                     return false;
                 }
                 bindings.bind(trail, v, t);
             }
-            (Term::Atom(p), Term::Atom(q)) => {
-                if p != q {
-                    return false;
+            (Walked::Term(x), Walked::Term(y)) => match (x.term(), y.term()) {
+                (Term::Atom(p), Term::Atom(q)) => {
+                    if p != q {
+                        return false;
+                    }
                 }
-            }
-            (Term::Int(p), Term::Int(q)) => {
-                if p != q {
-                    return false;
+                (Term::Int(p), Term::Int(q)) => {
+                    if p != q {
+                        return false;
+                    }
                 }
-            }
-            (Term::Struct(f, xs), Term::Struct(g, ys)) => {
-                if f != g || xs.len() != ys.len() {
-                    return false;
+                (Term::Struct(f, xs), Term::Struct(g, ys)) => {
+                    if f != g || xs.len() != ys.len() {
+                        return false;
+                    }
+                    for i in 0..xs.len() {
+                        stack.push((x.arg(i), y.arg(i)));
+                    }
                 }
-                for (xa, ya) in xs.iter().zip(ys.iter()) {
-                    stack.push((xa.clone(), ya.clone()));
-                }
-            }
-            _ => return false,
+                _ => return false,
+            },
         }
     }
     true
+}
+
+/// One side of a pending equation.
+enum Side<'t> {
+    /// A term borrowed from the caller, whose variables stand for
+    /// `v + offset` (0 on the goal side, the renaming base on the head
+    /// side).
+    Ref(&'t Term, u32),
+    /// A term cloned out of the binding store (no offset).
+    Own(Term),
+}
+
+/// A [`Side`] dereferenced through the bindings.
+enum Walked<'t> {
+    /// An unbound variable.
+    Var(VarId),
+    /// Anything but a variable.
+    Term(Side<'t>),
+}
+
+impl<'t> Side<'t> {
+    /// Dereference through `bindings` until an unbound variable or a
+    /// non-variable term. Only a walk that moves through a binding clones
+    /// (the bound term, cheaply: compound arguments are `Arc`-shared).
+    fn walk<B: BindingLookup + ?Sized>(self, bindings: &B) -> Walked<'t> {
+        let v = match &self {
+            Side::Ref(Term::Var(v), offset) => VarId(v.0 + offset),
+            Side::Own(Term::Var(v)) => *v,
+            _ => return Walked::Term(self),
+        };
+        match bindings.lookup(v) {
+            None => Walked::Var(v),
+            Some(bound) => match bindings.walk(bound) {
+                Term::Var(w) => Walked::Var(*w),
+                t => Walked::Term(Side::Own(t.clone())),
+            },
+        }
+    }
+
+    /// The term as written, before the offset applies.
+    fn term(&self) -> &Term {
+        match self {
+            Side::Ref(t, _) => t,
+            Side::Own(t) => t,
+        }
+    }
+
+    /// Argument `i` of a compound term, under the same offset.
+    fn arg(&self, i: usize) -> Side<'t> {
+        match self {
+            Side::Ref(Term::Struct(_, args), offset) => Side::Ref(&args[i], *offset),
+            Side::Own(Term::Struct(_, args)) => Side::Own(args[i].clone()),
+            _ => unreachable!("arguments of a non-compound term"),
+        }
+    }
+}
+
+impl Walked<'_> {
+    /// The term this side stands for, offset applied: the one allocation
+    /// a head side can cost, and only when a goal variable binds to it.
+    fn into_term(self) -> Term {
+        match self {
+            Walked::Var(v) => Term::Var(v),
+            Walked::Term(Side::Ref(t, offset)) => t.offset_vars(offset),
+            Walked::Term(Side::Own(t)) => t,
+        }
+    }
+}
+
+/// Pending equations the work stack keeps in the call frame before it
+/// spills to the heap: a head of arity 8 whose arguments are compounds
+/// of arity ≤ 8 fits.
+const INLINE: usize = 16;
+
+/// A LIFO stack whose first [`INLINE`] entries need no allocation.
+struct WorkStack<'t> {
+    inline: [Option<(Side<'t>, Side<'t>)>; INLINE],
+    len: usize,
+    /// Entries pushed while `inline` is full; always popped first.
+    spill: Vec<(Side<'t>, Side<'t>)>,
+}
+
+impl<'t> WorkStack<'t> {
+    fn new() -> Self {
+        WorkStack {
+            inline: [const { None }; INLINE],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, pair: (Side<'t>, Side<'t>)) {
+        if self.len < INLINE {
+            self.inline[self.len] = Some(pair);
+            self.len += 1;
+        } else {
+            self.spill.push(pair);
+        }
+    }
+
+    fn pop(&mut self) -> Option<(Side<'t>, Side<'t>)> {
+        if let Some(pair) = self.spill.pop() {
+            return Some(pair);
+        }
+        self.len = self.len.checked_sub(1)?;
+        self.inline[self.len].take()
+    }
 }
 
 /// Whether variable `v` occurs in `t` after dereferencing through
@@ -227,6 +363,38 @@ mod tests {
             .unwrap()
             .join()
             .unwrap();
+    }
+
+    #[test]
+    fn head_offset_reads_like_the_renamed_copy() {
+        // p(X, f(X, Y)) renamed by 10 against p(a, Z). The last argument
+        // is solved first: Z binds to the materialised f(X+10, Y+10),
+        // then X+10 := a.
+        let head = app(0, vec![var(0), app(1, vec![var(0), var(1)])]);
+        let goal = app(0, vec![atom(5), var(2)]);
+        let (mut b1, mut t1) = fresh();
+        let (mut b2, mut t2) = fresh();
+        assert!(unify_head(&mut b1, &mut t1, &goal, &head, 10, false));
+        assert!(unify(&mut b2, &mut t2, &goal, &head.offset_vars(10), false));
+        assert_eq!(b1.get(VarId(2)), Some(&app(1, vec![var(10), var(11)])));
+        for v in [2, 10, 11] {
+            assert_eq!(b1.resolve(&var(v)), b2.resolve(&var(v)), "var {v}");
+        }
+        assert_eq!(t1.len(), t2.len());
+    }
+
+    #[test]
+    fn wide_terms_spill_past_the_inline_stack() {
+        let wide = |last: Term| {
+            let mut args: Vec<Term> = (0..3 * INLINE as u32).map(atom).collect();
+            args.push(last);
+            app(0, args)
+        };
+        let (mut b, mut t) = fresh();
+        assert!(unify(&mut b, &mut t, &wide(var(0)), &wide(atom(99)), false));
+        assert_eq!(b.get(VarId(0)), Some(&atom(99)));
+        let (one, two) = (wide(atom(1)), wide(atom(2)));
+        assert!(!unify(&mut b, &mut t, &one, &two, false));
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! Termination is an atomic outstanding-chain count plus an
 //! eventcount-style sleep protocol (no global condvar on the hot path).
 //!
+//! Nothing on the hot path writes a line another worker's pool lives on:
+//! each shard and the termination block sit on their own 128-byte line,
+//! and the meters are plain fields under the shard lock they describe
+//! (or, for spurious wakeups, written only by the shard's worker),
+//! summed when [`Frontier::counters`] is read.
+//!
 //! The sharded shape also enables two executor-side levers (see
 //! `orparallel`): **batched sprouts** (all children of one expansion enter
 //! the owner's shard under a single lock acquisition, publishing the new
@@ -43,7 +49,9 @@ pub struct FrontierCounters {
     pub steals: u64,
     /// Chains taken from the worker's own pool.
     pub local: u64,
-    /// Peak total frontier size.
+    /// The sum over pools of each pool's peak length: exact for one
+    /// worker, an upper bound on the peak total frontier for more (the
+    /// pools need not peak at the same moment).
     pub max_len: usize,
     /// Chains expanded without a frontier round-trip (filled in by the
     /// executor, which is where dives happen; always 0 straight from
@@ -77,18 +85,38 @@ impl blog_obs::RecordInto for FrontierCounters {
 /// Sentinel published by an empty shard.
 const EMPTY_MIN: u64 = u64::MAX;
 
+/// One pool's chains, and the meters of the lock that guards them: plain
+/// fields, so metering a push or pop writes only the line the pool's own
+/// lock already owns.
 struct ShardHeap {
     heap: BinaryHeap<Reverse<Queued>>,
     /// Per-shard monotone sequence for deterministic tie-breaks.
     seq: u64,
+    /// Acquisitions of this shard's lock.
+    locks: u64,
+    /// Published-minimum refreshes of this shard.
+    publishes: u64,
+    /// Pops by the shard's owner.
+    local: u64,
+    /// Pops by other workers.
+    steals: u64,
+    /// Peak `heap.len()`.
+    peak: usize,
 }
 
+/// One worker's pool, on its own pair of cache lines so that pushing
+/// into it, or sleeping beside it, never writes a line another pool or
+/// the termination block lives on.
+#[repr(align(128))]
 struct Shard {
     heap: Mutex<ShardHeap>,
     /// Cheapest queued bound in this shard, [`EMPTY_MIN`] when empty.
     /// Written only under the shard lock; read lock-free by the §6
     /// comparator ([`Frontier::choose_shard`]) and the dive rule.
     published_min: AtomicU64,
+    /// Wakeups of this shard's worker that found nothing to pop; written
+    /// only by that worker.
+    spurious_wakeups: AtomicU64,
 }
 
 impl Shard {
@@ -97,16 +125,23 @@ impl Shard {
             heap: Mutex::new(ShardHeap {
                 heap: BinaryHeap::new(),
                 seq: 0,
+                locks: 0,
+                publishes: 0,
+                local: 0,
+                steals: 0,
+                peak: 0,
             }),
             published_min: AtomicU64::new(EMPTY_MIN),
+            spurious_wakeups: AtomicU64::new(0),
         }
     }
 }
 
-/// The shared frontier (one per parallel query).
-pub struct Frontier {
-    shards: Vec<Shard>,
-    d: u64,
+/// Termination detection and the sleep protocol, on a line of their own:
+/// every worker reads them, and `outstanding` is written once per push
+/// batch and per finished chain.
+#[repr(align(128))]
+struct Termination {
     /// Chains pushed but not yet `finish`ed (queued + being expanded).
     /// Zero means the search is exhausted — the termination detector.
     outstanding: AtomicU64,
@@ -119,14 +154,13 @@ pub struct Frontier {
     sleep: Mutex<()>,
     cv: Condvar,
     sleepers: AtomicUsize,
-    // Counters (all Relaxed: monotone telemetry, not synchronization).
-    steals: AtomicU64,
-    local: AtomicU64,
-    shard_locks: AtomicU64,
-    min_publishes: AtomicU64,
-    spurious: AtomicU64,
-    total_len: AtomicU64,
-    max_len: AtomicU64,
+}
+
+/// The shared frontier (one per parallel query).
+pub struct Frontier {
+    shards: Vec<Shard>,
+    d: u64,
+    term: Termination,
 }
 
 impl Frontier {
@@ -138,26 +172,25 @@ impl Frontier {
         let FrontierPolicy::Sharded { d } = policy;
         let shards: Vec<Shard> = (0..n_workers).map(|_| Shard::new()).collect();
         let root_bound = root.bound.0;
-        shards[0].heap.lock().heap.push(Reverse(Queued {
-            key: (root_bound, 0),
-            chain: root,
-        }));
+        {
+            let mut sh = shards[0].heap.lock();
+            sh.heap.push(Reverse(Queued {
+                key: (root_bound, 0),
+                chain: root,
+            }));
+            (sh.locks, sh.publishes, sh.peak) = (1, 1, 1);
+        }
         shards[0].published_min.store(root_bound, SeqCst);
         Frontier {
             shards,
             d,
-            outstanding: AtomicU64::new(1),
-            done: AtomicBool::new(false),
-            sleep: Mutex::new(()),
-            cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            local: AtomicU64::new(0),
-            shard_locks: AtomicU64::new(1),
-            min_publishes: AtomicU64::new(1),
-            spurious: AtomicU64::new(0),
-            total_len: AtomicU64::new(1),
-            max_len: AtomicU64::new(1),
+            term: Termination {
+                outstanding: AtomicU64::new(1),
+                done: AtomicBool::new(false),
+                sleep: Mutex::new(()),
+                cv: Condvar::new(),
+                sleepers: AtomicUsize::new(0),
+            },
         }
     }
 
@@ -169,37 +202,34 @@ impl Frontier {
         if children.is_empty() {
             return;
         }
-        let n = children.len() as u64;
         // Count the new chains as outstanding *before* they become
         // poppable, so the termination detector can never observe zero
         // while queued work exists.
-        self.outstanding.fetch_add(n, SeqCst);
+        self.term
+            .outstanding
+            .fetch_add(children.len() as u64, SeqCst);
         let shard = &self.shards[worker];
         {
             let mut sh = shard.heap.lock();
-            self.shard_locks.fetch_add(1, Relaxed);
+            sh.locks += 1;
             for chain in children.drain(..) {
                 sh.seq += 1;
                 let key = (chain.bound.0, sh.seq);
                 sh.heap.push(Reverse(Queued { key, chain }));
             }
-            // Update the length gauge BEFORE the items become poppable
-            // (i.e. before this lock is released): a racing pop could
-            // otherwise decrement first and wrap the counter.
-            let cur = self.total_len.fetch_add(n, Relaxed) + n;
-            self.max_len.fetch_max(cur, Relaxed);
+            sh.peak = sh.peak.max(sh.heap.len());
             let new_min = sh.heap.peek().map_or(EMPTY_MIN, |Reverse(i)| i.key.0);
             shard.published_min.store(new_min, SeqCst);
-            self.min_publishes.fetch_add(1, Relaxed);
+            sh.publishes += 1;
         }
         // Wake at most ONE sleeper per push batch (SeqCst pairs with the
         // sleeper's registration; see the `sleep` field docs). Waking a
         // thief per chain just produces a wake-steal-sleep convoy; a
         // woken thief that finds surplus work wakes the next sleeper
         // itself (see `acquire`), so throughput ramps without the storm.
-        if self.sleepers.load(SeqCst) > 0 {
-            let _g = self.sleep.lock();
-            self.cv.notify_one();
+        if self.term.sleepers.load(SeqCst) > 0 {
+            let _g = self.term.sleep.lock();
+            self.term.cv.notify_one();
         }
     }
 
@@ -233,29 +263,32 @@ impl Frontier {
         }
     }
 
-    /// Pop from one shard, republishing its minimum. `None` if the shard
-    /// was drained by a racing worker since the comparator read. The
-    /// republish can be `Release`: a pop only *raises* the minimum, so a
-    /// reader acting on the stale (lower) value merely retries — the
-    /// no-lost-wakeup argument needs only *pushes* to be promptly
-    /// visible.
-    fn try_pop(&self, pool: usize) -> Option<Chain> {
+    /// Pop from `pool` for `worker`, republishing the pool's minimum.
+    /// `None` if the shard was drained by a racing worker since the
+    /// comparator read. The republish can be `Release`: a pop only
+    /// *raises* the minimum, so a reader acting on the stale (lower)
+    /// value merely retries — the no-lost-wakeup argument needs only
+    /// *pushes* to be promptly visible.
+    fn try_pop(&self, worker: usize, pool: usize) -> Option<Chain> {
         let shard = &self.shards[pool];
         let mut sh = shard.heap.lock();
-        self.shard_locks.fetch_add(1, Relaxed);
+        sh.locks += 1;
         let popped = sh.heap.pop();
         if popped.is_some() {
-            // Under the lock, pairing with the push-side increment: each
-            // item's increment happens-before its decrement, so the
-            // gauge can never transiently wrap below zero.
-            self.total_len.fetch_sub(1, Relaxed);
+            // The chain moves from queued to active: `outstanding` is
+            // unchanged until `finish`.
+            if pool == worker {
+                sh.local += 1;
+            } else {
+                sh.steals += 1;
+            }
         }
         let new_min = sh.heap.peek().map_or(EMPTY_MIN, |Reverse(i)| i.key.0);
         shard
             .published_min
             .store(new_min, std::sync::atomic::Ordering::Release);
+        sh.publishes += 1;
         drop(sh);
-        self.min_publishes.fetch_add(1, Relaxed);
         popped.map(|Reverse(item)| item.chain)
     }
 
@@ -263,31 +296,26 @@ impl Frontier {
     /// is temporarily empty but other workers are still expanding.
     /// Returns `None` when the search is complete (or aborted).
     pub fn acquire(&self, worker: usize) -> Option<Chain> {
+        let term = &self.term;
         let mut woke = false;
         loop {
-            if self.done.load(SeqCst) {
+            if term.done.load(SeqCst) {
                 return None;
             }
             if let Some(pool) = self.choose_shard(worker) {
-                if let Some(chain) = self.try_pop(pool) {
-                    // The chain moves from queued to active: `outstanding`
-                    // is unchanged until `finish`.
-                    if pool == worker {
-                        self.local.fetch_add(1, Relaxed);
-                    } else {
-                        self.steals.fetch_add(1, Relaxed);
-                        // Wake chaining: a *woken* thief that finds the
-                        // victim still has surplus recruits the next
-                        // sleeper (pushes wake only one, so the wake tree
-                        // fans out at the rate work actually appears,
-                        // without a futex call per steal).
-                        if woke
-                            && self.shards[pool].published_min.load(Relaxed) != EMPTY_MIN
-                            && self.sleepers.load(SeqCst) > 0
-                        {
-                            let _g = self.sleep.lock();
-                            self.cv.notify_one();
-                        }
+                if let Some(chain) = self.try_pop(worker, pool) {
+                    // Wake chaining: a *woken* thief that finds the
+                    // victim still has surplus recruits the next sleeper
+                    // (pushes wake only one, so the wake tree fans out at
+                    // the rate work actually appears, without a futex
+                    // call per steal).
+                    if woke
+                        && pool != worker
+                        && self.shards[pool].published_min.load(Relaxed) != EMPTY_MIN
+                        && term.sleepers.load(SeqCst) > 0
+                    {
+                        let _g = term.sleep.lock();
+                        term.cv.notify_one();
                     }
                     return Some(chain);
                 }
@@ -295,21 +323,23 @@ impl Frontier {
                 continue;
             }
             if woke {
-                self.spurious.fetch_add(1, Relaxed);
+                // Only this worker writes its own shard's meter.
+                let spurious = &self.shards[worker].spurious_wakeups;
+                spurious.store(spurious.load(Relaxed) + 1, Relaxed);
                 woke = false;
             }
-            if self.outstanding.load(SeqCst) == 0 {
+            if term.outstanding.load(SeqCst) == 0 {
                 self.abort();
                 return None;
             }
             // Every published minimum is empty but chains are in flight:
             // sleep until a pusher or the termination detector wakes us.
-            self.sleepers.fetch_add(1, SeqCst);
-            let mut g = self.sleep.lock();
+            term.sleepers.fetch_add(1, SeqCst);
+            let mut g = term.sleep.lock();
             // Re-check after registering (the other half of the pusher's
             // store-then-load); skip the wait if anything changed.
-            let work_appeared = self.done.load(SeqCst)
-                || self.outstanding.load(SeqCst) == 0
+            let work_appeared = term.done.load(SeqCst)
+                || term.outstanding.load(SeqCst) == 0
                 || self
                     .shards
                     .iter()
@@ -318,12 +348,12 @@ impl Frontier {
                 // Timed wait as a liveness belt: if a wakeup were ever
                 // lost despite the protocol, the sleeper re-scans after a
                 // bounded nap instead of hanging the search.
-                self.cv
+                term.cv
                     .wait_for(&mut g, std::time::Duration::from_millis(2));
                 woke = true;
             }
             drop(g);
-            self.sleepers.fetch_sub(1, SeqCst);
+            term.sleepers.fetch_sub(1, SeqCst);
         }
     }
 
@@ -332,7 +362,7 @@ impl Frontier {
     /// (expanding a child without re-acquiring) extends the chain's
     /// active slot rather than opening a new one.
     pub fn finish(&self, _worker: usize) {
-        if self.outstanding.fetch_sub(1, SeqCst) == 1 {
+        if self.term.outstanding.fetch_sub(1, SeqCst) == 1 {
             // Last outstanding chain: every pushed chain has been fully
             // expanded, so every heap is empty. Search over.
             self.abort();
@@ -342,16 +372,16 @@ impl Frontier {
     /// End the search (complete or aborted): wake everyone, acquire
     /// returns `None`.
     pub fn abort(&self) {
-        self.done.store(true, SeqCst);
-        let _g = self.sleep.lock();
-        self.cv.notify_all();
+        self.term.done.store(true, SeqCst);
+        let _g = self.term.sleep.lock();
+        self.term.cv.notify_all();
     }
 
     /// Whether the search has completed or been aborted (advisory, for
     /// tests and monitoring; the executor's dive cutoff after an abort
     /// happens inside [`should_dive`](Self::should_dive)).
     pub fn is_done(&self) -> bool {
-        self.done.load(SeqCst)
+        self.term.done.load(SeqCst)
     }
 
     /// The §6 dive rule: keep expanding the freshly sprouted child
@@ -364,7 +394,7 @@ impl Frontier {
     /// globally uncompetitive subtree). Always false after an abort.
     pub fn should_dive(&self, _worker: usize, child_bound: Bound) -> bool {
         // Lock-free — the executor runs this once per expansion.
-        if self.done.load(Relaxed) {
+        if self.term.done.load(Relaxed) {
             return false;
         }
         let global_min = self
@@ -388,17 +418,20 @@ impl Frontier {
             .map(Bound)
     }
 
-    /// Steal/local/contention counters.
+    /// Steal/local/contention counters, summed over the pools (each
+    /// pool's lock is taken once to read its meters).
     pub fn counters(&self) -> FrontierCounters {
-        FrontierCounters {
-            steals: self.steals.load(Relaxed),
-            local: self.local.load(Relaxed),
-            max_len: self.max_len.load(Relaxed) as usize,
-            dives: 0,
-            shard_locks: self.shard_locks.load(Relaxed),
-            min_publishes: self.min_publishes.load(Relaxed),
-            spurious_wakeups: self.spurious.load(Relaxed),
+        let mut c = FrontierCounters::default();
+        for shard in &self.shards {
+            let sh = shard.heap.lock();
+            c.steals += sh.steals;
+            c.local += sh.local;
+            c.max_len += sh.peak;
+            c.shard_locks += sh.locks;
+            c.min_publishes += sh.publishes;
+            c.spurious_wakeups += shard.spurious_wakeups.load(Relaxed);
         }
+        c
     }
 }
 

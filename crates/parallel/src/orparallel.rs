@@ -252,6 +252,10 @@ fn worker_loop<'s, 'a, S: ClauseSource + ?Sized>(
         // One `finish` per acquire: the dive lineage shares the slot.
         shared.frontier.finish(w);
     }
+    // This thread is done with the source: hand it what it deferred (the
+    // paged store's batched hits), so counters read after the join are
+    // complete.
+    search.source().flush_deferred();
     (stats, blog, worker)
 }
 

@@ -69,7 +69,11 @@
 //!   panics with a transaction open has aborted it (nothing of a
 //!   transaction is shared before commit), so a poisoned `writer` is
 //!   taken over, not propagated.
-//! - The [`TrackCache`] mutex guards residency and its meters.
+//! - The [`TrackCache`] mutex guards the replacement policy, residency
+//!   and its meters. Misses, evictions and the flush of a thread's
+//!   batched hits take it; a resident hit does not (see
+//!   [`cache`](crate::cache)). A snapshot flushes its thread's batch when
+//!   it drops.
 //!
 //! The track cache is deliberately *version-blind*: an access touches
 //! the same [`TrackId`] whichever page version it resolves to, so
@@ -296,7 +300,7 @@ impl MvccClauseStore {
             policy_kind: config.policy,
             index_policy: config.index,
             index_counters: IndexCounters::default(),
-            cache: TrackCache::new(config.policy, config.capacity_tracks, g.n_sps, config.cost)
+            cache: TrackCache::new(config.policy, config.capacity_tracks, g, config.cost)
                 .with_faults(config.fault),
             current: Mutex::new(Arc::new(Version {
                 epoch: 0,
@@ -600,6 +604,7 @@ impl<'s> Snapshot<'s> {
 
 impl Drop for Snapshot<'_> {
     fn drop(&mut self) {
+        self.store.cache.flush();
         self.store.gauges.readers.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -689,6 +694,10 @@ impl ClauseSource for Snapshot<'_> {
             Some(p) => format!("mvcc/{}/pool{}", self.store.policy_kind.name(), p),
             None => format!("mvcc/{}", self.store.policy_kind.name()),
         }
+    }
+
+    fn flush_deferred(&self) {
+        self.store.cache.flush();
     }
 
     fn source_stats(&self) -> Option<SourceStats> {

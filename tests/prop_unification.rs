@@ -1,7 +1,57 @@
 //! Property tests for terms, bindings and unification.
 
-use b_log::logic::{unify, Bindings, Sym, Term, Trail, VarId};
+use b_log::logic::{
+    unify, unify_head, BindingLookup, BindingWrite, Bindings, Sym, Term, Trail, VarId,
+};
 use proptest::prelude::*;
+
+/// Goal/head pairs: two independent terms, or two calls of one
+/// predicate (same functor and arity), whose arguments do get unified
+/// pairwise with the head's variables renamed.
+fn arb_goal_head() -> impl Strategy<Value = (Term, Term)> {
+    prop_oneof![
+        (arb_term(), arb_term()),
+        prop::collection::vec((arb_term(), arb_term()), 1..6).prop_map(|args| {
+            let (goal, head): (Vec<Term>, Vec<Term>) = args.into_iter().unzip();
+            (Term::app(Sym(0), goal), Term::app(Sym(0), head))
+        }),
+    ]
+}
+
+/// A flat store that logs every `bind` call in order: the trail order
+/// and the exact term each variable was bound to.
+#[derive(Default)]
+struct Recording {
+    bindings: Bindings,
+    log: Vec<(VarId, Term)>,
+}
+
+impl BindingLookup for Recording {
+    fn lookup(&self, v: VarId) -> Option<&Term> {
+        self.bindings.lookup(v)
+    }
+}
+
+impl BindingWrite for Recording {
+    fn bind(&mut self, trail: &mut Trail, v: VarId, t: Term) {
+        self.log.push((v, t.clone()));
+        self.bindings.bind(trail, v, t);
+    }
+}
+
+/// A store with each `(v, t)` of `pre` bound where the occurs check
+/// allows it — goal variables already bound, often into structures.
+fn prebound(pre: &[(u32, Term)]) -> Recording {
+    let mut r = Recording::default();
+    let mut trail = Trail::new();
+    for (v, t) in pre {
+        let mark = trail.mark();
+        if !unify(&mut r.bindings, &mut trail, &Term::Var(VarId(*v)), t, true) {
+            r.bindings.undo_to(&mut trail, mark);
+        }
+    }
+    r
+}
 
 /// Strategy: arbitrary terms over a small symbol/variable alphabet.
 fn arb_term() -> impl Strategy<Value = Term> {
@@ -14,6 +64,25 @@ fn arb_term() -> impl Strategy<Value = Term> {
         ((0u32..3), prop::collection::vec(inner, 1..4))
             .prop_map(|(f, args)| Term::app(Sym(f), args))
     })
+}
+
+#[test]
+fn head_unification_binds_in_the_historical_order() {
+    // p(a, Z) against p(X, f(X, Y)) renamed by 10: the last argument is
+    // solved first, so Z := f(X+10, Y+10) is trailed before X+10 := a.
+    let (p, f) = (Sym(0), Sym(1));
+    let v = |i| Term::Var(VarId(i));
+    let goal = Term::app(p, vec![Term::Atom(Sym(2)), v(0)]);
+    let head = Term::app(p, vec![v(0), Term::app(f, vec![v(0), v(1)])]);
+    let (mut r, mut trail) = (Recording::default(), Trail::new());
+    assert!(unify_head(&mut r, &mut trail, &goal, &head, 10, false));
+    assert_eq!(
+        r.log,
+        vec![
+            (VarId(0), Term::app(f, vec![v(10), v(11)])),
+            (VarId(10), Term::Atom(Sym(2))),
+        ]
+    );
 }
 
 proptest! {
@@ -89,6 +158,35 @@ proptest! {
             prop_assert_eq!(unified, a == c);
             // Ground unification never binds anything.
             prop_assert!(tr.is_empty() || !unified);
+        }
+    }
+
+    #[test]
+    fn head_unifier_agrees_with_the_renamed_copy(
+        goal_head in arb_goal_head(),
+        pre in prop::collection::vec((0u32..6, arb_term()), 0..3),
+        base in prop_oneof![Just(0u32), 1u32..12],
+        occurs_check in any::<bool>(),
+    ) {
+        // Reading the head in place at offset `base` must be
+        // indistinguishable from unifying against `head.offset_vars(base)`:
+        // the same answer, the same binds in the same order, the same
+        // resolved bindings.
+        let (goal, head) = goal_head;
+        let (mut in_place, mut renamed) = (prebound(&pre), prebound(&pre));
+        let (mut t1, mut t2) = (Trail::new(), Trail::new());
+        let ok = unify_head(&mut in_place, &mut t1, &goal, &head, base, occurs_check);
+        let renamed_head = head.offset_vars(base);
+        let expected = unify(&mut renamed, &mut t2, &goal, &renamed_head, occurs_check);
+        prop_assert_eq!(ok, expected);
+        prop_assert_eq!(&in_place.log, &renamed.log);
+        prop_assert_eq!(t1.len(), t2.len());
+        if occurs_check {
+            // Finite bindings: resolving every variable terminates.
+            for v in 0..6 + base + 6 {
+                let var = Term::Var(VarId(v));
+                prop_assert_eq!(in_place.resolve(&var), renamed.resolve(&var));
+            }
         }
     }
 
