@@ -61,14 +61,6 @@ impl Table {
     }
 }
 
-/// The hand-rolled JSON value for the experiments binary's `--json`
-/// output, now shared with the whole workspace via `blog-obs` (the
-/// vendored `serde` is an offline stub — see `vendor/README.md`). The
-/// surface is just big enough for flat experiment-row tables — the
-/// `BENCH_*.json` perf trajectory files PRs record — plus the telemetry
-/// exports ([`blog_obs::Registry::to_json`], trace dumps).
-pub use blog_obs::Json;
-
 /// Format a float with 2 decimals.
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")

@@ -109,15 +109,6 @@ impl StateRepr {
             flatten_threshold: DEFAULT_FLATTEN_THRESHOLD,
         }
     }
-
-    /// Short label for experiment tables (`"cloned"` / `"shared"`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            StateRepr::Cloned => "cloned",
-            StateRepr::Shared { .. } => "shared",
-        }
-    }
-
 }
 
 impl Default for StateRepr {

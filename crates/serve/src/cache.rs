@@ -52,17 +52,6 @@ pub enum CacheMode {
     ClearAll,
 }
 
-impl CacheMode {
-    /// Machine-readable label for sweep tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CacheMode::Off => "off",
-            CacheMode::Precise => "precise",
-            CacheMode::ClearAll => "clear-all",
-        }
-    }
-}
-
 /// Answer-cache and memory-governor configuration.
 #[derive(Clone, Debug)]
 pub struct CacheConfig {
@@ -561,6 +550,48 @@ mod tests {
         cache.on_commit(0, 1, &[Q]);
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.stats().invalidations, 2);
+    }
+
+    /// Invalidation precision under churn: a writer that commits only to
+    /// a cold tenant's predicate must not cost the hot tenants their
+    /// entries. `Precise` extends them across every commit; `ClearAll`
+    /// refills them after each one.
+    #[test]
+    fn precise_keeps_hot_entries_through_cold_tenant_churn() {
+        const COLD: (Sym, u32) = (Sym(9), 2);
+        const EPOCHS: u64 = 8;
+        let churn = |mode| {
+            let cache = AnswerCache::new(CacheConfig {
+                mode,
+                ..CacheConfig::default()
+            });
+            for epoch in 0..EPOCHS {
+                // Every query twice per epoch, filling on a miss as the
+                // server does.
+                for (canon, dep) in [("p(_0)", P), ("q(_0)", Q), ("cold(_0)", COLD)]
+                    .into_iter()
+                    .cycle()
+                    .take(6)
+                {
+                    if cache.lookup(&key(canon), epoch).is_none() {
+                        cache.fill(key(canon), epoch, vec![dep], sols(&["_0 = a"]));
+                    }
+                }
+                cache.on_commit(epoch, epoch + 1, &[COLD]);
+            }
+            cache.stats()
+        };
+        let precise = churn(CacheMode::Precise);
+        let clear_all = churn(CacheMode::ClearAll);
+        assert!(
+            precise.hits > clear_all.hits,
+            "precise {} hits vs clear-all {}",
+            precise.hits,
+            clear_all.hits
+        );
+        assert_eq!(precise.invalidations, EPOCHS, "only the cold entry drops");
+        assert_eq!(clear_all.invalidations, 3 * EPOCHS);
+        assert_eq!(precise.fills, 2 + EPOCHS, "hot entries fill once");
     }
 
     #[test]

@@ -932,7 +932,7 @@ fn breaker_storm_traces_the_full_transition_cycle() {
     let p = parse_program(FAMILY).unwrap();
     // Every touch in [0, 3) faults: the first three requests each fail
     // on their first clause fetch, tripping the single pool's breaker
-    // at the threshold (the T13 breaker-storm scenario).
+    // at the threshold.
     let plan = FaultPlan::new(9).with_site(FaultSite::transient_read(1.0).between(0, 3));
     let server = QueryServer::new(
         &p.db,
@@ -983,5 +983,59 @@ fn breaker_storm_traces_the_full_transition_cycle() {
     // And the trees themselves are well-formed.
     for t in server.tracer().recorder().snapshot() {
         t.well_formed().expect("trace tree is well-formed");
+    }
+}
+
+#[test]
+fn tracing_off_records_nothing_and_always_on_traces_every_request() {
+    use blog_serve::TraceConfig;
+    let mix = TenantMix {
+        n_tenants: 4,
+        queries_per_tenant: 4,
+        ..TenantMix::default()
+    };
+    let (p, metas) = tenant_mix_program(&mix);
+    let originals = tenant_mix_requests(&mix, &metas);
+    let run = |trace: TraceConfig| {
+        let server = QueryServer::new(
+            &p.db,
+            store_cfg(p.db.len(), 8),
+            ServeConfig {
+                n_pools: 2,
+                trace,
+                ..ServeConfig::default()
+            },
+        );
+        let requests = originals
+            .iter()
+            .map(|r| {
+                QueryRequest::new(r.tenant as u64, r.text.clone()).with_tenant(r.tenant as u32)
+            })
+            .collect();
+        let report = server.serve(requests);
+        assert_eq!(report.stats.completed, 16);
+        server.tracer().recorder().snapshot()
+    };
+
+    assert!(
+        run(TraceConfig::off()).is_empty(),
+        "tracing off records nothing"
+    );
+
+    let traces = run(TraceConfig::always_on());
+    assert_eq!(traces.len(), 16, "always-on traces every request");
+    for t in &traces {
+        t.well_formed()
+            .unwrap_or_else(|e| panic!("malformed trace {}: {e}", t.label));
+        assert!(
+            t.span_total_ns("queue_wait") > 0,
+            "queue_wait missing: {}",
+            t.label
+        );
+        assert!(
+            t.spans.iter().any(|s| s.name == "engine"),
+            "engine span missing: {}",
+            t.label
+        );
     }
 }

@@ -24,8 +24,10 @@
 //! satellite regression: a variable-headed goal sees *every* clause.
 //!
 //! Also here: the `ClauseBitmap` vs `BTreeSet` model property on the
-//! shared shrink-friendly id generator, and engine-level runs proving
-//! solution sets are index-invariant under both `StateRepr`s.
+//! shared shrink-friendly id generator, engine-level runs proving
+//! solution sets are index-invariant under both `StateRepr`s, and the
+//! pruning bar: on every generated workload the index at least halves
+//! the clause touches of the same query stream.
 //!
 //! Case counts honor the `PROPTEST_CASES` environment variable (the CI
 //! profile sets a reduced count; see `.github/workflows/ci.yml`).
@@ -37,14 +39,18 @@ use std::collections::{BTreeSet, HashMap};
 use blog_core::engine::{best_first_with, BestFirstConfig};
 use blog_core::weight::{WeightParams, WeightStore, WeightView};
 use blog_logic::{
-    arg_key, parse_program, parse_query, BindingFrame, BindingLookup, BindingWrite, Bindings,
-    ClauseDb, ClauseId, ClauseSource, DeltaBindings, IndexMode, Program, SolveConfig, StateRepr,
-    Term, Trail, VarId, DEFAULT_FLATTEN_THRESHOLD,
+    arg_key, parse_program, parse_query, parse_query_shared, BindingFrame, BindingLookup,
+    BindingWrite, Bindings, ClauseDb, ClauseId, ClauseSource, DeltaBindings, IndexMode, Program,
+    Query, SolveConfig, StateRepr, Term, Trail, VarId, DEFAULT_FLATTEN_THRESHOLD,
 };
 use blog_spd::{ClauseBitmap, IndexPolicy, MvccClauseStore, PagedStoreStats, PolicyKind, Snapshot};
+use blog_workloads::{
+    family_program, mapcolor_program, tenant_mix_program, tenant_mix_requests, FamilyParams,
+    MapColorParams, TenantMix,
+};
 use proptest::prelude::*;
 
-use support::{arb_clause_ids, paged_config, paged_store};
+use support::{arb_clause_ids, paged_config, paged_store, queens_workload};
 
 // ---------------------------------------------------------------------------
 // Bitmap vs BTreeSet model
@@ -440,5 +446,107 @@ fn bound_goals_narrow_without_changing_solutions() {
         assert!(stats.index_hits > 0, "ground subgoals resolve indexed");
         assert!(stats.index_prunes > 0, "f(sam,_) prunes the f/2 range");
         assert!(stats.candidates_scanned < base_stats.candidates_scanned);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pruning bar: the index at least halves clause touches
+// ---------------------------------------------------------------------------
+
+/// Run `queries` in order through one epoch-0 snapshot of a store built
+/// under `index` (no learning, so both policies expand the same trees).
+/// Returns each query's sorted solutions and the store's clause touches.
+fn stream_run(p: &Program, queries: &[Query], index: IndexPolicy) -> (Vec<Vec<String>>, u64) {
+    let store = paged_store(
+        p,
+        paged_config(PolicyKind::Lru, 2, 4, p.db.len()).with_index(index),
+    );
+    let snap = store.begin_read();
+    let weights = WeightStore::new(WeightParams::default());
+    let cfg = BestFirstConfig {
+        learn: false,
+        ..BestFirstConfig::default()
+    };
+    let sets = queries
+        .iter()
+        .map(|q| {
+            let mut local = HashMap::new();
+            let mut view = WeightView::new(&mut local, &weights);
+            let mut texts = best_first_with(&snap, q, &mut view, &cfg).solution_texts(&p.db);
+            texts.sort();
+            texts
+        })
+        .collect();
+    (sets, store.stats().accesses)
+}
+
+fn parse_all(p: &Program, texts: impl IntoIterator<Item = String>) -> Vec<Query> {
+    texts
+        .into_iter()
+        .map(|t| parse_query_shared(&p.db, &t).expect("workload query parses"))
+        .collect()
+}
+
+/// Family grandparent queries (every subgoal's first argument bound),
+/// queens and map colouring (keyed constraint checks once earlier
+/// choices are made), and a small multi-tenant request stream: the
+/// first-argument index must return the unindexed solution sets with at
+/// most half the clause touches.
+#[test]
+fn first_arg_index_halves_clause_touches() {
+    let mut workloads: Vec<(&str, Program, Vec<Query>)> = Vec::new();
+
+    let (p, meta) = family_program(&FamilyParams {
+        generations: 4,
+        branching: 3,
+        seed: 7,
+        ..FamilyParams::default()
+    });
+    let subjects: Vec<String> = meta
+        .grandparents()
+        .iter()
+        .take(8)
+        .map(|s| format!("gf({s}, G)"))
+        .collect();
+    let queries = parse_all(&p, subjects);
+    workloads.push(("family", p, queries));
+
+    for (name, p) in [
+        ("queens", queens_workload()),
+        ("mapcolor", mapcolor_program(&MapColorParams::default()).0),
+    ] {
+        let queries = vec![p.queries[0].clone()];
+        workloads.push((name, p, queries));
+    }
+
+    let mix = TenantMix {
+        n_tenants: 4,
+        queries_per_tenant: 4,
+        drift: 0.15,
+        burst: 3,
+        family: FamilyParams {
+            generations: 3,
+            branching: 3,
+            ..FamilyParams::default()
+        },
+        ..TenantMix::default()
+    };
+    let (p, metas) = tenant_mix_program(&mix);
+    let requests = tenant_mix_requests(&mix, &metas);
+    let queries = parse_all(&p, requests.into_iter().map(|r| r.text));
+    workloads.push(("tenant_mix", p, queries));
+
+    for (name, p, queries) in &workloads {
+        let (base, base_touches) = stream_run(p, queries, IndexPolicy::None);
+        let (indexed, indexed_touches) = stream_run(p, queries, IndexPolicy::FirstArg);
+        assert_eq!(base, indexed, "{name}: the index changed a solution set");
+        assert!(
+            base.iter().any(|s| !s.is_empty()),
+            "{name}: the stream answers something"
+        );
+        assert!(
+            2 * indexed_touches <= base_touches,
+            "{name}: {indexed_touches} touches indexed vs {base_touches} unindexed"
+        );
     }
 }
