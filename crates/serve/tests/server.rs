@@ -11,7 +11,7 @@ use blog_logic::{parse_program, parse_query_shared, Program, SolveConfig};
 use blog_parallel::FrontierPolicy;
 use blog_serve::{
     Admission, CacheConfig, CacheMode, ExecMode, Outcome, QueryRequest, QueryServer, Routing,
-    ServeConfig, ServedFrom, SessionId, UpdateOp, UpdateOutcome,
+    ServeConfig, ServedFrom, SessionId, TraceConfig, TraceRecord, UpdateOp, UpdateOutcome,
 };
 use blog_spd::{Geometry, PagedStoreConfig, PolicyKind};
 use blog_workloads::{tenant_mix_program, tenant_mix_requests, FamilyParams, TenantMix};
@@ -414,9 +414,15 @@ fn serve_stats_are_internally_consistent() {
 #[test]
 fn tenant_mix_affinity_beats_round_robin_on_warm_hits() {
     // The §5 claim in miniature: drifting sessions with disjoint working
-    // sets through a capacity-limited shared cache — affinity keeps each
-    // session's tracks warm between its bursts, round-robin scatters the
-    // session across pools so its repeat queries run cold.
+    // sets through a capacity-limited shared cache — affinity brings each
+    // session back to the pool that already ran it, round-robin scatters
+    // the session across pools so its repeat queries run cold there.
+    //
+    // Each request runs alone (submit, then quiesce), so the shared track
+    // cache sees one access stream whatever the routing. Run concurrently,
+    // the store-wide hit rates of the two routings depend on how the two
+    // pools' touches interleave, and either side can come out ahead; the
+    // serialized schedule makes every number below exact.
     let mix = TenantMix {
         n_tenants: 6,
         queries_per_tenant: 8,
@@ -449,15 +455,38 @@ fn tenant_mix_affinity_beats_round_robin_on_warm_hits() {
                 ..ServeConfig::default()
             },
         );
-        server.serve(gen_requests()).stats
+        let (report, ()) = server.serve_open(|s| {
+            for request in gen_requests() {
+                s.submit(request);
+                s.quiesce();
+            }
+        });
+        report.stats
     };
     let aff = run(Routing::SessionAffinity);
     let rr = run(Routing::RoundRobin);
-    let aff_rate = aff.store.hits as f64 / aff.store.accesses as f64;
+    assert_eq!(aff.completed, 48);
+    assert_eq!(rr.completed, 48);
+    assert_eq!(
+        (aff.store.accesses, aff.store.hits),
+        (rr.store.accesses, rr.store.hits),
+        "one request at a time, routing cannot change what the shared store sees"
+    );
+    assert_eq!(
+        aff.cold.requests, mix.n_tenants,
+        "under affinity only each session's first request runs cold"
+    );
+    assert!(
+        aff.warm.requests > rr.warm.requests,
+        "affinity {} must keep more requests warm than round-robin {}",
+        aff.warm.requests,
+        rr.warm.requests
+    );
     let rr_rate = rr.store.hits as f64 / rr.store.accesses as f64;
     assert!(
-        aff_rate > rr_rate,
-        "affinity {aff_rate:.3} must beat round-robin {rr_rate:.3} on hit rate"
+        aff.warm.hit_rate() > rr_rate,
+        "affinity's warm requests {:.3} must beat round-robin {rr_rate:.3} on hit rate",
+        aff.warm.hit_rate()
     );
     assert!(
         aff.warm.hit_rate() >= aff.cold.hit_rate(),
@@ -928,7 +957,6 @@ fn breaker_reroutes_admissions_to_healthy_pools() {
 
 #[test]
 fn breaker_storm_traces_the_full_transition_cycle() {
-    use blog_serve::TraceConfig;
     let p = parse_program(FAMILY).unwrap();
     // Every touch in [0, 3) faults: the first three requests each fail
     // on their first clause fetch, tripping the single pool's breaker
@@ -986,43 +1014,44 @@ fn breaker_storm_traces_the_full_transition_cycle() {
     }
 }
 
-#[test]
-fn tracing_off_records_nothing_and_always_on_traces_every_request() {
-    use blog_serve::TraceConfig;
+/// Serve a 16-request tenant mix on two pools under `trace` and return
+/// what the flight recorder kept.
+fn traced_tenant_mix(trace: TraceConfig) -> Vec<TraceRecord> {
     let mix = TenantMix {
         n_tenants: 4,
         queries_per_tenant: 4,
         ..TenantMix::default()
     };
     let (p, metas) = tenant_mix_program(&mix);
-    let originals = tenant_mix_requests(&mix, &metas);
-    let run = |trace: TraceConfig| {
-        let server = QueryServer::new(
-            &p.db,
-            store_cfg(p.db.len(), 8),
-            ServeConfig {
-                n_pools: 2,
-                trace,
-                ..ServeConfig::default()
-            },
-        );
-        let requests = originals
-            .iter()
-            .map(|r| {
-                QueryRequest::new(r.tenant as u64, r.text.clone()).with_tenant(r.tenant as u32)
-            })
-            .collect();
-        let report = server.serve(requests);
-        assert_eq!(report.stats.completed, 16);
-        server.tracer().recorder().snapshot()
-    };
+    let server = QueryServer::new(
+        &p.db,
+        store_cfg(p.db.len(), 8),
+        ServeConfig {
+            n_pools: 2,
+            trace,
+            ..ServeConfig::default()
+        },
+    );
+    let requests = tenant_mix_requests(&mix, &metas)
+        .into_iter()
+        .map(|r| QueryRequest::new(r.tenant as u64, r.text).with_tenant(r.tenant as u32))
+        .collect();
+    let report = server.serve(requests);
+    assert_eq!(report.stats.completed, 16);
+    server.tracer().recorder().snapshot()
+}
 
+#[test]
+fn tracing_off_records_nothing() {
     assert!(
-        run(TraceConfig::off()).is_empty(),
+        traced_tenant_mix(TraceConfig::off()).is_empty(),
         "tracing off records nothing"
     );
+}
 
-    let traces = run(TraceConfig::always_on());
+#[test]
+fn always_on_tracing_records_a_well_formed_trace_per_request() {
+    let traces = traced_tenant_mix(TraceConfig::always_on());
     assert_eq!(traces.len(), 16, "always-on traces every request");
     for t in &traces {
         t.well_formed()
