@@ -8,9 +8,9 @@
 //! the depth and node limits, expansion, the store-fault abort, the §5
 //! hooks and sprouting — against an [`Executor`], which owns where chains
 //! wait and where a query's shared outcomes go. The single-processor
-//! executor here is a thread-local min-heap; `blog-parallel`'s sharded
-//! worker is the other, and `blog-machine` simulates the same rules on the
-//! paper's machine.
+//! executor here is a thread-local min-heap; `blog-parallel`'s worker,
+//! with its own heap and a shared exchange, is the other, and
+//! `blog-machine` simulates the same rules on the paper's machine.
 //!
 //! The heap is keyed by bound, with a strictly monotone sequence number as
 //! a deterministic tie-break. Learning is one of two sinks of the same
@@ -222,7 +222,7 @@ impl<'a, S: ClauseSource + ?Sized> Search<'a, S> {
 ///
 /// Two implementations: the thread-local heap behind [`best_first_with`]
 /// and [`best_first_deferred`] (no atomics, no locks), and
-/// `blog-parallel`'s sharded worker, which shares the frontier,
+/// `blog-parallel`'s worker, which keeps its own heap and shares the
 /// incumbent, node count and solution list of one query across threads.
 pub trait Executor {
     /// The weight added to a bound when following `arc`.
@@ -246,9 +246,8 @@ pub trait Executor {
     /// it changed, or log it for the join and return `None`.
     fn learn(&mut self, arcs: Vec<PointerKey>, success: bool) -> Option<UpdateOutcome>;
 
-    /// Queue freshly sprouted chains, draining `children`. Returns a child
-    /// to expand next instead of queueing it (a dive), if any.
-    fn sprout(&mut self, children: &mut Vec<Chain>) -> Option<Chain>;
+    /// Queue freshly sprouted chains, draining `children`.
+    fn sprout(&mut self, children: &mut Vec<Chain>);
 
     /// End the whole search: cancelled, a limit met, or `fault`.
     fn stop(&mut self, fault: Option<StoreError>);
@@ -257,8 +256,7 @@ pub trait Executor {
 /// Process one chain: cancellation, incumbent pruning, solution
 /// extraction, the depth and node limits, expansion (a store fault stops
 /// the search), the §5 hooks, and sprouting the children into `buf` (a
-/// buffer reused across calls) for `exec` to queue. Returns the child
-/// `exec` chose to expand next, if any.
+/// buffer reused across calls) for `exec` to queue.
 pub fn expand_chain<S: ClauseSource + ?Sized, E: Executor>(
     search: &Search<'_, S>,
     exec: &mut E,
@@ -266,14 +264,14 @@ pub fn expand_chain<S: ClauseSource + ?Sized, E: Executor>(
     blog: &mut BlogStats,
     chain: Chain,
     buf: &mut Vec<Chain>,
-) -> Option<Chain> {
+) {
     let config = search.config;
     // Cooperative cancellation (a deadline reaper, a server shedding
     // load) ends the search like an exhausted node budget.
     if config.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
         stats.truncated = true;
         exec.stop(None);
-        return None;
+        return;
     }
 
     // Incumbent pruning: drop chains that can no longer beat (or tie
@@ -284,7 +282,7 @@ pub fn expand_chain<S: ClauseSource + ?Sized, E: Executor>(
         let best = exec.incumbent(blog.best_bound);
         if best.is_some_and(|best| chain.bound > best.plus(slack)) {
             blog.pruned += 1;
-            return None;
+            return;
         }
     }
 
@@ -305,7 +303,7 @@ pub fn expand_chain<S: ClauseSource + ?Sized, E: Executor>(
         };
         let Some(cap_met) = exec.close(solution, config.solve.max_solutions) else {
             exec.stop(None);
-            return None;
+            return;
         };
         stats.solutions += 1;
         blog.best_bound = Some(blog.best_bound.map_or(chain.bound, |b| b.min(chain.bound)));
@@ -318,20 +316,20 @@ pub fn expand_chain<S: ClauseSource + ?Sized, E: Executor>(
         if cap_met {
             exec.stop(None);
         }
-        return None;
+        return;
     }
 
     if let Some(limit) = config.solve.max_depth {
         if chain.node.depth >= limit {
             stats.depth_cutoff = true;
-            return None;
+            return;
         }
     }
     if let Some(budget) = config.solve.max_nodes {
         if !exec.claim_node(stats.nodes_expanded, budget) {
             stats.truncated = true;
             exec.stop(None);
-            return None;
+            return;
         }
     }
 
@@ -346,7 +344,7 @@ pub fn expand_chain<S: ClauseSource + ?Sized, E: Executor>(
             // decision.
             stats.truncated = true;
             exec.stop(Some(e));
-            return None;
+            return;
         }
     };
     stats.unify_attempts += est.unify_attempts;
@@ -362,7 +360,7 @@ pub fn expand_chain<S: ClauseSource + ?Sized, E: Executor>(
                 blog.anomalies += u64::from(out.anomaly);
             }
         }
-        return None;
+        return;
     }
 
     debug_assert!(buf.is_empty());
@@ -435,7 +433,7 @@ impl Executor for Heap<'_, '_> {
         ))
     }
 
-    fn sprout(&mut self, children: &mut Vec<Chain>) -> Option<Chain> {
+    fn sprout(&mut self, children: &mut Vec<Chain>) {
         // Under LIFO, sibling order must match the clause order a stack
         // would see (first clause on top), so enqueue them in reverse.
         if self.policy == BoundPolicy::Lifo {
@@ -447,7 +445,6 @@ impl Executor for Heap<'_, '_> {
             self.entries.push(Reverse(Queued { key, chain }));
         }
         self.max_len = self.max_len.max(self.entries.len());
-        None
     }
 
     fn stop(&mut self, fault: Option<StoreError>) {
@@ -492,8 +489,7 @@ fn run_heap<S: ClauseSource + ?Sized>(
                 trace.push(link.arc);
             }
         }
-        let dive = expand_chain(search, &mut heap, &mut stats, &mut blog, chain, &mut buf);
-        debug_assert!(dive.is_none(), "the heap queues every child");
+        expand_chain(search, &mut heap, &mut stats, &mut blog, chain, &mut buf);
     }
     stats.max_frontier = heap.max_len;
     let result = BlogResult {

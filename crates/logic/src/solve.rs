@@ -34,8 +34,8 @@ use crate::unify::unify_head;
 ///
 /// Cloning is cheap (`Arc`); every clone observes the same flag. Engines
 /// that accept a token check it once per node expansion — the same
-/// cadence at which the OR-parallel frontier's `done` flag from the
-/// sharded-frontier work is observed — and report the cut as
+/// cadence at which OR-parallel workers observe their exchange's stop
+/// flag — and report the cut as
 /// [`SearchStats::truncated`], exactly like an exhausted node budget.
 /// Cancellation is one-way: there is no `reset`, so a token describes a
 /// single request's lifetime.
@@ -78,7 +78,7 @@ pub struct SolveConfig {
     /// Span context of the request this solve belongs to (`None` — the
     /// default — means untraced: every instrumentation site downstream
     /// is a branch on `None`). Engines and executors parent their spans
-    /// and events (worker spans, frontier dive/steal events) under it.
+    /// and events (worker spans, frontier counter events) under it.
     pub trace: Option<blog_obs::SpanCtx>,
 }
 

@@ -32,7 +32,7 @@ use crate::json::Json;
 
 /// Point events kept per trace before further ones are counted into
 /// `dropped_events` instead of stored — bounds hot sites (per-touch
-/// faults, dive/steal decisions) even in always-on mode.
+/// faults) even in always-on mode.
 pub const MAX_EVENTS_PER_TRACE: usize = 512;
 
 static ANCHOR: OnceLock<Instant> = OnceLock::new();
@@ -129,12 +129,12 @@ pub struct Span {
     pub end_ns: u64,
 }
 
-/// One point event inside a span (breaker flip, injected fault, dive…).
+/// One point event inside a span (breaker flip, injected fault, …).
 #[derive(Clone, Debug)]
 pub struct TraceEvent {
     /// Span the event belongs to.
     pub parent: SpanId,
-    /// Taxonomy name, e.g. `breaker`, `fault`, `dive`.
+    /// Taxonomy name, e.g. `breaker`, `fault`, `worker`.
     pub name: String,
     /// Free-form detail, e.g. `closed->open`.
     pub detail: String,

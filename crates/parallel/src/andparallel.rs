@@ -203,10 +203,10 @@ fn cross_join(
 
 /// AND-parallelism over OR-parallelism: fork-join over the independent
 /// goal groups, with each group enumerated by the OR-parallel best-first
-/// executor (and its frontier policy — sharded by default) instead of a
-/// single depth-first thread. Pruning and `max_solutions` are join-level
-/// concerns, so each factor runs unpruned and unbounded (safety budgets
-/// aside); the solution *set* therefore matches [`and_parallel_solve`].
+/// executor instead of a single depth-first thread. Pruning and
+/// `max_solutions` are join-level concerns, so each factor runs unpruned
+/// and unbounded (safety budgets aside); the solution *set* therefore
+/// matches [`and_parallel_solve`].
 pub fn and_or_parallel_solve(
     db: &ClauseDb,
     query: &Query,
@@ -234,8 +234,7 @@ pub fn and_or_parallel_solve(
         };
         let r = par_best_first(db, query, weights, &single_config);
         let mut stats = r.stats;
-        let solutions: Vec<Solution> =
-            r.solutions.into_iter().map(|b| b.solution).collect();
+        let solutions: Vec<Solution> = r.solutions.into_iter().map(|b| b.solution).collect();
         stats.solutions = solutions.len() as u64;
         return SolveResult { solutions, stats };
     }
@@ -542,12 +541,7 @@ mod tests {
         use blog_core::weight::{WeightParams, WeightStore};
         let p = parse_program("a(1,2). b(2,3). ?- a(X,Y), b(Y,Z).").unwrap();
         let weights = WeightStore::new(WeightParams::default());
-        let r = and_or_parallel_solve(
-            &p.db,
-            &p.queries[0],
-            &weights,
-            &ParallelConfig::default(),
-        );
+        let r = and_or_parallel_solve(&p.db, &p.queries[0], &weights, &ParallelConfig::default());
         assert_eq!(r.solutions.len(), 1);
         assert_eq!(r.solutions[0].to_text(&p.db), "X = 1, Y = 2, Z = 3");
     }

@@ -5,17 +5,15 @@
 //! the closest a 2020s machine gets to the architecture the authors
 //! sketched in 1985:
 //!
-//! - [`frontier`] — the shared weighted frontier: per-worker chain pools
-//!   with the communication threshold **D** gating remote acquisition,
-//!   the §6 comparator network as a sharded store (per-pool locks +
-//!   lock-free `AtomicU64` published minimums + atomic-count
-//!   termination).
+//! - [`frontier`] — worker-owned chain heaps and the one exchange
+//!   between them; the communication threshold **D** decides which
+//!   chains a worker hands a dry peer (§6).
+//! - [`crew`] — long-lived helper threads a serving pool lends to every
+//!   request; the caller's thread is worker 0.
 //! - [`orparallel`] — OR-parallel best-first search: every chain runs
 //!   `blog-core`'s one per-chain step (`expand_chain`). One worker is the
-//!   sequential heap, inline on the caller's thread; more expand the
-//!   globally cheapest chains concurrently, with incumbent-bound pruning
-//!   shared through an atomic, batched sprouts, and local dives that keep
-//!   a worker on its own cheapest child.
+//!   sequential heap, inline; more each expand their own cheapest chains,
+//!   sharing the incumbent and an exact node budget through atomics.
 //! - [`andparallel`] — the §7 extensions: variable-sharing independence
 //!   analysis, fork-join evaluation of independent goal groups, and the
 //!   semi-join strategy for goals that do share variables.
@@ -35,6 +33,7 @@
 //! machine.)
 
 pub mod andparallel;
+pub mod crew;
 pub mod frontier;
 pub mod orparallel;
 
@@ -42,5 +41,8 @@ pub use andparallel::{
     and_or_parallel_solve, and_parallel_solve, independent_groups, semijoin_conjunction,
     SemiJoinStats,
 };
-pub use frontier::{Frontier, FrontierCounters, FrontierPolicy};
-pub use orparallel::{par_best_first, par_best_first_with, ParallelConfig, ParallelResult};
+pub use crew::Crew;
+pub use frontier::{FrontierCounters, FrontierPolicy};
+pub use orparallel::{
+    par_best_first, par_best_first_on, par_best_first_with, ParallelConfig, ParallelResult,
+};

@@ -3,26 +3,19 @@
 //! "Parallel searching is possible in a branch-and-bound problem …
 //! Each processor works on the chains with the lowest bounds" (§3).
 //! Every chain goes through `blog-core`'s one per-chain step,
-//! [`expand_chain`]; this module holds the multi-threaded executor and
-//! the join. One worker is `blog-core`'s thread-local heap
-//! ([`best_first_deferred`]) on the caller's thread; two or more are OS
-//! threads sharing a sharded [`Frontier`] and an atomic incumbent. Either
-//! way the weights stay frozen and every closed chain is logged, and the
-//! §5 updates are applied at join (see the crate docs for why): the
-//! deferred sink of the same loop that learns during the search in
+//! [`expand_chain`]. One worker is `blog-core`'s thread-local heap
+//! ([`best_first_deferred`]) on the caller's thread. Two or more each own
+//! a heap and share chains through the [`frontier`](crate::frontier)
+//! exchange; the caller's thread is worker 0 and a [`Crew`]'s helpers are
+//! the rest. Either way the weights stay frozen, every closed chain is
+//! logged, and the §5 updates are applied at join (see the crate docs for
+//! why): the deferred sink of the loop that learns during the search in
 //! `best_first_with`.
-//!
-//! The sharded worker adds the paper's "a processor keeps its own
-//! cheapest chain": after an expansion, if the cheapest sprouted child is
-//! within `D` of the **global** published minimum (N lock-free atomic
-//! loads — the §6 comparison; see [`Frontier::should_dive`]), the worker
-//! **dives** — it expands that child immediately, pushing only the
-//! siblings, so the common deepening step costs one shard lock instead of
-//! a push + acquire round-trip. A per-acquisition dive budget bounds how
-//! far a worker may run ahead of the frontier order.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use blog_core::chain::Chain;
 use blog_core::engine::{
@@ -37,15 +30,16 @@ use blog_logic::{
 };
 use parking_lot::Mutex;
 
-use crate::frontier::{Frontier, FrontierCounters, FrontierPolicy};
+use crate::crew::Crew;
+use crate::frontier::{Exchange, FrontierCounters, FrontierPolicy, LocalHeap};
 
 /// Configuration for [`par_best_first`].
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
-    /// Workers (the paper's processors). One runs inline on the caller's
-    /// thread; more are OS threads.
+    /// Workers (the paper's processors). The caller's thread is worker 0;
+    /// one worker runs the sequential heap inline.
     pub n_workers: usize,
-    /// Frontier sharing policy for two or more workers.
+    /// The donation threshold `D` for two or more workers.
     pub policy: FrontierPolicy,
     /// Incumbent pruning mode.
     pub prune: PruneMode,
@@ -57,9 +51,6 @@ pub struct ParallelConfig {
     pub infinity_placement: InfinityPlacement,
     /// Seed for the `Random` placement ablation.
     pub seed: u64,
-    /// Maximum consecutive local dives per acquisition (two or more
-    /// workers; 0 disables diving). Each acquire refreshes the budget.
-    pub dive_budget: u32,
     /// Cooperative cancellation, observed once per processed chain. It
     /// stops the search exactly like the node budget and the
     /// `max_solutions` exits, so every worker drains and joins promptly.
@@ -77,7 +68,6 @@ impl Default for ParallelConfig {
             learn: true,
             infinity_placement: InfinityPlacement::NearestLeaf,
             seed: 0x5EED,
-            dive_budget: 64,
             cancel: None,
         }
     }
@@ -93,8 +83,8 @@ pub struct ParallelResult {
     pub stats: SearchStats,
     /// Chains discarded by incumbent pruning.
     pub pruned: u64,
-    /// Frontier counters (steals, locals, dives, lock/publish traffic).
-    /// A one-worker run has no shared frontier: only `max_len` is set.
+    /// Frontier counters (pops, chains received, exchange-lock traffic).
+    /// A one-worker run has no exchange: only `max_len` is set.
     pub counters: FrontierCounters,
     /// Nodes expanded by each worker (the load-balance picture).
     pub per_worker_expanded: Vec<u64>,
@@ -109,40 +99,57 @@ pub struct ParallelResult {
     pub store_error: Option<StoreError>,
 }
 
-/// Query-wide state the sharded workers share.
-struct Shared<'a> {
-    weights: &'a WeightStore,
-    config: &'a ParallelConfig,
-    frontier: Frontier,
+/// A value on a cache line of its own.
+#[repr(align(128))]
+struct Line<T>(T);
+
+/// Query-wide state the workers share. Apart from the exchange, a worker
+/// writes here only to claim a node, close a solution, or report.
+struct Shared<'w> {
+    weights: &'w WeightStore,
+    config: BestFirstConfig,
+    d: u64,
+    exchange: Exchange,
     /// Best solution bound so far; `u64::MAX` before the first.
-    incumbent: AtomicU64,
+    incumbent: Line<AtomicU64>,
     /// Expansions claimed against the node budget, all workers.
-    nodes: AtomicU64,
+    nodes: Line<AtomicU64>,
     solutions: Mutex<Vec<BoundedSolution>>,
     /// First storage fault observed by any worker (first writer wins;
     /// later faults are aftershocks of the same abort).
     store_error: Mutex<Option<StoreError>>,
+    /// What the workers that ran reported, merged as each one finished.
+    joined: Mutex<Joined>,
 }
 
-/// One sharded worker: the multi-threaded [`Executor`].
-struct Worker<'s, 'a> {
-    shared: &'s Shared<'a>,
-    w: usize,
-    dives_left: u32,
-    dives: u64,
-    /// §5 chain log, kept thread-local so the hot path never touches a
-    /// shared mutex; in completion order.
+#[derive(Default)]
+struct Joined {
+    stats: SearchStats,
+    pruned: u64,
+    counters: FrontierCounters,
+    per_worker_expanded: Vec<u64>,
+    /// The §5 chain logs, by worker id.
+    logs: Vec<Vec<ChainOutcome>>,
+}
+
+/// One worker of a multi-worker search: the multi-threaded [`Executor`].
+struct Worker<'s, 'w, S: ClauseSource + ?Sized> {
+    search: &'s Search<'s, S>,
+    shared: &'s Shared<'w>,
+    heap: LocalHeap,
+    meter: FrontierCounters,
+    /// §5 chain log, in completion order.
     chain_log: Vec<ChainOutcome>,
 }
 
-impl Executor for Worker<'_, '_> {
+impl<S: ClauseSource + ?Sized> Executor for Worker<'_, '_, S> {
     fn weight(&self, arc: PointerKey) -> Weight {
         let weights = self.shared.weights;
         weights.get(arc).effective(weights.params())
     }
 
     fn incumbent(&self, _own: Option<Bound>) -> Option<Bound> {
-        let best = self.shared.incumbent.load(Ordering::Acquire);
+        let best = self.shared.incumbent.0.load(Ordering::Acquire);
         (best != u64::MAX).then_some(Bound(best))
     }
 
@@ -156,13 +163,16 @@ impl Executor for Worker<'_, '_> {
         }
         self.shared
             .incumbent
+            .0
             .fetch_min(solution.bound.0, Ordering::AcqRel);
         solutions.push(solution);
         Some(cap.is_some_and(|m| solutions.len() >= m))
     }
 
     fn claim_node(&mut self, _expanded: u64, budget: u64) -> bool {
-        self.shared.nodes.fetch_add(1, Ordering::Relaxed) < budget
+        // Exact: only claims under the budget expand, so a truncated run
+        // expands exactly `budget` nodes.
+        self.shared.nodes.0.fetch_add(1, Ordering::Relaxed) < budget
     }
 
     fn learn(&mut self, arcs: Vec<PointerKey>, success: bool) -> Option<UpdateOutcome> {
@@ -170,93 +180,86 @@ impl Executor for Worker<'_, '_> {
         None
     }
 
-    fn sprout(&mut self, children: &mut Vec<Chain>) -> Option<Chain> {
-        let frontier = &self.shared.frontier;
-        // Local dive: keep the cheapest child when it is within D of the
-        // global published minimum, pushing only the siblings.
-        if self.dives_left > 0 {
-            let (min_idx, min_bound) = children
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (i, c.bound))
-                .min_by_key(|&(_, b)| b)
-                .expect("a sprout has at least one child");
-            if frontier.should_dive(self.w, min_bound) {
-                self.dives_left -= 1;
-                self.dives += 1;
-                if let Some(t) = &self.shared.config.solve.trace {
-                    t.event("dive", format!("worker {} bound {min_bound}", self.w));
-                }
-                let next = children.swap_remove(min_idx);
-                frontier.push_children_from(self.w, children);
-                return Some(next);
-            }
-        }
-        frontier.push_children_from(self.w, children);
-        None
+    fn sprout(&mut self, children: &mut Vec<Chain>) {
+        self.heap.push_all(children);
     }
 
     fn stop(&mut self, fault: Option<StoreError>) {
         if let Some(e) = fault {
             self.shared.store_error.lock().get_or_insert(e);
         }
-        // Every worker drains through the frontier's abort flag, so none
-        // strands waiting for work.
-        self.shared.frontier.abort();
+        self.heap.clear();
+        self.shared.exchange.stop(&mut self.meter);
     }
 }
 
-/// Aborts the frontier if the worker unwinds, so a panicking worker
-/// (whose `finish` never runs) fails the whole query loudly at join
-/// instead of leaving its active slot leaked and the surviving workers
-/// waiting for a termination signal that can never come.
-impl Drop for Worker<'_, '_> {
+/// Every worker hands the source what it deferred (the paged store's
+/// batched hits) before its thread lets go of the search, so counters
+/// read after the join are complete. A worker that unwinds also stops the
+/// exchange, so its peers drain instead of waiting for it to run dry.
+impl<S: ClauseSource + ?Sized> Drop for Worker<'_, '_, S> {
     fn drop(&mut self) {
+        self.search.source().flush_deferred();
         if std::thread::panicking() {
-            self.shared.frontier.abort();
+            self.shared.exchange.stop(&mut self.meter);
         }
     }
 }
 
-fn worker_loop<'s, 'a, S: ClauseSource + ?Sized>(
-    search: &Search<'_, S>,
-    shared: &'s Shared<'a>,
-    w: usize,
-) -> (SearchStats, BlogStats, Worker<'s, 'a>) {
-    // One span per worker thread, parented under the request's engine
-    // span: the flight record shows each worker's busy interval, with
-    // its dive events nested by timestamp.
-    let _worker_span = shared
-        .config
-        .solve
-        .trace
-        .as_ref()
-        .map(|t| t.span(format!("worker{w}")));
+/// Worker `w`'s loop: pop its own cheapest chain and expand it; when its
+/// heap is empty take a batch from the exchange; after each expansion
+/// feed a hungry peer.
+fn worker_loop<S: ClauseSource + ?Sized>(search: &Search<'_, S>, shared: &Shared<'_>, w: usize) {
+    // One span per worker, parented under the request's engine span: the
+    // flight record shows each worker's busy interval and its thread.
+    let trace = shared.config.solve.trace.as_ref();
+    let span = trace.map(|t| t.span(format!("worker{w}")));
     let mut worker = Worker {
+        search,
         shared,
-        w,
-        dives_left: 0,
-        dives: 0,
+        heap: LocalHeap::default(),
+        meter: FrontierCounters::default(),
         chain_log: Vec::new(),
     };
-    let mut stats = SearchStats::default();
-    let mut blog = BlogStats::default();
+    // Worker 0 starts with the root; the rest start idle.
+    let mut holds = w == 0;
+    if holds {
+        worker.heap.push_all(&mut vec![search.root()]);
+    }
+    let exchange = &shared.exchange;
+    let (mut stats, mut blog) = (SearchStats::default(), BlogStats::default());
     // Reused across every expansion this worker performs.
     let mut buf: Vec<Chain> = Vec::new();
-    while let Some(chain) = shared.frontier.acquire(w) {
-        worker.dives_left = shared.config.dive_budget;
-        let mut next = Some(chain);
-        while let Some(chain) = next {
-            next = expand_chain(search, &mut worker, &mut stats, &mut blog, chain, &mut buf);
+    while !exchange.stopped() {
+        let Some(chain) = worker.heap.pop() else {
+            let Some(mut batch) = exchange.acquire(holds, &mut worker.meter) else {
+                break;
+            };
+            worker.heap.push_all(&mut batch);
+            holds = true;
+            continue;
+        };
+        worker.meter.local += 1;
+        expand_chain(search, &mut worker, &mut stats, &mut blog, chain, &mut buf);
+        if exchange.hungry() {
+            exchange.donate_from(&mut worker.heap, shared.d, &mut worker.meter);
         }
-        // One `finish` per acquire: the dive lineage shares the slot.
-        shared.frontier.finish(w);
     }
-    // This thread is done with the source: hand it what it deferred (the
-    // paged store's batched hits), so counters read after the join are
-    // complete.
-    search.source().flush_deferred();
-    (stats, blog, worker)
+    if let (Some(t), Some(span)) = (trace, &span) {
+        let thread = std::thread::current().id();
+        t.handle().event(
+            span.id(),
+            "worker",
+            format!("{} nodes on {thread:?}", stats.nodes_expanded),
+        );
+    }
+    worker.meter.max_len = worker.heap.peak;
+    let mut joined = shared.joined.lock();
+    joined.stats.merge(&stats);
+    joined.pruned += blog.pruned;
+    joined.counters.merge(&worker.meter);
+    joined.per_worker_expanded[w] = stats.nodes_expanded;
+    joined.logs[w] = std::mem::take(&mut worker.chain_log);
 }
 
 /// Run OR-parallel best-first search with `config.n_workers` workers,
@@ -276,6 +279,10 @@ pub fn par_best_first(
 /// tagged or not) and every worker thread resolves clauses *through the
 /// shared cache*: the source's `Sync` bound is what makes this sound. Results
 /// are identical to running over the backing [`ClauseDb`] directly.
+///
+/// Two or more workers run on a [`Crew`] started for this call: the
+/// caller's thread plus `n_workers − 1` scoped threads. A server that
+/// searches many queries keeps one crew instead ([`par_best_first_on`]).
 pub fn par_best_first_with<S: ClauseSource + ?Sized>(
     source: &S,
     query: &Query,
@@ -283,17 +290,10 @@ pub fn par_best_first_with<S: ClauseSource + ?Sized>(
     config: &ParallelConfig,
 ) -> ParallelResult {
     assert!(config.n_workers >= 1);
-    let cfg = BestFirstConfig {
-        solve: config.solve.clone(),
-        prune: config.prune,
-        learn: config.learn,
-        cancel: config.cancel.clone(),
-        ..BestFirstConfig::default()
-    };
-    let (mut result, logs) = if config.n_workers == 1 {
+    let (result, logs) = if config.n_workers == 1 {
         // One worker: `blog-core`'s heap on the caller's thread — no
-        // thread spawn, no locks — logging like a sharded worker.
-        let (r, log) = best_first_deferred(source, query, weights, &cfg);
+        // thread, no locks — logging like a parallel worker.
+        let (r, log) = best_first_deferred(source, query, weights, &best_first_config(config));
         let result = ParallelResult {
             per_worker_expanded: vec![r.stats.nodes_expanded],
             counters: FrontierCounters {
@@ -308,11 +308,49 @@ pub fn par_best_first_with<S: ClauseSource + ?Sized>(
         };
         (result, vec![log])
     } else {
-        run_sharded(&Search::new(source, query, &cfg), weights, config)
+        std::thread::scope(|scope| {
+            let crew = Crew::start(scope, config.n_workers - 1);
+            run_on_crew(&crew, source, query, weights, config)
+        })
     };
+    with_learning(result, logs, weights, config)
+}
 
-    // Apply the deferred §5 updates from the per-worker logs, merged
-    // deterministically: by worker id, then per-worker completion order.
+/// [`par_best_first_with`] on a long-lived `crew`, whose size must match
+/// `config.n_workers`: the caller's thread is worker 0 and the crew's
+/// parked helpers are the rest, so no thread is started. The source and
+/// query travel in `Arc`s because the helpers outlive this call.
+pub fn par_best_first_on<'a, S: ClauseSource + Send + 'a>(
+    crew: &Crew<'a>,
+    source: Arc<S>,
+    query: Arc<Query>,
+    weights: &'a WeightStore,
+    config: &ParallelConfig,
+) -> ParallelResult {
+    assert_eq!(crew.workers(), config.n_workers, "crew size");
+    let (result, logs) = run_on_crew(crew, source, query, weights, config);
+    with_learning(result, logs, weights, config)
+}
+
+/// The sequential engine's configuration for the same search.
+fn best_first_config(config: &ParallelConfig) -> BestFirstConfig {
+    BestFirstConfig {
+        solve: config.solve.clone(),
+        prune: config.prune,
+        learn: config.learn,
+        cancel: config.cancel.clone(),
+        ..BestFirstConfig::default()
+    }
+}
+
+/// Apply the deferred §5 updates from the per-worker logs, merged
+/// deterministically: by worker id, then per-worker completion order.
+fn with_learning(
+    mut result: ParallelResult,
+    logs: Vec<Vec<ChainOutcome>>,
+    weights: &WeightStore,
+    config: &ParallelConfig,
+) -> ParallelResult {
     let (placement, mut rng) = (config.infinity_placement, SplitMix64::new(config.seed));
     let mut view = WeightView::new(&mut result.learned, weights);
     for (arcs, success) in logs.iter().flatten() {
@@ -321,66 +359,70 @@ pub fn par_best_first_with<S: ClauseSource + ?Sized>(
     result
 }
 
-/// Two or more workers: scoped OS threads sharing a sharded frontier.
-fn run_sharded<S: ClauseSource + ?Sized>(
-    search: &Search<'_, S>,
-    weights: &WeightStore,
+/// Two or more workers: one worker loop per crew thread, then the join.
+fn run_on_crew<'a, S, Src, Q>(
+    crew: &Crew<'a>,
+    source: Src,
+    query: Q,
+    weights: &'a WeightStore,
     config: &ParallelConfig,
-) -> (ParallelResult, Vec<Vec<ChainOutcome>>) {
-    let shared = Shared {
+) -> (ParallelResult, Vec<Vec<ChainOutcome>>)
+where
+    S: ClauseSource + ?Sized,
+    Src: Deref<Target = S> + Send + Sync + 'a,
+    Q: Deref<Target = Query> + Send + Sync + 'a,
+{
+    let n_workers = crew.workers();
+    let FrontierPolicy::Sharded { d } = config.policy;
+    let shared = Arc::new(Shared {
         weights,
-        config,
-        frontier: Frontier::new(config.n_workers, config.policy, search.root()),
-        incumbent: AtomicU64::new(u64::MAX),
-        nodes: AtomicU64::new(0),
+        config: best_first_config(config),
+        d,
+        exchange: Exchange::new(n_workers),
+        incumbent: Line(AtomicU64::new(u64::MAX)),
+        nodes: Line(AtomicU64::new(0)),
         solutions: Mutex::new(Vec::new()),
         store_error: Mutex::new(None),
-    };
-    let per_worker: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.n_workers)
-            .map(|w| {
-                let shared = &shared;
-                scope.spawn(move || worker_loop(search, shared, w))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
+        joined: Mutex::new(Joined {
+            per_worker_expanded: vec![0; n_workers],
+            logs: vec![Vec::new(); n_workers],
+            ..Joined::default()
+        }),
     });
+    // The job owns the source, the query and a handle on the shared state.
+    let job = Arc::clone(&shared);
+    crew.run(Arc::new(move |w| {
+        let search = Search::new(&*source, &query, &job.config);
+        worker_loop(&search, &job, w);
+    }));
 
-    let mut stats = SearchStats::default();
-    let mut pruned = 0;
-    let mut dives = 0;
-    let mut per_worker_expanded = Vec::with_capacity(per_worker.len());
-    let mut logs = Vec::with_capacity(per_worker.len());
-    for (w_stats, blog, mut worker) in per_worker {
-        stats.merge(&w_stats);
-        pruned += blog.pruned;
-        dives += worker.dives;
-        per_worker_expanded.push(w_stats.nodes_expanded);
-        logs.push(std::mem::take(&mut worker.chain_log));
-    }
-    let mut counters = shared.frontier.counters();
-    counters.dives = dives;
+    // Every worker that ran has reported; a helper that never picked the
+    // job up held no chain and expanded nothing.
+    let Joined {
+        mut stats,
+        pruned,
+        counters,
+        per_worker_expanded,
+        logs,
+    } = std::mem::take(&mut *shared.joined.lock());
     stats.max_frontier = counters.max_len;
     if let Some(t) = &config.solve.trace {
         t.event(
             "frontier",
             format!(
-                "steals {} local {} dives {} max_len {}",
-                counters.steals, counters.local, counters.dives, counters.max_len
+                "steals {} local {} locks {} max_len {}",
+                counters.steals, counters.local, counters.shard_locks, counters.max_len
             ),
         );
     }
     let result = ParallelResult {
-        solutions: shared.solutions.into_inner(),
+        solutions: std::mem::take(&mut *shared.solutions.lock()),
         stats,
         pruned,
         counters,
         per_worker_expanded,
         learned: HashMap::new(),
-        store_error: shared.store_error.into_inner(),
+        store_error: shared.store_error.lock().take(),
     };
     (result, logs)
 }
@@ -389,7 +431,7 @@ fn run_sharded<S: ClauseSource + ?Sized>(
 mod tests {
     use super::*;
     use blog_core::weight::WeightParams;
-    use blog_logic::{dfs_all, parse_program};
+    use blog_logic::{dfs_all, parse_program, Program};
 
     const FAMILY: &str = "
         gf(X,Z) :- f(X,Y), f(Y,Z).
@@ -401,8 +443,25 @@ mod tests {
     ";
 
     /// Worker counts that select each executor: the inline heap and the
-    /// sharded threads.
+    /// worker-owned heaps.
     const EXECUTORS: [usize; 2] = [1, 4];
+
+    fn family() -> (Program, WeightStore) {
+        let p = parse_program(FAMILY).unwrap();
+        (p, WeightStore::new(WeightParams::default()))
+    }
+
+    fn workers(n_workers: usize) -> ParallelConfig {
+        ParallelConfig {
+            n_workers,
+            ..ParallelConfig::default()
+        }
+    }
+
+    /// `par_best_first` on `p`'s query.
+    fn run(p: &Program, weights: &WeightStore, config: ParallelConfig) -> ParallelResult {
+        par_best_first(&p.db, &p.queries[0], weights, &config)
+    }
 
     fn sorted_texts(db: &ClauseDb, r: &ParallelResult) -> Vec<String> {
         let mut v: Vec<String> = r.solutions.iter().map(|s| s.solution.to_text(db)).collect();
@@ -412,47 +471,21 @@ mod tests {
 
     #[test]
     fn family_solution_set_matches_dfs() {
-        let p = parse_program(FAMILY).unwrap();
-        let weights = WeightStore::new(WeightParams::default());
+        let (p, weights) = family();
         let d = dfs_all(&p.db, &p.queries[0], &SolveConfig::all());
         let mut expect: Vec<String> = d.solutions.iter().map(|s| s.to_text(&p.db)).collect();
         expect.sort();
         for n_workers in EXECUTORS {
-            let r = par_best_first(
-                &p.db,
-                &p.queries[0],
-                &weights,
-                &ParallelConfig {
-                    n_workers,
-                    ..ParallelConfig::default()
-                },
-            );
+            let r = run(&p, &weights, workers(n_workers));
             assert_eq!(sorted_texts(&p.db, &r), expect, "x{n_workers}");
         }
     }
 
     #[test]
     fn single_worker_matches_multi_worker_set() {
-        let p = parse_program(FAMILY).unwrap();
-        let weights = WeightStore::new(WeightParams::default());
-        let one = par_best_first(
-            &p.db,
-            &p.queries[0],
-            &weights,
-            &ParallelConfig {
-                n_workers: 1,
-                ..ParallelConfig::default()
-            },
-        );
-        let eight = par_best_first(
-            &p.db,
-            &p.queries[0],
-            &weights,
-            &ParallelConfig {
-                n_workers: 8,
-                ..ParallelConfig::default()
-            },
-        );
+        let (p, weights) = family();
+        let one = run(&p, &weights, workers(1));
+        let eight = run(&p, &weights, workers(8));
         assert_eq!(sorted_texts(&p.db, &one), sorted_texts(&p.db, &eight));
         assert_eq!(
             one.stats.nodes_expanded, eight.stats.nodes_expanded,
@@ -461,56 +494,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_dive() {
-        let p = parse_program(FAMILY).unwrap();
-        let weights = WeightStore::new(WeightParams::default());
-        let r = par_best_first(
-            &p.db,
-            &p.queries[0],
-            &weights,
-            &ParallelConfig {
-                n_workers: 2,
-                policy: FrontierPolicy::Sharded { d: 512 },
-                ..ParallelConfig::default()
-            },
-        );
-        assert!(r.counters.dives > 0, "family search deepens via dives");
-        // Dived chains never pass through the frontier store.
-        assert!(r.counters.dives + r.counters.local + r.counters.steals >= r.stats.nodes_expanded);
-    }
-
-    #[test]
-    fn dive_budget_zero_disables_dives() {
-        let p = parse_program(FAMILY).unwrap();
-        let weights = WeightStore::new(WeightParams::default());
-        let r = par_best_first(
-            &p.db,
-            &p.queries[0],
-            &weights,
-            &ParallelConfig {
-                dive_budget: 0,
-                ..ParallelConfig::default()
-            },
-        );
-        assert_eq!(r.counters.dives, 0);
-        assert_eq!(r.solutions.len(), 2);
-    }
-
-    #[test]
     fn pre_cancelled_token_aborts_every_policy() {
-        let p = parse_program(FAMILY).unwrap();
-        let weights = WeightStore::new(WeightParams::default());
+        let (p, weights) = family();
         for n_workers in EXECUTORS {
             let token = CancelToken::new();
             token.cancel();
-            let r = par_best_first(
-                &p.db,
-                &p.queries[0],
+            let cancel = Some(token);
+            let r = run(
+                &p,
                 &weights,
-                &ParallelConfig {
-                    n_workers,
-                    cancel: Some(token),
-                    ..ParallelConfig::default()
+                ParallelConfig {
+                    cancel,
+                    ..workers(n_workers)
                 },
             );
             assert!(r.stats.truncated, "x{n_workers}");
@@ -520,15 +515,14 @@ mod tests {
 
     #[test]
     fn untripped_token_is_transparent() {
-        let p = parse_program(FAMILY).unwrap();
-        let weights = WeightStore::new(WeightParams::default());
-        let base = par_best_first(&p.db, &p.queries[0], &weights, &ParallelConfig::default());
-        let r = par_best_first(
-            &p.db,
-            &p.queries[0],
+        let (p, weights) = family();
+        let base = run(&p, &weights, ParallelConfig::default());
+        let cancel = Some(CancelToken::new());
+        let r = run(
+            &p,
             &weights,
-            &ParallelConfig {
-                cancel: Some(CancelToken::new()),
+            ParallelConfig {
+                cancel,
                 ..ParallelConfig::default()
             },
         );
@@ -541,9 +535,8 @@ mod tests {
     fn generalized_source_matches_clause_db() {
         // par_best_first_with over the db as a ClauseSource must be the
         // identity generalization.
-        let p = parse_program(FAMILY).unwrap();
-        let weights = WeightStore::new(WeightParams::default());
-        let direct = par_best_first(&p.db, &p.queries[0], &weights, &ParallelConfig::default());
+        let (p, weights) = family();
+        let direct = run(&p, &weights, ParallelConfig::default());
         let source: &dyn blog_logic::ClauseSource = &p.db;
         let via = par_best_first_with(source, &p.queries[0], &weights, &ParallelConfig::default());
         assert_eq!(sorted_texts(&p.db, &via), sorted_texts(&p.db, &direct));
@@ -552,17 +545,15 @@ mod tests {
 
     #[test]
     fn max_solutions_stops_early() {
-        let p = parse_program(FAMILY).unwrap();
-        let weights = WeightStore::new(WeightParams::default());
+        let (p, weights) = family();
         for n_workers in EXECUTORS {
-            let r = par_best_first(
-                &p.db,
-                &p.queries[0],
+            let solve = SolveConfig::first();
+            let r = run(
+                &p,
                 &weights,
-                &ParallelConfig {
-                    n_workers,
-                    solve: SolveConfig::first(),
-                    ..ParallelConfig::default()
+                ParallelConfig {
+                    solve,
+                    ..workers(n_workers)
                 },
             );
             assert_eq!(r.solutions.len(), 1, "x{n_workers}");
@@ -571,20 +562,12 @@ mod tests {
 
     #[test]
     fn learning_produces_overlay() {
-        let p = parse_program(FAMILY).unwrap();
-        let weights = WeightStore::new(WeightParams::default());
-        let r = par_best_first(&p.db, &p.queries[0], &weights, &ParallelConfig::default());
+        let (p, weights) = family();
+        let r = run(&p, &weights, ParallelConfig::default());
         assert!(!r.learned.is_empty());
-        let known = r
-            .learned
-            .values()
-            .filter(|s| matches!(s, WeightState::Known(_)))
-            .count();
-        let infinite = r
-            .learned
-            .values()
-            .filter(|s| matches!(s, WeightState::Infinite))
-            .count();
+        let count = |f: fn(&WeightState) -> bool| r.learned.values().filter(|s| f(s)).count();
+        let known = count(|s| matches!(s, WeightState::Known(_)));
+        let infinite = count(|s| matches!(s, WeightState::Infinite));
         assert!(known >= 3, "solution chains become known");
         assert!(infinite >= 1, "the m dead-end is marked");
     }
@@ -595,27 +578,17 @@ mod tests {
         // produce the same overlay as the inline one-worker heap: on the
         // family workload the §5 updates commute, so any worker count and
         // any D lands on the same weights.
-        let p = parse_program(FAMILY).unwrap();
-        let weights = WeightStore::new(WeightParams::default());
-        let base = par_best_first(
-            &p.db,
-            &p.queries[0],
-            &weights,
-            &ParallelConfig {
-                n_workers: 1,
-                ..ParallelConfig::default()
-            },
-        );
+        let (p, weights) = family();
+        let base = run(&p, &weights, workers(1));
         for d in [0, 512] {
             for n_workers in [1, 4, 8] {
-                let r = par_best_first(
-                    &p.db,
-                    &p.queries[0],
+                let policy = FrontierPolicy::Sharded { d };
+                let r = run(
+                    &p,
                     &weights,
-                    &ParallelConfig {
-                        n_workers,
-                        policy: FrontierPolicy::Sharded { d },
-                        ..ParallelConfig::default()
+                    ParallelConfig {
+                        policy,
+                        ..workers(n_workers)
                     },
                 );
                 assert_eq!(
@@ -628,13 +601,11 @@ mod tests {
 
     #[test]
     fn learn_false_returns_empty_overlay() {
-        let p = parse_program(FAMILY).unwrap();
-        let weights = WeightStore::new(WeightParams::default());
-        let r = par_best_first(
-            &p.db,
-            &p.queries[0],
+        let (p, weights) = family();
+        let r = run(
+            &p,
             &weights,
-            &ParallelConfig {
+            ParallelConfig {
                 learn: false,
                 ..ParallelConfig::default()
             },
@@ -644,7 +615,7 @@ mod tests {
 
     #[test]
     fn trained_weights_plus_pruning_skip_dead_branches() {
-        let p = parse_program(FAMILY).unwrap();
+        let (p, _) = family();
         // Train sequentially first.
         let mut mgr = blog_core::session::SessionManager::new(WeightParams::default());
         let mut session = mgr.begin_session();
@@ -652,18 +623,20 @@ mod tests {
             &mut session,
             &p.db,
             &p.queries[0],
-            &blog_core::engine::BestFirstConfig::default(),
+            &BestFirstConfig::default(),
         );
         mgr.end_session(session, blog_core::session::MergePolicy::Overwrite);
-        // Parallel re-run with pruning: the infinite m-branch dies.
-        let r = par_best_first(
-            &p.db,
-            &p.queries[0],
+        // Parallel re-run with pruning: the infinite m-branch dies. The
+        // donor keeps it (it is more than D above its cheapest chain), so
+        // an incumbent exists by the time it is popped.
+        let prune = PruneMode::Incumbent {
+            slack: Weight::from_bits_int(2),
+        };
+        let r = run(
+            &p,
             mgr.global(),
-            &ParallelConfig {
-                prune: PruneMode::Incumbent {
-                    slack: blog_core::weight::Weight::from_bits_int(2),
-                },
+            ParallelConfig {
+                prune,
                 ..ParallelConfig::default()
             },
         );
@@ -684,20 +657,23 @@ mod tests {
         .unwrap();
         let weights = WeightStore::new(WeightParams::default());
         for n_workers in EXECUTORS {
-            let r = par_best_first(
-                &p.db,
-                &p.queries[0],
+            let solve = SolveConfig {
+                max_nodes: Some(500),
+                ..SolveConfig::all()
+            };
+            let r = run(
+                &p,
                 &weights,
-                &ParallelConfig {
-                    n_workers,
-                    solve: SolveConfig {
-                        max_nodes: Some(500),
-                        ..SolveConfig::all()
-                    },
-                    ..ParallelConfig::default()
+                ParallelConfig {
+                    solve,
+                    ..workers(n_workers)
                 },
             );
             assert!(r.stats.truncated, "x{n_workers}");
+            assert_eq!(
+                r.stats.nodes_expanded, 500,
+                "x{n_workers}: the budget is exact"
+            );
         }
     }
 
@@ -707,15 +683,7 @@ mod tests {
         let (p, _) = blog_workloads::queens_program(&blog_workloads::QueensParams { n: 4 });
         let weights = WeightStore::new(WeightParams::default());
         for n_workers in [1, 8] {
-            let r = par_best_first(
-                &p.db,
-                &p.queries[0],
-                &weights,
-                &ParallelConfig {
-                    n_workers,
-                    ..ParallelConfig::default()
-                },
-            );
+            let r = run(&p, &weights, workers(n_workers));
             assert_eq!(r.solutions.len(), 2, "4-queens has two solutions");
             // Per-worker counters account for all the work. (Whether work
             // actually spreads across workers depends on the host's core

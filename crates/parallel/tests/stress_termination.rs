@@ -1,6 +1,6 @@
-//! Termination stress for the sharded frontier's atomic-count + eventcount
-//! protocol: many workers, many iterations, tiny node budgets (aborting
-//! mid-flight with chains still queued), and `max_solutions` early exits.
+//! Termination stress for the worker-owned heaps and their exchange: many
+//! workers, many iterations, tiny node budgets (aborting mid-flight with
+//! chains still queued), and `max_solutions` early exits.
 //! Any lost wakeup or missed termination shows up as a hang, which the
 //! per-iteration watchdog converts into a test failure; any accounting
 //! slip shows up as `per_worker_expanded` not summing to `nodes_expanded`.
@@ -60,15 +60,14 @@ fn sharded_termination_survives_budget_aborts_and_early_exits() {
     let p = cyclic_program();
     let iterations = 200;
     for i in 0..iterations {
-        // Vary budget, D, and dive budget so aborts land at different
-        // points of the push/acquire/sleep protocol every iteration.
+        // Vary budget and D so aborts land at different points of the
+        // donate/acquire/wait protocol every iteration.
         let budget = 20 + (i % 37) as u64 * 3;
         let cfg = ParallelConfig {
             n_workers: 8,
             policy: FrontierPolicy::Sharded {
                 d: (i % 5) as u64 * 64,
             },
-            dive_budget: (i % 4) as u32 * 8,
             learn: false,
             solve: SolveConfig {
                 max_nodes: Some(budget),
@@ -92,7 +91,6 @@ fn sharded_termination_survives_max_solutions_exits() {
         let cfg = ParallelConfig {
             n_workers: 8,
             policy: FrontierPolicy::Sharded { d: 128 },
-            dive_budget: (i % 3) as u32 * 16,
             learn: false,
             solve: SolveConfig {
                 max_solutions: Some(1 + i % 3),

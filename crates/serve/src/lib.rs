@@ -2,12 +2,12 @@
 //!
 //! Everything below this crate accelerates *one* query: the paged clause
 //! store, the scan-resistant replacement policies, structure-sharing
-//! search state, the sharded frontier. The paper's §5 scenario — and the
-//! reason any of it matters at production scale — is **many users
-//! issuing streams of similar queries against one clause base**: "where
-//! a user tries a second and third query that is similar to the first
-//! one with some minor changes, later searches should become more
-//! efficient". This crate is that serving layer.
+//! search state, the worker-owned OR-parallel heaps. The paper's §5
+//! scenario — and the reason any of it matters at production scale — is
+//! **many users issuing streams of similar queries against one clause
+//! base**: "where a user tries a second and third query that is similar
+//! to the first one with some minor changes, later searches should
+//! become more efficient". This crate is that serving layer.
 //!
 //! A [`QueryServer`] owns one shared snapshot-isolated
 //! [`MvccClauseStore`](blog_spd::MvccClauseStore) and a fixed set of
@@ -80,13 +80,14 @@
 //! failure-ish outcome carries machine-readable [`RetryAdvice`]. The
 //! invariant throughout: a response is the pinned epoch's exact
 //! sequential solution set, an honest `Cancelled` partial, or a
-//! `Failed` — never a silently shortened answer (the T13 chaos
-//! experiment enforces this against a per-epoch oracle).
+//! `Failed` — never a silently shortened answer (`prop_fault_equivalence`
+//! checks this against the sequential oracle, on sequential and
+//! OR-parallel pools).
 //!
 //! [`ServeStats`] reports the serving picture — per-pool throughput and
 //! p50/p99 latency, queue depths, admission overflow, answer-cache
 //! hits/fills/invalidations, store hit rate split warm-vs-cold by
-//! session — so the T9/T12 sweeps can attribute wins to scheduling and
+//! session — so a serving run can attribute wins to scheduling and
 //! caching and losses to store contention (the store's lock meters)
 //! rather than guessing.
 

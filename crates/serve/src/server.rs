@@ -14,7 +14,7 @@ use blog_logic::{
     canonical_query, parse_query_symbols, CancelToken, ClauseDb, ClauseId, SearchStats,
     SolveConfig,
 };
-use blog_parallel::{par_best_first_with, FrontierPolicy, ParallelConfig};
+use blog_parallel::{par_best_first_on, par_best_first_with, Crew, FrontierPolicy, ParallelConfig};
 use blog_spd::{
     CommitMode, FaultPlan, IndexPolicy, MvccClauseStore, MvccError, PagedStoreConfig,
     PagedStoreStats,
@@ -77,13 +77,15 @@ pub enum ExecMode {
     /// The sequential best-first engine: one pool = one processor.
     Sequential,
     /// The OR-parallel executor: every request fans out over
-    /// `n_workers` threads that share the pool's store view (and
-    /// therefore its touch attribution). One worker runs the sequential
-    /// heap inline on the pool's thread.
+    /// `n_workers` workers that share the pool's store view (and
+    /// therefore its touch attribution). The pool's thread is worker 0;
+    /// with two or more, the pool keeps `n_workers − 1` helper threads
+    /// for the whole serving session and lends them to each request.
+    /// One worker runs the sequential heap inline on the pool's thread.
     OrParallel {
-        /// Worker threads per request.
+        /// Workers per request.
         n_workers: usize,
-        /// Frontier sharing policy for those workers.
+        /// The donation threshold `D` between those workers.
         policy: FrontierPolicy,
     },
 }
@@ -95,8 +97,8 @@ pub enum ExecMode {
 /// not re-converge on the store in lockstep.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
-    /// Extra engine attempts after the first (0 = never retry — the T13
-    /// ablation).
+    /// Extra engine attempts after the first (0 = never retry: a
+    /// transient fault or a panic then fails the request).
     pub max_retries: u32,
     /// Backoff before the first retry.
     pub base_backoff: Duration,
@@ -162,7 +164,8 @@ enum BreakerState {
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker pools (each is one OS thread draining its own queue).
+    /// Worker pools (each is one OS thread draining its own queue, plus
+    /// its OR-parallel helpers, if any).
     pub n_pools: usize,
     /// Request → pool mapping.
     pub routing: Routing,
@@ -757,7 +760,7 @@ impl QueryServer {
     /// This is the update lane's primitive; it can also be called
     /// directly — including from other threads while
     /// [`serve`](Self::serve) is running, which is exactly the churn the
-    /// T12 experiment and the `paged_churn` benchmark workload measure.
+    /// `paged_churn` benchmark workload measures.
     /// Commits through this path notify the
     /// answer cache with the transaction's touched predicates, in commit
     /// order (commits that bypass it — a raw
@@ -885,6 +888,13 @@ impl QueryServer {
             }
         }
 
+        // An OR-parallel pool's helpers, started once for the session and
+        // parked between requests (the pool's own thread is worker 0).
+        let helpers = match self.config.exec {
+            ExecMode::OrParallel { n_workers, .. } => n_workers - 1,
+            ExecMode::Sequential => 0,
+        };
+
         let mut per_pool_responses: Vec<Vec<QueryResponse>> = Vec::with_capacity(n_pools);
         let mut driver_result: Option<R> = None;
         std::thread::scope(|scope| {
@@ -892,6 +902,7 @@ impl QueryServer {
             let pools_alive = &pools_alive;
             let handles: Vec<_> = (0..n_pools)
                 .map(|p| {
+                    let crew = (helpers > 0).then(|| Crew::start(scope, helpers));
                     scope.spawn(move || {
                         let _alive = AliveGuard(pools_alive);
                         let queue = &state.queues[p];
@@ -914,7 +925,7 @@ impl QueryServer {
                                 }
                             };
                             let Some(job) = job else { break };
-                            out.push(self.execute(p, job));
+                            out.push(self.execute(p, job, crew.as_ref()));
                             self.cache.release();
                             let mut prog = lock_unpoisoned(&state.progress);
                             prog.finished += 1;
@@ -1100,8 +1111,8 @@ impl QueryServer {
         (report, driver_result.expect("driver ran"))
     }
 
-    /// Execute one job on pool `p`.
-    fn execute(&self, p: usize, mut job: Job) -> QueryResponse {
+    /// Execute one job on pool `p`, lending it the pool's `crew`, if any.
+    fn execute<'a>(&'a self, p: usize, mut job: Job, crew: Option<&Crew<'a>>) -> QueryResponse {
         let started = Instant::now();
         let queue_wait = started - job.enqueued;
         let session = job.request.session;
@@ -1135,7 +1146,7 @@ impl QueryServer {
         } else if let Some(remaining) = self.breaker_admit(p, job.trace.as_ref()) {
             self.execute_degraded(p, &job, remaining)
         } else {
-            self.execute_attempts(p, &job)
+            self.execute_attempts(p, &job, crew)
         };
         // The pool has now seen this session — but only if an engine ran
         // to an answer: a parse rejection, an expired-in-queue shed, a
@@ -1277,7 +1288,12 @@ impl QueryServer {
     /// `Cancelled` partial, or a `Failed` — partial solutions from a
     /// faulted or panicked attempt are discarded, never served as if
     /// they were the answer.
-    fn execute_attempts(&self, p: usize, job: &Job) -> (Outcome, SearchStats, u64, ServedFrom) {
+    fn execute_attempts<'a>(
+        &'a self,
+        p: usize,
+        job: &Job,
+        crew: Option<&Crew<'a>>,
+    ) -> (Outcome, SearchStats, u64, ServedFrom) {
         let h = job.trace.as_ref();
         let mut attempt: u32 = 0;
         loop {
@@ -1357,6 +1373,8 @@ impl QueryServer {
             if key.is_some() {
                 snap = snap.recording_deps();
             }
+            // Shared with the crew's helpers for the engine run.
+            let snap = Arc::new(snap);
             let budget = solve.max_nodes;
             let cap = solve.max_solutions;
             // The engine span also parents what runs *inside* the
@@ -1369,7 +1387,8 @@ impl QueryServer {
             // panic (FaultKind::Panic) or any engine bug fails this
             // *attempt* instead of unwinding through the pool worker —
             // which would strand the queue's condvar waiters and take
-            // every later request on the pool down with it.
+            // every later request on the pool down with it. A panic on a
+            // crew helper is caught there and re-raised here.
             let run = catch_unwind(AssertUnwindSafe(|| match self.config.exec {
                 ExecMode::Sequential => {
                     let mut overlay = HashMap::new();
@@ -1380,7 +1399,7 @@ impl QueryServer {
                         cancel: Some(job.cancel.clone()),
                         ..BestFirstConfig::default()
                     };
-                    let r = best_first_with(&snap, &query, &mut wview, &cfg);
+                    let r = best_first_with(&*snap, &query, &mut wview, &cfg);
                     let texts = r
                         .solutions
                         .iter()
@@ -1397,7 +1416,16 @@ impl QueryServer {
                         cancel: Some(job.cancel.clone()),
                         ..ParallelConfig::default()
                     };
-                    let r = par_best_first_with(&snap, &query, &self.weights, &cfg);
+                    let r = match crew {
+                        Some(crew) => par_best_first_on(
+                            crew,
+                            Arc::clone(&snap),
+                            Arc::new(query),
+                            &self.weights,
+                            &cfg,
+                        ),
+                        None => par_best_first_with(&*snap, &query, &self.weights, &cfg),
+                    };
                     let texts = r
                         .solutions
                         .iter()

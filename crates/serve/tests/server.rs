@@ -87,8 +87,8 @@ fn serves_family_queries_exactly() {
 #[test]
 fn or_parallel_exec_mode_matches_sequential() {
     let p = parse_program(FAMILY).unwrap();
-    // One worker runs the sequential heap inline; three share the
-    // sharded frontier.
+    // One worker runs the sequential heap inline; three own a heap
+    // each and share the pool's two helpers.
     for n_workers in [1, 3] {
         let server = QueryServer::new(
             &p.db,
@@ -108,6 +108,73 @@ fn or_parallel_exec_mode_matches_sequential() {
             "x{n_workers}"
         );
     }
+}
+
+#[test]
+fn or_parallel_pool_reuses_one_helper_thread() {
+    // 6³ solutions: wide enough that the helper usually gets chains.
+    let mut src = String::new();
+    for pred in ["a", "b", "c"] {
+        for i in 0..6 {
+            src.push_str(&format!("{pred}(k{i}).\n"));
+        }
+    }
+    src.push_str("t(X,Y,Z) :- a(X), b(Y), c(Z).\n");
+    let p = parse_program(&src).unwrap();
+    let n_requests = 120;
+    let server = QueryServer::new(
+        &p.db,
+        store_cfg(p.db.len(), 4),
+        ServeConfig {
+            n_pools: 1,
+            exec: ExecMode::OrParallel {
+                n_workers: 2,
+                policy: FrontierPolicy::Sharded { d: 512 },
+            },
+            trace: TraceConfig::always_on().with_ring_capacity(n_requests),
+            ..ServeConfig::default()
+        },
+    );
+    let texts = ["t(X, Y, Z)", "t(k1, Y, Z)", "t(X, k2, Z)"];
+    let (report, ()) = server.serve_open(|s| {
+        for i in 0..n_requests {
+            s.submit(QueryRequest::new(i as u64, texts[i % texts.len()]));
+        }
+    });
+    assert_eq!(report.stats.completed, n_requests);
+    for r in &report.responses {
+        let text = texts[r.request % texts.len()];
+        assert_eq!(r.outcome.solutions(), sequential_solutions(&p, text), "{text}");
+    }
+    // Each worker span closes with a "worker" event: "<nodes> nodes on
+    // <thread id>". Worker 0 is the pool's own thread, worker 1 the
+    // pool's one helper, for every request.
+    let traces = server.tracer().recorder().snapshot();
+    assert_eq!(traces.len(), n_requests);
+    let mut threads: [std::collections::BTreeSet<String>; 2] = Default::default();
+    let mut helper_nodes = 0u64;
+    for t in &traces {
+        for (w, threads) in threads.iter_mut().enumerate() {
+            let Some(span) = t.spans.iter().find(|s| s.name == format!("worker{w}")) else {
+                continue;
+            };
+            let detail = &t
+                .events
+                .iter()
+                .find(|e| e.parent == span.id && e.name == "worker")
+                .expect("worker event")
+                .detail;
+            let (nodes, thread) = detail.split_once(" nodes on ").expect("event format");
+            if w == 1 {
+                helper_nodes += nodes.parse::<u64>().unwrap();
+            }
+            threads.insert(thread.to_string());
+        }
+    }
+    assert!(helper_nodes > 0, "the helper expanded nothing in {n_requests} requests");
+    assert_eq!(threads[1].len(), 1, "one helper thread: {:?}", threads[1]);
+    assert_eq!(threads[0].len(), 1, "one pool thread: {:?}", threads[0]);
+    assert_ne!(threads[0], threads[1]);
 }
 
 #[test]

@@ -3,17 +3,20 @@
 //! fault-free sequential oracle's — retries may cost attempts, never
 //! correctness. Under permanent damage the server must *fail* requests,
 //! with give-up advice, rather than ever shorten an answer. This
-//! extends the `prop_serve_equivalence` pattern to the fault substrate.
+//! extends the `prop_serve_equivalence` pattern to the fault substrate,
+//! on sequential pools and on OR-parallel pools whose helpers take faults
+//! and panics of their own.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
 
 use b_log::core::engine::{best_first, BestFirstConfig};
 use b_log::core::weight::{WeightParams, WeightStore, WeightView};
 use b_log::logic::{parse_program, parse_query_shared, Program};
+use b_log::parallel::FrontierPolicy;
 use b_log::serve::{
     BreakerConfig, ExecMode, FaultPlan, FaultSite, Outcome, QueryRequest, QueryServer,
-    RetryPolicy, ServeConfig,
+    RetryPolicy, ServeConfig, TraceConfig,
 };
 use b_log::spd::{Geometry, PagedStoreConfig, PolicyKind};
 use proptest::prelude::*;
@@ -74,14 +77,20 @@ fn small_store(p: &Program) -> PagedStoreConfig {
     }
 }
 
-/// Resilient-mode config: one pool + sequential engine (so the fault
-/// plan's global touch sequence is deterministic per seed), a retry
+/// Two workers per request: the pool's thread and its one helper.
+const TWO_WORKERS: ExecMode = ExecMode::OrParallel {
+    n_workers: 2,
+    policy: FrontierPolicy::Sharded { d: 512 },
+};
+
+/// Resilient-mode config: one pool running `exec` (sequential keeps the
+/// fault plan's global touch sequence deterministic per seed), a retry
 /// budget sized for certainty, and the breaker disabled so every
 /// request runs the full retry ladder instead of being shed.
-fn resilient(plan: FaultPlan, retry: RetryPolicy) -> ServeConfig {
+fn resilient(exec: ExecMode, plan: FaultPlan, retry: RetryPolicy) -> ServeConfig {
     ServeConfig {
         n_pools: 1,
-        exec: ExecMode::Sequential,
+        exec,
         fault: Some(plan),
         retry,
         breaker: BreakerConfig {
@@ -111,7 +120,9 @@ proptest! {
 
     /// Transient-only plans (read errors + latency spikes, any seed, any
     /// rate up to 2%): every request completes and every solution set is
-    /// the fault-free sequential oracle's, bit for bit.
+    /// the fault-free sequential oracle's, bit for bit — on a sequential
+    /// pool and on a two-worker OR-parallel one (whose responses are the
+    /// sorted sets).
     #[test]
     fn transient_faults_never_change_answers(case in (arb_program(), any::<u64>(), 0u32..2000, 0u32..5000)) {
         // (The vendored proptest macro only binds plain idents, and its
@@ -120,23 +131,26 @@ proptest! {
         let (read_rate, spike_rate) = (read_bp as f64 / 100_000.0, spike_bp as f64 / 100_000.0);
         let p = parse_program(&src).expect("generated program parses");
         let truth = sequential(&p, "top(X, Z)");
-        let plan = FaultPlan::new(seed)
-            .with_site(FaultSite::transient_read(read_rate))
-            .with_site(FaultSite::latency_spike(spike_rate, 2));
-        let server = QueryServer::new(&p.db, small_store(&p), resilient(plan, eager_retry()));
-        let report = server.serve(batch());
-        prop_assert_eq!(
-            report.stats.completed, 3,
-            "transient-only + eager retries must complete (failed={}, retries={}, faults={})",
-            report.stats.failed, report.stats.retries, report.stats.store.transient_faults
-        );
-        for r in &report.responses {
+        for exec in [ExecMode::Sequential, TWO_WORKERS] {
+            let plan = FaultPlan::new(seed)
+                .with_site(FaultSite::transient_read(read_rate))
+                .with_site(FaultSite::latency_spike(spike_rate, 2));
+            let server =
+                QueryServer::new(&p.db, small_store(&p), resilient(exec, plan, eager_retry()));
+            let report = server.serve(batch());
             prop_assert_eq!(
-                r.outcome.solutions(), truth.as_slice(),
-                "seed={} rate={} request {}", seed, read_rate, r.request
+                report.stats.completed, 3,
+                "{:?}: transient-only + eager retries must complete (failed={}, retries={}, faults={})",
+                exec, report.stats.failed, report.stats.retries, report.stats.store.transient_faults
             );
+            for r in &report.responses {
+                prop_assert_eq!(
+                    r.outcome.solutions(), truth.as_slice(),
+                    "{:?} seed={} rate={} request {}", exec, seed, read_rate, r.request
+                );
+            }
+            prop_assert_eq!(server.store().reader_count(), 0);
         }
-        prop_assert_eq!(server.store().reader_count(), 0);
     }
 
     /// Permanent damage (any seed, any rate): requests either complete —
@@ -153,7 +167,7 @@ proptest! {
         let server = QueryServer::new(
             &p.db,
             small_store(&p),
-            resilient(plan, RetryPolicy::default()),
+            resilient(ExecMode::Sequential, plan, RetryPolicy::default()),
         );
         let report = server.serve(batch());
         for r in &report.responses {
@@ -175,4 +189,63 @@ proptest! {
         }
         prop_assert_eq!(server.store().reader_count(), 0);
     }
+}
+
+/// Injected panics on a two-worker pool land on the pool's thread or on
+/// its helper, whichever makes the faulted touch. A panic on the helper
+/// must behave like one on the pool's thread: the helper survives, the
+/// panic fails only its attempt (one retry), the next attempt and every
+/// later request on the same pool complete exactly, and no snapshot is
+/// left pinned.
+#[test]
+fn a_panic_on_a_helper_costs_one_attempt() {
+    // A wide join, so the helper makes a share of every request's touches.
+    let mut src = String::new();
+    for pred in ["a", "b", "c"] {
+        for i in 0..4 {
+            src.push_str(&format!("{pred}(k{i}).\n"));
+        }
+    }
+    src.push_str("t(X,Y,Z) :- a(X), b(Y), c(Z).\n");
+    let p = parse_program(&src).unwrap();
+    let truth = sequential(&p, "t(X, Y, Z)");
+    let n_requests = 300;
+    let plan = FaultPlan::new(11).with_site(FaultSite::panic(0.002));
+    let server = QueryServer::new(
+        &p.db,
+        small_store(&p),
+        ServeConfig {
+            trace: TraceConfig::always_on().with_ring_capacity(n_requests),
+            ..resilient(TWO_WORKERS, plan, eager_retry())
+        },
+    );
+    let report = server.serve(
+        (0..n_requests as u64)
+            .map(|s| QueryRequest::new(s, "t(X, Y, Z)"))
+            .collect(),
+    );
+    assert_eq!(report.stats.completed, n_requests);
+    for r in &report.responses {
+        assert_eq!(r.outcome.solutions(), truth.as_slice(), "request {}", r.request);
+    }
+    // A worker that returns closes its span with a "worker" event; one
+    // that unwinds closes the span without it. Count the engine runs
+    // (attempts) in which some worker panicked, and the helper's panics.
+    let (mut panicked_attempts, mut helper_panics) = (0, 0);
+    for t in server.tracer().recorder().snapshot() {
+        let mut engines = BTreeSet::new();
+        for span in t.spans.iter().filter(|s| s.name.starts_with("worker")) {
+            if !t.events.iter().any(|e| e.parent == span.id && e.name == "worker") {
+                engines.insert(span.parent.0);
+                helper_panics += u64::from(span.name == "worker1");
+            }
+        }
+        panicked_attempts += engines.len() as u64;
+    }
+    assert!(helper_panics > 0, "no panic landed on the helper");
+    assert_eq!(
+        panicked_attempts, report.stats.retries,
+        "each panicked attempt costs exactly one retry"
+    );
+    assert_eq!(server.store().reader_count(), 0);
 }

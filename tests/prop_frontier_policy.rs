@@ -2,7 +2,7 @@
 //! arbitrary generated programs, the sequential engine's thread-local
 //! heap (`best_first`, learning off), `par_best_first` at one worker (the
 //! same heap, inline, with the deferred-learning sink) and at three
-//! workers (the sharded frontier with local dives) must be
+//! workers (a private heap each, sharing chains through the exchange) must be
 //! observationally equivalent with pruning off — same solution sets, same
 //! bounds, same nodes expanded and unifications — the way
 //! `prop_state_repr` pins the search-state representations to each other.
@@ -108,7 +108,7 @@ proptest! {
             let r = run(&p, workers, depth);
             prop_assert_eq!(&solution_set(&p, &r.solutions), &seq_set, "x{}", workers);
             // Pruning off: every executor expands the whole (depth-
-            // limited) tree, dives included.
+            // limited) tree.
             prop_assert_eq!(
                 r.stats.nodes_expanded, seq.stats.nodes_expanded,
                 "x{}", workers
@@ -123,24 +123,5 @@ proptest! {
                 "x{}: accounting", workers
             );
         }
-    }
-
-    #[test]
-    fn dive_budget_never_changes_the_outcome(case in arb_program(), budget in 0u32..48) {
-        let (src, depth) = case;
-        let p = parse(&src);
-        let weights = WeightStore::new(WeightParams::default());
-        let mk = |dive_budget| ParallelConfig {
-            n_workers: 3,
-            policy: FrontierPolicy::Sharded { d: 64 },
-            dive_budget,
-            solve: SolveConfig::all().with_max_depth(depth),
-            ..ParallelConfig::default()
-        };
-        let none = par_best_first(&p.db, &p.queries[0], &weights, &mk(0));
-        let some = par_best_first(&p.db, &p.queries[0], &weights, &mk(budget));
-        prop_assert_eq!(solution_set(&p, &none.solutions), solution_set(&p, &some.solutions));
-        prop_assert_eq!(none.stats.nodes_expanded, some.stats.nodes_expanded);
-        prop_assert_eq!(none.counters.dives, 0);
     }
 }
