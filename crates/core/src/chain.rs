@@ -63,6 +63,19 @@ impl Chain {
         }
     }
 
+    /// Extend this chain's bound by one arc without recording the arc:
+    /// for searches that never read a chain's arcs, so a sprout links no
+    /// [`ChainLink`] and shares no link refcount. The result's arcs
+    /// ([`arcs_leaf_to_root`](Self::arcs_leaf_to_root), [`len`](Self::len))
+    /// are empty.
+    pub(crate) fn extend_bound(&self, weight: Weight, node: SearchNode) -> Chain {
+        Chain {
+            last: None,
+            bound: self.bound.plus(weight),
+            node,
+        }
+    }
+
     /// Number of arcs from the root.
     pub fn len(&self) -> usize {
         let mut n = 0;
@@ -74,7 +87,8 @@ impl Chain {
         n
     }
 
-    /// Whether this is the root chain.
+    /// Whether this chain records no arcs: the root, or a chain whose
+    /// search reads no arcs (sprouted without recording them).
     pub fn is_empty(&self) -> bool {
         self.last.is_none()
     }
@@ -193,6 +207,19 @@ mod tests {
             .extend(key(1), Weight::from_f64(0.25), dummy_node())
             .extend(key(2), Weight::from_f64(1.5), dummy_node());
         assert_eq!(c.bound, c.recomputed_bound());
+    }
+
+    #[test]
+    fn extend_bound_adds_weight_without_links() {
+        let c1 = Chain::root(dummy_node()).extend(key(1), Weight::ONE, dummy_node());
+        let c2 = c1.extend_bound(Weight::from_bits_int(2), dummy_node());
+        assert_eq!(c2.bound.to_f64(), 3.0);
+        assert!(c2.last.is_none(), "no arc recorded");
+        assert_eq!(
+            Arc::strong_count(c1.last.as_ref().unwrap()),
+            1,
+            "no link shared"
+        );
     }
 
     #[test]

@@ -28,7 +28,8 @@ use std::sync::Arc;
 
 use blog_logic::node::ExpandStats;
 use blog_logic::{
-    try_expand_via, PointerKey, Query, SearchNode, SearchStats, Solution, SolveConfig, StoreError,
+    try_expand_via, ExpandBuffers, PointerKey, Query, SearchNode, SearchStats, Solution,
+    SolveConfig, StoreError,
 };
 use blog_logic::{ClauseDb, ClauseSource};
 use serde::Serialize;
@@ -253,17 +254,31 @@ pub trait Executor {
     fn stop(&mut self, fault: Option<StoreError>);
 }
 
+/// What one [`expand_chain`] call fills and the next reuses: the node
+/// expansion's [`ExpandBuffers`] and the sprouted chains. Each search
+/// loop owns one, so a steady-state expansion allocates only what its
+/// children keep.
+#[derive(Default)]
+pub struct ChainBuffers {
+    expand: ExpandBuffers,
+    chains: Vec<Chain>,
+}
+
 /// Process one chain: cancellation, incumbent pruning, solution
 /// extraction, the depth and node limits, expansion (a store fault stops
-/// the search), the §5 hooks, and sprouting the children into `buf` (a
-/// buffer reused across calls) for `exec` to queue.
+/// the search), the §5 hooks, and sprouting the children into `bufs`
+/// for `exec` to queue.
+///
+/// A child's chain records its arc only when something will read it —
+/// the §5 updates (`config.learn`) or the pop trace
+/// (`config.record_trace`); otherwise it carries its bound alone.
 pub fn expand_chain<S: ClauseSource + ?Sized, E: Executor>(
     search: &Search<'_, S>,
     exec: &mut E,
     stats: &mut SearchStats,
     blog: &mut BlogStats,
     chain: Chain,
-    buf: &mut Vec<Chain>,
+    bufs: &mut ChainBuffers,
 ) {
     let config = search.config;
     // Cooperative cancellation (a deadline reaper, a server shedding
@@ -335,18 +350,16 @@ pub fn expand_chain<S: ClauseSource + ?Sized, E: Executor>(
 
     stats.nodes_expanded += 1;
     let mut est = ExpandStats::default();
-    let children = match try_expand_via(search.source, &chain.node, &mut est) {
-        Ok(children) => children,
-        Err(e) => {
-            // A storage fault aborts the search at the faulted expansion:
-            // the solution set so far is incomplete, so mark the run
-            // truncated and surface the error for the caller's retry/fail
-            // decision.
-            stats.truncated = true;
-            exec.stop(Some(e));
-            return;
-        }
-    };
+    if let Err(e) = try_expand_via(search.source, &chain.node, &mut est, &mut bufs.expand) {
+        // A storage fault aborts the search at the faulted expansion:
+        // the solution set so far is incomplete, so mark the run
+        // truncated and surface the error for the caller's retry/fail
+        // decision.
+        stats.truncated = true;
+        exec.stop(Some(e));
+        return;
+    }
+    let children = &mut bufs.expand.children;
     stats.unify_attempts += est.unify_attempts;
     stats.unify_successes += est.unify_successes;
     stats.bytes_copied += est.bytes_copied;
@@ -363,12 +376,17 @@ pub fn expand_chain<S: ClauseSource + ?Sized, E: Executor>(
         return;
     }
 
-    debug_assert!(buf.is_empty());
-    buf.extend(children.into_iter().map(|c| {
+    debug_assert!(bufs.chains.is_empty());
+    let keep_arcs = config.learn || config.record_trace;
+    bufs.chains.extend(children.drain(..).map(|c| {
         let w = exec.weight(c.arc);
-        chain.extend(c.arc, w, c.node)
+        if keep_arcs {
+            chain.extend(c.arc, w, c.node)
+        } else {
+            chain.extend_bound(w, c.node)
+        }
     }));
-    exec.sprout(buf)
+    exec.sprout(&mut bufs.chains)
 }
 
 fn priority(policy: BoundPolicy, bound: Bound, depth: u32, seq: u64) -> (u64, u64) {
@@ -481,7 +499,7 @@ fn run_heap<S: ClauseSource + ?Sized>(
     };
     let (mut stats, mut blog) = (SearchStats::default(), BlogStats::default());
     let mut trace = Vec::new();
-    let mut buf = Vec::new();
+    let mut bufs = ChainBuffers::default();
     // `stop` empties the heap, ending the loop.
     while let Some(Reverse(Queued { chain, .. })) = heap.entries.pop() {
         if config.record_trace {
@@ -489,7 +507,7 @@ fn run_heap<S: ClauseSource + ?Sized>(
                 trace.push(link.arc);
             }
         }
-        expand_chain(search, &mut heap, &mut stats, &mut blog, chain, &mut buf);
+        expand_chain(search, &mut heap, &mut stats, &mut blog, chain, &mut bufs);
     }
     stats.max_frontier = heap.max_len;
     let result = BlogResult {

@@ -14,7 +14,7 @@
 
 use std::borrow::Cow;
 
-use crate::term::{Term, VarId};
+use crate::term::{rebuild_args, Term, VarId};
 
 /// Read access to a variable-binding environment.
 ///
@@ -56,18 +56,27 @@ pub trait BindingLookup {
     }
 
     /// Fully apply the bindings to `t`, producing a term whose remaining
-    /// variables are all unbound.
+    /// variables are all unbound. One pass; a subterm in which no
+    /// variable is bound is shared, not rebuilt.
     fn resolve(&self, t: &Term) -> Term {
-        let w = self.walk(t);
-        match w {
-            Term::Var(_) | Term::Atom(_) | Term::Int(_) => w.clone(),
-            Term::Struct(f, args) => {
-                if w.is_ground() {
-                    return w.clone();
-                }
-                let new_args: Vec<Term> = args.iter().map(|a| self.resolve(a)).collect();
-                Term::Struct(*f, new_args.into())
+        resolve_changed(self, t).unwrap_or_else(|| t.clone())
+    }
+}
+
+/// [`BindingLookup::resolve`], `None` when no variable in `t` is bound
+/// (the resolved term is `t` itself).
+fn resolve_changed<B: BindingLookup + ?Sized>(bindings: &B, t: &Term) -> Option<Term> {
+    match t {
+        Term::Var(_) => {
+            let w = bindings.walk(t);
+            if std::ptr::eq(w, t) {
+                return None;
             }
+            Some(resolve_changed(bindings, w).unwrap_or_else(|| w.clone()))
+        }
+        Term::Atom(_) | Term::Int(_) => None,
+        Term::Struct(f, args) => {
+            rebuild_args(args, |a| resolve_changed(bindings, a)).map(|args| Term::Struct(*f, args))
         }
     }
 }
@@ -236,6 +245,7 @@ impl Trail {
 mod tests {
     use super::*;
     use crate::symbol::Sym;
+    use std::sync::Arc;
 
     fn atom(i: u32) -> Term {
         Term::Atom(Sym(i))
@@ -269,6 +279,52 @@ mod tests {
         let t = Term::app(Sym(9), vec![Term::Var(VarId(0)), Term::Var(VarId(2))]);
         let r = b.resolve(&t);
         assert_eq!(r, Term::app(Sym(9), vec![atom(1), Term::Var(VarId(2))]));
+    }
+
+    #[test]
+    fn resolve_shares_a_term_whose_variables_are_all_unbound() {
+        // f(X0, f(X1, … f(X199, a))) with only an unrelated variable
+        // bound: nothing to apply, so the input's own `Arc` comes back.
+        let mut b = Bindings::new();
+        let mut tr = Trail::new();
+        b.bind(&mut tr, VarId(1000), atom(1));
+        let deep = (0..200).fold(atom(0), |inner, v| {
+            Term::app(Sym(9), vec![Term::Var(VarId(v)), inner])
+        });
+        let (Term::Struct(_, before), Term::Struct(_, after)) = (&deep, &b.resolve(&deep)) else {
+            panic!("expected structs");
+        };
+        assert!(Arc::ptr_eq(before, after));
+    }
+
+    #[test]
+    fn resolve_rebuilds_only_the_spine_above_a_binding() {
+        // f(g(X0), h(X1)) with X1 bound: the h argument is rebuilt, the
+        // g argument shared.
+        let mut b = Bindings::new();
+        let mut tr = Trail::new();
+        b.bind(&mut tr, VarId(1), atom(5));
+        let g = Term::app(Sym(1), vec![Term::Var(VarId(0))]);
+        let t = Term::app(
+            Sym(0),
+            vec![g, Term::app(Sym(2), vec![Term::Var(VarId(1))])],
+        );
+        let r = b.resolve(&t);
+        let want = Term::app(
+            Sym(0),
+            vec![
+                Term::app(Sym(1), vec![Term::Var(VarId(0))]),
+                Term::app(Sym(2), vec![atom(5)]),
+            ],
+        );
+        assert_eq!(r, want);
+        let (Term::Struct(_, a0), Term::Struct(_, a1)) = (&t, &r) else {
+            panic!("expected structs");
+        };
+        let (Term::Struct(_, g0), Term::Struct(_, g1)) = (&a0[0], &a1[0]) else {
+            panic!("expected structs");
+        };
+        assert!(Arc::ptr_eq(g0, g1));
     }
 
     #[test]

@@ -30,8 +30,8 @@ use crate::term::{Term, VarId};
 /// Default frame-chain length at which [`DeltaBindings::freeze`] flattens.
 ///
 /// Chosen so a walk touches at most a cache-line-friendly handful of small
-/// sorted arrays; the T7 `engine_state` sweep in `blog-bench` measures the
-/// copying-cost curve around it.
+/// sorted arrays; `tests/prop_state_repr.rs` holds the copying cost it
+/// buys against per-child cloning in the deep regime.
 pub const DEFAULT_FLATTEN_THRESHOLD: u32 = 16;
 
 /// One immutable frame of a persistent binding chain.
@@ -138,23 +138,50 @@ pub struct FreezeStats {
 ///
 /// Writes go to a small append-only vector (linear-scanned on lookup —
 /// a head unification writes a handful of bindings at most); reads fall
-/// through to the parent chain. On success, [`freeze`](Self::freeze)
-/// produces the child's immutable frame; on failure the delta is simply
-/// [`clear`](Self::clear)ed — nothing in the shared chain was touched, so
-/// there is nothing to undo.
+/// through to the parent chain, except for *fresh* variables. On success,
+/// [`freeze`](Self::freeze) produces the child's immutable frame; on
+/// failure the delta is simply [`clear`](Self::clear)ed — nothing in the
+/// shared chain was touched, so there is nothing to undo.
+///
+/// A variable at or above the node's `next_var` is fresh: renaming
+/// allocates upward, so no frame on the parent chain binds it, and its
+/// lookup reads only this attempt's own writes. Every renamed head
+/// variable is fresh, which spares each of them a walk of up to
+/// `flatten_threshold` parent frames that cannot bind it.
 #[derive(Debug)]
 pub struct DeltaBindings<'p> {
     parent: &'p Arc<BindingFrame>,
+    /// The first variable no frame on the parent chain binds.
+    next_var: u32,
     writes: Vec<(VarId, Term)>,
 }
 
 impl<'p> DeltaBindings<'p> {
-    /// An empty delta over `parent`.
-    pub fn new(parent: &'p Arc<BindingFrame>) -> Self {
+    /// An empty delta over `parent`, for a node whose fresh variables
+    /// start at `next_var` (no frame on the chain binds one of them).
+    pub fn new(parent: &'p Arc<BindingFrame>, next_var: u32) -> Self {
+        DeltaBindings::reusing(parent, next_var, Vec::new())
+    }
+
+    /// [`new`](Self::new), writing into `writes` (cleared first) so a
+    /// search can keep one allocation across nodes; take it back with
+    /// [`into_writes`](Self::into_writes).
+    pub(crate) fn reusing(
+        parent: &'p Arc<BindingFrame>,
+        next_var: u32,
+        mut writes: Vec<(VarId, Term)>,
+    ) -> Self {
+        writes.clear();
         DeltaBindings {
             parent,
-            writes: Vec::new(),
+            next_var,
+            writes,
         }
+    }
+
+    /// The write buffer, for the next [`reusing`](Self::reusing).
+    pub(crate) fn into_writes(self) -> Vec<(VarId, Term)> {
+        self.writes
     }
 
     /// Number of bindings written so far.
@@ -224,14 +251,19 @@ impl BindingLookup for DeltaBindings<'_> {
         if let Some((_, t)) = self.writes.iter().rev().find(|(w, _)| *w == v) {
             return Some(t);
         }
+        if v.0 >= self.next_var {
+            return None;
+        }
         self.parent.lookup(v)
     }
 }
 
 impl BindingWrite for DeltaBindings<'_> {
     fn bind(&mut self, trail: &mut Trail, v: VarId, t: Term) {
+        // The whole chain, not `lookup`: this also checks that no
+        // ancestor binds a variable `lookup` treats as fresh.
         debug_assert!(
-            self.lookup(v).is_none(),
+            self.writes.iter().all(|(w, _)| *w != v) && self.parent.lookup(v).is_none(),
             "variable {v:?} bound twice in a frame chain"
         );
         self.writes.push((v, t));
@@ -251,9 +283,12 @@ mod tests {
         Term::Var(VarId(i))
     }
 
+    /// Above every variable these tests bind: none is fresh.
+    const NEXT_VAR: u32 = 16;
+
     /// Freeze a single-binding delta onto `parent`.
     fn push1(parent: &Arc<BindingFrame>, v: u32, t: Term, thresh: u32) -> Arc<BindingFrame> {
-        let mut d = DeltaBindings::new(parent);
+        let mut d = DeltaBindings::new(parent, NEXT_VAR);
         let mut tr = Trail::new();
         d.bind(&mut tr, VarId(v), t);
         d.freeze(thresh).0
@@ -304,7 +339,7 @@ mod tests {
             assert!(!frame.is_chain_start());
         }
         // The next freeze would make chain_len 5 > 4: it must flatten.
-        let mut d = DeltaBindings::new(&frame);
+        let mut d = DeltaBindings::new(&frame, NEXT_VAR);
         let mut tr = Trail::new();
         d.bind(&mut tr, VarId(3), atom(3));
         let (flat, stats) = d.freeze(thresh);
@@ -329,7 +364,7 @@ mod tests {
         assert_eq!(frame.chain_len(), thresh, "boundary: chain_len == threshold");
         assert!(!frame.is_chain_start(), "no flatten at the boundary");
         let (_, last) = {
-            let mut d = DeltaBindings::new(&frame);
+            let mut d = DeltaBindings::new(&frame, NEXT_VAR);
             let mut tr = Trail::new();
             d.bind(&mut tr, VarId(9), atom(9));
             d.freeze(thresh)
@@ -345,7 +380,7 @@ mod tests {
         let parent = push1(&root, 0, atom(1), 16);
         let mut frame = Arc::clone(&parent);
         for _ in 0..10 {
-            let mut d = DeltaBindings::new(&frame);
+            let mut d = DeltaBindings::new(&frame, NEXT_VAR);
             let (f, stats) = d.freeze(3);
             assert_eq!(stats.delta, 0);
             assert_eq!(stats.flattened, 0);
@@ -359,7 +394,7 @@ mod tests {
     fn failed_attempt_clears_without_touching_parent() {
         let root = BindingFrame::root();
         let parent = push1(&root, 0, atom(1), 16);
-        let mut d = DeltaBindings::new(&parent);
+        let mut d = DeltaBindings::new(&parent, NEXT_VAR);
         let mut tr = Trail::new();
         d.bind(&mut tr, VarId(1), atom(2));
         assert_eq!(d.delta_len(), 1);
@@ -374,7 +409,7 @@ mod tests {
         use crate::unify::unify;
         let root = BindingFrame::root();
         let parent = push1(&root, 0, atom(5), 16);
-        let mut d = DeltaBindings::new(&parent);
+        let mut d = DeltaBindings::new(&parent, NEXT_VAR);
         let mut tr = Trail::new();
         // f(X, Y) = f(5-via-frame, 7): X already bound in the parent frame.
         let lhs = Term::app(Sym(1), vec![var(0), var(1)]);

@@ -60,8 +60,8 @@ pub use clause::{Clause, ClauseId};
 pub use frames::{BindingFrame, DeltaBindings, DEFAULT_FLATTEN_THRESHOLD};
 pub use goals::GoalStack;
 pub use node::{
-    expand, try_expand_via, Caller, Expansion, Goal, NodeState, PointerKey, SearchNode,
-    StateRepr,
+    expand, try_expand_via, Caller, ExpandBuffers, Expansion, Goal, NodeState, PointerKey,
+    SearchNode, StateRepr,
 };
 pub use source::{ClauseSource, SourceStats, StoreError, StoreErrorKind};
 pub use parser::{

@@ -315,17 +315,32 @@ fn shared_sprout_bytes(fz: &FreezeStats, body_goals: usize) -> u64 {
 ///
 /// This is the single resolution-step primitive every engine in the
 /// workspace uses — depth-first, breadth-first, iterative deepening, the
-/// B-LOG best-first engine and the parallel executors all call it, so
-/// "nodes expanded" counts are directly comparable across strategies.
+/// B-LOG best-first engine and the parallel executors all call it (the
+/// last two through [`try_expand_via`]), so "nodes expanded" counts are
+/// directly comparable across strategies.
 ///
 /// Returns an empty vector if the node is a solution (nothing to expand)
 /// or if every candidate fails to unify (the node is a *failure* leaf).
 pub fn expand(db: &ClauseDb, node: &SearchNode, stats: &mut ExpandStats) -> Vec<Expansion> {
-    try_expand_via(db, node, stats).expect("the in-memory ClauseDb never faults")
+    let mut bufs = ExpandBuffers::default();
+    try_expand_via(db, node, stats, &mut bufs).expect("the in-memory ClauseDb never faults");
+    bufs.children
+}
+
+/// The buffers one [`try_expand_via`] call fills and the next reuses: the
+/// trail, the frame delta's writes and the children. A search loop owns
+/// one and keeps it across nodes, so these cost no allocation per node.
+#[derive(Default, Debug)]
+pub struct ExpandBuffers {
+    trail: Trail,
+    writes: Vec<(VarId, Term)>,
+    /// The children of the last expansion, in clause order.
+    pub children: Vec<Expansion>,
 }
 
 /// [`expand`], generalized over any [`ClauseSource`], with storage
-/// faults surfaced as values.
+/// faults surfaced as values and the children left in `bufs.children`
+/// (cleared first).
 ///
 /// Every clause touched during candidate matching is fetched through the
 /// source, so a paged backend observes the search's true block-access
@@ -335,21 +350,24 @@ pub fn expand(db: &ClauseDb, node: &SearchNode, stats: &mut ExpandStats) -> Vec<
 /// Children inherit the node's [`StateRepr`]: under `Cloned` each child
 /// copies the store; under `Shared` each child is an `Arc` onto the
 /// parent's frame plus this step's delta, and the goal continuation is
-/// aliased. One pre-sized [`Trail`] is reused across all candidate
-/// attempts.
+/// aliased. Every candidate attempt reuses the caller's [`Trail`] and,
+/// under `Shared`, the caller's delta write buffer.
 ///
 /// A [`StoreError`] from a fault-planned backend propagates as a value
-/// the retry/breaker machinery can classify. On `Err` the children
-/// sprouted before the fault are discarded — the caller abandons the
-/// whole expansion and either retries the request against a fresh
-/// snapshot or fails it; partial expansions are never searched.
+/// the retry/breaker machinery can classify. On `Err`, `bufs.children`
+/// holds the children sprouted before the fault, which the caller must
+/// discard — it abandons the whole expansion and either retries the
+/// request against a fresh snapshot or fails it; partial expansions are
+/// never searched.
 pub fn try_expand_via<S: ClauseSource + ?Sized>(
     source: &S,
     node: &SearchNode,
     stats: &mut ExpandStats,
-) -> Result<Vec<Expansion>, StoreError> {
+    bufs: &mut ExpandBuffers,
+) -> Result<(), StoreError> {
+    bufs.children.clear();
     let Some(goal) = node.first_goal() else {
-        return Ok(Vec::new());
+        return Ok(());
     };
     // Dereference the goal far enough to know its functor: the goal term
     // as stored may be a variable bound to a structure by an earlier step.
@@ -357,20 +375,24 @@ pub fn try_expand_via<S: ClauseSource + ?Sized>(
     // nowhere, so nothing is cloned on the common already-resolved path.
     let goal_term = node.walk_cow(&goal.term);
     let candidates = source.try_candidate_clauses(&goal_term, node.lookup())?;
-    let mut out = Vec::with_capacity(candidates.len());
-    let mut trail = Trail::with_capacity(8);
+    let ExpandBuffers {
+        trail,
+        writes,
+        children: out,
+    } = bufs;
+    out.reserve(candidates.len());
     let arc_for = |cid: ClauseId| PointerKey {
         caller: goal.caller,
         goal_idx: goal.goal_idx,
         target: cid,
     };
+    let base = node.next_var;
 
     match &node.state {
         NodeState::Cloned { goals, bindings } => {
             for &cid in candidates.iter() {
                 stats.unify_attempts += 1;
                 let clause = source.try_fetch_clause(cid)?;
-                let base = node.next_var;
 
                 // Child state: clone bindings, try the head match.
                 let mut child_bindings = bindings.clone();
@@ -378,7 +400,7 @@ pub fn try_expand_via<S: ClauseSource + ?Sized>(
                 trail.clear();
                 if !unify_head(
                     &mut child_bindings,
-                    &mut trail,
+                    trail,
                     &goal_term,
                     &clause.head,
                     base,
@@ -423,15 +445,16 @@ pub fn try_expand_via<S: ClauseSource + ?Sized>(
             // The continuation below the goal being resolved — shared by
             // every child without copying.
             let continuation = goals.rest();
-            let mut delta = DeltaBindings::new(frame);
+            // A fault returns early and gives up the write buffer; the
+            // next expansion allocates a fresh one.
+            let mut delta = DeltaBindings::reusing(frame, base, std::mem::take(writes));
             for &cid in candidates.iter() {
                 stats.unify_attempts += 1;
                 let clause = source.try_fetch_clause(cid)?;
-                let base = node.next_var;
 
                 delta.clear();
                 trail.clear();
-                if !unify_head(&mut delta, &mut trail, &goal_term, &clause.head, base, false) {
+                if !unify_head(&mut delta, trail, &goal_term, &clause.head, base, false) {
                     continue;
                 }
                 stats.unify_successes += 1;
@@ -460,9 +483,10 @@ pub fn try_expand_via<S: ClauseSource + ?Sized>(
                     },
                 });
             }
+            *writes = delta.into_writes();
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

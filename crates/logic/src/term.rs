@@ -87,18 +87,17 @@ impl Term {
         if base == 0 {
             return self.clone();
         }
+        self.offset_changed(base).unwrap_or_else(|| self.clone())
+    }
+
+    /// [`offset_vars`](Self::offset_vars) in one pass, `None` when the
+    /// term is ground (nothing moves; the caller shares it).
+    fn offset_changed(&self, base: u32) -> Option<Term> {
         match self {
-            Term::Var(v) => Term::Var(VarId(v.0 + base)),
-            Term::Atom(_) | Term::Int(_) => self.clone(),
+            Term::Var(v) => Some(Term::Var(VarId(v.0 + base))),
+            Term::Atom(_) | Term::Int(_) => None,
             Term::Struct(f, args) => {
-                if self.is_ground() {
-                    // Ground: the Arc can be shared as-is.
-                    self.clone()
-                } else {
-                    let new_args: Vec<Term> =
-                        args.iter().map(|a| a.offset_vars(base)).collect();
-                    Term::Struct(*f, new_args.into())
-                }
+                rebuild_args(args, |a| a.offset_changed(base)).map(|args| Term::Struct(*f, args))
             }
         }
     }
@@ -118,6 +117,30 @@ impl Term {
             Term::Struct(_, args) => 1 + args.iter().map(Term::depth).max().unwrap_or(0),
         }
     }
+}
+
+/// `args` with `change` applied, or `None` when it changes none of them.
+/// Arguments before the first change are visited once and shared; the
+/// new slice is allocated once, straight into its `Arc`.
+pub(crate) fn rebuild_args(
+    args: &[Term],
+    mut change: impl FnMut(&Term) -> Option<Term>,
+) -> Option<Arc<[Term]>> {
+    let (i, first) = args
+        .iter()
+        .enumerate()
+        .find_map(|(i, a)| change(a).map(|t| (i, t)))?;
+    let rest = args[i + 1..]
+        .iter()
+        .map(|a| change(a).unwrap_or_else(|| a.clone()));
+    Some(
+        args[..i]
+            .iter()
+            .cloned()
+            .chain(std::iter::once(first))
+            .chain(rest)
+            .collect(),
+    )
 }
 
 #[cfg(test)]

@@ -1,12 +1,15 @@
 //! Robinson unification over the binding store.
 //!
-//! Implemented iteratively with an explicit work stack so that deep terms
-//! cannot overflow the call stack. The stack's first 16 entries live in
-//! the call frame, so unifying against a clause head of arity ≤ 8
-//! allocates nothing. The occurs check is optional and off by default,
-//! matching the DEC-10 Prolog the paper takes as its baseline;
-//! the B-LOG engines run with whatever the caller configures, so baseline
-//! and best-first searches always unify identically.
+//! Implemented iteratively with an explicit stack so that deep terms
+//! cannot overflow the call stack. The stack holds one frame per matched
+//! pair of compound terms — both argument slices and a cursor — not one
+//! entry per pending argument, and its first eight frames live in the
+//! call frame: unifying against a clause head of any arity whose
+//! compound arguments nest fewer than eight levels deep allocates
+//! nothing. The occurs check is optional and off by default, matching
+//! the DEC-10 Prolog the paper takes as its baseline; the B-LOG engines
+//! run with whatever the caller configures, so baseline and best-first
+//! searches always unify identically.
 //!
 //! Resolution unifies a goal with a clause head *renamed apart*: head
 //! variable `v` stands for `v + base`. [`unify_head`] reads the head in
@@ -14,6 +17,8 @@
 //! variable gets bound to, so a failed attempt copies nothing and never
 //! touches the reference counts of the program's shared clause terms.
 //! [`unify`] is the same loop with no offset.
+
+use std::sync::Arc;
 
 use crate::bindings::{BindingLookup, BindingWrite, Trail};
 use crate::term::{Term, VarId};
@@ -47,6 +52,9 @@ pub fn unify<B: BindingWrite + ?Sized>(
 /// that a goal variable gets bound to is materialised (with
 /// [`Term::offset_vars`]), so the result, the bindings and their order on
 /// `trail` are exactly those of unifying against the renamed copy.
+///
+/// Arguments are solved last first, depth-first: a compound argument's
+/// own arguments are all solved before the argument to its left.
 pub fn unify_head<B: BindingWrite + ?Sized>(
     bindings: &mut B,
     trail: &mut Trail,
@@ -55,9 +63,9 @@ pub fn unify_head<B: BindingWrite + ?Sized>(
     base: u32,
     occurs_check: bool,
 ) -> bool {
-    let mut stack = WorkStack::new();
-    stack.push((Side::Ref(goal, 0), Side::Ref(head, base)));
-    while let Some((x, y)) = stack.pop() {
+    let mut stack = FrameStack::new();
+    let mut next = Some((Side::Ref(goal, 0), Side::Ref(head, base)));
+    while let Some((x, y)) = next.take().or_else(|| stack.next_pair()) {
         match (x.walk(bindings), y.walk(bindings)) {
             (Walked::Var(v), Walked::Var(w)) if v == w => {}
             (Walked::Var(v), t) | (t, Walked::Var(v)) => {
@@ -82,9 +90,11 @@ pub fn unify_head<B: BindingWrite + ?Sized>(
                     if f != g || xs.len() != ys.len() {
                         return false;
                     }
-                    for i in 0..xs.len() {
-                        stack.push((x.arg(i), y.arg(i)));
-                    }
+                    stack.push(Frame {
+                        cursor: xs.len(),
+                        xs: x.into_args(),
+                        ys: y.into_args(),
+                    });
                 }
                 _ => return false,
             },
@@ -138,11 +148,12 @@ impl<'t> Side<'t> {
         }
     }
 
-    /// Argument `i` of a compound term, under the same offset.
-    fn arg(&self, i: usize) -> Side<'t> {
+    /// The arguments of a compound term, under the same offset. An owned
+    /// term hands over its `Arc` rather than cloning it.
+    fn into_args(self) -> Args<'t> {
         match self {
-            Side::Ref(Term::Struct(_, args), offset) => Side::Ref(&args[i], *offset),
-            Side::Own(Term::Struct(_, args)) => Side::Own(args[i].clone()),
+            Side::Ref(Term::Struct(_, args), offset) => Args::Ref(args, offset),
+            Side::Own(Term::Struct(_, args)) => Args::Own(args),
             _ => unreachable!("arguments of a non-compound term"),
         }
     }
@@ -160,43 +171,79 @@ impl Walked<'_> {
     }
 }
 
-/// Pending equations the work stack keeps in the call frame before it
-/// spills to the heap: a head of arity 8 whose arguments are compounds
-/// of arity ≤ 8 fits.
-const INLINE: usize = 16;
-
-/// A LIFO stack whose first [`INLINE`] entries need no allocation.
-struct WorkStack<'t> {
-    inline: [Option<(Side<'t>, Side<'t>)>; INLINE],
-    len: usize,
-    /// Entries pushed while `inline` is full; always popped first.
-    spill: Vec<(Side<'t>, Side<'t>)>,
+/// The argument slice of one side of a matched compound pair.
+enum Args<'t> {
+    /// Borrowed from the caller, read under an offset.
+    Ref(&'t [Term], u32),
+    /// Taken out of the binding store (no offset).
+    Own(Arc<[Term]>),
 }
 
-impl<'t> WorkStack<'t> {
+impl<'t> Args<'t> {
+    /// Argument `i` as one side of an equation.
+    fn side(&self, i: usize) -> Side<'t> {
+        match self {
+            Args::Ref(args, offset) => Side::Ref(&args[i], *offset),
+            Args::Own(args) => Side::Own(args[i].clone()),
+        }
+    }
+}
+
+/// A matched compound pair whose arguments `0..cursor` are still to be
+/// unified, last first.
+struct Frame<'t> {
+    xs: Args<'t>,
+    ys: Args<'t>,
+    cursor: usize,
+}
+
+/// Frames the stack keeps in the call frame before it spills to the
+/// heap: compound arguments nested this deep inside a head fit.
+const INLINE_FRAMES: usize = 8;
+
+/// A LIFO stack of [`Frame`]s whose first [`INLINE_FRAMES`] need no
+/// allocation. A frame is popped as its last pending pair is handed
+/// out, so every frame on the stack has work left.
+struct FrameStack<'t> {
+    inline: [Option<Frame<'t>>; INLINE_FRAMES],
+    len: usize,
+    /// Frames pushed while `inline` is full; always above it.
+    spill: Vec<Frame<'t>>,
+}
+
+impl<'t> FrameStack<'t> {
     fn new() -> Self {
-        WorkStack {
-            inline: [const { None }; INLINE],
+        FrameStack {
+            inline: [const { None }; INLINE_FRAMES],
             len: 0,
             spill: Vec::new(),
         }
     }
 
-    fn push(&mut self, pair: (Side<'t>, Side<'t>)) {
-        if self.len < INLINE {
-            self.inline[self.len] = Some(pair);
+    fn push(&mut self, frame: Frame<'t>) {
+        if self.len < INLINE_FRAMES {
+            self.inline[self.len] = Some(frame);
             self.len += 1;
         } else {
-            self.spill.push(pair);
+            self.spill.push(frame);
         }
     }
 
-    fn pop(&mut self) -> Option<(Side<'t>, Side<'t>)> {
-        if let Some(pair) = self.spill.pop() {
-            return Some(pair);
+    /// The next pending pair: the rightmost unsolved argument pair of the
+    /// innermost frame.
+    fn next_pair(&mut self) -> Option<(Side<'t>, Side<'t>)> {
+        let top = match self.spill.last_mut() {
+            Some(frame) => frame,
+            None => self.inline[self.len.checked_sub(1)?].as_mut()?,
+        };
+        top.cursor -= 1;
+        let i = top.cursor;
+        let pair = (top.xs.side(i), top.ys.side(i));
+        if i == 0 && self.spill.pop().is_none() {
+            self.len -= 1;
+            self.inline[self.len] = None;
         }
-        self.len = self.len.checked_sub(1)?;
-        self.inline[self.len].take()
+        Some(pair)
     }
 }
 
@@ -384,17 +431,30 @@ mod tests {
     }
 
     #[test]
-    fn wide_terms_spill_past_the_inline_stack() {
-        let wide = |last: Term| {
-            let mut args: Vec<Term> = (0..3 * INLINE as u32).map(atom).collect();
-            args.push(last);
-            app(0, args)
+    fn nesting_spills_past_the_inline_frames() {
+        // Each level is f(a_i, <next level>, b_i): every frame still has
+        // its first argument pending when the next one is pushed, so
+        // 3 × INLINE_FRAMES levels keep that many frames live at once.
+        let nested = |leaf: Term| {
+            let n = 3 * INLINE_FRAMES as u32;
+            (0..n).fold(leaf, |inner, i| app(0, vec![atom(i), inner, atom(100 + i)]))
         };
         let (mut b, mut t) = fresh();
-        assert!(unify(&mut b, &mut t, &wide(var(0)), &wide(atom(99)), false));
+        assert!(unify(
+            &mut b,
+            &mut t,
+            &nested(var(0)),
+            &nested(atom(99)),
+            false
+        ));
         assert_eq!(b.get(VarId(0)), Some(&atom(99)));
-        let (one, two) = (wide(atom(1)), wide(atom(2)));
+        let (one, two) = (nested(atom(1)), nested(atom(2)));
         assert!(!unify(&mut b, &mut t, &one, &two, false));
+        // A mismatch left of the spilled frames is still reached once
+        // they are popped.
+        let left = |a: u32| app(0, vec![atom(a), nested(atom(7))]);
+        assert!(!unify(&mut b, &mut t, &left(1), &left(2), false));
+        assert!(unify(&mut b, &mut t, &left(1), &left(1), false));
     }
 
     #[test]

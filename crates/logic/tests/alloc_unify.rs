@@ -2,7 +2,7 @@
 //!
 //! Most resolution attempts fail (two in three on the benchmark's search
 //! base), so an attempt that fails should cost comparisons and nothing
-//! else: no renamed copy of the clause head, no heap work stack. A
+//! else: no renamed copy of the clause head, no heap frame stack. A
 //! counting global allocator meters the calling thread, so the numbers
 //! repeat exactly and nothing here reads a clock. Each attempt is run
 //! once unmeasured first, so the trail and the frame delta have the
@@ -138,7 +138,8 @@ fn a_failed_head_unification_on_a_frame_delta_allocates_nothing() {
         let root = BindingFrame::root();
         let parent = match w {
             Some(w) => {
-                let mut delta = DeltaBindings::new(&root);
+                // Over the empty root no variable is bound yet.
+                let mut delta = DeltaBindings::new(&root, 0);
                 assert!(unify(
                     &mut delta,
                     &mut trail,
@@ -150,7 +151,8 @@ fn a_failed_head_unification_on_a_frame_delta_allocates_nothing() {
             }
             None => root,
         };
-        let mut delta = DeltaBindings::new(&parent);
+        // The head is renamed from `base` up, past every goal variable.
+        let mut delta = DeltaBindings::new(&parent, base);
         let mut attempt = || {
             delta.clear();
             trail.clear();

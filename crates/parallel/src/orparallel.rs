@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use blog_core::chain::Chain;
 use blog_core::engine::{
-    best_first_deferred, expand_chain, BestFirstConfig, BlogStats, BoundedSolution, ChainOutcome,
-    Executor, PruneMode, Search,
+    best_first_deferred, expand_chain, BestFirstConfig, BlogStats, BoundedSolution, ChainBuffers,
+    ChainOutcome, Executor, PruneMode, Search,
 };
 use blog_core::update::{chain_update, InfinityPlacement, UpdateOutcome};
 use blog_core::util::SplitMix64;
@@ -229,7 +229,7 @@ fn worker_loop<S: ClauseSource + ?Sized>(search: &Search<'_, S>, shared: &Shared
     let exchange = &shared.exchange;
     let (mut stats, mut blog) = (SearchStats::default(), BlogStats::default());
     // Reused across every expansion this worker performs.
-    let mut buf: Vec<Chain> = Vec::new();
+    let mut bufs = ChainBuffers::default();
     while !exchange.stopped() {
         let Some(chain) = worker.heap.pop() else {
             let Some(mut batch) = exchange.acquire(holds, &mut worker.meter) else {
@@ -240,7 +240,7 @@ fn worker_loop<S: ClauseSource + ?Sized>(search: &Search<'_, S>, shared: &Shared
             continue;
         };
         worker.meter.local += 1;
-        expand_chain(search, &mut worker, &mut stats, &mut blog, chain, &mut buf);
+        expand_chain(search, &mut worker, &mut stats, &mut blog, chain, &mut bufs);
         if exchange.hungry() {
             exchange.donate_from(&mut worker.heap, shared.d, &mut worker.meter);
         }

@@ -41,6 +41,7 @@ use blog_logic::{arg_key, ArgKey, BindingLookup, Clause, ClauseDb, ClauseId, Sym
 use serde::Serialize;
 
 use crate::bitmap::ClauseBitmap;
+use crate::idhash::IdMap;
 
 /// Candidate-selection policy for the paged and MVCC stores.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug, Serialize)]
@@ -90,12 +91,18 @@ struct PredSegment {
     /// Defining clauses in program order (ascending id).
     ids: Vec<ClauseId>,
     /// Head-first-argument key → this predicate's clauses with that key.
+    /// Keeps `std`'s keyed SipHash, unlike the predicate map: an
+    /// `ArgKey::Int` comes straight from client text, and a fixed hash
+    /// would let crafted integers pile into one bucket (the reason
+    /// `SymbolTable` keys its hasher too).
     first_arg: HashMap<ArgKey, ClauseBitmap>,
     /// Clauses with no head-first-argument key: match any bound key.
     var_headed: ClauseBitmap,
 }
 
-type PredShard = HashMap<(Sym, u32), Arc<PredSegment>>;
+/// Keyed by interned symbol and arity, which the store assigns, so the
+/// fixed [`IdMap`] hash is safe here.
+type PredShard = IdMap<(Sym, u32), Arc<PredSegment>>;
 
 /// Immutable-per-epoch candidate index over a clause snapshot: one
 /// [`Arc`]-shared segment per predicate (see the module docs).

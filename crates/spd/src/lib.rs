@@ -44,6 +44,7 @@ pub mod block;
 pub mod bridge;
 pub mod cache;
 pub mod fault;
+mod idhash;
 pub mod lru;
 pub mod mvcc;
 pub mod paged;

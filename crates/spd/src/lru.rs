@@ -11,8 +11,9 @@
 //! capacity `k` is a subset of the hit set at capacity `k+1`. The paging
 //! tests rely on that monotonicity.
 
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use crate::idhash::IdMap;
 
 const NIL: usize = usize::MAX;
 
@@ -47,7 +48,8 @@ impl<K> Touch<K> {
 #[derive(Clone, Debug)]
 pub struct LruSet<K: Eq + Hash + Copy> {
     capacity: usize,
-    map: HashMap<K, usize>,
+    /// Keys are store-assigned (track ids), so a fixed hash is safe.
+    map: IdMap<K, usize>,
     slots: Vec<Slot<K>>,
     /// Most-recently used slot.
     head: usize,
@@ -65,7 +67,7 @@ impl<K: Eq + Hash + Copy> LruSet<K> {
         assert!(capacity > 0, "LruSet capacity must be nonzero");
         LruSet {
             capacity,
-            map: HashMap::with_capacity(capacity),
+            map: IdMap::with_capacity_and_hasher(capacity, Default::default()),
             slots: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,

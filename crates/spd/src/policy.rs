@@ -23,12 +23,13 @@
 //! `tests/policy_props.rs` checks every implementation against a
 //! brute-force reference model on arbitrary traces.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::hash::Hash;
 
 use serde::Serialize;
 
+use crate::idhash::{IdMap, IdSet};
 use crate::lru::{LruSet, Touch};
 
 /// Access counters every policy maintains through
@@ -343,7 +344,7 @@ pub struct TwoQ<K: Eq + Hash + Copy> {
     am: LruSet<K>,
     /// Ghost FIFO: front = oldest. Membership mirrored in `ghost_set`.
     a1out: VecDeque<K>,
-    ghost_set: HashSet<K>,
+    ghost_set: IdSet<K>,
     /// Set by a [`touch`](ReplacementPolicy::touch) miss that found its
     /// key ghosted: a following `admit` of *that key* goes to Am.
     /// Resolved at miss time because the eviction making room may slide
@@ -371,7 +372,7 @@ impl<K: Eq + Hash + Copy> TwoQ<K> {
             a1in: LruSet::new(capacity),
             am: LruSet::new(capacity),
             a1out: VecDeque::new(),
-            ghost_set: HashSet::new(),
+            ghost_set: IdSet::default(),
             pending_am: None,
             stats: PolicyStats::default(),
         }
@@ -511,7 +512,7 @@ pub struct Clock<K: Eq + Hash + Copy> {
     /// Ring frames; `None` is a free frame.
     frames: Vec<Option<(K, bool)>>,
     /// Key -> frame index.
-    map: HashMap<K, usize>,
+    map: IdMap<K, usize>,
     /// Next frame the eviction hand examines.
     hand: usize,
     /// Free frame indices available for admission.
@@ -529,7 +530,7 @@ impl<K: Eq + Hash + Copy> Clock<K> {
         Clock {
             capacity,
             frames: vec![None; capacity],
-            map: HashMap::with_capacity(capacity),
+            map: IdMap::with_capacity_and_hasher(capacity, Default::default()),
             hand: 0,
             free: (0..capacity).rev().collect(),
             stats: PolicyStats::default(),

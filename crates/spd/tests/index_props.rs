@@ -276,7 +276,7 @@ fn check_case(
 
             // Live delta over the root frame.
             let root = BindingFrame::root();
-            let mut delta = DeltaBindings::new(&root);
+            let mut delta = DeltaBindings::new(&root, 0);
             let mut trail = Trail::new();
             delta.bind(&mut trail, case.q, Term::Var(mid));
             delta.bind(&mut trail, mid, key.clone());
@@ -287,7 +287,7 @@ fn check_case(
             let (frame, _) = delta.freeze(DEFAULT_FLATTEN_THRESHOLD);
             check(&case.var_goal, &*frame)?;
             let root2 = BindingFrame::root();
-            let mut delta2 = DeltaBindings::new(&root2);
+            let mut delta2 = DeltaBindings::new(&root2, 0);
             let mut trail = Trail::new();
             delta2.bind(&mut trail, case.q, Term::Var(mid));
             delta2.bind(&mut trail, mid, key.clone());

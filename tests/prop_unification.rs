@@ -1,7 +1,10 @@
 //! Property tests for terms, bindings and unification.
 
+use std::sync::Arc;
+
 use b_log::logic::{
-    unify, unify_head, BindingLookup, BindingWrite, Bindings, Sym, Term, Trail, VarId,
+    unify, unify_head, BindingFrame, BindingLookup, BindingWrite, Bindings, DeltaBindings, Sym,
+    Term, Trail, VarId, DEFAULT_FLATTEN_THRESHOLD,
 };
 use proptest::prelude::*;
 
@@ -51,6 +54,21 @@ fn prebound(pre: &[(u32, Term)]) -> Recording {
         }
     }
     r
+}
+
+/// [`prebound`] as a search leaves it: each `(v, t)` that unifies is
+/// frozen into a frame of its own on top of the previous one. Every
+/// variable involved is below 6, so 6 is a valid `next_var` throughout.
+fn prebound_frames(pre: &[(u32, Term)]) -> Arc<BindingFrame> {
+    let mut frame = BindingFrame::root();
+    let mut trail = Trail::new();
+    for (v, t) in pre {
+        let mut delta = DeltaBindings::new(&frame, 6);
+        if unify(&mut delta, &mut trail, &Term::Var(VarId(*v)), t, true) {
+            frame = delta.freeze(DEFAULT_FLATTEN_THRESHOLD).0;
+        }
+    }
+    frame
 }
 
 /// Strategy: arbitrary terms over a small symbol/variable alphabet.
@@ -186,6 +204,35 @@ proptest! {
             for v in 0..6 + base + 6 {
                 let var = Term::Var(VarId(v));
                 prop_assert_eq!(in_place.resolve(&var), renamed.resolve(&var));
+            }
+        }
+    }
+
+    #[test]
+    fn head_unifier_over_a_frame_chain_agrees_with_flat_bindings(
+        goal_head in arb_goal_head(),
+        pre in prop::collection::vec((0u32..6, arb_term()), 0..4),
+        base in 6u32..16,
+        occurs_check in any::<bool>(),
+    ) {
+        // The same attempt through a delta over frozen parent frames,
+        // told that variables from `base` up are fresh (the renamed head
+        // lives there; `pre` binds only goal variables below 6), must
+        // give the flat store's answer and resolved bindings.
+        let (goal, head) = goal_head;
+        let mut flat = prebound(&pre);
+        let parent = prebound_frames(&pre);
+        let mut delta = DeltaBindings::new(&parent, base);
+        let (mut t1, mut t2) = (Trail::new(), Trail::new());
+        let expected = unify_head(&mut flat, &mut t1, &goal, &head, base, occurs_check);
+        let ok = unify_head(&mut delta, &mut t2, &goal, &head, base, occurs_check);
+        prop_assert_eq!(ok, expected);
+        prop_assert_eq!(t1.len(), t2.len());
+        prop_assert_eq!(delta.delta_len(), flat.log.len());
+        if occurs_check {
+            for v in 0..base + 6 {
+                let var = Term::Var(VarId(v));
+                prop_assert_eq!(delta.resolve(&var), flat.resolve(&var));
             }
         }
     }
