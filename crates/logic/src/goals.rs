@@ -143,11 +143,11 @@ mod tests {
     use crate::symbol::Sym;
     use crate::term::Term;
 
-    fn goal(i: u32) -> Goal {
+    fn goal(i: u16) -> Goal {
         Goal {
-            term: Term::Atom(Sym(i)),
+            term: Term::Atom(Sym(i.into())),
             caller: Caller::Query,
-            goal_idx: i as u16,
+            goal_idx: i,
         }
     }
 
@@ -175,8 +175,8 @@ mod tests {
     fn deep_unshared_stack_drops_without_overflow() {
         // 400k cells would blow the stack under a naive recursive drop.
         let mut s = GoalStack::nil();
-        for i in 0..400_000 {
-            s = s.push(goal(i % 100));
+        for i in (0..100).cycle().take(400_000) {
+            s = s.push(goal(i));
         }
         assert_eq!(s.len(), 400_000);
         drop(s);

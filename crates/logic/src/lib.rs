@@ -61,7 +61,7 @@ pub use frames::{BindingFrame, DeltaBindings, DEFAULT_FLATTEN_THRESHOLD};
 pub use goals::GoalStack;
 pub use node::{
     expand, try_expand_via, Caller, ExpandBuffers, Expansion, Goal, NodeState, PointerKey,
-    SearchNode, StateRepr,
+    SearchNode, StateRepr, MAX_GOALS,
 };
 pub use source::{ClauseSource, SourceStats, StoreError, StoreErrorKind};
 pub use parser::{
@@ -76,4 +76,4 @@ pub use solve::{
 pub use store::{arg_key, ArgKey, ClauseDb, IndexMode};
 pub use symbol::{Sym, SymbolTable};
 pub use term::{Term, VarId};
-pub use unify::{unify, unify_head};
+pub use unify::{unify, unify_head, GoalKeys};

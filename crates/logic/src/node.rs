@@ -28,8 +28,10 @@
 //!
 //! Both representations resolve goals through the same
 //! [`unify_head`] — the clause head read in place, renamed apart by an
-//! offset, never copied for an attempt that fails — and produce
-//! identical children (the
+//! offset, never copied for an attempt that fails — behind the same
+//! [`GoalKeys`] check, which skips a head whose argument keys clash with
+//! the goal's before any unification starts. They produce identical
+//! children (the
 //! `state_repr` property suite in `tests/` holds them equal on arbitrary
 //! programs); [`ExpandStats::bytes_copied`] meters the difference.
 
@@ -44,7 +46,7 @@ use crate::goals::GoalStack;
 use crate::source::{ClauseSource, StoreError};
 use crate::store::ClauseDb;
 use crate::term::{Term, VarId};
-use crate::unify::unify_head;
+use crate::unify::{unify_head, GoalKeys};
 
 /// Where a goal came from: the query itself or the body of a clause.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -67,6 +69,21 @@ pub struct Goal {
     /// Position of this goal within the caller's body (or within the
     /// query's conjunction).
     pub goal_idx: u16,
+}
+
+/// Most goals one clause body or one query may hold. [`Goal::goal_idx`]
+/// is a `u16`: a longer body would give two of its goals one index, and
+/// so one [`PointerKey`] and one §5 weight. [`ClauseDb::add_clause`], the
+/// store's transactional assert and the parser reject anything longer.
+pub const MAX_GOALS: usize = u16::MAX as usize + 1;
+
+/// Goal position `i` of a body or query as a [`Goal::goal_idx`].
+///
+/// # Panics
+/// If `i` is not below [`MAX_GOALS`], which every insertion path rules
+/// out.
+pub fn goal_idx(i: usize) -> u16 {
+    u16::try_from(i).expect("a body or query holds at most MAX_GOALS goals")
 }
 
 /// Identity of one weighted pointer of figure 4: caller block, pointer
@@ -178,7 +195,7 @@ impl SearchNode {
             .map(|(i, t)| Goal {
                 term: t.clone(),
                 caller: Caller::Query,
-                goal_idx: i as u16,
+                goal_idx: goal_idx(i),
             })
             .collect();
         let state = match repr {
@@ -328,12 +345,14 @@ pub fn expand(db: &ClauseDb, node: &SearchNode, stats: &mut ExpandStats) -> Vec<
 }
 
 /// The buffers one [`try_expand_via`] call fills and the next reuses: the
-/// trail, the frame delta's writes and the children. A search loop owns
-/// one and keeps it across nodes, so these cost no allocation per node.
+/// trail, the frame delta's writes, the goal's argument keys and the
+/// children. A search loop owns one and keeps it across nodes, so these
+/// cost no allocation per node.
 #[derive(Default, Debug)]
 pub struct ExpandBuffers {
     trail: Trail,
     writes: Vec<(VarId, Term)>,
+    keys: GoalKeys,
     /// The children of the last expansion, in clause order.
     pub children: Vec<Expansion>,
 }
@@ -346,6 +365,13 @@ pub struct ExpandBuffers {
 /// source, so a paged backend observes the search's true block-access
 /// stream — one [`try_fetch_clause`](ClauseSource::try_fetch_clause) per
 /// unification attempt.
+///
+/// When the goal has two or more candidates, its argument keys are read
+/// once into `bufs` and each fetched head is checked with
+/// [`GoalKeys::admits`] before [`unify_head`] runs. A rejected head is one
+/// unification would fail on, and it has already been fetched and counted
+/// as an attempt, so the touch stream, the planned faults and every
+/// counter are exactly those of unifying every candidate.
 ///
 /// Children inherit the node's [`StateRepr`]: under `Cloned` each child
 /// copies the store; under `Shared` each child is an `Arc` onto the
@@ -378,8 +404,12 @@ pub fn try_expand_via<S: ClauseSource + ?Sized>(
     let ExpandBuffers {
         trail,
         writes,
+        keys,
         children: out,
     } = bufs;
+    // A lone candidate gains nothing from the key check: unification
+    // answers for it just as well.
+    let filter = candidates.len() >= 2;
     out.reserve(candidates.len());
     let arc_for = |cid: ClauseId| PointerKey {
         caller: goal.caller,
@@ -390,9 +420,15 @@ pub fn try_expand_via<S: ClauseSource + ?Sized>(
 
     match &node.state {
         NodeState::Cloned { goals, bindings } => {
+            if filter {
+                keys.fill(&goal_term, bindings);
+            }
             for &cid in candidates.iter() {
                 stats.unify_attempts += 1;
                 let clause = source.try_fetch_clause(cid)?;
+                if filter && !keys.admits(&clause.head) {
+                    continue;
+                }
 
                 // Child state: clone bindings, try the head match.
                 let mut child_bindings = bindings.clone();
@@ -417,7 +453,7 @@ pub fn try_expand_via<S: ClauseSource + ?Sized>(
                     child_goals.push(Goal {
                         term: b.offset_vars(base),
                         caller: Caller::Clause(cid),
-                        goal_idx: i as u16,
+                        goal_idx: goal_idx(i),
                     });
                 }
                 child_goals.extend_from_slice(&goals[1..]);
@@ -448,9 +484,15 @@ pub fn try_expand_via<S: ClauseSource + ?Sized>(
             // A fault returns early and gives up the write buffer; the
             // next expansion allocates a fresh one.
             let mut delta = DeltaBindings::reusing(frame, base, std::mem::take(writes));
+            if filter {
+                keys.fill(&goal_term, frame.as_ref());
+            }
             for &cid in candidates.iter() {
                 stats.unify_attempts += 1;
                 let clause = source.try_fetch_clause(cid)?;
+                if filter && !keys.admits(&clause.head) {
+                    continue;
+                }
 
                 delta.clear();
                 trail.clear();
@@ -465,7 +507,7 @@ pub fn try_expand_via<S: ClauseSource + ?Sized>(
                     child_goals = child_goals.push(Goal {
                         term: b.offset_vars(base),
                         caller: Caller::Clause(cid),
-                        goal_idx: i as u16,
+                        goal_idx: goal_idx(i),
                     });
                 }
                 stats.bytes_copied += shared_sprout_bytes(&fz, clause.body.len());

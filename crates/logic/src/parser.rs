@@ -19,6 +19,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::clause::Clause;
+use crate::node::MAX_GOALS;
 use crate::store::ClauseDb;
 use crate::term::{Term, VarId};
 
@@ -412,9 +413,16 @@ impl<'a> Parser<'a> {
             .fold(tail, |acc, item| Term::app(cons, vec![item, acc])))
     }
 
+    /// A conjunction: a clause body or a query, at most [`MAX_GOALS`]
+    /// goals long.
     fn parse_goals(&mut self) -> Result<Vec<Term>, ParseError> {
         let mut goals = vec![self.parse_term()?];
         while self.lookahead.tok == Tok::Comma {
+            if goals.len() == MAX_GOALS {
+                return Err(
+                    self.err_here(format!("more than {MAX_GOALS} goals in one conjunction"))
+                );
+            }
             self.advance()?;
             goals.push(self.parse_term()?);
         }
@@ -832,6 +840,27 @@ mod tests {
             // The reader is still usable afterwards.
             assert!(parse_query_shared(&p.db, "f([a, a])").is_ok());
         });
+    }
+
+    #[test]
+    fn conjunctions_longer_than_max_goals_are_rejected() {
+        let goals = |n: usize| vec!["a"; n].join(",");
+        let (at, past) = (goals(MAX_GOALS), goals(MAX_GOALS + 1));
+        let mut p = parse_program("a.").unwrap();
+        assert_eq!(parse_query(&mut p.db, &at).unwrap().goals.len(), MAX_GOALS);
+        assert!(parse_query_shared(&p.db, &at).is_ok());
+        let rule = parse_program(&format!("b :- {at}.")).unwrap();
+        assert_eq!(rule.db.clause(crate::ClauseId(0)).body.len(), MAX_GOALS);
+        let program_err = |src: String| parse_program(&src).map(|_| ()).unwrap_err();
+        let errs = [
+            parse_query(&mut p.db, &past).map(|_| ()).unwrap_err(),
+            parse_query_shared(&p.db, &past).map(|_| ()).unwrap_err(),
+            program_err(format!("?- {past}.")),
+            program_err(format!("b :- {past}.")),
+        ];
+        for e in errs {
+            assert!(e.message.contains("goals in one conjunction"), "{e}");
+        }
     }
 
     #[test]

@@ -21,12 +21,12 @@ use serde::Serialize;
 
 use crate::bindings::{Bindings, Trail};
 use crate::goals::GoalStack;
-use crate::node::{expand, Caller, ExpandStats, Goal, SearchNode, StateRepr};
+use crate::node::{expand, goal_idx, Caller, ExpandStats, Goal, SearchNode, StateRepr};
 use crate::parser::Query;
 use crate::pretty::term_to_string;
 use crate::store::ClauseDb;
 use crate::term::{Term, VarId};
-use crate::unify::unify_head;
+use crate::unify::{unify_head, GoalKeys};
 
 /// A cooperative cancellation flag shared between a search and whoever
 /// may need to stop it mid-flight (a deadline reaper, a user hitting
@@ -248,6 +248,10 @@ struct DfsEngine<'a> {
     var_names: Arc<Vec<String>>,
     n_query_vars: u32,
     cp_depth: usize,
+    /// Argument-key buffers not in use by a live choice point: each one
+    /// borrows a buffer for its candidate loop and gives it back, so the
+    /// pool grows to the deepest recursion and no further.
+    key_pool: Vec<GoalKeys>,
 }
 
 impl<'a> DfsEngine<'a> {
@@ -298,10 +302,19 @@ impl<'a> DfsEngine<'a> {
             .db
             .candidates_for_resolved(&goal_term, &self.bindings)
             .into_owned();
+        // As in `try_expand_via`: keys only when there is a choice.
+        let keys = (candidates.len() >= 2).then(|| {
+            let mut keys = self.key_pool.pop().unwrap_or_default();
+            keys.fill(&goal_term, &self.bindings);
+            keys
+        });
         let mut any_child = false;
         for cid in candidates {
             self.stats.unify_attempts += 1;
             let clause = self.db.clause(cid);
+            if keys.as_ref().is_some_and(|k| !k.admits(&clause.head)) {
+                continue;
+            }
             let base = self.next_var;
             let mark = self.trail.mark();
             self.bindings.ensure((base + clause.n_vars) as usize);
@@ -321,7 +334,7 @@ impl<'a> DfsEngine<'a> {
                     child_goals = child_goals.push(Goal {
                         term: b.offset_vars(base),
                         caller: Caller::Clause(cid),
-                        goal_idx: i as u16,
+                        goal_idx: goal_idx(i),
                     });
                 }
                 let flow = self.dfs(&child_goals, depth + 1);
@@ -329,6 +342,7 @@ impl<'a> DfsEngine<'a> {
                 self.bindings.undo_to(&mut self.trail, mark);
                 if flow.is_break() {
                     self.cp_depth -= 1;
+                    self.key_pool.extend(keys);
                     return ControlFlow::Break(());
                 }
             } else {
@@ -339,6 +353,7 @@ impl<'a> DfsEngine<'a> {
             self.stats.failures += 1;
         }
         self.cp_depth -= 1;
+        self.key_pool.extend(keys);
         ControlFlow::Continue(())
     }
 }
@@ -357,6 +372,7 @@ pub fn dfs_all(db: &ClauseDb, query: &Query, config: &SolveConfig) -> SolveResul
         var_names: Arc::new(query.var_names.clone()),
         n_query_vars: query.var_names.len() as u32,
         cp_depth: 0,
+        key_pool: Vec::new(),
     };
     let goals = root.goal_stack();
     let _ = engine.dfs(&goals, 0);

@@ -19,6 +19,7 @@ use std::collections::HashMap;
 
 use crate::bindings::BindingLookup;
 use crate::clause::{Clause, ClauseId};
+use crate::node::MAX_GOALS;
 use crate::symbol::{Sym, SymbolTable};
 use crate::term::Term;
 
@@ -81,6 +82,8 @@ pub enum DbError {
     UncallableHead,
     /// A body goal was a variable or integer.
     UncallableGoal { goal_idx: usize },
+    /// The body holds more than [`MAX_GOALS`] goals.
+    TooManyGoals { goals: usize },
 }
 
 impl std::fmt::Display for DbError {
@@ -89,6 +92,9 @@ impl std::fmt::Display for DbError {
             DbError::UncallableHead => write!(f, "clause head is not a callable term"),
             DbError::UncallableGoal { goal_idx } => {
                 write!(f, "body goal {goal_idx} is not a callable term")
+            }
+            DbError::TooManyGoals { goals } => {
+                write!(f, "clause body has {goals} goals, more than {MAX_GOALS}")
             }
         }
     }
@@ -144,6 +150,11 @@ impl ClauseDb {
             if g.functor().is_none() {
                 return Err(DbError::UncallableGoal { goal_idx });
             }
+        }
+        if clause.body.len() > MAX_GOALS {
+            return Err(DbError::TooManyGoals {
+                goals: clause.body.len(),
+            });
         }
         let id = ClauseId(self.clauses.len() as u32);
         let pred = clause.head_pred();
@@ -403,6 +414,19 @@ mod tests {
             ))
             .unwrap_err();
         assert_eq!(err, DbError::UncallableGoal { goal_idx: 0 });
+    }
+
+    #[test]
+    fn a_body_longer_than_max_goals_is_rejected() {
+        let mut db = ClauseDb::new();
+        let p = db.intern("p");
+        let body = |n| Clause::new(Term::Atom(p), vec![Term::Atom(p); n]);
+        assert!(db.add_clause(body(MAX_GOALS)).is_ok());
+        let too_many = DbError::TooManyGoals {
+            goals: MAX_GOALS + 1,
+        };
+        assert_eq!(db.add_clause(body(MAX_GOALS + 1)), Err(too_many));
+        assert_eq!(db.len(), 1, "the rejected clause is not stored");
     }
 
     #[test]

@@ -17,10 +17,16 @@
 //! variable gets bound to, so a failed attempt copies nothing and never
 //! touches the reference counts of the program's shared clause terms.
 //! [`unify`] is the same loop with no offset.
+//!
+//! Before any of that machinery runs, [`GoalKeys`] rejects a head whose
+//! top-level arguments cannot match the goal's: the goal's argument keys
+//! are read once per node, and each candidate head is compared against
+//! them position by position.
 
 use std::sync::Arc;
 
 use crate::bindings::{BindingLookup, BindingWrite, Trail};
+use crate::store::{arg_key, ArgKey};
 use crate::term::{Term, VarId};
 
 /// Attempt to unify `a` and `b` under `bindings`.
@@ -101,6 +107,49 @@ pub fn unify_head<B: BindingWrite + ?Sized>(
         }
     }
     true
+}
+
+/// The [`ArgKey`]s of one goal's top-level arguments, each walked
+/// through the node's bindings: `None` where the argument is an unbound
+/// variable.
+///
+/// A search loop owns one and refills it per node, so it costs no
+/// allocation per node. [`admits`](Self::admits) is the fail-fast check
+/// in front of [`unify_head`]: a pair it rejects is one `unify_head` is
+/// certain to fail on, whatever it binds first, because binding a
+/// variable never changes the principal functor of a term that is
+/// already bound.
+#[derive(Default, Debug)]
+pub struct GoalKeys {
+    keys: Vec<Option<ArgKey>>,
+}
+
+impl GoalKeys {
+    /// Read the keys of `goal` (dereferenced first) under `bindings`,
+    /// replacing the previous goal's.
+    pub fn fill<B: BindingLookup + ?Sized>(&mut self, goal: &Term, bindings: &B) {
+        self.keys.clear();
+        if let Term::Struct(_, args) = bindings.walk(goal) {
+            self.keys
+                .extend(args.iter().map(|a| arg_key(bindings.walk(a))));
+        }
+    }
+
+    /// `false` exactly when some argument position has a bound goal key
+    /// and a non-variable head argument with a different key (atom vs
+    /// atom, int vs int, functor or arity, or a different kind of term).
+    pub fn admits(&self, head: &Term) -> bool {
+        let Term::Struct(_, args) = head else {
+            return true;
+        };
+        self.keys
+            .iter()
+            .zip(args.iter())
+            .all(|(goal, head)| match (goal, arg_key(head)) {
+                (Some(g), Some(h)) => *g == h,
+                _ => true,
+            })
+    }
 }
 
 /// One side of a pending equation.
@@ -455,6 +504,54 @@ mod tests {
         let left = |a: u32| app(0, vec![atom(a), nested(atom(7))]);
         assert!(!unify(&mut b, &mut t, &left(1), &left(2), false));
         assert!(unify(&mut b, &mut t, &left(1), &left(1), false));
+    }
+
+    /// The keys of `goal` under `b`.
+    fn keys_of(goal: &Term, b: &Bindings) -> GoalKeys {
+        let mut keys = GoalKeys::default();
+        keys.fill(goal, b);
+        keys
+    }
+
+    #[test]
+    fn goal_keys_reject_an_atom_against_an_int() {
+        let b = Bindings::new();
+        let keys = keys_of(&app(0, vec![atom(1)]), &b);
+        assert!(!keys.admits(&app(0, vec![Term::Int(1)])));
+        assert!(!keys.admits(&app(0, vec![atom(2)])));
+        assert!(keys.admits(&app(0, vec![atom(1)])));
+        let keys = keys_of(&app(0, vec![Term::Int(3)]), &b);
+        assert!(!keys.admits(&app(0, vec![Term::Int(4)])));
+        assert!(!keys.admits(&app(0, vec![atom(3)])));
+    }
+
+    #[test]
+    fn goal_keys_reject_a_functor_or_arity_mismatch() {
+        let b = Bindings::new();
+        let keys = keys_of(&app(0, vec![atom(0), app(1, vec![var(0)])]), &b);
+        assert!(!keys.admits(&app(0, vec![var(1), app(2, vec![var(2)])])));
+        assert!(!keys.admits(&app(0, vec![var(1), app(1, vec![var(2), var(3)])])));
+        assert!(!keys.admits(&app(0, vec![var(1), atom(1)])));
+        // Only the principal functor is compared: f(X) against f(a) is
+        // left to unification.
+        assert!(keys.admits(&app(0, vec![var(1), app(1, vec![atom(5)])])));
+    }
+
+    #[test]
+    fn goal_keys_admit_a_variable_on_either_side() {
+        let (mut b, mut t) = fresh();
+        // An unbound goal argument matches any head argument.
+        let keys = keys_of(&app(0, vec![var(0), atom(1)]), &b);
+        assert!(keys.admits(&app(0, vec![Term::Int(7), atom(1)])));
+        // A head variable matches any goal key.
+        assert!(keys.admits(&app(0, vec![var(3), var(4)])));
+        // A goal variable bound through the bindings is read as its
+        // binding, at both levels: the goal and its arguments.
+        assert!(unify(&mut b, &mut t, &var(0), &atom(2), false));
+        assert!(unify(&mut b, &mut t, &var(5), &app(0, vec![var(0)]), false));
+        let keys = keys_of(&var(5), &b);
+        assert!(!keys.admits(&app(0, vec![atom(1)])));
+        assert!(keys.admits(&app(0, vec![atom(2)])));
     }
 
     #[test]

@@ -40,15 +40,17 @@ use serde::Serialize;
 /// What the answer cache does with fills and commits.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CacheMode {
-    /// No caching: every query runs an engine. The default, and the
-    /// baseline the T12 sweep measures against.
+    /// No caching: every query runs an engine. The default, and what the
+    /// benchmark's `search_*` and `paged_churn` workloads run.
     Off,
     /// Cache complete solution sets; each commit invalidates only the
     /// entries whose dependency footprint intersects the transaction's
     /// touched predicates.
     Precise,
     /// Cache, but every commit clears the whole cache — the
-    /// invalidate-everything ablation T12 compares precision against.
+    /// invalidate-everything ablation that
+    /// `precise_keeps_hot_entries_through_cold_tenant_churn` (in this
+    /// module's tests) compares precision against.
     ClearAll,
 }
 

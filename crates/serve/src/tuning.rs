@@ -1,18 +1,21 @@
 //! Calibrated store sizing for multi-tenant serving.
 //!
-//! The T9 experiments, the `serve` criterion bench, and the
-//! `serve_demo` example all measure the same regime; keeping the recipe
-//! in one place keeps them measuring the same thing.
+//! The benchmark's stores (every workload starts from
+//! [`churn_store_config`]; `serve_mix` keeps the working-set cache), the
+//! `serve_demo` and `trace_dump` examples and `tests/alloc_expand.rs`
+//! all run the same regime; keeping the recipe in one place keeps them
+//! running the same thing.
 
 use blog_spd::{Geometry, PagedStoreConfig, PolicyKind};
 
-/// The store configuration of the T9 serving regime for a database of
-/// `db_len` clauses: 4-block tracks over 4 SPs, scan-resistant 2Q, and
-/// a cache sized at 3/5 of the database's tracks — enough for every
-/// pool's *current* tenant working set to stay resident at once, but
-/// not for the whole tenant population. That gap is the point: in this
-/// regime the scheduler's routing (session affinity vs round-robin),
-/// not the replacement policy, decides which sessions run warm.
+/// The store configuration of the multi-tenant serving regime for a
+/// database of `db_len` clauses: 4-block tracks over 4 SPs,
+/// scan-resistant 2Q, and a cache sized at 3/5 of the database's tracks
+/// — enough for every pool's *current* tenant working set to stay
+/// resident at once, but not for the whole tenant population. That gap
+/// is the point: in this regime the scheduler's routing (session
+/// affinity vs round-robin), not the replacement policy, decides which
+/// sessions run warm.
 pub fn working_set_store_config(db_len: usize) -> PagedStoreConfig {
     let blocks_per_track = 4usize;
     let tracks_total = db_len.div_ceil(blocks_per_track);
@@ -28,8 +31,9 @@ pub fn working_set_store_config(db_len: usize) -> PagedStoreConfig {
     }
 }
 
-/// The T9 store sized for *churn*: geometry headroom for `headroom`
-/// clauses asserted beyond the seed database (asserts allocate fresh
+/// [`working_set_store_config`]'s store sized for *churn*: geometry
+/// headroom for `headroom` clauses asserted beyond the seed database
+/// (asserts allocate fresh
 /// blocks; a store sized exactly to the seed rejects the first assert
 /// with `CapacityExhausted`), while the cache stays sized to the **seed**
 /// working set — churn should contend for the same cache the read-only

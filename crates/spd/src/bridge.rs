@@ -89,7 +89,7 @@ pub fn build_spd_from_db(
             for &target in db.pointer_list(cid, goal_idx) {
                 let key = PointerKey {
                     caller: Caller::Clause(cid),
-                    goal_idx: goal_idx as u16,
+                    goal_idx: blog_logic::node::goal_idx(goal_idx),
                     target,
                 };
                 let w = view.effective_weight(key);

@@ -5,8 +5,9 @@
 //! makes those failures an *input* to the system — a seeded schedule of
 //! per-site fault rates evaluated on every track touch — so the serving
 //! layer's retry/breaker machinery can be exercised and measured
-//! reproducibly (the T13 chaos experiment) instead of waiting for real
-//! hardware to misbehave.
+//! reproducibly (`tests/prop_fault_equivalence.rs` holds the server's
+//! answers under any transient plan to the fault-free oracle's) instead
+//! of waiting for real hardware to misbehave.
 //!
 //! Determinism contract: a fault decision is a pure function of the plan
 //! (seed + sites) and the *touch sequence number*, a single atomic

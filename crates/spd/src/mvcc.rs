@@ -203,6 +203,12 @@ pub enum MvccError {
     AlreadyRetracted(ClauseId),
     /// Asserted clause had a variable or integer head/goal.
     Uncallable(String),
+    /// Asserted clause's body held more than
+    /// [`MAX_GOALS`](blog_logic::MAX_GOALS) goals.
+    TooManyGoals {
+        /// Goals in the rejected body.
+        goals: usize,
+    },
     /// Update text failed to parse.
     Parse(ParseError),
 }
@@ -218,6 +224,11 @@ impl std::fmt::Display for MvccError {
                 write!(f, "clause {} is already retracted", cid.0)
             }
             MvccError::Uncallable(what) => write!(f, "uncallable term in clause: {what}"),
+            MvccError::TooManyGoals { goals } => write!(
+                f,
+                "clause body has {goals} goals, more than {}",
+                blog_logic::MAX_GOALS
+            ),
             MvccError::Parse(e) => write!(f, "{e}"),
         }
     }
@@ -830,6 +841,11 @@ impl WriteTxn<'_> {
         if let Some(i) = clause.body.iter().position(|g| g.functor().is_none()) {
             return Err(MvccError::Uncallable(format!("body goal {i}")));
         }
+        if clause.body.len() > blog_logic::MAX_GOALS {
+            return Err(MvccError::TooManyGoals {
+                goals: clause.body.len(),
+            });
+        }
         if self.len >= self.store.geometry.capacity() as usize {
             return Err(MvccError::CapacityExhausted {
                 capacity: self.store.geometry.capacity() as usize,
@@ -1000,6 +1016,25 @@ mod tests {
         assert_eq!(snap.epoch(), 0);
         assert_eq!(snap.clause_count(), p.db.len());
         assert_eq!(solutions(&snap, "gf(sam,G)"), vec!["G = den", "G = doug"]);
+    }
+
+    #[test]
+    fn assert_rejects_a_body_longer_than_max_goals() {
+        let p = parse_program(FAMILY).unwrap();
+        let store = MvccClauseStore::new(&p.db, store_config(8), CommitMode::Mvcc);
+        let f = p.db.sym("f").unwrap();
+        let goal = Term::app(f, vec![Term::Atom(f), Term::Int(1)]);
+        let rule = |n| Clause::new(goal.clone(), vec![goal.clone(); n]);
+        let mut txn = store.begin_write();
+        assert!(txn.assert_clause(rule(blog_logic::MAX_GOALS)).is_ok());
+        assert_eq!(
+            txn.assert_clause(rule(blog_logic::MAX_GOALS + 1)),
+            Err(MvccError::TooManyGoals {
+                goals: blog_logic::MAX_GOALS + 1
+            })
+        );
+        txn.commit();
+        assert_eq!(store.begin_read().clause_count(), p.db.len() + 1);
     }
 
     #[test]

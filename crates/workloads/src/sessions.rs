@@ -13,8 +13,8 @@
 //! [`family_source`]), with query texts
 //! emitted in burst-interleaved arrival order. This is the offered load
 //! a multi-session query server schedules; whether the server's routing
-//! keeps each tenant's warm tracks warm is exactly what the T9 serving
-//! sweep measures.
+//! keeps each tenant's warm tracks warm is what the serve crate's
+//! `tenant_mix_affinity_beats_round_robin_on_warm_hits` test checks.
 
 use blog_logic::{parse_program, parse_query, ClauseDb, Program, Query};
 use rand::rngs::SmallRng;
@@ -487,7 +487,8 @@ mod tests {
     #[test]
     fn zipf_none_keeps_the_classic_interleave() {
         // The None path must stay byte-identical to the legacy
-        // round-robin generator (T9's published numbers depend on it).
+        // round-robin generator: the serve crate's tenant-mix tests,
+        // the affinity test among them, draw their streams from it.
         let legacy = TenantMix {
             n_tenants: 2,
             queries_per_tenant: 4,
