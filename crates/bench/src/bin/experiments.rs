@@ -6,7 +6,7 @@
 //! cargo run --release -p blog-bench --bin experiments -- t6 --policy=2q
 //! ```
 //!
-//! Experiment ids: f1 f3 f4 w1 w2 t1 t2 t3 t4 t5 t6 t7 t8 a1 a2 a3 a4
+//! Experiment ids: f1 f3 f4 w1 w2 t1 t2 t3 t4 t5 t6 t7 t8 a1 a2 a3
 //! (module table in the crate docs). `--policy=<lru|2q|clock|fifo>`
 //! restricts the T6c replacement-policy sweep (every `blog-workloads`
 //! generator runs through an epoch-0 snapshot of the paged clause store)
@@ -18,9 +18,8 @@ use blog_bench::{andp_exp, figures, machine_exp, sessions_exp, spd_exp, strategi
 use blog_spd::PolicyKind;
 
 /// Every experiment id, in run order.
-const IDS: [&str; 17] = [
+const IDS: [&str; 16] = [
     "f1", "f3", "f4", "w1", "w2", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "a1", "a2", "a3",
-    "a4",
 ];
 
 fn usage_exit(complaint: &str) -> ! {
@@ -117,8 +116,5 @@ fn main() {
     });
     section("a3", "ablation: startup distribution", &mut || {
         machine_exp::run_a3();
-    });
-    section("a4", "ablation: first-argument clause indexing", &mut || {
-        strategies::run_a4();
     });
 }

@@ -9,7 +9,7 @@
 //! | id | module | reproduces |
 //! |---|---|---|
 //! | F1, F3, F4, W1 | [`figures`] | the paper's worked examples |
-//! | T1, A2, A4 | [`strategies`] | best-first vs depth/breadth-first/ID, bound policy, first-argument indexing |
+//! | T1, A2 | [`strategies`] | best-first vs depth/breadth-first/ID, bound policy |
 //! | T2, T3, A1 | [`sessions_exp`] | session learning, conservative merge, infinity placement |
 //! | T4, T5, T7, A3 | [`machine_exp`] | machine speedup, D threshold, latency hiding, startup |
 //! | T4 (threads) | [`threads_exp`] | real-thread OR-parallel speedup |

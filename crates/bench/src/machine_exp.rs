@@ -31,6 +31,7 @@ pub fn traced_tree() -> TreeSpec {
     let mut overlay = std::collections::HashMap::new();
     let view = WeightView::new(&mut overlay, &store);
     tree_from_search(&p.db, &p.queries[0], &view, &SolveConfig::all(), 50, 5)
+        .expect("the in-memory ClauseDb never faults")
 }
 
 /// T4: machine speedup vs processor count, on both trees. Returns

@@ -181,68 +181,9 @@ pub fn run_a2() -> Vec<(String, &'static str, u64)> {
     rows
 }
 
-/// A4: first-argument clause indexing — same semantics, fewer attempts.
-pub fn run_a4() -> Vec<(String, u64, u64, u64, u64)> {
-    use blog_logic::IndexMode;
-    let mut rows = Vec::new();
-    let mut table = Table::new(&[
-        "workload",
-        "unifies (pred-only)",
-        "unifies (first-arg)",
-        "saved",
-        "solutions",
-    ]);
-    for (name, mut program) in t1_workloads() {
-        let query = program.queries[0].clone();
-        let plain = dfs_all(&program.db, &query, &SolveConfig::all());
-        program.db.set_index_mode(IndexMode::FirstArg);
-        let indexed = dfs_all(&program.db, &query, &SolveConfig::all());
-        assert_eq!(plain.stats.solutions, indexed.stats.solutions);
-        let saved = plain.stats.unify_attempts - indexed.stats.unify_attempts;
-        table.row(vec![
-            name.clone(),
-            plain.stats.unify_attempts.to_string(),
-            indexed.stats.unify_attempts.to_string(),
-            saved.to_string(),
-            indexed.stats.solutions.to_string(),
-        ]);
-        rows.push((
-            name,
-            plain.stats.unify_attempts,
-            indexed.stats.unify_attempts,
-            saved,
-            indexed.stats.solutions,
-        ));
-    }
-    println!("A4 — first-argument clause indexing (all-solutions DFS):");
-    table.print();
-    println!(
-        "the classic engine-level complement to B-LOG's weight filter: both skip\n\
-         doomed candidates before unification; indexing by structure, weights by\n\
-         learned experience. Solution sets are asserted identical.\n"
-    );
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn a4_indexing_saves_attempts_and_keeps_solutions() {
-        let rows = run_a4();
-        for (name, plain, indexed, _, _) in &rows {
-            assert!(indexed <= plain, "{name}: indexing added work");
-        }
-        // On the ground-heavy family workload the saving is substantial.
-        let fam = rows.iter().find(|r| r.0.starts_with("family")).unwrap();
-        assert!(
-            (fam.2 as f64) < 0.7 * fam.1 as f64,
-            "family saving too small: {} vs {}",
-            fam.2,
-            fam.1
-        );
-    }
 
     #[test]
     fn t1_covers_all_cells() {

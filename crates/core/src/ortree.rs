@@ -3,11 +3,16 @@
 //!
 //! The engines never materialize the whole tree; this module does, for
 //! inspection, testing (the F3 experiment checks the family tree's exact
-//! shape) and visualization (`to_dot`).
+//! shape) and visualization (`to_dot`). It is one visitor of
+//! [`walk_breadth_first`], the walk behind breadth-first search, the §4
+//! chain enumeration and the machine's traced workloads.
 
-use blog_logic::node::ExpandStats;
+use std::ops::ControlFlow;
+
 use blog_logic::pretty::term_to_string;
-use blog_logic::{expand, ClauseDb, PointerKey, Query, SearchNode, SolveConfig};
+use blog_logic::{
+    walk_breadth_first, ClauseDb, PointerKey, Query, SearchNode, SolveConfig, WalkVisit,
+};
 use serde::Serialize;
 
 /// The role of a node in the OR-tree.
@@ -110,71 +115,54 @@ impl OrTree {
     }
 }
 
-/// Build the explicit OR-tree for `query`, breadth-first, under `limits`.
+/// Build the explicit OR-tree for `query` under `limits`: a visitor of
+/// [`walk_breadth_first`], whose limit rule it inherits. Nodes at
+/// `max_depth` become `Cutoff` leaves; when the node budget ends the walk,
+/// every node still queued stays a `Cutoff` leaf too, whatever it would
+/// have turned out to be.
 pub fn build_ortree(db: &ClauseDb, query: &Query, limits: &SolveConfig) -> OrTree {
-    let mut tree = OrTree {
-        nodes: Vec::new(),
-        truncated: false,
-    };
-    let mut stats = ExpandStats::default();
-    let root = SearchNode::root_with(&query.goals, limits.state_repr);
-    tree.nodes.push(OrNode {
+    // A node stays a cutoff leaf unless its visit says otherwise.
+    let mut nodes = vec![OrNode {
         parent: None,
         arc: None,
-        kind: NodeKind::Internal, // fixed up below if childless
+        kind: NodeKind::Cutoff,
         depth: 0,
-        goal_text: goal_text(db, &root),
+        goal_text: query.goals.first().map(|g| term_to_string(db, g)),
         children: Vec::new(),
-    });
-    let mut queue: Vec<(usize, SearchNode)> = vec![(0, root)];
-    let mut head = 0;
-    let mut expanded: u64 = 0;
-
-    while head < queue.len() {
-        let (idx, node) = {
-            let (i, n) = &queue[head];
-            (*i, n.clone())
+    }];
+    let walk = walk_breadth_first(db, query, limits, 0, |_, idx: usize, visit| {
+        nodes[idx].kind = match visit {
+            WalkVisit::Solution => NodeKind::Solution,
+            WalkVisit::Cutoff => NodeKind::Cutoff,
+            WalkVisit::Expanded { children: [], .. } => NodeKind::Failure,
+            WalkVisit::Expanded {
+                children,
+                child_tags,
+                ..
+            } => {
+                for child in children {
+                    let child_idx = nodes.len();
+                    child_tags.push(child_idx);
+                    nodes[idx].children.push(child_idx);
+                    nodes.push(OrNode {
+                        parent: Some(idx),
+                        arc: Some(child.arc),
+                        kind: NodeKind::Cutoff,
+                        depth: child.node.depth,
+                        goal_text: goal_text(db, &child.node),
+                        children: Vec::new(),
+                    });
+                }
+                NodeKind::Internal
+            }
         };
-        head += 1;
-        if node.is_solution() {
-            tree.nodes[idx].kind = NodeKind::Solution;
-            continue;
-        }
-        if let Some(limit) = limits.max_depth {
-            if node.depth >= limit {
-                tree.nodes[idx].kind = NodeKind::Cutoff;
-                tree.truncated = true;
-                continue;
-            }
-        }
-        if let Some(budget) = limits.max_nodes {
-            if expanded >= budget {
-                tree.nodes[idx].kind = NodeKind::Cutoff;
-                tree.truncated = true;
-                continue;
-            }
-        }
-        expanded += 1;
-        let children = expand(db, &node, &mut stats);
-        if children.is_empty() {
-            tree.nodes[idx].kind = NodeKind::Failure;
-            continue;
-        }
-        for child in children {
-            let child_idx = tree.nodes.len();
-            tree.nodes.push(OrNode {
-                parent: Some(idx),
-                arc: Some(child.arc),
-                kind: NodeKind::Internal,
-                depth: child.node.depth,
-                goal_text: goal_text(db, &child.node),
-                children: Vec::new(),
-            });
-            tree.nodes[idx].children.push(child_idx);
-            queue.push((child_idx, child.node));
-        }
+        ControlFlow::Continue(())
+    });
+    let stats = walk.expect("the in-memory ClauseDb never faults");
+    OrTree {
+        nodes,
+        truncated: stats.depth_cutoff || stats.truncated,
     }
-    tree
 }
 
 fn goal_text(db: &ClauseDb, node: &SearchNode) -> Option<String> {

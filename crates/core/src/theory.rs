@@ -22,10 +22,12 @@
 //! clause); [`ArcIdentity::PointerExact`] keys on the figure-4 pointer,
 //! matching what the machine actually stores.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
-use blog_logic::node::ExpandStats;
-use blog_logic::{expand, ClauseDb, ClauseId, PointerKey, Query, SearchNode, SolveConfig, Sym};
+use blog_logic::{
+    walk_breadth_first, ClauseDb, ClauseId, PointerKey, Query, SolveConfig, Sym, WalkVisit,
+};
 use serde::Serialize;
 
 /// How arcs are identified when building the equation system.
@@ -87,8 +89,10 @@ impl EnumeratedChains {
     }
 }
 
-/// Enumerate every complete chain of the query's OR-tree (breadth-first,
-/// bounded by `limits`).
+/// Enumerate every complete chain of the query's OR-tree: a visitor of
+/// [`walk_breadth_first`], bounded by `limits` under its limit rule. A
+/// depth cutoff or the node budget sets `truncated`; cut-off chains are
+/// neither successes nor failures.
 pub fn enumerate_chains(
     db: &ClauseDb,
     query: &Query,
@@ -96,64 +100,54 @@ pub fn enumerate_chains(
     identity: ArcIdentity,
 ) -> EnumeratedChains {
     let mut out = EnumeratedChains::default();
-    let mut queue: VecDeque<(SearchNode, Vec<ArcKey>)> = VecDeque::new();
-    queue.push_back((
-        SearchNode::root_with(&query.goals, limits.state_repr),
-        Vec::new(),
-    ));
-    let mut expanded: u64 = 0;
-    let mut stats = ExpandStats::default();
-
-    while let Some((node, arcs)) = queue.pop_front() {
-        if node.is_solution() {
-            out.n_solutions += 1;
-            out.chains.push(TheoryChain { arcs, success: true });
-            continue;
-        }
-        if let Some(limit) = limits.max_depth {
-            if node.depth >= limit {
-                out.truncated = true;
-                continue;
+    let walk = walk_breadth_first(db, query, limits, Vec::new(), |node, arcs, visit| {
+        match visit {
+            WalkVisit::Solution => {
+                out.n_solutions += 1;
+                out.chains.push(TheoryChain {
+                    arcs,
+                    success: true,
+                });
+            }
+            WalkVisit::Cutoff => {}
+            WalkVisit::Expanded { children: [], .. } => {
+                out.n_failures += 1;
+                out.chains.push(TheoryChain {
+                    arcs,
+                    success: false,
+                });
+            }
+            WalkVisit::Expanded {
+                children,
+                child_tags,
+                ..
+            } => {
+                // The goal just resolved, for the shared identity.
+                let goal_pred = node
+                    .first_goal()
+                    .and_then(|g| node.walk_cow(&g.term).functor());
+                child_tags.extend(children.iter().map(|child| {
+                    let key = match identity {
+                        ArcIdentity::PointerExact => ArcKey::Exact(child.arc),
+                        ArcIdentity::SharedGoal => {
+                            let (pred, arity) = goal_pred.expect("expandable goal has a functor");
+                            ArcKey::Shared {
+                                pred,
+                                arity,
+                                target: child.arc.target,
+                            }
+                        }
+                    };
+                    let mut child_arcs = arcs.clone();
+                    child_arcs.push(key);
+                    child_arcs
+                }));
             }
         }
-        if let Some(budget) = limits.max_nodes {
-            if expanded >= budget {
-                out.truncated = true;
-                break;
-            }
-        }
-        expanded += 1;
-        // The goal being resolved, for the shared identity.
-        let goal_pred = node
-            .first_goal()
-            .and_then(|g| node.walk_cow(&g.term).functor());
-        let children = expand(db, &node, &mut stats);
-        if children.is_empty() {
-            out.n_failures += 1;
-            out.chains.push(TheoryChain {
-                arcs,
-                success: false,
-            });
-            continue;
-        }
-        for child in children {
-            let key = match identity {
-                ArcIdentity::PointerExact => ArcKey::Exact(child.arc),
-                ArcIdentity::SharedGoal => {
-                    let (pred, arity) =
-                        goal_pred.expect("expandable goal has a functor");
-                    ArcKey::Shared {
-                        pred,
-                        arity,
-                        target: child.arc.target,
-                    }
-                }
-            };
-            let mut child_arcs = arcs.clone();
-            child_arcs.push(key);
-            queue.push_back((child.node, child_arcs));
-        }
-    }
+        ControlFlow::Continue(())
+    });
+    let stats = walk.expect("the in-memory ClauseDb never faults");
+    out.truncated = stats.depth_cutoff || stats.truncated;
     out
 }
 

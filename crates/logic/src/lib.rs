@@ -9,9 +9,9 @@
 //!
 //! The B-LOG contribution itself (weights, bounds, best-first
 //! branch-and-bound, sessions) lives in the `blog-core` crate and drives
-//! search through the [`expand`] primitive defined here, so
+//! search through the [`try_expand_via`] primitive defined here, so
 //! every strategy — baseline or best-first — resolves goals through exactly
-//! the same unification and clause-indexing code.
+//! the same unification code.
 //!
 //! ## Quick tour
 //!
@@ -70,10 +70,10 @@ pub use parser::{
 };
 pub use pretty::{clause_to_source, term_to_string, term_to_string_syms};
 pub use solve::{
-    bfs_all, dfs_all, iterative_deepening, CancelToken, SearchStats, Solution, SolveConfig,
-    SolveResult,
+    bfs_all, dfs_all, iterative_deepening, push_solution, walk_breadth_first, CancelToken,
+    SearchStats, Solution, SolveConfig, SolveResult, WalkVisit,
 };
-pub use store::{arg_key, ArgKey, ClauseDb, IndexMode};
+pub use store::{arg_key, ArgKey, ClauseDb};
 pub use symbol::{Sym, SymbolTable};
 pub use term::{Term, VarId};
 pub use unify::{unify, unify_head, GoalKeys};

@@ -3,7 +3,7 @@
 //! The paper's figure 3 draws execution as an OR-tree: each node carries a
 //! goal to search for, and each arc below it is one way of resolving that
 //! goal against the database. [`SearchNode`] is one node of that tree
-//! (goal list + bindings), [`expand`] produces its children, and
+//! (goal list + bindings), [`try_expand_via`] produces its children, and
 //! [`PointerKey`] names the arc that led to each child — the identity that
 //! the B-LOG weight store keys on.
 //!
@@ -327,14 +327,14 @@ fn shared_sprout_bytes(fz: &FreezeStats, body_goals: usize) -> u64 {
         + body_goals * GoalStack::cons_cell_bytes()) as u64
 }
 
-/// Resolve the first goal of `node` against every candidate clause,
-/// returning the surviving children in clause (program) order.
+/// Resolve the first goal of `node` against every candidate clause of an
+/// in-memory database, returning the surviving children in clause
+/// (program) order.
 ///
-/// This is the single resolution-step primitive every engine in the
-/// workspace uses — depth-first, breadth-first, iterative deepening, the
-/// B-LOG best-first engine and the parallel executors all call it (the
-/// last two through [`try_expand_via`]), so "nodes expanded" counts are
-/// directly comparable across strategies.
+/// This is [`try_expand_via`] with fresh buffers, for tests and one-off
+/// callers. Every engine and the breadth-first walk call
+/// [`try_expand_via`] itself with buffers they keep across nodes, so
+/// "nodes expanded" counts are directly comparable across strategies.
 ///
 /// Returns an empty vector if the node is a solution (nothing to expand)
 /// or if every candidate fails to unify (the node is a *failure* leaf).

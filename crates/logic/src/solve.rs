@@ -7,9 +7,12 @@
 //! the tree, doing extra work before a solution is found"), and — as the
 //! standard completeness fix for depth-first — iterative deepening.
 //!
-//! The depth-first engine uses the classic trail/backtracking discipline;
-//! breadth-first clones nodes into a FIFO frontier. Both count work with
-//! the same [`SearchStats`] so results are directly comparable with the
+//! The depth-first engine uses the classic trail/backtracking discipline.
+//! Breadth-first search is one visitor of [`walk_breadth_first`], the
+//! FIFO walk over any [`ClauseSource`] that also builds the paper-side
+//! trees: `blog-core`'s figure-3 OR-tree and §4 chain enumeration, and
+//! `blog-machine`'s §6 workload. All count work with the same
+//! [`SearchStats`] so results are directly comparable with the
 //! best-first engine in `blog-core`.
 
 use std::collections::VecDeque;
@@ -21,9 +24,13 @@ use serde::Serialize;
 
 use crate::bindings::{Bindings, Trail};
 use crate::goals::GoalStack;
-use crate::node::{expand, goal_idx, Caller, ExpandStats, Goal, SearchNode, StateRepr};
+use crate::node::{
+    goal_idx, try_expand_via, Caller, ExpandBuffers, ExpandStats, Expansion, Goal, SearchNode,
+    StateRepr,
+};
 use crate::parser::Query;
 use crate::pretty::term_to_string;
+use crate::source::{ClauseSource, StoreError};
 use crate::store::ClauseDb;
 use crate::term::{Term, VarId};
 use crate::unify::{unify_head, GoalKeys};
@@ -256,21 +263,17 @@ struct DfsEngine<'a> {
 
 impl<'a> DfsEngine<'a> {
     fn record_solution(&mut self, depth: u32) -> ControlFlow<()> {
-        let terms = (0..self.n_query_vars)
-            .map(|i| self.bindings.resolve(&Term::Var(VarId(i))))
-            .collect();
-        self.solutions.push(Solution {
-            var_names: Arc::clone(&self.var_names),
-            terms,
-            depth,
-        });
-        self.stats.solutions += 1;
-        if let Some(max) = self.config.max_solutions {
-            if self.solutions.len() >= max {
-                return ControlFlow::Break(());
+        let flow = push_solution(&mut self.solutions, self.config.max_solutions, || {
+            Solution {
+                var_names: Arc::clone(&self.var_names),
+                terms: (0..self.n_query_vars)
+                    .map(|i| self.bindings.resolve(&Term::Var(VarId(i))))
+                    .collect(),
+                depth,
             }
-        }
-        ControlFlow::Continue(())
+        });
+        self.stats.solutions = self.solutions.len() as u64;
+        flow
     }
 
     fn dfs(&mut self, goals: &GoalStack, depth: u32) -> ControlFlow<()> {
@@ -298,10 +301,8 @@ impl<'a> DfsEngine<'a> {
         // nowhere, so the store is only copied into when a dereference
         // actually moved — the hot already-resolved path clones nothing.
         let goal_term = self.bindings.walk_cow(&goal.term);
-        let candidates: Vec<_> = self
-            .db
-            .candidates_for_resolved(&goal_term, &self.bindings)
-            .into_owned();
+        let db = self.db;
+        let candidates = db.candidates_for(&goal_term);
         // As in `try_expand_via`: keys only when there is a choice.
         let keys = (candidates.len() >= 2).then(|| {
             let mut keys = self.key_pool.pop().unwrap_or_default();
@@ -309,9 +310,9 @@ impl<'a> DfsEngine<'a> {
             keys
         });
         let mut any_child = false;
-        for cid in candidates {
+        for &cid in candidates {
             self.stats.unify_attempts += 1;
-            let clause = self.db.clause(cid);
+            let clause = db.clause(cid);
             if keys.as_ref().is_some_and(|k| !k.admits(&clause.head)) {
                 continue;
             }
@@ -383,60 +384,153 @@ pub fn dfs_all(db: &ClauseDb, query: &Query, config: &SolveConfig) -> SolveResul
 }
 
 // ---------------------------------------------------------------------
-// Breadth-first (cloning frontier)
+// Breadth-first: the one OR-tree walk
 // ---------------------------------------------------------------------
 
-/// Run breadth-first search over the OR-tree (FIFO frontier).
+/// What [`walk_breadth_first`] found at one node it took off its queue.
+#[derive(Debug)]
+pub enum WalkVisit<'a, T> {
+    /// The goal list is empty: a solution leaf.
+    Solution,
+    /// The node sits at `max_depth` and was not expanded.
+    Cutoff,
+    /// The node was expanded: `children` (empty for a failure leaf) in
+    /// clause order, and the work the expansion did. The visitor pushes
+    /// one tag per child onto `child_tags`, in the same order; each child
+    /// is queued with its tag.
+    Expanded {
+        /// The node's children.
+        children: &'a [Expansion],
+        /// Unification attempts, successes and bytes copied by this
+        /// expansion alone.
+        stats: ExpandStats,
+        /// Where the visitor puts the children's tags.
+        child_tags: &'a mut Vec<T>,
+    },
+}
+
+/// Walk the OR-tree of `query` breadth-first through `source`, showing
+/// every node taken off the FIFO queue to `visit` together with the tag
+/// it was queued with (`root_tag` for the root). This is the one walk
+/// behind [`bfs_all`] and the paper-side analyses that need "the final
+/// form of the tree" (§3): the figure-3 OR-tree, the §4 chain equations
+/// and the §6 machine workload.
+///
+/// The limit rule:
+/// - a solution is always reported;
+/// - a node at `max_depth` is reported as a cutoff leaf (setting
+///   [`SearchStats::depth_cutoff`]) and the walk goes on;
+/// - once `max_nodes` nodes have been expanded, the next node that needs
+///   expanding ends the walk with [`SearchStats::truncated`] set, and the
+///   nodes still queued are never visited.
+///
+/// A visitor returning `Break` ends the walk at once. `max_solutions` is
+/// the visitor's business, so [`SearchStats::solutions`] is left at zero.
+/// One set of [`ExpandBuffers`] serves every expansion; a store fault
+/// ends the walk with the `Err`.
+pub fn walk_breadth_first<S, T, V>(
+    source: &S,
+    query: &Query,
+    limits: &SolveConfig,
+    root_tag: T,
+    mut visit: V,
+) -> Result<SearchStats, StoreError>
+where
+    S: ClauseSource + ?Sized,
+    V: FnMut(&SearchNode, T, WalkVisit<'_, T>) -> ControlFlow<()>,
+{
+    let mut stats = SearchStats::default();
+    let mut bufs = ExpandBuffers::default();
+    let mut tags = Vec::new();
+    let mut queue = VecDeque::new();
+    queue.push_back((
+        SearchNode::root_with(&query.goals, limits.state_repr),
+        root_tag,
+    ));
+
+    while let Some((node, tag)) = queue.pop_front() {
+        let flow = if node.is_solution() {
+            visit(&node, tag, WalkVisit::Solution)
+        } else if limits.max_depth.is_some_and(|d| node.depth >= d) {
+            stats.depth_cutoff = true;
+            visit(&node, tag, WalkVisit::Cutoff)
+        } else if limits.max_nodes.is_some_and(|n| stats.nodes_expanded >= n) {
+            stats.truncated = true;
+            break;
+        } else {
+            stats.nodes_expanded += 1;
+            let mut est = ExpandStats::default();
+            try_expand_via(source, &node, &mut est, &mut bufs)?;
+            stats.unify_attempts += est.unify_attempts;
+            stats.unify_successes += est.unify_successes;
+            stats.bytes_copied += est.bytes_copied;
+            if bufs.children.is_empty() {
+                stats.failures += 1;
+            }
+            let flow = visit(
+                &node,
+                tag,
+                WalkVisit::Expanded {
+                    children: &bufs.children,
+                    stats: est,
+                    child_tags: &mut tags,
+                },
+            );
+            assert_eq!(tags.len(), bufs.children.len(), "one tag per child");
+            queue.extend(bufs.children.drain(..).map(|c| c.node).zip(tags.drain(..)));
+            stats.max_frontier = stats.max_frontier.max(queue.len());
+            flow
+        };
+        if flow.is_break() {
+            break;
+        }
+    }
+    Ok(stats)
+}
+
+/// Record `make()` unless `max_solutions` is already met, and say whether
+/// the search should stop: `Break` once the cap is reached. A cap of 0
+/// records nothing, so a result's length never exceeds its cap.
+pub fn push_solution(
+    solutions: &mut Vec<Solution>,
+    max_solutions: Option<usize>,
+    make: impl FnOnce() -> Solution,
+) -> ControlFlow<()> {
+    let full = |n: usize| max_solutions.is_some_and(|m| n >= m);
+    if !full(solutions.len()) {
+        solutions.push(make());
+    }
+    if full(solutions.len()) {
+        ControlFlow::Break(())
+    } else {
+        ControlFlow::Continue(())
+    }
+}
+
+/// Run breadth-first search over the OR-tree (FIFO frontier): the
+/// [`walk_breadth_first`] that records each solution it meets.
 pub fn bfs_all(db: &ClauseDb, query: &Query, config: &SolveConfig) -> SolveResult {
     let var_names = Arc::new(query.var_names.clone());
     let n_query_vars = query.var_names.len() as u32;
-    let mut stats = SearchStats::default();
     let mut solutions = Vec::new();
-    let mut frontier: VecDeque<SearchNode> = VecDeque::new();
-    frontier.push_back(SearchNode::root_with(&query.goals, config.state_repr));
-
-    while let Some(node) = frontier.pop_front() {
-        if node.is_solution() {
-            let terms = (0..n_query_vars).map(|i| node.resolve_var(i)).collect();
-            solutions.push(Solution {
-                var_names: Arc::clone(&var_names),
-                terms,
-                depth: node.depth,
-            });
-            stats.solutions += 1;
-            if let Some(max) = config.max_solutions {
-                if solutions.len() >= max {
-                    break;
-                }
-            }
-            continue;
+    let walk = walk_breadth_first(db, query, config, (), |node, (), visit| match visit {
+        WalkVisit::Solution => push_solution(&mut solutions, config.max_solutions, || Solution {
+            var_names: Arc::clone(&var_names),
+            terms: (0..n_query_vars).map(|i| node.resolve_var(i)).collect(),
+            depth: node.depth,
+        }),
+        WalkVisit::Cutoff => ControlFlow::Continue(()),
+        WalkVisit::Expanded {
+            children,
+            child_tags,
+            ..
+        } => {
+            child_tags.resize(children.len(), ());
+            ControlFlow::Continue(())
         }
-        if let Some(limit) = config.max_depth {
-            if node.depth >= limit {
-                stats.depth_cutoff = true;
-                continue;
-            }
-        }
-        if let Some(budget) = config.max_nodes {
-            if stats.nodes_expanded >= budget {
-                stats.truncated = true;
-                break;
-            }
-        }
-        stats.nodes_expanded += 1;
-        let mut est = ExpandStats::default();
-        let children = expand(db, &node, &mut est);
-        stats.unify_attempts += est.unify_attempts;
-        stats.unify_successes += est.unify_successes;
-        stats.bytes_copied += est.bytes_copied;
-        if children.is_empty() {
-            stats.failures += 1;
-        }
-        for c in children {
-            frontier.push_back(c.node);
-        }
-        stats.max_frontier = stats.max_frontier.max(frontier.len());
-    }
+    });
+    let mut stats = walk.expect("the in-memory ClauseDb never faults");
+    stats.solutions = solutions.len() as u64;
     SolveResult { solutions, stats }
 }
 

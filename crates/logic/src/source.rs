@@ -131,12 +131,14 @@ pub trait ClauseSource: Sync {
     /// `Ok`.
     fn try_fetch_clause(&self, id: ClauseId) -> Result<&Clause, StoreError>;
 
-    /// Candidate resolvers for a goal under the backend's index mode,
-    /// dereferencing through `bindings` — any binding representation, so
-    /// the same backend serves cloned-store and frame-chain searches (see
-    /// [`ClauseDb::candidates_for_resolved`]). Fault-free backends always
-    /// return `Ok`; backends whose index consults storage may surface a
-    /// [`StoreError`] under an active fault plan.
+    /// Candidate resolvers for a goal, in program order. [`ClauseDb`]
+    /// returns the figure-4 predicate list as stored; an indexed backend
+    /// (the paged store under `IndexPolicy::FirstArg`) may drop clauses
+    /// whose head cannot match the goal's first argument, dereferenced
+    /// through `bindings` — any binding representation, so the same
+    /// backend serves cloned-store and frame-chain searches. Fault-free
+    /// backends always return `Ok`; backends whose index consults storage
+    /// may surface a [`StoreError`] under an active fault plan.
     fn try_candidate_clauses<'a>(
         &'a self,
         goal: &Term,
@@ -176,9 +178,9 @@ impl ClauseSource for ClauseDb {
     fn try_candidate_clauses<'a>(
         &'a self,
         goal: &Term,
-        bindings: &dyn BindingLookup,
+        _bindings: &dyn BindingLookup,
     ) -> Result<Cow<'a, [ClauseId]>, StoreError> {
-        Ok(self.candidates_for_resolved(goal, bindings))
+        Ok(Cow::Borrowed(self.candidates_for(goal)))
     }
 
     #[inline]
@@ -206,7 +208,7 @@ mod tests {
         let b = Bindings::new();
         assert_eq!(
             db.try_candidate_clauses(&q_goal, &b).unwrap().as_ref(),
-            db.candidates_for_resolved(&q_goal, &b).as_ref()
+            db.candidates_for(&q_goal)
         );
     }
 
@@ -229,7 +231,7 @@ mod tests {
         );
         assert_eq!(
             db.try_candidate_clauses(&q_goal, &b).unwrap().as_ref(),
-            db.candidates_for_resolved(&q_goal, &b).as_ref()
+            db.candidates_for(&q_goal)
         );
     }
 

@@ -14,36 +14,19 @@
 //! those keys, which is the software form of "weights are stored with the
 //! pointers, rather than at the beginning of each block".
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
-use crate::bindings::BindingLookup;
 use crate::clause::{Clause, ClauseId};
 use crate::node::MAX_GOALS;
 use crate::symbol::{Sym, SymbolTable};
 use crate::term::Term;
 
-/// How candidate clauses are selected for a goal.
-#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
-pub enum IndexMode {
-    /// All clauses of the goal's predicate, in program order — the
-    /// figure-4 pointer list exactly as stored. This is the default so
-    /// work counters match the paper's model one-to-one.
-    #[default]
-    PredicateOnly,
-    /// Additionally filter by the goal's (dereferenced) first argument,
-    /// the classic Prolog-engine optimization: candidates whose head
-    /// first argument cannot match are skipped without a unification
-    /// attempt. Never changes the solution set, only the attempt counts.
-    FirstArg,
-}
-
-/// First-argument index key: the principal functor of a bound argument.
+/// Argument key: the principal functor of a bound argument.
 ///
-/// Public so secondary indexes (the bitmap clause index in `blog-spd`)
-/// can key on exactly the same discriminator the database's own
-/// first-argument index uses — the differential oracle tests rely on
-/// both sides agreeing on what "the leading functor" means.
+/// The one definition of "the leading functor" that the first-argument
+/// bitmap index in `blog-spd` and [`GoalKeys`](crate::unify::GoalKeys)
+/// both key on, so the index and the head pre-filter agree on which
+/// heads can match.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ArgKey {
     /// A constant (`sam`).
@@ -63,16 +46,6 @@ pub fn arg_key(t: &Term) -> Option<ArgKey> {
         Term::Int(n) => Some(ArgKey::Int(*n)),
         Term::Struct(f, args) => Some(ArgKey::Struct(*f, args.len() as u32)),
     }
-}
-
-/// Per-predicate first-argument index.
-#[derive(Default, Clone, Debug)]
-struct FirstArgIndex {
-    /// Clauses whose head first argument is the given constant, sorted.
-    by_key: HashMap<ArgKey, Vec<ClauseId>>,
-    /// Clauses whose head first argument is a variable (match anything),
-    /// sorted.
-    var_headed: Vec<ClauseId>,
 }
 
 /// Errors raised when inserting ill-formed clauses.
@@ -114,10 +87,6 @@ pub struct ClauseDb {
     /// clause `c` — the figure-4 pointer lists. Rebuilt on insertion.
     clause_goal_candidates: Vec<Vec<Vec<ClauseId>>>,
     candidates_dirty: bool,
-    /// First-argument indexes per predicate (built with the pointers).
-    first_arg: HashMap<(Sym, u32), FirstArgIndex>,
-    /// Candidate-selection mode.
-    index_mode: IndexMode,
 }
 
 impl ClauseDb {
@@ -223,96 +192,7 @@ impl ClauseDb {
             })
             .collect();
         self.clause_goal_candidates = lists;
-        self.build_first_arg_index();
         self.candidates_dirty = false;
-    }
-
-    fn build_first_arg_index(&mut self) {
-        self.first_arg.clear();
-        for (i, clause) in self.clauses.iter().enumerate() {
-            let pred = clause.head_pred();
-            let entry = self.first_arg.entry(pred).or_default();
-            let first_arg = match &clause.head {
-                Term::Struct(_, args) => Some(&args[0]),
-                _ => None,
-            };
-            match first_arg.and_then(arg_key) {
-                Some(key) => entry.by_key.entry(key).or_default().push(ClauseId(i as u32)),
-                None => entry.var_headed.push(ClauseId(i as u32)),
-            }
-        }
-    }
-
-    /// Select the candidate-selection mode (see [`IndexMode`]).
-    pub fn set_index_mode(&mut self, mode: IndexMode) {
-        self.index_mode = mode;
-    }
-
-    /// The current candidate-selection mode.
-    pub fn index_mode(&self) -> IndexMode {
-        self.index_mode
-    }
-
-    /// Candidate resolvers for a goal under the current [`IndexMode`],
-    /// dereferencing the goal's first argument through `bindings`.
-    ///
-    /// With `FirstArg` indexing, the returned list is the program-order
-    /// merge of the matching-constant bucket and the variable-headed
-    /// clauses; candidates that cannot match are absent. The result is
-    /// always a subsequence of [`candidates_for`](Self::candidates_for).
-    pub fn candidates_for_resolved<'a>(
-        &'a self,
-        goal: &Term,
-        bindings: &dyn BindingLookup,
-    ) -> Cow<'a, [ClauseId]> {
-        let full = self.candidates_for(goal);
-        if self.index_mode == IndexMode::PredicateOnly {
-            return Cow::Borrowed(full);
-        }
-        let Some(pred) = goal.functor() else {
-            return Cow::Borrowed(full);
-        };
-        // Only compound goals have a first argument to index on.
-        let Term::Struct(_, args) = goal else {
-            return Cow::Borrowed(full);
-        };
-        let first = bindings.walk(&args[0]);
-        let Some(key) = arg_key(first) else {
-            return Cow::Borrowed(full); // unbound: every clause may match
-        };
-        let Some(index) = self.first_arg.get(&pred) else {
-            return Cow::Borrowed(full);
-        };
-        let matching = index.by_key.get(&key).map(Vec::as_slice).unwrap_or(&[]);
-        if index.var_headed.is_empty() {
-            return Cow::Borrowed(matching);
-        }
-        // Merge two sorted id lists to preserve program order.
-        let mut merged = Vec::with_capacity(matching.len() + index.var_headed.len());
-        let (mut a, mut b) = (matching.iter().peekable(), index.var_headed.iter().peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&x), Some(&&y)) => {
-                    if x < y {
-                        merged.push(x);
-                        a.next();
-                    } else {
-                        merged.push(y);
-                        b.next();
-                    }
-                }
-                (Some(&&x), None) => {
-                    merged.push(x);
-                    a.next();
-                }
-                (None, Some(&&y)) => {
-                    merged.push(y);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        Cow::Owned(merged)
     }
 
     /// The precomputed pointer list for goal `goal_idx` of clause `caller`.
@@ -352,7 +232,6 @@ impl ClauseDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bindings::Bindings;
     use crate::term::VarId;
 
     fn family_db() -> ClauseDb {
@@ -444,74 +323,5 @@ mod tests {
         let p = db.intern("p");
         db.add_fact(Term::app(p, vec![Term::Int(1)])).unwrap();
         let _ = db.pointer_list(ClauseId(0), 0);
-    }
-
-    #[test]
-    fn first_arg_index_filters_bound_goals() {
-        let mut db = family_db();
-        db.set_index_mode(IndexMode::FirstArg);
-        let f = db.sym("f").unwrap();
-        let sam = db.sym("sam").unwrap();
-        let goal = Term::app(f, vec![Term::Atom(sam), Term::Var(VarId(0))]);
-        let b = Bindings::new();
-        let filtered = db.candidates_for_resolved(&goal, &b);
-        // Only f(sam,larry) has first argument sam.
-        assert_eq!(filtered.as_ref(), &[ClauseId(1)]);
-    }
-
-    #[test]
-    fn first_arg_index_keeps_unbound_goals_full() {
-        let mut db = family_db();
-        db.set_index_mode(IndexMode::FirstArg);
-        let f = db.sym("f").unwrap();
-        let goal = Term::app(f, vec![Term::Var(VarId(0)), Term::Var(VarId(1))]);
-        let b = Bindings::new();
-        let filtered = db.candidates_for_resolved(&goal, &b);
-        assert_eq!(filtered.as_ref(), db.resolvers((f, 2)));
-    }
-
-    #[test]
-    fn first_arg_index_merges_var_headed_clauses_in_order() {
-        let mut db = ClauseDb::new();
-        let p = db.intern("p");
-        let a = db.intern("a");
-        let b_ = db.intern("b");
-        // p(a). p(X). p(b). — a goal p(a) must see clauses 0 and 1, in order.
-        db.add_fact(Term::app(p, vec![Term::Atom(a)])).unwrap();
-        db.add_clause(Clause::new(Term::app(p, vec![Term::Var(VarId(0))]), vec![]))
-            .unwrap();
-        db.add_fact(Term::app(p, vec![Term::Atom(b_)])).unwrap();
-        db.build_pointers();
-        db.set_index_mode(IndexMode::FirstArg);
-        let goal = Term::app(p, vec![Term::Atom(a)]);
-        let filtered = db.candidates_for_resolved(&goal, &Bindings::new());
-        assert_eq!(filtered.as_ref(), &[ClauseId(0), ClauseId(1)]);
-    }
-
-    #[test]
-    fn first_arg_index_derefs_through_bindings() {
-        let mut db = family_db();
-        db.set_index_mode(IndexMode::FirstArg);
-        let f = db.sym("f").unwrap();
-        let larry = db.sym("larry").unwrap();
-        // Goal f(V, W) with V already bound to larry.
-        let goal = Term::app(f, vec![Term::Var(VarId(0)), Term::Var(VarId(1))]);
-        let mut b = Bindings::new();
-        let mut tr = crate::Trail::new();
-        b.bind(&mut tr, VarId(0), Term::Atom(larry));
-        let filtered = db.candidates_for_resolved(&goal, &b);
-        // f(larry,den) is clause 2 in the test db (den only).
-        assert_eq!(filtered.as_ref(), &[ClauseId(2)]);
-    }
-
-    #[test]
-    fn predicate_only_mode_is_the_default() {
-        let db = family_db();
-        assert_eq!(db.index_mode(), IndexMode::PredicateOnly);
-        let f = db.sym("f").unwrap();
-        let sam = db.sym("sam").unwrap();
-        let goal = Term::app(f, vec![Term::Atom(sam), Term::Var(VarId(0))]);
-        let all = db.candidates_for_resolved(&goal, &Bindings::new());
-        assert_eq!(all.as_ref(), db.resolvers((f, 2)));
     }
 }

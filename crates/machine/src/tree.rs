@@ -7,11 +7,11 @@
 //! instances with controlled shape, and traces of real searches run by
 //! the `blog-core` engine over actual logic programs.
 
-use blog_core::theory::{enumerate_chains, ArcIdentity};
+use std::ops::ControlFlow;
+
 use blog_core::util::SplitMix64;
 use blog_core::weight::WeightView;
-use blog_logic::node::ExpandStats;
-use blog_logic::{expand, ClauseDb, Query, SearchNode, SolveConfig};
+use blog_logic::{walk_breadth_first, ClauseSource, Query, SolveConfig, StoreError, WalkVisit};
 use serde::Serialize;
 
 /// Role of a tree node.
@@ -261,73 +261,59 @@ pub fn planted_tree(params: &PlantedTreeParams) -> TreeSpec {
 }
 
 /// Trace a real logic query into a [`TreeSpec`]: the complete OR-tree of
-/// the query with arc weights read through `view` and per-node work set
-/// to `work_base + work_per_attempt * unify_attempts`.
+/// the query, walked through `source` by [`walk_breadth_first`], with arc
+/// weights read through `view` and per-node work set to
+/// `work_base + work_per_attempt * unify_attempts`.
 ///
-/// Enumeration is bounded by `limits`; cut-off nodes become failures (the
-/// machine then simply has less tree to search).
-pub fn tree_from_search(
-    db: &ClauseDb,
+/// The source may be the in-memory [`ClauseDb`](blog_logic::ClauseDb) or
+/// a snapshot of the paged store, whose index and faults then shape the
+/// trace; a store fault is returned as the `Err`.
+///
+/// Enumeration is bounded by `limits` under the walk's limit rule:
+/// cut-off nodes, and the nodes still queued when the node budget ends
+/// the walk, become failures (the machine then simply has less tree to
+/// search).
+pub fn tree_from_search<S: ClauseSource + ?Sized>(
+    source: &S,
     query: &Query,
     view: &WeightView<'_>,
     limits: &SolveConfig,
     work_base: u64,
     work_per_attempt: u64,
-) -> TreeSpec {
-    let mut tree = TreeSpec::default();
-    tree.nodes.push(TreeNode {
-        kind: NodeKind::Internal,
+) -> Result<TreeSpec, StoreError> {
+    // A node stays a failure leaf unless its visit says otherwise.
+    let leaf = TreeNode {
+        kind: NodeKind::Failure,
         work: work_base,
         children: Vec::new(),
-    });
-    let mut queue: Vec<(u32, SearchNode)> =
-        vec![(0, SearchNode::root_with(&query.goals, limits.state_repr))];
-    let mut head = 0;
-    let mut expanded: u64 = 0;
-    while head < queue.len() {
-        let (idx, node) = {
-            let (i, n) = &queue[head];
-            (*i, n.clone())
-        };
-        head += 1;
-        if node.is_solution() {
-            tree.nodes[idx as usize].kind = NodeKind::Solution;
-            continue;
+    };
+    let mut nodes = vec![leaf.clone()];
+    walk_breadth_first(source, query, limits, 0, |_, idx: u32, visit| {
+        let idx = idx as usize;
+        match visit {
+            WalkVisit::Solution => nodes[idx].kind = NodeKind::Solution,
+            WalkVisit::Cutoff => {}
+            WalkVisit::Expanded {
+                children,
+                stats,
+                child_tags,
+            } => {
+                nodes[idx].work = work_base + work_per_attempt * stats.unify_attempts;
+                for child in children {
+                    let child_idx = nodes.len() as u32;
+                    let w = view.effective_weight(child.arc).0 as u64;
+                    child_tags.push(child_idx);
+                    nodes[idx].children.push((child_idx, w));
+                    nodes[idx].kind = NodeKind::Internal;
+                    nodes.push(leaf.clone());
+                }
+            }
         }
-        let over_depth = limits.max_depth.is_some_and(|d| node.depth >= d);
-        let over_nodes = limits.max_nodes.is_some_and(|n| expanded >= n);
-        if over_depth || over_nodes {
-            tree.nodes[idx as usize].kind = NodeKind::Failure;
-            continue;
-        }
-        expanded += 1;
-        let mut est = ExpandStats::default();
-        let children = expand(db, &node, &mut est);
-        tree.nodes[idx as usize].work = work_base + work_per_attempt * est.unify_attempts;
-        if children.is_empty() {
-            tree.nodes[idx as usize].kind = NodeKind::Failure;
-            continue;
-        }
-        for child in children {
-            let w = view.effective_weight(child.arc).0 as u64;
-            let child_idx = tree.nodes.len() as u32;
-            tree.nodes.push(TreeNode {
-                kind: NodeKind::Internal,
-                work: work_base,
-                children: Vec::new(),
-            });
-            tree.nodes[idx as usize].children.push((child_idx, w));
-            queue.push((child_idx, child.node));
-        }
-    }
+        ControlFlow::Continue(())
+    })?;
+    let tree = TreeSpec { nodes };
     debug_assert!(tree.validate().is_ok());
-    tree
-}
-
-/// Sanity helper for tests and experiments: count solutions of a query by
-/// full enumeration (delegates to `blog-core`'s theory module).
-pub fn count_solutions(db: &ClauseDb, query: &Query, limits: &SolveConfig) -> usize {
-    enumerate_chains(db, query, limits, ArcIdentity::PointerExact).n_solutions
+    Ok(tree)
 }
 
 #[cfg(test)]
@@ -417,7 +403,7 @@ mod tests {
         let store = WeightStore::new(WeightParams::default());
         let mut local = HashMap::new();
         let view = WeightView::new(&mut local, &store);
-        let t = tree_from_search(&p.db, &p.queries[0], &view, &SolveConfig::all(), 10, 1);
+        let t = tree_from_search(&p.db, &p.queries[0], &view, &SolveConfig::all(), 10, 1).unwrap();
         // Same 7-node shape as the figure-3 OR-tree.
         assert_eq!(t.len(), 7);
         assert_eq!(t.n_solutions(), 2);
@@ -438,11 +424,5 @@ mod tests {
         t.nodes[0].kind = NodeKind::Solution;
         t.nodes[0].children.push((0, 1));
         assert!(t.validate().is_err(), "leaf with children");
-    }
-
-    #[test]
-    fn count_solutions_helper() {
-        let p = parse_program("p(a). p(b). ?- p(X).").unwrap();
-        assert_eq!(count_solutions(&p.db, &p.queries[0], &SolveConfig::all()), 2);
     }
 }

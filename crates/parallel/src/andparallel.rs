@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use blog_core::weight::WeightStore;
 use blog_logic::{
-    dfs_all, Bindings, ClauseDb, Query, SearchStats, Solution, SolveConfig, SolveResult, Term,
-    Trail, VarId,
+    dfs_all, push_solution, Bindings, ClauseDb, Query, SearchStats, Solution, SolveConfig,
+    SolveResult, Term, Trail, VarId,
 };
 use serde::Serialize;
 
@@ -168,23 +168,26 @@ fn cross_join(
     if factors.iter().all(|f| !f.is_empty()) {
         let mut index = vec![0usize; factors.len()];
         'outer: loop {
-            let mut terms: Vec<Term> = (0..n_vars).map(|i| Term::Var(VarId(i as u32))).collect();
-            let mut depth = 0;
-            for (g, f) in factors.iter().enumerate() {
-                let s = &f[index[g]];
-                depth += s.depth;
-                for (v, t) in s.terms.iter().enumerate() {
-                    if group_vars[g].contains(&VarId(v as u32)) {
-                        terms[v] = t.clone();
+            let flow = push_solution(&mut solutions, max_solutions, || {
+                let mut terms: Vec<Term> =
+                    (0..n_vars).map(|i| Term::Var(VarId(i as u32))).collect();
+                let mut depth = 0;
+                for (g, f) in factors.iter().enumerate() {
+                    let s = &f[index[g]];
+                    depth += s.depth;
+                    for (v, t) in s.terms.iter().enumerate() {
+                        if group_vars[g].contains(&VarId(v as u32)) {
+                            terms[v] = t.clone();
+                        }
                     }
                 }
-            }
-            solutions.push(Solution {
-                var_names: Arc::clone(&var_names),
-                terms,
-                depth,
+                Solution {
+                    var_names: Arc::clone(&var_names),
+                    terms,
+                    depth,
+                }
             });
-            if max_solutions.is_some_and(|m| solutions.len() >= m) {
+            if flow.is_break() {
                 break;
             }
             // Odometer increment.
@@ -357,24 +360,26 @@ pub fn semijoin_conjunction(
         for &pi in &by_key[key] {
             let ps = &producer.solutions[pi];
             for cs in &consumer.solutions {
-                let mut terms: Vec<Term> =
-                    (0..n_vars).map(|i| Term::Var(VarId(i as u32))).collect();
-                for (v, t) in ps.terms.iter().enumerate() {
-                    if pv.contains(&VarId(v as u32)) {
-                        terms[v] = t.clone();
+                let flow = push_solution(&mut solutions, config.max_solutions, || {
+                    let mut terms: Vec<Term> =
+                        (0..n_vars).map(|i| Term::Var(VarId(i as u32))).collect();
+                    for (v, t) in ps.terms.iter().enumerate() {
+                        if pv.contains(&VarId(v as u32)) {
+                            terms[v] = t.clone();
+                        }
                     }
-                }
-                for (v, t) in cs.terms.iter().enumerate() {
-                    if cv.contains(&VarId(v as u32)) && !matches!(t, Term::Var(_)) {
-                        terms[v] = t.clone();
+                    for (v, t) in cs.terms.iter().enumerate() {
+                        if cv.contains(&VarId(v as u32)) && !matches!(t, Term::Var(_)) {
+                            terms[v] = t.clone();
+                        }
                     }
-                }
-                solutions.push(Solution {
-                    var_names: Arc::clone(&var_names),
-                    terms,
-                    depth: ps.depth + cs.depth,
+                    Solution {
+                        var_names: Arc::clone(&var_names),
+                        terms,
+                        depth: ps.depth + cs.depth,
+                    }
                 });
-                if config.max_solutions.is_some_and(|m| solutions.len() >= m) {
+                if flow.is_break() {
                     break 'keys;
                 }
             }

@@ -6,14 +6,11 @@
 //! what a brute-force scan of the predicate range — keeping every
 //! clause whose raw head first-argument key is absent or equal to the
 //! goal's dereferenced key — would produce, in the same (program)
-//! order. Two independent implementations are held to that single
-//! oracle on generated programs and goal streams:
-//!
-//! - the per-epoch bitmap index a paged-store `Snapshot` resolves
-//!   through (`IndexPolicy::FirstArg`), across all four replacement
-//!   policies;
-//! - the `ClauseDb`'s own merge-based `FirstArgIndex`
-//!   (`IndexMode::FirstArg`).
+//! order. The per-epoch bitmap index a paged-store `Snapshot` resolves
+//! through (`IndexPolicy::FirstArg`) is held to that oracle on generated
+//! programs and goal streams, across all four replacement policies. It
+//! is the workspace's one first-argument index; a `ClauseDb` serves the
+//! figure-4 predicate lists as stored.
 //!
 //! Baseline stores (`IndexPolicy::None`) must keep returning the full
 //! predicate range untouched. Goals arrive with their first argument
@@ -40,8 +37,8 @@ use blog_core::engine::{best_first_with, BestFirstConfig};
 use blog_core::weight::{WeightParams, WeightStore, WeightView};
 use blog_logic::{
     arg_key, parse_program, parse_query, parse_query_shared, BindingFrame, BindingLookup,
-    BindingWrite, Bindings, ClauseDb, ClauseId, ClauseSource, DeltaBindings, IndexMode, Program,
-    Query, SolveConfig, StateRepr, Term, Trail, VarId, DEFAULT_FLATTEN_THRESHOLD,
+    BindingWrite, Bindings, ClauseDb, ClauseId, ClauseSource, DeltaBindings, Program, Query,
+    SolveConfig, StateRepr, Term, Trail, VarId, DEFAULT_FLATTEN_THRESHOLD,
 };
 use blog_spd::{ClauseBitmap, IndexPolicy, MvccClauseStore, PagedStoreStats, PolicyKind, Snapshot};
 use blog_workloads::{
@@ -321,8 +318,8 @@ proptest! {
     /// The differential property: on arbitrary programs and goal
     /// streams, every indexed store equals the brute-force oracle and
     /// every baseline store equals the full predicate range — ids *and*
-    /// order — across all four replacement policies, the db's own
-    /// first-argument index, and every binding representation.
+    /// order — across all four replacement policies and every binding
+    /// representation.
     #[test]
     fn indexed_candidates_equal_brute_force_oracle(
         clauses in proptest::collection::vec((0u8..3, 0u8..12), 1..24),
@@ -330,11 +327,6 @@ proptest! {
     ) {
         let p = program_from(&clauses);
         let n = p.db.len();
-
-        // The db's own merge-based index is the second implementation
-        // under test.
-        let mut db_fa = p.db.clone();
-        db_fa.set_index_mode(IndexMode::FirstArg);
 
         let paged_fa: Vec<MvccClauseStore> = PolicyKind::ALL
             .iter()
@@ -360,8 +352,6 @@ proptest! {
                     let got = snap.try_candidate_clauses(goal, bindings).unwrap();
                     prop_assert_eq!(got.as_ref(), oracle.as_slice());
                 }
-                let got = db_fa.candidates_for_resolved(goal, bindings);
-                prop_assert_eq!(got.as_ref(), oracle.as_slice());
 
                 // Baseline: the untouched predicate range.
                 let got = snap_none.try_candidate_clauses(goal, bindings).unwrap();

@@ -179,7 +179,7 @@ impl ClauseSource for RecordingSource<'_> {
         goal: &Term,
         bindings: &dyn BindingLookup,
     ) -> Result<Cow<'a, [ClauseId]>, blog_logic::StoreError> {
-        Ok(self.db.candidates_for_resolved(goal, bindings))
+        self.db.try_candidate_clauses(goal, bindings)
     }
 
     fn clause_count(&self) -> usize {

@@ -104,7 +104,7 @@ fn grand_tour() {
     // 5. Machine: execute the traced tree on 4 simulated processors.
     let mut machine_overlay = HashMap::new();
     let view = WeightView::new(&mut machine_overlay, &trained);
-    let tree = tree_from_search(db, query, &view, &SolveConfig::all(), 50, 5);
+    let tree = tree_from_search(db, query, &view, &SolveConfig::all(), 50, 5).unwrap();
     assert_eq!(tree.n_solutions(), n_solutions);
     let mstats = simulate(
         &tree,

@@ -151,7 +151,7 @@ fn machine_trace_from_real_query_reaches_all_solutions() {
         let store = WeightStore::new(WeightParams::default());
         let mut overlay = std::collections::HashMap::new();
         let view = WeightView::new(&mut overlay, &store);
-        let tree = tree_from_search(db, query, &view, &SolveConfig::all(), 50, 5);
+        let tree = tree_from_search(db, query, &view, &SolveConfig::all(), 50, 5).unwrap();
         assert_eq!(
             tree.n_solutions() as u64,
             dfs.stats.solutions,

@@ -2,10 +2,13 @@
 //! every search strategy enumerates the same solution multiset, and the
 //! B-LOG chain bounds behave like branch-and-bound bounds must.
 
-use b_log::core::engine::{best_first, BestFirstConfig, BoundPolicy};
+use b_log::core::engine::{best_first, best_first_with, BestFirstConfig, BoundPolicy};
 use b_log::core::weight::{WeightParams, WeightStore, WeightView};
-use b_log::logic::{bfs_all, dfs_all, parse_program, SolveConfig};
-use b_log::parallel::{par_best_first, ParallelConfig};
+use b_log::logic::{
+    bfs_all, dfs_all, iterative_deepening, parse_program, SolveConfig, SolveResult,
+};
+use b_log::parallel::{and_parallel_solve, par_best_first, semijoin_conjunction, ParallelConfig};
+use b_log::spd::{CommitMode, IndexPolicy, MvccClauseStore, PagedStoreConfig};
 use proptest::prelude::*;
 
 /// A random layered Datalog-ish program:
@@ -118,19 +121,25 @@ proptest! {
 
     #[test]
     fn first_arg_indexing_is_semantically_invisible(src in arb_program()) {
-        use b_log::logic::IndexMode;
-        let mut p = parse_program(&src).expect("generated program parses");
-        let q = p.queries[0].clone();
-        let plain = dfs_all(&p.db, &q, &SolveConfig::all());
-        p.db.set_index_mode(IndexMode::FirstArg);
-        let indexed = dfs_all(&p.db, &q, &SolveConfig::all());
-        prop_assert_eq!(
-            sorted_texts(&p.db, plain.solution_texts(&p.db)),
-            sorted_texts(&p.db, indexed.solution_texts(&p.db))
-        );
-        // Indexing can only skip doomed attempts, never add work.
-        prop_assert!(indexed.stats.unify_attempts <= plain.stats.unify_attempts);
-        prop_assert_eq!(indexed.stats.nodes_expanded, plain.stats.nodes_expanded);
+        // The store's first-argument index, read through epoch-0
+        // snapshots: it may only skip attempts unification would fail.
+        let p = parse_program(&src).expect("generated program parses");
+        let q = &p.queries[0];
+        let weights = WeightStore::new(WeightParams::default());
+        let run = |index: IndexPolicy| {
+            let cfg = PagedStoreConfig::default().with_index(index);
+            let store = MvccClauseStore::new(&p.db, cfg, CommitMode::Mvcc);
+            let mut overlay = std::collections::HashMap::new();
+            let mut view = WeightView::new(&mut overlay, &weights);
+            let bf = BestFirstConfig { learn: false, ..BestFirstConfig::default() };
+            let r = best_first_with(&store.begin_read(), q, &mut view, &bf);
+            (sorted_texts(&p.db, r.solution_texts(&p.db)), r.stats)
+        };
+        let (plain, plain_stats) = run(IndexPolicy::None);
+        let (indexed, indexed_stats) = run(IndexPolicy::FirstArg);
+        prop_assert_eq!(plain, indexed);
+        prop_assert_eq!(indexed_stats.nodes_expanded, plain_stats.nodes_expanded);
+        prop_assert!(indexed_stats.unify_attempts <= plain_stats.unify_attempts);
     }
 
     #[test]
@@ -145,6 +154,64 @@ proptest! {
             let mut view = WeightView::new(&mut overlay, &store);
             let r = best_first(db, q, &mut view, &BestFirstConfig::default());
             prop_assert_eq!(r.stats.solutions, baseline);
+        }
+    }
+}
+
+/// A solution cap is a ceiling for every engine, 0 included: each
+/// returns `min(cap, n)` solutions and counts exactly those in its stats.
+#[test]
+fn every_engine_returns_at_most_its_solution_cap() {
+    let p = parse_program(
+        "p(a). p(b). q(c). q(d). r(a,c). r(b,d). s(c). s(d).
+         ?- p(X).
+         ?- p(X), q(Y).
+         ?- r(X,Y), s(Y).",
+    )
+    .unwrap();
+    let db = &p.db;
+    let weights = WeightStore::new(WeightParams::default());
+    for q in &p.queries {
+        let n = dfs_all(db, q, &SolveConfig::all()).solutions.len();
+        assert!(n >= 2, "each query has at least two solutions");
+        for cap in [0, 1, 2] {
+            let solve = SolveConfig {
+                max_solutions: Some(cap),
+                ..SolveConfig::all()
+            };
+            let counts = |r: SolveResult| (r.solutions.len(), r.stats.solutions);
+            let mut runs = vec![
+                ("dfs", counts(dfs_all(db, q, &solve))),
+                ("bfs", counts(bfs_all(db, q, &solve))),
+                ("id", counts(iterative_deepening(db, q, &solve, 1, 1))),
+                ("and-parallel", counts(and_parallel_solve(db, q, &solve))),
+            ];
+            if q.goals.len() >= 2 {
+                runs.push(("semi-join", counts(semijoin_conjunction(db, q, &solve).0)));
+            }
+            let mut overlay = std::collections::HashMap::new();
+            let mut view = WeightView::new(&mut overlay, &weights);
+            let bf = BestFirstConfig {
+                solve: solve.clone(),
+                learn: false,
+                ..BestFirstConfig::default()
+            };
+            let r = best_first(db, q, &mut view, &bf);
+            runs.push(("best-first", (r.solutions.len(), r.stats.solutions)));
+            for n_workers in [1, 2] {
+                let cfg = ParallelConfig {
+                    n_workers,
+                    solve: solve.clone(),
+                    ..ParallelConfig::default()
+                };
+                let r = par_best_first(db, q, &weights, &cfg);
+                runs.push(("par-best-first", (r.solutions.len(), r.stats.solutions)));
+            }
+            for (engine, (got, counted)) in runs {
+                let goals = q.goals.len();
+                assert_eq!(got, cap.min(n), "{engine}, {goals} goal(s), cap {cap}");
+                assert_eq!(counted, got as u64, "{engine}, {goals} goal(s), cap {cap}");
+            }
         }
     }
 }

@@ -161,7 +161,7 @@ fn expand_unfiltered(db: &ClauseDb, node: &SearchNode, stats: &mut ExpandStats) 
     let rest: Vec<Goal> = node.goal_stack().iter().skip(1).cloned().collect();
     let base = node.next_var;
     let mut children = Vec::new();
-    for &cid in db.candidates_for_resolved(&goal_term, node.lookup()).iter() {
+    for &cid in db.candidates_for(&goal_term) {
         stats.unify_attempts += 1;
         let clause = db.clause(cid);
         let body: Vec<Goal> = (clause.body.iter().enumerate())
@@ -253,12 +253,10 @@ fn filtered_expansion_matches_unfiltered(
         if let Some(goal) = node.first_goal() {
             let mut keys = GoalKeys::default();
             keys.fill(&goal.term, node.lookup());
-            spared += (p
-                .db
-                .candidates_for_resolved(&node.walk_cow(&goal.term), node.lookup()))
-            .iter()
-            .filter(|&&cid| !keys.admits(&p.db.clause(cid).head))
-            .count() as u64;
+            spared += (p.db.candidates_for(&node.walk_cow(&goal.term)))
+                .iter()
+                .filter(|&&cid| !keys.admits(&p.db.clause(cid).head))
+                .count() as u64;
         }
         frontier.extend(bufs.children.drain(..).map(|e| e.node));
     }
