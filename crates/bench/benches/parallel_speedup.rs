@@ -8,7 +8,7 @@ use std::hint::black_box;
 use blog_core::weight::{WeightParams, WeightStore};
 use blog_machine::machine::{simulate, MachineConfig};
 use blog_machine::tree::{planted_tree, PlantedTreeParams, WeightModel};
-use blog_parallel::{par_best_first, ParallelConfig};
+use blog_parallel::{par_best_first_with, ParallelConfig};
 use blog_workloads::{queens_program, QueensParams};
 
 fn bench_machine(c: &mut Criterion) {
@@ -69,7 +69,7 @@ fn bench_threads(c: &mut Criterion) {
                     learn: false,
                     ..ParallelConfig::default()
                 };
-                b.iter(|| black_box(par_best_first(&program.db, query, &weights, &cfg)))
+                b.iter(|| black_box(par_best_first_with(&program.db, query, &weights, &cfg)))
             },
         );
     }

@@ -1,10 +1,21 @@
 //! T8: AND-parallelism — fork-join on independent goals, semi-join on
-//! shared variables.
+//! shared variables. Both run their factor searches on the OR-parallel
+//! executor at two workers; the counts they report do not depend on the
+//! worker count.
 
+use blog_core::weight::{WeightParams, WeightStore};
 use blog_logic::{dfs_all, parse_program, SolveConfig};
-use blog_parallel::{and_parallel_solve, semijoin_conjunction, SemiJoinStats};
+use blog_parallel::{and_parallel_solve, semijoin_conjunction, ParallelConfig, SemiJoinStats};
 
 use crate::report::Table;
+
+/// The AND-parallel solvers' configuration: two workers, every solution.
+fn and_config() -> ParallelConfig {
+    ParallelConfig {
+        n_workers: 2,
+        ..ParallelConfig::default()
+    }
+}
 
 /// One fork-join measurement: `(k facts per goal, sequential nodes,
 /// fork-join nodes, solutions)`.
@@ -20,7 +31,9 @@ pub fn run_t8_forkjoin() -> Vec<(usize, u64, u64, usize)> {
         src.push_str("?- a(X), b(Y), c(Z).\n");
         let p = parse_program(&src).expect("generated program parses");
         let seq = dfs_all(&p.db, &p.queries[0], &SolveConfig::all());
-        let par = and_parallel_solve(&p.db, &p.queries[0], &SolveConfig::all());
+        let weights = WeightStore::new(WeightParams::default());
+        let par = and_parallel_solve(&p.db, &p.queries[0], &weights, &and_config())
+            .expect("a clause database never faults");
         assert_eq!(seq.solutions.len(), par.solutions.len());
         t.row(vec![
             k.to_string(),
@@ -69,7 +82,9 @@ pub fn run_t8_semijoin() -> Vec<(usize, SemiJoinStats)> {
         }
         src.push_str("?- emp(E, D), mgr(D, M).\n");
         let p = parse_program(&src).expect("generated program parses");
-        let (r, sj) = semijoin_conjunction(&p.db, &p.queries[0], &SolveConfig::all());
+        let weights = WeightStore::new(WeightParams::default());
+        let (r, sj) = semijoin_conjunction(&p.db, &p.queries[0], &weights, &and_config())
+            .expect("a clause database never faults");
         assert_eq!(r.solutions.len(), emps);
         t.row(vec![
             emps.to_string(),

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use blog_core::weight::{WeightParams, WeightStore};
 use blog_logic::{dfs_all, SolveConfig};
-use blog_parallel::{par_best_first, ParallelConfig};
+use blog_parallel::{par_best_first_with, ParallelConfig};
 use blog_workloads::{queens_program, QueensParams};
 
 use crate::report::{f2, Table};
@@ -74,7 +74,7 @@ pub fn run_t4_threads(n: u32) -> Vec<ThreadRow> {
         let mut last = None;
         for _ in 0..3 {
             let start = Instant::now();
-            let r = par_best_first(&program.db, query, &weights, &cfg);
+            let r = par_best_first_with(&program.db, query, &weights, &cfg);
             let e = start.elapsed();
             assert_eq!(r.solutions.len(), seq.solutions.len());
             best = best.min(e);

@@ -14,9 +14,12 @@
 //!   `blog-core`'s one per-chain step (`expand_chain`). One worker is the
 //!   sequential heap, inline; more each expand their own cheapest chains,
 //!   sharing the incumbent and an exact node budget through atomics.
-//! - [`andparallel`] — the §7 extensions: variable-sharing independence
-//!   analysis, fork-join evaluation of independent goal groups, and the
-//!   semi-join strategy for goals that do share variables.
+//! - [`andparallel`] — the §7 extensions over any `ClauseSource`:
+//!   variable-sharing independence analysis, fork-join evaluation of
+//!   independent goal groups, and the semi-join strategy for goals that
+//!   do share variables. Every factor search of a call runs on the
+//!   OR-parallel executor, on one crew started for the call, and one join
+//!   (rename apart, unify, resolve) assembles the answers.
 //!
 //! ## Weight-update semantics under parallelism
 //!
@@ -38,11 +41,8 @@ pub mod frontier;
 pub mod orparallel;
 
 pub use andparallel::{
-    and_or_parallel_solve, and_parallel_solve, independent_groups, semijoin_conjunction,
-    SemiJoinStats,
+    and_parallel_solve, independent_groups, semijoin_conjunction, SemiJoinStats,
 };
 pub use crew::Crew;
 pub use frontier::{FrontierCounters, FrontierPolicy};
-pub use orparallel::{
-    par_best_first, par_best_first_on, par_best_first_with, ParallelConfig, ParallelResult,
-};
+pub use orparallel::{par_best_first_on, par_best_first_with, ParallelConfig, ParallelResult};

@@ -26,14 +26,14 @@ use blog_core::update::{chain_update, InfinityPlacement, UpdateOutcome};
 use blog_core::util::SplitMix64;
 use blog_core::weight::{Bound, Weight, WeightState, WeightStore, WeightView};
 use blog_logic::{
-    CancelToken, ClauseDb, ClauseSource, PointerKey, Query, SearchStats, SolveConfig, StoreError,
+    CancelToken, ClauseSource, PointerKey, Query, SearchStats, SolveConfig, StoreError,
 };
 use parking_lot::Mutex;
 
 use crate::crew::Crew;
 use crate::frontier::{Exchange, FrontierCounters, FrontierPolicy, LocalHeap};
 
-/// Configuration for [`par_best_first`].
+/// Configuration for [`par_best_first_with`].
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
     /// Workers (the paper's processors). The caller's thread is worker 0;
@@ -263,22 +263,10 @@ fn worker_loop<S: ClauseSource + ?Sized>(search: &Search<'_, S>, shared: &Shared
 }
 
 /// Run OR-parallel best-first search with `config.n_workers` workers,
-/// reading weights from the frozen `weights` snapshot.
-pub fn par_best_first(
-    db: &ClauseDb,
-    query: &Query,
-    weights: &WeightStore,
-    config: &ParallelConfig,
-) -> ParallelResult {
-    par_best_first_with(db, query, weights, config)
-}
-
-/// [`par_best_first`], generalized over any [`ClauseSource`] — the same
-/// seam [`best_first_with`](blog_core::engine) opened for the sequential
-/// engine. Pass a `Snapshot` of `blog-spd`'s `MvccClauseStore` (pool-
-/// tagged or not) and every worker thread resolves clauses *through the
-/// shared cache*: the source's `Sync` bound is what makes this sound. Results
-/// are identical to running over the backing [`ClauseDb`] directly.
+/// reading weights from the frozen `weights` snapshot, over any
+/// [`ClauseSource`]. Pass a `Snapshot` of `blog-spd`'s `MvccClauseStore`
+/// (pool-tagged or not) and every worker thread resolves clauses *through
+/// the shared cache*: the source's `Sync` bound is what makes this sound.
 ///
 /// Two or more workers run on a [`Crew`] started for this call: the
 /// caller's thread plus `n_workers − 1` scoped threads. A server that
@@ -291,22 +279,7 @@ pub fn par_best_first_with<S: ClauseSource + ?Sized>(
 ) -> ParallelResult {
     assert!(config.n_workers >= 1);
     let (result, logs) = if config.n_workers == 1 {
-        // One worker: `blog-core`'s heap on the caller's thread — no
-        // thread, no locks — logging like a parallel worker.
-        let (r, log) = best_first_deferred(source, query, weights, &best_first_config(config));
-        let result = ParallelResult {
-            per_worker_expanded: vec![r.stats.nodes_expanded],
-            counters: FrontierCounters {
-                max_len: r.stats.max_frontier,
-                ..FrontierCounters::default()
-            },
-            pruned: r.blog.pruned,
-            solutions: r.solutions,
-            stats: r.stats,
-            learned: HashMap::new(),
-            store_error: r.store_error,
-        };
-        (result, vec![log])
+        run_inline(source, query, weights, config)
     } else {
         std::thread::scope(|scope| {
             let crew = Crew::start(scope, config.n_workers - 1);
@@ -341,6 +314,48 @@ fn best_first_config(config: &ParallelConfig) -> BestFirstConfig {
         cancel: config.cancel.clone(),
         ..BestFirstConfig::default()
     }
+}
+
+/// One worker: `blog-core`'s heap on the caller's thread — no thread, no
+/// locks — logging like a parallel worker.
+fn run_inline<S: ClauseSource + ?Sized>(
+    source: &S,
+    query: &Query,
+    weights: &WeightStore,
+    config: &ParallelConfig,
+) -> (ParallelResult, Vec<Vec<ChainOutcome>>) {
+    let (r, log) = best_first_deferred(source, query, weights, &best_first_config(config));
+    let result = ParallelResult {
+        per_worker_expanded: vec![r.stats.nodes_expanded],
+        counters: FrontierCounters {
+            max_len: r.stats.max_frontier,
+            ..FrontierCounters::default()
+        },
+        pruned: r.blog.pruned,
+        solutions: r.solutions,
+        stats: r.stats,
+        learned: HashMap::new(),
+        store_error: r.store_error,
+    };
+    (result, vec![log])
+}
+
+/// Run `body` with a search for the several searches of one call (the §7
+/// factor searches), each under `config` and learning nothing: inline at
+/// one worker, otherwise all on one [`Crew`] started for the call.
+pub(crate) fn with_call_search<S: ClauseSource + ?Sized, R>(
+    source: &S,
+    weights: &WeightStore,
+    config: &ParallelConfig,
+    body: impl FnOnce(&dyn Fn(Query) -> ParallelResult) -> R,
+) -> R {
+    if config.n_workers == 1 {
+        return body(&|query| run_inline(source, &query, weights, config).0);
+    }
+    std::thread::scope(|scope| {
+        let crew = Crew::start(scope, config.n_workers - 1);
+        body(&|query| run_on_crew(&crew, source, Arc::new(query), weights, config).0)
+    })
 }
 
 /// Apply the deferred §5 updates from the per-worker logs, merged
@@ -431,7 +446,7 @@ where
 mod tests {
     use super::*;
     use blog_core::weight::WeightParams;
-    use blog_logic::{dfs_all, parse_program, Program};
+    use blog_logic::{dfs_all, parse_program, ClauseDb, Program};
 
     const FAMILY: &str = "
         gf(X,Z) :- f(X,Y), f(Y,Z).
@@ -458,9 +473,9 @@ mod tests {
         }
     }
 
-    /// `par_best_first` on `p`'s query.
+    /// `par_best_first_with` on `p`'s query.
     fn run(p: &Program, weights: &WeightStore, config: ParallelConfig) -> ParallelResult {
-        par_best_first(&p.db, &p.queries[0], weights, &config)
+        par_best_first_with(&p.db, &p.queries[0], weights, &config)
     }
 
     fn sorted_texts(db: &ClauseDb, r: &ParallelResult) -> Vec<String> {
@@ -533,8 +548,7 @@ mod tests {
 
     #[test]
     fn generalized_source_matches_clause_db() {
-        // par_best_first_with over the db as a ClauseSource must be the
-        // identity generalization.
+        // The db behind `dyn ClauseSource` searches exactly as the db.
         let (p, weights) = family();
         let direct = run(&p, &weights, ParallelConfig::default());
         let source: &dyn blog_logic::ClauseSource = &p.db;

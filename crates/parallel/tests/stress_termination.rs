@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use blog_core::weight::{WeightParams, WeightStore};
 use blog_logic::{parse_program, Program, SolveConfig};
-use blog_parallel::{par_best_first, FrontierPolicy, ParallelConfig};
+use blog_parallel::{par_best_first_with, FrontierPolicy, ParallelConfig};
 
 /// A cyclic graph program whose OR-tree is infinite: every run must end
 /// by budget or early exit, never by exhaustion — the adversarial case
@@ -40,7 +40,7 @@ fn run_with_watchdog(p: &Arc<Program>, cfg: ParallelConfig, timeout: Duration, w
     let n_workers = cfg.n_workers;
     std::thread::spawn(move || {
         let weights = WeightStore::new(WeightParams::default());
-        let r = par_best_first(&p.db, &p.queries[0], &weights, &cfg);
+        let r = par_best_first_with(&p.db, &p.queries[0], &weights, &cfg);
         // The accounting invariant must hold on every exit path,
         // including aborts: each expansion belongs to one worker.
         assert_eq!(
@@ -135,7 +135,7 @@ fn max_solutions_cap_holds_under_contention() {
                 },
                 ..ParallelConfig::default()
             };
-            let r = par_best_first(&p.db, &p.queries[0], &weights, &cfg);
+            let r = par_best_first_with(&p.db, &p.queries[0], &weights, &cfg);
             assert_eq!(
                 r.solutions.len(),
                 3,

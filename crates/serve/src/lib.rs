@@ -30,13 +30,11 @@
 //! wait for one ([`ServeConfig::commit`] has the single value
 //! [`CommitMode::Mvcc`] and is inert).
 //!
-//! The scheduler's one real decision is **session affinity**
-//! ([`Routing::SessionAffinity`]): requests from the same session hash
-//! to the same pool, so one session's similar queries are serviced
-//! consecutively and find their clause tracks still resident — the §5
-//! cache-warmth effect, now produced by scheduling rather than luck.
-//! [`Routing::RoundRobin`] is the ablation. Admission-time work
-//! stealing (an [`overflow_threshold`](ServeConfig::overflow_threshold))
+//! The scheduler's one real decision is **session affinity**: requests
+//! from the same session hash to the same pool, so one session's similar
+//! queries are serviced consecutively and find their clause tracks still
+//! resident — the §5 cache-warmth effect, now produced by scheduling
+//! rather than luck. Admission-time work stealing (an [`overflow_threshold`](ServeConfig::overflow_threshold))
 //! bounds queue skew when one session floods its home pool.
 //!
 //! Per-request cancellation reuses the engines'
@@ -107,6 +105,6 @@ pub use request::{
     UpdateOutcome, UpdateRequest, UpdateResponse,
 };
 pub use server::{
-    Admission, BreakerConfig, ExecMode, QueryServer, RetryPolicy, Routing, ServeConfig, Submitter,
+    Admission, BreakerConfig, ExecMode, QueryServer, RetryPolicy, ServeConfig, Submitter,
 };
 pub use stats::{PoolReport, ServeReport, ServeStats, WarmthSplit};

@@ -8,7 +8,7 @@ use blog_logic::{ClauseId, SearchStats};
 ///
 /// Requests sharing a `SessionId` are assumed to be the paper's "second
 /// and third query that is similar to the first"; the scheduler routes
-/// them to the same pool under [`Routing::SessionAffinity`](crate::Routing).
+/// them to the same pool.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct SessionId(pub u64);
 

@@ -27,7 +27,7 @@ use crate::request::{
 };
 use crate::stats::{hist_ms, warmth_splits, PoolReport, ServeReport, ServeStats};
 
-use blog_obs::{SpanCtx, SpanId, TraceHandle, Tracer};
+use blog_obs::{splitmix64, SpanCtx, SpanId, TraceHandle, Tracer};
 
 /// Seed of the server's deterministic trace sampler: the same config
 /// and request sequence always sample the same requests with the same
@@ -46,29 +46,6 @@ const TRACE_SEED: u64 = 0xB10C_0B5E_7E1E_A55E;
 /// the panic-isolation path exists to prevent.
 pub(crate) fn lock_unpoisoned<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// How requests map to pools.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Routing {
-    /// Hash the session id onto a pool: one session's stream of similar
-    /// queries is serviced consecutively by one pool, so its clause
-    /// tracks are still resident when the "second and third query"
-    /// arrive — §5's warmth produced by scheduling.
-    SessionAffinity,
-    /// Ignore sessions; deal requests round-robin (the ablation: same
-    /// offered load, no deliberate warmth).
-    RoundRobin,
-}
-
-impl Routing {
-    /// Machine-readable label for sweep tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Routing::SessionAffinity => "affinity",
-            Routing::RoundRobin => "round-robin",
-        }
-    }
 }
 
 /// Which engine executes a request.
@@ -167,8 +144,6 @@ pub struct ServeConfig {
     /// Worker pools (each is one OS thread draining its own queue, plus
     /// its OR-parallel helpers, if any).
     pub n_pools: usize,
-    /// Request → pool mapping.
-    pub routing: Routing,
     /// Admission-time work stealing: when the routed pool's queue is at
     /// least this deep, the request is diverted to the currently
     /// shortest queue instead (`None` = never divert). This caps the
@@ -226,7 +201,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             n_pools: 2,
-            routing: Routing::SessionAffinity,
             overflow_threshold: None,
             exec: ExecMode::Sequential,
             solve: SolveConfig::all(),
@@ -536,9 +510,6 @@ pub struct QueryServer {
     /// Session → pool that last completed one of its requests (the
     /// warmth ledger; persists across batches).
     sessions: Mutex<HashMap<u64, usize>>,
-    /// Round-robin cursor (persists across batches so consecutive
-    /// batches keep rotating).
-    rr_next: AtomicUsize,
     /// Serializes [`apply_update`](Self::apply_update) commits *and*
     /// their cache notifications, so [`AnswerCache::on_commit`] observes
     /// base/new epoch pairs in true commit order.
@@ -606,7 +577,6 @@ impl QueryServer {
             cache,
             config,
             sessions: Mutex::new(HashMap::new()),
-            rr_next: AtomicUsize::new(0),
             update_order: Mutex::new(()),
             breakers,
             retries: AtomicU64::new(0),
@@ -641,14 +611,14 @@ impl QueryServer {
         &self.tracer
     }
 
-    /// Route one session id under the configured policy.
+    /// The session's home pool: its id hashed onto a pool (SplitMix64
+    /// spreads consecutive ids, which modulo `n_pools` would alias tenants
+    /// to pools in generated workloads), so one session's stream of
+    /// similar queries is serviced consecutively by one pool and finds
+    /// its clause tracks still resident when the "second and third query"
+    /// arrive — §5's warmth produced by scheduling.
     fn route(&self, session: u64) -> usize {
-        match self.config.routing {
-            Routing::SessionAffinity => (splitmix(session) % self.config.n_pools as u64) as usize,
-            Routing::RoundRobin => {
-                self.rr_next.fetch_add(1, Ordering::Relaxed) % self.config.n_pools
-            }
-        }
+        (splitmix64(session) % self.config.n_pools as u64) as usize
     }
 
     /// Whether pool `p`'s breaker is open and still inside its cooldown
@@ -748,7 +718,7 @@ impl QueryServer {
             .base_backoff
             .saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
         let capped = exp.min(policy.max_backoff);
-        let jitter = splitmix(((idx as u64) << 8) ^ attempt as u64) % 256;
+        let jitter = splitmix64(((idx as u64) << 8) ^ attempt as u64) % 256;
         capped + capped.mul_f64(jitter as f64 / 1024.0)
     }
 
@@ -1545,16 +1515,6 @@ impl QueryServer {
             }
         }
     }
-}
-
-/// SplitMix64 finalizer: spreads consecutive session ids uniformly over
-/// pools (consecutive ids modulo `n_pools` would alias tenants to pools
-/// in generated workloads).
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Best-effort text of a caught panic payload (panics raise `&str` or

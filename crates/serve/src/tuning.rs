@@ -13,9 +13,8 @@ use blog_spd::{Geometry, PagedStoreConfig, PolicyKind};
 /// scan-resistant 2Q, and a cache sized at 3/5 of the database's tracks
 /// — enough for every pool's *current* tenant working set to stay
 /// resident at once, but not for the whole tenant population. That gap
-/// is the point: in this regime the scheduler's routing (session
-/// affinity vs round-robin), not the replacement policy, decides which
-/// sessions run warm.
+/// is the point: in this regime the scheduler's session-affinity
+/// routing, not the replacement policy, decides which sessions run warm.
 pub fn working_set_store_config(db_len: usize) -> PagedStoreConfig {
     let blocks_per_track = 4usize;
     let tracks_total = db_len.div_ceil(blocks_per_track);

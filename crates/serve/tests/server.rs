@@ -10,8 +10,8 @@ use blog_core::weight::{WeightParams, WeightStore, WeightView};
 use blog_logic::{parse_program, parse_query_shared, Program, SolveConfig};
 use blog_parallel::FrontierPolicy;
 use blog_serve::{
-    Admission, CacheConfig, CacheMode, ExecMode, Outcome, QueryRequest, QueryServer, Routing,
-    ServeConfig, ServedFrom, SessionId, TraceConfig, TraceRecord, UpdateOp, UpdateOutcome,
+    Admission, CacheConfig, CacheMode, ExecMode, Outcome, QueryRequest, QueryServer, ServeConfig,
+    ServedFrom, SessionId, TraceConfig, TraceRecord, UpdateOp, UpdateOutcome,
 };
 use blog_spd::{Geometry, PagedStoreConfig, PolicyKind};
 use blog_workloads::{tenant_mix_program, tenant_mix_requests, FamilyParams, TenantMix};
@@ -178,32 +178,17 @@ fn or_parallel_pool_reuses_one_helper_thread() {
 }
 
 #[test]
-fn round_robin_deals_across_pools() {
+fn affinity_keeps_a_session_on_its_home_pool() {
     let p = parse_program(FAMILY).unwrap();
     let server = QueryServer::new(
         &p.db,
         store_cfg(p.db.len(), 4),
         ServeConfig {
             n_pools: 3,
-            routing: Routing::RoundRobin,
             ..ServeConfig::default()
         },
     );
-    // One hot session, six requests: RR spreads them over all pools.
-    let report = server.serve((0..6).map(|_| QueryRequest::new(7, "gf(sam, G)")).collect());
-    let pools: std::collections::BTreeSet<usize> =
-        report.responses.iter().map(|r| r.pool).collect();
-    assert_eq!(pools.len(), 3, "round-robin uses every pool: {pools:?}");
-    // Affinity on the same load keeps one pool.
-    let server = QueryServer::new(
-        &p.db,
-        store_cfg(p.db.len(), 4),
-        ServeConfig {
-            n_pools: 3,
-            routing: Routing::SessionAffinity,
-            ..ServeConfig::default()
-        },
-    );
+    // One hot session, six requests: all on one pool.
     let report = server.serve((0..6).map(|_| QueryRequest::new(7, "gf(sam, G)")).collect());
     let pools: std::collections::BTreeSet<usize> =
         report.responses.iter().map(|r| r.pool).collect();
@@ -218,7 +203,6 @@ fn overflow_threshold_diverts_a_hot_session() {
         store_cfg(p.db.len(), 4),
         ServeConfig {
             n_pools: 2,
-            routing: Routing::SessionAffinity,
             overflow_threshold: Some(2),
             ..ServeConfig::default()
         },
@@ -479,11 +463,12 @@ fn serve_stats_are_internally_consistent() {
 }
 
 #[test]
-fn tenant_mix_affinity_beats_round_robin_on_warm_hits() {
+fn tenant_mix_warm_requests_hit_at_least_as_often_as_cold_ones() {
     // The §5 claim in miniature: drifting sessions with disjoint working
     // sets through a capacity-limited shared cache — affinity keeps each
-    // session's tracks warm between its bursts, round-robin scatters the
-    // session across pools so its repeat queries run cold.
+    // session's tracks warm between its bursts, so a request on the pool
+    // that last served its session hits at least as often as one that
+    // runs cold.
     let mix = TenantMix {
         n_tenants: 6,
         queries_per_tenant: 8,
@@ -497,40 +482,27 @@ fn tenant_mix_affinity_beats_round_robin_on_warm_hits() {
         ..TenantMix::default()
     };
     let (p, metas) = tenant_mix_program(&mix);
-    let gen_requests = || -> Vec<QueryRequest> {
-        tenant_mix_requests(&mix, &metas)
-            .into_iter()
-            .map(|r| QueryRequest::new(r.tenant as u64, r.text).with_tenant(r.tenant as u32))
-            .collect()
-    };
+    let requests = tenant_mix_requests(&mix, &metas)
+        .into_iter()
+        .map(|r| QueryRequest::new(r.tenant as u64, r.text).with_tenant(r.tenant as u32))
+        .collect();
     // Capacity: a couple of tenants' working sets, not all six.
     let tracks_total = p.db.len().div_ceil(2);
     let capacity = (tracks_total / 3).max(2);
-    let run = |routing: Routing| {
-        let server = QueryServer::new(
-            &p.db,
-            store_cfg(p.db.len(), capacity),
-            ServeConfig {
-                n_pools: 2,
-                routing,
-                ..ServeConfig::default()
-            },
-        );
-        server.serve(gen_requests()).stats
-    };
-    let aff = run(Routing::SessionAffinity);
-    let rr = run(Routing::RoundRobin);
-    let aff_rate = aff.store.hits as f64 / aff.store.accesses as f64;
-    let rr_rate = rr.store.hits as f64 / rr.store.accesses as f64;
-    assert!(
-        aff_rate > rr_rate,
-        "affinity {aff_rate:.3} must beat round-robin {rr_rate:.3} on hit rate"
+    let server = QueryServer::new(
+        &p.db,
+        store_cfg(p.db.len(), capacity),
+        ServeConfig {
+            n_pools: 2,
+            ..ServeConfig::default()
+        },
     );
+    let stats = server.serve(requests).stats;
     assert!(
-        aff.warm.hit_rate() >= aff.cold.hit_rate(),
+        stats.warm.hit_rate() >= stats.cold.hit_rate(),
         "warm requests hit at least as often as cold ones: warm {:.3} cold {:.3}",
-        aff.warm.hit_rate(),
-        aff.cold.hit_rate()
+        stats.warm.hit_rate(),
+        stats.cold.hit_rate()
     );
 }
 
@@ -963,7 +935,6 @@ fn breaker_reroutes_admissions_to_healthy_pools() {
         store_cfg(p.db.len(), 4),
         ServeConfig {
             n_pools: 2,
-            routing: Routing::RoundRobin,
             fault: Some(plan),
             retry: RetryPolicy::none(),
             breaker: BreakerConfig {
@@ -973,18 +944,19 @@ fn breaker_reroutes_admissions_to_healthy_pools() {
             ..ServeConfig::default()
         },
     );
-    // Paced one at a time so each admission sees the breaker state the
-    // previous request left behind.
+    // Six sessions whose home is pool 1, paced one at a time so each
+    // admission sees the breaker state the previous request left behind.
+    let sessions = (100..).filter(|&s| blog_obs::splitmix64(s) % 2 == 1);
     let (report, ()) = server.serve_open(|s| {
-        for i in 0..6 {
-            s.submit(QueryRequest::new(100 + i, "gf(sam, G)"));
+        for session in sessions.take(6) {
+            s.submit(QueryRequest::new(session, "gf(sam, G)"));
             s.quiesce();
         }
     });
     assert_eq!(report.stats.failed, 1, "only pool 1's first victim fails");
     assert!(
         report.stats.breaker_reroutes >= 1,
-        "later round-robin admissions to pool 1 divert to pool 0"
+        "later admissions to pool 1 divert to pool 0"
     );
     for r in &report.responses {
         if r.outcome.is_completed() {

@@ -14,7 +14,8 @@
 //! emitted in burst-interleaved arrival order. This is the offered load
 //! a multi-session query server schedules; whether the server's routing
 //! keeps each tenant's warm tracks warm is what the serve crate's
-//! `tenant_mix_affinity_beats_round_robin_on_warm_hits` test checks.
+//! `tenant_mix_warm_requests_hit_at_least_as_often_as_cold_ones` test
+//! checks.
 
 use blog_logic::{parse_program, parse_query, ClauseDb, Program, Query};
 use rand::rngs::SmallRng;

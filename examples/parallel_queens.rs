@@ -2,7 +2,8 @@
 //!
 //! Solves N-queens with the OR-parallel best-first executor at several
 //! worker counts and reports wall-clock speedups and work distribution
-//! (the T4 experiment in miniature). Then demonstrates the §7 extensions:
+//! (the T4 experiment in miniature). Then demonstrates the §7 extensions,
+//! whose factor searches run on the same executor at two workers:
 //! fork-join on an independent conjunction and semi-join on a shared-
 //! variable conjunction.
 //!
@@ -15,7 +16,7 @@ use std::time::Instant;
 use b_log::core::weight::{WeightParams, WeightStore};
 use b_log::logic::{dfs_all, parse_program, SolveConfig};
 use b_log::parallel::{
-    and_parallel_solve, par_best_first, semijoin_conjunction, ParallelConfig,
+    and_parallel_solve, par_best_first_with, semijoin_conjunction, ParallelConfig,
 };
 use b_log::workloads::{queens_program, QueensParams};
 
@@ -46,7 +47,7 @@ fn main() {
             ..ParallelConfig::default()
         };
         let start = Instant::now();
-        let r = par_best_first(&program.db, query, &weights, &cfg);
+        let r = par_best_first_with(&program.db, query, &weights, &cfg);
         let elapsed = start.elapsed();
         assert_eq!(r.solutions.len(), seq.solutions.len());
         let speedup = seq_time.as_secs_f64() / elapsed.as_secs_f64();
@@ -66,6 +67,10 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
+    let and_cfg = ParallelConfig {
+        n_workers: 2,
+        ..ParallelConfig::default()
+    };
     println!("\n== AND-parallel fork-join (independent goals) ==");
     let mut src = String::new();
     for i in 0..30 {
@@ -74,7 +79,8 @@ fn main() {
     src.push_str("?- a(X), b(Y), c(Z).\n");
     let p = parse_program(&src).unwrap();
     let seq = dfs_all(&p.db, &p.queries[0], &SolveConfig::all());
-    let par = and_parallel_solve(&p.db, &p.queries[0], &SolveConfig::all());
+    let par = and_parallel_solve(&p.db, &p.queries[0], &weights, &and_cfg)
+        .expect("a clause database never faults");
     println!(
         "30×30×30 cross product: sequential expanded {} nodes, fork-join {} \
          (both found {} solutions)",
@@ -93,7 +99,8 @@ fn main() {
     }
     src.push_str("?- emp(E, D), mgr(D, M).\n");
     let p = parse_program(&src).unwrap();
-    let (r, sj) = semijoin_conjunction(&p.db, &p.queries[0], &SolveConfig::all());
+    let (r, sj) = semijoin_conjunction(&p.db, &p.queries[0], &weights, &and_cfg)
+        .expect("a clause database never faults");
     println!(
         "40 employees over 4 departments: {} producer rows, {} distinct keys \
          → {} consumer evaluations instead of {} (naive); {} joined solutions",

@@ -1,6 +1,6 @@
 //! Serving demo: a multi-tenant burst of drifting §5 sessions through
-//! the query server, with session-affinity routing against round-robin
-//! over the same shared paged store.
+//! the query server's session-affinity routing over one shared paged
+//! store.
 //!
 //! ```text
 //! cargo run --release --example serve_demo
@@ -8,7 +8,7 @@
 
 use b_log::logic::SolveConfig;
 use b_log::serve::tuning::working_set_store_config;
-use b_log::serve::{QueryRequest, QueryServer, Routing, ServeConfig};
+use b_log::serve::{QueryRequest, QueryServer, ServeConfig};
 use b_log::workloads::{tenant_mix_program, tenant_mix_requests, FamilyParams, TenantMix};
 
 fn main() {
@@ -43,60 +43,57 @@ fn main() {
         mix.n_tenants * mix.queries_per_tenant,
     );
 
-    for routing in [Routing::SessionAffinity, Routing::RoundRobin] {
-        let server = QueryServer::new(
-            &program.db,
-            store_config.clone(),
-            ServeConfig {
-                n_pools: 4,
-                routing,
-                overflow_threshold: None,
-                solve: SolveConfig::all(),
-                // ~0.5µs per simulated SPD tick: pools overlap each
-                // other's disk stalls, the serving form of §6 latency
-                // hiding.
-                stall_ns_per_tick: 500,
-                ..ServeConfig::default()
-            },
-        );
-        let requests: Vec<QueryRequest> = tenant_mix_requests(&mix, &metas)
-            .into_iter()
-            .map(|r| QueryRequest::new(r.tenant as u64, r.text).with_tenant(r.tenant as u32))
-            .collect();
-        let report = server.serve(requests);
-        let s = &report.stats;
-        println!("\n== routing: {} ==", routing.label());
+    let server = QueryServer::new(
+        &program.db,
+        store_config,
+        ServeConfig {
+            n_pools: 4,
+            overflow_threshold: None,
+            solve: SolveConfig::all(),
+            // ~0.5µs per simulated SPD tick: pools overlap each
+            // other's disk stalls, the serving form of §6 latency
+            // hiding.
+            stall_ns_per_tick: 500,
+            ..ServeConfig::default()
+        },
+    );
+    let requests: Vec<QueryRequest> = tenant_mix_requests(&mix, &metas)
+        .into_iter()
+        .map(|r| QueryRequest::new(r.tenant as u64, r.text).with_tenant(r.tenant as u32))
+        .collect();
+    let report = server.serve(requests);
+    let s = &report.stats;
+    println!("\n== session-affinity routing ==");
+    println!(
+        "  {} requests in {:.1} ms  ({:.0} req/s), p50 {:.2} ms  p99 {:.2} ms",
+        s.requests,
+        s.wall_s * 1e3,
+        s.throughput_rps,
+        s.p50_ms,
+        s.p99_ms
+    );
+    println!(
+        "  store: {:.1}% hit rate ({} accesses, {} faults), warm sessions {:.1}% vs cold {:.1}%",
+        100.0 * s.store.hits as f64 / s.store.accesses.max(1) as f64,
+        s.store.accesses,
+        s.store.misses,
+        100.0 * s.warm.hit_rate(),
+        100.0 * s.cold.hit_rate(),
+    );
+    println!(
+        "  locks: {} acquisitions, {} contended; admission overflow: {}",
+        s.store.lock_acquisitions, s.store.lock_contended, s.overflow_admissions
+    );
+    for p in &s.per_pool {
         println!(
-            "  {} requests in {:.1} ms  ({:.0} req/s), p50 {:.2} ms  p99 {:.2} ms",
-            s.requests,
-            s.wall_s * 1e3,
-            s.throughput_rps,
-            s.p50_ms,
-            s.p99_ms
+            "    pool {}: {:>3} served, queue peak {:>3}, p50 {:.2} ms, hit rate {:.1}%",
+            p.pool,
+            p.served,
+            p.queue_peak,
+            p.p50_ms,
+            100.0 * p.touches.hit_rate(),
         );
-        println!(
-            "  store: {:.1}% hit rate ({} accesses, {} faults), warm sessions {:.1}% vs cold {:.1}%",
-            100.0 * s.store.hits as f64 / s.store.accesses.max(1) as f64,
-            s.store.accesses,
-            s.store.misses,
-            100.0 * s.warm.hit_rate(),
-            100.0 * s.cold.hit_rate(),
-        );
-        println!(
-            "  locks: {} acquisitions, {} contended; admission overflow: {}",
-            s.store.lock_acquisitions, s.store.lock_contended, s.overflow_admissions
-        );
-        for p in &s.per_pool {
-            println!(
-                "    pool {}: {:>3} served, queue peak {:>3}, p50 {:.2} ms, hit rate {:.1}%",
-                p.pool,
-                p.served,
-                p.queue_peak,
-                p.p50_ms,
-                100.0 * p.touches.hit_rate(),
-            );
-        }
     }
-    println!("\n(affinity should show the higher store hit rate: one session's");
-    println!(" similar queries stay on one pool, so its tracks are still warm.)");
+    println!("\n(warm requests should hit at least as often as cold ones: one");
+    println!(" session's similar queries stay on one pool, so its tracks are warm.)");
 }

@@ -16,13 +16,11 @@ use std::collections::HashMap;
 
 use b_log::core::convergence::measure_convergence;
 use b_log::core::engine::{best_first, BestFirstConfig};
-use b_log::core::theory::{
-    enumerate_chains, solve_weights, target_bits_for, ArcIdentity,
-};
+use b_log::core::theory::{enumerate_chains, solve_weights, target_bits_for, ArcIdentity};
 use b_log::core::weight::{WeightParams, WeightStore, WeightView};
 use b_log::logic::{dfs_all, SolveConfig};
 use b_log::machine::{simulate, tree_from_search, MachineConfig};
-use b_log::parallel::{par_best_first, ParallelConfig};
+use b_log::parallel::{par_best_first_with, ParallelConfig};
 use b_log::spd::{build_spd_from_db, CostModel, Geometry, Pager, SpMode};
 use b_log::workloads::{family_program, FamilyParams};
 
@@ -117,7 +115,7 @@ fn grand_tour() {
     assert!(mstats.utilization > 0.0);
 
     // 6. Threads: same solution set OR-parallel.
-    let pres = par_best_first(
+    let pres = par_best_first_with(
         db,
         query,
         &trained,

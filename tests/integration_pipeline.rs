@@ -7,10 +7,10 @@ use b_log::core::session::{MergePolicy, SessionManager};
 use b_log::core::weight::{WeightParams, WeightStore, WeightView};
 use b_log::logic::{bfs_all, dfs_all, parse_program, Program, SolveConfig};
 use b_log::machine::{simulate, tree_from_search, MachineConfig};
-use b_log::parallel::{par_best_first, ParallelConfig};
+use b_log::parallel::{par_best_first_with, ParallelConfig};
 use b_log::workloads::{
-    dag_reach_program, family_program, mapcolor_program, queens_program, DagParams,
-    FamilyParams, MapColorParams, QueensParams, PAPER_FIGURE_1,
+    dag_reach_program, family_program, mapcolor_program, queens_program, DagParams, FamilyParams,
+    MapColorParams, QueensParams, PAPER_FIGURE_1,
 };
 
 fn workload_suite() -> Vec<(String, Program)> {
@@ -91,7 +91,7 @@ fn all_engines_agree_on_every_workload() {
 
         // Parallel executor, several widths.
         for workers in [1usize, 4] {
-            let pr = par_best_first(
+            let pr = par_best_first_with(
                 db,
                 query,
                 &store,

@@ -1,7 +1,7 @@
 //! Property tests for the two frontiers the one search loop runs on: on
 //! arbitrary generated programs, the sequential engine's thread-local
-//! heap (`best_first`, learning off), `par_best_first` at one worker (the
-//! same heap, inline, with the deferred-learning sink) and at three
+//! heap (`best_first`, learning off), `par_best_first_with` at one worker
+//! (the same heap, inline, with the deferred-learning sink) and at three
 //! workers (a private heap each, sharing chains through the exchange) must be
 //! observationally equivalent with pruning off — same solution sets, same
 //! bounds, same nodes expanded and unifications — the way
@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use b_log::core::engine::{best_first, BestFirstConfig};
 use b_log::core::weight::{WeightParams, WeightStore, WeightView};
 use b_log::logic::{parse_program, Program, SolveConfig};
-use b_log::parallel::{par_best_first, FrontierPolicy, ParallelConfig, ParallelResult};
+use b_log::parallel::{par_best_first_with, FrontierPolicy, ParallelConfig, ParallelResult};
 use proptest::prelude::*;
 
 /// A random layered program with structured terms and a recursive layer
@@ -57,7 +57,7 @@ fn parse(src: &str) -> Program {
 /// Run the parallel executor with pruning off and learning on.
 fn run(p: &Program, workers: usize, depth: u32) -> ParallelResult {
     let weights = WeightStore::new(WeightParams::default());
-    par_best_first(
+    par_best_first_with(
         &p.db,
         &p.queries[0],
         &weights,

@@ -3,8 +3,7 @@
 //! same requests run sequentially against the raw database — whatever
 //! the search-state representation, the per-request engine (sequential
 //! best-first, or OR-parallel on one inline worker or on two sharded
-//! ones), the routing
-//! policy, and however small the shared store's cache is. This extends
+//! ones), and however small the shared store's cache is. This extends
 //! the `prop_frontier_policy` equivalence pattern one layer up, to the
 //! scheduler.
 
@@ -15,7 +14,7 @@ use b_log::core::weight::{WeightParams, WeightStore, WeightView};
 use b_log::logic::node::StateRepr;
 use b_log::logic::{parse_program, parse_query_shared, Program, SolveConfig};
 use b_log::parallel::FrontierPolicy;
-use b_log::serve::{ExecMode, QueryRequest, QueryServer, Routing, ServeConfig};
+use b_log::serve::{ExecMode, QueryRequest, QueryServer, ServeConfig};
 use b_log::spd::{Geometry, PagedStoreConfig, PolicyKind};
 use proptest::prelude::*;
 
@@ -113,35 +112,32 @@ proptest! {
                 ExecMode::OrParallel { n_workers: 2, policy: FrontierPolicy::Sharded { d: 64 } },
                 ExecMode::OrParallel { n_workers: 1, policy: FrontierPolicy::Sharded { d: 64 } },
             ] {
-                for routing in [Routing::SessionAffinity, Routing::RoundRobin] {
-                    let server = QueryServer::new(
-                        &p.db,
-                        tiny_store(&p),
-                        ServeConfig {
-                            n_pools: 2,
-                            routing,
-                            exec,
-                            solve: solve.clone(),
-                            ..ServeConfig::default()
-                        },
+                let server = QueryServer::new(
+                    &p.db,
+                    tiny_store(&p),
+                    ServeConfig {
+                        n_pools: 2,
+                        exec,
+                        solve: solve.clone(),
+                        ..ServeConfig::default()
+                    },
+                );
+                let report = server.serve(batch());
+                prop_assert_eq!(report.stats.rejected, 0);
+                prop_assert_eq!(report.stats.cancelled, 0);
+                for r in &report.responses {
+                    let text = &batch()[r.request].text;
+                    prop_assert_eq!(
+                        r.outcome.solutions(),
+                        truth[text.as_str()].as_slice(),
+                        "{:?} {:?} request {} ({})",
+                        repr, exec, r.request, text
                     );
-                    let report = server.serve(batch());
-                    prop_assert_eq!(report.stats.rejected, 0);
-                    prop_assert_eq!(report.stats.cancelled, 0);
-                    for r in &report.responses {
-                        let text = &batch()[r.request].text;
-                        prop_assert_eq!(
-                            r.outcome.solutions(),
-                            truth[text.as_str()].as_slice(),
-                            "{:?} {:?} {:?} request {} ({})",
-                            repr, exec, routing, r.request, text
-                        );
-                    }
-                    // The store must have metered every engine fetch.
-                    let total_store: u64 =
-                        report.responses.iter().map(|r| r.store_accesses).sum();
-                    prop_assert_eq!(total_store, report.stats.store.accesses);
                 }
+                // The store must have metered every engine fetch.
+                let total_store: u64 =
+                    report.responses.iter().map(|r| r.store_accesses).sum();
+                prop_assert_eq!(total_store, report.stats.store.accesses);
             }
         }
     }

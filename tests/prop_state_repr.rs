@@ -12,7 +12,7 @@ use b_log::core::engine::{best_first, BestFirstConfig};
 use b_log::core::weight::{WeightParams, WeightStore, WeightView};
 use b_log::logic::node::ExpandStats;
 use b_log::logic::{bfs_all, expand, parse_program, Program, SearchNode, SolveConfig, StateRepr};
-use b_log::parallel::{par_best_first, ParallelConfig};
+use b_log::parallel::{par_best_first_with, ParallelConfig};
 use b_log::workloads::{mapcolor_program, MapColorParams};
 use proptest::prelude::*;
 
@@ -163,8 +163,8 @@ proptest! {
             solve: SolveConfig::all().with_max_depth(depth).with_state_repr(repr),
             ..ParallelConfig::default()
         };
-        let c = par_best_first(&p.db, q, &weights, &mk(StateRepr::Cloned));
-        let s = par_best_first(&p.db, q, &weights, &mk(StateRepr::shared()));
+        let c = par_best_first_with(&p.db, q, &weights, &mk(StateRepr::Cloned));
+        let s = par_best_first_with(&p.db, q, &weights, &mk(StateRepr::shared()));
         // Parallel discovery order is scheduling-dependent: compare sets
         // and totals (frames here are shared across real threads).
         let ct = sorted(c.solutions.iter().map(|b| b.solution.to_text(&p.db)).collect());
