@@ -14,13 +14,19 @@
 //! usual `[a, b | Tail]` sugar desugared onto `'.'/2` and `[]`. Terms may
 //! nest at most 128 levels deep, a list's length counting as depth; deeper
 //! text is a [`ParseError`], never a stack overflow.
+//!
+//! One reader serves every entry point: tokens borrow the source text,
+//! and each name is interned, looked up in a frozen table or given a
+//! provisional handle as it is read, so every term is built once.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::clause::Clause;
 use crate::node::MAX_GOALS;
-use crate::store::ClauseDb;
+use crate::store::{check_clause, ClauseDb};
+use crate::symbol::{Sym, SymbolTable};
 use crate::term::{Term, VarId};
 
 /// A parsed query: conjunction of goals plus the user's variable names
@@ -71,10 +77,10 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Clone, PartialEq, Debug)]
-enum Tok {
-    Atom(String),
-    Var(String),
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Tok<'a> {
+    Atom(&'a str),
+    Var(&'a str),
     Int(i64),
     LParen,
     RParen,
@@ -89,14 +95,14 @@ enum Tok {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
 }
 
-struct Spanned {
-    tok: Tok,
+struct Spanned<'a> {
+    tok: Tok<'a>,
     line: u32,
     col: u32,
 }
@@ -104,7 +110,7 @@ struct Spanned {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -112,7 +118,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn bump(&mut self) -> Option<u8> {
-        let c = self.src.get(self.pos).copied()?;
+        let c = self.src.as_bytes().get(self.pos).copied()?;
         self.pos += 1;
         if c == b'\n' {
             self.line += 1;
@@ -124,11 +130,11 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -157,7 +163,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_tok(&mut self) -> Result<Spanned, ParseError> {
+    fn next_tok(&mut self) -> Result<Spanned<'a>, ParseError> {
         self.skip_ws();
         let (line, col) = (self.line, self.col);
         let mk = |tok| Spanned { tok, line, col };
@@ -213,15 +219,17 @@ impl<'a> Lexer<'a> {
             }
             b'\'' => {
                 self.bump();
-                let mut s = String::new();
+                let start = self.pos;
                 loop {
                     match self.bump() {
                         Some(b'\'') => break,
-                        Some(ch) => s.push(ch as char),
+                        Some(_) => {}
                         None => return Err(self.err("unterminated quoted atom")),
                     }
                 }
-                Ok(mk(Tok::Atom(s)))
+                // The quote is ASCII, so the slice ends on a character
+                // boundary: a quoted name keeps its UTF-8 text.
+                Ok(mk(Tok::Atom(&self.src[start..self.pos - 1])))
             }
             b'-' if self.peek2().is_some_and(|d| d.is_ascii_digit()) => {
                 self.bump();
@@ -259,56 +267,112 @@ impl<'a> Lexer<'a> {
         Ok(n)
     }
 
-    fn lex_ident(&mut self) -> String {
-        let mut s = String::new();
+    fn lex_ident(&mut self) -> &'a str {
+        let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || c == b'_' {
-                s.push(c as char);
                 self.bump();
             } else {
                 break;
             }
         }
-        s
+        &self.src[start..self.pos]
     }
 }
 
 /// Deepest term nesting the reader accepts, list spines included
 /// (`[a, b, …]` is a cons chain as deep as it is long). The reader, and
-/// most of what walks a term downstream — symbol remapping, variable
-/// renaming, canonicalization, rendering, `Drop` — recurses once per
-/// level, and a stack overflow aborts the process where a panic would
-/// only fail the request. The bound keeps the deepest accepted term well inside a
+/// most of what walks a term downstream — variable renaming,
+/// canonicalization, rendering, `Drop` — recurses once per level, and a
+/// stack overflow aborts the process where a panic would only fail the
+/// request. The bound keeps the deepest accepted term well inside a
 /// default 2 MiB thread stack in an unoptimized build; it is a property
 /// of those recursions, not a tuning knob.
 const MAX_TERM_DEPTH: usize = 128;
 
-struct Parser<'a> {
+/// Past this many variables in one clause or query, names are found
+/// through a map, so a text with thousands of them reads in linear time.
+const VAR_SCAN: usize = 32;
+
+/// How the reader turns a name into a [`Sym`]. Names resolve in
+/// pre-order: a functor before its arguments, a list's `'.'` before its
+/// items and its `[]` after them (interning also adds `[]` right after
+/// `'.'`).
+enum Names<'a, 's> {
+    /// Program text and [`parse_query`]: intern into the caller's table.
+    Interning(&'s mut SymbolTable),
+    /// Query or update text against a table the reader only reads. A name
+    /// the table lacks gets the handle it will have once the `new` names
+    /// are interned in order: an update interns them after the whole text
+    /// has parsed; a query fails naming `new[0]` once it has parsed, so a
+    /// syntax error wins.
+    Lookup {
+        symbols: &'s SymbolTable,
+        new: Vec<&'a str>,
+        new_ids: HashMap<&'a str, Sym>,
+    },
+}
+
+impl<'a, 's> Names<'a, 's> {
+    fn lookup(symbols: &'s SymbolTable) -> Self {
+        Names::Lookup {
+            symbols,
+            new: Vec::new(),
+            new_ids: HashMap::new(),
+        }
+    }
+
+    fn sym(&mut self, name: &'a str) -> Sym {
+        match self {
+            Names::Interning(symbols) => symbols.intern(name),
+            Names::Lookup {
+                symbols,
+                new,
+                new_ids,
+            } => symbols.get(name).unwrap_or_else(|| {
+                let next = u32::try_from(symbols.len() + new.len());
+                let next = Sym(next.expect("symbol handles are 32-bit"));
+                *new_ids.entry(name).or_insert_with(|| {
+                    new.push(name);
+                    next
+                })
+            }),
+        }
+    }
+}
+
+struct Parser<'a, 's> {
     lexer: Lexer<'a>,
-    lookahead: Spanned,
-    db: ClauseDb,
-    /// Variable name → index, reset per clause/query.
-    vars: HashMap<String, VarId>,
-    var_names: Vec<String>,
+    lookahead: Spanned<'a>,
+    names: Names<'a, 's>,
+    /// Source names of the clause's or query's variables, by [`VarId`]
+    /// (`_` for each anonymous one); reset per clause/query.
+    vars: Vec<&'a str>,
+    /// Name → index into `vars`, once there are more than [`VAR_SCAN`].
+    var_index: Option<HashMap<&'a str, usize>>,
+    /// Arguments, list items and goals read so far of the terms and
+    /// conjunctions still open, innermost last.
+    terms: Vec<Term>,
     /// Terms enclosing the one being read (see [`MAX_TERM_DEPTH`]).
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Result<Self, ParseError> {
+impl<'a, 's> Parser<'a, 's> {
+    fn new(src: &'a str, names: Names<'a, 's>) -> Result<Self, ParseError> {
         let mut lexer = Lexer::new(src);
         let lookahead = lexer.next_tok()?;
         Ok(Parser {
             lexer,
             lookahead,
-            db: ClauseDb::new(),
-            vars: HashMap::new(),
-            var_names: Vec::new(),
+            names,
+            vars: Vec::new(),
+            var_index: None,
+            terms: Vec::new(),
             depth: 0,
         })
     }
 
-    fn advance(&mut self) -> Result<Spanned, ParseError> {
+    fn advance(&mut self) -> Result<Spanned<'a>, ParseError> {
         let next = self.lexer.next_tok()?;
         Ok(std::mem::replace(&mut self.lookahead, next))
     }
@@ -321,7 +385,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, tok: Tok, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, tok: Tok<'_>, what: &str) -> Result<(), ParseError> {
         if self.lookahead.tok == tok {
             self.advance()?;
             Ok(())
@@ -332,23 +396,38 @@ impl<'a> Parser<'a> {
 
     fn fresh_clause_scope(&mut self) {
         self.vars.clear();
-        self.var_names.clear();
+        self.var_index = None;
     }
 
-    fn var_id(&mut self, name: String) -> VarId {
-        // An `_` on its own is always a fresh anonymous variable.
-        if name == "_" {
-            let id = VarId(self.var_names.len() as u32);
-            self.var_names.push(format!("_G{}", id.0));
-            return id;
+    fn var_id(&mut self, name: &'a str) -> VarId {
+        let seen = match &self.var_index {
+            // An `_` on its own is always a fresh anonymous variable.
+            _ if name == "_" => None,
+            Some(index) => index.get(name).copied(),
+            None => self.vars.iter().position(|&v| v == name),
+        };
+        if let Some(i) = seen {
+            return VarId(i as u32);
         }
-        if let Some(&id) = self.vars.get(&name) {
-            return id;
+        let i = self.vars.len();
+        self.vars.push(name);
+        if let Some(index) = &mut self.var_index {
+            index.insert(name, i);
+        } else if self.vars.len() > VAR_SCAN {
+            let ids = self.vars.iter().enumerate().map(|(i, &v)| (v, i));
+            self.var_index = Some(ids.collect());
         }
-        let id = VarId(self.var_names.len() as u32);
-        self.vars.insert(name.clone(), id);
-        self.var_names.push(name);
-        id
+        VarId(i as u32)
+    }
+
+    /// The variable names of the query just read (`_Gn` for the
+    /// anonymous variable `n`).
+    fn var_names(&self) -> Vec<String> {
+        let name = |(i, v): (usize, &&str)| match *v {
+            "_" => format!("_G{i}"),
+            v => v.to_owned(),
+        };
+        self.vars.iter().enumerate().map(name).collect()
     }
 
     fn parse_term(&mut self) -> Result<Term, ParseError> {
@@ -361,21 +440,14 @@ impl<'a> Parser<'a> {
         let term = match self.advance()?.tok {
             Tok::Int(n) => Term::Int(n),
             Tok::Var(name) => Term::Var(self.var_id(name)),
-            Tok::Atom(name) => {
-                if self.lookahead.tok == Tok::LParen {
-                    self.advance()?;
-                    let mut args = vec![self.parse_term()?];
-                    while self.lookahead.tok == Tok::Comma {
-                        self.advance()?;
-                        args.push(self.parse_term()?);
-                    }
-                    self.expect(Tok::RParen, "')' closing argument list")?;
-                    let f = self.db.intern(&name);
-                    Term::app(f, args)
-                } else {
-                    Term::Atom(self.db.intern(&name))
-                }
+            Tok::Atom(name) if self.lookahead.tok == Tok::LParen => {
+                self.advance()?;
+                let f = self.names.sym(name);
+                let start = self.parse_terms(0, usize::MAX)?;
+                self.expect(Tok::RParen, "')' closing argument list")?;
+                Term::Struct(f, self.terms.drain(start..).collect())
             }
+            Tok::Atom(name) => Term::Atom(self.names.sym(name)),
             Tok::LBracket => self.parse_list()?,
             other => return Err(self.err_here(format!("expected a term, found {other:?}"))),
         };
@@ -384,53 +456,65 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_list(&mut self) -> Result<Term, ParseError> {
-        let nil = Term::Atom(self.db.intern("[]"));
         if self.lookahead.tok == Tok::RBracket {
             self.advance()?;
-            return Ok(nil);
+            return Ok(Term::Atom(self.names.sym("[]")));
+        }
+        let cons = self.names.sym(".");
+        // Interned text gets `[]` with every list, `[H|T]` included, so
+        // a program that only takes lists apart still accepts queries
+        // that build them.
+        if let Names::Interning(symbols) = &mut self.names {
+            symbols.intern("[]");
         }
         // Item `i` sits under `i` more cons cells than item 0 does, so
         // every further item is read one level deeper.
         let outer = self.depth;
-        let mut items = vec![self.parse_term()?];
-        while self.lookahead.tok == Tok::Comma {
-            self.advance()?;
-            self.depth += 1;
-            items.push(self.parse_term()?);
-        }
+        let start = self.parse_terms(1, usize::MAX)?;
         let tail = if self.lookahead.tok == Tok::Pipe {
             self.advance()?;
             self.parse_term()?
         } else {
-            nil
+            Term::Atom(self.names.sym("[]"))
         };
         self.depth = outer;
         self.expect(Tok::RBracket, "']' closing list")?;
-        let cons = self.db.intern(".");
-        Ok(items
-            .into_iter()
-            .rev()
-            .fold(tail, |acc, item| Term::app(cons, vec![item, acc])))
+        let items = self.terms.drain(start..).rev();
+        Ok(items.fold(tail, |acc, item| Term::Struct(cons, Arc::new([item, acc]))))
     }
 
-    /// A conjunction: a clause body or a query, at most [`MAX_GOALS`]
-    /// goals long.
-    fn parse_goals(&mut self) -> Result<Vec<Term>, ParseError> {
-        let mut goals = vec![self.parse_term()?];
-        while self.lookahead.tok == Tok::Comma {
-            if goals.len() == MAX_GOALS {
+    /// Comma-separated terms, pushed onto `terms` from the returned index
+    /// on: each read `step` levels deeper than the one before, and more
+    /// than `max` of them a conjunction too long.
+    fn parse_terms(&mut self, step: usize, max: usize) -> Result<usize, ParseError> {
+        let start = self.terms.len();
+        loop {
+            let term = self.parse_term()?;
+            self.terms.push(term);
+            if self.lookahead.tok != Tok::Comma {
+                return Ok(start);
+            }
+            if self.terms.len() - start == max {
                 return Err(
                     self.err_here(format!("more than {MAX_GOALS} goals in one conjunction"))
                 );
             }
             self.advance()?;
-            goals.push(self.parse_term()?);
+            self.depth += step;
         }
-        Ok(goals)
     }
 
-    fn parse_program(mut self) -> Result<Program, ParseError> {
-        let mut queries = Vec::new();
+    /// A conjunction: a clause body or a query, at most [`MAX_GOALS`]
+    /// goals long.
+    fn parse_goals(&mut self) -> Result<Vec<Term>, ParseError> {
+        let start = self.parse_terms(0, MAX_GOALS)?;
+        Ok(self.terms.drain(start..).collect())
+    }
+
+    /// Clauses (each passing [`ClauseDb::add_clause`]'s checks) and `?-`
+    /// queries, in source order.
+    fn parse_program(&mut self) -> Result<(Vec<Clause>, Vec<Query>), ParseError> {
+        let (mut clauses, mut queries) = (Vec::new(), Vec::new());
         loop {
             match self.lookahead.tok {
                 Tok::Eof => break,
@@ -441,7 +525,7 @@ impl<'a> Parser<'a> {
                     self.expect(Tok::Dot, "'.' ending query")?;
                     queries.push(Query {
                         goals,
-                        var_names: std::mem::take(&mut self.var_names),
+                        var_names: self.var_names(),
                     });
                 }
                 _ => {
@@ -454,77 +538,62 @@ impl<'a> Parser<'a> {
                         Vec::new()
                     };
                     self.expect(Tok::Dot, "'.' ending clause")?;
-                    self.db
-                        .add_clause(Clause::new(head, body))
-                        .map_err(|e| self.err_here(e.to_string()))?;
+                    let clause = Clause::new(head, body);
+                    check_clause(&clause).map_err(|e| self.err_here(e.to_string()))?;
+                    clauses.push(clause);
                 }
             }
         }
-        self.db.build_pointers();
-        Ok(Program {
-            db: self.db,
-            queries,
+        Ok((clauses, queries))
+    }
+
+    /// A single query body: an optional leading `?-` and trailing `.`.
+    fn parse_query(&mut self) -> Result<Query, ParseError> {
+        if self.lookahead.tok == Tok::QueryDash {
+            self.advance()?;
+        }
+        let goals = self.parse_goals()?;
+        if self.lookahead.tok == Tok::Dot {
+            self.advance()?;
+        }
+        if self.lookahead.tok != Tok::Eof {
+            return Err(self.err_here("trailing input after query"));
+        }
+        if let Names::Lookup { new, .. } = &self.names {
+            if let Some(name) = new.first() {
+                return Err(ParseError {
+                    message: format!("unknown symbol `{name}` (not defined by the program)"),
+                    line: 1,
+                    col: 1,
+                });
+            }
+        }
+        Ok(Query {
+            goals,
+            var_names: self.var_names(),
         })
     }
 }
 
 /// Parse a full program (clauses and `?-` queries).
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    Parser::new(src)?.parse_program()
+    let mut db = ClauseDb::new();
+    let (clauses, queries) =
+        Parser::new(src, Names::Interning(db.symbols_mut()))?.parse_program()?;
+    for clause in clauses {
+        db.add_clause(clause)
+            .expect("the reader checked the clause");
+    }
+    db.build_pointers();
+    Ok(Program { db, queries })
 }
 
 /// Parse a single query body (no leading `?-`, no trailing `.` required)
 /// against an existing database, so sessions can pose new queries without
-/// re-reading the program.
+/// re-reading the program. New names are interned into `db`.
 pub fn parse_query(db: &mut ClauseDb, src: &str) -> Result<Query, ParseError> {
-    let mut p = Parser::new(src)?;
-    // Reuse the existing database's symbol table by swapping it in.
-    std::mem::swap(&mut p.db, db);
-    let res = (|| {
-        if p.lookahead.tok == Tok::QueryDash {
-            p.advance()?;
-        }
-        let goals = p.parse_goals()?;
-        if p.lookahead.tok == Tok::Dot {
-            p.advance()?;
-        }
-        if p.lookahead.tok != Tok::Eof {
-            return Err(p.err_here("trailing input after query"));
-        }
-        Ok(goals)
-    })();
-    std::mem::swap(&mut p.db, db);
-    let goals = res?;
-    Ok(Query {
-        goals,
-        var_names: p.var_names,
-    })
+    Parser::new(src, Names::Interning(db.symbols_mut()))?.parse_query()
 }
-
-/// Rebuild `t` with every symbol pushed through `resolve` (called with
-/// the symbol's *name* in the scratch table it was parsed into). Errors
-/// carry the offending name.
-fn remap_term(
-    t: &Term,
-    scratch: &SymbolTable,
-    resolve: &mut dyn FnMut(&str) -> Result<crate::symbol::Sym, String>,
-) -> Result<Term, String> {
-    match t {
-        Term::Var(v) => Ok(Term::Var(*v)),
-        Term::Int(n) => Ok(Term::Int(*n)),
-        Term::Atom(s) => Ok(Term::Atom(resolve(scratch.name(*s))?)),
-        Term::Struct(f, args) => {
-            let f = resolve(scratch.name(*f))?;
-            let args = args
-                .iter()
-                .map(|a| remap_term(a, scratch, resolve))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Term::app(f, args))
-        }
-    }
-}
-
-use crate::symbol::SymbolTable;
 
 /// [`parse_query`] against a **frozen** symbol table: `symbols` is only
 /// read, so many server pools can parse concurrently while other threads
@@ -537,26 +606,7 @@ use crate::symbol::SymbolTable;
 /// table — so refusing it early turns a silent empty answer into a
 /// diagnosable client error, which is what a multi-tenant server wants.)
 pub fn parse_query_symbols(symbols: &SymbolTable, src: &str) -> Result<Query, ParseError> {
-    // Parse into a scratch symbol table, then remap every symbol into the
-    // shared table by name.
-    let mut scratch = ClauseDb::new();
-    let parsed = parse_query(&mut scratch, src)?;
-    let mut resolve =
-        |name: &str| symbols.get(name).ok_or_else(|| name.to_string());
-    let goals = parsed
-        .goals
-        .iter()
-        .map(|g| remap_term(g, scratch.symbols(), &mut resolve))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|name| ParseError {
-            message: format!("unknown symbol `{name}` (not defined by the program)"),
-            line: 1,
-            col: 1,
-        })?;
-    Ok(Query {
-        goals,
-        var_names: parsed.var_names,
-    })
+    Parser::new(src, Names::lookup(symbols))?.parse_query()
 }
 
 /// [`parse_query_symbols`] addressed by database (the historical entry
@@ -572,35 +622,29 @@ pub fn parse_query_shared(db: &ClauseDb, src: &str) -> Result<Query, ParseError>
 /// transaction hands in its private copy-on-write symbol table, so new
 /// tenants can introduce vocabulary without the read-only parse path
 /// giving up its rejection guarantee. Returned clauses use the caller's
-/// table; the scratch table the text was lexed into is discarded.
+/// table. A text that fails to parse leaves `symbols` unchanged.
 pub fn parse_clauses_interning(
     symbols: &mut SymbolTable,
     src: &str,
 ) -> Result<Vec<Clause>, ParseError> {
-    let scratch = parse_program(src)?;
-    if !scratch.queries.is_empty() {
+    let mut parser = Parser::new(src, Names::lookup(symbols))?;
+    let (clauses, queries) = parser.parse_program()?;
+    if !queries.is_empty() {
         return Err(ParseError {
             message: "queries are not allowed in an update (assert clauses only)".into(),
             line: 1,
             col: 1,
         });
     }
-    let mut resolve = |name: &str| Ok::<_, String>(symbols.intern(name));
-    let mut out = Vec::with_capacity(scratch.db.len());
-    for clause in scratch.db.clauses() {
-        let head = remap_term(&clause.head, scratch.db.symbols(), &mut resolve)
-            .expect("interning resolver is infallible");
-        let body = clause
-            .body
-            .iter()
-            .map(|g| {
-                remap_term(g, scratch.db.symbols(), &mut resolve)
-                    .expect("interning resolver is infallible")
-            })
-            .collect();
-        out.push(Clause::new(head, body));
+    let Names::Lookup { new, .. } = parser.names else {
+        unreachable!("the reader only looks names up")
+    };
+    let base = symbols.len();
+    for (i, name) in new.into_iter().enumerate() {
+        let sym = symbols.intern(name);
+        debug_assert_eq!(sym.index(), base + i);
     }
-    Ok(out)
+    Ok(clauses)
 }
 
 #[cfg(test)]
@@ -727,6 +771,20 @@ mod tests {
     }
 
     #[test]
+    fn programs_that_only_take_lists_apart_still_accept_list_queries() {
+        // No `[]` in the text: reading a list interns it anyway, so a
+        // frozen-table query may build lists with it.
+        let src = "member(X, [X|_]). member(X, [_|T]) :- member(X, T). item(a). item(b).";
+        let p = parse_program(src).unwrap();
+        assert!(p.db.symbols().get("[]").is_some());
+        let q = parse_query_shared(&p.db, "member(a, [a, b])").unwrap();
+        let mut db = p.db.clone();
+        let q_mut = parse_query(&mut db, "member(a, [a, b])").unwrap();
+        assert_eq!(q.goals, q_mut.goals);
+        assert_eq!(db.symbols().len(), p.db.symbols().len());
+    }
+
+    #[test]
     fn parse_query_shared_still_reports_syntax_errors() {
         let p = parse_program("f(a,b).").unwrap();
         assert!(parse_query_shared(&p.db, "f(a,").is_err());
@@ -767,6 +825,76 @@ mod tests {
     fn parse_clauses_interning_rejects_queries() {
         let mut syms = SymbolTable::new();
         assert!(parse_clauses_interning(&mut syms, "f(a,b). ?- f(a,X).").is_err());
+    }
+
+    #[test]
+    fn parse_clauses_interning_interns_new_names_in_pre_order() {
+        let p = parse_program("f(a,b).").unwrap();
+        let mut syms = p.db.symbols().clone();
+        let base = syms.len() as u32;
+        let clauses = parse_clauses_interning(&mut syms, "g(h(new1), [new2]).").unwrap();
+        let names: Vec<&str> = (base..syms.len() as u32)
+            .map(|i| syms.name(Sym(i)))
+            .collect();
+        assert_eq!(names, ["g", "h", "new1", ".", "new2", "[]"]);
+        let rendered = crate::pretty::clause_to_source(&syms, &clauses[0]);
+        assert_eq!(rendered, "g(h(new1),[new2]).");
+    }
+
+    #[test]
+    fn a_failed_update_parse_leaves_the_table_unchanged() {
+        let p = parse_program("f(a,b).").unwrap();
+        for text in ["f(a, zebra). g(", "f(zebra). ?- f(yak).", "f(zebra). 3."] {
+            let mut syms = p.db.symbols().clone();
+            assert!(parse_clauses_interning(&mut syms, text).is_err(), "{text}");
+            assert_eq!(syms.len(), p.db.symbols().len(), "{text}");
+            assert_eq!(syms.get("zebra"), None, "{text}");
+        }
+        // The add_clause checks keep their text and position.
+        let err = parse_clauses_interning(&mut p.db.symbols().clone(), "f(a) :- X.").unwrap_err();
+        assert_eq!(err, parse_program("f(a) :- X.").map(|_| ()).unwrap_err());
+        assert_eq!(err.message, "body goal 0 is not a callable term");
+    }
+
+    #[test]
+    fn quoted_atoms_keep_their_utf8_text() {
+        let p = parse_program("likes('Café', 'naïve σ').").unwrap();
+        assert!(p.db.sym("Café").is_some());
+        assert!(p.db.sym("naïve σ").is_some());
+        let q = parse_query_shared(&p.db, "likes('Café', X)").unwrap();
+        assert_eq!(q.var_names, ["X"]);
+        // Columns still count bytes, as they always have.
+        let err = parse_query_shared(&p.db, "likes('é',").unwrap_err();
+        assert_eq!((err.line, err.col), (1, 12));
+    }
+
+    #[test]
+    fn the_first_unknown_name_in_pre_order_is_reported_and_syntax_errors_win() {
+        let p = parse_program("f(a,b).").unwrap();
+        let unknown = |text: &str| parse_query_shared(&p.db, text).unwrap_err().message;
+        assert!(unknown("nope(zebra, yak)").contains("`nope`"));
+        assert!(unknown("f(zebra, yak)").contains("`zebra`"));
+        assert!(unknown("f([zebra], a)").contains("`.`"));
+        assert!(unknown("f(a, b), f(yak, X)").contains("`yak`"));
+        let err = parse_query_shared(&p.db, "f(zebra, ").unwrap_err();
+        assert!(err.message.starts_with("expected a term"), "{err}");
+    }
+
+    #[test]
+    fn many_variables_keep_their_identity_past_the_scan_limit() {
+        let n = 3 * VAR_SCAN;
+        let vars: Vec<String> = (0..n).map(|i| format!("V{i}")).collect();
+        let text = format!("f({}, _, {})", vars.join(","), vars.join(","));
+        let q = parse_query_shared(&parse_program("f(a).").unwrap().db, &text).unwrap();
+        assert_eq!(q.var_names.len(), n + 1);
+        assert_eq!(q.var_names[n], format!("_G{n}"));
+        let Term::Struct(_, args) = &q.goals[0] else {
+            panic!()
+        };
+        for i in 0..n {
+            assert_eq!(args[i], Term::Var(VarId(i as u32)));
+            assert_eq!(args[n + 1 + i], Term::Var(VarId(i as u32)));
+        }
     }
 
     /// `f(f(…f(a)…))`, `levels` terms deep (the innermost `a` included).

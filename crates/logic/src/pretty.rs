@@ -5,6 +5,8 @@
 //! callers that hold an epoch-pinned snapshot's symbol table rather than
 //! a whole database.
 
+use std::fmt::Write;
+
 use crate::bindings::Bindings;
 use crate::store::ClauseDb;
 use crate::symbol::SymbolTable;
@@ -28,21 +30,44 @@ pub fn resolved_to_string(db: &ClauseDb, bindings: &Bindings, t: &Term) -> Strin
     term_to_string(db, &bindings.resolve(t))
 }
 
+/// Whether `name` must be quoted to re-read as the atom it names: true
+/// for anything but a lowercase-led identifier (`sam`, `p1_1`) and `[]`.
+/// The reader has no escapes, so a name holding a `'` cannot re-read at
+/// all; the reader never produces one.
+pub fn atom_needs_quotes(name: &str) -> bool {
+    let bare = name.as_bytes().first().is_some_and(u8::is_ascii_lowercase)
+        && name.bytes().all(|c| c.is_ascii_alphanumeric() || c == b'_');
+    !bare && name != "[]"
+}
+
+/// Append `name` as an atom (or, with `functor`, the functor of a
+/// compound: `[](…)` does not re-read, so there `[]` is quoted too).
+pub(crate) fn write_name(out: &mut String, name: &str, functor: bool) {
+    if atom_needs_quotes(name) || (functor && name == "[]") {
+        out.push('\'');
+        out.push_str(name);
+        out.push('\'');
+    } else {
+        out.push_str(name);
+    }
+}
+
 fn write_term(symbols: &SymbolTable, t: &Term, out: &mut String) {
     match t {
         Term::Var(v) => {
-            out.push_str("_G");
-            out.push_str(&v.0.to_string());
+            let _ = write!(out, "_G{}", v.0);
         }
-        Term::Int(n) => out.push_str(&n.to_string()),
-        Term::Atom(s) => out.push_str(symbols.name(*s)),
+        Term::Int(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Term::Atom(s) => write_name(out, symbols.name(*s), false),
         Term::Struct(f, args) => {
             let fname = symbols.name(*f);
             if fname == "." && args.len() == 2 {
                 write_list(symbols, t, out);
                 return;
             }
-            out.push_str(fname);
+            write_name(out, fname, true);
             out.push('(');
             for (i, a) in args.iter().enumerate() {
                 if i > 0 {
@@ -135,6 +160,36 @@ mod tests {
         let p = parse_program("l([]).").unwrap();
         let c = p.db.clause(crate::ClauseId(0));
         assert_eq!(term_to_string(&p.db, &c.head), "l([])");
+    }
+
+    #[test]
+    fn names_that_are_not_bare_atoms_render_quoted_and_read_back() {
+        let src = "w('Café', 'Sam Smith', '_0', 'a,b', [], '[]'(x), '.', 'a,b'('ü'), p1_1).";
+        let p = parse_program(src).unwrap();
+        let head = &p.db.clause(crate::ClauseId(0)).head;
+        let rendered = term_to_string(&p.db, head);
+        assert_eq!(
+            rendered,
+            "w('Café','Sam Smith','_0','a,b',[],'[]'(x),'.','a,b'('ü'),p1_1)"
+        );
+        let again = parse_program(&format!("{rendered}.")).unwrap();
+        assert_eq!(
+            term_to_string(&again.db, &again.db.clause(crate::ClauseId(0)).head),
+            rendered
+        );
+        for (name, quoted) in [
+            ("sam", false),
+            ("p1_1", false),
+            ("[]", false),
+            ("Sam", true),
+            ("_0", true),
+            ("", true),
+            ("é", true),
+            ("a b", true),
+            ("1a", true),
+        ] {
+            assert_eq!(atom_needs_quotes(name), quoted, "{name:?}");
+        }
     }
 
     #[test]

@@ -75,6 +75,24 @@ impl std::fmt::Display for DbError {
 
 impl std::error::Error for DbError {}
 
+/// Why [`ClauseDb::add_clause`] would refuse `clause`, if it would.
+pub(crate) fn check_clause(clause: &Clause) -> Result<(), DbError> {
+    if clause.head.functor().is_none() {
+        return Err(DbError::UncallableHead);
+    }
+    for (goal_idx, g) in clause.body.iter().enumerate() {
+        if g.functor().is_none() {
+            return Err(DbError::UncallableGoal { goal_idx });
+        }
+    }
+    if clause.body.len() > MAX_GOALS {
+        return Err(DbError::TooManyGoals {
+            goals: clause.body.len(),
+        });
+    }
+    Ok(())
+}
+
 /// The clause database: symbol table, clause blocks, predicate index and
 /// the per-goal candidate ("pointer") lists of figure 4.
 #[derive(Default, Clone, Debug)]
@@ -105,6 +123,11 @@ impl ClauseDb {
         &self.symbols
     }
 
+    /// The symbol table, for the reader to intern into.
+    pub(crate) fn symbols_mut(&mut self) -> &mut SymbolTable {
+        &mut self.symbols
+    }
+
     /// Look up an interned symbol by name.
     pub fn sym(&self, name: &str) -> Option<Sym> {
         self.symbols.get(name)
@@ -112,19 +135,7 @@ impl ClauseDb {
 
     /// Add a clause block. Returns its id.
     pub fn add_clause(&mut self, clause: Clause) -> Result<ClauseId, DbError> {
-        if clause.head.functor().is_none() {
-            return Err(DbError::UncallableHead);
-        }
-        for (goal_idx, g) in clause.body.iter().enumerate() {
-            if g.functor().is_none() {
-                return Err(DbError::UncallableGoal { goal_idx });
-            }
-        }
-        if clause.body.len() > MAX_GOALS {
-            return Err(DbError::TooManyGoals {
-                goals: clause.body.len(),
-            });
-        }
+        check_clause(&clause)?;
         let id = ClauseId(self.clauses.len() as u32);
         let pred = clause.head_pred();
         self.index.entry(pred).or_default().push(id);

@@ -1,5 +1,6 @@
 //! Requests and responses — the server's wire-shaped surface.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use blog_logic::{ClauseId, SearchStats};
@@ -113,8 +114,10 @@ pub enum Outcome {
     /// [`SearchStats::truncated`] for that distinction). Solutions are
     /// rendered binding texts, sorted, so two runs compare by `==`.
     Completed {
-        /// Sorted rendered solutions.
-        solutions: Vec<String>,
+        /// Sorted rendered solutions. A cache hit shares the answer
+        /// cache's copy, and a miss that fills the cache answers with the
+        /// copy it filled.
+        solutions: Arc<Vec<String>>,
     },
     /// The deadline reaper tripped the request's cancel token mid-search
     /// (or before it started). Whatever solutions the engine had already

@@ -265,7 +265,8 @@ struct OpenState {
     /// queue's condvar notified under its lock) releases idle workers.
     accepting: AtomicBool,
     progress: Mutex<Progress>,
-    /// Notified on every completion (for `quiesce`).
+    /// Notified when a completion leaves nothing in flight — the one
+    /// condition [`Submitter::quiesce`] waits for.
     idle: Condvar,
     next_query: AtomicUsize,
     next_update: AtomicUsize,
@@ -899,7 +900,9 @@ impl QueryServer {
                             self.cache.release();
                             let mut prog = lock_unpoisoned(&state.progress);
                             prog.finished += 1;
-                            state.idle.notify_all();
+                            if prog.finished == prog.queued {
+                                state.idle.notify_all();
+                            }
                         }
                         out
                     })
@@ -1224,9 +1227,7 @@ impl QueryServer {
                     Some(solutions) => {
                         self.degraded_cache_hits.fetch_add(1, Ordering::Relaxed);
                         (
-                            Outcome::Completed {
-                                solutions: (*solutions).clone(),
-                            },
+                            Outcome::Completed { solutions },
                             SearchStats::default(),
                             epoch,
                             ServedFrom::Cache,
@@ -1329,12 +1330,11 @@ impl QueryServer {
             if let Some(solutions) = hit {
                 // Answer-cache hit: the engine is bypassed entirely; the
                 // cached set is provably the sequential solution set of
-                // this epoch. The breaker is left alone — a hit probes
+                // this epoch, shared with the response rather than
+                // copied. The breaker is left alone — a hit probes
                 // nothing about the pool's storage path.
                 return (
-                    Outcome::Completed {
-                        solutions: (*solutions).clone(),
-                    },
+                    Outcome::Completed { solutions },
                     SearchStats::default(),
                     epoch,
                     ServedFrom::Cache,
@@ -1492,21 +1492,22 @@ impl QueryServer {
                     let complete = !stats.truncated
                         && !stats.depth_cutoff
                         && cap.is_none_or(|c| texts.len() < c);
+                    let solutions = Arc::new(texts);
                     if complete {
                         if let Some(k) = key {
                             if let Some(h) = h {
                                 h.event(
                                     attempt_id,
                                     "cache_fill",
-                                    format!("{} solutions", texts.len()),
+                                    format!("{} solutions", solutions.len()),
                                 );
                             }
-                            let solutions = Arc::new(texts.clone());
-                            self.cache.fill(k, epoch, snap.recorded_deps(), solutions);
+                            let deps = snap.recorded_deps();
+                            self.cache.fill(k, epoch, deps, Arc::clone(&solutions));
                         }
                     }
                     return (
-                        Outcome::Completed { solutions: texts },
+                        Outcome::Completed { solutions },
                         stats,
                         epoch,
                         ServedFrom::Engine,

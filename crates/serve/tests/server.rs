@@ -73,7 +73,7 @@ fn serves_family_queries_exactly() {
         assert_eq!(r.request, i, "responses in batch order");
         match &r.outcome {
             Outcome::Completed { solutions } => {
-                assert_eq!(solutions, &sequential_solutions(&p, text), "{text}");
+                assert_eq!(**solutions, sequential_solutions(&p, text), "{text}");
             }
             other => panic!("{text}: {other:?}"),
         }
@@ -542,6 +542,61 @@ fn answer_cache_hits_bypass_the_engine() {
 }
 
 #[test]
+fn quoted_names_get_their_own_answer_cache_entries() {
+    // `p('_0')` is not `p(X)`, and `q('a,b')` (arity 1) is not `q(a, b)`
+    // (arity 2): each must run on an engine, never take the other's
+    // cached answer.
+    let p = parse_program("p('_0'). p(b). q('a,b'). q(a,c).").unwrap();
+    let server = QueryServer::new(
+        &p.db,
+        store_cfg(p.db.len(), 8),
+        cached_config(CacheMode::Precise),
+    );
+    for (first, second) in [("p(X)", "p('_0')"), ("q('a,b')", "q(a, b)")] {
+        for text in [first, second] {
+            let report = server.serve(vec![QueryRequest::new(1, text)]);
+            let r = &report.responses[0];
+            assert_eq!(r.served_from, ServedFrom::Engine, "{text}");
+            assert_eq!(
+                r.outcome.solutions(),
+                sequential_solutions(&p, text),
+                "{text}"
+            );
+        }
+    }
+    assert_eq!(sequential_solutions(&p, "p('_0')"), ["true"]);
+    assert_eq!(sequential_solutions(&p, "p(X)"), ["X = '_0'", "X = b"]);
+    assert!(sequential_solutions(&p, "q(a, b)").is_empty());
+    // The same texts again are hits, with the same answers.
+    let again = server.serve(vec![
+        QueryRequest::new(1, "p('_0')"),
+        QueryRequest::new(1, "q(a, b)"),
+    ]);
+    for r in &again.responses {
+        assert_eq!(r.served_from, ServedFrom::Cache);
+    }
+    assert_eq!(again.responses[0].outcome.solutions(), ["true"]);
+    assert!(again.responses[1].outcome.solutions().is_empty());
+}
+
+#[test]
+fn list_queries_against_a_program_without_the_empty_list_are_answered() {
+    // The program only takes lists apart (`[X|_]`), so `[]` appears only
+    // in the query; it must still be served, not refused as unknown.
+    let p = parse_program("member(X, [X|_]). member(X, [_|T]) :- member(X, T). item(a). item(b).")
+        .unwrap();
+    let server = QueryServer::new(&p.db, store_cfg(p.db.len(), 8), ServeConfig::default());
+    for (text, want) in [
+        ("member(a, [a, b])", &["true"][..]),
+        ("member(X, [b])", &["X = b"]),
+    ] {
+        let report = server.serve(vec![QueryRequest::new(1, text)]);
+        assert_eq!(report.responses[0].outcome.solutions(), want, "{text}");
+        assert_eq!(sequential_solutions(&p, text), want, "{text}");
+    }
+}
+
+#[test]
 fn commits_invalidate_touched_predicates_and_spare_the_rest() {
     let p = parse_program(FAMILY).unwrap();
     let server = QueryServer::new(
@@ -705,6 +760,65 @@ fn governor_refuses_submissions_past_the_byte_budget() {
     assert_eq!(refused.store_accesses, 0);
 }
 
+#[test]
+fn quiesce_returns_with_three_pools_and_refused_submissions_mixed_in() {
+    // The pools wake a quiescing driver only when nothing is left in
+    // flight; refused submissions never enter that count, so they must
+    // not leave the driver waiting for a completion that never comes.
+    let p = parse_program(
+        "
+        edge(a,b). edge(b,a).
+        path(X,Y) :- edge(X,Y).
+        path(X,Z) :- edge(X,Y), path(Y,Z).
+    ",
+    )
+    .unwrap();
+    let server = QueryServer::new(
+        &p.db,
+        store_cfg(p.db.len(), 4),
+        ServeConfig {
+            n_pools: 3,
+            cache: CacheConfig {
+                mode: CacheMode::Precise,
+                budget_bytes: Some(2 * 16 * 1024),
+                request_reserve_bytes: 16 * 1024,
+            },
+            ..ServeConfig::default()
+        },
+    );
+    let (report, (queued, refused)) = server.serve_open(|s| {
+        let (mut queued, mut refused) = (0, 0);
+        for _round in 0..20 {
+            for session in 0..6 {
+                // Truncated by the node budget, so never cached: every
+                // admitted request holds its reservation while it runs.
+                let request = QueryRequest::new(session, "path(a, X)").with_max_nodes(2_000);
+                match s.submit(request) {
+                    Admission::Queued { .. } => queued += 1,
+                    Admission::Overloaded { .. } => refused += 1,
+                }
+            }
+            s.quiesce();
+            assert_eq!(s.pending(), 0);
+        }
+        (queued, refused)
+    });
+    assert!(
+        refused > 0,
+        "the budget holds two reservations, six arrive at once"
+    );
+    assert_eq!(report.responses.len(), queued + refused);
+    assert_eq!(report.stats.overloaded, refused);
+    assert_eq!(report.stats.completed, queued);
+    let pools: std::collections::HashSet<usize> = report
+        .responses
+        .iter()
+        .filter(|r| !matches!(r.outcome, Outcome::Overloaded { .. }))
+        .map(|r| r.pool)
+        .collect();
+    assert!(pools.len() > 1, "more than one pool served: {pools:?}");
+}
+
 // --- Resilience: retries, panic isolation, breakers, degraded serving.
 
 use blog_serve::{BreakerConfig, FaultPlan, FaultSite, RetryPolicy};
@@ -784,7 +898,7 @@ fn no_retry_ablation_fails_instead_of_answering_wrong() {
             Outcome::Completed { solutions } => {
                 // A lucky fault-free request still answers exactly.
                 let text = if r.session == SessionId(2) { "gf(curt, G)" } else { "gf(sam, G)" };
-                assert_eq!(solutions, &sequential_solutions(&p, text));
+                assert_eq!(**solutions, sequential_solutions(&p, text));
             }
             Outcome::Failed { advice, .. } => {
                 assert!(advice.retryable, "transient failures invite resubmission");
