@@ -644,6 +644,11 @@ pub fn parse_clauses_interning(
         let sym = symbols.intern(name);
         debug_assert_eq!(sym.index(), base + i);
     }
+    // As with program text, a table that has lists has `[]`, so an
+    // update that only takes lists apart still lets queries build them.
+    if symbols.get(".").is_some() {
+        symbols.intern("[]");
+    }
     Ok(clauses)
 }
 
@@ -839,6 +844,20 @@ mod tests {
         assert_eq!(names, ["g", "h", "new1", ".", "new2", "[]"]);
         let rendered = crate::pretty::clause_to_source(&syms, &clauses[0]);
         assert_eq!(rendered, "g(h(new1),[new2]).");
+    }
+
+    #[test]
+    fn updates_that_only_take_lists_apart_still_accept_list_queries() {
+        let p = parse_program("item(a). item(b).").unwrap();
+        let mut syms = p.db.symbols().clone();
+        let text = "member(X, [X|_]). member(X, [_|T]) :- member(X, T).";
+        parse_clauses_interning(&mut syms, text).unwrap();
+        assert!(syms.get("[]").is_some());
+        assert!(parse_query_symbols(&syms, "member(a, [a, b])").is_ok());
+        // Text without lists adds no `[]`.
+        let mut plain = p.db.symbols().clone();
+        parse_clauses_interning(&mut plain, "item(c).").unwrap();
+        assert!(plain.get("[]").is_none());
     }
 
     #[test]

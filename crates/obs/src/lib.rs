@@ -8,10 +8,9 @@
 //!
 //! - [`Registry`] — lock-cheap [`Counter`]s / [`Gauge`]s plus log-linear
 //!   bucket [`Histogram`]s (HDR-style: fixed memory, mergeable, ≤ 1/32
-//!   relative bucket width) that replace sorted-vec percentile math.
-//!   Every stat struct in the workspace exports into one via
-//!   [`RecordInto`]; a registry snapshots to a flat `Vec<(name, value)>`
-//!   and dumps as [`Json`].
+//!   relative bucket width) that replace sorted-vec percentile math: the
+//!   server's latency percentiles are [`Histogram`] reads. A registry
+//!   snapshots to a flat `Vec<(name, value)>` and dumps as [`Json`].
 //! - [`Tracer`] — structured per-request span trees
 //!   (admission → queue wait → attempt N → engine solve → store faults →
 //!   cache lookup/fill → commit wait) recorded into a seeded, bounded
@@ -31,7 +30,7 @@ pub mod registry;
 pub mod trace;
 
 pub use json::Json;
-pub use registry::{Counter, Gauge, Histogram, RecordInto, Registry};
+pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use trace::{
     now_ns, splitmix64, to_chrome_trace, to_jsonl, FlightRecorder, Span, SpanCtx, SpanGuard,
     SpanId, TraceConfig, TraceEvent, TraceHandle, TraceRecord, Tracer,

@@ -360,15 +360,6 @@ impl Registry {
     }
 }
 
-/// Export path every stat struct in the workspace implements: fold the
-/// struct's counters/gauges into `registry` under a stable name prefix.
-/// Call it on a fresh registry (or a fresh snapshot's delta): counter
-/// exports are additive.
-pub trait RecordInto {
-    /// Record this struct's fields into `registry`.
-    fn record_into(&self, registry: &Registry);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -126,25 +126,6 @@ pub struct CacheStats {
     pub reserved_bytes: usize,
 }
 
-impl blog_obs::RecordInto for CacheStats {
-    fn record_into(&self, registry: &blog_obs::Registry) {
-        registry.counter("cache.lookups").add(self.lookups);
-        registry.counter("cache.hits").add(self.hits);
-        registry.counter("cache.fills").add(self.fills);
-        registry.counter("cache.invalidations").add(self.invalidations);
-        registry.counter("cache.expired").add(self.expired);
-        registry.counter("cache.evictions").add(self.evictions);
-        registry.counter("cache.skipped_fills").add(self.skipped_fills);
-        registry.counter("cache.overloaded").add(self.overloaded);
-        registry.gauge("cache.entries").set(self.entries as f64);
-        registry.gauge("cache.bytes").set(self.bytes as f64);
-        registry
-            .gauge("cache.reserved_bytes")
-            .set(self.reserved_bytes as f64);
-        registry.gauge("cache.hit_rate").set(self.hit_rate());
-    }
-}
-
 impl CacheStats {
     /// Hit rate over attempted lookups, in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
@@ -278,11 +259,6 @@ impl AnswerCache {
                 counters: Counters::default(),
             }),
         }
-    }
-
-    /// This cache's configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Whether lookups and fills do anything at all.

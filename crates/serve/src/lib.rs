@@ -66,7 +66,8 @@
 //!   [`Outcome::Overloaded`] rather than queued.
 //!
 //! **Resilience** hardens the request path against a faulty store. A
-//! deterministic [`FaultPlan`] ([`ServeConfig::fault`]) injects
+//! deterministic [`FaultPlan`] on the store config
+//! ([`PagedStoreConfig::with_fault`](blog_spd::PagedStoreConfig::with_fault)) injects
 //! transient read errors, permanent track damage, latency spikes and
 //! worker panics at the paging layer; per-request retries with
 //! exponential backoff ([`RetryPolicy`]) absorb the transient ones, a
@@ -89,8 +90,10 @@
 //! caching and losses to store contention (the store's lock meters)
 //! rather than guessing.
 
+mod breaker;
 mod cache;
 mod request;
+mod retry;
 mod server;
 mod stats;
 pub mod tuning;
@@ -99,12 +102,12 @@ pub use blog_obs::{
     to_chrome_trace, to_jsonl, FlightRecorder, TraceConfig, TraceRecord, Tracer,
 };
 pub use blog_spd::{CommitMode, FaultKind, FaultPlan, FaultScope, FaultSite, IndexPolicy};
+pub use breaker::BreakerConfig;
 pub use cache::{AnswerCache, CacheConfig, CacheKey, CacheMode, CacheStats};
 pub use request::{
     Outcome, QueryRequest, QueryResponse, RetryAdvice, ServedFrom, SessionId, UpdateOp,
     UpdateOutcome, UpdateRequest, UpdateResponse,
 };
-pub use server::{
-    Admission, BreakerConfig, ExecMode, QueryServer, RetryPolicy, ServeConfig, Submitter,
-};
+pub use retry::RetryPolicy;
+pub use server::{Admission, ExecMode, QueryServer, ServeConfig, Submitter};
 pub use stats::{PoolReport, ServeReport, ServeStats, WarmthSplit};

@@ -16,16 +16,17 @@ use blog_logic::{
 };
 use blog_parallel::{par_best_first_on, par_best_first_with, Crew, FrontierPolicy, ParallelConfig};
 use blog_spd::{
-    CommitMode, FaultPlan, IndexPolicy, MvccClauseStore, MvccError, PagedStoreConfig,
-    PagedStoreStats,
+    CommitMode, IndexPolicy, MvccClauseStore, MvccError, PagedStoreConfig, PagedStoreStats,
 };
 
+use crate::breaker::{Breaker, BreakerConfig, Gate, Transition};
 use crate::cache::{AnswerCache, CacheConfig, CacheKey, CacheStats};
 use crate::request::{
     Outcome, QueryRequest, QueryResponse, RetryAdvice, ServedFrom, UpdateOp, UpdateOutcome,
     UpdateRequest, UpdateResponse,
 };
-use crate::stats::{hist_ms, warmth_splits, PoolReport, ServeReport, ServeStats};
+use crate::retry::RetryPolicy;
+use crate::stats::{hist_ms, PoolReport, ServeReport, ServeStats, WarmthSplit};
 
 use blog_obs::{splitmix64, SpanCtx, SpanId, TraceHandle, Tracer};
 
@@ -33,6 +34,9 @@ use blog_obs::{splitmix64, SpanCtx, SpanId, TraceHandle, Tracer};
 /// and request sequence always sample the same requests with the same
 /// trace ids, so flight-recorder contents are reproducible.
 const TRACE_SEED: u64 = 0xB10C_0B5E_7E1E_A55E;
+
+/// How often the deadline reaper rescans in-flight requests.
+const REAPER_POLL: Duration = Duration::from_micros(200);
 
 /// Lock a mutex, recovering from poisoning.
 ///
@@ -67,77 +71,6 @@ pub enum ExecMode {
     },
 }
 
-/// Per-request retry budget for transient storage faults and engine
-/// panics. Attempt `n` (0-based retry count) backs off for
-/// `base_backoff * 2^n` capped at `max_backoff`, plus a deterministic
-/// per-request jitter of up to 25% so a burst of faulted requests does
-/// not re-converge on the store in lockstep.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Extra engine attempts after the first (0 = never retry: a
-    /// transient fault or a panic then fails the request).
-    pub max_retries: u32,
-    /// Backoff before the first retry.
-    pub base_backoff: Duration,
-    /// Ceiling on any single backoff.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 4,
-            base_backoff: Duration::from_micros(200),
-            max_backoff: Duration::from_millis(5),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries (first fault fails the request).
-    pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        }
-    }
-}
-
-/// Per-pool circuit breaker configuration. A pool whose requests keep
-/// failing against storage (retry budgets exhausted, permanent faults,
-/// engine panics) trips open: new requests on that pool are served from
-/// the answer cache only (or failed fast) instead of queueing behind a
-/// sick disk path, and admissions reroute to healthy pools. After
-/// `cooldown` the next request probes the pool (half-open); one success
-/// closes the breaker, one failure re-opens it.
-#[derive(Clone, Copy, Debug)]
-pub struct BreakerConfig {
-    /// Consecutive request-level storage failures that trip the breaker.
-    pub failure_threshold: u32,
-    /// How long an open breaker routes around the pool before probing.
-    pub cooldown: Duration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_millis(25),
-        }
-    }
-}
-
-/// One pool's breaker state. Failures are counted at *request*
-/// granularity (a request that recovered via retries is a success), so
-/// transient noise the retry budget absorbs never trips the breaker —
-/// only requests that storage actually defeated do.
-#[derive(Clone, Copy, Debug)]
-enum BreakerState {
-    Closed { consecutive: u32 },
-    Open { since: Instant },
-    HalfOpen,
-}
-
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -168,23 +101,15 @@ pub struct ServeConfig {
     /// `benchmark/` crate reads it, and goes with the next `[benchmark]`
     /// change.
     pub commit: CommitMode,
-    /// Candidate-selection policy for the server's store (applied to the
-    /// store config at construction, so serving sweeps flip it in one
-    /// place): [`blog_spd::IndexPolicy::FirstArg`] narrows by the goal's
-    /// bound first argument through the per-epoch bitmap index;
-    /// [`blog_spd::IndexPolicy::None`] is the scan-everything baseline.
+    /// Inert: the store config's [`PagedStoreConfig::index`] picks the
+    /// candidate-selection policy. The field stays because the frozen
+    /// `benchmark/` crate reads it, and goes with the next `[benchmark]`
+    /// change.
     pub index: IndexPolicy,
-    /// How often the deadline reaper rescans in-flight requests.
-    pub reaper_poll: Duration,
     /// Answer cache and memory governor (see [`CacheConfig`]); default
     /// [`CacheMode::Off`](crate::CacheMode::Off) and ungoverned, which
     /// reproduces the pre-cache server exactly.
     pub cache: CacheConfig,
-    /// Deterministic storage fault schedule (see [`FaultPlan`]). When
-    /// `Some`, it overrides whatever plan the store config carries — one
-    /// knob for serving chaos experiments. `None` leaves the store
-    /// config's plan (usually also `None`: a fault-free store).
-    pub fault: Option<FaultPlan>,
     /// Retry budget for transient storage faults and engine panics.
     pub retry: RetryPolicy,
     /// Per-pool circuit breaker (see [`BreakerConfig`]).
@@ -207,9 +132,7 @@ impl Default for ServeConfig {
             stall_ns_per_tick: 0,
             commit: CommitMode::Mvcc,
             index: IndexPolicy::default(),
-            reaper_poll: Duration::from_micros(200),
             cache: CacheConfig::default(),
-            fault: None,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             trace: blog_obs::TraceConfig::off(),
@@ -369,9 +292,11 @@ impl Submitter<'_> {
         // cooldown has elapsed, the request is allowed through as the
         // half-open probe; when every pool is sick, the routed pool
         // keeps it and serves degraded.)
-        if self.server.breaker_cooling(pool) {
+        let now = Instant::now();
+        let cooling = |q: usize| lock_unpoisoned(&self.server.breakers[q]).cooling(now);
+        if cooling(pool) {
             let healthy = (0..n_pools)
-                .filter(|&q| q != pool && !self.server.breaker_cooling(q))
+                .filter(|&q| q != pool && !cooling(q))
                 .min_by_key(|&q| state.queues[q].depth.load(Ordering::Relaxed));
             if let Some(alt) = healthy {
                 pool = alt;
@@ -401,7 +326,6 @@ impl Submitter<'_> {
             });
             return Admission::Overloaded { request: idx };
         }
-        let now = Instant::now();
         let cancel = CancelToken::new();
         let deadline = request.deadline.map(|d| now + d);
         if let Some(at) = deadline {
@@ -518,7 +442,7 @@ pub struct QueryServer {
     /// One circuit breaker per pool (state persists across batches: a
     /// pool that tripped at the end of one run is still sick at the
     /// start of the next).
-    breakers: Vec<Mutex<BreakerState>>,
+    breakers: Vec<Mutex<Breaker>>,
     /// Cumulative resilience meters (serve runs report deltas).
     retries: AtomicU64,
     breaker_opens: AtomicU64,
@@ -561,15 +485,11 @@ impl QueryServer {
         if let ExecMode::OrParallel { n_workers, .. } = config.exec {
             assert!(n_workers >= 1, "need at least one worker per request");
         }
-        let mut store_config = store_config.with_index(config.index);
-        if config.fault.is_some() {
-            store_config = store_config.with_fault(config.fault.clone());
-        }
         let store = MvccClauseStore::new(db, store_config, config.commit);
         store.set_write_stall(config.stall_ns_per_tick);
         let cache = AnswerCache::new(config.cache.clone());
         let breakers = (0..config.n_pools)
-            .map(|_| Mutex::new(BreakerState::Closed { consecutive: 0 }))
+            .map(|_| Mutex::new(Breaker::new(config.breaker)))
             .collect();
         let config_trace = config.trace;
         QueryServer {
@@ -594,17 +514,6 @@ impl QueryServer {
         &self.store
     }
 
-    /// The answer cache (for inspecting hit/fill/invalidation counters
-    /// between batches).
-    pub fn answer_cache(&self) -> &AnswerCache {
-        &self.cache
-    }
-
-    /// The server's configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
     /// The request tracer (sampler plus flight recorder). Snapshot its
     /// [`recorder`](Tracer::recorder) after a run to inspect or export
     /// the sampled requests' span trees.
@@ -622,105 +531,21 @@ impl QueryServer {
         (splitmix64(session) % self.config.n_pools as u64) as usize
     }
 
-    /// Whether pool `p`'s breaker is open and still inside its cooldown
-    /// (the admission-time reroute predicate; does not transition state).
-    fn breaker_cooling(&self, p: usize) -> bool {
-        match *lock_unpoisoned(&self.breakers[p]) {
-            BreakerState::Open { since } => since.elapsed() < self.config.breaker.cooldown,
-            _ => false,
-        }
-    }
-
-    /// Execution-time breaker gate for pool `p`: `None` = run an engine
-    /// (closed, or open-and-cooled — the state moves to half-open and
-    /// this request is the probe); `Some(remaining)` = the breaker is
-    /// open for another `remaining`, serve degraded.
-    fn breaker_admit(&self, p: usize, trace: Option<&TraceHandle>) -> Option<Duration> {
-        let mut state = lock_unpoisoned(&self.breakers[p]);
-        match *state {
-            BreakerState::Closed { .. } | BreakerState::HalfOpen => None,
-            BreakerState::Open { since } => {
-                let elapsed = since.elapsed();
-                if elapsed >= self.config.breaker.cooldown {
-                    *state = BreakerState::HalfOpen;
-                    if let Some(h) = trace {
-                        h.event(
-                            SpanId::ROOT,
-                            "breaker_half_open",
-                            format!("pool {p}: cooldown elapsed, this request probes"),
-                        );
-                    }
-                    None
-                } else {
-                    Some(self.config.breaker.cooldown - elapsed)
-                }
-            }
-        }
-    }
-
-    /// A request on pool `p` got a real answer out of storage: reset the
-    /// failure streak (and close a half-open breaker — the probe passed).
-    fn breaker_success(&self, p: usize, trace: Option<&TraceHandle>) {
-        let mut state = lock_unpoisoned(&self.breakers[p]);
-        if matches!(*state, BreakerState::HalfOpen) {
-            if let Some(h) = trace {
-                h.event(
-                    SpanId::ROOT,
-                    "breaker_closed",
-                    format!("pool {p}: half-open probe succeeded"),
-                );
-            }
-        }
-        *state = BreakerState::Closed { consecutive: 0 };
-    }
-
-    /// A request on pool `p` was defeated by storage (retry budget
-    /// exhausted, permanent fault, or engine panic): extend the streak,
-    /// tripping the breaker at the threshold; a failed half-open probe
-    /// re-opens immediately.
-    fn breaker_failure(&self, p: usize, trace: Option<&TraceHandle>) {
-        let mut state = lock_unpoisoned(&self.breakers[p]);
-        let mut opened = false;
-        match *state {
-            BreakerState::Closed { consecutive } => {
-                let consecutive = consecutive + 1;
-                if consecutive >= self.config.breaker.failure_threshold {
-                    *state = BreakerState::Open { since: Instant::now() };
-                    self.breaker_opens.fetch_add(1, Ordering::Relaxed);
-                    opened = true;
-                } else {
-                    *state = BreakerState::Closed { consecutive };
-                }
-            }
-            BreakerState::HalfOpen => {
-                *state = BreakerState::Open { since: Instant::now() };
+    /// Step pool `p`'s breaker with a request's verdict from storage,
+    /// metering and tracing the transition it makes, if any.
+    fn record_verdict(&self, p: usize, success: bool, trace: Option<&TraceHandle>) {
+        let transition = lock_unpoisoned(&self.breakers[p]).record(success, Instant::now());
+        let (name, why) = match transition {
+            None => return,
+            Some(Transition::Opened) => {
                 self.breaker_opens.fetch_add(1, Ordering::Relaxed);
-                opened = true;
+                ("breaker_open", "failure streak hit the threshold")
             }
-            BreakerState::Open { .. } => {}
+            Some(Transition::Closed) => ("breaker_closed", "half-open probe succeeded"),
+        };
+        if let Some(h) = trace {
+            h.event(SpanId::ROOT, name, format!("pool {p}: {why}"));
         }
-        if opened {
-            if let Some(h) = trace {
-                h.event(
-                    SpanId::ROOT,
-                    "breaker_open",
-                    format!("pool {p}: failure streak hit the threshold"),
-                );
-            }
-        }
-    }
-
-    /// Backoff before retry number `attempt` (1-based) of request `idx`:
-    /// exponential in the attempt, capped, plus a deterministic
-    /// per-(request, attempt) jitter of up to 25%.
-    fn backoff_delay(&self, idx: usize, attempt: u32) -> Duration {
-        let policy = &self.config.retry;
-        let exp = policy
-            .base_backoff
-            .saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
-        let capped = exp.min(policy.max_backoff);
-        let jitter = splitmix64(((idx as u64) << 8) ^ attempt as u64) % 256;
-        capped + capped.mul_f64(jitter as f64 / 1024.0)
     }
 
     /// Apply one batch of ops as a single atomic transaction and commit.
@@ -908,27 +733,22 @@ impl QueryServer {
                     })
                 })
                 .collect();
-            {
-                let poll = self.config.reaper_poll;
-                scope.spawn(move || loop {
-                    let now = Instant::now();
-                    lock_unpoisoned(&state.reaper_watch).retain(|(at, token)| {
-                        if now >= *at {
-                            token.cancel();
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    let open = state.accepting.load(Ordering::Acquire);
-                    if (!open && state.in_flight() == 0)
-                        || pools_alive.load(Ordering::Acquire) == 0
-                    {
-                        break;
+            scope.spawn(move || loop {
+                let now = Instant::now();
+                lock_unpoisoned(&state.reaper_watch).retain(|(at, token)| {
+                    if now >= *at {
+                        token.cancel();
+                        false
+                    } else {
+                        true
                     }
-                    std::thread::sleep(poll);
                 });
-            }
+                let open = state.accepting.load(Ordering::Acquire);
+                if (!open && state.in_flight() == 0) || pools_alive.load(Ordering::Acquire) == 0 {
+                    break;
+                }
+                std::thread::sleep(REAPER_POLL);
+            });
 
             // Closes admission when dropped: workers drain what is queued
             // and exit. Taking each queue's lock before notifying closes
@@ -1007,41 +827,34 @@ impl QueryServer {
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         update_responses.sort_by_key(|r| r.request);
         let total = responses.len();
-        // Latency percentiles cover requests that reached a pool;
-        // governor-refused submissions never ran and would only dilute
-        // the signal with zeros.
-        let executed: Vec<&QueryResponse> = responses
-            .iter()
-            .filter(|r| !matches!(r.outcome, Outcome::Overloaded { .. }))
-            .collect();
-        let service_ms: Vec<f64> = executed
-            .iter()
-            .map(|r| r.service.as_secs_f64() * 1e3)
-            .collect();
-        let wait_ms: Vec<f64> = executed
-            .iter()
-            .map(|r| r.queue_wait.as_secs_f64() * 1e3)
-            .collect();
+        // One pass counts the outcomes and collects the latency samples
+        // and the warm/cold store traffic. Latency percentiles cover
+        // requests that reached a pool: governor-refused submissions
+        // never ran and would only dilute the signal with zeros. The
+        // warmth split covers requests that read the store to an answer.
+        let [mut completed, mut cancelled, mut rejected, mut overloaded, mut failed] = [0; 5];
+        let (mut service_ms, mut wait_ms) = (Vec::with_capacity(total), Vec::with_capacity(total));
+        let (mut warm, mut cold) = (WarmthSplit::default(), WarmthSplit::default());
+        for r in &responses {
+            match r.outcome {
+                Outcome::Overloaded { .. } => {
+                    overloaded += 1;
+                    continue;
+                }
+                Outcome::Rejected { .. } => rejected += 1,
+                Outcome::Failed { .. } => failed += 1,
+                Outcome::Completed { .. } => completed += 1,
+                Outcome::Cancelled { .. } => cancelled += 1,
+            }
+            if matches!(r.outcome, Outcome::Completed { .. } | Outcome::Cancelled { .. }) {
+                let split = if r.warm { &mut warm } else { &mut cold };
+                split.add(r);
+            }
+            service_ms.push(r.service.as_secs_f64() * 1e3);
+            wait_ms.push(r.queue_wait.as_secs_f64() * 1e3);
+        }
         let service_hist = hist_ms(&service_ms);
         let wait_hist = hist_ms(&wait_ms);
-        let (warm, cold) = warmth_splits(&responses);
-        let completed = responses.iter().filter(|r| r.outcome.is_completed()).count();
-        let cancelled = responses
-            .iter()
-            .filter(|r| matches!(r.outcome, Outcome::Cancelled { .. }))
-            .count();
-        let rejected = responses
-            .iter()
-            .filter(|r| matches!(r.outcome, Outcome::Rejected { .. }))
-            .count();
-        let overloaded = responses
-            .iter()
-            .filter(|r| matches!(r.outcome, Outcome::Overloaded { .. }))
-            .count();
-        let failed = responses
-            .iter()
-            .filter(|r| matches!(r.outcome, Outcome::Failed { .. }))
-            .count();
         let mvcc_after = self.store.mvcc_stats();
         let store = stats_delta(store_before, self.store.stats());
         let cache = CacheStats::delta(cache_before, self.cache.stats());
@@ -1068,9 +881,6 @@ impl QueryServer {
             commits: mvcc_after.commits - mvcc_before.commits,
             final_epoch: mvcc_after.committed_epoch,
             per_pool,
-            index_hits: store.index_hits,
-            index_prunes: store.index_prunes,
-            candidates_scanned: store.candidates_scanned,
             store,
             cache,
             warm,
@@ -1116,10 +926,8 @@ impl QueryServer {
                 self.store.committed_epoch(),
                 ServedFrom::Engine,
             )
-        } else if let Some(remaining) = self.breaker_admit(p, job.trace.as_ref()) {
-            self.execute_degraded(p, &job, remaining)
         } else {
-            self.execute_attempts(p, &job, crew)
+            self.execute_attempts(p, &job, started, crew)
         };
         // The pool has now seen this session — but only if an engine ran
         // to an answer: a parse rejection, an expired-in-queue shed, a
@@ -1168,90 +976,14 @@ impl QueryServer {
         }
     }
 
-    /// Serve one request with pool `p`'s breaker open: the engine — and
-    /// the sick storage path behind it — is never touched. A still-valid
-    /// answer-cache entry for the canonical query answers the request
-    /// anyway ([`ServedFrom::Cache`], counted as a degraded cache hit);
-    /// anything else fails fast, with the breaker's remaining cooldown
-    /// as the client's retry hint.
-    fn execute_degraded(
-        &self,
-        p: usize,
-        job: &Job,
-        remaining: Duration,
-    ) -> (Outcome, SearchStats, u64, ServedFrom) {
-        if let Some(h) = &job.trace {
-            h.event(
-                SpanId::ROOT,
-                "degraded",
-                format!("pool {p} breaker open for {remaining:?}; cache-only"),
-            );
-        }
-        // Pinning a snapshot reads no pages: the symbol table and epoch
-        // live in memory, so parse + cache lookup are safe against any
-        // storage fault.
-        let snap = self.store.begin_read().for_pool(p);
-        let epoch = snap.epoch();
-        match parse_query_symbols(snap.symbols(), &job.request.text) {
-            Err(e) => (
-                Outcome::Rejected {
-                    error: e.to_string(),
-                },
-                SearchStats::default(),
-                epoch,
-                ServedFrom::Engine,
-            ),
-            Ok(query) => {
-                let mut solve = self.config.solve.clone();
-                if job.request.max_nodes.is_some() {
-                    solve.max_nodes = job.request.max_nodes;
-                }
-                if job.request.max_solutions.is_some() {
-                    solve.max_solutions = job.request.max_solutions;
-                }
-                let key = self.cache.enabled().then(|| CacheKey {
-                    canon: canonical_query(snap.symbols(), &query),
-                    max_nodes: solve.max_nodes,
-                    max_solutions: solve.max_solutions,
-                    max_depth: solve.max_depth,
-                });
-                let hit = key.as_ref().and_then(|k| self.cache.lookup(k, epoch));
-                if let Some(h) = &job.trace {
-                    h.event(
-                        SpanId::ROOT,
-                        "cache_lookup",
-                        if hit.is_some() { "hit" } else { "miss" },
-                    );
-                }
-                match hit {
-                    Some(solutions) => {
-                        self.degraded_cache_hits.fetch_add(1, Ordering::Relaxed);
-                        (
-                            Outcome::Completed { solutions },
-                            SearchStats::default(),
-                            epoch,
-                            ServedFrom::Cache,
-                        )
-                    }
-                    None => (
-                        Outcome::Failed {
-                            error: format!(
-                                "pool {p} circuit breaker open; no cached answer covers epoch {epoch}"
-                            ),
-                            advice: RetryAdvice::after(remaining),
-                        },
-                        SearchStats::default(),
-                        epoch,
-                        ServedFrom::Engine,
-                    ),
-                }
-            }
-        }
-    }
-
-    /// Run one request's engine attempts on pool `p`: a fresh
-    /// epoch-pinned snapshot per attempt, a panic shield around the
-    /// engine, and the retry budget absorbing transient storage faults.
+    /// Answer one request on pool `p`. The breaker's gate is read once
+    /// at `now`; then each attempt pins a fresh epoch snapshot, parses
+    /// against it, probes the answer cache and, on a miss, runs the engine
+    /// behind a panic shield, until an attempt answers, fails for good or
+    /// spends the retry budget. While the breaker is open the engine — and
+    /// the sick storage path behind it — is never touched: a cache hit
+    /// still answers (a degraded cache hit), a miss fails fast with the
+    /// remaining cooldown as the client's retry hint.
     ///
     /// The soundness rule of the whole path: a response is either the
     /// pinned epoch's **exact** sequential solution set (engine ran
@@ -1263,9 +995,34 @@ impl QueryServer {
         &'a self,
         p: usize,
         job: &Job,
+        now: Instant,
         crew: Option<&Crew<'a>>,
     ) -> (Outcome, SearchStats, u64, ServedFrom) {
         let h = job.trace.as_ref();
+        let gate = lock_unpoisoned(&self.breakers[p]).gate(now);
+        let degraded = match gate {
+            Gate::Run => None,
+            Gate::Probe => {
+                if let Some(h) = h {
+                    h.event(
+                        SpanId::ROOT,
+                        "breaker_half_open",
+                        format!("pool {p}: cooldown elapsed, this request probes"),
+                    );
+                }
+                None
+            }
+            Gate::Degraded { remaining } => {
+                if let Some(h) = h {
+                    h.event(
+                        SpanId::ROOT,
+                        "degraded",
+                        format!("pool {p} breaker open for {remaining:?}; cache-only"),
+                    );
+                }
+                Some(remaining)
+            }
+        };
         let mut attempt: u32 = 0;
         loop {
             // One span per attempt; everything the attempt does (parse,
@@ -1279,7 +1036,9 @@ impl QueryServer {
             // pages whatever commits land meanwhile. A retry pins a
             // *fresh* snapshot — commits may have landed during the
             // backoff, and the response's epoch tag must match the pages
-            // the successful attempt actually read.
+            // the successful attempt actually read. Pinning, parsing and
+            // the cache probe read no pages, so a degraded request does
+            // them too.
             let mut snap = self
                 .store
                 .begin_read()
@@ -1333,11 +1092,27 @@ impl QueryServer {
                 // this epoch, shared with the response rather than
                 // copied. The breaker is left alone — a hit probes
                 // nothing about the pool's storage path.
+                if degraded.is_some() {
+                    self.degraded_cache_hits.fetch_add(1, Ordering::Relaxed);
+                }
                 return (
                     Outcome::Completed { solutions },
                     SearchStats::default(),
                     epoch,
                     ServedFrom::Cache,
+                );
+            }
+            if let Some(remaining) = degraded {
+                return (
+                    Outcome::Failed {
+                        error: format!(
+                            "pool {p} circuit breaker open; no cached answer covers epoch {epoch}"
+                        ),
+                        advice: RetryAdvice::after(remaining),
+                    },
+                    SearchStats::default(),
+                    epoch,
+                    ServedFrom::Engine,
                 );
             }
             if key.is_some() {
@@ -1359,114 +1134,57 @@ impl QueryServer {
             // which would strand the queue's condvar waiters and take
             // every later request on the pool down with it. A panic on a
             // crew helper is caught there and re-raised here.
-            let run = catch_unwind(AssertUnwindSafe(|| match self.config.exec {
-                ExecMode::Sequential => {
-                    let mut overlay = HashMap::new();
-                    let mut wview = WeightView::new(&mut overlay, &self.weights);
-                    let cfg = BestFirstConfig {
-                        solve,
-                        learn: false,
-                        cancel: Some(job.cancel.clone()),
-                        ..BestFirstConfig::default()
-                    };
-                    let r = best_first_with(&*snap, &query, &mut wview, &cfg);
-                    let texts = r
-                        .solutions
-                        .iter()
-                        .map(|s| s.solution.to_text_syms(snap.symbols()))
-                        .collect::<Vec<_>>();
-                    (texts, r.stats, r.store_error)
-                }
-                ExecMode::OrParallel { n_workers, policy } => {
-                    let cfg = ParallelConfig {
-                        n_workers,
-                        policy,
-                        solve,
-                        learn: false,
-                        cancel: Some(job.cancel.clone()),
-                        ..ParallelConfig::default()
-                    };
-                    let r = match crew {
-                        Some(crew) => par_best_first_on(
-                            crew,
-                            Arc::clone(&snap),
-                            Arc::new(query),
-                            &self.weights,
-                            &cfg,
-                        ),
-                        None => par_best_first_with(&*snap, &query, &self.weights, &cfg),
-                    };
-                    let texts = r
-                        .solutions
-                        .iter()
-                        .map(|s| s.solution.to_text_syms(snap.symbols()))
-                        .collect::<Vec<_>>();
-                    (texts, r.stats, r.store_error)
-                }
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                let cancel = Some(job.cancel.clone());
+                let (found, stats, store_error) = match self.config.exec {
+                    ExecMode::Sequential => {
+                        let mut overlay = HashMap::new();
+                        let mut wview = WeightView::new(&mut overlay, &self.weights);
+                        let cfg = BestFirstConfig {
+                            solve,
+                            learn: false,
+                            cancel,
+                            ..BestFirstConfig::default()
+                        };
+                        let r = best_first_with(&*snap, &query, &mut wview, &cfg);
+                        (r.solutions, r.stats, r.store_error)
+                    }
+                    ExecMode::OrParallel { n_workers, policy } => {
+                        let cfg = ParallelConfig {
+                            n_workers,
+                            policy,
+                            solve,
+                            learn: false,
+                            cancel,
+                            ..ParallelConfig::default()
+                        };
+                        let r = match crew {
+                            Some(crew) => par_best_first_on(
+                                crew,
+                                Arc::clone(&snap),
+                                Arc::new(query),
+                                &self.weights,
+                                &cfg,
+                            ),
+                            None => par_best_first_with(&*snap, &query, &self.weights, &cfg),
+                        };
+                        (r.solutions, r.stats, r.store_error)
+                    }
+                };
+                let texts: Vec<String> = found
+                    .iter()
+                    .map(|s| s.solution.to_text_syms(snap.symbols()))
+                    .collect();
+                (texts, stats, store_error)
             }));
             drop(engine_span);
-            let retry_left = attempt < self.config.retry.max_retries && !job.cancel.is_cancelled();
-            match run {
-                Err(payload) => {
-                    // Panic isolation. The attempt's snapshot is gone and
-                    // every lock it could have poisoned recovers (see
-                    // `lock_unpoisoned`); injected panics are positional
-                    // in the fault schedule, so a retry draws fresh luck
-                    // exactly like a transient read fault.
-                    if retry_left {
-                        attempt += 1;
-                        self.retries.fetch_add(1, Ordering::Relaxed);
-                        if let Some(h) = h {
-                            h.event(attempt_id, "retry", "engine panicked");
-                        }
-                        drop(attempt_span);
-                        let _backoff = h.map(|h| h.span(SpanId::ROOT, "backoff"));
-                        std::thread::sleep(self.backoff_delay(job.idx, attempt));
-                        continue;
-                    }
-                    self.breaker_failure(p, h);
-                    return (
-                        Outcome::Failed {
-                            error: format!("engine panicked: {}", panic_text(&payload)),
-                            advice: RetryAdvice::after(self.config.breaker.cooldown),
-                        },
-                        SearchStats::default(),
-                        epoch,
-                        ServedFrom::Engine,
-                    );
-                }
-                Ok((_, stats, Some(e))) => {
-                    // The engine aborted on a storage fault; whatever it
-                    // had enumerated is discarded (see the method docs).
-                    if e.is_transient() && retry_left {
-                        attempt += 1;
-                        self.retries.fetch_add(1, Ordering::Relaxed);
-                        if let Some(h) = h {
-                            h.event(attempt_id, "retry", format!("transient fault: {e}"));
-                        }
-                        drop(attempt_span);
-                        let _backoff = h.map(|h| h.span(SpanId::ROOT, "backoff"));
-                        std::thread::sleep(self.backoff_delay(job.idx, attempt));
-                        continue;
-                    }
-                    self.breaker_failure(p, h);
-                    let advice = if e.is_transient() {
-                        RetryAdvice::after(self.backoff_delay(job.idx, attempt + 1))
-                    } else {
-                        RetryAdvice::give_up()
-                    };
-                    return (
-                        Outcome::Failed {
-                            error: e.to_string(),
-                            advice,
-                        },
-                        stats,
-                        epoch,
-                        ServedFrom::Engine,
-                    );
-                }
+            // A clean run answers. A panic or a storage fault fails the
+            // attempt, and whatever it had enumerated is discarded (see
+            // the method docs): a transient one retries while the budget
+            // lasts, anything else fails the request.
+            let (error, stats, transient, advice) = match run {
                 Ok((mut texts, stats, None)) => {
-                    self.breaker_success(p, h);
+                    self.record_verdict(p, true, h);
                     texts.sort();
                     // Classify from what actually stopped the engine,
                     // not from the token alone: a reaper firing *after*
@@ -1513,7 +1231,44 @@ impl QueryServer {
                         ServedFrom::Engine,
                     );
                 }
+                // Injected panics are positional in the fault schedule,
+                // so a retry draws fresh luck exactly like a transient
+                // read fault; the attempt's snapshot is gone and every
+                // lock it could have poisoned recovers (see
+                // `lock_unpoisoned`).
+                Err(payload) => (
+                    format!("engine panicked: {}", panic_text(&payload)),
+                    SearchStats::default(),
+                    true,
+                    RetryAdvice::after(self.config.breaker.cooldown),
+                ),
+                Ok((_, stats, Some(e))) => {
+                    let advice = if e.is_transient() {
+                        RetryAdvice::after(self.config.retry.backoff(job.idx, attempt + 1))
+                    } else {
+                        RetryAdvice::give_up()
+                    };
+                    (e.to_string(), stats, e.is_transient(), advice)
+                }
+            };
+            if transient && attempt < self.config.retry.max_retries && !job.cancel.is_cancelled() {
+                attempt += 1;
+                self.retries.fetch_add(1, Ordering::Relaxed);
+                if let Some(h) = h {
+                    h.event(attempt_id, "retry", error);
+                }
+                drop(attempt_span);
+                let _backoff = h.map(|h| h.span(SpanId::ROOT, "backoff"));
+                std::thread::sleep(self.config.retry.backoff(job.idx, attempt));
+                continue;
             }
+            self.record_verdict(p, false, h);
+            return (
+                Outcome::Failed { error, advice },
+                stats,
+                epoch,
+                ServedFrom::Engine,
+            );
         }
     }
 }

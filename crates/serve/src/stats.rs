@@ -46,7 +46,7 @@ impl WarmthSplit {
         self.hits as f64 / self.accesses as f64
     }
 
-    fn add(&mut self, r: &QueryResponse) {
+    pub(crate) fn add(&mut self, r: &QueryResponse) {
         self.requests += 1;
         self.accesses += r.store_accesses;
         self.hits += r.store_hits;
@@ -108,16 +108,6 @@ pub struct ServeStats {
     /// The shared store's counters over the run (deltas, lock meters
     /// included).
     pub store: PagedStoreStats,
-    /// Candidate resolutions that went through the first-argument bitmap
-    /// index (copy of `store.index_hits`, hoisted so report tables can
-    /// cite it without digging into the store block).
-    pub index_hits: u64,
-    /// Candidates the index pruned before any unification attempt
-    /// (copy of `store.index_prunes`).
-    pub index_prunes: u64,
-    /// Candidates handed to engines over the run (copy of
-    /// `store.candidates_scanned`).
-    pub candidates_scanned: u64,
     /// Answer-cache counters over the run (deltas; byte gauges are the
     /// end-of-run values).
     pub cache: CacheStats,
@@ -196,34 +186,6 @@ impl ServeStats {
     }
 }
 
-impl blog_obs::RecordInto for ServeStats {
-    fn record_into(&self, registry: &blog_obs::Registry) {
-        registry.counter("serve.requests").add(self.requests as u64);
-        registry.counter("serve.completed").add(self.completed as u64);
-        registry.counter("serve.cancelled").add(self.cancelled as u64);
-        registry.counter("serve.rejected").add(self.rejected as u64);
-        registry.counter("serve.overloaded").add(self.overloaded as u64);
-        registry.counter("serve.failed").add(self.failed as u64);
-        registry.counter("serve.retries").add(self.retries);
-        registry.counter("serve.breaker_opens").add(self.breaker_opens);
-        registry
-            .counter("serve.breaker_reroutes")
-            .add(self.breaker_reroutes);
-        registry
-            .counter("serve.degraded_cache_hits")
-            .add(self.degraded_cache_hits);
-        registry.counter("serve.commits").add(self.commits);
-        registry
-            .counter("serve.overflow_admissions")
-            .add(self.overflow_admissions);
-        registry.gauge("serve.throughput_rps").set(self.throughput_rps);
-        registry.histogram("serve.p50_ms").record_ms(self.p50_ms);
-        registry.histogram("serve.p99_ms").record_ms(self.p99_ms);
-        self.store.record_into(registry);
-        self.cache.record_into(registry);
-    }
-}
-
 /// Everything a serve run returns.
 #[derive(Clone, Debug)]
 pub struct ServeReport {
@@ -262,27 +224,6 @@ pub(crate) fn percentile_ms(samples: &[f64], q: f64) -> f64 {
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
-}
-
-pub(crate) fn warmth_splits(responses: &[QueryResponse]) -> (WarmthSplit, WarmthSplit) {
-    let mut warm = WarmthSplit::default();
-    let mut cold = WarmthSplit::default();
-    for r in responses {
-        if matches!(
-            r.outcome,
-            crate::Outcome::Rejected { .. }
-                | crate::Outcome::Overloaded { .. }
-                | crate::Outcome::Failed { .. }
-        ) {
-            continue;
-        }
-        if r.warm {
-            warm.add(r);
-        } else {
-            cold.add(r);
-        }
-    }
-    (warm, cold)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use blog_serve::{
     Admission, CacheConfig, CacheMode, ExecMode, Outcome, QueryRequest, QueryServer, ServeConfig,
     ServedFrom, SessionId, TraceConfig, TraceRecord, UpdateOp, UpdateOutcome,
 };
-use blog_spd::{Geometry, PagedStoreConfig, PolicyKind};
+use blog_spd::{Geometry, IndexPolicy, PagedStoreConfig, PolicyKind};
 use blog_workloads::{tenant_mix_program, tenant_mix_requests, FamilyParams, TenantMix};
 
 const FAMILY: &str = "
@@ -597,6 +597,42 @@ fn list_queries_against_a_program_without_the_empty_list_are_answered() {
 }
 
 #[test]
+fn list_queries_after_an_update_that_only_takes_lists_apart_are_answered() {
+    // The base has no lists at all; the update brings `'.'` in through
+    // `[X|_]` patterns only, and `[]` must come with it.
+    let p = parse_program("item(a). item(b).").unwrap();
+    let server = QueryServer::new(&p.db, store_cfg(p.db.len(), 8), ServeConfig::default());
+    server
+        .apply_update(&[UpdateOp::Assert {
+            text: "member(X,[X|_]). member(X,[_|T]) :- member(X,T).".into(),
+        }])
+        .unwrap();
+    for (text, want) in [
+        ("member(a, [a, b])", &["true"][..]),
+        ("member(X, [b])", &["X = b"]),
+    ] {
+        let report = server.serve(vec![QueryRequest::new(1, text)]);
+        assert_eq!(report.responses[0].outcome.solutions(), want, "{text}");
+    }
+}
+
+#[test]
+fn the_store_config_picks_the_index_policy() {
+    let p = parse_program(FAMILY).unwrap();
+    for (index, indexed) in [(IndexPolicy::None, false), (IndexPolicy::FirstArg, true)] {
+        let server = QueryServer::new(
+            &p.db,
+            store_cfg(p.db.len(), 4).with_index(index),
+            ServeConfig::default(),
+        );
+        assert_eq!(server.store().index_policy(), index);
+        let report = server.serve(vec![QueryRequest::new(1, "gf(sam, G)")]);
+        assert_eq!(report.stats.completed, 1);
+        assert_eq!(report.stats.store.index_hits > 0, indexed, "{index:?}");
+    }
+}
+
+#[test]
 fn commits_invalidate_touched_predicates_and_spare_the_rest() {
     let p = parse_program(FAMILY).unwrap();
     let server = QueryServer::new(
@@ -845,10 +881,9 @@ fn transient_faults_are_absorbed_by_retries() {
     let p = parse_program(FAMILY).unwrap();
     let server = QueryServer::new(
         &p.db,
-        store_cfg(p.db.len(), 4),
+        store_cfg(p.db.len(), 4).with_fault(Some(FaultPlan::transient(42, 0.05))),
         ServeConfig {
             n_pools: 1,
-            fault: Some(FaultPlan::transient(42, 0.05)),
             retry: eager_retry(),
             breaker: no_breaker(),
             ..ServeConfig::default()
@@ -877,10 +912,9 @@ fn no_retry_ablation_fails_instead_of_answering_wrong() {
     let p = parse_program(FAMILY).unwrap();
     let server = QueryServer::new(
         &p.db,
-        store_cfg(p.db.len(), 4),
+        store_cfg(p.db.len(), 4).with_fault(Some(FaultPlan::transient(42, 0.05))),
         ServeConfig {
             n_pools: 1,
-            fault: Some(FaultPlan::transient(42, 0.05)),
             retry: RetryPolicy::none(),
             breaker: no_breaker(),
             ..ServeConfig::default()
@@ -914,10 +948,11 @@ fn permanent_damage_fails_with_give_up_advice() {
     let p = parse_program(FAMILY).unwrap();
     let server = QueryServer::new(
         &p.db,
-        store_cfg(p.db.len(), 4),
+        store_cfg(p.db.len(), 4).with_fault(Some(
+            FaultPlan::new(7).with_site(FaultSite::permanent_track(1.0)),
+        )),
         ServeConfig {
             n_pools: 1,
-            fault: Some(FaultPlan::new(7).with_site(FaultSite::permanent_track(1.0))),
             retry: eager_retry(),
             breaker: no_breaker(),
             ..ServeConfig::default()
@@ -942,10 +977,10 @@ fn injected_panics_are_isolated_to_the_request() {
     let p = parse_program(FAMILY).unwrap();
     let server = QueryServer::new(
         &p.db,
-        store_cfg(p.db.len(), 4),
+        store_cfg(p.db.len(), 4)
+            .with_fault(Some(FaultPlan::new(3).with_site(FaultSite::panic(1.0)))),
         ServeConfig {
             n_pools: 1,
-            fault: Some(FaultPlan::new(3).with_site(FaultSite::panic(1.0))),
             retry: RetryPolicy::none(),
             breaker: no_breaker(),
             ..ServeConfig::default()
@@ -998,11 +1033,8 @@ fn open_breaker_serves_cached_answers_degraded() {
         .with_site(FaultSite::transient_read(1.0).between(fill_touches, u64::MAX));
     let server = QueryServer::new(
         &p.db,
-        store_cfg(p.db.len(), 4),
-        ServeConfig {
-            fault: Some(plan),
-            ..config
-        },
+        store_cfg(p.db.len(), 4).with_fault(Some(plan)),
+        config,
     );
     // Batch 1: fill the cache while storage is healthy.
     let fill = server.serve(vec![QueryRequest::new(1, "gf(sam, G)")]);
@@ -1046,10 +1078,9 @@ fn breaker_reroutes_admissions_to_healthy_pools() {
     let plan = FaultPlan::new(5).with_site(FaultSite::transient_read(1.0).for_pool(1));
     let server = QueryServer::new(
         &p.db,
-        store_cfg(p.db.len(), 4),
+        store_cfg(p.db.len(), 4).with_fault(Some(plan)),
         ServeConfig {
             n_pools: 2,
-            fault: Some(plan),
             retry: RetryPolicy::none(),
             breaker: BreakerConfig {
                 failure_threshold: 1,
@@ -1088,10 +1119,9 @@ fn breaker_storm_traces_the_full_transition_cycle() {
     let plan = FaultPlan::new(9).with_site(FaultSite::transient_read(1.0).between(0, 3));
     let server = QueryServer::new(
         &p.db,
-        store_cfg(p.db.len(), 4),
+        store_cfg(p.db.len(), 4).with_fault(Some(plan)),
         ServeConfig {
             n_pools: 1,
-            fault: Some(plan),
             retry: RetryPolicy::none(),
             breaker: BreakerConfig {
                 failure_threshold: 3,

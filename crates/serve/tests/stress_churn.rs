@@ -435,10 +435,9 @@ fn fault_storm_with_writer_churn_is_live_and_exact() {
             .with_site(FaultSite::panic(0.002));
         let server = QueryServer::new(
             &p.db,
-            store_cfg(p.db.len(), 1024),
+            store_cfg(p.db.len(), 1024).with_fault(Some(plan)),
             ServeConfig {
                 n_pools: 2,
-                fault: Some(plan),
                 retry: RetryPolicy {
                     max_retries: 50,
                     base_backoff: Duration::from_micros(10),

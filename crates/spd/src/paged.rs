@@ -170,36 +170,6 @@ impl PagedStoreStats {
     }
 }
 
-impl blog_obs::RecordInto for PagedStoreStats {
-    fn record_into(&self, registry: &blog_obs::Registry) {
-        registry.counter("store.accesses").add(self.accesses);
-        registry.counter("store.hits").add(self.hits);
-        registry.counter("store.misses").add(self.misses);
-        registry.counter("store.evictions").add(self.evictions);
-        registry.counter("store.fault_ticks").add(self.fault_ticks);
-        registry
-            .counter("store.lock_acquisitions")
-            .add(self.lock_acquisitions);
-        registry.counter("store.lock_contended").add(self.lock_contended);
-        registry.counter("store.index_hits").add(self.index_hits);
-        registry.counter("store.index_prunes").add(self.index_prunes);
-        registry
-            .counter("store.candidates_scanned")
-            .add(self.candidates_scanned);
-        registry
-            .counter("store.transient_faults")
-            .add(self.transient_faults);
-        registry
-            .counter("store.permanent_faults")
-            .add(self.permanent_faults);
-        registry.counter("store.latency_spikes").add(self.latency_spikes);
-        registry
-            .counter("store.latency_spike_ticks")
-            .add(self.latency_spike_ticks);
-        registry.gauge("store.hit_rate").set(self.hit_rate());
-    }
-}
-
 /// Per-pool slice of the store's touch counters, so a multi-pool server
 /// over **one** shared cache can still attribute hits and faults to the
 /// worker pool (and therefore to the session mix) that generated them.

@@ -23,13 +23,14 @@ fn main() {
     let (program, metas) = tenant_mix_program(&mix);
     let config = ServeConfig {
         stall_ns_per_tick: 2_000,
-        fault: Some(FaultPlan::new(14).with_site(FaultSite::latency_spike(0.02, 50))),
         trace: TraceConfig::always_on(),
         ..ServeConfig::default()
     };
     let server = QueryServer::new(
         &program.db,
-        working_set_store_config(program.db.len()),
+        working_set_store_config(program.db.len()).with_fault(Some(
+            FaultPlan::new(14).with_site(FaultSite::latency_spike(0.02, 50)),
+        )),
         config,
     );
     let requests = tenant_mix_requests(&mix, &metas)

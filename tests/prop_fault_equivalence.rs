@@ -87,11 +87,10 @@ const TWO_WORKERS: ExecMode = ExecMode::OrParallel {
 /// fault plan's global touch sequence deterministic per seed), a retry
 /// budget sized for certainty, and the breaker disabled so every
 /// request runs the full retry ladder instead of being shed.
-fn resilient(exec: ExecMode, plan: FaultPlan, retry: RetryPolicy) -> ServeConfig {
+fn resilient(exec: ExecMode, retry: RetryPolicy) -> ServeConfig {
     ServeConfig {
         n_pools: 1,
         exec,
-        fault: Some(plan),
         retry,
         breaker: BreakerConfig {
             failure_threshold: u32::MAX,
@@ -135,8 +134,11 @@ proptest! {
             let plan = FaultPlan::new(seed)
                 .with_site(FaultSite::transient_read(read_rate))
                 .with_site(FaultSite::latency_spike(spike_rate, 2));
-            let server =
-                QueryServer::new(&p.db, small_store(&p), resilient(exec, plan, eager_retry()));
+            let server = QueryServer::new(
+                &p.db,
+                small_store(&p).with_fault(Some(plan)),
+                resilient(exec, eager_retry()),
+            );
             let report = server.serve(batch());
             prop_assert_eq!(
                 report.stats.completed, 3,
@@ -166,8 +168,8 @@ proptest! {
         let plan = FaultPlan::new(seed).with_site(FaultSite::permanent_track(rate));
         let server = QueryServer::new(
             &p.db,
-            small_store(&p),
-            resilient(ExecMode::Sequential, plan, RetryPolicy::default()),
+            small_store(&p).with_fault(Some(plan)),
+            resilient(ExecMode::Sequential, RetryPolicy::default()),
         );
         let report = server.serve(batch());
         for r in &report.responses {
@@ -213,10 +215,10 @@ fn a_panic_on_a_helper_costs_one_attempt() {
     let plan = FaultPlan::new(11).with_site(FaultSite::panic(0.002));
     let server = QueryServer::new(
         &p.db,
-        small_store(&p),
+        small_store(&p).with_fault(Some(plan)),
         ServeConfig {
             trace: TraceConfig::always_on().with_ring_capacity(n_requests),
-            ..resilient(TWO_WORKERS, plan, eager_retry())
+            ..resilient(TWO_WORKERS, eager_retry())
         },
     );
     let report = server.serve(

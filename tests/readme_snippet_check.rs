@@ -68,8 +68,11 @@ fn readme_telemetry_snippet() {
 #[test]
 fn readme_resilience_snippet() {
     let program = b_log::logic::parse_program(b_log::workloads::PAPER_FIGURE_1).unwrap();
+    // Every clause-track read fails 30% of the time (seeded, replayable).
+    let store_config = PagedStoreConfig::default().with_fault(Some(
+        FaultPlan::new(42).with_site(FaultSite::transient_read(0.3)),
+    ));
     let config = ServeConfig {
-        fault: Some(FaultPlan::new(42).with_site(FaultSite::transient_read(0.3))),
         retry: RetryPolicy {
             max_retries: 50,
             base_backoff: Duration::from_micros(10),
@@ -77,7 +80,7 @@ fn readme_resilience_snippet() {
         },
         ..ServeConfig::default()
     };
-    let server = QueryServer::new(&program.db, PagedStoreConfig::default(), config);
+    let server = QueryServer::new(&program.db, store_config, config);
 
     let report = server.serve(vec![QueryRequest::new(1, "gf(sam, G)")]);
     assert!(report.responses[0].outcome.is_completed());
