@@ -3,19 +3,14 @@
 //! ```text
 //! cargo run --release -p blog-bench --bin experiments            # everything
 //! cargo run --release -p blog-bench --bin experiments -- t1 t5   # a subset
-//! cargo run --release -p blog-bench --bin experiments -- t6 --policy=2q
 //! ```
 //!
 //! Experiment ids: f1 f3 f4 w1 w2 t1 t2 t3 t4 t5 t6 t7 t8 a1 a2 a3
-//! (module table in the crate docs). `--policy=<lru|2q|clock|fifo>`
-//! restricts the T6c replacement-policy sweep (every `blog-workloads`
-//! generator runs through an epoch-0 snapshot of the paged clause store)
-//! to one policy; given without experiment ids it implies `t6`. Every
-//! argument is checked before anything runs: an unknown id or flag
+//! (module table in the crate docs). Every argument must be one of them
+//! or `all`, and all are checked before anything runs: anything else
 //! prints the usage line and exits 2.
 
 use blog_bench::{andp_exp, figures, machine_exp, sessions_exp, spd_exp, strategies, threads_exp};
-use blog_spd::PolicyKind;
 
 /// Every experiment id, in run order.
 const IDS: [&str; 16] = [
@@ -24,32 +19,16 @@ const IDS: [&str; 16] = [
 
 fn usage_exit(complaint: &str) -> ! {
     eprintln!(
-        "{complaint}\nusage: experiments [all | {}]... [--policy=<lru|2q|clock|fifo>]\n\
-         (no ids runs every experiment; --policy restricts the T6c sweep and implies t6)",
+        "{complaint}\nusage: experiments [all | {}]...\n(no ids runs every experiment)",
         IDS.join(" ")
     );
     std::process::exit(2);
 }
 
 fn main() {
-    let mut policy: Option<PolicyKind> = None;
-    let mut args: Vec<String> = Vec::new();
-    for arg in std::env::args().skip(1) {
-        if let Some(spec) = arg.strip_prefix("--policy=") {
-            match PolicyKind::parse(spec) {
-                Some(kind) => policy = Some(kind),
-                None => usage_exit(&format!("unknown policy {spec:?}")),
-            }
-        } else if arg == "all" || IDS.contains(&arg.as_str()) {
-            args.push(arg);
-        } else {
-            usage_exit(&format!("unknown experiment id or flag {arg:?}"));
-        }
-    }
-    // `--policy` without experiment ids targets the T6c sweep rather than
-    // running every experiment.
-    if args.is_empty() && policy.is_some() {
-        args.push("t6".to_string());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = args.iter().find(|a| *a != "all" && !IDS.contains(&a.as_str())) {
+        usage_exit(&format!("unknown experiment id or flag {arg:?}"));
     }
     let all = args.is_empty() || args.iter().any(|a| a == "all");
     let want = |id: &str| all || args.iter().any(|a| a == id);
@@ -97,7 +76,7 @@ fn main() {
     section("t6", "semantic paging disks", &mut || {
         spd_exp::run_t6();
         spd_exp::run_t6b();
-        spd_exp::run_t6c(policy);
+        spd_exp::run_t6c();
     });
     section("t7", "latency hiding (machine sim)", &mut || {
         machine_exp::run_t7_machine();

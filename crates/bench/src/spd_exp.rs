@@ -20,7 +20,7 @@ use crate::report::{pct, Table};
 
 /// Build the family program, a trained weight store, and the clause-
 /// access trace of a best-first run over it.
-pub fn traced_workload() -> (Program, WeightStore, Vec<ClauseId>) {
+fn traced_workload() -> (Program, WeightStore, Vec<ClauseId>) {
     let (program, _) = family_program(&FamilyParams {
         generations: 4,
         branching: 3,
@@ -152,7 +152,7 @@ pub struct PagedRow {
 }
 
 /// The store geometry T6b sweeps over: 4 clauses per track.
-pub fn t6b_geometry(n_clauses: usize) -> Geometry {
+fn t6b_geometry(n_clauses: usize) -> Geometry {
     Geometry {
         n_sps: 4,
         n_cylinders: ((n_clauses as u32).div_ceil(4)).div_ceil(4).max(1),
@@ -161,17 +161,16 @@ pub fn t6b_geometry(n_clauses: usize) -> Geometry {
 }
 
 /// Number of tracks the T6b geometry spreads `n_clauses` over — where
-/// the LRU cliff sits. Kept beside [`t6b_geometry`] so the experiment
-/// and the `spd_paging` bench agree on the working-set size.
-pub fn t6b_total_tracks(n_clauses: usize) -> usize {
+/// the LRU cliff sits.
+fn t6b_total_tracks(n_clauses: usize) -> usize {
     (n_clauses as u32).div_ceil(t6b_geometry(n_clauses).blocks_per_track) as usize
 }
 
 /// Run an untrained best-first search for `program`'s first query with
 /// every clause fetch routed through `paged`. Returns
 /// `(nodes expanded, solutions found, store stats)` — the recipe shared
-/// by [`run_t6b`] and the `spd_paging` bench.
-pub fn engine_run_through(
+/// by [`run_t6b`] and [`run_t6c`].
+fn engine_run_through(
     paged: &Snapshot<'_>,
     program: &Program,
 ) -> (u64, usize, PagedStoreStats) {
@@ -309,16 +308,8 @@ pub fn t6c_capacities(total: usize) -> Vec<usize> {
 
 /// T6c: sweep every replacement policy across every workload generator's
 /// benchmark instance, running the real engine through the paged store.
-/// `only` restricts the sweep to one policy (the experiments binary's
-/// `--policy` flag).
-pub fn run_t6c(only: Option<PolicyKind>) -> Vec<PolicyRow> {
-    // A requested policy is honored even when it is not part of the
-    // default sweep (e.g. `--policy=fifo` measures the pager's queue
-    // policy on the clause-cache path).
-    let policies: Vec<PolicyKind> = match only {
-        Some(p) => vec![p],
-        None => PolicyKind::CACHE_SWEEP.to_vec(),
-    };
+pub fn run_t6c() -> Vec<PolicyRow> {
+    let policies = PolicyKind::CACHE_SWEEP;
     let mut rows = Vec::new();
     println!(
         "T6c — replacement-policy sweep over the live paged store (policies: {}):",
@@ -340,7 +331,7 @@ pub fn run_t6c(only: Option<PolicyKind>) -> Vec<PolicyRow> {
             "policy", "capacity", "accesses", "hit-rate", "evictions", "nodes", "sols",
         ]);
         for capacity_tracks in t6c_capacities(total_tracks) {
-            for &policy in &policies {
+            for policy in policies {
                 let paged = MvccClauseStore::new(
                     &program.db,
                     PagedStoreConfig {
@@ -391,14 +382,6 @@ pub fn run_t6c(only: Option<PolicyKind>) -> Vec<PolicyRow> {
          finally buy hit rate on scan-heavy searches.\n"
     );
     rows
-}
-
-/// Census helper so tests can check the trained store actually has
-/// learned weights (otherwise the filter measures nothing).
-pub fn trained_census() -> (usize, usize) {
-    let (_, trained, _) = traced_workload();
-    let c = trained.census();
-    (c.known, c.infinite)
 }
 
 #[cfg(test)]
@@ -460,7 +443,7 @@ mod tests {
 
     #[test]
     fn t6c_two_q_dominates_lru_and_flattens_the_cliff() {
-        let rows = run_t6c(None);
+        let rows = run_t6c();
         // Every (workload, capacity) pair: transparency means identical
         // nodes, solutions, and access streams across policies.
         for pair in rows.chunks(PolicyKind::CACHE_SWEEP.len()) {
@@ -502,13 +485,6 @@ mod tests {
                 assert!(q >= l, "2Q lost to LRU on {workload} at capacity {cap}: {q} < {l}");
             }
         }
-    }
-
-    #[test]
-    fn t6c_policy_filter_restricts_the_sweep() {
-        let rows = run_t6c(Some(PolicyKind::Clock));
-        assert!(!rows.is_empty());
-        assert!(rows.iter().all(|r| r.policy == PolicyKind::Clock));
     }
 
     #[test]

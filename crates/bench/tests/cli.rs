@@ -33,10 +33,7 @@ fn an_unknown_id_next_to_a_known_one_exits_2_without_running_either() {
 fn a_retired_flag_exits_2_without_running_anything() {
     assert_refused_before_running(&["--json"]);
     assert_refused_before_running(&["t6", "--requests=50"]);
-}
-
-#[test]
-fn an_unknown_policy_exits_2() {
+    assert_refused_before_running(&["t6", "--policy=2q"]);
     assert_refused_before_running(&["t6", "--policy=mru"]);
 }
 

@@ -7,7 +7,6 @@
 
 use std::fmt::Write;
 
-use crate::bindings::Bindings;
 use crate::store::ClauseDb;
 use crate::symbol::SymbolTable;
 use crate::term::Term;
@@ -23,11 +22,6 @@ pub fn term_to_string_syms(symbols: &SymbolTable, t: &Term) -> String {
     let mut s = String::new();
     write_term(symbols, t, &mut s);
     s
-}
-
-/// Render `t` after applying `bindings`.
-pub fn resolved_to_string(db: &ClauseDb, bindings: &Bindings, t: &Term) -> String {
-    term_to_string(db, &bindings.resolve(t))
 }
 
 /// Whether `name` must be quoted to re-read as the atom it names: true

@@ -47,11 +47,6 @@ pub enum CacheMode {
     /// entries whose dependency footprint intersects the transaction's
     /// touched predicates.
     Precise,
-    /// Cache, but every commit clears the whole cache — the
-    /// invalidate-everything ablation that
-    /// `precise_keeps_hot_entries_through_cold_tenant_churn` (in this
-    /// module's tests) compares precision against.
-    ClearAll,
 }
 
 /// Answer-cache and memory-governor configuration.
@@ -105,8 +100,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Complete results inserted.
     pub fills: u64,
-    /// Entries dropped because a commit touched a footprint predicate
-    /// (under [`CacheMode::ClearAll`], every entry a commit cleared).
+    /// Entries dropped because a commit touched a footprint predicate.
     pub invalidations: u64,
     /// Entries dropped because their window ended before a commit's base
     /// epoch (a commit bypassed the server's notification path).
@@ -346,16 +340,10 @@ impl AnswerCache {
             return;
         }
         let mut inner = lock_unpoisoned(&self.inner);
-        let clear_all = self.config.mode == CacheMode::ClearAll;
         let mut freed = 0usize;
         let mut invalidations = 0u64;
         let mut expired = 0u64;
         inner.entries.retain(|_, e| {
-            if clear_all {
-                invalidations += 1;
-                freed += e.bytes;
-                return false;
-            }
             if e.valid_to >= new_epoch {
                 return true;
             }
@@ -517,59 +505,34 @@ mod tests {
         assert_eq!((s.expired, s.invalidations, s.entries), (1, 0, 0));
     }
 
-    #[test]
-    fn clear_all_mode_drops_everything_per_commit() {
-        let cache = AnswerCache::new(CacheConfig {
-            mode: CacheMode::ClearAll,
-            ..CacheConfig::default()
-        });
-        cache.fill(key("p(_0)"), 0, vec![P], sols(&["_0 = a"]));
-        cache.fill(key("q(_0)"), 0, vec![Q], sols(&["_0 = b"]));
-        cache.on_commit(0, 1, &[Q]);
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().invalidations, 2);
-    }
-
     /// Invalidation precision under churn: a writer that commits only to
     /// a cold tenant's predicate must not cost the hot tenants their
-    /// entries. `Precise` extends them across every commit; `ClearAll`
-    /// refills them after each one.
+    /// entries: `Precise` extends them across every commit.
     #[test]
     fn precise_keeps_hot_entries_through_cold_tenant_churn() {
         const COLD: (Sym, u32) = (Sym(9), 2);
         const EPOCHS: u64 = 8;
-        let churn = |mode| {
-            let cache = AnswerCache::new(CacheConfig {
-                mode,
-                ..CacheConfig::default()
-            });
-            for epoch in 0..EPOCHS {
-                // Every query twice per epoch, filling on a miss as the
-                // server does.
-                for (canon, dep) in [("p(_0)", P), ("q(_0)", Q), ("cold(_0)", COLD)]
-                    .into_iter()
-                    .cycle()
-                    .take(6)
-                {
-                    if cache.lookup(&key(canon), epoch).is_none() {
-                        cache.fill(key(canon), epoch, vec![dep], sols(&["_0 = a"]));
-                    }
+        let cache = precise(None);
+        for epoch in 0..EPOCHS {
+            // Every query twice per epoch, filling on a miss as the
+            // server does.
+            for (canon, dep) in [("p(_0)", P), ("q(_0)", Q), ("cold(_0)", COLD)]
+                .into_iter()
+                .cycle()
+                .take(6)
+            {
+                if cache.lookup(&key(canon), epoch).is_none() {
+                    cache.fill(key(canon), epoch, vec![dep], sols(&["_0 = a"]));
                 }
-                cache.on_commit(epoch, epoch + 1, &[COLD]);
             }
-            cache.stats()
-        };
-        let precise = churn(CacheMode::Precise);
-        let clear_all = churn(CacheMode::ClearAll);
-        assert!(
-            precise.hits > clear_all.hits,
-            "precise {} hits vs clear-all {}",
-            precise.hits,
-            clear_all.hits
-        );
-        assert_eq!(precise.invalidations, EPOCHS, "only the cold entry drops");
-        assert_eq!(clear_all.invalidations, 3 * EPOCHS);
-        assert_eq!(precise.fills, 2 + EPOCHS, "hot entries fill once");
+            cache.on_commit(epoch, epoch + 1, &[COLD]);
+        }
+        let s = cache.stats();
+        // Epoch 0 misses each query once (3 hits); every later epoch
+        // misses only the cold one (5 hits).
+        assert_eq!(s.hits, 3 + 5 * (EPOCHS - 1), "hot entries hit through churn");
+        assert_eq!(s.invalidations, EPOCHS, "only the cold entry drops");
+        assert_eq!(s.fills, 2 + EPOCHS, "hot entries fill once");
     }
 
     #[test]

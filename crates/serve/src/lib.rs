@@ -50,8 +50,7 @@
 //!   (alpha-invariant) text and an epoch-validity window, and
 //!   invalidated *per predicate* — a commit only drops entries whose
 //!   recorded dependency footprint intersects the transaction's touched
-//!   `(pred, arity)` set ([`CacheMode::Precise`];
-//!   [`CacheMode::ClearAll`] is the invalidate-everything ablation).
+//!   `(pred, arity)` set ([`CacheMode::Precise`]).
 //!   Hits bypass the engines entirely and are tagged
 //!   [`ServedFrom::Cache`].
 //! - A **streaming front door** ([`QueryServer::serve_open`],

@@ -872,7 +872,11 @@ impl QueryServer {
                 - breaker_reroutes_before,
             degraded_cache_hits: self.degraded_cache_hits.load(Ordering::Relaxed)
                 - degraded_before,
-            throughput_rps: if wall_s > 0.0 { total as f64 / wall_s } else { 0.0 },
+            throughput_rps: if wall_s > 0.0 {
+                (total - overloaded) as f64 / wall_s
+            } else {
+                0.0
+            },
             p50_ms: service_hist.quantile_ms(0.5),
             p99_ms: service_hist.quantile_ms(0.99),
             wait_p50_ms: wait_hist.quantile_ms(0.5),

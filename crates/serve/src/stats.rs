@@ -58,7 +58,7 @@ impl WarmthSplit {
 pub struct ServeStats {
     /// Wall-clock of the whole batch, seconds.
     pub wall_s: f64,
-    /// Requests admitted.
+    /// Submissions, refused ones included.
     pub requests: usize,
     /// Requests that ran to their natural end.
     pub completed: usize,
@@ -85,7 +85,8 @@ pub struct ServeStats {
     /// Requests answered from the answer cache while their pool's
     /// breaker was open — the degraded cache-only serving path.
     pub degraded_cache_hits: u64,
-    /// Requests per second of wall-clock.
+    /// Admitted requests (`requests - overloaded`) per second of
+    /// wall-clock.
     pub throughput_rps: f64,
     /// Median service latency, milliseconds.
     pub p50_ms: f64,

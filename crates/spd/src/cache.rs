@@ -185,11 +185,6 @@ impl TrackCache {
         self
     }
 
-    /// Whether a fault plan is configured.
-    pub fn has_fault_plan(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Take the cache mutex, metering acquisitions and contention.
     ///
     /// Recovers from poisoning: every critical section below keeps its

@@ -195,8 +195,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Cache on == cache off == sequential oracle, under interleaved
-    /// commits, for both state representations and both invalidation
-    /// flavors.
+    /// commits, for both state representations.
     #[test]
     fn cached_serving_equals_uncached_and_sequential(
         case in arb_program(),
@@ -207,7 +206,7 @@ proptest! {
         for repr in [StateRepr::shared(), StateRepr::Cloned] {
             let solve = SolveConfig::all().with_max_depth(depth).with_state_repr(repr);
             let mut runs = Vec::new();
-            for mode in [CacheMode::Off, CacheMode::Precise, CacheMode::ClearAll] {
+            for mode in [CacheMode::Off, CacheMode::Precise] {
                 let server = server_for(&p, &solve, mode);
                 let run = run_schedule(&server, &src, &schedule);
                 for (r, live_src, text) in &run {
