@@ -34,6 +34,10 @@ fn a_retired_flag_exits_2_without_running_anything() {
     assert_refused_before_running(&["--json"]);
     assert_refused_before_running(&["t6", "--requests=50"]);
     assert_refused_before_running(&["t6", "--policy=2q"]);
+}
+
+#[test]
+fn an_unknown_policy_exits_2() {
     assert_refused_before_running(&["t6", "--policy=mru"]);
 }
 
