@@ -1,11 +1,14 @@
 //! Long-lived helper threads for OR-parallel searches.
 //!
-//! A [`Crew`] of `k` helpers runs one job at a time on `k + 1` threads:
-//! the caller of `Crew::run` is worker 0 and the helpers are workers
-//! `1..=k`. Between jobs the helpers park on a condvar, so a served
-//! request costs a wakeup instead of `k` thread spawns. Helpers live in a
-//! [`std::thread::Scope`] and exit when the crew is dropped; the scope
-//! joins them.
+//! A [`Crew`] of `k` helpers runs one job at a time on up to `k + 1`
+//! threads: the caller of `Crew::run` is worker 0 and the helpers are
+//! workers `1..=k`. Worker 0 starts alone ("initially, one processor is
+//! given the initial query", §6) and calls the helpers in only when its
+//! part decides the job is worth sharing; a job it finishes alone costs
+//! the crew nothing, and one it shares costs one wakeup instead of `k`
+//! thread spawns. Between jobs the helpers park on a condvar. They live
+//! in a [`std::thread::Scope`] and exit when the crew is dropped; the
+//! scope joins them.
 //!
 //! A job is an `Arc`'d closure over whatever it needs, which is how a
 //! request's snapshot and query reach threads that outlive the request.
@@ -14,14 +17,17 @@
 //! every helper has let go of the job.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::Scope;
 
 use parking_lot::{Condvar, Mutex};
 
-/// One job, called once per worker with the worker's index.
-pub(crate) type Job<'a> = Arc<dyn Fn(usize) + Send + Sync + 'a>;
+/// One job, called once per worker with the worker's index and a call:
+/// worker 0's call brings the helpers into the job (the first time; later
+/// calls do nothing), a helper's call does nothing.
+pub(crate) type Job<'a> = Arc<dyn Fn(usize, &dyn Fn()) + Send + Sync + 'a>;
 
 struct Slot<'a> {
     /// The current job; `None` between jobs, and once the caller is done
@@ -77,33 +83,45 @@ impl<'a> Crew<'a> {
         self.helpers + 1
     }
 
-    /// Run `job(0)` on the calling thread and offer `job(w)`, `w` in
-    /// `1..=helpers`, to the helpers. Returns once the caller's part is
-    /// done and no helper is still inside the job; a helper that had not
-    /// picked the job up by then never runs it, so a job must treat its
-    /// helper parts as optional. Re-raises the first panic of any part.
+    /// Jobs whose worker 0 called the helpers in.
+    #[cfg(test)]
+    pub(crate) fn calls(&self) -> u64 {
+        self.inner.slot.lock().generation
+    }
+
+    /// Run `job(0, call)` on the calling thread; once `call` is called,
+    /// offer `job(w, _)`, `w` in `1..=helpers`, to the helpers. Returns
+    /// once the caller's part is done and no helper is still inside the
+    /// job; a helper that had not picked the job up by then never runs
+    /// it, so a job must treat its helper parts as optional. Re-raises the
+    /// first panic of any part.
     pub(crate) fn run(&self, job: Job<'a>) {
         let inner = &*self.inner;
-        {
-            let mut slot = inner.slot.lock();
-            slot.job = Some(Arc::clone(&job));
-            slot.generation += 1;
-            inner.posted.notify_all();
-        }
-        let mine = catch_unwind(AssertUnwindSafe(|| job(0)));
+        let called = Cell::new(false);
+        let call = || {
+            if !called.replace(true) {
+                let mut slot = inner.slot.lock();
+                slot.job = Some(Arc::clone(&job));
+                slot.generation += 1;
+                inner.posted.notify_all();
+            }
+        };
+        let mine = catch_unwind(AssertUnwindSafe(|| job(0, &call)));
         drop(job);
-        let theirs = {
+        // Helpers that were never called are still parked: nothing to
+        // take back and nobody to wait for.
+        let theirs = called.get().then(|| {
             let mut slot = inner.slot.lock();
             slot.job = None;
             while slot.busy > 0 {
                 inner.finished.wait(&mut slot);
             }
             slot.panic.take()
-        };
+        });
         if let Err(payload) = mine {
             resume_unwind(payload);
         }
-        if let Some(payload) = theirs {
+        if let Some(payload) = theirs.flatten() {
             resume_unwind(payload);
         }
     }
@@ -135,7 +153,7 @@ fn helper(inner: &Inner<'_>, worker: usize) {
                 inner.posted.wait(&mut slot);
             }
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| job(worker)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| job(worker, &|| {})));
         // Let go of the job (and what it owns) before reporting done.
         drop(job);
         let mut slot = inner.slot.lock();
@@ -161,8 +179,9 @@ mod tests {
             let crew = Crew::start(s, 1);
             let ran = &ran;
             let boom = catch_unwind(AssertUnwindSafe(|| {
-                crew.run(Arc::new(move |w| {
+                crew.run(Arc::new(move |w, call| {
                     if w == 0 {
+                        call();
                         // Wait for the helper, so it does run.
                         while ran.load(Ordering::SeqCst) == 0 {
                             std::thread::yield_now();
@@ -176,8 +195,9 @@ mod tests {
             let payload = boom.expect_err("the helper's panic is re-raised");
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper fault"));
             // The same helper takes the next job.
-            crew.run(Arc::new(move |w| {
+            crew.run(Arc::new(move |w, call| {
                 if w == 0 {
+                    call();
                     while ran.load(Ordering::SeqCst) < 2 {
                         std::thread::yield_now();
                     }
@@ -187,5 +207,43 @@ mod tests {
             }));
         });
         assert_eq!(ran.into_inner(), 2);
+    }
+
+    #[test]
+    fn an_uncalled_crew_stays_parked_and_the_next_job_reuses_its_helper() {
+        // (job tag, thread) of every helper part that ran.
+        let ran: Mutex<Vec<(usize, std::thread::ThreadId)>> = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            let crew = Crew::start(s, 1);
+            let ran = &ran;
+            // Job `tag`, whose worker 0 calls the helper in and waits for
+            // its part, or never calls.
+            let job = |tag: usize, calls: bool| -> Job<'_> {
+                Arc::new(move |w, call| {
+                    if w == 0 {
+                        if calls {
+                            call();
+                            // Hold the job until the helper has run it.
+                            while ran.lock().iter().all(|&(t, _)| t != tag) {
+                                std::thread::yield_now();
+                            }
+                        }
+                    } else {
+                        ran.lock().push((tag, std::thread::current().id()));
+                    }
+                })
+            };
+            crew.run(job(1, true));
+            // Not called: the helper never sees the job. `run` returns
+            // without waiting, and nothing was posted.
+            crew.run(job(2, false));
+            assert_eq!(crew.calls(), 1, "nothing posted");
+            crew.run(job(3, true));
+        });
+        let ran = ran.into_inner();
+        let tags: Vec<usize> = ran.iter().map(|&(t, _)| t).collect();
+        assert_eq!(tags, [1, 3], "the uncalled job never reached the helper");
+        assert_eq!(ran[0].1, ran[1].1, "one parked helper thread ran both");
+        assert_ne!(ran[0].1, std::thread::current().id());
     }
 }

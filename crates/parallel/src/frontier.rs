@@ -9,10 +9,11 @@
 //! (`LocalHeap::donate`).
 //!
 //! The exchange is touched when a worker runs dry, when it donates, and
-//! when the search stops. Its mutex guards the donated batches, the idle
-//! and waiting counts and the end-of-search flag; the two words every
-//! worker reads after each expansion — `hungry` and `stopped` — sit on
-//! their own 128-byte line and change only under that mutex.
+//! when the search stops; a search that ends in worker 0's lone start
+//! takes its lock once, to end. Its mutex guards the donated batches, the
+//! idle and waiting counts and the end-of-search flag; the two words
+//! every worker reads after each expansion — `hungry` and `stopped` — sit
+//! on their own 128-byte line and change only under that mutex.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -91,6 +92,11 @@ impl LocalHeap {
         self.heap.pop().map(|Reverse(q)| q.chain)
     }
 
+    /// Chains queued.
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
     /// Drop every queued chain (the search stopped).
     pub(crate) fn clear(&mut self) {
         self.heap.clear();
@@ -132,8 +138,9 @@ impl LocalHeap {
 struct Pool {
     /// Donated batches not yet taken.
     batches: Vec<Vec<Chain>>,
-    /// Workers holding no chains. Workers that have not started yet count
-    /// as idle: they hold nothing, so the search can end without them.
+    /// Workers holding no chains. Workers that have not started yet (not
+    /// called in, or not awake) count as idle: they hold nothing, so the
+    /// search can end without them.
     idle: usize,
     /// Idle workers blocked waiting for a batch.
     waiting: usize,

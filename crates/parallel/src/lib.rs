@@ -9,11 +9,13 @@
 //!   between them; the communication threshold **D** decides which
 //!   chains a worker hands a dry peer (§6).
 //! - [`crew`] — long-lived helper threads a serving pool lends to every
-//!   request; the caller's thread is worker 0.
+//!   request; the caller's thread is worker 0, and it calls the helpers
+//!   in only once the search is big enough to share.
 //! - [`orparallel`] — OR-parallel best-first search: every chain runs
 //!   `blog-core`'s one per-chain step (`expand_chain`). One worker is the
 //!   sequential heap, inline; more each expand their own cheapest chains,
-//!   sharing the incumbent and an exact node budget through atomics.
+//!   sharing the incumbent and an exact node budget through atomics,
+//!   after worker 0's lone start.
 //! - [`andparallel`] — the §7 extensions over any `ClauseSource`:
 //!   variable-sharing independence analysis, fork-join evaluation of
 //!   independent goal groups, and the semi-join strategy for goals that
@@ -45,4 +47,6 @@ pub use andparallel::{
 };
 pub use crew::Crew;
 pub use frontier::{FrontierCounters, FrontierPolicy};
-pub use orparallel::{par_best_first_on, par_best_first_with, ParallelConfig, ParallelResult};
+pub use orparallel::{
+    par_best_first_on, par_best_first_with, ParallelConfig, ParallelResult, LONE_EXPANSIONS,
+};

@@ -7,10 +7,14 @@
 //! ([`best_first_deferred`]) on the caller's thread. Two or more each own
 //! a heap and share chains through the [`frontier`](crate::frontier)
 //! exchange; the caller's thread is worker 0 and a [`Crew`]'s helpers are
-//! the rest. Either way the weights stay frozen, every closed chain is
-//! logged, and the §5 updates are applied at join (see the crate docs for
-//! why): the deferred sink of the loop that learns during the search in
-//! `best_first_with`.
+//! the rest. "Initially, one processor is given the initial query" (§6):
+//! worker 0 expands alone until it has made [`LONE_EXPANSIONS`]
+//! expansions and holds a chain for every worker, and only then calls
+//! the crew in, so a small search wakes no helper and takes the
+//! exchange's lock only once, to end. Either way the weights stay frozen,
+//! every closed chain is logged, and the §5 updates are applied at join
+//! (see the crate docs for why): the deferred sink of the loop that
+//! learns during the search in `best_first_with`.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -32,6 +36,13 @@ use parking_lot::Mutex;
 
 use crate::crew::Crew;
 use crate::frontier::{Exchange, FrontierCounters, FrontierPolicy, LocalHeap};
+
+/// Expansions worker 0 makes alone before it calls the crew (it also
+/// waits until it holds a chain for every worker). A search that ends
+/// sooner wakes no helper and donates nothing: below this size the
+/// hand-off costs more than a helper can take off worker 0.
+/// Picked from a sweep of served `search_par` requests (CHANGES.md).
+pub const LONE_EXPANSIONS: u64 = 512;
 
 /// Configuration for [`par_best_first_with`].
 #[derive(Clone, Debug)]
@@ -108,6 +119,7 @@ struct Line<T>(T);
 struct Shared<'w> {
     weights: &'w WeightStore,
     config: BestFirstConfig,
+    n_workers: usize,
     d: u64,
     exchange: Exchange,
     /// Best solution bound so far; `u64::MAX` before the first.
@@ -208,8 +220,15 @@ impl<S: ClauseSource + ?Sized> Drop for Worker<'_, '_, S> {
 
 /// Worker `w`'s loop: pop its own cheapest chain and expand it; when its
 /// heap is empty take a batch from the exchange; after each expansion
-/// feed a hungry peer.
-fn worker_loop<S: ClauseSource + ?Sized>(search: &Search<'_, S>, shared: &Shared<'_>, w: usize) {
+/// feed a hungry peer. Worker 0 starts alone and calls the crew (`call`)
+/// once it has made [`LONE_EXPANSIONS`] expansions and holds a chain for
+/// every worker; until then it is the sequential heap.
+fn worker_loop<S: ClauseSource + ?Sized>(
+    search: &Search<'_, S>,
+    shared: &Shared<'_>,
+    w: usize,
+    call: &dyn Fn(),
+) {
     // One span per worker, parented under the request's engine span: the
     // flight record shows each worker's busy interval and its thread.
     let trace = shared.config.solve.trace.as_ref();
@@ -226,6 +245,8 @@ fn worker_loop<S: ClauseSource + ?Sized>(search: &Search<'_, S>, shared: &Shared
     if holds {
         worker.heap.push_all(&mut vec![search.root()]);
     }
+    // Worker 0 before it called the crew: no peer has the job to feed.
+    let mut lone = w == 0;
     let exchange = &shared.exchange;
     let (mut stats, mut blog) = (SearchStats::default(), BlogStats::default());
     // Reused across every expansion this worker performs.
@@ -241,7 +262,12 @@ fn worker_loop<S: ClauseSource + ?Sized>(search: &Search<'_, S>, shared: &Shared
         };
         worker.meter.local += 1;
         expand_chain(search, &mut worker, &mut stats, &mut blog, chain, &mut bufs);
-        if exchange.hungry() {
+        if lone {
+            if stats.nodes_expanded >= LONE_EXPANSIONS && worker.heap.len() >= shared.n_workers {
+                lone = false;
+                call();
+            }
+        } else if exchange.hungry() {
             exchange.donate_from(&mut worker.heap, shared.d, &mut worker.meter);
         }
     }
@@ -392,6 +418,7 @@ where
     let shared = Arc::new(Shared {
         weights,
         config: best_first_config(config),
+        n_workers,
         d,
         exchange: Exchange::new(n_workers),
         incumbent: Line(AtomicU64::new(u64::MAX)),
@@ -406,9 +433,9 @@ where
     });
     // The job owns the source, the query and a handle on the shared state.
     let job = Arc::clone(&shared);
-    crew.run(Arc::new(move |w| {
+    crew.run(Arc::new(move |w, call| {
         let search = Search::new(&*source, &query, &job.config);
-        worker_loop(&search, &job, w);
+        worker_loop(&search, &job, w, call);
     }));
 
     // Every worker that ran has reported; a helper that never picked the
@@ -709,5 +736,79 @@ mod tests {
                 "x{n_workers}"
             );
         }
+    }
+
+    /// `t(X,Y) :- a(X), b(Y).` over `n_a` facts `a/1` and two `b/1`: the
+    /// search makes exactly `n_a + 2` expansions (the root, the `t` body,
+    /// one per `a`) and then closes `2 n_a` solution chains.
+    fn fan(n_a: u64) -> Program {
+        let mut src = String::from("b(y0). b(y1).\nt(X,Y) :- a(X), b(Y).\n");
+        for i in 0..n_a {
+            src.push_str(&format!("a(x{i}).\n"));
+        }
+        src.push_str("?- t(X,Y).\n");
+        parse_program(&src).unwrap()
+    }
+
+    /// `best_first` on `p`'s query, unpruned and not learning.
+    fn sequential(p: &Program, weights: &WeightStore) -> blog_core::engine::BlogResult {
+        let mut overlay = HashMap::new();
+        let mut view = WeightView::new(&mut overlay, weights);
+        let config = BestFirstConfig {
+            learn: false,
+            ..BestFirstConfig::default()
+        };
+        blog_core::engine::best_first(&p.db, &p.queries[0], &mut view, &config)
+    }
+
+    #[test]
+    fn a_search_below_lone_expansions_never_calls_the_crew() {
+        // Worker 0 alone is the sequential heap: same solutions in the
+        // same order with the same bounds, same work, and one exchange
+        // lock, to end.
+        let p = fan(LONE_EXPANSIONS - 3);
+        let weights = WeightStore::new(WeightParams::default());
+        let seq = sequential(&p, &weights);
+        assert_eq!(seq.stats.nodes_expanded, LONE_EXPANSIONS - 1);
+        let config = ParallelConfig {
+            learn: false,
+            ..workers(2)
+        };
+        let r = run(&p, &weights, config);
+        assert_eq!(r.counters.shard_locks, 1, "one exchange lock");
+        assert_eq!(r.counters.steals, 0);
+        assert_eq!(r.per_worker_expanded, [seq.stats.nodes_expanded, 0]);
+        let key = |s: &BoundedSolution| (s.solution.to_text(&p.db), s.bound);
+        let seq_solutions: Vec<_> = seq.solutions.iter().map(key).collect();
+        assert_eq!(
+            r.solutions.iter().map(key).collect::<Vec<_>>(),
+            seq_solutions
+        );
+        assert_eq!(r.stats.nodes_expanded, seq.stats.nodes_expanded);
+        assert_eq!(r.stats.unify_attempts, seq.stats.unify_attempts);
+        assert_eq!(r.stats.unify_successes, seq.stats.unify_successes);
+    }
+
+    #[test]
+    fn the_crew_is_called_at_lone_expansions() {
+        // One more `a` fact and worker 0's last expansion is its
+        // `LONE_EXPANSIONS`-th, with the solution chains queued: it calls
+        // the crew in.
+        let weights = WeightStore::new(WeightParams::default());
+        let config = ParallelConfig {
+            learn: false,
+            ..workers(2)
+        };
+        std::thread::scope(|s| {
+            let crew = Crew::start(s, 1);
+            for (n_a, calls) in [(LONE_EXPANSIONS - 3, 0), (LONE_EXPANSIONS - 2, 1)] {
+                let p = fan(n_a);
+                let query = Arc::new(p.queries[0].clone());
+                let r = par_best_first_on(&crew, Arc::new(p.db), query, &weights, &config);
+                assert_eq!(r.stats.nodes_expanded, n_a + 2);
+                assert_eq!(r.solutions.len() as u64, 2 * n_a);
+                assert_eq!(crew.calls(), calls, "{n_a} facts");
+            }
+        });
     }
 }

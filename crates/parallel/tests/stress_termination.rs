@@ -1,6 +1,7 @@
 //! Termination stress for the worker-owned heaps and their exchange: many
-//! workers, many iterations, tiny node budgets (aborting mid-flight with
-//! chains still queued), and `max_solutions` early exits.
+//! workers, many iterations, node budgets on both sides of the lone start
+//! (aborting mid-flight with chains still queued, before and after worker
+//! 0 calls the crew), and `max_solutions` early exits.
 //! Any lost wakeup or missed termination shows up as a hang, which the
 //! per-iteration watchdog converts into a test failure; any accounting
 //! slip shows up as `per_worker_expanded` not summing to `nodes_expanded`.
@@ -10,7 +11,9 @@ use std::time::Duration;
 
 use blog_core::weight::{WeightParams, WeightStore};
 use blog_logic::{parse_program, Program, SolveConfig};
-use blog_parallel::{par_best_first_with, FrontierPolicy, ParallelConfig};
+use blog_parallel::{
+    par_best_first_with, FrontierPolicy, ParallelConfig, ParallelResult, LONE_EXPANSIONS,
+};
 
 /// A cyclic graph program whose OR-tree is infinite: every run must end
 /// by budget or early exit, never by exhaustion — the adversarial case
@@ -34,7 +37,8 @@ fn cyclic_program() -> Arc<Program> {
 /// thread would block the panic in the join on exactly the hang this
 /// suite exists to catch. On timeout the stuck thread is leaked, which
 /// is fine: the test still fails loudly instead of hanging the suite.
-fn run_with_watchdog(p: &Arc<Program>, cfg: ParallelConfig, timeout: Duration, what: &str) {
+/// Returns whether a helper took part: it received chains or expanded.
+fn run_with_watchdog(p: &Arc<Program>, cfg: ParallelConfig, timeout: Duration, what: &str) -> bool {
     let (tx, rx) = mpsc::channel();
     let p = Arc::clone(p);
     let n_workers = cfg.n_workers;
@@ -49,20 +53,29 @@ fn run_with_watchdog(p: &Arc<Program>, cfg: ParallelConfig, timeout: Duration, w
             "accounting"
         );
         assert_eq!(r.per_worker_expanded.len(), n_workers);
-        let _ = tx.send(());
+        let _ = tx.send(helped(&r));
     });
     rx.recv_timeout(timeout)
-        .unwrap_or_else(|_| panic!("deadlock: {what} did not terminate"));
+        .unwrap_or_else(|_| panic!("deadlock: {what} did not terminate"))
+}
+
+/// Whether the exchange moved work: chains were stolen or a helper
+/// expanded a node.
+fn helped(r: &ParallelResult) -> bool {
+    r.counters.steals > 0 || r.per_worker_expanded[1..].iter().any(|&n| n > 0)
 }
 
 #[test]
 fn sharded_termination_survives_budget_aborts_and_early_exits() {
     let p = cyclic_program();
     let iterations = 200;
+    let mut helped_runs = 0;
     for i in 0..iterations {
         // Vary budget and D so aborts land at different points of the
-        // donate/acquire/wait protocol every iteration.
-        let budget = 20 + (i % 37) as u64 * 3;
+        // donate/acquire/wait protocol every iteration: budgets run from
+        // 20 to twice `LONE_EXPANSIONS`, so some runs end in worker 0's
+        // lone start and the rest after it called the crew.
+        let budget = 20 + (i % 37) as u64 * (LONE_EXPANSIONS / 18);
         let cfg = ParallelConfig {
             n_workers: 8,
             policy: FrontierPolicy::Sharded {
@@ -75,38 +88,46 @@ fn sharded_termination_survives_budget_aborts_and_early_exits() {
             },
             ..ParallelConfig::default()
         };
-        run_with_watchdog(
+        helped_runs += u32::from(run_with_watchdog(
             &p,
             cfg,
             Duration::from_secs(10),
             &format!("budget-abort iteration {i}"),
-        );
+        ));
     }
+    assert!(helped_runs > 0, "no helper took part in {iterations} runs");
 }
 
 #[test]
 fn sharded_termination_survives_max_solutions_exits() {
     let p = cyclic_program();
-    for i in 0..200 {
+    let iterations = 200;
+    let mut helped_runs = 0;
+    for i in 0..iterations {
+        // About one solution per ten expansions: a cap of 1 exits in
+        // worker 0's lone start, caps past `LONE_EXPANSIONS / 10` after it
+        // called the crew.
+        let cap = 1 + (i % 3) * (LONE_EXPANSIONS as usize / 8);
         let cfg = ParallelConfig {
             n_workers: 8,
             policy: FrontierPolicy::Sharded { d: 128 },
             learn: false,
             solve: SolveConfig {
-                max_solutions: Some(1 + i % 3),
+                max_solutions: Some(cap),
                 // Safety net so a scheduling pathology can't run away.
                 max_nodes: Some(200_000),
                 ..SolveConfig::all()
             },
             ..ParallelConfig::default()
         };
-        run_with_watchdog(
+        helped_runs += u32::from(run_with_watchdog(
             &p,
             cfg,
             Duration::from_secs(10),
             &format!("max-solutions iteration {i}"),
-        );
+        ));
     }
+    assert!(helped_runs > 0, "no helper took part in {iterations} runs");
 }
 
 #[test]

@@ -57,11 +57,12 @@ pub(crate) fn lock_unpoisoned<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 pub enum ExecMode {
     /// The sequential best-first engine: one pool = one processor.
     Sequential,
-    /// The OR-parallel executor: every request fans out over
+    /// The OR-parallel executor: a request fans out over up to
     /// `n_workers` workers that share the pool's store view (and
     /// therefore its touch attribution). The pool's thread is worker 0;
     /// with two or more, the pool keeps `n_workers − 1` helper threads
-    /// for the whole serving session and lends them to each request.
+    /// for the whole serving session, and a request calls them in once
+    /// its search passes `blog_parallel::LONE_EXPANSIONS` expansions.
     /// One worker runs the sequential heap inline on the pool's thread.
     OrParallel {
         /// Workers per request.

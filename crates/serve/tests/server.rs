@@ -112,14 +112,17 @@ fn or_parallel_exec_mode_matches_sequential() {
 
 #[test]
 fn or_parallel_pool_reuses_one_helper_thread() {
-    // 6³ solutions: wide enough that the helper usually gets chains.
+    // 8⁴ solutions. `t(X, Y, Z, W)` and `t(X, Y, Z, k2)` make 586
+    // expansions, past `LONE_EXPANSIONS`, so worker 0 calls the helper in
+    // and the helper usually gets chains; `t(k1, Y, Z, W)` makes 75 and
+    // worker 0 searches it alone.
     let mut src = String::new();
-    for pred in ["a", "b", "c"] {
-        for i in 0..6 {
+    for pred in ["a", "b", "c", "d"] {
+        for i in 0..8 {
             src.push_str(&format!("{pred}(k{i}).\n"));
         }
     }
-    src.push_str("t(X,Y,Z) :- a(X), b(Y), c(Z).\n");
+    src.push_str("t(X,Y,Z,W) :- a(X), b(Y), c(Z), d(W).\n");
     let p = parse_program(&src).unwrap();
     let n_requests = 120;
     let server = QueryServer::new(
@@ -135,7 +138,8 @@ fn or_parallel_pool_reuses_one_helper_thread() {
             ..ServeConfig::default()
         },
     );
-    let texts = ["t(X, Y, Z)", "t(k1, Y, Z)", "t(X, k2, Z)"];
+    let texts = ["t(X, Y, Z, W)", "t(k1, Y, Z, W)", "t(X, Y, Z, k2)"];
+    let truth: Vec<Vec<String>> = texts.iter().map(|t| sequential_solutions(&p, t)).collect();
     let (report, ()) = server.serve_open(|s| {
         for i in 0..n_requests {
             s.submit(QueryRequest::new(i as u64, texts[i % texts.len()]));
@@ -143,8 +147,8 @@ fn or_parallel_pool_reuses_one_helper_thread() {
     });
     assert_eq!(report.stats.completed, n_requests);
     for r in &report.responses {
-        let text = texts[r.request % texts.len()];
-        assert_eq!(r.outcome.solutions(), sequential_solutions(&p, text), "{text}");
+        let i = r.request % texts.len();
+        assert_eq!(r.outcome.solutions(), truth[i], "{}", texts[i]);
     }
     // Each worker span closes with a "worker" event: "<nodes> nodes on
     // <thread id>". Worker 0 is the pool's own thread, worker 1 the
@@ -175,6 +179,45 @@ fn or_parallel_pool_reuses_one_helper_thread() {
     assert_eq!(threads[1].len(), 1, "one helper thread: {:?}", threads[1]);
     assert_eq!(threads[0].len(), 1, "one pool thread: {:?}", threads[0]);
     assert_ne!(threads[0], threads[1]);
+}
+
+#[test]
+fn a_small_or_parallel_request_never_wakes_the_helper() {
+    // `gf(sam, G)` ends long before `LONE_EXPANSIONS`: worker 0 searches
+    // it alone on the pool's thread, and the parked helper never runs a
+    // part, so no request's flight record has a `worker1` span.
+    let p = parse_program(FAMILY).unwrap();
+    let n_requests = 8;
+    let server = QueryServer::new(
+        &p.db,
+        store_cfg(p.db.len(), 4),
+        ServeConfig {
+            n_pools: 1,
+            exec: ExecMode::OrParallel {
+                n_workers: 2,
+                policy: FrontierPolicy::Sharded { d: 512 },
+            },
+            trace: TraceConfig::always_on().with_ring_capacity(n_requests),
+            ..ServeConfig::default()
+        },
+    );
+    let report = server.serve(
+        (0..n_requests as u64)
+            .map(|s| QueryRequest::new(s, "gf(sam, G)"))
+            .collect(),
+    );
+    assert_eq!(report.stats.completed, n_requests);
+    let truth = sequential_solutions(&p, "gf(sam, G)");
+    for r in &report.responses {
+        assert_eq!(r.outcome.solutions(), truth);
+    }
+    let traces = server.tracer().recorder().snapshot();
+    assert_eq!(traces.len(), n_requests);
+    for t in &traces {
+        let names: Vec<&str> = t.spans.iter().map(|s| s.name.as_str()).collect();
+        assert!(names.contains(&"worker0"), "{names:?}");
+        assert!(!names.contains(&"worker1"), "the helper ran: {names:?}");
+    }
 }
 
 #[test]

@@ -201,18 +201,26 @@ proptest! {
 /// left pinned.
 #[test]
 fn a_panic_on_a_helper_costs_one_attempt() {
-    // A wide join, so the helper makes a share of every request's touches.
+    // A wide join, so the helper makes a share of every request's touches:
+    // 10³ `(X, Y, Z)` picks, each checked by one indexed `d/2` touch. That
+    // is 1 112 expansions, 600 of them after worker 0 calls the helper in
+    // at `LONE_EXPANSIONS`, and about 1 900 touches per attempt, so the
+    // panic rate is per-touch small.
     let mut src = String::new();
     for pred in ["a", "b", "c"] {
-        for i in 0..4 {
+        for i in 0..10 {
             src.push_str(&format!("{pred}(k{i}).\n"));
         }
     }
-    src.push_str("t(X,Y,Z) :- a(X), b(Y), c(Z).\n");
+    src.push_str("d(k0,yes).\n");
+    for i in 1..10 {
+        src.push_str(&format!("d(k{i},no).\n"));
+    }
+    src.push_str("t(X,Y,Z) :- a(X), b(Y), c(Z), d(Z,yes).\n");
     let p = parse_program(&src).unwrap();
     let truth = sequential(&p, "t(X, Y, Z)");
     let n_requests = 300;
-    let plan = FaultPlan::new(11).with_site(FaultSite::panic(0.002));
+    let plan = FaultPlan::new(11).with_site(FaultSite::panic(0.0002));
     let server = QueryServer::new(
         &p.db,
         small_store(&p).with_fault(Some(plan)),

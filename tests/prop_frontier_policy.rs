@@ -6,19 +6,65 @@
 //! observationally equivalent with pruning off — same solution sets, same
 //! bounds, same nodes expanded and unifications — the way
 //! `prop_state_repr` pins the search-state representations to each other.
+//! Three workers start alone on worker 0: a tree below
+//! `LONE_EXPANSIONS` must get no helper work and take the exchange's lock
+//! once, to end, and in trees past it the helpers must take part.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use b_log::core::engine::{best_first, BestFirstConfig};
 use b_log::core::weight::{WeightParams, WeightStore, WeightView};
 use b_log::logic::{parse_program, Program, SolveConfig};
-use b_log::parallel::{par_best_first_with, FrontierPolicy, ParallelConfig, ParallelResult};
+use b_log::parallel::{
+    par_best_first_with, FrontierPolicy, ParallelConfig, ParallelResult, LONE_EXPANSIONS,
+};
 use proptest::prelude::*;
 
-/// A random layered program with structured terms and a recursive layer
-/// (same family as `prop_state_repr`): facts `a/2`, `b/2` over constants,
-/// `top` rules joining them, and a bounded-recursion `chain` layer so
-/// frontiers actually deepen.
+/// A layered program with structured terms and a recursive layer (same
+/// family as `prop_state_repr`): facts `a/2`, `b/2` over constants, `top`
+/// rules joining them, and a bounded-recursion `chain` layer so frontiers
+/// actually deepen. With `fan = Some(n)` the query first picks one of `n`
+/// `fan/1` facts, repeating the search under each: those trees reach
+/// thousands of nodes, so many cross `LONE_EXPANSIONS`.
+fn program_source(
+    a_facts: &BTreeSet<(u32, u32)>,
+    b_facts: &BTreeSet<(u32, u32)>,
+    second_rule: bool,
+    query_chain: bool,
+    fan: Option<u32>,
+) -> String {
+    let mut src = String::new();
+    src.push_str("top(X,Z) :- a(X,Y), b(Y,Z).\n");
+    if second_rule {
+        src.push_str("top(X,Z) :- b(X,Y), a(Y,Z).\n");
+    }
+    src.push_str("chain(X,Z) :- a(X,Z).\n");
+    src.push_str("chain(X,Z) :- a(X,Y), chain(Y,Z).\n");
+    for (x, y) in a_facts {
+        src.push_str(&format!("a(c{x},c{y}).\n"));
+    }
+    for (x, y) in b_facts {
+        src.push_str(&format!("b(c{x},f(c{y})).\n"));
+    }
+    let goal = if query_chain {
+        "chain(X,Z)"
+    } else {
+        "top(X,Z)"
+    };
+    match fan {
+        Some(n) => {
+            for i in 0..n {
+                src.push_str(&format!("fan(u{i}).\n"));
+            }
+            src.push_str(&format!("?- fan(U), {goal}.\n"));
+        }
+        None => src.push_str(&format!("?- {goal}.\n")),
+    }
+    src
+}
+
+/// A random program of `program_source`'s family, fanned out over 2–47
+/// `fan/1` facts in half the cases, and its depth limit.
 fn arb_program() -> impl Strategy<Value = (String, u32)> {
     (
         prop::collection::btree_set((0u32..5, 0u32..5), 1..12),
@@ -26,26 +72,11 @@ fn arb_program() -> impl Strategy<Value = (String, u32)> {
         any::<bool>(),
         any::<bool>(),
         4u32..20,
+        (any::<bool>(), 2u32..48),
     )
-        .prop_map(|(a_facts, b_facts, second_rule, query_chain, depth)| {
-            let mut src = String::new();
-            src.push_str("top(X,Z) :- a(X,Y), b(Y,Z).\n");
-            if second_rule {
-                src.push_str("top(X,Z) :- b(X,Y), a(Y,Z).\n");
-            }
-            src.push_str("chain(X,Z) :- a(X,Z).\n");
-            src.push_str("chain(X,Z) :- a(X,Y), chain(Y,Z).\n");
-            for (x, y) in &a_facts {
-                src.push_str(&format!("a(c{x},c{y}).\n"));
-            }
-            for (x, y) in &b_facts {
-                src.push_str(&format!("b(c{x},f(c{y})).\n"));
-            }
-            if query_chain {
-                src.push_str("?- chain(X,Z).\n");
-            } else {
-                src.push_str("?- top(X,Z).\n");
-            }
+        .prop_map(|(a_facts, b_facts, second_rule, query_chain, depth, (fans, n))| {
+            let fan = fans.then_some(n);
+            let src = program_source(&a_facts, &b_facts, second_rule, query_chain, fan);
             (src, depth)
         })
 }
@@ -122,6 +153,35 @@ proptest! {
                 r.stats.nodes_expanded,
                 "x{}: accounting", workers
             );
+            if workers == 3 && seq.stats.nodes_expanded < LONE_EXPANSIONS {
+                // Worker 0 searched alone: one exchange lock, to end, and
+                // no helper work.
+                prop_assert_eq!(r.counters.shard_locks, 1);
+                prop_assert_eq!(&r.per_worker_expanded[1..], &[0, 0][..]);
+            }
         }
     }
+}
+
+#[test]
+fn helpers_take_part_in_trees_past_the_lone_start() {
+    // Full 5 × 5 `a` and `b` tables under 16, 32 and 47 fans: every tree
+    // crosses `LONE_EXPANSIONS`, so worker 0 calls the crew in each. A
+    // helper that wakes after worker 0 has finished takes no part, so the
+    // check is over the three runs, not each.
+    let full: BTreeSet<(u32, u32)> = (0..5).flat_map(|x| (0..5).map(move |y| (x, y))).collect();
+    let mut helped_runs = 0;
+    for n in [16, 32, 47] {
+        let p = parse(&program_source(&full, &full, true, true, Some(n)));
+        let r = run(&p, 3, 8);
+        assert!(
+            r.stats.nodes_expanded > 2 * LONE_EXPANSIONS,
+            "{n} fans: {} nodes",
+            r.stats.nodes_expanded
+        );
+        // A helper took part: it received chains or expanded a node.
+        let helped = r.counters.steals > 0 || r.per_worker_expanded[1..].iter().any(|&n| n > 0);
+        helped_runs += u32::from(helped);
+    }
+    assert!(helped_runs > 0, "no helper took part in three crossing trees");
 }
