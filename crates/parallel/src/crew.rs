@@ -6,9 +6,10 @@
 //! given the initial query", §6) and calls the helpers in only when its
 //! part decides the job is worth sharing; a job it finishes alone costs
 //! the crew nothing, and one it shares costs one wakeup instead of `k`
-//! thread spawns. Between jobs the helpers park on a condvar. They live
-//! in a [`std::thread::Scope`] and exit when the crew is dropped; the
-//! scope joins them.
+//! thread spawns. The helpers are spawned at the crew's first call, so a
+//! crew whose jobs all end alone never starts a thread. Between jobs the
+//! helpers park on a condvar. They live in a [`std::thread::Scope`] and
+//! exit when the crew is dropped; the scope joins them.
 //!
 //! A job is an `Arc`'d closure over whatever it needs, which is how a
 //! request's snapshot and query reach threads that outlive the request.
@@ -19,7 +20,7 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 use std::thread::Scope;
 
 use parking_lot::{Condvar, Mutex};
@@ -54,11 +55,16 @@ struct Inner<'a> {
 pub struct Crew<'a> {
     inner: Arc<Inner<'a>>,
     helpers: usize,
+    /// Spawns helper `worker` into the crew's scope.
+    spawn: Box<dyn Fn(usize) + Send + Sync + 'a>,
+    /// Completed once the helpers are spawned.
+    spawned: Once,
 }
 
 impl<'a> Crew<'a> {
-    /// Start `helpers` threads in `scope`. They park until a job is run
-    /// and exit when the crew is dropped.
+    /// A crew of `helpers` threads in `scope`, spawned at the first
+    /// call. They park until a job is run and exit when the crew is
+    /// dropped.
     pub fn start<'env>(scope: &'a Scope<'a, 'env>, helpers: usize) -> Crew<'a> {
         let inner = Arc::new(Inner {
             slot: Mutex::new(Slot {
@@ -71,11 +77,19 @@ impl<'a> Crew<'a> {
             posted: Condvar::new(),
             finished: Condvar::new(),
         });
-        for worker in 1..=helpers {
+        let spawn = {
             let inner = Arc::clone(&inner);
-            scope.spawn(move || helper(&inner, worker));
+            Box::new(move |worker| {
+                let inner = Arc::clone(&inner);
+                scope.spawn(move || helper(&inner, worker));
+            })
+        };
+        Crew {
+            inner,
+            helpers,
+            spawn,
+            spawned: Once::new(),
         }
-        Crew { inner, helpers }
     }
 
     /// Workers per job: the helpers plus the caller.
@@ -89,6 +103,16 @@ impl<'a> Crew<'a> {
         self.inner.slot.lock().generation
     }
 
+    /// Helper threads spawned so far.
+    #[cfg(test)]
+    pub(crate) fn spawned(&self) -> usize {
+        if self.spawned.is_completed() {
+            self.helpers
+        } else {
+            0
+        }
+    }
+
     /// Run `job(0, call)` on the calling thread; once `call` is called,
     /// offer `job(w, _)`, `w` in `1..=helpers`, to the helpers. Returns
     /// once the caller's part is done and no helper is still inside the
@@ -100,6 +124,7 @@ impl<'a> Crew<'a> {
         let called = Cell::new(false);
         let call = || {
             if !called.replace(true) {
+                self.spawned.call_once(|| (1..=self.helpers).for_each(&self.spawn));
                 let mut slot = inner.slot.lock();
                 slot.job = Some(Arc::clone(&job));
                 slot.generation += 1;
@@ -233,7 +258,9 @@ mod tests {
                     }
                 })
             };
+            assert_eq!(crew.spawned(), 0, "no thread before the first call");
             crew.run(job(1, true));
+            assert_eq!(crew.spawned(), 1);
             // Not called: the helper never sees the job. `run` returns
             // without waiting, and nothing was posted.
             crew.run(job(2, false));

@@ -295,8 +295,9 @@ fn worker_loop<S: ClauseSource + ?Sized>(
 /// the shared cache*: the source's `Sync` bound is what makes this sound.
 ///
 /// Two or more workers run on a [`Crew`] started for this call: the
-/// caller's thread plus `n_workers − 1` scoped threads. A server that
-/// searches many queries keeps one crew instead ([`par_best_first_on`]).
+/// caller's thread plus `n_workers − 1` scoped threads, spawned only if
+/// the search outgrows worker 0's lone start. A server that searches
+/// many queries keeps one crew instead ([`par_best_first_on`]).
 pub fn par_best_first_with<S: ClauseSource + ?Sized>(
     source: &S,
     query: &Query,
@@ -368,7 +369,8 @@ fn run_inline<S: ClauseSource + ?Sized>(
 
 /// Run `body` with a search for the several searches of one call (the §7
 /// factor searches), each under `config` and learning nothing: inline at
-/// one worker, otherwise all on one [`Crew`] started for the call.
+/// one worker, otherwise all on one [`Crew`] started for the call, whose
+/// threads start with the first search that calls it in.
 pub(crate) fn with_call_search<S: ClauseSource + ?Sized, R>(
     source: &S,
     weights: &WeightStore,
@@ -793,22 +795,31 @@ mod tests {
     fn the_crew_is_called_at_lone_expansions() {
         // One more `a` fact and worker 0's last expansion is its
         // `LONE_EXPANSIONS`-th, with the solution chains queued: it calls
-        // the crew in.
+        // the crew in. The crew spawns its helpers at that first call,
+        // and a lone search after it reuses them.
         let weights = WeightStore::new(WeightParams::default());
-        let config = ParallelConfig {
-            learn: false,
-            ..workers(2)
-        };
-        std::thread::scope(|s| {
-            let crew = Crew::start(s, 1);
-            for (n_a, calls) in [(LONE_EXPANSIONS - 3, 0), (LONE_EXPANSIONS - 2, 1)] {
-                let p = fan(n_a);
-                let query = Arc::new(p.queries[0].clone());
-                let r = par_best_first_on(&crew, Arc::new(p.db), query, &weights, &config);
-                assert_eq!(r.stats.nodes_expanded, n_a + 2);
-                assert_eq!(r.solutions.len() as u64, 2 * n_a);
-                assert_eq!(crew.calls(), calls, "{n_a} facts");
-            }
-        });
+        for n_workers in [2, 3] {
+            let config = ParallelConfig {
+                learn: false,
+                ..workers(n_workers)
+            };
+            let helpers = n_workers - 1;
+            std::thread::scope(|s| {
+                let crew = Crew::start(s, helpers);
+                for (n_a, calls, spawned) in [
+                    (LONE_EXPANSIONS - 3, 0, 0),
+                    (LONE_EXPANSIONS - 2, 1, helpers),
+                    (LONE_EXPANSIONS - 3, 1, helpers),
+                ] {
+                    let p = fan(n_a);
+                    let query = Arc::new(p.queries[0].clone());
+                    let r = par_best_first_on(&crew, Arc::new(p.db), query, &weights, &config);
+                    assert_eq!(r.stats.nodes_expanded, n_a + 2);
+                    assert_eq!(r.solutions.len() as u64, 2 * n_a);
+                    assert_eq!(crew.calls(), calls, "x{n_workers}, {n_a} facts: calls");
+                    assert_eq!(crew.spawned(), spawned, "x{n_workers}, {n_a} facts: threads");
+                }
+            });
+        }
     }
 }

@@ -21,6 +21,18 @@
 //! was not told about (a direct [`blog_spd::MvccClauseStore::begin_write`]
 //! bypassing the server) and are dropped conservatively.
 //!
+//! A commit costs what it invalidates, not what the cache holds, because
+//! the mutex it takes is the one every hit takes. An entry valid through
+//! the last notified epoch is *current*: its window's end is the
+//! `CURRENT` sentinel, so a disjoint commit extends it by doing nothing.
+//! A `(functor, arity)` index over the current entries' footprints
+//! finds the ones the touched predicates drop; it deletes lazily, and is
+//! compacted once more than half its references are stale. An entry
+//! filled at another epoch waits on a short pending list that the next
+//! commit settles by the rule above. The one full pass left is a commit
+//! whose base is not the last notified epoch: a commit slipped past the
+//! cache, and every window is checked as above.
+//!
 //! **Governor.** One byte budget covers cached answers *and* per-request
 //! admission reservations: [`try_admit`](AnswerCache::try_admit) evicts
 //! least-recently-used entries to make room for incoming work and refuses
@@ -167,6 +179,10 @@ impl CacheStats {
     }
 }
 
+/// The `valid_to` of a current entry: valid through the last epoch a
+/// commit notified.
+const CURRENT: u64 = u64::MAX;
+
 /// One cached solution set.
 struct Entry {
     /// Sorted rendered solutions, shared with hit responses.
@@ -175,14 +191,20 @@ struct Entry {
     deps: Vec<(Sym, u32)>,
     /// Epoch the filling query pinned.
     valid_from: u64,
-    /// Last epoch the entry is known valid at (extended by disjoint
-    /// commits).
+    /// Last epoch the entry is known valid at, or [`CURRENT`].
     valid_to: u64,
     /// Budget charge for this entry.
     bytes: usize,
     /// LRU clock value of the last hit or fill.
     last_used: u64,
+    /// LRU clock value of the fill: tells a reference to this fill from
+    /// one to an earlier fill of the same key.
+    filled: u64,
 }
+
+/// A reference to one fill of one key; stale once the key is dropped or
+/// refilled.
+type FillRef = (Arc<CacheKey>, u64);
 
 #[derive(Default)]
 struct Counters {
@@ -196,8 +218,23 @@ struct Counters {
     overloaded: u64,
 }
 
+#[derive(Default)]
 struct Inner {
-    entries: HashMap<CacheKey, Entry>,
+    entries: HashMap<Arc<CacheKey>, Entry>,
+    /// New epoch of the last notified commit; `None` before the first.
+    epoch: Option<u64>,
+    /// Footprint predicate → the current entries whose footprint holds
+    /// it. Stale references stay until a commit touching the predicate
+    /// or a compaction drops them.
+    by_pred: HashMap<(Sym, u32), Vec<FillRef>>,
+    /// References in `by_pred`, live and stale.
+    indexed: usize,
+    /// Live references in `by_pred`: the current entries' footprint
+    /// sizes summed.
+    indexed_live: usize,
+    /// Entries filled at an epoch other than `epoch`, settled by the
+    /// next commit (may hold stale references).
+    pending: Vec<FillRef>,
     /// Bytes charged by resident entries.
     cache_bytes: usize,
     /// Bytes reserved by admitted, unfinished requests.
@@ -207,9 +244,151 @@ struct Inner {
     counters: Counters,
 }
 
+/// Whether `r` names the resident fill of its key and that fill is
+/// current.
+fn is_current(entries: &HashMap<Arc<CacheKey>, Entry>, (key, filled): &FillRef) -> bool {
+    entries
+        .get(key)
+        .is_some_and(|e| e.filled == *filled && e.valid_to == CURRENT)
+}
+
+fn meets(deps: &[(Sym, u32)], touched: &[(Sym, u32)]) -> bool {
+    touched.iter().any(|t| deps.binary_search(t).is_ok())
+}
+
+/// The last epoch an entry whose `valid_to` is `valid_to` is known valid
+/// at, when `last` is the last notified epoch.
+fn window_end(valid_to: u64, last: Option<u64>) -> u64 {
+    if valid_to == CURRENT {
+        last.expect("current entries exist once a commit was notified")
+    } else {
+        valid_to
+    }
+}
+
 impl Inner {
-    fn remove_entry_bytes(&mut self, bytes: usize) {
-        self.cache_bytes -= bytes;
+    /// Make the resident fill `r` current and index its footprint.
+    fn make_current(&mut self, (key, filled): FillRef) {
+        let e = self.entries.get_mut(&key).expect("resident fill");
+        e.valid_to = CURRENT;
+        for &dep in &e.deps {
+            self.by_pred
+                .entry(dep)
+                .or_default()
+                .push((Arc::clone(&key), filled));
+        }
+        self.indexed += e.deps.len();
+        self.indexed_live += e.deps.len();
+    }
+
+    /// Drop `key`'s entry and its charge. Its index references go stale.
+    fn remove(&mut self, key: &CacheKey) {
+        let e = self.entries.remove(key).expect("resident entry");
+        self.cache_bytes -= e.bytes;
+        if e.valid_to == CURRENT {
+            self.indexed_live -= e.deps.len();
+            self.compact_index();
+        }
+    }
+
+    /// Drop the index's stale references once they outnumber the live
+    /// ones, which pays for the pass before the index can double again.
+    fn compact_index(&mut self) {
+        if self.indexed <= 2 * self.indexed_live {
+            return;
+        }
+        let Inner { entries, by_pred, .. } = self;
+        by_pred.retain(|_, refs| {
+            refs.retain(|r| is_current(entries, r));
+            !refs.is_empty()
+        });
+        self.indexed = self.indexed_live;
+    }
+
+    /// The commit `base → new_epoch` when `base` is the last notified
+    /// epoch: visits the index lists of `touched` and the pending list.
+    fn commit_notified(&mut self, base: u64, new_epoch: u64, touched: &[(Sym, u32)]) {
+        for t in touched {
+            let Some(refs) = self.by_pred.remove(t) else {
+                continue;
+            };
+            self.indexed -= refs.len();
+            for r in refs {
+                // A footprint listing two touched predicates is found
+                // twice; the second reference is stale by then.
+                if is_current(&self.entries, &r) {
+                    self.remove(&r.0);
+                    self.counters.invalidations += 1;
+                }
+            }
+        }
+        for r in std::mem::take(&mut self.pending) {
+            let Some(e) = self.entries.get(&r.0).filter(|e| e.filled == r.1) else {
+                continue;
+            };
+            if e.valid_to >= new_epoch {
+                self.pending.push(r);
+            } else if e.valid_to == base {
+                if meets(&e.deps, touched) {
+                    self.remove(&r.0);
+                    self.counters.invalidations += 1;
+                } else {
+                    self.make_current(r);
+                }
+            } else {
+                self.remove(&r.0);
+                self.counters.expired += 1;
+            }
+        }
+    }
+
+    /// Any other commit: every entry is checked, and the index and the
+    /// pending list are rebuilt around `new_epoch` as the last notified
+    /// epoch.
+    fn commit_full_pass(&mut self, base: u64, new_epoch: u64, touched: &[(Sym, u32)]) {
+        let last = self.epoch;
+        let mut freed = 0usize;
+        let mut invalidations = 0u64;
+        let mut expired = 0u64;
+        self.entries.retain(|_, e| {
+            e.valid_to = window_end(e.valid_to, last);
+            if e.valid_to >= new_epoch {
+                return true;
+            }
+            if e.valid_to == base {
+                if meets(&e.deps, touched) {
+                    invalidations += 1;
+                    freed += e.bytes;
+                    false
+                } else {
+                    e.valid_to = new_epoch;
+                    true
+                }
+            } else {
+                expired += 1;
+                freed += e.bytes;
+                false
+            }
+        });
+        self.counters.invalidations += invalidations;
+        self.counters.expired += expired;
+        self.cache_bytes -= freed;
+        self.by_pred.clear();
+        self.pending.clear();
+        self.indexed = 0;
+        self.indexed_live = 0;
+        let fills: Vec<(FillRef, bool)> = self
+            .entries
+            .iter()
+            .map(|(key, e)| ((Arc::clone(key), e.filled), e.valid_to == new_epoch))
+            .collect();
+        for (r, current) in fills {
+            if current {
+                self.make_current(r);
+            } else {
+                self.pending.push(r);
+            }
+        }
     }
 
     /// Evict least-recently-used entries until `need` more bytes fit
@@ -221,12 +400,11 @@ impl Inner {
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
+                .map(|(k, _)| Arc::clone(k))
             else {
                 return false;
             };
-            let e = self.entries.remove(&victim).expect("victim is resident");
-            self.remove_entry_bytes(e.bytes);
+            self.remove(&victim);
             self.counters.evictions += 1;
         }
         true
@@ -245,13 +423,7 @@ impl AnswerCache {
     pub fn new(config: CacheConfig) -> AnswerCache {
         AnswerCache {
             config,
-            inner: Mutex::new(Inner {
-                entries: HashMap::new(),
-                cache_bytes: 0,
-                reserved_bytes: 0,
-                tick: 0,
-                counters: Counters::default(),
-            }),
+            inner: Mutex::new(Inner::default()),
         }
     }
 
@@ -269,8 +441,9 @@ impl AnswerCache {
         inner.counters.lookups += 1;
         inner.tick += 1;
         let tick = inner.tick;
+        let last = inner.epoch;
         let hit = match inner.entries.get_mut(key) {
-            Some(e) if e.valid_from <= epoch && epoch <= e.valid_to => {
+            Some(e) if e.valid_from <= epoch && epoch <= window_end(e.valid_to, last) => {
                 e.last_used = tick;
                 Some(Arc::clone(&e.solutions))
             }
@@ -295,16 +468,14 @@ impl AnswerCache {
         let bytes = entry_bytes(&key, &deps, &solutions);
         let mut inner = lock_unpoisoned(&self.inner);
         if let Some(old) = inner.entries.get(&key) {
-            if old.valid_to >= epoch {
+            if window_end(old.valid_to, inner.epoch) >= epoch {
                 // A fresher result for this key is already resident; a
                 // slow query that pinned an older epoch must not clobber
                 // it.
                 return;
             }
             // Replacing a staler entry frees its charge first.
-            let freed = old.bytes;
-            inner.entries.remove(&key);
-            inner.remove_entry_bytes(freed);
+            inner.remove(&key);
         }
         if let Some(budget) = self.config.budget_bytes {
             if !inner.make_room(budget, bytes) {
@@ -314,8 +485,9 @@ impl AnswerCache {
         }
         inner.tick += 1;
         let tick = inner.tick;
+        let key = Arc::new(key);
         inner.entries.insert(
-            key,
+            Arc::clone(&key),
             Entry {
                 solutions,
                 deps,
@@ -323,10 +495,16 @@ impl AnswerCache {
                 valid_to: epoch,
                 bytes,
                 last_used: tick,
+                filled: tick,
             },
         );
         inner.cache_bytes += bytes;
         inner.counters.fills += 1;
+        if inner.epoch == Some(epoch) {
+            inner.make_current((key, tick));
+        } else {
+            inner.pending.push((key, tick));
+        }
     }
 
     /// Tell the cache a transaction with `touched` head predicates
@@ -334,37 +512,20 @@ impl AnswerCache {
     /// called in commit order (the server serializes commits through one
     /// mutex). Entries valid through `base` either extend to `new_epoch`
     /// (footprint disjoint from `touched`) or drop; entries that already
-    /// lag behind `base` drop as expired.
+    /// lag behind `base` drop as expired. When `base` is the last
+    /// notified epoch this visits only the entries `touched` can drop
+    /// and those filled at other epochs; otherwise every entry.
     pub fn on_commit(&self, base: u64, new_epoch: u64, touched: &[(Sym, u32)]) {
         if !self.enabled() || new_epoch == base {
             return;
         }
         let mut inner = lock_unpoisoned(&self.inner);
-        let mut freed = 0usize;
-        let mut invalidations = 0u64;
-        let mut expired = 0u64;
-        inner.entries.retain(|_, e| {
-            if e.valid_to >= new_epoch {
-                return true;
-            }
-            if e.valid_to == base {
-                if touched.iter().any(|t| e.deps.binary_search(t).is_ok()) {
-                    invalidations += 1;
-                    freed += e.bytes;
-                    false
-                } else {
-                    e.valid_to = new_epoch;
-                    true
-                }
-            } else {
-                expired += 1;
-                freed += e.bytes;
-                false
-            }
-        });
-        inner.counters.invalidations += invalidations;
-        inner.counters.expired += expired;
-        inner.cache_bytes -= freed;
+        if inner.epoch == Some(base) && new_epoch > base {
+            inner.commit_notified(base, new_epoch, touched);
+        } else {
+            inner.commit_full_pass(base, new_epoch, touched);
+        }
+        inner.epoch = Some(new_epoch);
     }
 
     /// Reserve one request's bytes under the budget, evicting LRU cache

@@ -12,7 +12,7 @@
 //!
 //! [`TrackId`]: crate::paged::TrackId
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A multiplicative hasher over integer words: add, then multiply by an
@@ -63,13 +63,11 @@ impl Hasher for IdHasher {
 /// A `HashMap` over store-assigned keys.
 pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
-/// A `HashSet` over store-assigned keys.
-pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::paged::TrackId;
+    use std::collections::HashSet;
     use std::hash::{BuildHasher, Hash};
 
     fn hash_of(key: impl Hash) -> u64 {
@@ -78,7 +76,7 @@ mod tests {
 
     #[test]
     fn distinct_tracks_hash_apart() {
-        let mut seen = IdSet::default();
+        let mut seen = HashSet::new();
         for sp in 0..16 {
             for cylinder in 0..256 {
                 assert!(seen.insert(hash_of(TrackId { sp, cylinder })));

@@ -12,7 +12,7 @@
 //! | Policy | Structure | Strength |
 //! |---|---|---|
 //! | [`Lru`] | recency list | general-purpose; exact stack algorithm |
-//! | [`TwoQ`] | A1in FIFO + A1out ghosts + Am LRU | scan-resistant: one-touch pages die in A1in, re-referenced pages earn Am |
+//! | [`TwoQ`] | A1in FIFO + A1out ghosts (lazily deleted) + Am LRU | scan-resistant: one-touch pages die in A1in, re-referenced pages earn Am |
 //! | [`Clock`] | ring of reference bits | LRU approximation at O(1) space overhead per frame |
 //! | [`Fifo`] | queue | cheapest possible; the pager's historical prefetch behavior |
 //!
@@ -22,6 +22,10 @@
 //! keeps the [`PolicyStats`] counters. The property suite in
 //! `tests/policy_props.rs` checks every implementation against a
 //! brute-force reference model on arbitrary traces.
+//!
+//! A track cache calls its policy under the mutex every missing reader
+//! waits on, so no step here walks a queue: each is O(1), amortized for
+//! 2Q's ghost queue (see [`TwoQ`]) and CLOCK's hand.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -29,7 +33,7 @@ use std::hash::Hash;
 
 use serde::Serialize;
 
-use crate::idhash::{IdMap, IdSet};
+use crate::idhash::IdMap;
 use crate::lru::{LruSet, Touch};
 
 /// Access counters every policy maintains through
@@ -331,6 +335,17 @@ impl<K: Eq + Hash + Copy + fmt::Debug + Send, const PROMOTE_ON_HIT: bool> Replac
 /// negligible, and the longer memory is what lets the window span the
 /// database-wide scans best-first generates between hot-track revisits
 /// (ARC makes the same trade with its ghost lists).
+///
+/// The ghost FIFO forgets by lazy deletion, so no step scans it while
+/// the track cache's mutex is held. Every queued ghost carries a sequence
+/// number, and the membership map holds the number of each *live*
+/// ghost's entry. Forgetting a ghost (it missed again, or a prefetch
+/// re-admitted it) removes it from the map alone; its queue entry goes
+/// stale and is skipped when it reaches the front. The window slides by
+/// popping the front until at most `Kout` ghosts are live, and the queue
+/// is compacted once it holds more than `2·Kout` entries, so it never
+/// grows past that. The live ghosts, and their order, are exactly those
+/// of a FIFO that removed a forgotten ghost on the spot.
 #[derive(Clone, Debug)]
 pub struct TwoQ<K: Eq + Hash + Copy> {
     capacity: usize,
@@ -342,9 +357,13 @@ pub struct TwoQ<K: Eq + Hash + Copy> {
     a1in: LruSet<K>,
     /// Proven-reuse LRU.
     am: LruSet<K>,
-    /// Ghost FIFO: front = oldest. Membership mirrored in `ghost_set`.
-    a1out: VecDeque<K>,
-    ghost_set: IdSet<K>,
+    /// Ghost FIFO of `(key, sequence number)`: front = oldest. An entry
+    /// is live iff `ghost_set` maps its key to its number.
+    a1out: VecDeque<(K, u64)>,
+    /// Live ghosts: key -> sequence number of its queue entry.
+    ghost_set: IdMap<K, u64>,
+    /// Sequence number of the next remembered ghost.
+    next_ghost: u64,
     /// Set by a [`touch`](ReplacementPolicy::touch) miss that found its
     /// key ghosted: a following `admit` of *that key* goes to Am.
     /// Resolved at miss time because the eviction making room may slide
@@ -372,7 +391,8 @@ impl<K: Eq + Hash + Copy> TwoQ<K> {
             a1in: LruSet::new(capacity),
             am: LruSet::new(capacity),
             a1out: VecDeque::new(),
-            ghost_set: IdSet::default(),
+            ghost_set: IdMap::default(),
+            next_ghost: 0,
             pending_am: None,
             stats: PolicyStats::default(),
         }
@@ -380,22 +400,41 @@ impl<K: Eq + Hash + Copy> TwoQ<K> {
 
     /// Number of ghost keys currently remembered (testing aid).
     pub fn ghost_len(&self) -> usize {
+        self.ghost_set.len()
+    }
+
+    /// Number of entries in the ghost queue, live and stale (testing
+    /// aid): never more than twice the ghost window.
+    pub fn ghost_queue_len(&self) -> usize {
         self.a1out.len()
     }
 
+    fn is_live(&self, &(key, seq): &(K, u64)) -> bool {
+        self.ghost_set.get(&key) == Some(&seq)
+    }
+
     fn remember_ghost(&mut self, key: K) {
-        self.a1out.push_back(key);
-        self.ghost_set.insert(key);
-        while self.a1out.len() > self.kout {
-            let old = self.a1out.pop_front().expect("nonempty ghost queue");
-            self.ghost_set.remove(&old);
+        let seq = self.next_ghost;
+        self.next_ghost += 1;
+        self.a1out.push_back((key, seq));
+        self.ghost_set.insert(key, seq);
+        while self.ghost_set.len() > self.kout {
+            let oldest = self.a1out.pop_front().expect("a live ghost is queued");
+            if self.is_live(&oldest) {
+                self.ghost_set.remove(&oldest.0);
+            }
+        }
+        if self.a1out.len() > 2 * self.kout {
+            // At least `kout` entries are stale: dropping them all pays
+            // for this pass before the queue can grow this long again.
+            let mut queue = std::mem::take(&mut self.a1out);
+            queue.retain(|entry| self.is_live(entry));
+            self.a1out = queue;
         }
     }
 
-    fn forget_ghost(&mut self, key: &K) {
-        if self.ghost_set.remove(key) {
-            self.a1out.retain(|k| k != key);
-        }
+    fn forget_ghost(&mut self, key: &K) -> bool {
+        self.ghost_set.remove(key).is_some()
     }
 }
 
@@ -425,12 +464,7 @@ impl<K: Eq + Hash + Copy + fmt::Debug + Send> ReplacementPolicy<K> for TwoQ<K> {
         }
         // Miss: resolve the admission route *now*, while the ghost
         // window still reflects the state at miss time.
-        if self.ghost_set.contains(&key) {
-            self.forget_ghost(&key);
-            self.pending_am = Some(key);
-        } else {
-            self.pending_am = None;
-        }
+        self.pending_am = self.forget_ghost(&key).then_some(key);
         false
     }
 
@@ -475,6 +509,7 @@ impl<K: Eq + Hash + Copy + fmt::Debug + Send> ReplacementPolicy<K> for TwoQ<K> {
         self.am.clear();
         self.a1out.clear();
         self.ghost_set.clear();
+        self.next_ghost = 0;
         self.pending_am = None;
         self.stats = PolicyStats::default();
     }

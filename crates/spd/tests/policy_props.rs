@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use blog_spd::{PolicyKind, Touch};
+use blog_spd::{PolicyKind, ReplacementPolicy, Touch, TwoQ};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -25,6 +25,17 @@ type Step = (bool, Option<u32>);
 trait Model {
     fn access(&mut self, key: u32) -> Step;
     fn resident(&self) -> Vec<u32>;
+
+    /// Admit `key` without touching it first, as the pager admits a
+    /// prefetched block: nothing happens if it is resident; otherwise
+    /// returns the victim that made room. For every policy but 2Q an
+    /// admission is exactly an access's miss path.
+    fn prefetch(&mut self, key: u32) -> Option<u32> {
+        if self.resident().contains(&key) {
+            return None;
+        }
+        self.access(key).1
+    }
 }
 
 /// LRU as a flat vector, front = most recently used.
@@ -126,6 +137,30 @@ impl TwoQModel {
             self.ghosts.pop_back();
         }
     }
+
+    /// Make room for one admission if the resident queues are full.
+    fn evict_if_full(&mut self) -> Option<u32> {
+        if self.a1in.len() + self.am.len() < self.cap {
+            return None;
+        }
+        if !self.a1in.is_empty() && (self.a1in.len() > self.kin || self.am.is_empty()) {
+            let victim = self.a1in.pop().expect("nonempty A1in");
+            self.remember_ghost(victim);
+            Some(victim)
+        } else {
+            self.am.pop()
+        }
+    }
+
+    fn forget_ghost(&mut self, key: u32) -> bool {
+        match self.ghosts.iter().position(|&k| k == key) {
+            Some(pos) => {
+                self.ghosts.remove(pos);
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 impl Model for TwoQModel {
@@ -138,23 +173,8 @@ impl Model for TwoQModel {
         if self.a1in.contains(&key) {
             return (true, None);
         }
-        let ghosted = match self.ghosts.iter().position(|&k| k == key) {
-            Some(pos) => {
-                self.ghosts.remove(pos);
-                true
-            }
-            None => false,
-        };
-        let mut evicted = None;
-        if self.a1in.len() + self.am.len() == self.cap {
-            if !self.a1in.is_empty() && (self.a1in.len() > self.kin || self.am.is_empty()) {
-                let victim = self.a1in.pop().expect("nonempty A1in");
-                self.remember_ghost(victim);
-                evicted = Some(victim);
-            } else {
-                evicted = self.am.pop();
-            }
-        }
+        let ghosted = self.forget_ghost(key);
+        let evicted = self.evict_if_full();
         if ghosted {
             self.am.insert(0, key);
         } else {
@@ -165,6 +185,19 @@ impl Model for TwoQModel {
 
     fn resident(&self) -> Vec<u32> {
         self.a1in.iter().chain(self.am.iter()).copied().collect()
+    }
+
+    /// A prefetched key is a first touch: it lands in A1in whether or
+    /// not it is ghosted, and its ghost goes only *after* the eviction
+    /// (which may slide the window past it), as in the real policy.
+    fn prefetch(&mut self, key: u32) -> Option<u32> {
+        if self.am.contains(&key) || self.a1in.contains(&key) {
+            return None;
+        }
+        let evicted = self.evict_if_full();
+        self.forget_ghost(key);
+        self.a1in.insert(0, key);
+        evicted
     }
 }
 
@@ -236,6 +269,84 @@ fn model_for(kind: PolicyKind, cap: usize) -> Box<dyn Model> {
 
 fn trace_strategy() -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0u32..12, 1..120)
+}
+
+/// One step of a replayed trace.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// [`ReplacementPolicy::access`].
+    Access(u32),
+    /// An admission that skips `touch`, as the pager's prefetch does:
+    /// `evict_candidate` then `admit`, if the key is not resident.
+    Prefetch(u32),
+}
+
+/// Short traces of accesses over twelve keys at capacity ≤ 6.
+fn short_traces() -> impl Strategy<Value = (usize, Vec<Op>)> {
+    (1usize..=6, trace_strategy())
+        .prop_map(|(cap, trace)| (cap, trace.into_iter().map(Op::Access).collect()))
+}
+
+/// Ghost churn: long traces over twice as many keys as the capacity, a
+/// quarter of them prefetches. The ghost window is as long as the
+/// capacity, so a key that is not resident is often a ghost, and 2Q
+/// forgets ghosts out of the middle of its window all the time: stale
+/// entries reach the queue's front and pile up until it is compacted.
+fn ghost_churn() -> impl Strategy<Value = (usize, Vec<Op>)> {
+    (1usize..=24).prop_flat_map(|cap| {
+        let op = (0u32..2 * cap as u32, 0u32..4).prop_map(|(key, pick)| {
+            if pick == 0 {
+                Op::Prefetch(key)
+            } else {
+                Op::Access(key)
+            }
+        });
+        (Just(cap), proptest::collection::vec(op, 1..2001))
+    })
+}
+
+/// Replay `ops` through `real` and `model` side by side, requiring the
+/// same hits, victims and resident sets after every step, and `check`
+/// of the real policy after every step.
+fn replay<P: ReplacementPolicy<u32> + ?Sized>(
+    kind: PolicyKind,
+    real: &mut P,
+    model: &mut dyn Model,
+    ops: &[Op],
+    check: impl Fn(&P) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    for (i, &op) in ops.iter().enumerate() {
+        let ((model_hit, model_evicted), (real_hit, real_evicted)) = match op {
+            Op::Access(k) => {
+                let real_step = match real.access(k) {
+                    Touch::Hit => (true, None),
+                    Touch::Miss { evicted } => (false, evicted),
+                };
+                (model.access(k), real_step)
+            }
+            Op::Prefetch(k) => {
+                let resident = real.contains(&k);
+                let real_step = if resident {
+                    (true, None)
+                } else {
+                    let evicted = real.evict_candidate();
+                    real.admit(k);
+                    (false, evicted)
+                };
+                ((resident, model.prefetch(k)), real_step)
+            }
+        };
+        prop_assert_eq!(real_hit, model_hit, "{} step {} {:?}: hit", kind, i, op);
+        prop_assert_eq!(
+            real_evicted, model_evicted,
+            "{} step {} {:?}: eviction", kind, i, op
+        );
+        let real_set: BTreeSet<u32> = real.resident_keys().into_iter().collect();
+        let model_set: BTreeSet<u32> = model.resident().into_iter().collect();
+        prop_assert_eq!(real_set, model_set, "{} step {} {:?}: residency", kind, i, op);
+        check(real)?;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -323,35 +434,6 @@ proptest! {
         }
     }
 
-    /// Refinement equivalence: each policy produces exactly the hit/miss
-    /// sequence, eviction sequence, and resident sets of its brute-force
-    /// reference model.
-    #[test]
-    fn policies_match_reference_models(
-        cap in 1usize..=6,
-        trace in trace_strategy(),
-    ) {
-        for kind in PolicyKind::ALL {
-            let mut real = kind.build::<u32>(cap);
-            let mut model = model_for(kind, cap);
-            for (i, &k) in trace.iter().enumerate() {
-                let (model_hit, model_evicted) = model.access(k);
-                let (real_hit, real_evicted) = match real.access(k) {
-                    Touch::Hit => (true, None),
-                    Touch::Miss { evicted } => (false, evicted),
-                };
-                prop_assert_eq!(real_hit, model_hit, "{} step {}: hit", kind, i);
-                prop_assert_eq!(
-                    real_evicted, model_evicted,
-                    "{} step {}: eviction", kind, i
-                );
-                let real_set: BTreeSet<u32> = real.resident_keys().into_iter().collect();
-                let model_set: BTreeSet<u32> = model.resident().into_iter().collect();
-                prop_assert_eq!(real_set, model_set, "{} step {}: residency", kind, i);
-            }
-        }
-    }
-
     /// LRU keeps its stack property on arbitrary traces: every hit at
     /// capacity `k` is a hit at capacity `k + 1`. (2Q and CLOCK are
     /// deliberately not stack algorithms, so this is LRU-only.)
@@ -368,6 +450,38 @@ proptest! {
         let large = hits_at(cap + 1);
         for (i, (s, l)) in small.iter().zip(&large).enumerate() {
             prop_assert!(!s || *l, "access {i}: hit at {cap}, miss at {}", cap + 1);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Refinement equivalence: each policy produces exactly the hit/miss
+    /// sequence, eviction sequence, and resident sets of its brute-force
+    /// reference model — on short access traces and under ghost churn
+    /// with prefetches mixed in. 2Q's ghost queue, stale entries
+    /// included, never holds more than `2·kout + 1` entries.
+    #[test]
+    fn policies_match_reference_models(
+        case in prop_oneof![short_traces(), ghost_churn()],
+    ) {
+        let (cap, ops) = case;
+        for kind in PolicyKind::ALL {
+            let mut model = model_for(kind, cap);
+            if kind == PolicyKind::TwoQ {
+                let kout = cap;
+                replay(kind, &mut TwoQ::new(cap), &mut *model, &ops, |p| {
+                    prop_assert!(
+                        p.ghost_queue_len() <= 2 * kout + 1,
+                        "ghost queue {} > 2·{kout} + 1",
+                        p.ghost_queue_len()
+                    );
+                    Ok(())
+                })?;
+            } else {
+                replay(kind, &mut *kind.build::<u32>(cap), &mut *model, &ops, |_| Ok(()))?;
+            }
         }
     }
 }
