@@ -281,7 +281,7 @@ pub fn expand_chain<S: ClauseSource + ?Sized, E: Executor>(
     bufs: &mut ChainBuffers,
 ) {
     let config = search.config;
-    // Cooperative cancellation (a deadline reaper, a server shedding
+    // Cooperative cancellation (a request's deadline, a server shedding
     // load) ends the search like an exhausted node budget.
     if config.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
         stats.truncated = true;
@@ -834,6 +834,23 @@ mod tests {
         };
         let r = best_first(&p.db, &p.queries[0], &mut view, &cfg);
         assert!(r.stats.truncated, "cancellation reports as truncation");
+        assert_eq!(r.stats.nodes_expanded, 0);
+        assert!(r.solutions.is_empty());
+    }
+
+    #[test]
+    fn a_token_past_its_deadline_stops_before_any_expansion() {
+        // No `cancel()` call: the passed deadline alone trips the token.
+        let p = parse_program(FAMILY).unwrap();
+        let global = WeightStore::new(WeightParams::default());
+        let mut local = HashMap::new();
+        let mut view = WeightView::new(&mut local, &global);
+        let cfg = BestFirstConfig {
+            cancel: Some(blog_logic::CancelToken::until(std::time::Instant::now())),
+            ..BestFirstConfig::default()
+        };
+        let r = best_first_with(&p.db, &p.queries[0], &mut view, &cfg);
+        assert!(r.stats.truncated, "a passed deadline reports as truncation");
         assert_eq!(r.stats.nodes_expanded, 0);
         assert!(r.solutions.is_empty());
     }

@@ -19,6 +19,7 @@ use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use serde::Serialize;
 
@@ -36,34 +37,49 @@ use crate::term::{Term, VarId};
 use crate::unify::{unify_head, GoalKeys};
 
 /// A cooperative cancellation flag shared between a search and whoever
-/// may need to stop it mid-flight (a deadline reaper, a user hitting
+/// may need to stop it mid-flight (a request's deadline, a user hitting
 /// Ctrl-C, a server shedding load).
 ///
-/// Cloning is cheap (`Arc`); every clone observes the same flag. Engines
-/// that accept a token check it once per node expansion — the same
-/// cadence at which OR-parallel workers observe their exchange's stop
-/// flag — and report the cut as
+/// Cloning is cheap (`Arc`); every clone observes the same flag and the
+/// same deadline. A token is cancelled once any clone calls
+/// [`cancel`](Self::cancel) or, for a token made by
+/// [`until`](Self::until), once its deadline has passed; only such a
+/// token reads the clock. Engines that accept a token check it once per
+/// node expansion — the same cadence at which OR-parallel workers observe
+/// their exchange's stop flag — and report the cut as
 /// [`SearchStats::truncated`], exactly like an exhausted node budget.
 /// Cancellation is one-way: there is no `reset`, so a token describes a
 /// single request's lifetime.
 #[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken {
+    flag: Arc<AtomicBool>,
+    deadline: Option<Instant>,
+}
 
 impl CancelToken {
-    /// A fresh, un-cancelled token.
+    /// A fresh, un-cancelled token with no deadline.
     pub fn new() -> CancelToken {
         CancelToken::default()
     }
 
-    /// Trip the flag. Idempotent; visible to every clone.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
+    /// A fresh token that cancels itself at `at`.
+    pub fn until(at: Instant) -> CancelToken {
+        CancelToken {
+            flag: Arc::default(),
+            deadline: Some(at),
+        }
     }
 
-    /// Whether [`cancel`](Self::cancel) has been called on any clone.
+    /// Trip the flag. Idempotent; visible to every clone.
+    pub fn cancel(&self) {
+        self.flag.store(true, Ordering::Release);
+    }
+
+    /// Whether [`cancel`](Self::cancel) has been called on any clone, or
+    /// the token's deadline has passed.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
+        self.flag.load(Ordering::Acquire) || self.deadline.is_some_and(|at| Instant::now() >= at)
     }
 }
 
@@ -590,6 +606,30 @@ mod tests {
         m(elain,john). m(marian,elain). m(peg,den). m(peg,doug).
         ?- gf(sam,G).
     ";
+
+    #[test]
+    fn a_token_past_its_deadline_is_cancelled_without_a_cancel_call() {
+        let now = Instant::now();
+        let passed = CancelToken::until(now);
+        assert!(passed.is_cancelled());
+        assert!(passed.clone().is_cancelled(), "clones share the deadline");
+        let far = CancelToken::until(now + std::time::Duration::from_secs(3600));
+        assert!(!far.is_cancelled());
+        let clone = far.clone();
+        far.cancel();
+        assert!(clone.is_cancelled(), "cancel still trips every clone");
+    }
+
+    #[test]
+    fn a_token_without_a_deadline_stays_live_until_cancelled() {
+        let token = CancelToken::new();
+        let clone = token.clone();
+        assert!(!token.is_cancelled());
+        assert!(!clone.is_cancelled());
+        clone.cancel();
+        assert!(token.is_cancelled());
+        assert!(clone.is_cancelled());
+    }
 
     #[test]
     fn dfs_finds_both_grandchildren_in_order() {

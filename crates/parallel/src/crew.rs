@@ -273,4 +273,43 @@ mod tests {
         assert_eq!(ran[0].1, ran[1].1, "one parked helper thread ran both");
         assert_ne!(ran[0].1, std::thread::current().id());
     }
+
+    #[test]
+    fn a_crew_without_helpers_runs_the_search_inline() {
+        use crate::orparallel::{par_best_first_on, ParallelConfig};
+        use blog_core::engine::{best_first_deferred, BestFirstConfig};
+        use blog_core::weight::{WeightParams, WeightStore};
+
+        let (p, _) = blog_workloads::queens_program(&blog_workloads::QueensParams { n: 5 });
+        let weights = WeightStore::new(WeightParams::default());
+        let (seq, _) = best_first_deferred(
+            &p.db,
+            &p.queries[0],
+            &weights,
+            &BestFirstConfig {
+                learn: false,
+                ..BestFirstConfig::default()
+            },
+        );
+        let config = ParallelConfig {
+            n_workers: 1,
+            learn: false,
+            ..ParallelConfig::default()
+        };
+        std::thread::scope(|s| {
+            let crew = Crew::start(s, 0);
+            let query = Arc::new(p.queries[0].clone());
+            let r = par_best_first_on(&crew, Arc::new(p.db.clone()), query, &weights, &config);
+            assert_eq!(crew.spawned(), 0, "no thread");
+            assert_eq!(crew.calls(), 0, "nothing posted");
+            let key = |s: &blog_core::engine::BoundedSolution| (s.solution.to_text(&p.db), s.bound);
+            assert_eq!(
+                r.solutions.iter().map(key).collect::<Vec<_>>(),
+                seq.solutions.iter().map(key).collect::<Vec<_>>()
+            );
+            assert_eq!(r.stats.nodes_expanded, seq.stats.nodes_expanded);
+            assert_eq!(r.stats.unify_attempts, seq.stats.unify_attempts);
+            assert_eq!(r.per_worker_expanded, [seq.stats.nodes_expanded]);
+        });
+    }
 }

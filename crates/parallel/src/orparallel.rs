@@ -294,10 +294,11 @@ fn worker_loop<S: ClauseSource + ?Sized>(
 /// (pool-tagged or not) and every worker thread resolves clauses *through
 /// the shared cache*: the source's `Sync` bound is what makes this sound.
 ///
-/// Two or more workers run on a [`Crew`] started for this call: the
-/// caller's thread plus `n_workers − 1` scoped threads, spawned only if
-/// the search outgrows worker 0's lone start. A server that searches
-/// many queries keeps one crew instead ([`par_best_first_on`]).
+/// The workers run on a [`Crew`] started for this call: the caller's
+/// thread plus `n_workers − 1` scoped threads, spawned only if the search
+/// outgrows worker 0's lone start (so one worker starts none). A server
+/// that searches many queries keeps one crew instead
+/// ([`par_best_first_on`]).
 pub fn par_best_first_with<S: ClauseSource + ?Sized>(
     source: &S,
     query: &Query,
@@ -305,21 +306,18 @@ pub fn par_best_first_with<S: ClauseSource + ?Sized>(
     config: &ParallelConfig,
 ) -> ParallelResult {
     assert!(config.n_workers >= 1);
-    let (result, logs) = if config.n_workers == 1 {
-        run_inline(source, query, weights, config)
-    } else {
-        std::thread::scope(|scope| {
-            let crew = Crew::start(scope, config.n_workers - 1);
-            run_on_crew(&crew, source, query, weights, config)
-        })
-    };
+    let (result, logs) = std::thread::scope(|scope| {
+        let crew = Crew::start(scope, config.n_workers - 1);
+        run_on_crew(&crew, source, query, weights, config)
+    });
     with_learning(result, logs, weights, config)
 }
 
 /// [`par_best_first_with`] on a long-lived `crew`, whose size must match
 /// `config.n_workers`: the caller's thread is worker 0 and the crew's
-/// parked helpers are the rest, so no thread is started. The source and
-/// query travel in `Arc`s because the helpers outlive this call.
+/// parked helpers are the rest, so no thread is started. A crew with no
+/// helpers runs the sequential heap inline. The source and query travel
+/// in `Arc`s because the helpers outlive this call.
 pub fn par_best_first_on<'a, S: ClauseSource + Send + 'a>(
     crew: &Crew<'a>,
     source: Arc<S>,
@@ -368,18 +366,15 @@ fn run_inline<S: ClauseSource + ?Sized>(
 }
 
 /// Run `body` with a search for the several searches of one call (the §7
-/// factor searches), each under `config` and learning nothing: inline at
-/// one worker, otherwise all on one [`Crew`] started for the call, whose
-/// threads start with the first search that calls it in.
+/// factor searches), each under `config` and learning nothing, all on one
+/// [`Crew`] started for the call, whose threads start with the first
+/// search that calls it in.
 pub(crate) fn with_call_search<S: ClauseSource + ?Sized, R>(
     source: &S,
     weights: &WeightStore,
     config: &ParallelConfig,
     body: impl FnOnce(&dyn Fn(Query) -> ParallelResult) -> R,
 ) -> R {
-    if config.n_workers == 1 {
-        return body(&|query| run_inline(source, &query, weights, config).0);
-    }
     std::thread::scope(|scope| {
         let crew = Crew::start(scope, config.n_workers - 1);
         body(&|query| run_on_crew(&crew, source, Arc::new(query), weights, config).0)
@@ -402,7 +397,8 @@ fn with_learning(
     result
 }
 
-/// Two or more workers: one worker loop per crew thread, then the join.
+/// One worker runs inline; two or more run one worker loop per crew
+/// thread, then the join.
 fn run_on_crew<'a, S, Src, Q>(
     crew: &Crew<'a>,
     source: Src,
@@ -416,6 +412,9 @@ where
     Q: Deref<Target = Query> + Send + Sync + 'a,
 {
     let n_workers = crew.workers();
+    if n_workers == 1 {
+        return run_inline(&*source, &query, weights, config);
+    }
     let FrontierPolicy::Sharded { d } = config.policy;
     let shared = Arc::new(Shared {
         weights,

@@ -40,8 +40,11 @@
 //! Per-request cancellation reuses the engines'
 //! [`CancelToken`](blog_logic::CancelToken) plumbing (the OR-parallel
 //! frontier folds it into the same abort flag its node budget uses): a
-//! deadline reaper thread trips the token of any in-flight request past
-//! its deadline, and the engine returns with whatever solutions it had.
+//! request's deadline rides in its token, which counts as cancelled once
+//! the deadline passes, and the engine returns with whatever solutions it
+//! had. No thread watches the clock; a serve run's threads are its pools
+//! (and their crews of OR-parallel helpers, when a request may use more
+//! than one worker).
 //!
 //! **Serving v2** adds three coupled pieces on top of that scheduler:
 //!
@@ -56,7 +59,7 @@
 //! - A **streaming front door** ([`QueryServer::serve_open`],
 //!   [`Submitter`]): requests are submitted while the pools are already
 //!   draining — open-loop arrivals, mid-flight overflow stealing, the
-//!   same deadline reaper — instead of the closed-batch
+//!   same deadlines — instead of the closed-batch
 //!   [`serve`](QueryServer::serve) admission (now a wrapper).
 //! - A **memory governor** ([`CacheConfig::budget_bytes`]): one
 //!   store-wide byte budget covers cache entries and per-request

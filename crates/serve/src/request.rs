@@ -119,8 +119,8 @@ pub enum Outcome {
         /// copy it filled.
         solutions: Arc<Vec<String>>,
     },
-    /// The deadline reaper tripped the request's cancel token mid-search
-    /// (or before it started). Whatever solutions the engine had already
+    /// The request's deadline passed mid-search (or before it started):
+    /// its cancel token, which carries the deadline, stopped the engine. Whatever solutions the engine had already
     /// found are kept — a timed-out user still sees partial answers.
     Cancelled {
         /// Sorted rendered solutions found before cancellation.

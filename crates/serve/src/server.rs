@@ -1,6 +1,9 @@
 //! The scheduler: the open submit/drain loop, pool queues, affinity
-//! routing, overflow admission, the deadline reaper, the update lane,
-//! the answer cache, and the memory governor.
+//! routing, overflow admission, the update lane, the answer cache, and
+//! the memory governor. A serve run's only threads are its pools (each
+//! with its crew of OR-parallel helpers, if any) and, in
+//! [`QueryServer::serve_mixed`], the update lane: a request's deadline
+//! rides in its cancel token, which the engine checks once per chain.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -8,13 +11,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use blog_core::engine::{best_first_with, BestFirstConfig};
-use blog_core::weight::{WeightParams, WeightStore, WeightView};
+use blog_core::weight::{WeightParams, WeightStore};
 use blog_logic::{
     canonical_query, parse_query_symbols, CancelToken, ClauseDb, ClauseId, SearchStats,
     SolveConfig,
 };
-use blog_parallel::{par_best_first_on, par_best_first_with, Crew, FrontierPolicy, ParallelConfig};
+use blog_parallel::{par_best_first_on, Crew, FrontierPolicy, ParallelConfig};
 use blog_spd::{
     CommitMode, IndexPolicy, MvccClauseStore, MvccError, PagedStoreConfig, PagedStoreStats,
 };
@@ -35,9 +37,6 @@ use blog_obs::{splitmix64, SpanCtx, SpanId, TraceHandle, Tracer};
 /// trace ids, so flight-recorder contents are reproducible.
 const TRACE_SEED: u64 = 0xB10C_0B5E_7E1E_A55E;
 
-/// How often the deadline reaper rescans in-flight requests.
-const REAPER_POLL: Duration = Duration::from_micros(200);
-
 /// Lock a mutex, recovering from poisoning.
 ///
 /// Invariant that makes the recovery sound: every critical section in
@@ -52,18 +51,22 @@ pub(crate) fn lock_unpoisoned<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Which engine executes a request.
+/// How many workers run each request, and the donation threshold `D`
+/// between them. Every request runs on the OR-parallel executor on its
+/// pool's crew; the server reads this once, as a worker count and a `D`.
 #[derive(Clone, Copy, Debug)]
 pub enum ExecMode {
-    /// The sequential best-first engine: one pool = one processor.
+    /// One worker: the sequential best-first heap, inline on the pool's
+    /// thread (one pool = one processor). The same as
+    /// [`OrParallel`](Self::OrParallel) with `n_workers: 1`.
     Sequential,
-    /// The OR-parallel executor: a request fans out over up to
-    /// `n_workers` workers that share the pool's store view (and
-    /// therefore its touch attribution). The pool's thread is worker 0;
-    /// with two or more, the pool keeps `n_workers − 1` helper threads
-    /// for the whole serving session, and a request calls them in once
-    /// its search passes `blog_parallel::LONE_EXPANSIONS` expansions.
-    /// One worker runs the sequential heap inline on the pool's thread.
+    /// A request fans out over up to `n_workers` workers that share the
+    /// pool's store view (and therefore its touch attribution). The
+    /// pool's thread is worker 0; with two or more, the pool keeps
+    /// `n_workers − 1` helper threads for the whole serving session, and
+    /// a request calls them in once its search passes
+    /// `blog_parallel::LONE_EXPANSIONS` expansions. One worker runs the
+    /// sequential heap inline on the pool's thread.
     OrParallel {
         /// Workers per request.
         n_workers: usize,
@@ -145,8 +148,8 @@ impl Default for ServeConfig {
 struct Job {
     idx: usize,
     request: QueryRequest,
+    /// Carries the request's deadline, if it has one.
     cancel: CancelToken,
-    deadline: Option<Instant>,
     enqueued: Instant,
     /// Trace handle when this request was sampled (created at
     /// admission, so the root span covers queue wait too).
@@ -181,8 +184,8 @@ struct Progress {
     finished: usize,
 }
 
-/// Everything one open serve run shares between the driver, the pool
-/// workers, and the reaper.
+/// Everything one open serve run shares between the driver and the pool
+/// workers.
 struct OpenState {
     queues: Vec<PoolQueue>,
     /// `true` while the driver may still submit; flipping it (with every
@@ -195,9 +198,6 @@ struct OpenState {
     next_query: AtomicUsize,
     next_update: AtomicUsize,
     overflow: AtomicU64,
-    /// Deadlines of in-flight requests, grown by submissions, pruned by
-    /// the reaper as they fire.
-    reaper_watch: Mutex<Vec<(Instant, CancelToken)>>,
     /// Responses for submissions the governor refused (they never reach
     /// a pool queue).
     overloaded: Mutex<Vec<QueryResponse>>,
@@ -214,15 +214,9 @@ impl OpenState {
             next_query: AtomicUsize::new(0),
             next_update: AtomicUsize::new(0),
             overflow: AtomicU64::new(0),
-            reaper_watch: Mutex::new(Vec::new()),
             overloaded: Mutex::new(Vec::new()),
             updates: Mutex::new(Vec::new()),
         }
-    }
-
-    fn in_flight(&self) -> usize {
-        let p = lock_unpoisoned(&self.progress);
-        p.queued - p.finished
     }
 }
 
@@ -266,7 +260,7 @@ impl Submitter<'_> {
     /// Submit one query: the memory governor reserves its bytes (or
     /// refuses — [`Admission::Overloaded`]), routing picks its pool
     /// (overflow stealing consults **live** queue depths, so it fires
-    /// mid-flight), and its deadline joins the reaper's watch list. The
+    /// mid-flight), and its deadline goes into its cancel token. The
     /// queue's worker is woken; the response is collected by the
     /// enclosing [`QueryServer::serve_open`] call.
     pub fn submit(&self, request: QueryRequest) -> Admission {
@@ -327,11 +321,10 @@ impl Submitter<'_> {
             });
             return Admission::Overloaded { request: idx };
         }
-        let cancel = CancelToken::new();
-        let deadline = request.deadline.map(|d| now + d);
-        if let Some(at) = deadline {
-            lock_unpoisoned(&state.reaper_watch).push((at, cancel.clone()));
-        }
+        let cancel = match request.deadline {
+            Some(d) => CancelToken::until(now + d),
+            None => CancelToken::new(),
+        };
         // Sampling decision at admission, so the root span covers the
         // queue wait; the handle rides in the job to the pool worker.
         let trace = self
@@ -349,7 +342,6 @@ impl Submitter<'_> {
                 idx,
                 request,
                 cancel,
-                deadline,
                 enqueued: now,
                 trace,
             });
@@ -399,7 +391,8 @@ impl Submitter<'_> {
 
     /// Queries submitted but not yet answered.
     pub fn pending(&self) -> usize {
-        self.state.in_flight()
+        let p = lock_unpoisoned(&self.state.progress);
+        p.queued - p.finished
     }
 
     /// Block until every query submitted so far has a response — the
@@ -430,6 +423,9 @@ impl Submitter<'_> {
 /// warm — servers don't reboot between requests.
 pub struct QueryServer {
     weights: WeightStore,
+    /// Every request's engine configuration but its limits and token:
+    /// `config.exec`'s worker count and `D`, learning off.
+    engine: ParallelConfig,
     store: MvccClauseStore,
     cache: AnswerCache,
     config: ServeConfig,
@@ -483,9 +479,17 @@ impl QueryServer {
         weights: WeightStore,
     ) -> QueryServer {
         assert!(config.n_pools >= 1, "need at least one pool");
-        if let ExecMode::OrParallel { n_workers, .. } = config.exec {
-            assert!(n_workers >= 1, "need at least one worker per request");
-        }
+        let (n_workers, policy) = match config.exec {
+            ExecMode::Sequential => (1, ParallelConfig::default().policy),
+            ExecMode::OrParallel { n_workers, policy } => (n_workers, policy),
+        };
+        assert!(n_workers >= 1, "need at least one worker per request");
+        let engine = ParallelConfig {
+            n_workers,
+            policy,
+            learn: false,
+            ..ParallelConfig::default()
+        };
         let store = MvccClauseStore::new(db, store_config, config.commit);
         store.set_write_stall(config.stall_ns_per_tick);
         let cache = AnswerCache::new(config.cache.clone());
@@ -495,6 +499,7 @@ impl QueryServer {
         let config_trace = config.trace;
         QueryServer {
             weights,
+            engine,
             store,
             cache,
             config,
@@ -651,8 +656,8 @@ impl QueryServer {
         report
     }
 
-    /// Run an **open** serving session: pool workers and the deadline
-    /// reaper start immediately, then `driver` runs on the calling thread
+    /// Run an **open** serving session: the pool workers start
+    /// immediately, then `driver` runs on the calling thread
     /// with a [`Submitter`] — submitting queries, applying updates, and
     /// pacing arrivals however it likes (Poisson load generators, network
     /// accept loops, interleaved commit/query schedules). When `driver`
@@ -674,34 +679,18 @@ impl QueryServer {
         let breaker_reroutes_before = self.breaker_reroutes.load(Ordering::Relaxed);
         let degraded_before = self.degraded_cache_hits.load(Ordering::Relaxed);
 
-        // Live pool-thread count, decremented by a drop guard so the
-        // reaper still exits (and the scope can propagate the panic)
-        // when a pool thread unwinds without draining its queue.
-        let pools_alive = AtomicUsize::new(n_pools);
-        struct AliveGuard<'a>(&'a AtomicUsize);
-        impl Drop for AliveGuard<'_> {
-            fn drop(&mut self) {
-                self.0.fetch_sub(1, Ordering::Release);
-            }
-        }
-
-        // An OR-parallel pool's helpers, started once for the session and
-        // parked between requests (the pool's own thread is worker 0).
-        let helpers = match self.config.exec {
-            ExecMode::OrParallel { n_workers, .. } => n_workers - 1,
-            ExecMode::Sequential => 0,
-        };
-
         let mut per_pool_responses: Vec<Vec<QueryResponse>> = Vec::with_capacity(n_pools);
         let mut driver_result: Option<R> = None;
         std::thread::scope(|scope| {
             let state = &state;
-            let pools_alive = &pools_alive;
             let handles: Vec<_> = (0..n_pools)
                 .map(|p| {
-                    let crew = (helpers > 0).then(|| Crew::start(scope, helpers));
+                    // The pool's OR-parallel helpers, spawned at the first
+                    // request that calls them in and parked between
+                    // requests (the pool's own thread is worker 0; one
+                    // worker has none).
+                    let crew = Crew::start(scope, self.engine.n_workers - 1);
                     scope.spawn(move || {
-                        let _alive = AliveGuard(pools_alive);
                         let queue = &state.queues[p];
                         let mut out = Vec::new();
                         loop {
@@ -722,7 +711,7 @@ impl QueryServer {
                                 }
                             };
                             let Some(job) = job else { break };
-                            out.push(self.execute(p, job, crew.as_ref()));
+                            out.push(self.execute(p, job, &crew));
                             self.cache.release();
                             let mut prog = lock_unpoisoned(&state.progress);
                             prog.finished += 1;
@@ -734,22 +723,6 @@ impl QueryServer {
                     })
                 })
                 .collect();
-            scope.spawn(move || loop {
-                let now = Instant::now();
-                lock_unpoisoned(&state.reaper_watch).retain(|(at, token)| {
-                    if now >= *at {
-                        token.cancel();
-                        false
-                    } else {
-                        true
-                    }
-                });
-                let open = state.accepting.load(Ordering::Acquire);
-                if (!open && state.in_flight() == 0) || pools_alive.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                std::thread::sleep(REAPER_POLL);
-            });
 
             // Closes admission when dropped: workers drain what is queued
             // and exit. Taking each queue's lock before notifying closes
@@ -899,8 +872,8 @@ impl QueryServer {
         (report, driver_result.expect("driver ran"))
     }
 
-    /// Execute one job on pool `p`, lending it the pool's `crew`, if any.
-    fn execute<'a>(&'a self, p: usize, mut job: Job, crew: Option<&Crew<'a>>) -> QueryResponse {
+    /// Execute one job on pool `p`, lending it the pool's `crew`.
+    fn execute<'a>(&'a self, p: usize, mut job: Job, crew: &Crew<'a>) -> QueryResponse {
         let started = Instant::now();
         let queue_wait = started - job.enqueued;
         let session = job.request.session;
@@ -914,12 +887,10 @@ impl QueryServer {
             .is_some_and(|&home| home == p);
         let pool_before = self.store.pool_stats(p);
 
-        // A request whose deadline expired while queued (or whose token
-        // the reaper already tripped) is answered without touching an
-        // engine (load shedding).
-        let shed = job.deadline.is_some_and(|at| started >= at) || job.cancel.is_cancelled();
+        // A request whose deadline expired while queued is answered
+        // without touching an engine (load shedding).
+        let shed = job.cancel.is_cancelled();
         let (outcome, stats, epoch, served_from) = if shed {
-            job.cancel.cancel();
             if let Some(h) = &job.trace {
                 h.event(SpanId::ROOT, "shed", "deadline expired in queue");
             }
@@ -1001,7 +972,7 @@ impl QueryServer {
         p: usize,
         job: &Job,
         now: Instant,
-        crew: Option<&Crew<'a>>,
+        crew: &Crew<'a>,
     ) -> (Outcome, SearchStats, u64, ServedFrom) {
         let h = job.trace.as_ref();
         let gate = lock_unpoisoned(&self.breakers[p]).gate(now);
@@ -1140,47 +1111,24 @@ impl QueryServer {
             // every later request on the pool down with it. A panic on a
             // crew helper is caught there and re-raised here.
             let run = catch_unwind(AssertUnwindSafe(|| {
-                let cancel = Some(job.cancel.clone());
-                let (found, stats, store_error) = match self.config.exec {
-                    ExecMode::Sequential => {
-                        let mut overlay = HashMap::new();
-                        let mut wview = WeightView::new(&mut overlay, &self.weights);
-                        let cfg = BestFirstConfig {
-                            solve,
-                            learn: false,
-                            cancel,
-                            ..BestFirstConfig::default()
-                        };
-                        let r = best_first_with(&*snap, &query, &mut wview, &cfg);
-                        (r.solutions, r.stats, r.store_error)
-                    }
-                    ExecMode::OrParallel { n_workers, policy } => {
-                        let cfg = ParallelConfig {
-                            n_workers,
-                            policy,
-                            solve,
-                            learn: false,
-                            cancel,
-                            ..ParallelConfig::default()
-                        };
-                        let r = match crew {
-                            Some(crew) => par_best_first_on(
-                                crew,
-                                Arc::clone(&snap),
-                                Arc::new(query),
-                                &self.weights,
-                                &cfg,
-                            ),
-                            None => par_best_first_with(&*snap, &query, &self.weights, &cfg),
-                        };
-                        (r.solutions, r.stats, r.store_error)
-                    }
+                let cfg = ParallelConfig {
+                    solve,
+                    cancel: Some(job.cancel.clone()),
+                    ..self.engine.clone()
                 };
-                let texts: Vec<String> = found
+                let r = par_best_first_on(
+                    crew,
+                    Arc::clone(&snap),
+                    Arc::new(query),
+                    &self.weights,
+                    &cfg,
+                );
+                let texts: Vec<String> = r
+                    .solutions
                     .iter()
                     .map(|s| s.solution.to_text_syms(snap.symbols()))
                     .collect();
-                (texts, stats, store_error)
+                (texts, r.stats, r.store_error)
             }));
             drop(engine_span);
             // A clean run answers. A panic or a storage fault fails the
@@ -1192,7 +1140,7 @@ impl QueryServer {
                     self.record_verdict(p, true, h);
                     texts.sort();
                     // Classify from what actually stopped the engine,
-                    // not from the token alone: a reaper firing *after*
+                    // not from the token alone: a deadline passing *after*
                     // the search ran to its natural end (or to its node
                     // budget) must not relabel a finished answer.
                     let budget_exhausted = budget.is_some_and(|b| stats.nodes_expanded >= b);

@@ -391,7 +391,7 @@ fn deadline_cancels_mid_flight_and_keeps_partials() {
     assert_eq!(report.stats.cancelled, 1);
     assert!(
         elapsed < Duration::from_secs(20),
-        "reaper must fire promptly, took {elapsed:?}"
+        "the deadline must stop the search promptly, took {elapsed:?}"
     );
 }
 

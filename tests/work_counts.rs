@@ -1,4 +1,4 @@
-//! Exact work counts of two fixed request streams, pinned byte for byte
+//! Exact work counts of three fixed request streams, pinned byte for byte
 //! in `tests/work_counts.golden`.
 //!
 //! Wall time on a shared machine swings by tens of percent for identical
@@ -16,21 +16,30 @@
 //!   its tracks, with the answer cache off. Pins the store's clause
 //!   accesses, hits, misses, evictions, fault ticks and lock
 //!   acquisitions.
+//! - **c**: the four search classes of one resident base (queens,
+//!   mapcolor, a wide DAG and a deep one), with the answer cache off.
+//!   Pins, per class, the requests, solutions, nodes expanded, unify
+//!   attempts and successes, failures, store accesses and candidates
+//!   scanned. The row is rendered once with [`ExecMode::Sequential`] and
+//!   once with one OR-parallel worker, and the two must be equal: one
+//!   worker is the sequential heap.
 //!
 //! A change that only re-arranges bookkeeping must leave the golden as it
 //! is. A change that means to move a count re-pins the golden with the
 //! rendering the failure prints, and says why. CI runs this test twice
 //! and compares the two printed renderings.
 
-use b_log::logic::Program;
-use b_log::serve::tuning::churn_store_config;
+use b_log::logic::{clause_to_source, parse_program, Program};
+use b_log::parallel::FrontierPolicy;
+use b_log::serve::tuning::{churn_store_config, working_set_store_config};
 use b_log::serve::{
-    CacheConfig, CacheMode, CacheStats, QueryRequest, QueryServer, ServeConfig, SessionId,
-    UpdateOp, UpdateOutcome,
+    CacheConfig, CacheMode, CacheStats, ExecMode, QueryRequest, QueryServer, ServeConfig,
+    SessionId, UpdateOp, UpdateOutcome,
 };
 use b_log::workloads::{
-    churn_updates, tenant_mix_program, tenant_mix_requests, ChurnOp, ChurnSpec, FamilyMeta,
-    FamilyParams, TenantMix,
+    churn_updates, dag_reach_program, mapcolor_program, queens_program, tenant_mix_program,
+    tenant_mix_requests, ChurnOp, ChurnSpec, DagParams, FamilyMeta, FamilyParams, MapColorParams,
+    QueensParams, TenantMix,
 };
 
 const GOLDEN: &str = include_str!("work_counts.golden");
@@ -197,9 +206,150 @@ fn paged_churn_row() -> String {
     )
 }
 
+/// The four search programs in one base, the deep DAG's predicates
+/// renamed apart from the wide one's.
+fn search_base() -> Program {
+    let dag = |layers, width, seed| {
+        dag_reach_program(&DagParams {
+            layers,
+            width,
+            density: 0.5,
+            seed,
+        })
+        .0
+    };
+    let parts = [
+        (queens_program(&QueensParams { n: 5 }).0, false),
+        (
+            mapcolor_program(&MapColorParams {
+                rows: 3,
+                cols: 3,
+                colors: 3,
+            })
+            .0,
+            false,
+        ),
+        (dag(6, 4, 1), false),
+        (dag(20, 2, 2), true),
+    ];
+    let mut text = String::new();
+    for (program, rename) in parts {
+        for clause in program.db.clauses() {
+            let line = clause_to_source(program.db.symbols(), clause);
+            let line = if rename {
+                line.replace("path(", "dpath(").replace("edge(", "dedge(")
+            } else {
+                line
+            };
+            text.push_str(&line);
+            text.push('\n');
+        }
+    }
+    parse_program(&text).expect("search base parses")
+}
+
+/// Each search class's fixed request list: partial bindings of its
+/// query.
+fn search_classes() -> [(&'static str, Vec<String>); 4] {
+    let queens = (1..=5)
+        .flat_map(|val| {
+            [0, 2].map(|pos| {
+                let mut args = ["A", "B", "C", "D", "E"].map(String::from);
+                args[pos] = val.to_string();
+                format!("q({})", args.join(","))
+            })
+        })
+        .collect();
+    let mapcolor = [0, 4, 8]
+        .into_iter()
+        .flat_map(|region| {
+            ["red", "green", "blue"].map(|colour| {
+                let mut args: Vec<String> = (0..9).map(|r| format!("R{r}")).collect();
+                args[region] = colour.to_string();
+                format!("mc({})", args.join(","))
+            })
+        })
+        .collect();
+    let paths = |pred: &str, layers: std::ops::RangeInclusive<u32>, width: u32| {
+        layers
+            .flat_map(|layer| (0..width).map(move |i| (layer, i)))
+            .flat_map(|(layer, i)| {
+                [
+                    format!("{pred}(n{layer}_{i}, X)"),
+                    format!("{pred}(n{layer}_{i}, snk)"),
+                ]
+            })
+            .collect()
+    };
+    [
+        ("queens", queens),
+        ("mapcolor", mapcolor),
+        ("dag_wide", paths("path", 1..=2, 4)),
+        ("dag_deep", paths("dpath", 9..=12, 2)),
+    ]
+}
+
+/// Row c under `exec`: each class served as one batch on one pool, its
+/// work summed over its responses and the store's counters.
+fn search_rows(base: &Program, exec: ExecMode) -> String {
+    let mut store = working_set_store_config(base.db.len());
+    // Resident: every track fits, as in the benchmark's search base.
+    let blocks_per_track = store.geometry.blocks_per_track as usize;
+    store.capacity_tracks = base.db.len().div_ceil(blocks_per_track);
+    let config = ServeConfig {
+        exec,
+        ..one_sequential_pool(CacheMode::Off)
+    };
+    let server = QueryServer::new(&base.db, store, config);
+    let mut out = String::new();
+    for (class, texts) in search_classes() {
+        let requests: Vec<QueryRequest> = texts
+            .iter()
+            .map(|t| QueryRequest::new(0, t.as_str()))
+            .collect();
+        let before = server.store().stats();
+        let report = server.serve(requests);
+        let after = server.store().stats();
+        assert_eq!(report.stats.completed, texts.len(), "{class}");
+        let mut solutions = 0;
+        let mut work = b_log::logic::SearchStats::default();
+        for r in &report.responses {
+            solutions += r.outcome.solutions().len();
+            work.merge(&r.stats);
+        }
+        out += &format!(
+            "c search_{class} requests={} solutions={solutions} nodes={} unify_attempts={} \
+             unify_successes={} failures={} store_accesses={} candidates_scanned={}\n",
+            texts.len(),
+            work.nodes_expanded,
+            work.unify_attempts,
+            work.unify_successes,
+            work.failures,
+            after.accesses - before.accesses,
+            after.candidates_scanned - before.candidates_scanned,
+        );
+    }
+    out
+}
+
+/// Row c, checked equal at one sequential and one OR-parallel worker.
+fn search_row() -> String {
+    let base = search_base();
+    let sequential = search_rows(&base, ExecMode::Sequential);
+    let one_worker = search_rows(
+        &base,
+        ExecMode::OrParallel {
+            n_workers: 1,
+            policy: FrontierPolicy::Sharded { d: 512 },
+        },
+    );
+    assert_eq!(sequential, one_worker, "one worker is the sequential heap");
+    sequential
+}
+
 #[test]
 fn work_counts_match_the_golden() {
-    let rendered = [tenant_mix_cache_row(), paged_churn_row()].concat();
+    let rendered = [tenant_mix_cache_row(), paged_churn_row(), search_row()].concat();
     for line in rendered.lines() {
         println!("work_counts: {line}");
     }
@@ -229,5 +379,12 @@ fn the_streams_do_work_worth_pinning() {
     }
     for name in ["misses", "evictions", "fault_ticks"] {
         assert!(field(b, name) > 0, "row b: {name} is zero");
+    }
+    let c: Vec<&str> = lines.collect();
+    assert_eq!(c.len(), 4, "row c has one line per search class");
+    for line in c {
+        for name in ["solutions", "nodes", "failures", "candidates_scanned"] {
+            assert!(field(line, name) > 0, "row c: {name} is zero in {line}");
+        }
     }
 }
