@@ -27,7 +27,10 @@ fn usage_exit(complaint: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(arg) = args.iter().find(|a| *a != "all" && !IDS.contains(&a.as_str())) {
+    if let Some(arg) = args
+        .iter()
+        .find(|a| *a != "all" && !IDS.contains(&a.as_str()))
+    {
         usage_exit(&format!("unknown experiment id or flag {arg:?}"));
     }
     let all = args.is_empty() || args.iter().any(|a| a == "all");
@@ -42,21 +45,33 @@ fn main() {
         }
     };
 
-    section("f1", "figure 1: the family query under Prolog search", &mut || {
-        figures::run_f1();
-    });
+    section(
+        "f1",
+        "figure 1: the family query under Prolog search",
+        &mut || {
+            figures::run_f1();
+        },
+    );
     section("f3", "figure 3: the OR-tree shape", &mut || {
         figures::run_f3();
     });
-    section("f4", "figure 4 / §5: weight-directed expansion order", &mut || {
-        figures::run_f4();
-    });
+    section(
+        "f4",
+        "figure 4 / §5: weight-directed expansion order",
+        &mut || {
+            figures::run_f4();
+        },
+    );
     section("w1", "§4: theoretical weights on figure 3", &mut || {
         figures::run_w1();
     });
-    section("w2", "§4: convergence of learned weights to the model", &mut || {
-        figures::run_w2();
-    });
+    section(
+        "w2",
+        "§4: convergence of learned weights to the model",
+        &mut || {
+            figures::run_w2();
+        },
+    );
     section("t1", "search strategies across workloads", &mut || {
         strategies::run_t1();
     });
@@ -66,10 +81,14 @@ fn main() {
     section("t3", "conservative merge across sessions", &mut || {
         sessions_exp::run_t3();
     });
-    section("t4", "parallel speedup (machine sim + real threads)", &mut || {
-        machine_exp::run_t4_machine();
-        threads_exp::run_t4_threads(6);
-    });
+    section(
+        "t4",
+        "parallel speedup (machine sim + real threads)",
+        &mut || {
+            machine_exp::run_t4_machine();
+            threads_exp::run_t4_threads(6);
+        },
+    );
     section("t5", "communication threshold D", &mut || {
         machine_exp::run_t5();
     });
@@ -83,10 +102,14 @@ fn main() {
         machine_exp::run_t7_scoreboard();
         machine_exp::run_t7_multiwrite();
     });
-    section("t8", "AND-parallelism: fork-join and semi-join", &mut || {
-        andp_exp::run_t8_forkjoin();
-        andp_exp::run_t8_semijoin();
-    });
+    section(
+        "t8",
+        "AND-parallelism: fork-join and semi-join",
+        &mut || {
+            andp_exp::run_t8_forkjoin();
+            andp_exp::run_t8_semijoin();
+        },
+    );
     section("a1", "ablation: infinity placement", &mut || {
         sessions_exp::run_a1();
     });

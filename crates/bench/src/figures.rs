@@ -27,9 +27,7 @@ pub fn run_f1() -> Vec<String> {
         t.row(vec![(i + 1).to_string(), name.clone(), s.depth.to_string()]);
     }
     t.print();
-    println!(
-        "paper: first answer den via the leftmost chain; both answers den, doug.\n"
-    );
+    println!("paper: first answer den via the leftmost chain; both answers den, doug.\n");
     names
 }
 

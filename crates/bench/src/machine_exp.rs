@@ -6,7 +6,9 @@ use blog_logic::SolveConfig;
 use blog_machine::machine::{simulate, MachineConfig, MachineStats};
 use blog_machine::multiwrite::{multiwrite_speedup, MemoryCosts};
 use blog_machine::scoreboard::{simulate_scoreboard, ScoreboardConfig};
-use blog_machine::tree::{planted_tree, tree_from_search, PlantedTreeParams, TreeSpec, WeightModel};
+use blog_machine::tree::{
+    planted_tree, tree_from_search, PlantedTreeParams, TreeSpec, WeightModel,
+};
 use blog_workloads::{queens_program, QueensParams};
 
 use crate::report::{f2, pct, Table};
@@ -37,12 +39,20 @@ pub fn traced_tree() -> TreeSpec {
 /// T4: machine speedup vs processor count, on both trees. Returns
 /// `(tree name, n, stats)`.
 pub fn run_t4_machine() -> Vec<(&'static str, u32, MachineStats)> {
-    let trees: [(&'static str, TreeSpec); 2] =
-        [("planted(3^8)", bench_tree()), ("queens(5)-trace", traced_tree())];
+    let trees: [(&'static str, TreeSpec); 2] = [
+        ("planted(3^8)", bench_tree()),
+        ("queens(5)-trace", traced_tree()),
+    ];
     let mut out = Vec::new();
     println!("T4 — machine speedup vs processors (M = 2 tasks each):");
     let mut t = Table::new(&[
-        "tree", "procs", "makespan", "speedup", "util", "transfers", "all-busy@",
+        "tree",
+        "procs",
+        "makespan",
+        "speedup",
+        "util",
+        "transfers",
+        "all-busy@",
     ]);
     for (name, tree) in &trees {
         let base = simulate(
@@ -96,7 +106,11 @@ pub fn run_t5() -> Vec<(u64, MachineStats)> {
                 ..MachineConfig::default()
             },
         );
-        let label = if d > 1_000_000 { "inf".into() } else { d.to_string() };
+        let label = if d > 1_000_000 {
+            "inf".into()
+        } else {
+            d.to_string()
+        };
         t.row(vec![
             label,
             s.makespan.to_string(),
@@ -140,7 +154,11 @@ pub fn run_t5() -> Vec<(u64, MachineStats)> {
         seed: 5,
     });
     let mut pt = Table::new(&["pruning", "makespan", "expansions", "pruned", "solutions"]);
-    for (label, slack) in [("off", None), ("slack 0", Some(0u64)), ("slack 10", Some(10))] {
+    for (label, slack) in [
+        ("off", None),
+        ("slack 0", Some(0u64)),
+        ("slack 10", Some(10)),
+    ] {
         let s = simulate(
             &trained,
             &MachineConfig {
@@ -183,7 +201,11 @@ pub fn run_t7_machine() -> Vec<(u32, MachineStats)> {
                 ..MachineConfig::default()
             },
         );
-        t.row(vec![m.to_string(), s.makespan.to_string(), pct(s.utilization)]);
+        t.row(vec![
+            m.to_string(),
+            s.makespan.to_string(),
+            pct(s.utilization),
+        ]);
         out.push((m, s));
     }
     t.print();
@@ -248,9 +270,9 @@ pub fn run_a3() -> Vec<(u32, u64, Option<u64>)> {
                 ..MachineConfig::default()
             },
         );
-        let frac = s
-            .time_all_busy
-            .map_or("—".to_string(), |x| pct(x as f64 / s.makespan.max(1) as f64));
+        let frac = s.time_all_busy.map_or("—".to_string(), |x| {
+            pct(x as f64 / s.makespan.max(1) as f64)
+        });
         t.row(vec![
             n.to_string(),
             s.makespan.to_string(),

@@ -93,18 +93,19 @@ pub fn run_t6() -> Vec<SpdRow> {
     let mut rows = Vec::new();
     println!("T6 — semantic paging (trace of a trained best-first family query):");
     let mut t = Table::new(&[
-        "mode", "distance", "filter", "hit-rate", "faults", "blocks-paged", "fault-ticks",
+        "mode",
+        "distance",
+        "filter",
+        "hit-rate",
+        "faults",
+        "blocks-paged",
+        "fault-ticks",
     ]);
     for mode in [SpMode::Simd, SpMode::Mimd] {
         for distance in [0u32, 1, 2, 3] {
             for filtered in [false, true] {
-                let (mut spd, layout) = build_spd_from_db(
-                    &program.db,
-                    &trained,
-                    geometry,
-                    CostModel::default(),
-                    mode,
-                );
+                let (mut spd, layout) =
+                    build_spd_from_db(&program.db, &trained, geometry, CostModel::default(), mode);
                 let mut pager = Pager::new(&mut spd, &layout, distance);
                 if filtered {
                     pager.weight_max = Some(ceiling);
@@ -170,10 +171,7 @@ fn t6b_total_tracks(n_clauses: usize) -> usize {
 /// every clause fetch routed through `paged`. Returns
 /// `(nodes expanded, solutions found, store stats)` — the recipe shared
 /// by [`run_t6b`] and [`run_t6c`].
-fn engine_run_through(
-    paged: &Snapshot<'_>,
-    program: &Program,
-) -> (u64, usize, PagedStoreStats) {
+fn engine_run_through(paged: &Snapshot<'_>, program: &Program) -> (u64, usize, PagedStoreStats) {
     let store = WeightStore::new(WeightParams::default());
     let mut overlay = std::collections::HashMap::new();
     let mut view = WeightView::new(&mut overlay, &store);
@@ -183,7 +181,11 @@ fn engine_run_through(
         &mut view,
         &BestFirstConfig::default(),
     );
-    (r.stats.nodes_expanded, r.solutions.len(), paged.store().stats())
+    (
+        r.stats.nodes_expanded,
+        r.solutions.len(),
+        paged.store().stats(),
+    )
 }
 
 /// T6b: run the best-first engine *through* the paged clause store at a
@@ -200,7 +202,14 @@ pub fn run_t6b() -> Vec<PagedRow> {
         total_tracks
     );
     let mut t = Table::new(&[
-        "capacity", "accesses", "hit-rate", "misses", "evictions", "fault-ticks", "nodes", "sols",
+        "capacity",
+        "accesses",
+        "hit-rate",
+        "misses",
+        "evictions",
+        "fault-ticks",
+        "nodes",
+        "sols",
     ]);
     // Sweep across the LRU cliff: best-first scans most of the database
     // between revisits of a track, so capacities below the working set
@@ -233,8 +242,7 @@ pub fn run_t6b() -> Vec<PagedRow> {
             },
             CommitMode::Mvcc,
         );
-        let (nodes_expanded, solutions, stats) =
-            engine_run_through(&paged.begin_read(), &program);
+        let (nodes_expanded, solutions, stats) = engine_run_through(&paged.begin_read(), &program);
         t.row(vec![
             capacity_tracks.to_string(),
             stats.accesses.to_string(),
@@ -328,7 +336,13 @@ pub fn run_t6c() -> Vec<PolicyRow> {
             total_tracks
         );
         let mut t = Table::new(&[
-            "policy", "capacity", "accesses", "hit-rate", "evictions", "nodes", "sols",
+            "policy",
+            "capacity",
+            "accesses",
+            "hit-rate",
+            "evictions",
+            "nodes",
+            "sols",
         ]);
         for capacity_tracks in t6c_capacities(total_tracks) {
             for policy in policies {
@@ -476,13 +490,19 @@ mod tests {
                 flattened = true;
             }
         }
-        assert!(flattened, "2Q never pulled >= 5 points ahead of LRU on family");
+        assert!(
+            flattened,
+            "2Q never pulled >= 5 points ahead of LRU on family"
+        );
         // ...and 2Q never loses on queens or mapcolor.
         for workload in ["queens(6)", "mapcolor(3x3,3)"] {
             let lru = hits(workload, PolicyKind::Lru);
             let twoq = hits(workload, PolicyKind::TwoQ);
             for ((cap, l, _), (_, q, _)) in lru.iter().zip(&twoq) {
-                assert!(q >= l, "2Q lost to LRU on {workload} at capacity {cap}: {q} < {l}");
+                assert!(
+                    q >= l,
+                    "2Q lost to LRU on {workload} at capacity {cap}: {q} < {l}"
+                );
             }
         }
     }

@@ -2,12 +2,10 @@
 
 use blog_core::engine::{best_first, BestFirstConfig, BoundPolicy};
 use blog_core::weight::{WeightParams, WeightStore, WeightView};
-use blog_logic::{
-    bfs_all, dfs_all, iterative_deepening, Program, Query, SearchStats, SolveConfig,
-};
+use blog_logic::{bfs_all, dfs_all, iterative_deepening, Program, Query, SearchStats, SolveConfig};
 use blog_workloads::{
-    dag_reach_program, family_program, mapcolor_program, queens_program, DagParams,
-    FamilyParams, MapColorParams, QueensParams,
+    dag_reach_program, family_program, mapcolor_program, queens_program, DagParams, FamilyParams,
+    MapColorParams, QueensParams,
 };
 
 use crate::report::Table;
@@ -197,8 +195,7 @@ mod tests {
                 .iter()
                 .filter(|r| r.workload == name && r.goal == "all")
                 .collect();
-            let counts: std::collections::HashSet<u64> =
-                all.iter().map(|r| r.solutions).collect();
+            let counts: std::collections::HashSet<u64> = all.iter().map(|r| r.solutions).collect();
             assert_eq!(counts.len(), 1, "{name}: {counts:?}");
         }
     }

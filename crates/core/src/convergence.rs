@@ -76,12 +76,7 @@ fn chain_metrics(
         (n_units, 1.0)
     };
 
-    let state_of = |key: &PointerKey| {
-        overlay
-            .get(key)
-            .copied()
-            .unwrap_or(WeightState::Unknown)
-    };
+    let state_of = |key: &PointerKey| overlay.get(key).copied().unwrap_or(WeightState::Unknown);
     let mut sum_err = 0.0f64;
     let mut max_err = 0.0f64;
     let mut n_success = 0usize;

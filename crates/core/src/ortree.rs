@@ -243,11 +243,7 @@ mod tests {
     #[test]
     fn depth_limit_produces_cutoffs() {
         let p = parse_program(FAMILY).unwrap();
-        let t = build_ortree(
-            &p.db,
-            &p.queries[0],
-            &SolveConfig::all().with_max_depth(2),
-        );
+        let t = build_ortree(&p.db, &p.queries[0], &SolveConfig::all().with_max_depth(2));
         assert!(t.truncated);
         assert!(t.shape().cutoffs > 0);
     }

@@ -312,7 +312,10 @@ mod tests {
         let r = mgr.query(&mut s, &p.db, &p.queries[0], &BestFirstConfig::default());
         assert_eq!(r.solutions.len(), 1);
         assert!(!s.local.is_empty(), "success should have learned weights");
-        assert!(mgr.global().is_empty(), "global must be untouched mid-session");
+        assert!(
+            mgr.global().is_empty(),
+            "global must be untouched mid-session"
+        );
         assert_eq!(s.queries_run, 1);
     }
 

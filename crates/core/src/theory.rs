@@ -235,8 +235,7 @@ pub fn solve_weights(
     for &arc in &success_arcs {
         result.finite.insert(arc, 0.0);
     }
-    let success_chains: Vec<&TheoryChain> =
-        chains.chains.iter().filter(|c| c.success).collect();
+    let success_chains: Vec<&TheoryChain> = chains.chains.iter().filter(|c| c.success).collect();
     for _ in 0..iterations {
         for chain in &success_chains {
             if chain.arcs.is_empty() {
@@ -389,8 +388,7 @@ mod tests {
                 infinite.insert(chain.arcs[0]);
             }
         }
-        let (residual, failures_dead) =
-            validate_assignment(&chains, &finite, &infinite, 1.0);
+        let (residual, failures_dead) = validate_assignment(&chains, &finite, &infinite, 1.0);
         assert!(residual < 1e-12);
         assert!(failures_dead);
     }

@@ -50,7 +50,10 @@ pub struct UpdateOutcome {
 ///
 /// Afterwards every arc of the chain is `Known`, and — anomalies aside —
 /// the chain's bound is exactly `N`.
-pub fn success_update(view: &mut WeightView<'_>, arcs_root_to_leaf: &[PointerKey]) -> UpdateOutcome {
+pub fn success_update(
+    view: &mut WeightView<'_>,
+    arcs_root_to_leaf: &[PointerKey],
+) -> UpdateOutcome {
     let params = view.params();
     let n = params.target.0 as u64;
 

@@ -69,9 +69,7 @@ impl fmt::Display for Weight {
 
 /// A chain bound: the sum of the weights along a chain. Wider than
 /// [`Weight`] so sums cannot overflow.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug, Serialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug, Serialize)]
 pub struct Bound(pub u64);
 
 impl Bound {
@@ -196,7 +194,10 @@ impl WeightStore {
 
     /// The stored state for `key` (implicitly `Unknown`).
     pub fn get(&self, key: PointerKey) -> WeightState {
-        self.entries.get(&key).copied().unwrap_or(WeightState::Unknown)
+        self.entries
+            .get(&key)
+            .copied()
+            .unwrap_or(WeightState::Unknown)
     }
 
     /// Store a state for `key`.
@@ -254,10 +255,7 @@ pub struct WeightView<'a> {
 
 impl<'a> WeightView<'a> {
     /// Build a view over an overlay and the global store.
-    pub fn new(
-        local: &'a mut HashMap<PointerKey, WeightState>,
-        global: &'a WeightStore,
-    ) -> Self {
+    pub fn new(local: &'a mut HashMap<PointerKey, WeightState>, global: &'a WeightStore) -> Self {
         WeightView { local, global }
     }
 
@@ -322,9 +320,7 @@ mod tests {
         assert!(p.unknown_weight() > p.target);
         // Any chain of max_chain arcs of unknown weight stays below two
         // infinities but a single infinity beats target chains:
-        assert!(
-            (p.infinity_weight().0 as u64) > (p.target.0 as u64 + Weight::SCALE as u64)
-        );
+        assert!((p.infinity_weight().0 as u64) > (p.target.0 as u64 + Weight::SCALE as u64));
     }
 
     #[test]

@@ -219,7 +219,10 @@ impl<'p> DeltaBindings<'p> {
             self.parent.collect_all(&mut all);
             let flattened = all.len() as u32 - delta;
             all.sort_unstable_by_key(|(v, _)| *v);
-            debug_assert!(all.windows(2).all(|w| w[0].0 != w[1].0), "duplicate binding");
+            debug_assert!(
+                all.windows(2).all(|w| w[0].0 != w[1].0),
+                "duplicate binding"
+            );
             let total = all.len() as u32;
             let frame = Arc::new(BindingFrame {
                 parent: None,
@@ -239,7 +242,13 @@ impl<'p> DeltaBindings<'p> {
                 writes,
                 parent: Some(Arc::clone(self.parent)),
             });
-            (frame, FreezeStats { delta, flattened: 0 })
+            (
+                frame,
+                FreezeStats {
+                    delta,
+                    flattened: 0,
+                },
+            )
         }
     }
 }
@@ -361,7 +370,11 @@ mod tests {
         for v in 0..thresh - 1 {
             frame = push1(&frame, v, atom(v), thresh);
         }
-        assert_eq!(frame.chain_len(), thresh, "boundary: chain_len == threshold");
+        assert_eq!(
+            frame.chain_len(),
+            thresh,
+            "boundary: chain_len == threshold"
+        );
         assert!(!frame.is_chain_start(), "no flatten at the boundary");
         let (_, last) = {
             let mut d = DeltaBindings::new(&frame, NEXT_VAR);

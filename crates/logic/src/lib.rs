@@ -63,16 +63,16 @@ pub use node::{
     expand, try_expand_via, Caller, ExpandBuffers, Expansion, Goal, NodeState, PointerKey,
     SearchNode, StateRepr, MAX_GOALS,
 };
-pub use source::{ClauseSource, SourceStats, StoreError, StoreErrorKind};
 pub use parser::{
-    parse_clauses_interning, parse_program, parse_query, parse_query_shared,
-    parse_query_symbols, ParseError, Program, Query,
+    parse_clauses_interning, parse_program, parse_query, parse_query_shared, parse_query_symbols,
+    ParseError, Program, Query,
 };
 pub use pretty::{clause_to_source, term_to_string, term_to_string_syms};
 pub use solve::{
     bfs_all, dfs_all, iterative_deepening, push_solution, walk_breadth_first, CancelToken,
     SearchStats, Solution, SolveConfig, SolveResult, WalkVisit,
 };
+pub use source::{ClauseSource, SourceStats, StoreError, StoreErrorKind};
 pub use store::{arg_key, ArgKey, ClauseDb};
 pub use symbol::{Sym, SymbolTable};
 pub use term::{Term, VarId};

@@ -457,8 +457,7 @@ pub fn try_expand_via<S: ClauseSource + ?Sized>(
                     });
                 }
                 child_goals.extend_from_slice(&goals[1..]);
-                stats.bytes_copied +=
-                    cloned_sprout_bytes(child_bindings.len(), child_goals.len());
+                stats.bytes_copied += cloned_sprout_bytes(child_bindings.len(), child_goals.len());
 
                 out.push(Expansion {
                     arc: arc_for(cid),
@@ -547,13 +546,19 @@ mod tests {
         // gf(X,Z) :- f(X,Y), f(Y,Z).
         db.add_clause(Clause::new(
             Term::app(gf, vec![v(0), v(2)]),
-            vec![Term::app(f, vec![v(0), v(1)]), Term::app(f, vec![v(1), v(2)])],
+            vec![
+                Term::app(f, vec![v(0), v(1)]),
+                Term::app(f, vec![v(1), v(2)]),
+            ],
         ))
         .unwrap();
         // gf(X,Z) :- f(X,Y), m(Y,Z).
         db.add_clause(Clause::new(
             Term::app(gf, vec![v(0), v(2)]),
-            vec![Term::app(f, vec![v(0), v(1)]), Term::app(m, vec![v(1), v(2)])],
+            vec![
+                Term::app(f, vec![v(0), v(1)]),
+                Term::app(m, vec![v(1), v(2)]),
+            ],
         ))
         .unwrap();
         let names = [

@@ -71,7 +71,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at {}:{}: {}", self.line, self.col, self.message)
+        write!(
+            f,
+            "parse error at {}:{}: {}",
+            self.line, self.col, self.message
+        )
     }
 }
 
@@ -810,8 +814,7 @@ mod tests {
         let mut syms = p.db.symbols().clone();
         let before = syms.len();
         let clauses =
-            parse_clauses_interning(&mut syms, "f(b, zebra). gf(X,Z) :- f(X,Y), f(Y,Z).")
-                .unwrap();
+            parse_clauses_interning(&mut syms, "f(b, zebra). gf(X,Z) :- f(X,Y), f(Y,Z).").unwrap();
         assert_eq!(clauses.len(), 2);
         assert!(syms.len() > before, "new constants were interned");
         assert!(syms.get("zebra").is_some());
@@ -972,7 +975,9 @@ mod tests {
             for text in &hostile {
                 let errs = [
                     parse_program(&format!("{text}.")).map(|_| ()).unwrap_err(),
-                    parse_program(&format!("?- {text}.")).map(|_| ()).unwrap_err(),
+                    parse_program(&format!("?- {text}."))
+                        .map(|_| ())
+                        .unwrap_err(),
                     parse_query_symbols(p.db.symbols(), text).unwrap_err(),
                     parse_query_shared(&p.db, text).unwrap_err(),
                     parse_clauses_interning(&mut p.db.symbols().clone(), &format!("{text}."))
@@ -981,7 +986,10 @@ mod tests {
                 ];
                 for e in errs {
                     assert!(e.message.contains("levels deep"), "{e}");
-                    assert!(e.line == 1 && e.col > 1, "points at the offending token: {e}");
+                    assert!(
+                        e.line == 1 && e.col > 1,
+                        "points at the offending token: {e}"
+                    );
                 }
             }
             // The reader is still usable afterwards.

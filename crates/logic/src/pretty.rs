@@ -80,9 +80,7 @@ fn write_list(symbols: &SymbolTable, t: &Term, out: &mut String) {
     let mut first = true;
     loop {
         match cur {
-            Term::Struct(f, args)
-                if args.len() == 2 && symbols.name(*f) == "." =>
-            {
+            Term::Struct(f, args) if args.len() == 2 && symbols.name(*f) == "." => {
                 if !first {
                     out.push(',');
                 }

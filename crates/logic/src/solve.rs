@@ -232,9 +232,7 @@ impl Solution {
         self.var_names
             .iter()
             .zip(self.terms.iter())
-            .map(|(n, t)| {
-                format!("{} = {}", n, crate::pretty::term_to_string_syms(symbols, t))
-            })
+            .map(|(n, t)| format!("{} = {}", n, crate::pretty::term_to_string_syms(symbols, t)))
             .collect::<Vec<_>>()
             .join(", ")
     }
@@ -734,10 +732,7 @@ mod tests {
         )
         .unwrap();
         let r = bfs_all(&p.db, &p.queries[0], &SolveConfig::first());
-        assert_eq!(
-            r.solutions[0].binding_text(&p.db, "X").unwrap(),
-            "shallow"
-        );
+        assert_eq!(r.solutions[0].binding_text(&p.db, "X").unwrap(), "shallow");
         // DFS would have committed to the first clause and found 'deep'.
         let d = dfs_all(&p.db, &p.queries[0], &SolveConfig::first());
         assert_eq!(d.solutions[0].binding_text(&p.db, "X").unwrap(), "deep");

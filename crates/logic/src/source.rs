@@ -241,7 +241,10 @@ mod tests {
         let p = StoreError::permanent("track 7 damaged");
         assert!(t.is_transient());
         assert!(!p.is_transient());
-        assert_eq!(t.to_string(), "transient store fault: read fault at track 3");
+        assert_eq!(
+            t.to_string(),
+            "transient store fault: read fault at track 3"
+        );
         assert_eq!(p.to_string(), "permanent store fault: track 7 damaged");
         assert_eq!(t.kind, StoreErrorKind::Transient);
         assert_eq!(p.kind, StoreErrorKind::Permanent);

@@ -217,7 +217,10 @@ mod tests {
     fn max_var_finds_largest() {
         let t = Term::app(
             s(0),
-            vec![Term::Var(VarId(3)), Term::app(s(1), vec![Term::Var(VarId(9))])],
+            vec![
+                Term::Var(VarId(3)),
+                Term::app(s(1), vec![Term::Var(VarId(9))]),
+            ],
         );
         assert_eq!(t.max_var(), Some(VarId(9)));
         assert_eq!(Term::Atom(s(0)).max_var(), None);

@@ -396,7 +396,13 @@ mod tests {
     #[test]
     fn atom_vs_struct_fails() {
         let (mut b, mut t) = fresh();
-        assert!(!unify(&mut b, &mut t, &atom(0), &app(0, vec![atom(1)]), false));
+        assert!(!unify(
+            &mut b,
+            &mut t,
+            &atom(0),
+            &app(0, vec![atom(1)]),
+            false
+        ));
     }
 
     #[test]
@@ -433,7 +439,13 @@ mod tests {
     fn occurs_dereferences_chains() {
         let (mut b, mut tr) = fresh();
         // v1 := f(v2); does v2 occur in v1?
-        assert!(unify(&mut b, &mut tr, &var(1), &app(0, vec![var(2)]), false));
+        assert!(unify(
+            &mut b,
+            &mut tr,
+            &var(1),
+            &app(0, vec![var(2)]),
+            false
+        ));
         assert!(occurs(&b, VarId(2), &var(1)));
         assert!(!occurs(&b, VarId(3), &var(1)));
     }

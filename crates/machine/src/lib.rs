@@ -31,12 +31,14 @@
 //! the paper cares about (disk waits being hidden by multitasking).
 
 pub mod machine;
-pub mod net;
 pub mod multiwrite;
+pub mod net;
 pub mod scoreboard;
 pub mod tree;
 
 pub use machine::{simulate, MachineConfig, MachineStats};
 pub use net::{MinSeekTree, PriorityCircuit};
 pub use scoreboard::{ScoreboardConfig, ScoreboardStats, UnitKind};
-pub use tree::{planted_tree, tree_from_search, NodeKind, PlantedTreeParams, TreeSpec, WeightModel};
+pub use tree::{
+    planted_tree, tree_from_search, NodeKind, PlantedTreeParams, TreeSpec, WeightModel,
+};

@@ -111,9 +111,19 @@ pub struct MachineStats {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum EvKind {
     /// Chain fetch (disk + any network lead) completed; ready to compute.
-    FetchDone { proc: u32, task: u32, node: u32, bound: u64 },
+    FetchDone {
+        proc: u32,
+        task: u32,
+        node: u32,
+        bound: u64,
+    },
     /// Processor finished computing this node.
-    ComputeDone { proc: u32, task: u32, node: u32, bound: u64 },
+    ComputeDone {
+        proc: u32,
+        task: u32,
+        node: u32,
+        bound: u64,
+    },
     /// The transfer network went idle.
     NetFree,
 }
@@ -247,9 +257,7 @@ impl<'a> Sim<'a> {
 
     fn mark_active(&mut self, proc: u32, now: u64) {
         self.active_tasks[proc as usize] += 1;
-        if self.stats.time_all_busy.is_none()
-            && self.active_tasks.iter().all(|&c| c > 0)
-        {
+        if self.stats.time_all_busy.is_none() && self.active_tasks.iter().all(|&c| c > 0) {
             self.stats.time_all_busy = Some(now);
         }
     }
@@ -474,7 +482,9 @@ pub fn simulate(tree: &TreeSpec, config: &MachineConfig) -> MachineStats {
         d: config.d_threshold,
         events: BinaryHeap::new(),
         seq: 0,
-        pools: (0..config.n_processors).map(|_| BinaryHeap::new()).collect(),
+        pools: (0..config.n_processors)
+            .map(|_| BinaryHeap::new())
+            .collect(),
         pool_seq: 0,
         server_free_at: vec![0; config.n_processors as usize],
         active_tasks: vec![0; config.n_processors as usize],

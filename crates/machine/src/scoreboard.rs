@@ -116,10 +116,14 @@ pub fn simulate_scoreboard(cfg: &ScoreboardConfig) -> ScoreboardStats {
     struct TaskState {
         op_idx: usize, // index into template; == len() → fetch next node
     }
-    let mut tasks = vec![TaskState { op_idx: template.len() }; cfg.n_tasks as usize];
-    let mut ready: BinaryHeap<Reverse<(u64, u32)>> = (0..cfg.n_tasks)
-        .map(|t| Reverse((0u64, t)))
-        .collect();
+    let mut tasks = vec![
+        TaskState {
+            op_idx: template.len()
+        };
+        cfg.n_tasks as usize
+    ];
+    let mut ready: BinaryHeap<Reverse<(u64, u32)>> =
+        (0..cfg.n_tasks).map(|t| Reverse((0u64, t))).collect();
     let mut remaining = cfg.n_expansions;
     let mut in_flight = vec![true; cfg.n_tasks as usize];
     let mut makespan = 0u64;
@@ -207,7 +211,12 @@ mod tests {
         });
         let cap = 1000.0 / 24.0;
         assert!(s.throughput <= cap * 1.05, "{} > {}", s.throughput, cap);
-        assert!(s.throughput > cap * 0.8, "{} far below cap {}", s.throughput, cap);
+        assert!(
+            s.throughput > cap * 0.8,
+            "{} far below cap {}",
+            s.throughput,
+            cap
+        );
     }
 
     #[test]

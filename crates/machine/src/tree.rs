@@ -207,8 +207,7 @@ pub fn planted_tree(params: &PlantedTreeParams) -> TreeSpec {
         work: work(&mut rng),
         children: Vec::new(),
     });
-    let mut queue: Vec<(u32, u32, Vec<usize>)> =
-        vec![(0, 0, (0..paths.len()).collect())];
+    let mut queue: Vec<(u32, u32, Vec<usize>)> = vec![(0, 0, (0..paths.len()).collect())];
     let mut head = 0;
     while head < queue.len() {
         let (idx, depth, through) = queue[head].clone();
@@ -232,7 +231,10 @@ pub fn planted_tree(params: &PlantedTreeParams) -> TreeSpec {
             let on_path = !child_through.is_empty();
             let weight = match params.weights {
                 WeightModel::Uniform(w) => w,
-                WeightModel::Trained { on_path: wp, off_path: wo } => {
+                WeightModel::Trained {
+                    on_path: wp,
+                    off_path: wo,
+                } => {
                     if on_path {
                         wp
                     } else {

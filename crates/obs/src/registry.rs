@@ -254,7 +254,9 @@ fn bucket_top(i: usize) -> u64 {
 /// open-ended overflow bucket).
 pub fn bucket_width(v: u64) -> u64 {
     let i = bucket_index(v);
-    bucket_top(i).saturating_sub(bucket_low(i)).saturating_add(1)
+    bucket_top(i)
+        .saturating_sub(bucket_low(i))
+        .saturating_add(1)
 }
 
 #[derive(Clone)]
@@ -278,10 +280,7 @@ impl Registry {
 
     fn entry(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner
-            .entry(name.to_string())
-            .or_insert_with(make)
-            .clone()
+        inner.entry(name.to_string()).or_insert_with(make).clone()
     }
 
     /// Get or create the counter `name`.

@@ -203,12 +203,7 @@ impl TraceHandle {
     /// Open a child span whose start is backdated to `start_ns` — e.g.
     /// queue wait, measured from an enqueue timestamp taken before the
     /// request was sampled.
-    pub fn span_at(
-        &self,
-        parent: SpanId,
-        name: impl Into<String>,
-        start_ns: u64,
-    ) -> SpanGuard<'_> {
+    pub fn span_at(&self, parent: SpanId, name: impl Into<String>, start_ns: u64) -> SpanGuard<'_> {
         SpanGuard {
             handle: self,
             id: self.next_span_id(),
@@ -444,7 +439,10 @@ impl TraceRecord {
     /// The whole trace as one JSON object (one JSON-lines line).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
-            ("trace_id".into(), Json::str(format!("{:016x}", self.trace_id))),
+            (
+                "trace_id".into(),
+                Json::str(format!("{:016x}", self.trace_id)),
+            ),
             ("index".into(), Json::int(self.index)),
             ("label".into(), Json::str(&*self.label)),
             ("start_ns".into(), Json::int(self.start_ns)),
@@ -649,7 +647,10 @@ pub fn to_chrome_trace(traces: &[TraceRecord]) -> String {
                 ("cat".into(), Json::str("blog")),
                 ("ph".into(), Json::str("X")),
                 ("ts".into(), Json::Num(s.start_ns as f64 / 1e3)),
-                ("dur".into(), Json::Num((s.end_ns - s.start_ns) as f64 / 1e3)),
+                (
+                    "dur".into(),
+                    Json::Num((s.end_ns - s.start_ns) as f64 / 1e3),
+                ),
                 ("pid".into(), Json::int(1)),
                 ("tid".into(), Json::int(lane)),
                 (
@@ -718,7 +719,9 @@ mod tests {
     #[test]
     fn sampling_rate_is_roughly_one_in_n() {
         let tracer = Tracer::new(TraceConfig::sampled(64), 1);
-        let sampled = (0..64_000).filter(|&i| tracer.start(i, "r").is_some()).count();
+        let sampled = (0..64_000)
+            .filter(|&i| tracer.start(i, "r").is_some())
+            .count();
         // splitmix64 is a good mixer: expect 1000 ± a wide margin.
         assert!((500..2000).contains(&sampled), "sampled {sampled} of 64000");
     }
@@ -743,7 +746,11 @@ mod tests {
         assert_eq!(recs.len(), 1);
         let r = &recs[0];
         r.well_formed().expect("well formed");
-        assert_eq!(r.spans.len(), 5, "root + attempt + engine + backoff + queue");
+        assert_eq!(
+            r.spans.len(),
+            5,
+            "root + attempt + engine + backoff + queue"
+        );
         assert!(r.span_total_ns("engine") >= 1_000_000);
         assert!(r.span_total_ns("attempt") >= r.span_total_ns("engine"));
         assert_eq!(r.events.len(), 1);

@@ -124,7 +124,8 @@ impl<'a> Crew<'a> {
         let called = Cell::new(false);
         let call = || {
             if !called.replace(true) {
-                self.spawned.call_once(|| (1..=self.helpers).for_each(&self.spawn));
+                self.spawned
+                    .call_once(|| (1..=self.helpers).for_each(&self.spawn));
                 let mut slot = inner.slot.lock();
                 slot.job = Some(Arc::clone(&job));
                 slot.generation += 1;

@@ -816,7 +816,11 @@ mod tests {
                     assert_eq!(r.stats.nodes_expanded, n_a + 2);
                     assert_eq!(r.solutions.len() as u64, 2 * n_a);
                     assert_eq!(crew.calls(), calls, "x{n_workers}, {n_a} facts: calls");
-                    assert_eq!(crew.spawned(), spawned, "x{n_workers}, {n_a} facts: threads");
+                    assert_eq!(
+                        crew.spawned(),
+                        spawned,
+                        "x{n_workers}, {n_a} facts: threads"
+                    );
                 }
             });
         }

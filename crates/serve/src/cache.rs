@@ -156,7 +156,10 @@ impl CacheStats {
             ("overloaded".into(), Json::int(self.overloaded)),
             ("entries".into(), Json::int(self.entries as u64)),
             ("bytes".into(), Json::int(self.bytes as u64)),
-            ("reserved_bytes".into(), Json::int(self.reserved_bytes as u64)),
+            (
+                "reserved_bytes".into(),
+                Json::int(self.reserved_bytes as u64),
+            ),
             ("hit_rate".into(), Json::Num(self.hit_rate())),
         ])
     }
@@ -297,7 +300,9 @@ impl Inner {
         if self.indexed <= 2 * self.indexed_live {
             return;
         }
-        let Inner { entries, by_pred, .. } = self;
+        let Inner {
+            entries, by_pred, ..
+        } = self;
         by_pred.retain(|_, refs| {
             refs.retain(|r| is_current(entries, r));
             !refs.is_empty()
@@ -461,7 +466,13 @@ impl AnswerCache {
     /// and must never be memoized. Under a budget, LRU entries are
     /// evicted to fit; a result that cannot fit is skipped (counted, not
     /// an error).
-    pub fn fill(&self, key: CacheKey, epoch: u64, deps: Vec<(Sym, u32)>, solutions: Arc<Vec<String>>) {
+    pub fn fill(
+        &self,
+        key: CacheKey,
+        epoch: u64,
+        deps: Vec<(Sym, u32)>,
+        solutions: Arc<Vec<String>>,
+    ) {
         if !self.enabled() {
             return;
         }
@@ -691,7 +702,11 @@ mod tests {
         let s = cache.stats();
         // Epoch 0 misses each query once (3 hits); every later epoch
         // misses only the cold one (5 hits).
-        assert_eq!(s.hits, 3 + 5 * (EPOCHS - 1), "hot entries hit through churn");
+        assert_eq!(
+            s.hits,
+            3 + 5 * (EPOCHS - 1),
+            "hot entries hit through churn"
+        );
         assert_eq!(s.invalidations, EPOCHS, "only the cold entry drops");
         assert_eq!(s.fills, 2 + EPOCHS, "hot entries fill once");
     }

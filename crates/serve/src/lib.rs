@@ -100,9 +100,7 @@ mod server;
 mod stats;
 pub mod tuning;
 
-pub use blog_obs::{
-    to_chrome_trace, to_jsonl, FlightRecorder, TraceConfig, TraceRecord, Tracer,
-};
+pub use blog_obs::{to_chrome_trace, to_jsonl, FlightRecorder, TraceConfig, TraceRecord, Tracer};
 pub use blog_spd::{CommitMode, FaultKind, FaultPlan, FaultScope, FaultSite, IndexPolicy};
 pub use breaker::BreakerConfig;
 pub use cache::{AnswerCache, CacheConfig, CacheKey, CacheMode, CacheStats};

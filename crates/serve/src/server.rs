@@ -13,8 +13,7 @@ use std::time::{Duration, Instant};
 
 use blog_core::weight::{WeightParams, WeightStore};
 use blog_logic::{
-    canonical_query, parse_query_symbols, CancelToken, ClauseDb, ClauseId, SearchStats,
-    SolveConfig,
+    canonical_query, parse_query_symbols, CancelToken, ClauseDb, ClauseId, SearchStats, SolveConfig,
 };
 use blog_parallel::{par_best_first_on, Crew, FrontierPolicy, ParallelConfig};
 use blog_spd::{
@@ -327,10 +326,10 @@ impl Submitter<'_> {
         };
         // Sampling decision at admission, so the root span covers the
         // queue wait; the handle rides in the job to the pool worker.
-        let trace = self
-            .server
-            .tracer
-            .start(idx as u64, format!("s{} {}", request.session.0, request.text));
+        let trace = self.server.tracer.start(
+            idx as u64,
+            format!("s{} {}", request.session.0, request.text),
+        );
         if let Some(h) = &trace {
             h.event(SpanId::ROOT, "admitted", format!("pool {pool}"));
         }
@@ -363,10 +362,12 @@ impl Submitter<'_> {
             .server
             .tracer
             .start((1 << 62) | idx as u64, format!("update s{}", session.0));
-        let response = match self
-            .server
-            .apply_update_traced(ops, trace.as_ref().map(|h| SpanCtx::new(h.clone(), SpanId::ROOT)))
-        {
+        let response = match self.server.apply_update_traced(
+            ops,
+            trace
+                .as_ref()
+                .map(|h| SpanCtx::new(h.clone(), SpanId::ROOT)),
+        ) {
             Ok((epoch, asserted)) => UpdateResponse {
                 request: idx,
                 session,
@@ -820,7 +821,10 @@ impl QueryServer {
                 Outcome::Completed { .. } => completed += 1,
                 Outcome::Cancelled { .. } => cancelled += 1,
             }
-            if matches!(r.outcome, Outcome::Completed { .. } | Outcome::Cancelled { .. }) {
+            if matches!(
+                r.outcome,
+                Outcome::Completed { .. } | Outcome::Cancelled { .. }
+            ) {
                 let split = if r.warm { &mut warm } else { &mut cold };
                 split.add(r);
             }
@@ -844,8 +848,7 @@ impl QueryServer {
             breaker_opens: self.breaker_opens.load(Ordering::Relaxed) - breaker_opens_before,
             breaker_reroutes: self.breaker_reroutes.load(Ordering::Relaxed)
                 - breaker_reroutes_before,
-            degraded_cache_hits: self.degraded_cache_hits.load(Ordering::Relaxed)
-                - degraded_before,
+            degraded_cache_hits: self.degraded_cache_hits.load(Ordering::Relaxed) - degraded_before,
             throughput_rps: if wall_s > 0.0 {
                 (total - overloaded) as f64 / wall_s
             } else {

@@ -51,7 +51,11 @@ fn sequential_solutions(p: &Program, text: &str) -> Vec<String> {
         ..BestFirstConfig::default()
     };
     let r = best_first(&p.db, &q, &mut view, &cfg);
-    let mut texts: Vec<String> = r.solutions.iter().map(|s| s.solution.to_text(&p.db)).collect();
+    let mut texts: Vec<String> = r
+        .solutions
+        .iter()
+        .map(|s| s.solution.to_text(&p.db))
+        .collect();
     texts.sort();
     texts
 }
@@ -68,7 +72,10 @@ fn serves_family_queries_exactly() {
     let report = server.serve(requests);
     assert_eq!(report.responses.len(), 3);
     assert_eq!(report.stats.completed, 3);
-    for (i, text) in ["gf(sam, G)", "gf(curt, G)", "gf(sam, G)"].iter().enumerate() {
+    for (i, text) in ["gf(sam, G)", "gf(curt, G)", "gf(sam, G)"]
+        .iter()
+        .enumerate()
+    {
         let r = &report.responses[i];
         assert_eq!(r.request, i, "responses in batch order");
         match &r.outcome {
@@ -175,7 +182,10 @@ fn or_parallel_pool_reuses_one_helper_thread() {
             threads.insert(thread.to_string());
         }
     }
-    assert!(helper_nodes > 0, "the helper expanded nothing in {n_requests} requests");
+    assert!(
+        helper_nodes > 0,
+        "the helper expanded nothing in {n_requests} requests"
+    );
     assert_eq!(threads[1].len(), 1, "one helper thread: {:?}", threads[1]);
     assert_eq!(threads[0].len(), 1, "one pool thread: {:?}", threads[0]);
     assert_ne!(threads[0], threads[1]);
@@ -261,7 +271,12 @@ fn overflow_threshold_diverts_a_hot_session() {
     // Queue peaks stay near the threshold: 8 requests over 2 pools with
     // threshold 2 must not pile 7 deep anywhere.
     for pr in &report.stats.per_pool {
-        assert!(pr.queue_peak <= 5, "pool {} peaked at {}", pr.pool, pr.queue_peak);
+        assert!(
+            pr.queue_peak <= 5,
+            "pool {} peaked at {}",
+            pr.pool,
+            pr.queue_peak
+        );
     }
     // Every response still exact.
     let expect = sequential_solutions(&p, "gf(sam, G)");
@@ -318,12 +333,18 @@ fn hostile_deep_query_text_is_a_parse_rejection_and_the_pool_keeps_serving() {
         s.quiesce();
     });
     let Outcome::Rejected { error } = &report.responses[0].outcome else {
-        panic!("hostile query must be rejected: {:?}", report.responses[0].outcome);
+        panic!(
+            "hostile query must be rejected: {:?}",
+            report.responses[0].outcome
+        );
     };
     assert!(error.contains("levels deep"), "{error}");
     assert_eq!(report.responses[0].stats.nodes_expanded, 0);
     let UpdateOutcome::Rejected { error } = &report.updates[0].outcome else {
-        panic!("hostile assert must be rejected: {:?}", report.updates[0].outcome);
+        panic!(
+            "hostile assert must be rejected: {:?}",
+            report.updates[0].outcome
+        );
     };
     assert!(error.contains("levels deep"), "{error}");
     assert_eq!(report.stats.commits, 0);
@@ -344,11 +365,12 @@ fn per_request_node_budget_truncates() {
     )
     .unwrap();
     let server = QueryServer::new(&p.db, store_cfg(p.db.len(), 4), ServeConfig::default());
-    let report = server.serve(vec![
-        QueryRequest::new(1, "path(a, X)").with_max_nodes(100)
-    ]);
+    let report = server.serve(vec![QueryRequest::new(1, "path(a, X)").with_max_nodes(100)]);
     let r = &report.responses[0];
-    assert!(r.outcome.is_completed(), "budget exhaustion is not cancellation");
+    assert!(
+        r.outcome.is_completed(),
+        "budget exhaustion is not cancellation"
+    );
     assert!(r.stats.truncated, "but it is reported as truncation");
     assert!(r.stats.nodes_expanded <= 101);
 }
@@ -576,7 +598,10 @@ fn answer_cache_hits_bypass_the_engine() {
     let second = server.serve(vec![QueryRequest::new(2, "gf(sam, Who)")]);
     let r = &second.responses[0];
     assert_eq!(r.served_from, ServedFrom::Cache);
-    assert_eq!(r.outcome.solutions(), sequential_solutions(&p, "gf(sam, G)"));
+    assert_eq!(
+        r.outcome.solutions(),
+        sequential_solutions(&p, "gf(sam, G)")
+    );
     assert_eq!(r.stats.nodes_expanded, 0, "hit bypasses the engine");
     assert_eq!(r.store_accesses, 0, "hit touches no tracks");
     assert!(r.warm, "a cache hit is a warm response");
@@ -706,10 +731,7 @@ fn commits_invalidate_touched_predicates_and_spare_the_rest() {
         "gf depends on the touched f/2 — its entry must die"
     );
     assert!(
-        gf.outcome
-            .solutions()
-            .iter()
-            .any(|s| s.contains("zoe")),
+        gf.outcome.solutions().iter().any(|s| s.contains("zoe")),
         "re-run sees the committed fact: {:?}",
         gf.outcome.solutions()
     );
@@ -718,8 +740,10 @@ fn commits_invalidate_touched_predicates_and_spare_the_rest() {
         ServedFrom::Cache,
         "m/2 is disjoint from the commit — its entry survives"
     );
-    assert_eq!(report.stats.cache.invalidations, 0, "invalidation happened at commit time");
-
+    assert_eq!(
+        report.stats.cache.invalidations, 0,
+        "invalidation happened at commit time"
+    );
 }
 
 #[test]
@@ -803,7 +827,9 @@ fn governor_refuses_submissions_past_the_byte_budget() {
     assert_eq!(report.responses.len(), 3);
     assert_eq!(report.stats.overloaded, 1);
     assert_eq!(
-        report.stats.completed + report.stats.cancelled + report.stats.rejected
+        report.stats.completed
+            + report.stats.cancelled
+            + report.stats.rejected
             + report.stats.overloaded,
         report.stats.requests
     );
@@ -916,11 +942,21 @@ fn transient_faults_are_absorbed_by_retries() {
         QueryRequest::new(2, "gf(curt, G)"),
         QueryRequest::new(1, "gf(sam, G)"),
     ]);
-    assert_eq!(report.stats.completed, 3, "retries mask every transient fault");
+    assert_eq!(
+        report.stats.completed, 3,
+        "retries mask every transient fault"
+    );
     assert_eq!(report.stats.failed, 0);
-    assert!(report.stats.store.transient_faults > 0, "the plan actually fired");
+    assert!(
+        report.stats.store.transient_faults > 0,
+        "the plan actually fired"
+    );
     assert!(report.stats.retries > 0, "recovery took retries");
-    for (r, text) in report.responses.iter().zip(["gf(sam, G)", "gf(curt, G)", "gf(sam, G)"]) {
+    for (r, text) in report
+        .responses
+        .iter()
+        .zip(["gf(sam, G)", "gf(curt, G)", "gf(sam, G)"])
+    {
         assert_eq!(
             r.outcome.solutions(),
             sequential_solutions(&p, text),
@@ -948,12 +984,19 @@ fn no_retry_ablation_fails_instead_of_answering_wrong() {
         QueryRequest::new(1, "gf(sam, G)"),
     ]);
     assert_eq!(report.stats.retries, 0);
-    assert!(report.stats.failed > 0, "same schedule, no retries: requests fail");
+    assert!(
+        report.stats.failed > 0,
+        "same schedule, no retries: requests fail"
+    );
     for r in &report.responses {
         match &r.outcome {
             Outcome::Completed { solutions } => {
                 // A lucky fault-free request still answers exactly.
-                let text = if r.session == SessionId(2) { "gf(curt, G)" } else { "gf(sam, G)" };
+                let text = if r.session == SessionId(2) {
+                    "gf(curt, G)"
+                } else {
+                    "gf(sam, G)"
+                };
                 assert_eq!(**solutions, sequential_solutions(&p, text));
             }
             Outcome::Failed { advice, .. } => {
@@ -984,7 +1027,10 @@ fn permanent_damage_fails_with_give_up_advice() {
         QueryRequest::new(1, "gf(sam, G)"),
         QueryRequest::new(2, "gf(curt, G)"),
     ]);
-    assert_eq!(report.stats.failed, 2, "damaged medium: retrying is useless");
+    assert_eq!(
+        report.stats.failed, 2,
+        "damaged medium: retrying is useless"
+    );
     assert_eq!(report.stats.completed, 0);
     for r in &report.responses {
         let Some(advice) = r.outcome.retry_advice() else {
@@ -1061,7 +1107,10 @@ fn open_breaker_serves_cached_answers_degraded() {
     // Batch 1: fill the cache while storage is healthy.
     let fill = server.serve(vec![QueryRequest::new(1, "gf(sam, G)")]);
     assert_eq!(fill.stats.completed, 1);
-    assert_eq!(fill.stats.store.transient_faults, 0, "storm starts after the fill");
+    assert_eq!(
+        fill.stats.store.transient_faults, 0,
+        "storm starts after the fill"
+    );
     // Batch 2: three uncached queries fail against the storm and trip
     // the pool's breaker.
     let storm = server.serve(vec![
@@ -1070,7 +1119,10 @@ fn open_breaker_serves_cached_answers_degraded() {
         QueryRequest::new(4, "gf(curt, G)"),
     ]);
     assert_eq!(storm.stats.failed, 3);
-    assert_eq!(storm.stats.breaker_opens, 1, "third consecutive failure trips");
+    assert_eq!(
+        storm.stats.breaker_opens, 1,
+        "third consecutive failure trips"
+    );
     // Batch 3: the breaker is open — the cached query is still answered
     // (degraded cache-only serving); the uncached one fails fast with a
     // cooldown hint, touching no storage.
@@ -1081,16 +1133,25 @@ fn open_breaker_serves_cached_answers_degraded() {
     assert_eq!(degraded.stats.degraded_cache_hits, 1);
     let hit = &degraded.responses[0];
     assert_eq!(hit.served_from, ServedFrom::Cache);
-    assert_eq!(hit.outcome.solutions(), sequential_solutions(&p, "gf(sam, G)"));
+    assert_eq!(
+        hit.outcome.solutions(),
+        sequential_solutions(&p, "gf(sam, G)")
+    );
     let miss = &degraded.responses[1];
     match &miss.outcome {
         Outcome::Failed { advice, .. } => {
             assert!(advice.retryable);
-            assert!(advice.retry_after > Duration::ZERO, "come back after cooldown");
+            assert!(
+                advice.retry_after > Duration::ZERO,
+                "come back after cooldown"
+            );
         }
         other => panic!("expected Failed, got {other:?}"),
     }
-    assert_eq!(degraded.stats.store.transient_faults, 0, "degraded path reads no pages");
+    assert_eq!(
+        degraded.stats.store.transient_faults, 0,
+        "degraded path reads no pages"
+    );
 }
 
 #[test]
@@ -1127,7 +1188,10 @@ fn breaker_reroutes_admissions_to_healthy_pools() {
     );
     for r in &report.responses {
         if r.outcome.is_completed() {
-            assert_eq!(r.outcome.solutions(), sequential_solutions(&p, "gf(sam, G)"));
+            assert_eq!(
+                r.outcome.solutions(),
+                sequential_solutions(&p, "gf(sam, G)")
+            );
         }
     }
 }
@@ -1159,7 +1223,10 @@ fn breaker_storm_traces_the_full_transition_cycle() {
         QueryRequest::new(3, "gf(sam, G)"),
     ]);
     assert_eq!(storm.stats.failed, 3);
-    assert_eq!(storm.stats.breaker_opens, 1, "third consecutive failure trips");
+    assert_eq!(
+        storm.stats.breaker_opens, 1,
+        "third consecutive failure trips"
+    );
     std::thread::sleep(Duration::from_millis(60));
     // Cooldown elapsed: the next request is the half-open probe; the
     // storm window is spent, so it runs clean and closes the breaker.
@@ -1183,7 +1250,10 @@ fn breaker_storm_traces_the_full_transition_cycle() {
         .collect();
     transitions.sort();
     let names: Vec<&str> = transitions.iter().map(|(_, n)| n.as_str()).collect();
-    assert_eq!(names, ["breaker_open", "breaker_half_open", "breaker_closed"]);
+    assert_eq!(
+        names,
+        ["breaker_open", "breaker_half_open", "breaker_closed"]
+    );
     // And the trees themselves are well-formed.
     for t in server.tracer().recorder().snapshot() {
         t.well_formed().expect("trace tree is well-formed");

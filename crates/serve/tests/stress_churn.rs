@@ -24,9 +24,7 @@ use std::time::Duration;
 use blog_core::engine::{best_first, BestFirstConfig};
 use blog_core::weight::{WeightParams, WeightStore, WeightView};
 use blog_logic::{clause_to_source, parse_program, parse_query_shared, ClauseId, Program};
-use blog_serve::{
-    QueryRequest, QueryServer, ServeConfig, UpdateOp, UpdateOutcome, UpdateRequest,
-};
+use blog_serve::{QueryRequest, QueryServer, ServeConfig, UpdateOp, UpdateOutcome, UpdateRequest};
 use blog_spd::{Geometry, PagedStoreConfig, PolicyKind};
 use blog_workloads::{
     churn_updates, tenant_mix_program, tenant_mix_requests, ChurnOp, ChurnSpec, FamilyParams,
@@ -63,7 +61,10 @@ fn store_cfg(db_len: usize, headroom: usize) -> PagedStoreConfig {
             n_cylinders: (tracks_needed.div_ceil(n_sps as usize) + 1) as u32,
             blocks_per_track,
         },
-        capacity_tracks: db_len.div_ceil(blocks_per_track as usize).div_ceil(2).max(2),
+        capacity_tracks: db_len
+            .div_ceil(blocks_per_track as usize)
+            .div_ceil(2)
+            .max(2),
         policy: PolicyKind::TwoQ,
         ..PagedStoreConfig::default()
     }
@@ -80,7 +81,11 @@ fn sequential_solutions(p: &Program, text: &str) -> Vec<String> {
         ..BestFirstConfig::default()
     };
     let r = best_first(&p.db, &q, &mut view, &cfg);
-    let mut texts: Vec<String> = r.solutions.iter().map(|s| s.solution.to_text(&p.db)).collect();
+    let mut texts: Vec<String> = r
+        .solutions
+        .iter()
+        .map(|s| s.solution.to_text(&p.db))
+        .collect();
     texts.sort();
     texts
 }
@@ -102,12 +107,11 @@ fn verify_per_epoch(
     let mut epochs: Vec<u64> = responses.iter().map(|r| r.epoch).collect();
     epochs.sort_unstable();
     epochs.dedup();
-    let mut alive: Vec<Option<String>> = p
-        .db
-        .clauses()
-        .iter()
-        .map(|c| Some(clause_to_source(p.db.symbols(), c)))
-        .collect();
+    let mut alive: Vec<Option<String>> =
+        p.db.clauses()
+            .iter()
+            .map(|c| Some(clause_to_source(p.db.symbols(), c)))
+            .collect();
     let mut next = 0usize;
     for &epoch in &epochs {
         while next < logs.len() && logs[next].0 <= epoch {
@@ -372,7 +376,10 @@ fn repeated_churn_batches_retire_everything() {
         for round in 0..5 {
             let update = UpdateRequest::assert_text(9, format!("f(den,r{round})."));
             let report = server.serve_mixed(
-                vec![QueryRequest::new(1, "gf(sam, G)"), QueryRequest::new(2, "gf(sam, G)")],
+                vec![
+                    QueryRequest::new(1, "gf(sam, G)"),
+                    QueryRequest::new(2, "gf(sam, G)"),
+                ],
                 vec![update],
             );
             assert!(report.updates[0].outcome.is_committed());
@@ -460,8 +467,7 @@ fn fault_storm_with_writer_churn_is_live_and_exact() {
                 .map(|w| {
                     scope.spawn(move || {
                         let tenant = w % metas.len();
-                        let parent =
-                            &metas[tenant].persons[1][w % metas[tenant].persons[1].len()];
+                        let parent = &metas[tenant].persons[1][w % metas[tenant].persons[1].len()];
                         let mut own: Vec<(u32, String)> = Vec::new();
                         let mut log: Vec<CommitLog> = Vec::new();
                         let mut i = 0usize;
@@ -516,7 +522,10 @@ fn fault_storm_with_writer_churn_is_live_and_exact() {
         // per-epoch oracle; Failed ones returned no solutions at all.
         for r in &report.responses {
             if !r.outcome.is_completed() {
-                assert!(r.outcome.solutions().is_empty() || matches!(r.outcome, blog_serve::Outcome::Cancelled { .. }));
+                assert!(
+                    r.outcome.solutions().is_empty()
+                        || matches!(r.outcome, blog_serve::Outcome::Cancelled { .. })
+                );
             }
         }
         let completed: Vec<blog_serve::QueryResponse> = report

@@ -356,8 +356,7 @@ mod tests {
 
     #[test]
     fn window_bounds_the_site() {
-        let plan =
-            FaultPlan::new(3).with_site(FaultSite::transient_read(1.0).between(10, 20));
+        let plan = FaultPlan::new(3).with_site(FaultSite::transient_read(1.0).between(10, 20));
         let st = FaultState::new(plan);
         for seq in 0..30u64 {
             let r = st.decide(T, None);
@@ -388,8 +387,7 @@ mod tests {
 
     #[test]
     fn permanent_damage_sticks_to_the_track() {
-        let plan =
-            FaultPlan::new(11).with_site(FaultSite::permanent_track(1.0).between(0, 1));
+        let plan = FaultPlan::new(11).with_site(FaultSite::permanent_track(1.0).between(0, 1));
         let st = FaultState::new(plan);
         let bad = TrackId { sp: 0, cylinder: 4 };
         let good = TrackId { sp: 0, cylinder: 5 };

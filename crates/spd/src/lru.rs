@@ -287,7 +287,11 @@ mod tests {
             let small = hits_at(cap);
             let large = hits_at(cap + 1);
             for (i, (s, l)) in small.iter().zip(&large).enumerate() {
-                assert!(!s || *l, "access {i}: hit at cap {cap} but miss at {}", cap + 1);
+                assert!(
+                    !s || *l,
+                    "access {i}: hit at cap {cap} but miss at {}",
+                    cap + 1
+                );
             }
         }
     }

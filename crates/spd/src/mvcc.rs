@@ -1144,7 +1144,11 @@ mod tests {
         let new = store.begin_read();
         let q2 = parse_query_symbols(new.symbols(), "f(sam,Q)").unwrap();
         let got = new.try_candidate_clauses(&q2.goals[0], &bindings).unwrap();
-        assert_eq!(*got, new_ids[..], "epoch-1 index lists only the replacement");
+        assert_eq!(
+            *got,
+            new_ids[..],
+            "epoch-1 index lists only the replacement"
+        );
 
         // And the meters saw two indexed resolutions.
         let s = store.stats();

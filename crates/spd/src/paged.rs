@@ -156,15 +156,24 @@ impl PagedStoreStats {
             ("misses".into(), Json::int(self.misses)),
             ("evictions".into(), Json::int(self.evictions)),
             ("fault_ticks".into(), Json::int(self.fault_ticks)),
-            ("lock_acquisitions".into(), Json::int(self.lock_acquisitions)),
+            (
+                "lock_acquisitions".into(),
+                Json::int(self.lock_acquisitions),
+            ),
             ("lock_contended".into(), Json::int(self.lock_contended)),
             ("index_hits".into(), Json::int(self.index_hits)),
             ("index_prunes".into(), Json::int(self.index_prunes)),
-            ("candidates_scanned".into(), Json::int(self.candidates_scanned)),
+            (
+                "candidates_scanned".into(),
+                Json::int(self.candidates_scanned),
+            ),
             ("transient_faults".into(), Json::int(self.transient_faults)),
             ("permanent_faults".into(), Json::int(self.permanent_faults)),
             ("latency_spikes".into(), Json::int(self.latency_spikes)),
-            ("latency_spike_ticks".into(), Json::int(self.latency_spike_ticks)),
+            (
+                "latency_spike_ticks".into(),
+                Json::int(self.latency_spike_ticks),
+            ),
             ("hit_rate".into(), Json::Num(self.hit_rate())),
         ])
     }
@@ -413,7 +422,11 @@ mod tests {
         let s0 = v0.touch_stats();
         let s1 = v1.touch_stats();
         assert_eq!((s0.accesses, s0.hits, s0.misses), (2, 0, 2));
-        assert_eq!((s1.accesses, s1.hits, s1.misses), (2, 2, 0), "warm via pool 0");
+        assert_eq!(
+            (s1.accesses, s1.hits, s1.misses),
+            (2, 2, 0),
+            "warm via pool 0"
+        );
         let total = store.stats();
         assert_eq!(total.accesses, 4);
         assert_eq!(total.hits, s0.hits + s1.hits);
@@ -537,13 +550,19 @@ mod tests {
         assert_eq!((bs.index_hits, bs.index_prunes), (0, 0));
         assert_eq!(bs.candidates_scanned, 6);
         let is = indexed.stats();
-        assert_eq!((is.index_hits, is.index_prunes, is.candidates_scanned), (1, 5, 1));
+        assert_eq!(
+            (is.index_hits, is.index_prunes, is.candidates_scanned),
+            (1, 5, 1)
+        );
         // Selection itself never touches a page.
         assert_eq!(is.accesses, 0);
 
         indexed.reset_stats();
         let is = indexed.stats();
-        assert_eq!((is.index_hits, is.index_prunes, is.candidates_scanned), (0, 0, 0));
+        assert_eq!(
+            (is.index_hits, is.index_prunes, is.candidates_scanned),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -584,16 +603,23 @@ mod tests {
         ));
         let store = store(&p, cfg);
         let snap = store.begin_read();
-        assert!(!snap.try_fetch_clause(ClauseId(0)).unwrap_err().is_transient());
-        assert!(!snap.try_fetch_clause(ClauseId(0)).unwrap_err().is_transient());
+        assert!(!snap
+            .try_fetch_clause(ClauseId(0))
+            .unwrap_err()
+            .is_transient());
+        assert!(!snap
+            .try_fetch_clause(ClauseId(0))
+            .unwrap_err()
+            .is_transient());
         assert_eq!(store.stats().permanent_faults, 2);
     }
 
     #[test]
     fn latency_spike_charges_ticks_but_succeeds() {
         use crate::fault::{FaultPlan, FaultSite};
-        let cfg = small_config(4)
-            .with_fault(Some(FaultPlan::new(1).with_site(FaultSite::latency_spike(1.0, 500))));
+        let cfg = small_config(4).with_fault(Some(
+            FaultPlan::new(1).with_site(FaultSite::latency_spike(1.0, 500)),
+        ));
         let cache = cache(&cfg);
         let out = cache.try_touch(track(0), Some(0)).unwrap();
         assert!(out.fault_ticks >= 500, "spike ticks flow into the outcome");

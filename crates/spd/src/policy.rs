@@ -155,13 +155,16 @@ pub enum PolicyKind {
 
 impl PolicyKind {
     /// Every selectable policy, in display order.
-    pub const ALL: [PolicyKind; 4] =
-        [PolicyKind::Lru, PolicyKind::TwoQ, PolicyKind::Clock, PolicyKind::Fifo];
+    pub const ALL: [PolicyKind; 4] = [
+        PolicyKind::Lru,
+        PolicyKind::TwoQ,
+        PolicyKind::Clock,
+        PolicyKind::Fifo,
+    ];
 
     /// The cache policies the T6c experiment sweeps (FIFO is kept for the
     /// pager's prefetch queue, not as a clause-cache contender).
-    pub const CACHE_SWEEP: [PolicyKind; 3] =
-        [PolicyKind::Lru, PolicyKind::TwoQ, PolicyKind::Clock];
+    pub const CACHE_SWEEP: [PolicyKind; 3] = [PolicyKind::Lru, PolicyKind::TwoQ, PolicyKind::Clock];
 
     /// Short name, matching [`parse`](Self::parse).
     pub fn name(self) -> &'static str {
@@ -732,8 +735,7 @@ mod tests {
                 cold += 1;
             }
         }
-        let count_hits =
-            |kind: PolicyKind| hits(kind, 4, &trace).iter().filter(|&&b| b).count();
+        let count_hits = |kind: PolicyKind| hits(kind, 4, &trace).iter().filter(|&&b| b).count();
         let lru = count_hits(PolicyKind::Lru);
         let twoq = count_hits(PolicyKind::TwoQ);
         assert!(

@@ -519,12 +519,15 @@ impl SpdArray {
             // Move the locally-resident pending blocks into a work queue.
             let local: Vec<(BlockId, u32)> = pending
                 .iter()
-                .filter(|(b, _)| self.is_cached(**b) && match self.mode {
-                    SpMode::Simd => self.addrs[b.index()].cylinder == cyl,
-                    SpMode::Mimd => {
-                        let a = self.addrs[b.index()];
-                        a.cylinder == cyl && a.sp == sp
-                    }
+                .filter(|(b, _)| {
+                    self.is_cached(**b)
+                        && match self.mode {
+                            SpMode::Simd => self.addrs[b.index()].cylinder == cyl,
+                            SpMode::Mimd => {
+                                let a = self.addrs[b.index()];
+                                a.cylinder == cyl && a.sp == sp
+                            }
+                        }
                 })
                 .map(|(&b, &d)| (b, d))
                 .collect();
@@ -798,7 +801,11 @@ mod tests {
                 name: None,
                 weight_max: None,
             });
-            (r.blocks.len(), spd.stats().deferred_pointers, spd.stats().track_loads)
+            (
+                r.blocks.len(),
+                spd.stats().deferred_pointers,
+                spd.stats().track_loads,
+            )
         };
         let (simd_blocks, simd_deferred, simd_loads) = build(SpMode::Simd);
         let (mimd_blocks, mimd_deferred, mimd_loads) = build(SpMode::Mimd);

@@ -68,10 +68,7 @@ fn access_stream_is_policy_invariant() {
     let program = family_workload();
     let mut accesses = None;
     for policy in PolicyKind::ALL {
-        let (_, stats) = paged_solutions(
-            &program,
-            paged_config(policy, 4, 2, program.db.len()),
-        );
+        let (_, stats) = paged_solutions(&program, paged_config(policy, 4, 2, program.db.len()));
         assert_eq!(stats.hits + stats.misses, stats.accesses, "{policy}");
         match accesses {
             None => accesses = Some(stats.accesses),
@@ -146,7 +143,12 @@ fn figure_1_trace_replay_smoke() {
         record_trace: true,
         ..BestFirstConfig::default()
     };
-    let r = best_first_with(&paged.begin_read(), &program.queries[0], &mut view, &trace_cfg);
+    let r = best_first_with(
+        &paged.begin_read(),
+        &program.queries[0],
+        &mut view,
+        &trace_cfg,
+    );
     assert!(!r.trace.is_empty(), "record_trace must capture arcs");
     let live = paged.stats();
 

@@ -46,7 +46,10 @@ struct LruModel {
 
 impl LruModel {
     fn new(cap: usize) -> Self {
-        LruModel { cap, order: Vec::new() }
+        LruModel {
+            cap,
+            order: Vec::new(),
+        }
     }
 }
 
@@ -79,7 +82,10 @@ struct FifoModel {
 
 impl FifoModel {
     fn new(cap: usize) -> Self {
-        FifoModel { cap, order: Vec::new() }
+        FifoModel {
+            cap,
+            order: Vec::new(),
+        }
     }
 }
 
@@ -338,12 +344,23 @@ fn replay<P: ReplacementPolicy<u32> + ?Sized>(
         };
         prop_assert_eq!(real_hit, model_hit, "{} step {} {:?}: hit", kind, i, op);
         prop_assert_eq!(
-            real_evicted, model_evicted,
-            "{} step {} {:?}: eviction", kind, i, op
+            real_evicted,
+            model_evicted,
+            "{} step {} {:?}: eviction",
+            kind,
+            i,
+            op
         );
         let real_set: BTreeSet<u32> = real.resident_keys().into_iter().collect();
         let model_set: BTreeSet<u32> = model.resident().into_iter().collect();
-        prop_assert_eq!(real_set, model_set, "{} step {} {:?}: residency", kind, i, op);
+        prop_assert_eq!(
+            real_set,
+            model_set,
+            "{} step {} {:?}: residency",
+            kind,
+            i,
+            op
+        );
         check(real)?;
     }
     Ok(())

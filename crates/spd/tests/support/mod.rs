@@ -23,9 +23,7 @@ use blog_spd::{
     CommitMode, CostModel, Geometry, IndexPolicy, MvccClauseStore, PagedStoreConfig,
     PagedStoreStats, PolicyKind, Snapshot,
 };
-use blog_workloads::{
-    family_program, queens_program, FamilyParams, QueensParams, PAPER_FIGURE_1,
-};
+use blog_workloads::{family_program, queens_program, FamilyParams, QueensParams, PAPER_FIGURE_1};
 use std::borrow::Cow;
 
 /// A store config whose geometry is just big enough for `n_clauses` at
@@ -64,14 +62,9 @@ pub fn paged_config(
 /// Full `proptest::` paths on purpose: this module is compiled into
 /// test crates that do not otherwise import proptest, and a top-level
 /// `use` would trip their unused-import lint.
-pub fn arb_clause_ids(
-) -> impl proptest::Strategy<Value = std::collections::BTreeSet<u32>> {
+pub fn arb_clause_ids() -> impl proptest::Strategy<Value = std::collections::BTreeSet<u32>> {
     proptest::collection::btree_set(
-        proptest::prop_oneof![
-            0u32..200,
-            4_000u32..4_200,
-            0u32..50_000,
-        ],
+        proptest::prop_oneof![0u32..200, 4_000u32..4_200, 0u32..50_000,],
         0..64,
     )
 }

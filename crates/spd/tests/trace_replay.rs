@@ -33,9 +33,7 @@ use blog_core::weight::{WeightParams, WeightStore, WeightView};
 use blog_logic::{ClauseId, Program};
 use blog_spd::{IndexPolicy, PolicyKind};
 
-use support::{
-    family_workload, paged_config, paged_store, queens_workload, record_access_trace,
-};
+use support::{family_workload, paged_config, paged_store, queens_workload, record_access_trace};
 
 /// Blocks per track used by every replay in this file.
 const BLOCKS_PER_TRACK: u32 = 4;
@@ -68,8 +66,12 @@ fn load_or_regen(name: &str, describe: &str, program: &Program) -> Vec<ClauseId>
         fs::write(&path, out).unwrap();
         eprintln!("regenerated {} ({} accesses)", path.display(), trace.len());
     }
-    let text = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing fixture {} ({e}); regenerate with REGEN_TRACE_FIXTURES=1", path.display()));
+    let text = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); regenerate with REGEN_TRACE_FIXTURES=1",
+            path.display()
+        )
+    });
     let mut clauses_recorded = None;
     let mut trace = Vec::new();
     for line in text.lines() {
@@ -173,14 +175,46 @@ fn family_fixture_replays_against_goldens() {
         &program,
         &trace,
         &[
-            Golden { policy: PolicyKind::Lru, capacity_tracks: quarter, hits: 430 },
-            Golden { policy: PolicyKind::Lru, capacity_tracks: half, hits: 430 },
-            Golden { policy: PolicyKind::Lru, capacity_tracks: total_tracks, hits: 747 },
-            Golden { policy: PolicyKind::TwoQ, capacity_tracks: quarter, hits: 430 },
-            Golden { policy: PolicyKind::TwoQ, capacity_tracks: half, hits: 455 },
-            Golden { policy: PolicyKind::TwoQ, capacity_tracks: three_quarters, hits: 599 },
-            Golden { policy: PolicyKind::Clock, capacity_tracks: quarter, hits: 430 },
-            Golden { policy: PolicyKind::Clock, capacity_tracks: half, hits: 430 },
+            Golden {
+                policy: PolicyKind::Lru,
+                capacity_tracks: quarter,
+                hits: 430,
+            },
+            Golden {
+                policy: PolicyKind::Lru,
+                capacity_tracks: half,
+                hits: 430,
+            },
+            Golden {
+                policy: PolicyKind::Lru,
+                capacity_tracks: total_tracks,
+                hits: 747,
+            },
+            Golden {
+                policy: PolicyKind::TwoQ,
+                capacity_tracks: quarter,
+                hits: 430,
+            },
+            Golden {
+                policy: PolicyKind::TwoQ,
+                capacity_tracks: half,
+                hits: 455,
+            },
+            Golden {
+                policy: PolicyKind::TwoQ,
+                capacity_tracks: three_quarters,
+                hits: 599,
+            },
+            Golden {
+                policy: PolicyKind::Clock,
+                capacity_tracks: quarter,
+                hits: 430,
+            },
+            Golden {
+                policy: PolicyKind::Clock,
+                capacity_tracks: half,
+                hits: 430,
+            },
         ],
     );
 }
@@ -228,10 +262,26 @@ fn queens_fixture_replays_against_goldens() {
         &program,
         &trace,
         &[
-            Golden { policy: PolicyKind::Lru, capacity_tracks: half, hits: 18036 },
-            Golden { policy: PolicyKind::Lru, capacity_tracks: total_tracks, hits: 24504 },
-            Golden { policy: PolicyKind::TwoQ, capacity_tracks: half, hits: 19347 },
-            Golden { policy: PolicyKind::Clock, capacity_tracks: half, hits: 18036 },
+            Golden {
+                policy: PolicyKind::Lru,
+                capacity_tracks: half,
+                hits: 18036,
+            },
+            Golden {
+                policy: PolicyKind::Lru,
+                capacity_tracks: total_tracks,
+                hits: 24504,
+            },
+            Golden {
+                policy: PolicyKind::TwoQ,
+                capacity_tracks: half,
+                hits: 19347,
+            },
+            Golden {
+                policy: PolicyKind::Clock,
+                capacity_tracks: half,
+                hits: 18036,
+            },
         ],
     );
 }
@@ -305,7 +355,11 @@ fn mvcc_write_path_replay(
     }
     // Dropping the epoch-0 pin retires what it alone kept alive.
     drop(pin);
-    assert_eq!(store.stash_depth(), 0, "{policy}: stash leak after pin drop");
+    assert_eq!(
+        store.stash_depth(),
+        0,
+        "{policy}: stash leak after pin drop"
+    );
     out
 }
 
@@ -326,7 +380,9 @@ fn parse_mvcc_golden(line: &str) -> MvccGolden {
     let mut parts = line.split_whitespace();
     let policy = PolicyKind::parse(parts.next().unwrap()).unwrap();
     let mut field = |name: &str| -> u64 {
-        let kv = parts.next().unwrap_or_else(|| panic!("missing {name}: {line}"));
+        let kv = parts
+            .next()
+            .unwrap_or_else(|| panic!("missing {name}: {line}"));
         kv.strip_prefix(name)
             .and_then(|v| v.strip_prefix('='))
             .unwrap_or_else(|| panic!("bad field {kv}, wanted {name}: {line}"))
@@ -396,7 +452,11 @@ fn family_mvcc_write_path_replays_against_goldens() {
                 "{kind} seg {}: access count drifted",
                 g.seg
             );
-            assert_eq!(g.stash, w.stash, "{kind} seg {}: stash depth drifted", g.seg);
+            assert_eq!(
+                g.stash, w.stash,
+                "{kind} seg {}: stash depth drifted",
+                g.seg
+            );
             if matches!(kind, PolicyKind::Lru | PolicyKind::Fifo) {
                 // Frozen semantics: exact.
                 assert_eq!(g.hits, w.hits, "{kind} seg {}: hits drifted", g.seg);
@@ -443,11 +503,7 @@ struct IndexedGolden {
 
 /// Untrained best-first run of the family workload's first query through
 /// a paged store under `policy` and `index`, at half the working set.
-fn indexed_family_run(
-    program: &Program,
-    policy: PolicyKind,
-    index: IndexPolicy,
-) -> IndexedGolden {
+fn indexed_family_run(program: &Program, policy: PolicyKind, index: IndexPolicy) -> IndexedGolden {
     let total_tracks = (program.db.len() as u32).div_ceil(BLOCKS_PER_TRACK) as usize;
     let cfg = paged_config(
         policy,
@@ -497,7 +553,9 @@ fn parse_indexed_golden(line: &str) -> IndexedGolden {
     let mut parts = line.split_whitespace();
     let policy = PolicyKind::parse(parts.next().unwrap()).unwrap();
     let mut field = |name: &str| -> u64 {
-        let kv = parts.next().unwrap_or_else(|| panic!("missing {name}: {line}"));
+        let kv = parts
+            .next()
+            .unwrap_or_else(|| panic!("missing {name}: {line}"));
         kv.strip_prefix(name)
             .and_then(|v| v.strip_prefix('='))
             .unwrap_or_else(|| panic!("bad field {kv}, wanted {name}: {line}"))
@@ -563,7 +621,11 @@ fn family_indexed_run_replays_against_goldens() {
         // replacement policy: the engine-work picture is exact for every
         // policy, and it must show the index actually pruning.
         assert_eq!(g.accesses, w.accesses, "{}: access count drifted", w.policy);
-        assert_eq!(g.index_hits, w.index_hits, "{}: index_hits drifted", w.policy);
+        assert_eq!(
+            g.index_hits, w.index_hits,
+            "{}: index_hits drifted",
+            w.policy
+        );
         assert_eq!(
             g.index_prunes, w.index_prunes,
             "{}: index_prunes drifted",
@@ -588,7 +650,11 @@ fn family_indexed_run_replays_against_goldens() {
             "{}: solution count diverged from the unindexed run",
             w.policy
         );
-        assert_eq!(g.solutions, w.solutions, "{}: solution count drifted", w.policy);
+        assert_eq!(
+            g.solutions, w.solutions,
+            "{}: solution count drifted",
+            w.policy
+        );
 
         if matches!(w.policy, PolicyKind::Lru | PolicyKind::Fifo) {
             // Frozen semantics: exact.
@@ -615,7 +681,13 @@ fn queens_two_q_never_loses_to_lru() {
     let program = queens_workload();
     let trace = load_or_regen("queens_access.trace", "queens workload (n=5)", &program);
     let total_tracks = (program.db.len() as u32).div_ceil(BLOCKS_PER_TRACK) as usize;
-    for capacity in [1, total_tracks / 4, total_tracks / 2, 3 * total_tracks / 4, total_tracks] {
+    for capacity in [
+        1,
+        total_tracks / 4,
+        total_tracks / 2,
+        3 * total_tracks / 4,
+        total_tracks,
+    ] {
         let capacity = capacity.max(1);
         let (lru, _) = replay(&program, &trace, PolicyKind::Lru, capacity);
         let (twoq, _) = replay(&program, &trace, PolicyKind::TwoQ, capacity);

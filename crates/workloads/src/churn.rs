@@ -206,8 +206,7 @@ mod tests {
         for u in &updates {
             for op in &u.ops {
                 if let ChurnOp::Assert { text } = op {
-                    let clauses =
-                        blog_logic::parse_clauses_interning(&mut symbols, text).unwrap();
+                    let clauses = blog_logic::parse_clauses_interning(&mut symbols, text).unwrap();
                     assert_eq!(clauses.len(), 1);
                     asserts += 1;
                 }

@@ -232,8 +232,7 @@ mod tests {
         assert_eq!(merged.db.resolvers((t1_gf, 2)).len(), 2);
         // A t0 query resolves exclusively through t0 clauses.
         let mut db = merged.db.clone();
-        let q = blog_logic::parse_query(&mut db, &format!("t0_gf({}, G)", meta_a.root()))
-            .unwrap();
+        let q = blog_logic::parse_query(&mut db, &format!("t0_gf({}, G)", meta_a.root())).unwrap();
         let r = dfs_all(&db, &q, &SolveConfig::all());
         assert_eq!(r.solutions.len(), 4, "branching^2 grandchildren");
         let _ = t1_gf;
@@ -276,10 +275,7 @@ mod tests {
         });
         // Mother placement is random, so fact counts should differ
         // (overwhelmingly likely with default densities).
-        assert_ne!(
-            (a.1.m_facts, a.0.db.len()),
-            (b.1.m_facts, b.0.db.len())
-        );
+        assert_ne!((a.1.m_facts, a.0.db.len()), (b.1.m_facts, b.0.db.len()));
     }
 
     #[test]
@@ -294,14 +290,16 @@ mod tests {
         };
         let (mut p, meta) = family_program(&params);
         let root = meta.root().to_string();
-        let q = blog_logic::parse_query(&mut p.db, &format!("ggf({root}, G)"))
-            .unwrap();
+        let q = blog_logic::parse_query(&mut p.db, &format!("ggf({root}, G)")).unwrap();
         let r = dfs_all(&p.db, &q, &SolveConfig::all());
         // branching^3 great-grandchildren, only via the f-f-f chain.
         assert_eq!(r.solutions.len(), 8);
         // Proofs are five arcs deep (ggf → gf → f, f → fact × 3).
-        assert!(r.solutions.iter().all(|s| s.depth == 5), "{:?}",
-            r.solutions.iter().map(|s| s.depth).collect::<Vec<_>>());
+        assert!(
+            r.solutions.iter().all(|s| s.depth == 5),
+            "{:?}",
+            r.solutions.iter().map(|s| s.depth).collect::<Vec<_>>()
+        );
     }
 
     #[test]

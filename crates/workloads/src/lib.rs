@@ -34,8 +34,7 @@ pub use graph::{dag_reach_program, DagParams};
 pub use mapcolor::{mapcolor_program, MapColorParams};
 pub use queens::{queens_program, QueensParams};
 pub use sessions::{
-    session_queries, tenant_mix_program, tenant_mix_requests, SessionSpec, TenantMix,
-    TenantRequest,
+    session_queries, tenant_mix_program, tenant_mix_requests, SessionSpec, TenantMix, TenantRequest,
 };
 
 /// The verbatim figure-1 program from the paper, used by tests, examples

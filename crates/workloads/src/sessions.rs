@@ -305,8 +305,7 @@ mod tests {
             branching: 2,
             ..FamilyParams::default()
         });
-        let subjects: Vec<String> =
-            meta.grandparents().iter().map(|s| s.to_string()).collect();
+        let subjects: Vec<String> = meta.grandparents().iter().map(|s| s.to_string()).collect();
         (p, subjects)
     }
 
@@ -318,7 +317,7 @@ mod tests {
             n_queries: 8,
             drift: 0.0,
             seed: 5,
-                ..SessionSpec::default()
+            ..SessionSpec::default()
         };
         let (queries, trace) = session_queries(&mut p.db, &refs, &spec);
         assert_eq!(queries.len(), 8);
@@ -333,7 +332,7 @@ mod tests {
             n_queries: 32,
             drift: 1.0,
             seed: 5,
-                ..SessionSpec::default()
+            ..SessionSpec::default()
         };
         let (_, trace) = session_queries(&mut p.db, &refs, &spec);
         // With 3 subjects and 32 fully-random draws, at least one switch.

@@ -42,7 +42,7 @@ fn main() {
             n_queries: 12,
             drift: 0.25,
             seed: 3,
-                ..SessionSpec::default()
+            ..SessionSpec::default()
         },
     );
 
@@ -50,7 +50,10 @@ fn main() {
     let cfg = BestFirstConfig::default();
 
     println!("Session 1 (strong local updates only):");
-    println!("{:>5} {:>14} {:>10} {:>10}", "query", "subject", "nodes", "solutions");
+    println!(
+        "{:>5} {:>14} {:>10} {:>10}",
+        "query", "subject", "nodes", "solutions"
+    );
     let mut session = mgr.begin_session();
     for (i, q) in queries.iter().enumerate() {
         let r = mgr.query(&mut session, &program.db, q, &cfg);

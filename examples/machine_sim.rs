@@ -10,9 +10,7 @@
 //! cargo run --release --example machine_sim
 //! ```
 
-use b_log::machine::{
-    planted_tree, simulate, MachineConfig, PlantedTreeParams, WeightModel,
-};
+use b_log::machine::{planted_tree, simulate, MachineConfig, PlantedTreeParams, WeightModel};
 
 fn main() {
     let tree = planted_tree(&PlantedTreeParams {
@@ -65,7 +63,10 @@ fn main() {
     }
 
     println!("\n== The D threshold: traffic vs completion time (8 procs) ==");
-    println!("{:>8} {:>12} {:>10} {:>12}", "D", "makespan", "transfers", "net busy");
+    println!(
+        "{:>8} {:>12} {:>10} {:>12}",
+        "D", "makespan", "transfers", "net busy"
+    );
     for d in [0u64, 5, 20, 80, 320, u64::MAX / 2] {
         let s = simulate(
             &tree,
@@ -75,7 +76,11 @@ fn main() {
                 ..MachineConfig::default()
             },
         );
-        let label = if d > 1_000_000 { "∞".into() } else { d.to_string() };
+        let label = if d > 1_000_000 {
+            "∞".into()
+        } else {
+            d.to_string()
+        };
         println!(
             "{:>8} {:>12} {:>10} {:>12}",
             label, s.makespan, s.remote_acquisitions, s.net_busy_time

@@ -21,7 +21,10 @@ fn main() {
     let program = parse_program(PAPER_FIGURE_1).expect("figure-1 program parses");
     let query = &program.queries[0];
     println!("== B-LOG quickstart: the paper's figure-1 example ==\n");
-    println!("Database: {} clauses. Query: gf(sam, G).\n", program.db.len());
+    println!(
+        "Database: {} clauses. Query: gf(sam, G).\n",
+        program.db.len()
+    );
 
     // --- Prolog baseline (depth-first, figure 1's trace) ---------------
     let dfs = dfs_all(&program.db, query, &SolveConfig::all());

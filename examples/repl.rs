@@ -24,8 +24,9 @@ use b_log::workloads::PAPER_FIGURE_1;
 
 fn main() {
     let source = match std::env::args().nth(1) {
-        Some(path) => std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {path}: {e}")),
+        Some(path) => {
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+        }
         None => PAPER_FIGURE_1.to_string(),
     };
     let mut program = match parse_program(&source) {

@@ -69,13 +69,8 @@ fn main() {
 
     println!("\n== SIMD vs MIMD search processors, distance 2 ==");
     for mode in [SpMode::Simd, SpMode::Mimd] {
-        let (mut spd, layout) = build_spd_from_db(
-            &program.db,
-            &weights,
-            geometry,
-            CostModel::default(),
-            mode,
-        );
+        let (mut spd, layout) =
+            build_spd_from_db(&program.db, &weights, geometry, CostModel::default(), mode);
         let page = spd.semantic_page(&PageRequest {
             roots: vec![layout.block_of(ClauseId(0))],
             distance: 2,

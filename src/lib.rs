@@ -37,8 +37,8 @@
 
 pub use blog_core as core;
 pub use blog_logic as logic;
-pub use blog_obs as obs;
 pub use blog_machine as machine;
+pub use blog_obs as obs;
 pub use blog_parallel as parallel;
 pub use blog_serve as serve;
 pub use blog_spd as spd;

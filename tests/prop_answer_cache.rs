@@ -16,8 +16,8 @@ use b_log::logic::node::StateRepr;
 use b_log::logic::{parse_program, parse_query_shared, Program, SolveConfig};
 use b_log::serve::tuning::churn_store_config;
 use b_log::serve::{
-    CacheConfig, CacheMode, Outcome, QueryRequest, QueryResponse, QueryServer,
-    ServeConfig, ServedFrom, SessionId, UpdateOp, UpdateOutcome,
+    CacheConfig, CacheMode, Outcome, QueryRequest, QueryResponse, QueryServer, ServeConfig,
+    ServedFrom, SessionId, UpdateOp, UpdateOutcome,
 };
 use proptest::prelude::*;
 
@@ -97,7 +97,11 @@ fn sequential(src: &str, solve: &SolveConfig, text: &str) -> Vec<String> {
         ..BestFirstConfig::default()
     };
     let r = best_first(&p.db, &q, &mut view, &cfg);
-    let mut texts: Vec<String> = r.solutions.iter().map(|s| s.solution.to_text(&p.db)).collect();
+    let mut texts: Vec<String> = r
+        .solutions
+        .iter()
+        .map(|s| s.solution.to_text(&p.db))
+        .collect();
     texts.sort();
     texts
 }

@@ -15,8 +15,8 @@ use b_log::core::weight::{WeightParams, WeightStore, WeightView};
 use b_log::logic::{parse_program, parse_query_shared, Program};
 use b_log::parallel::FrontierPolicy;
 use b_log::serve::{
-    BreakerConfig, ExecMode, FaultPlan, FaultSite, Outcome, QueryRequest, QueryServer,
-    RetryPolicy, ServeConfig, TraceConfig,
+    BreakerConfig, ExecMode, FaultPlan, FaultSite, Outcome, QueryRequest, QueryServer, RetryPolicy,
+    ServeConfig, TraceConfig,
 };
 use b_log::spd::{Geometry, PagedStoreConfig, PolicyKind};
 use proptest::prelude::*;
@@ -56,7 +56,11 @@ fn sequential(p: &Program, text: &str) -> Vec<String> {
     let mut overlay = HashMap::new();
     let mut view = WeightView::new(&mut overlay, &weights);
     let r = best_first(&p.db, &q, &mut view, &BestFirstConfig::default());
-    let mut texts: Vec<String> = r.solutions.iter().map(|s| s.solution.to_text(&p.db)).collect();
+    let mut texts: Vec<String> = r
+        .solutions
+        .iter()
+        .map(|s| s.solution.to_text(&p.db))
+        .collect();
     texts.sort();
     texts
 }
@@ -236,7 +240,12 @@ fn a_panic_on_a_helper_costs_one_attempt() {
     );
     assert_eq!(report.stats.completed, n_requests);
     for r in &report.responses {
-        assert_eq!(r.outcome.solutions(), truth.as_slice(), "request {}", r.request);
+        assert_eq!(
+            r.outcome.solutions(),
+            truth.as_slice(),
+            "request {}",
+            r.request
+        );
     }
     // A worker that returns closes its span with a "worker" event; one
     // that unwinds closes the span without it. Count the engine runs
@@ -245,7 +254,11 @@ fn a_panic_on_a_helper_costs_one_attempt() {
     for t in server.tracer().recorder().snapshot() {
         let mut engines = BTreeSet::new();
         for span in t.spans.iter().filter(|s| s.name.starts_with("worker")) {
-            if !t.events.iter().any(|e| e.parent == span.id && e.name == "worker") {
+            if !t
+                .events
+                .iter()
+                .any(|e| e.parent == span.id && e.name == "worker")
+            {
                 engines.insert(span.parent.0);
                 helper_panics += u64::from(span.name == "worker1");
             }

@@ -74,11 +74,13 @@ fn arb_program() -> impl Strategy<Value = (String, u32)> {
         4u32..20,
         (any::<bool>(), 2u32..48),
     )
-        .prop_map(|(a_facts, b_facts, second_rule, query_chain, depth, (fans, n))| {
-            let fan = fans.then_some(n);
-            let src = program_source(&a_facts, &b_facts, second_rule, query_chain, fan);
-            (src, depth)
-        })
+        .prop_map(
+            |(a_facts, b_facts, second_rule, query_chain, depth, (fans, n))| {
+                let fan = fans.then_some(n);
+                let src = program_source(&a_facts, &b_facts, second_rule, query_chain, fan);
+                (src, depth)
+            },
+        )
 }
 
 fn parse(src: &str) -> Program {
@@ -183,5 +185,8 @@ fn helpers_take_part_in_trees_past_the_lone_start() {
         let helped = r.counters.steals > 0 || r.per_worker_expanded[1..].iter().any(|&n| n > 0);
         helped_runs += u32::from(helped);
     }
-    assert!(helped_runs > 0, "no helper took part in three crossing trees");
+    assert!(
+        helped_runs > 0,
+        "no helper took part in three crossing trees"
+    );
 }

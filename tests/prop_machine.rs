@@ -11,24 +11,26 @@ use proptest::prelude::*;
 
 fn arb_tree_params() -> impl Strategy<Value = PlantedTreeParams> {
     (
-        2u32..5,       // depth
-        1u32..4,       // branching
-        0u32..4,       // solution paths
-        any::<u64>(),  // seed
+        2u32..5,      // depth
+        1u32..4,      // branching
+        0u32..4,      // solution paths
+        any::<u64>(), // seed
         prop_oneof![
             (1u64..10).prop_map(WeightModel::Uniform),
             ((0u64..5), (5u64..20)).prop_map(|(a, b)| WeightModel::Random { lo: a, hi: b }),
         ],
     )
-        .prop_map(|(depth, branching, paths, seed, weights)| PlantedTreeParams {
-            depth,
-            branching,
-            n_solution_paths: paths,
-            weights,
-            work_min: 10,
-            work_max: 50,
-            seed,
-        })
+        .prop_map(
+            |(depth, branching, paths, seed, weights)| PlantedTreeParams {
+                depth,
+                branching,
+                n_solution_paths: paths,
+                weights,
+                work_min: 10,
+                work_max: 50,
+                seed,
+            },
+        )
 }
 
 proptest! {

@@ -26,8 +26,7 @@ fn arb_ground_term_text() -> impl Strategy<Value = String> {
             )
                 .prop_map(|(f, args)| format!("{f}({})", args.join(","))),
             // [items...]
-            prop::collection::vec(inner, 0..4)
-                .prop_map(|items| format!("[{}]", items.join(","))),
+            prop::collection::vec(inner, 0..4).prop_map(|items| format!("[{}]", items.join(","))),
         ]
     })
 }

@@ -58,7 +58,11 @@ fn sequential(p: &Program, text: &str, solve: &SolveConfig) -> Vec<String> {
         ..BestFirstConfig::default()
     };
     let r = best_first(&p.db, &q, &mut view, &cfg);
-    let mut texts: Vec<String> = r.solutions.iter().map(|s| s.solution.to_text(&p.db)).collect();
+    let mut texts: Vec<String> = r
+        .solutions
+        .iter()
+        .map(|s| s.solution.to_text(&p.db))
+        .collect();
     texts.sort();
     texts
 }

@@ -17,7 +17,12 @@ fn readme_paged_backend_snippet() {
     let weights = WeightStore::new(WeightParams::default());
     let mut local = std::collections::HashMap::new();
     let mut view = WeightView::new(&mut local, &weights);
-    let r = best_first_with(&snap, &program.queries[0], &mut view, &BestFirstConfig::default());
+    let r = best_first_with(
+        &snap,
+        &program.queries[0],
+        &mut view,
+        &BestFirstConfig::default(),
+    );
     assert_eq!(r.solutions.len(), 2);
     let stats = store.stats();
     assert!(stats.accesses > 0);
@@ -27,7 +32,10 @@ fn readme_paged_backend_snippet() {
 fn readme_serving_v2_snippet() {
     let program = b_log::logic::parse_program(b_log::workloads::PAPER_FIGURE_1).unwrap();
     let config = ServeConfig {
-        cache: CacheConfig { mode: CacheMode::Precise, ..CacheConfig::default() },
+        cache: CacheConfig {
+            mode: CacheMode::Precise,
+            ..CacheConfig::default()
+        },
         ..ServeConfig::default()
     };
     let server = QueryServer::new(&program.db, PagedStoreConfig::default(), config);
@@ -37,7 +45,12 @@ fn readme_serving_v2_snippet() {
         s.quiesce();
         s.submit(QueryRequest::new(2, "gf(sam, Who)"));
         s.quiesce();
-        s.update(SessionId(9), &[UpdateOp::Assert { text: "f(larry,ann).".into() }]);
+        s.update(
+            SessionId(9),
+            &[UpdateOp::Assert {
+                text: "f(larry,ann).".into(),
+            }],
+        );
         s.submit(QueryRequest::new(3, "gf(sam, G)"));
     });
     assert_eq!(report.responses[1].served_from, ServedFrom::Cache);
