@@ -588,8 +588,13 @@ impl Tracer {
     }
 
     /// Begin tracing request `index` if it is sampled; `None` (and no
-    /// allocation) otherwise.
-    pub fn start(&self, index: u64, label: impl Into<String>) -> Option<TraceHandle> {
+    /// allocation) otherwise. `label` runs only for a sampled request,
+    /// so an unsampled one never formats its label.
+    pub fn start<L: Into<String>>(
+        &self,
+        index: u64,
+        label: impl FnOnce() -> L,
+    ) -> Option<TraceHandle> {
         let n = self.config.sample_one_in;
         if n == 0 {
             return None;
@@ -598,7 +603,7 @@ impl Tracer {
         if n > 1 && !h.is_multiple_of(u64::from(n)) {
             return None;
         }
-        Some(TraceHandle::new(h, index, label.into()))
+        Some(TraceHandle::new(h, index, label().into()))
     }
 
     /// Close `handle`: freeze it into a [`TraceRecord`] and push it onto
@@ -694,7 +699,7 @@ mod tests {
         let tracer = Tracer::new(TraceConfig::off(), 7);
         assert!(!tracer.enabled());
         for i in 0..100 {
-            assert!(tracer.start(i, "req").is_none());
+            assert!(tracer.start(i, || "req").is_none());
         }
         assert_eq!(tracer.recorder().recorded(), 0);
     }
@@ -704,23 +709,43 @@ mod tests {
         let a = Tracer::new(TraceConfig::always_on(), 42);
         let b = Tracer::new(TraceConfig::always_on(), 42);
         for i in 0..20 {
-            let ta = a.start(i, "req").expect("always on");
-            let tb = b.start(i, "req").expect("always on");
+            let ta = a.start(i, || "req").expect("always on");
+            let tb = b.start(i, || "req").expect("always on");
             assert_eq!(ta.trace_id(), tb.trace_id(), "same seed, same id");
             a.finish(ta);
             b.finish(tb);
         }
         let c = Tracer::new(TraceConfig::always_on(), 43);
-        let t = c.start(0, "req").unwrap();
+        let t = c.start(0, || "req").unwrap();
         assert_ne!(t.trace_id(), a.trace_id_for(0), "different seed");
         c.finish(t);
+    }
+
+    #[test]
+    fn an_unsampled_start_never_builds_its_label() {
+        let tracer = Tracer::new(TraceConfig::sampled(64), 1);
+        let mut built = 0;
+        let mut sampled = 0;
+        for i in 0..6_400 {
+            let t = tracer.start(i, || {
+                built += 1;
+                "r"
+            });
+            sampled += usize::from(t.is_some());
+        }
+        assert!(sampled > 0, "some request is sampled");
+        assert_eq!(built, sampled, "only sampled requests build a label");
+        let off = Tracer::off();
+        assert!(off
+            .start(0, || -> String { panic!("label built for an off tracer") })
+            .is_none());
     }
 
     #[test]
     fn sampling_rate_is_roughly_one_in_n() {
         let tracer = Tracer::new(TraceConfig::sampled(64), 1);
         let sampled = (0..64_000)
-            .filter(|&i| tracer.start(i, "r").is_some())
+            .filter(|&i| tracer.start(i, || "r").is_some())
             .count();
         // splitmix64 is a good mixer: expect 1000 ± a wide margin.
         assert!((500..2000).contains(&sampled), "sampled {sampled} of 64000");
@@ -729,7 +754,7 @@ mod tests {
     #[test]
     fn span_tree_is_well_formed_and_breakdown_sums() {
         let tracer = Tracer::new(TraceConfig::always_on(), 0);
-        let t = tracer.start(3, "request").unwrap();
+        let t = tracer.start(3, || "request").unwrap();
         {
             let attempt = t.span(SpanId::ROOT, "attempt");
             {
@@ -761,7 +786,7 @@ mod tests {
     fn ring_is_bounded_and_fifo() {
         let tracer = Tracer::new(TraceConfig::always_on().with_ring_capacity(4), 0);
         for i in 0..10 {
-            let t = tracer.start(i, format!("r{i}")).unwrap();
+            let t = tracer.start(i, || format!("r{i}")).unwrap();
             tracer.finish(t);
         }
         let rec = tracer.recorder();
@@ -775,7 +800,7 @@ mod tests {
     #[test]
     fn event_cap_counts_overflow() {
         let tracer = Tracer::new(TraceConfig::always_on(), 0);
-        let t = tracer.start(0, "r").unwrap();
+        let t = tracer.start(0, || "r").unwrap();
         for i in 0..(MAX_EVENTS_PER_TRACE + 10) {
             t.event(SpanId::ROOT, "e", format!("{i}"));
         }
@@ -788,7 +813,7 @@ mod tests {
     #[test]
     fn exports_render_both_formats() {
         let tracer = Tracer::new(TraceConfig::always_on(), 9);
-        let t = tracer.start(0, "q").unwrap();
+        let t = tracer.start(0, || "q").unwrap();
         {
             let s = t.span(SpanId::ROOT, "engine");
             t.event(s.id(), "breaker", "closed->open");
@@ -809,7 +834,7 @@ mod tests {
     #[test]
     fn concurrent_clones_record_into_one_tree() {
         let tracer = Tracer::new(TraceConfig::always_on(), 0);
-        let t = tracer.start(0, "fanout").unwrap();
+        let t = tracer.start(0, || "fanout").unwrap();
         let work = t.span(SpanId::ROOT, "parallel");
         let parent = work.id();
         std::thread::scope(|scope| {

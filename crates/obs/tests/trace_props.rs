@@ -18,7 +18,7 @@ proptest! {
         let tracer =
             Tracer::new(TraceConfig::always_on().with_ring_capacity(capacity), 11);
         for i in 0..n {
-            let h = tracer.start(i as u64, format!("r{i}")).expect("always-on samples all");
+            let h = tracer.start(i as u64, || format!("r{i}")).expect("always-on samples all");
             h.span(SpanId::ROOT, "work").finish();
             tracer.finish(h);
         }
@@ -49,7 +49,7 @@ proptest! {
         let a = Tracer::new(config, seed);
         let b = Tracer::new(config, seed);
         for &i in &indices {
-            let (ta, tb) = (a.start(i, "x"), b.start(i, "x"));
+            let (ta, tb) = (a.start(i, || "x"), b.start(i, || "x"));
             prop_assert_eq!(ta.is_some(), tb.is_some(), "seed {} index {}", seed, i);
             let expect = splitmix64(seed ^ i).is_multiple_of(u64::from(one_in));
             prop_assert_eq!(ta.is_some(), expect || one_in == 1);
@@ -64,7 +64,7 @@ proptest! {
     #[test]
     fn off_tracer_never_starts(seed in any::<u64>(), index in any::<u64>()) {
         let t = Tracer::new(TraceConfig::off(), seed);
-        prop_assert!(t.start(index, "x").is_none());
+        prop_assert!(t.start(index, || "x").is_none());
         prop_assert_eq!(t.recorder().capacity(), 0);
     }
 
@@ -79,7 +79,7 @@ proptest! {
         events_per_pool in 0usize..6,
     ) {
         let tracer = Tracer::new(TraceConfig::always_on(), 7);
-        let h = tracer.start(0, "concurrent").expect("always-on samples everything");
+        let h = tracer.start(0, || "concurrent").expect("always-on samples everything");
         std::thread::scope(|scope| {
             for w in 0..pools {
                 let h = h.clone();

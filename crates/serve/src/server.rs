@@ -326,10 +326,9 @@ impl Submitter<'_> {
         };
         // Sampling decision at admission, so the root span covers the
         // queue wait; the handle rides in the job to the pool worker.
-        let trace = self.server.tracer.start(
-            idx as u64,
-            format!("s{} {}", request.session.0, request.text),
-        );
+        let trace = self.server.tracer.start(idx as u64, || {
+            format!("s{} {}", request.session.0, request.text)
+        });
         if let Some(h) = &trace {
             h.event(SpanId::ROOT, "admitted", format!("pool {pool}"));
         }
@@ -361,7 +360,7 @@ impl Submitter<'_> {
         let trace = self
             .server
             .tracer
-            .start((1 << 62) | idx as u64, format!("update s{}", session.0));
+            .start((1 << 62) | idx as u64, || format!("update s{}", session.0));
         let response = match self.server.apply_update_traced(
             ops,
             trace

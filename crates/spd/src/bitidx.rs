@@ -25,15 +25,23 @@
 //! agree on what "the leading functor" means; the differential oracle
 //! tests in `tests/index_props.rs` hold them to it.
 //!
-//! Cloning an index copies `PRED_SHARDS` pointers. The first insert or
-//! remove under a predicate after a clone copies that predicate's shard
-//! of the map (pointers again) and its segment (the id list and the
-//! key → bitmap map; a [`ClauseBitmap`] clones without allocating), then
-//! the one bitmap it changes — which is what lets a write transaction
-//! start from the committed epoch's index and pay only for the
-//! predicates it asserts into or retracts from.
+//! Both maps are split into `Arc`-shared shards (one private
+//! `CowShards` type): the predicate map into `PRED_SHARDS`, each
+//! predicate's key map into `KEY_SHARDS`, the shard picked by a fixed
+//! mix of the key. Cloning an index copies `PRED_SHARDS` pointers. The
+//! first insert or remove under a predicate after a clone copies that
+//! predicate's shard of the predicate map (pointers again), its segment
+//! (the id list, `KEY_SHARDS` pointers and the var-headed bitmap; a
+//! [`ClauseBitmap`] clones without allocating), then the one key shard
+//! and the one bitmap it changes — which is what lets a write
+//! transaction start from the committed epoch's index and pay only for
+//! the part of the index it changes, however many distinct keys the
+//! predicate has. The price on the read side is one more pointer load
+//! per indexed lookup: the key's shard.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -41,7 +49,7 @@ use blog_logic::{arg_key, ArgKey, BindingLookup, Clause, ClauseDb, ClauseId, Sym
 use serde::Serialize;
 
 use crate::bitmap::ClauseBitmap;
-use crate::idhash::IdMap;
+use crate::idhash::IdHasher;
 
 /// Candidate-selection policy for the paged and MVCC stores.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug, Serialize)]
@@ -81,42 +89,114 @@ pub enum IndexedCandidates {
     Narrowed(Vec<ClauseId>),
 }
 
+/// A map split into `N` `Arc`-shared shards, so cloning it copies `N`
+/// pointers and a write copies only the shard its key lands in. The
+/// shard is picked by a fixed [`IdHasher`] mix of the key; inside a
+/// shard the map hashes with `S`. A shard that holds no key is `None`.
+#[derive(Clone, Debug)]
+struct CowShards<K, V, S, const N: usize> {
+    shards: [Option<Arc<HashMap<K, V, S>>>; N],
+}
+
+impl<K, V, S, const N: usize> Default for CowShards<K, V, S, N> {
+    fn default() -> Self {
+        CowShards {
+            shards: std::array::from_fn(|_| None),
+        }
+    }
+}
+
+/// Odd, with its bits spread; remixes the shard pick's hash so a map
+/// inside a shard that also hashes with [`IdHasher`] still sees its
+/// bucket bits vary.
+const SHARD_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl<K, V, S, const N: usize> CowShards<K, V, S, N>
+where
+    K: Hash + Eq + Clone,
+    V: Clone,
+    S: BuildHasher + Clone + Default,
+{
+    fn shard_of(key: &K) -> usize {
+        let mut h = IdHasher::default();
+        key.hash(&mut h);
+        (h.finish().wrapping_mul(SHARD_MIX) >> 32) as usize % N
+    }
+
+    fn get(&self, key: &K) -> Option<&V> {
+        self.shards[Self::shard_of(key)].as_deref()?.get(key)
+    }
+
+    /// The value under `key`, inserted as `V::default()` when absent;
+    /// copies the key's shard first if it is shared.
+    fn entry(&mut self, key: K) -> &mut V
+    where
+        V: Default,
+    {
+        let shard = self.shards[Self::shard_of(&key)].get_or_insert_with(Arc::default);
+        Arc::make_mut(shard).entry(key).or_default()
+    }
+
+    /// Apply `f` to the value under `key`, if any (copying the key's
+    /// shard first if it is shared), and drop the entry when `f`
+    /// returns `true` — and the shard when that empties it.
+    fn edit(&mut self, key: &K, f: impl FnOnce(&mut V) -> bool) {
+        let slot = &mut self.shards[Self::shard_of(key)];
+        let Some(shard) = slot.as_mut().map(Arc::make_mut) else {
+            return;
+        };
+        let Some(value) = shard.get_mut(key) else {
+            return;
+        };
+        if f(value) {
+            shard.remove(key);
+            if shard.is_empty() {
+                *slot = None;
+            }
+        }
+    }
+}
+
 /// Shards of the predicate map: the first write under a predicate after
 /// a clone copies `1/PRED_SHARDS` of the map's pointers.
 const PRED_SHARDS: usize = 64;
 
+/// Shards of each predicate's key map: the first write under a key
+/// after a clone copies the one shard the key lands in.
+const KEY_SHARDS: usize = 16;
+
+/// Head-first-argument key → the predicate's clauses with that key.
+/// Keeps `std`'s keyed SipHash inside each shard, unlike the predicate
+/// map: an `ArgKey::Int` comes straight from client text, and a fixed
+/// hash would let crafted integers pile into one bucket (the reason
+/// `SymbolTable` keys its hasher too). Only the shard pick is fixed, so
+/// crafted keys that all land in one shard make a write copy what one
+/// unsharded map would cost, never more.
+type KeyShards = CowShards<ArgKey, ClauseBitmap, RandomState, KEY_SHARDS>;
+
 /// Everything candidate selection knows about one predicate.
 #[derive(Clone, Default, Debug)]
 struct PredSegment {
-    /// Defining clauses in program order (ascending id).
+    /// Defining clauses in program order (ascending id), one contiguous
+    /// list so the unindexed fallback can borrow it.
     ids: Vec<ClauseId>,
-    /// Head-first-argument key → this predicate's clauses with that key.
-    /// Keeps `std`'s keyed SipHash, unlike the predicate map: an
-    /// `ArgKey::Int` comes straight from client text, and a fixed hash
-    /// would let crafted integers pile into one bucket (the reason
-    /// `SymbolTable` keys its hasher too).
-    first_arg: HashMap<ArgKey, ClauseBitmap>,
+    /// Head-first-argument key → this predicate's clauses with that
+    /// key, in [`KEY_SHARDS`] copy-on-write shards.
+    first_arg: KeyShards,
     /// Clauses with no head-first-argument key: match any bound key.
     var_headed: ClauseBitmap,
 }
 
 /// Keyed by interned symbol and arity, which the store assigns, so the
-/// fixed [`IdMap`] hash is safe here.
-type PredShard = IdMap<(Sym, u32), Arc<PredSegment>>;
+/// fixed [`IdHasher`] hash is safe inside each shard too.
+type PredShards =
+    CowShards<(Sym, u32), Arc<PredSegment>, BuildHasherDefault<IdHasher>, PRED_SHARDS>;
 
 /// Immutable-per-epoch candidate index over a clause snapshot: one
 /// [`Arc`]-shared segment per predicate (see the module docs).
-#[derive(Clone, Debug)]
+#[derive(Clone, Default, Debug)]
 pub struct BitmapClauseIndex {
-    shards: [Arc<PredShard>; PRED_SHARDS],
-}
-
-impl Default for BitmapClauseIndex {
-    fn default() -> Self {
-        BitmapClauseIndex {
-            shards: std::array::from_fn(|_| Arc::default()),
-        }
-    }
+    preds: PredShards,
 }
 
 /// The head's first-argument key, `None` when the head cannot
@@ -126,10 +206,6 @@ fn head_first_key(clause: &Clause) -> Option<ArgKey> {
         Term::Struct(_, args) => arg_key(&args[0]),
         _ => None,
     }
-}
-
-fn shard_of(pred: (Sym, u32)) -> usize {
-    (pred.0.index() + pred.1 as usize) % PRED_SHARDS
 }
 
 impl BitmapClauseIndex {
@@ -143,55 +219,41 @@ impl BitmapClauseIndex {
     }
 
     fn segment(&self, pred: (Sym, u32)) -> Option<&PredSegment> {
-        self.shards[shard_of(pred)].get(&pred).map(|seg| &**seg)
+        self.preds.get(&pred).map(|seg| &**seg)
     }
 
     /// Add one clause (store build, or an assert inside a `WriteTxn`).
     pub fn insert_clause(&mut self, id: ClauseId, clause: &Clause) {
-        let pred = clause.head_pred();
-        let shard = Arc::make_mut(&mut self.shards[shard_of(pred)]);
-        let seg = Arc::make_mut(shard.entry(pred).or_default());
+        let seg = Arc::make_mut(self.preds.entry(clause.head_pred()));
         // Ids are allocated densely, so this is a push in practice.
         let at = seg.ids.partition_point(|&earlier| earlier < id);
         seg.ids.insert(at, id);
         match head_first_key(clause) {
-            Some(key) => {
-                seg.first_arg.entry(key).or_default().insert(id);
-            }
-            None => {
-                seg.var_headed.insert(id);
-            }
-        }
+            Some(key) => seg.first_arg.entry(key).insert(id),
+            None => seg.var_headed.insert(id),
+        };
     }
 
     /// Remove one clause (a retract inside a `WriteTxn`). Emptied key
     /// buckets and predicates are dropped so unknown predicates/functors
     /// stay recognizably absent.
     pub fn remove_clause(&mut self, id: ClauseId, clause: &Clause) {
-        let pred = clause.head_pred();
-        let shard = Arc::make_mut(&mut self.shards[shard_of(pred)]);
-        let Some(seg) = shard.get_mut(&pred).map(Arc::make_mut) else {
-            return;
-        };
-        if let Ok(at) = seg.ids.binary_search(&id) {
-            seg.ids.remove(at);
-        }
-        match head_first_key(clause) {
-            Some(key) => {
-                if let Some(bm) = seg.first_arg.get_mut(&key) {
+        self.preds.edit(&clause.head_pred(), |seg| {
+            let seg = Arc::make_mut(seg);
+            if let Ok(at) = seg.ids.binary_search(&id) {
+                seg.ids.remove(at);
+            }
+            match head_first_key(clause) {
+                Some(key) => seg.first_arg.edit(&key, |bm| {
                     bm.remove(id);
-                    if bm.is_empty() {
-                        seg.first_arg.remove(&key);
-                    }
+                    bm.is_empty()
+                }),
+                None => {
+                    seg.var_headed.remove(id);
                 }
             }
-            None => {
-                seg.var_headed.remove(id);
-            }
-        }
-        if seg.ids.is_empty() {
-            shard.remove(&pred);
-        }
+            seg.ids.is_empty()
+        });
     }
 
     /// Every clause defining `pred`, in program order (empty for an
@@ -279,7 +341,7 @@ impl IndexCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blog_logic::{parse_program, Bindings};
+    use blog_logic::{parse_program, Bindings, VarId};
 
     fn family_db() -> blog_logic::Program {
         parse_program(
@@ -368,6 +430,119 @@ mod tests {
         match lookup_ids(&idx, db, "f(sam,Q)") {
             IndexedCandidates::Narrowed(ids) => assert_eq!(ids, vec![ClauseId(12)]),
             other => panic!("expected narrowed candidates, got {other:?}"),
+        }
+    }
+
+    /// `p/2` fact with first argument `first`, as predicate symbol `p`.
+    fn fact(p: u32, first: Term) -> Clause {
+        Clause::fact(Term::app(Sym(p), vec![first, Term::Atom(Sym(0))]))
+    }
+
+    fn lookup_key(idx: &BitmapClauseIndex, p: u32, first: Term) -> IndexedCandidates {
+        let goal = Term::app(Sym(p), vec![first, Term::Var(VarId(0))]);
+        idx.lookup(&goal, &Bindings::default())
+    }
+
+    fn shared<T>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
+        match (a, b) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn a_write_copies_one_key_shard_and_one_pred_shard() {
+        const P: u32 = 1;
+        let mut base = BitmapClauseIndex::default();
+        let mut next = 0;
+        let mut insert = |idx: &mut BitmapClauseIndex, clause: &Clause| {
+            idx.insert_clause(ClauseId(next), clause);
+            next += 1;
+            ClauseId(next - 1)
+        };
+        // A fact under every predicate shard, then 1 024 keys under P.
+        for p in 2..2 + 4 * PRED_SHARDS as u32 {
+            insert(&mut base, &fact(p, Term::Int(0)));
+        }
+        let ids: Vec<ClauseId> = (0..1024)
+            .map(|k| insert(&mut base, &fact(P, Term::Int(k))))
+            .collect();
+        let probes: Vec<Term> = (0..1024).chain([5000, -1]).map(Term::Int).collect();
+        let before: Vec<_> = probes
+            .iter()
+            .map(|k| lookup_key(&base, P, k.clone()))
+            .collect();
+
+        // Insert a new key, then retract an old one from the same shard.
+        let new_key = ArgKey::Int(5000);
+        let touched = KeyShards::shard_of(&new_key);
+        let old = (0..1024)
+            .find(|&k| KeyShards::shard_of(&ArgKey::Int(k)) == touched)
+            .unwrap();
+        let mut next_idx = base.clone();
+        let new_id = insert(&mut next_idx, &fact(P, Term::Int(5000)));
+        next_idx.remove_clause(ids[old as usize], &fact(P, Term::Int(old)));
+
+        let pred = (Sym(P), 2);
+        let (b, n) = (base.segment(pred).unwrap(), next_idx.segment(pred).unwrap());
+        for i in 0..KEY_SHARDS {
+            let (bs, ns) = (&b.first_arg.shards[i], &n.first_arg.shards[i]);
+            assert!(bs.is_some(), "1 024 keys fill key shard {i}");
+            assert_eq!(shared(bs, ns), i != touched, "key shard {i}");
+        }
+        let touched_pred = PredShards::shard_of(&pred);
+        for i in 0..PRED_SHARDS {
+            let (bs, ns) = (&base.preds.shards[i], &next_idx.preds.shards[i]);
+            assert!(bs.is_some(), "pred shard {i} holds a predicate");
+            assert_eq!(shared(bs, ns), i != touched_pred, "pred shard {i}");
+        }
+
+        let after: Vec<_> = probes
+            .iter()
+            .map(|k| lookup_key(&base, P, k.clone()))
+            .collect();
+        assert_eq!(after, before, "the base answers as before");
+        assert_eq!(
+            lookup_key(&next_idx, P, Term::Int(5000)),
+            IndexedCandidates::Narrowed(vec![new_id])
+        );
+        assert_eq!(
+            lookup_key(&next_idx, P, Term::Int(old)),
+            IndexedCandidates::Narrowed(vec![])
+        );
+    }
+
+    #[test]
+    fn keys_crowded_into_one_shard_still_answer() {
+        const P: u32 = 1;
+        let keys: Vec<i64> = (0..)
+            .filter(|&k| KeyShards::shard_of(&ArgKey::Int(k)) == 0)
+            .take(200)
+            .collect();
+        let mut idx = BitmapClauseIndex::default();
+        for (i, &k) in keys.iter().enumerate() {
+            idx.insert_clause(ClauseId(i as u32), &fact(P, Term::Int(k)));
+        }
+        let seg = idx.segment((Sym(P), 2)).unwrap();
+        let used = seg.first_arg.shards.iter().filter(|s| s.is_some()).count();
+        assert_eq!(used, 1, "every key landed in shard 0");
+
+        // Retract every other key through a clone; both sides answer.
+        let mut next = idx.clone();
+        for (i, &k) in keys.iter().enumerate().step_by(2) {
+            next.remove_clause(ClauseId(i as u32), &fact(P, Term::Int(k)));
+        }
+        for (i, &k) in keys.iter().enumerate() {
+            let id = vec![ClauseId(i as u32)];
+            let kept = if i % 2 == 0 { vec![] } else { id.clone() };
+            assert_eq!(
+                lookup_key(&idx, P, Term::Int(k)),
+                IndexedCandidates::Narrowed(id)
+            );
+            assert_eq!(
+                lookup_key(&next, P, Term::Int(k)),
+                IndexedCandidates::Narrowed(kept)
+            );
         }
     }
 }

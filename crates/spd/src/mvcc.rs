@@ -745,9 +745,10 @@ impl ClauseSource for Snapshot<'_> {
 
 /// A write transaction: assert/retract clauses, then [`commit`](Self::commit).
 ///
-/// The transaction copies what it changes — a page, a predicate's index
-/// segment, a shard of the symbol table — the first time it changes it,
-/// and shares the rest with its base version; nothing is visible to
+/// The transaction copies what it changes — a page; a predicate's index
+/// segment and the one shard of its key map that a write lands in; a
+/// shard of the symbol table — the first time it changes it, and shares
+/// the rest with its base version; nothing is visible to
 /// readers until commit installs the next version atomically. Dropping
 /// without committing aborts with no trace. Writers are serialized by
 /// the store (one open transaction at a time); readers never wait for a

@@ -20,6 +20,12 @@
 //! unbound forms must fall back to the full range, which is the
 //! satellite regression: a variable-headed goal sees *every* clause.
 //!
+//! The index itself is copy-on-write: a write transaction clones the
+//! committed epoch's index and changes only the shards it writes. A
+//! property drives insert/remove batches through successive clones and
+//! holds every clone, old and new, to an index rebuilt from the live
+//! clauses of its moment.
+//!
 //! Also here: the `ClauseBitmap` vs `BTreeSet` model property on the
 //! shared shrink-friendly id generator, engine-level runs proving
 //! solution sets are index-invariant under both `StateRepr`s, and the
@@ -37,10 +43,13 @@ use blog_core::engine::{best_first_with, BestFirstConfig};
 use blog_core::weight::{WeightParams, WeightStore, WeightView};
 use blog_logic::{
     arg_key, parse_program, parse_query, parse_query_shared, BindingFrame, BindingLookup,
-    BindingWrite, Bindings, ClauseDb, ClauseId, ClauseSource, DeltaBindings, Program, Query,
-    SolveConfig, StateRepr, Term, Trail, VarId, DEFAULT_FLATTEN_THRESHOLD,
+    BindingWrite, Bindings, Clause, ClauseDb, ClauseId, ClauseSource, DeltaBindings, Program,
+    Query, SolveConfig, StateRepr, Sym, Term, Trail, VarId, DEFAULT_FLATTEN_THRESHOLD,
 };
-use blog_spd::{ClauseBitmap, IndexPolicy, MvccClauseStore, PagedStoreStats, PolicyKind, Snapshot};
+use blog_spd::{
+    BitmapClauseIndex, ClauseBitmap, IndexPolicy, MvccClauseStore, PagedStoreStats, PolicyKind,
+    Snapshot,
+};
 use blog_workloads::{
     family_program, mapcolor_program, tenant_mix_program, tenant_mix_requests, FamilyParams,
     MapColorParams, TenantMix,
@@ -538,5 +547,128 @@ fn first_arg_index_halves_clause_touches() {
             2 * indexed_touches <= base_touches,
             "{name}: {indexed_touches} touches indexed vs {base_touches} unindexed"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Copy-on-write index against a rebuild
+// ---------------------------------------------------------------------------
+
+/// Predicates the copy-on-write property writes under, as `(symbol,
+/// arity)`; symbol 0 is left for the filler arguments.
+const COW_PREDS: [(u32, usize); 3] = [(1, 2), (2, 1), (3, 3)];
+
+/// Every first-argument key the copy-on-write property asserts: 64
+/// atoms, 96 integers and 8 functors at two arities — enough that every
+/// key shard of the first predicate's segment holds some.
+fn cow_keys() -> Vec<Term> {
+    let atoms = (100..164).map(|s| Term::Atom(Sym(s)));
+    let ints = (-32..64).map(Term::Int);
+    let structs = (200..208)
+        .flat_map(|f| (1..=2).map(move |n| Term::app(Sym(f), vec![Term::Atom(Sym(0)); n])));
+    atoms.chain(ints).chain(structs).collect()
+}
+
+/// Keys no clause ever has.
+fn unknown_keys() -> Vec<Term> {
+    vec![
+        Term::Atom(Sym(999)),
+        Term::Int(1_000_000),
+        Term::app(Sym(200), vec![Term::Atom(Sym(0)); 3]),
+    ]
+}
+
+/// A fact of predicate `COW_PREDS[pred]` whose first argument is
+/// `first` (`None`: a variable, so the clause is var-headed).
+fn cow_fact(pred: usize, first: Option<&Term>) -> Clause {
+    let (name, arity) = COW_PREDS[pred];
+    let mut args = vec![first.cloned().unwrap_or(Term::Var(VarId(0)))];
+    args.extend((1..arity).map(|_| Term::Atom(Sym(0))));
+    Clause::fact(Term::app(Sym(name), args))
+}
+
+/// The index rebuilt from scratch over the live clauses, in id order.
+fn rebuild(live: &[Option<Clause>]) -> BitmapClauseIndex {
+    let mut idx = BitmapClauseIndex::default();
+    for (i, clause) in live.iter().enumerate() {
+        if let Some(clause) = clause {
+            idx.insert_clause(ClauseId(i as u32), clause);
+        }
+    }
+    idx
+}
+
+/// Every lookup `got` and `want` can be asked — each predicate (and an
+/// unknown one) under every key, unknown keys and an unbound first
+/// argument — answers the same, and so does every predicate's id list.
+fn same_answers(got: &BitmapClauseIndex, want: &BitmapClauseIndex, keys: &[Term]) -> bool {
+    let bindings = Bindings::default();
+    let preds = COW_PREDS.iter().copied().chain([(9, 2)]);
+    preds.into_iter().all(|(name, arity)| {
+        let pred = (Sym(name), arity as u32);
+        got.clauses_of(pred) == want.clauses_of(pred)
+            && keys
+                .iter()
+                .cloned()
+                .chain(unknown_keys())
+                .chain([Term::Var(VarId(0))])
+                .all(|first| {
+                    let mut args = vec![first];
+                    args.extend((1..arity).map(|i| Term::Var(VarId(i as u32))));
+                    let goal = Term::app(Sym(name), args);
+                    got.lookup(&goal, &bindings) == want.lookup(&goal, &bindings)
+                })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A copy-on-write index written through successive clones answers
+    /// every lookup as an index rebuilt from its live clauses does, and
+    /// no write through a later clone changes what an earlier clone
+    /// answers. Each step clones the current index (a transaction's
+    /// branch) and applies a batch of inserts — keyed or var-headed —
+    /// and removes of live clauses to the clone.
+    #[test]
+    fn cow_index_equals_a_rebuild_through_clones(
+        extra in proptest::collection::vec((0u8..3, any::<u16>()), 0..32),
+        steps in proptest::collection::vec(
+            proptest::collection::vec((any::<bool>(), 0u8..3, any::<u16>()), 1..6),
+            1..8,
+        ),
+    ) {
+        let keys = cow_keys();
+        // Every key once under the first predicate, then random extras
+        // (a selector past the keys makes a var-headed clause).
+        let key_of = |sel: u16| keys.get(sel as usize % (keys.len() + 8));
+        let mut live: Vec<Option<Clause>> = keys.iter().map(|k| Some(cow_fact(0, Some(k)))).collect();
+        live.extend(extra.iter().map(|&(p, sel)| Some(cow_fact(p as usize, key_of(sel)))));
+        let mut idx = rebuild(&live);
+        let mut earlier: Vec<(BitmapClauseIndex, BitmapClauseIndex)> = Vec::new();
+
+        for batch in &steps {
+            let base = idx.clone();
+            earlier.push((base, rebuild(&live)));
+            for &(insert, p, sel) in batch {
+                if insert {
+                    let clause = cow_fact(p as usize, key_of(sel));
+                    idx.insert_clause(ClauseId(live.len() as u32), &clause);
+                    live.push(Some(clause));
+                } else {
+                    let ids: Vec<usize> = (0..live.len()).filter(|&i| live[i].is_some()).collect();
+                    if ids.is_empty() {
+                        continue;
+                    }
+                    let victim = ids[sel as usize % ids.len()];
+                    let clause = live[victim].take().unwrap();
+                    idx.remove_clause(ClauseId(victim as u32), &clause);
+                }
+            }
+            prop_assert!(same_answers(&idx, &rebuild(&live), &keys));
+            for (clone, at_clone) in &earlier {
+                prop_assert!(same_answers(clone, at_clone, &keys));
+            }
+        }
     }
 }
