@@ -24,10 +24,10 @@ use crate::term::Term;
 /// Argument key: the principal functor of a bound argument.
 ///
 /// The one definition of "the leading functor" that the first-argument
-/// bitmap index in `blog-spd` and [`GoalKeys`](crate::unify::GoalKeys)
+/// clause index in `blog-spd` and [`GoalKeys`](crate::unify::GoalKeys)
 /// both key on, so the index and the head pre-filter agree on which
 /// heads can match.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum ArgKey {
     /// A constant (`sam`).
     Atom(Sym),

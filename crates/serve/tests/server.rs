@@ -648,6 +648,71 @@ fn quoted_names_get_their_own_answer_cache_entries() {
 }
 
 #[test]
+fn a_capped_request_completes_with_one_of_the_full_set() {
+    let p = parse_program(FAMILY).unwrap();
+    let all = sequential_solutions(&p, "gf(sam, G)");
+    assert!(all.len() >= 2, "the cap must cut something: {all:?}");
+    for n_workers in [1, 3] {
+        let exec = ExecMode::OrParallel {
+            n_workers,
+            policy: FrontierPolicy::Sharded { d: 512 },
+        };
+        let config = ServeConfig {
+            exec,
+            ..ServeConfig::default()
+        };
+        let server = QueryServer::new(&p.db, store_cfg(p.db.len(), 4), config);
+        let request = QueryRequest::new(1, "gf(sam, G)").with_max_solutions(1);
+        let outcome = &server.serve(vec![request]).responses[0].outcome;
+        assert!(matches!(outcome, Outcome::Completed { .. }), "{outcome:?}");
+        let got = outcome.solutions();
+        assert!(
+            got.len() == 1 && all.contains(&got[0]),
+            "x{n_workers}: {got:?}"
+        );
+    }
+}
+
+#[test]
+fn capped_and_uncapped_requests_never_answer_each_other() {
+    // The cache key carries the cap, and a run its cap stopped depends
+    // on expansion order, so it is never memoized: the capped request
+    // runs on an engine every time, and the uncapped one fills the cache
+    // and hits it on its repeat. Both orders, each twice.
+    let p = parse_program(FAMILY).unwrap();
+    let all = sequential_solutions(&p, "gf(sam, G)");
+    for capped_first in [true, false] {
+        let server = QueryServer::new(
+            &p.db,
+            store_cfg(p.db.len(), 8),
+            cached_config(CacheMode::Precise),
+        );
+        for round in 0..2 {
+            for capped in [capped_first, !capped_first] {
+                let mut request = QueryRequest::new(1, "gf(sam, G)");
+                if capped {
+                    request = request.with_max_solutions(1);
+                }
+                let r = &server.serve(vec![request]).responses[0];
+                assert!(matches!(r.outcome, Outcome::Completed { .. }));
+                let got = r.outcome.solutions();
+                let from = if capped || round == 0 {
+                    ServedFrom::Engine
+                } else {
+                    ServedFrom::Cache
+                };
+                assert_eq!(r.served_from, from, "capped {capped}, round {round}");
+                if capped {
+                    assert!(got.len() == 1 && all.contains(&got[0]), "{got:?}");
+                } else {
+                    assert_eq!(got, all, "the full set, never the single answer");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn list_queries_against_a_program_without_the_empty_list_are_answered() {
     // The program only takes lists apart (`[X|_]`), so `[]` appears only
     // in the query; it must still be served, not refused as unknown.

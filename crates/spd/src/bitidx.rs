@@ -1,44 +1,40 @@
-//! First-argument bitmap clause index — one copy-on-write segment per
-//! predicate: program-order clause list plus `leading-functor-of-arg1` →
-//! compressed clause-id bitmap.
+//! First-argument clause index — one copy-on-write segment per
+//! predicate, kept as a **per-epoch immutable structure** in the MVCC
+//! store. A [`ClauseIndex`] maps each `(functor, arity)` to an
+//! `Arc`-shared segment holding three ascending (program-order) id lists
+//! for *that* predicate only:
 //!
-//! This is the classic first-argument-indexing lever of Prolog engines,
-//! rebuilt on the compressed bitmaps of [`bitmap`](crate::bitmap) so it
-//! can live as a **per-epoch immutable structure** in the MVCC store.
-//! A [`BitmapClauseIndex`] maps each `(functor, arity)` to an
-//! `Arc`-shared segment holding, for *that* predicate only:
-//!
-//! - `ids` — its defining clauses in program order (the candidate list
-//!   when nothing narrows);
+//! - `ids` — its defining clauses (the candidate list when nothing
+//!   narrows);
 //! - `first_arg[k]` — its clauses whose head's first argument has
 //!   [`ArgKey`] `k`;
-//! - `var_headed` — its clauses whose head has no first-argument key
-//!   (variable first argument, or an atom head with no arguments at
-//!   all), i.e. clauses no bound key can rule out.
+//! - `var_headed` — its clauses with no first-argument key (variable
+//!   first argument, or an atom head with no arguments), which no bound
+//!   key can rule out.
 //!
 //! A goal `p(t, ...)` whose first argument dereferences (through the
 //! live [`BindingLookup`]) to key `k` resolves to `first_arg[k] ∪
-//! var_headed` of `p/n`'s segment — ascending clause-id order, which is
-//! program order, so the result is exactly the subsequence of the full
-//! predicate range that first-argument filtering keeps. The database's
-//! own [`arg_key`] discriminator is reused so both index implementations
-//! agree on what "the leading functor" means; the differential oracle
-//! tests in `tests/index_props.rs` hold them to it.
+//! var_headed` — exactly the subsequence of the predicate's range that
+//! first-argument filtering keeps, in program order. The lookup borrows
+//! one list unless the predicate mixes keyed and var-headed heads; only
+//! then does it merge the two into a new one. The database's own
+//! [`arg_key`] discriminator is reused so the index and the engines
+//! agree on what "the leading functor" means; `tests/index_props.rs`
+//! holds the index to a brute-force scan.
 //!
 //! Both maps are split into `Arc`-shared shards (one private
 //! `CowShards` type): the predicate map into `PRED_SHARDS`, each
 //! predicate's key map into `KEY_SHARDS`, the shard picked by a fixed
 //! mix of the key. Cloning an index copies `PRED_SHARDS` pointers. The
 //! first insert or remove under a predicate after a clone copies that
-//! predicate's shard of the predicate map (pointers again), its segment
-//! (the id list, `KEY_SHARDS` pointers and the var-headed bitmap; a
-//! [`ClauseBitmap`] clones without allocating), then the one key shard
-//! and the one bitmap it changes — which is what lets a write
-//! transaction start from the committed epoch's index and pay only for
-//! the part of the index it changes, however many distinct keys the
-//! predicate has. The price on the read side is one more pointer load
-//! per indexed lookup: the key's shard.
+//! predicate's shard of the predicate map, its segment (the id list and
+//! `KEY_SHARDS + 1` list pointers) and the one key shard it changes (a
+//! pointer per key), then edits its copy of the id list and replaces
+//! the one shared list it changes with a new one. So a write
+//! transaction pays only for the part of the index it changes, however
+//! many distinct keys the predicate has.
 
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
@@ -48,7 +44,6 @@ use std::sync::Arc;
 use blog_logic::{arg_key, ArgKey, BindingLookup, Clause, ClauseDb, ClauseId, Sym, Term};
 use serde::Serialize;
 
-use crate::bitmap::ClauseBitmap;
 use crate::idhash::IdHasher;
 
 /// Candidate-selection policy for the paged and MVCC stores.
@@ -56,7 +51,7 @@ use crate::idhash::IdHasher;
 pub enum IndexPolicy {
     /// Predicate range only — the pre-index baseline.
     None,
-    /// Narrow by the goal's bound first argument through the bitmap
+    /// Narrow by the goal's bound first argument through the clause
     /// index; fall back to the predicate range when unbound.
     #[default]
     FirstArg,
@@ -80,13 +75,15 @@ impl std::fmt::Display for IndexPolicy {
 
 /// Result of an indexed candidate lookup.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum IndexedCandidates {
+pub enum IndexedCandidates<'a> {
     /// The goal cannot be narrowed (non-compound, or first argument
     /// unbound): the caller must use its full predicate range.
     Fallback,
     /// The narrowed candidate list in program order — possibly empty
     /// (unknown functor), in which case no page is ever touched.
-    Narrowed(Vec<ClauseId>),
+    /// Borrowed from the index unless the predicate mixes keyed and
+    /// var-headed clauses.
+    Narrowed(Cow<'a, [ClauseId]>),
 }
 
 /// A map split into `N` `Arc`-shared shards, so cloning it copies `N`
@@ -172,19 +169,20 @@ const KEY_SHARDS: usize = 16;
 /// `SymbolTable` keys its hasher too). Only the shard pick is fixed, so
 /// crafted keys that all land in one shard make a write copy what one
 /// unsharded map would cost, never more.
-type KeyShards = CowShards<ArgKey, ClauseBitmap, RandomState, KEY_SHARDS>;
+type KeyShards = CowShards<ArgKey, Arc<[ClauseId]>, RandomState, KEY_SHARDS>;
 
-/// Everything candidate selection knows about one predicate.
+/// Everything candidate selection knows about one predicate. Every
+/// list is ascending, i.e. in program order.
 #[derive(Clone, Default, Debug)]
 struct PredSegment {
-    /// Defining clauses in program order (ascending id), one contiguous
-    /// list so the unindexed fallback can borrow it.
+    /// Defining clauses, one contiguous list so the unindexed fallback
+    /// can borrow it.
     ids: Vec<ClauseId>,
     /// Head-first-argument key → this predicate's clauses with that
     /// key, in [`KEY_SHARDS`] copy-on-write shards.
     first_arg: KeyShards,
     /// Clauses with no head-first-argument key: match any bound key.
-    var_headed: ClauseBitmap,
+    var_headed: Arc<[ClauseId]>,
 }
 
 /// Keyed by interned symbol and arity, which the store assigns, so the
@@ -195,7 +193,7 @@ type PredShards =
 /// Immutable-per-epoch candidate index over a clause snapshot: one
 /// [`Arc`]-shared segment per predicate (see the module docs).
 #[derive(Clone, Default, Debug)]
-pub struct BitmapClauseIndex {
+pub struct ClauseIndex {
     preds: PredShards,
 }
 
@@ -208,12 +206,66 @@ fn head_first_key(clause: &Clause) -> Option<ArgKey> {
     }
 }
 
-impl BitmapClauseIndex {
-    /// Build the index over every clause currently in `db`.
+/// Insert `id` into ascending `list`, keeping it ascending.
+fn insert_id(list: &mut Vec<ClauseId>, id: ClauseId) {
+    let at = list.partition_point(|&earlier| earlier < id);
+    list.insert(at, id);
+}
+
+/// Remove `id` from ascending `list`, if it is there.
+fn remove_id(list: &mut Vec<ClauseId>, id: ClauseId) {
+    if let Ok(at) = list.binary_search(&id) {
+        list.remove(at);
+    }
+}
+
+/// Replace a shared list with a new one: a copy changed by `edit`.
+fn replace(list: &mut Arc<[ClauseId]>, id: ClauseId, edit: fn(&mut Vec<ClauseId>, ClauseId)) {
+    let mut ids = list.to_vec();
+    edit(&mut ids, id);
+    *list = ids.into();
+}
+
+/// The ascending union of two disjoint ascending lists, in a list of
+/// exact size: the stable `sort` finds the two runs and merges them.
+fn merged(a: &[ClauseId], b: &[ClauseId]) -> Vec<ClauseId> {
+    let mut out = [a, b].concat();
+    out.sort();
+    out
+}
+
+impl ClauseIndex {
+    /// Build the index over every clause currently in `db`: one pass
+    /// puts each clause in its predicate's group, then each
+    /// predicate's `(key, id)` pairs are sorted and every key's run
+    /// frozen into its list — `O(n log n)` in a predicate's size however
+    /// many clauses share a key. Predicates group under the fixed
+    /// `IdHasher`, as in the predicate map.
     pub fn from_db(db: &ClauseDb) -> Self {
-        let mut idx = Self::default();
+        type Groups = (Vec<ClauseId>, Vec<(ArgKey, ClauseId)>, Vec<ClauseId>);
+        let mut groups: HashMap<(Sym, u32), Groups, BuildHasherDefault<IdHasher>> =
+            HashMap::default();
         for (i, clause) in db.clauses().iter().enumerate() {
-            idx.insert_clause(ClauseId(i as u32), clause);
+            let id = ClauseId(i as u32);
+            let (ids, keyed, var_headed) = groups.entry(clause.head_pred()).or_default();
+            ids.push(id);
+            match head_first_key(clause) {
+                Some(key) => keyed.push((key, id)),
+                None => var_headed.push(id),
+            }
+        }
+        let mut idx = Self::default();
+        for (pred, (ids, mut keyed, var_headed)) in groups {
+            keyed.sort_unstable();
+            let mut first_arg = KeyShards::default();
+            for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+                *first_arg.entry(run[0].0) = run.iter().map(|&(_, id)| id).collect();
+            }
+            *idx.preds.entry(pred) = Arc::new(PredSegment {
+                ids,
+                first_arg,
+                var_headed: var_headed.into(),
+            });
         }
         idx
     }
@@ -222,35 +274,30 @@ impl BitmapClauseIndex {
         self.preds.get(&pred).map(|seg| &**seg)
     }
 
-    /// Add one clause (store build, or an assert inside a `WriteTxn`).
+    /// Add one clause (an assert inside a `WriteTxn`).
     pub fn insert_clause(&mut self, id: ClauseId, clause: &Clause) {
         let seg = Arc::make_mut(self.preds.entry(clause.head_pred()));
-        // Ids are allocated densely, so this is a push in practice.
-        let at = seg.ids.partition_point(|&earlier| earlier < id);
-        seg.ids.insert(at, id);
-        match head_first_key(clause) {
-            Some(key) => seg.first_arg.entry(key).insert(id),
-            None => seg.var_headed.insert(id),
+        insert_id(&mut seg.ids, id);
+        let list = match head_first_key(clause) {
+            Some(key) => seg.first_arg.entry(key),
+            None => &mut seg.var_headed,
         };
+        replace(list, id, insert_id);
     }
 
     /// Remove one clause (a retract inside a `WriteTxn`). Emptied key
-    /// buckets and predicates are dropped so unknown predicates/functors
+    /// lists and predicates are dropped so unknown predicates/functors
     /// stay recognizably absent.
     pub fn remove_clause(&mut self, id: ClauseId, clause: &Clause) {
         self.preds.edit(&clause.head_pred(), |seg| {
             let seg = Arc::make_mut(seg);
-            if let Ok(at) = seg.ids.binary_search(&id) {
-                seg.ids.remove(at);
-            }
+            remove_id(&mut seg.ids, id);
             match head_first_key(clause) {
-                Some(key) => seg.first_arg.edit(&key, |bm| {
-                    bm.remove(id);
-                    bm.is_empty()
+                Some(key) => seg.first_arg.edit(&key, |list| {
+                    replace(list, id, remove_id);
+                    list.is_empty()
                 }),
-                None => {
-                    seg.var_headed.remove(id);
-                }
+                None => replace(&mut seg.var_headed, id, remove_id),
             }
             seg.ids.is_empty()
         });
@@ -264,7 +311,7 @@ impl BitmapClauseIndex {
 
     /// Resolve a goal's candidate clauses through the index,
     /// dereferencing its first argument through `bindings`.
-    pub fn lookup(&self, goal: &Term, bindings: &dyn BindingLookup) -> IndexedCandidates {
+    pub fn lookup(&self, goal: &Term, bindings: &dyn BindingLookup) -> IndexedCandidates<'_> {
         // Only compound goals have a first argument to index on;
         // arity-0 goals keep their full (trivial) range.
         let Term::Struct(f, args) = goal else {
@@ -275,15 +322,15 @@ impl BitmapClauseIndex {
         };
         let Some(seg) = self.segment((*f, args.len() as u32)) else {
             // Unknown predicate: nothing to resolve against.
-            return IndexedCandidates::Narrowed(Vec::new());
+            return IndexedCandidates::Narrowed(Cow::Borrowed(&[]));
         };
         let ids = match seg.first_arg.get(&key) {
             // Unknown functor: only clauses no key can rule out — none
             // at all, before any page is touched, when there are no
             // var-headed ones.
-            None => seg.var_headed.iter().collect(),
-            Some(by_key) if seg.var_headed.is_empty() => by_key.iter().collect(),
-            Some(by_key) => by_key.union(&seg.var_headed).collect(),
+            None => Cow::Borrowed(&*seg.var_headed),
+            Some(by_key) if seg.var_headed.is_empty() => Cow::Borrowed(&**by_key),
+            Some(by_key) => Cow::Owned(merged(by_key, &seg.var_headed)),
         };
         IndexedCandidates::Narrowed(ids)
     }
@@ -296,7 +343,7 @@ impl BitmapClauseIndex {
 /// lock-traffic meters stay an honest census of page touches.
 #[derive(Default, Debug)]
 pub struct IndexCounters {
-    /// `candidate_clauses` calls resolved through the bitmap index.
+    /// `candidate_clauses` calls resolved through the clause index.
     hits: AtomicU64,
     /// Candidates the index removed versus the full predicate range
     /// (unification attempts — and page touches — that never happened).
@@ -359,7 +406,7 @@ mod tests {
         .unwrap()
     }
 
-    fn lookup_ids(idx: &BitmapClauseIndex, db: &ClauseDb, goal: &str) -> IndexedCandidates {
+    fn lookup_ids<'a>(idx: &'a ClauseIndex, db: &ClauseDb, goal: &str) -> IndexedCandidates<'a> {
         // Parse against a scratch copy so unseen constants (e.g. `zed`)
         // intern without mutating the caller's database.
         let mut scratch = db.clone();
@@ -367,35 +414,34 @@ mod tests {
         idx.lookup(&query.goals[0], &Bindings::default())
     }
 
+    fn narrowed(ids: &[u32]) -> IndexedCandidates<'static> {
+        IndexedCandidates::Narrowed(ids.iter().map(|&i| ClauseId(i)).collect())
+    }
+
     #[test]
     fn bound_first_arg_narrows_to_matching_bucket() {
         let program = family_db();
-        let idx = BitmapClauseIndex::from_db(&program.db);
+        let idx = ClauseIndex::from_db(&program.db);
         // f(sam, _) has exactly one matching clause: f(sam,larry), id 3.
-        match lookup_ids(&idx, &program.db, "f(sam,Q)") {
-            IndexedCandidates::Narrowed(ids) => assert_eq!(ids, vec![ClauseId(3)]),
-            other => panic!("expected narrowed candidates, got {other:?}"),
-        }
+        assert_eq!(lookup_ids(&idx, &program.db, "f(sam,Q)"), narrowed(&[3]));
     }
 
     #[test]
     fn var_headed_rules_survive_any_key() {
         let program = family_db();
-        let idx = BitmapClauseIndex::from_db(&program.db);
+        let idx = ClauseIndex::from_db(&program.db);
         // Both gf/2 rules have variable first arguments: any bound key
         // must keep both, in program order.
-        match lookup_ids(&idx, &program.db, "gf(sam,Q)") {
-            IndexedCandidates::Narrowed(ids) => {
-                assert_eq!(ids, vec![ClauseId(0), ClauseId(1)]);
-            }
-            other => panic!("expected narrowed candidates, got {other:?}"),
-        }
+        assert_eq!(
+            lookup_ids(&idx, &program.db, "gf(sam,Q)"),
+            narrowed(&[0, 1])
+        );
     }
 
     #[test]
     fn unbound_first_arg_falls_back() {
         let program = family_db();
-        let idx = BitmapClauseIndex::from_db(&program.db);
+        let idx = ClauseIndex::from_db(&program.db);
         assert_eq!(
             lookup_ids(&idx, &program.db, "f(X,Y)"),
             IndexedCandidates::Fallback
@@ -405,12 +451,35 @@ mod tests {
     #[test]
     fn unknown_functor_short_circuits_to_empty() {
         let program = family_db();
-        let idx = BitmapClauseIndex::from_db(&program.db);
+        let idx = ClauseIndex::from_db(&program.db);
         // `zed` appears nowhere as an f/2 first argument and f/2 has no
         // var-headed clauses: provably empty without touching a page.
-        match lookup_ids(&idx, &program.db, "f(zed,Q)") {
-            IndexedCandidates::Narrowed(ids) => assert!(ids.is_empty()),
-            other => panic!("expected empty narrowed set, got {other:?}"),
+        assert_eq!(lookup_ids(&idx, &program.db, "f(zed,Q)"), narrowed(&[]));
+    }
+
+    #[test]
+    fn lookup_borrows_unless_the_predicate_mixes_heads() {
+        let borrowed =
+            |c: &IndexedCandidates| matches!(c, IndexedCandidates::Narrowed(Cow::Borrowed(_)));
+        // p/2 and q/1 mix keyed and var-headed heads: a known key merges
+        // into a new list; an unknown key needs only the var-headed one.
+        let program = parse_program("p(a,1). p(X,2). p(a,3). p(b,4). q(X). q(a).").unwrap();
+        let (db, idx) = (&program.db, ClauseIndex::from_db(&program.db));
+        for (goal, ids, borrows) in [
+            ("p(a,Q)", &[0, 1, 2][..], false),
+            ("p(b,Q)", &[1, 3], false),
+            ("q(a)", &[4, 5], false),
+            ("p(c,Q)", &[1], true),
+        ] {
+            let got = lookup_ids(&idx, db, goal);
+            assert_eq!(got, narrowed(ids), "{goal}");
+            assert_eq!(borrowed(&got), borrows, "{goal}");
+        }
+        // Only keyed heads (f/2) or only var-headed ones (gf/2): borrowed.
+        let family = family_db();
+        let idx = ClauseIndex::from_db(&family.db);
+        for goal in ["f(sam,Q)", "gf(sam,Q)", "f(zed,Q)"] {
+            assert!(borrowed(&lookup_ids(&idx, &family.db, goal)), "{goal}");
         }
     }
 
@@ -418,19 +487,13 @@ mod tests {
     fn retract_and_assert_are_tracked() {
         let program = family_db();
         let db = &program.db;
-        let mut idx = BitmapClauseIndex::from_db(db);
+        let mut idx = ClauseIndex::from_db(db);
         // Retract f(sam,larry): the sam bucket goes empty.
         idx.remove_clause(ClauseId(3), db.clause(ClauseId(3)));
-        match lookup_ids(&idx, db, "f(sam,Q)") {
-            IndexedCandidates::Narrowed(ids) => assert!(ids.is_empty()),
-            other => panic!("expected empty narrowed set, got {other:?}"),
-        }
+        assert_eq!(lookup_ids(&idx, db, "f(sam,Q)"), narrowed(&[]));
         // Re-assert it under a fresh id: the bucket comes back.
         idx.insert_clause(ClauseId(12), db.clause(ClauseId(3)));
-        match lookup_ids(&idx, db, "f(sam,Q)") {
-            IndexedCandidates::Narrowed(ids) => assert_eq!(ids, vec![ClauseId(12)]),
-            other => panic!("expected narrowed candidates, got {other:?}"),
-        }
+        assert_eq!(lookup_ids(&idx, db, "f(sam,Q)"), narrowed(&[12]));
     }
 
     /// `p/2` fact with first argument `first`, as predicate symbol `p`.
@@ -438,7 +501,7 @@ mod tests {
         Clause::fact(Term::app(Sym(p), vec![first, Term::Atom(Sym(0))]))
     }
 
-    fn lookup_key(idx: &BitmapClauseIndex, p: u32, first: Term) -> IndexedCandidates {
+    fn lookup_key(idx: &ClauseIndex, p: u32, first: Term) -> IndexedCandidates<'_> {
         let goal = Term::app(Sym(p), vec![first, Term::Var(VarId(0))]);
         idx.lookup(&goal, &Bindings::default())
     }
@@ -453,9 +516,9 @@ mod tests {
     #[test]
     fn a_write_copies_one_key_shard_and_one_pred_shard() {
         const P: u32 = 1;
-        let mut base = BitmapClauseIndex::default();
+        let mut base = ClauseIndex::default();
         let mut next = 0;
-        let mut insert = |idx: &mut BitmapClauseIndex, clause: &Clause| {
+        let mut insert = |idx: &mut ClauseIndex, clause: &Clause| {
             idx.insert_clause(ClauseId(next), clause);
             next += 1;
             ClauseId(next - 1)
@@ -502,14 +565,9 @@ mod tests {
             .map(|k| lookup_key(&base, P, k.clone()))
             .collect();
         assert_eq!(after, before, "the base answers as before");
-        assert_eq!(
-            lookup_key(&next_idx, P, Term::Int(5000)),
-            IndexedCandidates::Narrowed(vec![new_id])
-        );
-        assert_eq!(
-            lookup_key(&next_idx, P, Term::Int(old)),
-            IndexedCandidates::Narrowed(vec![])
-        );
+        let (new_key, old_key) = (Term::Int(5000), Term::Int(old));
+        assert_eq!(lookup_key(&next_idx, P, new_key), narrowed(&[new_id.0]));
+        assert_eq!(lookup_key(&next_idx, P, old_key), narrowed(&[]));
     }
 
     #[test]
@@ -519,7 +577,7 @@ mod tests {
             .filter(|&k| KeyShards::shard_of(&ArgKey::Int(k)) == 0)
             .take(200)
             .collect();
-        let mut idx = BitmapClauseIndex::default();
+        let mut idx = ClauseIndex::default();
         for (i, &k) in keys.iter().enumerate() {
             idx.insert_clause(ClauseId(i as u32), &fact(P, Term::Int(k)));
         }
@@ -533,16 +591,10 @@ mod tests {
             next.remove_clause(ClauseId(i as u32), &fact(P, Term::Int(k)));
         }
         for (i, &k) in keys.iter().enumerate() {
-            let id = vec![ClauseId(i as u32)];
-            let kept = if i % 2 == 0 { vec![] } else { id.clone() };
-            assert_eq!(
-                lookup_key(&idx, P, Term::Int(k)),
-                IndexedCandidates::Narrowed(id)
-            );
-            assert_eq!(
-                lookup_key(&next, P, Term::Int(k)),
-                IndexedCandidates::Narrowed(kept)
-            );
+            let id = [i as u32];
+            let kept = if i % 2 == 0 { &[][..] } else { &id };
+            assert_eq!(lookup_key(&idx, P, Term::Int(k)), narrowed(&id));
+            assert_eq!(lookup_key(&next, P, Term::Int(k)), narrowed(kept));
         }
     }
 }

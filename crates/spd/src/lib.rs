@@ -39,7 +39,6 @@
 //! counter types the store and the cache share.
 
 pub mod bitidx;
-pub mod bitmap;
 pub mod block;
 pub mod bridge;
 pub mod cache;
@@ -53,8 +52,7 @@ pub mod policy;
 pub mod spd;
 pub mod timing;
 
-pub use bitidx::{BitmapClauseIndex, IndexCounters, IndexPolicy, IndexedCandidates};
-pub use bitmap::ClauseBitmap;
+pub use bitidx::{ClauseIndex, IndexCounters, IndexPolicy, IndexedCandidates};
 pub use block::{Block, BlockId, NamedPointer};
 pub use bridge::{build_spd_from_db, DbLayout};
 pub use cache::TrackCache;

@@ -26,7 +26,7 @@
 //!     (chunked names, sharded lookup)        │             │
 //!                                            │             └─► 64 × Arc<Page>  one Arc per track
 //!     (functor, arity) ─► Arc<segment> ◄─────┘
-//!     (program-order ids, first-arg key ─► bitmap, var-headed bitmap)
+//!     (program-order ids, first-arg key ─► ids, var-headed ids)
 //! ```
 //!
 //! - **[`begin_read`](MvccClauseStore::begin_read)** clones the `Arc`
@@ -94,7 +94,7 @@ use blog_logic::{
 };
 use serde::Serialize;
 
-use crate::bitidx::{BitmapClauseIndex, IndexCounters, IndexPolicy, IndexedCandidates};
+use crate::bitidx::{ClauseIndex, IndexCounters, IndexPolicy, IndexedCandidates};
 use crate::cache::TrackCache;
 use crate::paged::{PagedStoreConfig, PagedStoreStats, PoolTouchStats, TrackId};
 use crate::policy::PolicyStats;
@@ -163,7 +163,7 @@ struct Version {
     /// Candidate selection for this epoch (always maintained so a policy
     /// flip never needs a rebuild; narrowing is consulted only under
     /// [`IndexPolicy::FirstArg`]).
-    index: BitmapClauseIndex,
+    index: ClauseIndex,
     symbols: Arc<SymbolTable>,
 }
 
@@ -289,12 +289,10 @@ impl MvccClauseStore {
         let g = config.geometry;
         let n_tracks = (g.n_sps * g.n_cylinders) as usize;
         let mut tracks = vec![vec![None; g.blocks_per_track as usize]; n_tracks];
-        let mut index = BitmapClauseIndex::default();
         for (i, clause) in db.clauses().iter().enumerate() {
             let addr = g.addr_of_index(i as u32);
             let ti = (addr.cylinder * g.n_sps + addr.sp) as usize;
             tracks[ti][addr.slot as usize] = Some(clause.clone());
-            index.insert_clause(ClauseId(i as u32), clause);
         }
         let gauges = Arc::new(VersionGauges::default());
         let pages: Vec<Arc<Page>> = tracks
@@ -317,7 +315,7 @@ impl MvccClauseStore {
                 epoch: 0,
                 len: db.len(),
                 pages: pages.chunks(PAGES_PER_CHUNK).map(Arc::from).collect(),
-                index,
+                index: ClauseIndex::from_db(db),
                 symbols: Arc::new(db.symbols().clone()),
             })),
             gauges,
@@ -689,7 +687,7 @@ impl ClauseSource for Snapshot<'_> {
                 self.store
                     .index_counters
                     .record_indexed(full.len(), ids.len());
-                return Ok(Cow::Owned(ids));
+                return Ok(ids);
             }
         }
         self.store.index_counters.record_scan(full.len());
@@ -764,7 +762,7 @@ pub struct WriteTxn<'s> {
     dirty: HashMap<usize, Vec<Option<Clause>>>,
     /// The next version's index, branched from the base's by the first
     /// assert or retract.
-    index: Option<BitmapClauseIndex>,
+    index: Option<ClauseIndex>,
     /// The next version's symbol table, branched from the base's by the
     /// first [`assert_text`](Self::assert_text).
     symbols: Option<SymbolTable>,
@@ -828,7 +826,7 @@ impl WriteTxn<'_> {
             .or_insert_with(|| self.base.page(track).clauses.clone())
     }
 
-    fn index_mut(&mut self) -> &mut BitmapClauseIndex {
+    fn index_mut(&mut self) -> &mut ClauseIndex {
         self.index.get_or_insert_with(|| self.base.index.clone())
     }
 
@@ -1123,7 +1121,7 @@ mod tests {
 
     #[test]
     fn pinned_snapshot_resolves_candidates_through_its_epochs_bitmap_index() {
-        // The bitmap index must be epoch-consistent, not just the pages:
+        // The clause index must be epoch-consistent, not just the pages:
         // a reader pinned at epoch 0 keeps narrowing through epoch 0's
         // index after later commits retract and assert clauses for the
         // very same functor.

@@ -53,7 +53,7 @@ pub struct PagedStoreConfig {
     pub capacity_tracks: usize,
     /// Replacement algorithm deciding which track a fault evicts.
     pub policy: PolicyKind,
-    /// Candidate-selection policy (first-argument bitmap index by
+    /// Candidate-selection policy (first-argument clause index by
     /// default; `None` is the scan-everything baseline).
     pub index: IndexPolicy,
     /// Deterministic fault-injection schedule (`None` — the default —
@@ -114,7 +114,7 @@ pub struct PagedStoreStats {
     /// slowdowns to store contention rather than scheduling.
     pub lock_contended: u64,
     /// `try_candidate_clauses` calls resolved through the first-argument
-    /// bitmap index (zero under [`IndexPolicy::None`] and for goals
+    /// clause index (zero under [`IndexPolicy::None`] and for goals
     /// whose first argument was unbound).
     pub index_hits: u64,
     /// Candidates the index removed versus the full predicate range —

@@ -1,4 +1,4 @@
-//! Differential index-oracle battery for the first-argument bitmap
+//! Differential index-oracle battery for the first-argument clause
 //! index.
 //!
 //! The index is an *optimization contract*: for any program and any
@@ -6,7 +6,7 @@
 //! what a brute-force scan of the predicate range — keeping every
 //! clause whose raw head first-argument key is absent or equal to the
 //! goal's dereferenced key — would produce, in the same (program)
-//! order. The per-epoch bitmap index a paged-store `Snapshot` resolves
+//! order. The per-epoch clause index a paged-store `Snapshot` resolves
 //! through (`IndexPolicy::FirstArg`) is held to that oracle on generated
 //! programs and goal streams, across all four replacement policies. It
 //! is the workspace's one first-argument index; a `ClauseDb` serves the
@@ -24,20 +24,20 @@
 //! committed epoch's index and changes only the shards it writes. A
 //! property drives insert/remove batches through successive clones and
 //! holds every clone, old and new, to an index rebuilt from the live
-//! clauses of its moment.
+//! clauses of its moment, and the one-pass build of the seed clauses to
+//! the same clauses inserted one at a time.
 //!
-//! Also here: the `ClauseBitmap` vs `BTreeSet` model property on the
-//! shared shrink-friendly id generator, engine-level runs proving
-//! solution sets are index-invariant under both `StateRepr`s, and the
-//! pruning bar: on every generated workload the index at least halves
-//! the clause touches of the same query stream.
+//! Also here: engine-level runs proving solution sets are
+//! index-invariant under both `StateRepr`s, and the pruning bar: on
+//! every generated workload the index at least halves the clause
+//! touches of the same query stream.
 //!
 //! Case counts honor the `PROPTEST_CASES` environment variable (the CI
 //! profile sets a reduced count; see `.github/workflows/ci.yml`).
 
 mod support;
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use blog_core::engine::{best_first_with, BestFirstConfig};
 use blog_core::weight::{WeightParams, WeightStore, WeightView};
@@ -46,72 +46,14 @@ use blog_logic::{
     BindingWrite, Bindings, Clause, ClauseDb, ClauseId, ClauseSource, DeltaBindings, Program,
     Query, SolveConfig, StateRepr, Sym, Term, Trail, VarId, DEFAULT_FLATTEN_THRESHOLD,
 };
-use blog_spd::{
-    BitmapClauseIndex, ClauseBitmap, IndexPolicy, MvccClauseStore, PagedStoreStats, PolicyKind,
-    Snapshot,
-};
+use blog_spd::{ClauseIndex, IndexPolicy, MvccClauseStore, PagedStoreStats, PolicyKind, Snapshot};
 use blog_workloads::{
     family_program, mapcolor_program, tenant_mix_program, tenant_mix_requests, FamilyParams,
     MapColorParams, TenantMix,
 };
 use proptest::prelude::*;
 
-use support::{arb_clause_ids, paged_config, paged_store, queens_workload};
-
-// ---------------------------------------------------------------------------
-// Bitmap vs BTreeSet model
-// ---------------------------------------------------------------------------
-
-fn bitmap_of(ids: &BTreeSet<u32>) -> ClauseBitmap {
-    ClauseBitmap::from_ids(ids.iter().map(|&i| ClauseId(i)))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Insert/remove/contains/len/iter against the obvious model.
-    #[test]
-    fn bitmap_matches_btreeset_model(ids in arb_clause_ids(), removals in arb_clause_ids()) {
-        let mut bm = bitmap_of(&ids);
-        let mut model = ids.clone();
-        prop_assert_eq!(bm.len(), model.len());
-
-        for r in &removals {
-            prop_assert_eq!(bm.remove(ClauseId(*r)), model.remove(r));
-        }
-        prop_assert_eq!(bm.len(), model.len());
-        prop_assert_eq!(bm.is_empty(), model.is_empty());
-
-        // Membership agrees on every id we ever mentioned (hits and
-        // misses both), and iteration is exactly the sorted model.
-        for probe in ids.iter().chain(removals.iter()) {
-            prop_assert_eq!(bm.contains(ClauseId(*probe)), model.contains(probe));
-        }
-        let got: Vec<u32> = bm.iter().map(|c| c.0).collect();
-        let want: Vec<u32> = model.iter().copied().collect();
-        prop_assert_eq!(got, want);
-
-        // Re-inserting everything removed restores the original set.
-        for r in &removals {
-            bm.insert(ClauseId(*r));
-            model.insert(*r);
-        }
-        if model == ids {
-            let got: Vec<u32> = bm.iter().map(|c| c.0).collect();
-            let want: Vec<u32> = ids.iter().copied().collect();
-            prop_assert_eq!(got, want);
-        }
-    }
-
-    /// The lazy `a ∪ b` iterator against set algebra on the model.
-    #[test]
-    fn union_matches_model(a in arb_clause_ids(), b in arb_clause_ids()) {
-        let (bm_a, bm_b) = (bitmap_of(&a), bitmap_of(&b));
-        let got: Vec<u32> = bm_a.union(&bm_b).map(|id| id.0).collect();
-        let want: Vec<u32> = a.union(&b).copied().collect();
-        prop_assert_eq!(got, want);
-    }
-}
+use support::{paged_config, paged_store, queens_workload};
 
 // ---------------------------------------------------------------------------
 // Generated programs + goal streams
@@ -588,8 +530,8 @@ fn cow_fact(pred: usize, first: Option<&Term>) -> Clause {
 }
 
 /// The index rebuilt from scratch over the live clauses, in id order.
-fn rebuild(live: &[Option<Clause>]) -> BitmapClauseIndex {
-    let mut idx = BitmapClauseIndex::default();
+fn rebuild(live: &[Option<Clause>]) -> ClauseIndex {
+    let mut idx = ClauseIndex::default();
     for (i, clause) in live.iter().enumerate() {
         if let Some(clause) = clause {
             idx.insert_clause(ClauseId(i as u32), clause);
@@ -601,7 +543,7 @@ fn rebuild(live: &[Option<Clause>]) -> BitmapClauseIndex {
 /// Every lookup `got` and `want` can be asked — each predicate (and an
 /// unknown one) under every key, unknown keys and an unbound first
 /// argument — answers the same, and so does every predicate's id list.
-fn same_answers(got: &BitmapClauseIndex, want: &BitmapClauseIndex, keys: &[Term]) -> bool {
+fn same_answers(got: &ClauseIndex, want: &ClauseIndex, keys: &[Term]) -> bool {
     let bindings = Bindings::default();
     let preds = COW_PREDS.iter().copied().chain([(9, 2)]);
     preds.into_iter().all(|(name, arity)| {
@@ -629,7 +571,8 @@ proptest! {
     /// no write through a later clone changes what an earlier clone
     /// answers. Each step clones the current index (a transaction's
     /// branch) and applies a batch of inserts — keyed or var-headed —
-    /// and removes of live clauses to the clone.
+    /// and removes of live clauses to the clone. The seed index built in
+    /// one pass by `from_db` answers as its clauses inserted one by one.
     #[test]
     fn cow_index_equals_a_rebuild_through_clones(
         extra in proptest::collection::vec((0u8..3, any::<u16>()), 0..32),
@@ -645,7 +588,12 @@ proptest! {
         let mut live: Vec<Option<Clause>> = keys.iter().map(|k| Some(cow_fact(0, Some(k)))).collect();
         live.extend(extra.iter().map(|&(p, sel)| Some(cow_fact(p as usize, key_of(sel)))));
         let mut idx = rebuild(&live);
-        let mut earlier: Vec<(BitmapClauseIndex, BitmapClauseIndex)> = Vec::new();
+        let mut seed = ClauseDb::new();
+        for clause in live.iter().flatten() {
+            seed.add_clause(clause.clone()).unwrap();
+        }
+        prop_assert!(same_answers(&ClauseIndex::from_db(&seed), &idx, &keys));
+        let mut earlier: Vec<(ClauseIndex, ClauseIndex)> = Vec::new();
 
         for batch in &steps {
             let base = idx.clone();

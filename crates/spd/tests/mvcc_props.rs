@@ -92,7 +92,7 @@ fn store_config(
         capacity_tracks,
         policy,
         // The indexed path: schedules churn f/2 with bound first
-        // arguments, so every epoch's bitmap index is exercised and the
+        // arguments, so every epoch's clause index is exercised and the
         // solution-set assertions prove it never changes an answer.
         index: IndexPolicy::FirstArg,
         fault: None,
@@ -372,7 +372,7 @@ fn check_schedule(
             let map = &epochs[e as usize];
             prop_assert_eq!(snap.clause_count(), map.len());
 
-            // The epoch's bitmap index, not the committed one: the
+            // The epoch's clause index, not the committed one: the
             // candidate ids for a bound first argument are exactly the
             // live `f(a0,_)` facts *of this snapshot's epoch*, in id
             // order, no matter how many commits churned `f/2` since.

@@ -52,23 +52,6 @@ pub fn paged_config(
     }
 }
 
-/// Shrink-friendly clause-id set generator for the bitmap model tests
-/// (`index_props.rs`). The mix matters: dense low ids exercise packed
-/// leaf words, the 4 000–4 200 band straddles the 4 096-id summary-word
-/// boundary, and the wide band leaves empty summary words in the middle
-/// of the tree. Sets shrink toward small-and-low, so failures minimize
-/// to a handful of ids.
-///
-/// Full `proptest::` paths on purpose: this module is compiled into
-/// test crates that do not otherwise import proptest, and a top-level
-/// `use` would trip their unused-import lint.
-pub fn arb_clause_ids() -> impl proptest::Strategy<Value = std::collections::BTreeSet<u32>> {
-    proptest::collection::btree_set(
-        proptest::prop_oneof![0u32..200, 4_000u32..4_200, 0u32..50_000,],
-        0..64,
-    )
-}
-
 /// The paper's figure-1 program.
 pub fn figure_1_program() -> Program {
     parse_program(PAPER_FIGURE_1).unwrap()

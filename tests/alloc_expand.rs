@@ -132,11 +132,11 @@ fn a_served_expansion_allocates_only_what_its_children_keep() {
     // child, cost about three more calls per node than that: the search
     // loop before it read (ClauseDb / Snapshot) queens 4.36 / 7.11,
     // mapcolor 4.52 / 5.33 and dag 8.84 / 9.12. What remains is what the
-    // children keep, plus the Snapshot's narrowed candidate list.
+    // children keep.
     let ceilings = [
-        ("queens 5", 1.4, 4.4),
-        ("mapcolor 3x3x3", 1.4, 2.3),
-        ("dag 6x4", 4.6, 5.3),
+        ("queens 5", 1.4, 1.3),
+        ("mapcolor 3x3x3", 1.4, 1.35),
+        ("dag 6x4", 4.6, 4.5),
     ];
     for ((name, db, snap), (want, db_max, snap_max)) in measure().into_iter().zip(ceilings) {
         assert_eq!(name, want);
