@@ -12,10 +12,11 @@
 //!   OR-tree, either synthetically planted or traced from a real search
 //!   run by `blog-core`.
 //! - [`machine`] — the discrete-event simulation: task scheduling, the
-//!   min-seeking network, D-threshold work acquisition (including the
-//!   run-time adaptive D the paper proposes), disk-latency overlap, and
-//!   the startup phase that is "searched breadth-first to get all
-//!   processors working".
+//!   min-seeking network ([`net`]), the priority circuit (the order in
+//!   which idle tasks are offered work), D-threshold work acquisition
+//!   (including the run-time adaptive D the paper proposes), disk-latency
+//!   overlap, and the startup phase that is "searched breadth-first to
+//!   get all processors working".
 //! - [`scoreboard`] — a micro-simulator of one processor's functional
 //!   units under scoreboard control, for the utilization-versus-M figure.
 //! - [`multiwrite`] — the multi-write copying memory proposed to cheapen
@@ -37,7 +38,7 @@ pub mod scoreboard;
 pub mod tree;
 
 pub use machine::{simulate, MachineConfig, MachineStats};
-pub use net::{MinSeekTree, PriorityCircuit};
+pub use net::MinSeekTree;
 pub use scoreboard::{ScoreboardConfig, ScoreboardStats, UnitKind};
 pub use tree::{
     planted_tree, tree_from_search, NodeKind, PlantedTreeParams, TreeSpec, WeightModel,

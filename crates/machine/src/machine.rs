@@ -508,7 +508,7 @@ pub fn simulate(tree: &TreeSpec, config: &MachineConfig) -> MachineStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::{planted_tree, PlantedTreeParams, WeightModel};
+    use crate::tree::{planted_tree, PlantedTreeParams, TreeNode, WeightModel};
 
     fn small_tree() -> TreeSpec {
         planted_tree(&PlantedTreeParams {
@@ -597,6 +597,28 @@ mod tests {
         // All busy well before the end of the run.
         assert!(t < s.makespan / 2, "all-busy at {t} of {}", s.makespan);
         assert!(s.remote_acquisitions >= 7, "startup distributes via net");
+    }
+
+    #[test]
+    fn idle_order_grants_the_lowest_processor() {
+        // One chain, the root, which both idle processors can take:
+        // processor 0 from its own pool, processor 1 through the network.
+        // The priority circuit's order hands it to processor 0.
+        let tree = TreeSpec {
+            nodes: vec![TreeNode {
+                kind: NodeKind::Solution,
+                work: 0,
+                children: Vec::new(),
+            }],
+        };
+        let cfg = MachineConfig {
+            n_processors: 2,
+            tasks_per_processor: 1,
+            ..MachineConfig::default()
+        };
+        let s = simulate(&tree, &cfg);
+        assert_eq!(s.busy, vec![cfg.solution_cost, 0]);
+        assert_eq!((s.local_acquisitions, s.remote_acquisitions), (1, 0));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The minimum-seeking network and the priority circuit.
+//! The minimum-seeking network.
 //!
 //! "Several circuits have been presented which can very efficiently find
 //! a minimum, one of which is a tree where each node selects the minimum
@@ -13,10 +13,10 @@
 //! bound of the chains not yet expanded" is literally a data structure
 //! here, and its depth gives the network's decision latency.
 //!
-//! [`PriorityCircuit`] grants one waiting requester at a time, lowest
-//! index first, with carry-lookahead depth `ceil(log2 N)`.
-
-use serde::Serialize;
+//! The priority circuit has no structure of its own: it is the order in
+//! which the DES offers work to idle tasks (`Sim::wake_idle` in
+//! [`crate::machine`]), lowest processor, then lowest task, first. The
+//! same lowest-index rule breaks the tree's ties.
 
 /// The "no chain" sentinel: an empty processor reports this bound.
 pub const EMPTY: u64 = u64::MAX;
@@ -114,59 +114,6 @@ impl MinSeekTree {
     }
 }
 
-/// Outcome counters for the priority circuit.
-#[derive(Clone, Copy, Default, Debug, Serialize)]
-pub struct PriorityStats {
-    /// Grants issued.
-    pub grants: u64,
-    /// Grant rounds with no requester.
-    pub idle_rounds: u64,
-}
-
-/// A fixed-priority arbiter: of all raised request lines, the lowest
-/// index wins. Depth models a tree-shaped carry-lookahead circuit.
-#[derive(Clone, Debug)]
-pub struct PriorityCircuit {
-    n: usize,
-    stats: PriorityStats,
-}
-
-impl PriorityCircuit {
-    /// An arbiter over `n` request lines.
-    pub fn new(n: usize) -> PriorityCircuit {
-        assert!(n >= 1);
-        PriorityCircuit {
-            n,
-            stats: PriorityStats::default(),
-        }
-    }
-
-    /// Lookahead depth in gate stages.
-    pub fn depth(&self) -> u32 {
-        (self.n.next_power_of_two()).trailing_zeros().max(1)
-    }
-
-    /// Grant the lowest raised line, if any.
-    pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.n, "request line count mismatch");
-        match requests.iter().position(|&r| r) {
-            Some(i) => {
-                self.stats.grants += 1;
-                Some(i)
-            }
-            None => {
-                self.stats.idle_rounds += 1;
-                None
-            }
-        }
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> PriorityStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,21 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn priority_grants_lowest_index() {
-        let mut p = PriorityCircuit::new(4);
-        assert_eq!(p.grant(&[false, true, false, true]), Some(1));
-        assert_eq!(p.grant(&[false, false, false, true]), Some(3));
-        assert_eq!(p.grant(&[false; 4]), None);
-        let s = p.stats();
-        assert_eq!(s.grants, 2);
-        assert_eq!(s.idle_rounds, 1);
-    }
-
-    #[test]
     fn depths_scale_logarithmically() {
         assert_eq!(MinSeekTree::new(2).depth(), 1);
         assert_eq!(MinSeekTree::new(16).depth(), 4);
         assert_eq!(MinSeekTree::new(17).depth(), 5);
-        assert_eq!(PriorityCircuit::new(16).depth(), 4);
     }
 }

@@ -42,6 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use blog_logic::StoreError;
+use blog_obs::splitmix64;
 use serde::Serialize;
 
 use crate::paged::TrackId;
@@ -192,17 +193,9 @@ impl FaultPlan {
     }
 }
 
-/// `splitmix64` — the same finalizer the serving layer routes with.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
 /// A uniform draw in `[0, 1)` determined by `(seed, site, seq)`.
 fn draw(seed: u64, site: usize, seq: u64) -> f64 {
-    let h = splitmix(seed ^ splitmix(site as u64 ^ splitmix(seq)));
+    let h = splitmix64(seed ^ splitmix64(site as u64 ^ splitmix64(seq)));
     // 53 mantissa bits, exactly representable.
     (h >> 11) as f64 / (1u64 << 53) as f64
 }

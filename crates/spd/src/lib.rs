@@ -16,7 +16,11 @@
 //! follows, word transfers). Multiple SPs run in **MIMD** mode (each on
 //! its own track, cross-track pointers deferred) or **SIMD** mode (all
 //! SPs on one cylinder, global block numbers resolved between SPs
-//! immediately, as described in the paper).
+//! immediately, as described in the paper). Operation 3 is modelled only
+//! as the pointer-weight rewrite ([`SpdArray::update_pointer_weight`])
+//! and the page's output; inserting and deleting clause blocks is
+//! [`MvccClauseStore`]'s write path (assert, retract, commit), the one
+//! model of block edits.
 //!
 //! The [`bridge`] module lays a [`ClauseDb`](blog_logic::ClauseDb) out as
 //! SPD blocks — one block per Horn clause, one *named weighted pointer*
@@ -62,5 +66,5 @@ pub use mvcc::{CommitMode, MvccClauseStore, MvccError, MvccStats, Snapshot, Writ
 pub use paged::{PagedStoreConfig, PagedStoreStats, PoolTouchStats, TouchOutcome, TrackId};
 pub use pager::{Pager, PagerStats};
 pub use policy::{Clock, Fifo, Lru, PolicyKind, PolicyStats, ReplacementPolicy, TwoQ};
-pub use spd::{GcReport, PageRequest, PageResult, SpMode, SpdArray, SpdStats, TrackFull};
+pub use spd::{PageRequest, PageResult, SpMode, SpdArray, SpdStats};
 pub use timing::{CostModel, Geometry};

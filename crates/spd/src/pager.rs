@@ -32,15 +32,6 @@ pub struct PagerStats {
     pub blocks_paged: u64,
     /// SPD ticks spent on faults.
     pub fault_ticks: u64,
-    /// Residency-state acquisitions (one per touch), mirroring the
-    /// paged clause store's lock meter so sweep tables can report both
-    /// backends through one schema.
-    pub lock_acquisitions: u64,
-    /// Contended acquisitions. The replay pager is `&mut self` —
-    /// exclusive by construction — so this is structurally zero; a
-    /// nonzero value can only come from the shared, mutex-guarded
-    /// [`TrackCache`](crate::cache::TrackCache) path.
-    pub lock_contended: u64,
 }
 
 impl PagerStats {
@@ -144,7 +135,6 @@ impl<'a> Pager<'a> {
     /// Touch one clause: count a hit, or fault its semantic page in.
     pub fn touch(&mut self, cid: ClauseId) -> bool {
         self.stats.accesses += 1;
-        self.stats.lock_acquisitions += 1;
         let block = self.layout.block_of(cid);
         let hit = match &mut self.policy {
             Some(p) => p.touch(block),

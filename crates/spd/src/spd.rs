@@ -46,48 +46,8 @@ pub struct SpdStats {
     pub words_output: u64,
     /// Pointer-weight updates written.
     pub weight_updates: u64,
-    /// Words inserted into blocks.
-    pub words_inserted: u64,
-    /// Words deleted from blocks.
-    pub words_deleted: u64,
-    /// Blocks moved by in-cylinder garbage collection.
-    pub gc_moves: u64,
     /// Total simulated time.
     pub ticks: u64,
-}
-
-/// Insert failed: the block's track has no room left.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TrackFull {
-    /// The full track's cylinder.
-    pub cylinder: u32,
-    /// The full track's SP.
-    pub sp: u32,
-    /// Words currently used on the track.
-    pub used: u64,
-    /// The configured capacity.
-    pub capacity: u64,
-}
-
-impl std::fmt::Display for TrackFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "track (cyl {}, sp {}) full: {} of {} words",
-            self.cylinder, self.sp, self.used, self.capacity
-        )
-    }
-}
-
-impl std::error::Error for TrackFull {}
-
-/// Outcome of [`SpdArray::garbage_collect_cylinder`].
-#[derive(Clone, Copy, Default, Debug, Serialize)]
-pub struct GcReport {
-    /// Blocks relocated to another track of the cylinder.
-    pub moved_blocks: u64,
-    /// Words transferred while relocating.
-    pub moved_words: u64,
 }
 
 /// A semantic-page request: the subgraph within `distance` pointer hops
@@ -131,8 +91,6 @@ pub struct SpdArray {
     addrs: Vec<BlockAddr>,
     sps: Vec<SpState>,
     marks: Vec<bool>,
-    /// Per-track word capacity for inserts (`None` = unlimited).
-    track_capacity_words: Option<u64>,
     clock: u64,
     stats: SpdStats,
 }
@@ -154,26 +112,9 @@ impl SpdArray {
                 geometry.n_sps as usize
             ],
             marks: Vec::new(),
-            track_capacity_words: None,
             clock: 0,
             stats: SpdStats::default(),
         }
-    }
-
-    /// Set the per-track word capacity used by
-    /// [`insert_words`](Self::insert_words) (`None` = unlimited).
-    pub fn set_track_capacity_words(&mut self, cap: Option<u64>) {
-        self.track_capacity_words = cap;
-    }
-
-    /// Words currently stored on one track.
-    pub fn track_usage(&self, cylinder: u32, sp: u32) -> u64 {
-        self.addrs
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.cylinder == cylinder && a.sp == sp)
-            .map(|(i, _)| self.blocks[i].size_words() as u64)
-            .sum()
     }
 
     /// Place the next block (round-robin across slots, SPs, cylinders).
@@ -355,7 +296,12 @@ impl SpdArray {
     }
 
     /// Operation (3): update the stored weight of one pointer of a cached
-    /// block.
+    /// block. This and the page's output at the end of
+    /// [`semantic_page`](Self::semantic_page) are all of operation (3)
+    /// the simulator models: inserting and deleting clause blocks is the
+    /// live store's write path
+    /// ([`MvccClauseStore`](crate::mvcc::MvccClauseStore)'s assert,
+    /// retract and commit).
     ///
     /// # Panics
     /// Panics if the block's track is not cached or the pointer index is
@@ -365,118 +311,6 @@ impl SpdArray {
         self.blocks[id.index()].pointers[ptr_index].weight = weight;
         self.stats.weight_updates += 1;
         self.charge(self.cost.word_update);
-    }
-
-    /// Operation (3): insert `n` payload words into a cached block.
-    ///
-    /// Fails with [`TrackFull`] if the track's capacity would be
-    /// exceeded — the caller then runs
-    /// [`garbage_collect_cylinder`](Self::garbage_collect_cylinder).
-    ///
-    /// # Panics
-    /// Panics if the block's track is not cached.
-    pub fn insert_words(&mut self, id: BlockId, n: u32) -> Result<(), TrackFull> {
-        assert!(self.is_cached(id), "insert requires the block in cache");
-        let addr = self.addrs[id.index()];
-        if let Some(cap) = self.track_capacity_words {
-            let used = self.track_usage(addr.cylinder, addr.sp);
-            if used + n as u64 > cap {
-                return Err(TrackFull {
-                    cylinder: addr.cylinder,
-                    sp: addr.sp,
-                    used,
-                    capacity: cap,
-                });
-            }
-        }
-        self.blocks[id.index()].payload_words += n;
-        self.stats.words_inserted += n as u64;
-        self.charge(self.cost.word_update * n as u64);
-        Ok(())
-    }
-
-    /// Operation (3): delete up to `n` payload words from a cached block.
-    ///
-    /// # Panics
-    /// Panics if the block's track is not cached.
-    pub fn delete_words(&mut self, id: BlockId, n: u32) {
-        assert!(self.is_cached(id), "delete requires the block in cache");
-        let b = &mut self.blocks[id.index()];
-        let removed = n.min(b.payload_words);
-        b.payload_words -= removed;
-        self.stats.words_deleted += removed as u64;
-        self.charge(self.cost.word_update * removed as u64);
-    }
-
-    /// "Garbage collection between tracks in a cylinder can be done in
-    /// the SPs without interacting with external processors" (§6):
-    /// rebalance the cylinder's blocks across its SP tracks so no track
-    /// overflows unnecessarily. SIMD mode only (the SPs coordinate over
-    /// their shared cylinder), and the cylinder must be cached.
-    ///
-    /// Block identities are stable — pointers hold [`BlockId`]s, and the
-    /// paper's block numbers are likewise recomputed as caches load.
-    pub fn garbage_collect_cylinder(&mut self, cylinder: u32) -> GcReport {
-        assert_eq!(self.mode, SpMode::Simd, "in-SP GC needs SIMD coordination");
-        for sp in 0..self.geometry.n_sps {
-            assert_eq!(
-                self.sps[sp as usize].cached_cylinder,
-                Some(cylinder),
-                "GC requires the whole cylinder cached"
-            );
-        }
-        // Collect the cylinder's blocks, largest first.
-        let mut members: Vec<(BlockId, u64)> = self
-            .addrs
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.cylinder == cylinder)
-            .map(|(i, _)| (BlockId(i as u32), self.blocks[i].size_words() as u64))
-            .collect();
-        members.sort_by_key(|&(id, words)| (std::cmp::Reverse(words), id));
-        // Greedy rebalance: each block to the currently lightest track.
-        let mut loads = vec![0u64; self.geometry.n_sps as usize];
-        let mut slots = vec![0u32; self.geometry.n_sps as usize];
-        let mut report = GcReport::default();
-        for (id, words) in members {
-            let sp = (0..self.geometry.n_sps)
-                .min_by_key(|&s| (loads[s as usize], s))
-                .expect("at least one SP");
-            let old = self.addrs[id.index()];
-            let new = crate::timing::BlockAddr {
-                cylinder,
-                sp,
-                slot: slots[sp as usize],
-            };
-            slots[sp as usize] += 1;
-            loads[sp as usize] += words;
-            if old.sp != new.sp {
-                report.moved_blocks += 1;
-                report.moved_words += words;
-            }
-            self.addrs[id.index()] = new;
-        }
-        self.stats.gc_moves += report.moved_blocks;
-        // Moves stream through the SP caches: one write per moved word.
-        self.charge(self.cost.word_update * report.moved_words);
-        report
-    }
-
-    /// Operation (3): output all marked cached blocks to the processor,
-    /// charging transfer time. Marks stay set.
-    pub fn output_marked(&mut self) -> Vec<BlockId> {
-        let ids: Vec<BlockId> = (0..self.blocks.len() as u32)
-            .map(BlockId)
-            .filter(|&b| self.marks[b.index()] && self.is_cached(b))
-            .collect();
-        let mut words = 0u64;
-        for &b in &ids {
-            words += self.blocks[b.index()].size_words() as u64;
-        }
-        self.stats.blocks_output += ids.len() as u64;
-        self.stats.words_output += words;
-        self.charge(self.cost.word_transfer * words);
-        ids
     }
 
     /// The full semantic-page operation: repeatedly loading loci
@@ -583,7 +417,8 @@ impl SpdArray {
             }
         }
 
-        // Ship the page to the requesting processor.
+        // Ship the page to the requesting processor: operation (3)'s
+        // output, charged per word transferred.
         let mut words = 0u64;
         for b in &order {
             words += self.blocks[b.index()].size_words() as u64;
@@ -825,91 +660,6 @@ mod tests {
         spd.update_pointer_weight(ids[0], 0, 42);
         assert_eq!(spd.block(ids[0]).pointers[0].weight, 42);
         assert_eq!(spd.stats().weight_updates, 1);
-    }
-
-    #[test]
-    fn output_marked_charges_transfer() {
-        let mut spd = tiny(SpMode::Simd);
-        let a = spd.add_block(Block::new(8));
-        spd.load_cylinder(0);
-        spd.mark(&[a]);
-        let t = spd.clock();
-        let out = spd.output_marked();
-        assert_eq!(out, vec![a]);
-        assert!(spd.clock() > t);
-        assert_eq!(spd.stats().words_output, 8);
-    }
-
-    #[test]
-    fn insert_and_delete_words_adjust_payload() {
-        let mut spd = tiny(SpMode::Simd);
-        let a = spd.add_block(Block::new(4));
-        spd.load_cylinder(0);
-        spd.insert_words(a, 6).unwrap();
-        assert_eq!(spd.block(a).payload_words, 10);
-        spd.delete_words(a, 3);
-        assert_eq!(spd.block(a).payload_words, 7);
-        // Deleting more than present saturates.
-        spd.delete_words(a, 100);
-        assert_eq!(spd.block(a).payload_words, 0);
-        let s = spd.stats();
-        assert_eq!(s.words_inserted, 6);
-        assert_eq!(s.words_deleted, 3 + 7);
-    }
-
-    #[test]
-    fn insert_respects_track_capacity() {
-        let mut spd = tiny(SpMode::Simd);
-        let a = spd.add_block(Block::new(10));
-        let b = spd.add_block(Block::new(10)); // same track (sp 0, cyl 0)
-        spd.set_track_capacity_words(Some(25));
-        spd.load_cylinder(0);
-        assert!(spd.insert_words(a, 5).is_ok()); // 25/25
-        let err = spd.insert_words(b, 1).unwrap_err();
-        assert_eq!(err.used, 25);
-        assert_eq!(err.capacity, 25);
-    }
-
-    #[test]
-    fn gc_rebalances_and_unblocks_inserts() {
-        let mut spd = tiny(SpMode::Simd);
-        // Both blocks land on sp 0's track; sp 1 is empty.
-        let a = spd.add_block(Block::new(12));
-        let b = spd.add_block(Block::new(12));
-        spd.set_track_capacity_words(Some(26));
-        spd.load_cylinder(0);
-        assert!(spd.insert_words(a, 4).is_err(), "track 0 is 24/26 full");
-        let report = spd.garbage_collect_cylinder(0);
-        assert_eq!(report.moved_blocks, 1);
-        // Now each track holds one block: the insert fits.
-        assert!(spd.insert_words(a, 4).is_ok());
-        assert_ne!(spd.addr(a).sp, spd.addr(b).sp);
-    }
-
-    #[test]
-    fn gc_preserves_block_identity_and_pointers() {
-        let mut spd = tiny(SpMode::Simd);
-        let ids = chain(&mut spd, 4, 0);
-        spd.load_cylinder(0);
-        spd.garbage_collect_cylinder(0);
-        // Pointers still resolve: a semantic page still walks the chain
-        // members that live on cylinder 0 (ids 0..4).
-        let r = spd.semantic_page(&PageRequest {
-            roots: vec![ids[0]],
-            distance: 3,
-            name: None,
-            weight_max: None,
-        });
-        assert_eq!(r.blocks.len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "SIMD")]
-    fn gc_requires_simd_mode() {
-        let mut spd = tiny(SpMode::Mimd);
-        spd.add_block(Block::new(1));
-        spd.load_track(0, 0);
-        spd.garbage_collect_cylinder(0);
     }
 
     #[test]
