@@ -317,7 +317,7 @@ pub fn t6c_capacities(total: usize) -> Vec<usize> {
 /// T6c: sweep every replacement policy across every workload generator's
 /// benchmark instance, running the real engine through the paged store.
 pub fn run_t6c() -> Vec<PolicyRow> {
-    let policies = PolicyKind::CACHE_SWEEP;
+    let policies = PolicyKind::ALL;
     let mut rows = Vec::new();
     println!(
         "T6c — replacement-policy sweep over the live paged store (policies: {}):",
@@ -390,7 +390,7 @@ pub fn run_t6c() -> Vec<PolicyRow> {
     }
     println!(
         "expected shape: per workload, every policy expands identical nodes and\n\
-         finds identical solutions (transparency). LRU and CLOCK keep the T6b\n\
+         finds identical solutions (transparency). LRU keeps the T6b\n\
          cliff: no gain until the working set fits. 2Q flattens it — the ghost\n\
          window promotes re-referenced tracks into Am, so mid-range capacities\n\
          finally buy hit rate on scan-heavy searches.\n"
@@ -460,7 +460,7 @@ mod tests {
         let rows = run_t6c();
         // Every (workload, capacity) pair: transparency means identical
         // nodes, solutions, and access streams across policies.
-        for pair in rows.chunks(PolicyKind::CACHE_SWEEP.len()) {
+        for pair in rows.chunks(PolicyKind::ALL.len()) {
             for r in &pair[1..] {
                 assert_eq!(r.nodes_expanded, pair[0].nodes_expanded, "{r:?}");
                 assert_eq!(r.solutions, pair[0].solutions, "{r:?}");

@@ -24,7 +24,6 @@
 //!   miss's own critical section;
 //! - before the same thread reads the cache's counters
 //!   ([`stats`](TrackCache::stats), [`pool_stats`](TrackCache::pool_stats),
-//!   [`policy_stats`](TrackCache::policy_stats),
 //!   [`resident_tracks`](TrackCache::resident_tracks)) or resets them;
 //! - on [`flush`](TrackCache::flush), which a dropped
 //!   [`Snapshot`](crate::mvcc::Snapshot) and a returning OR-parallel
@@ -58,7 +57,7 @@ use blog_logic::StoreError;
 use crate::fault::{FaultPlan, FaultState};
 use crate::lru::Touch;
 use crate::paged::{PagedStoreStats, PoolTouchStats, TouchOutcome, TrackId};
-use crate::policy::{PolicyKind, PolicyStats, ReplacementPolicy};
+use crate::policy::{PolicyKind, ReplacementPolicy};
 use crate::timing::{CostModel, Geometry};
 
 /// Resident hits a thread batches before it takes the mutex to apply
@@ -212,8 +211,9 @@ impl TrackCache {
     /// batched on the calling thread (see the module docs). Anything
     /// else takes one lock acquisition, which first applies the thread's
     /// batch and then covers the residency decision, the fault cost (seek
-    /// if the SP's head moves, plus the track load) and both counter
-    /// sets; the pool counter table grows on first use of each pool id.
+    /// if the SP's head moves, plus the track load) and the global and
+    /// per-pool counters; the pool counter table grows on first use of
+    /// each pool id.
     ///
     /// With no fault plan this never returns `Err`. With one, every touch
     /// takes the locked path, and the plan decides *before* the cache
@@ -337,16 +337,12 @@ impl TrackCache {
     /// first, and empty it.
     fn apply(&self, state: &mut CacheCore, batch: &mut HitBatch) {
         for &(track, pool) in &batch.hits[..batch.len] {
+            // A track another thread evicted after this one saw it
+            // resident is skipped: the caller's hit stands, but
+            // re-admitting the track now would invent a miss nobody made.
             if self.is_resident(track) {
                 let touch = state.policy.access(track);
                 debug_assert!(touch.is_hit(), "a resident track must hit");
-            } else {
-                // Another thread evicted the track after this one saw it
-                // resident: the caller's hit stands, but re-admitting
-                // the track now would invent a miss nobody made.
-                let policy = state.policy.stats_mut();
-                policy.touches += 1;
-                policy.hits += 1;
             }
             state.count(&HIT, pool);
         }
@@ -376,13 +372,6 @@ impl TrackCache {
     /// The cost model faults are charged under.
     pub fn cost(&self) -> CostModel {
         self.cost
-    }
-
-    /// The policy's own counters (a second view over the same accesses
-    /// [`stats`](Self::stats) meters, minus the cost-model fields).
-    pub fn policy_stats(&self) -> PolicyStats {
-        self.flush();
-        self.lock().policy.stats()
     }
 
     /// This pool's touch counters (zeros for a pool never seen).
@@ -416,8 +405,7 @@ impl TrackCache {
         stats
     }
 
-    /// Reset counters — the cache's and the policy's, which stay two
-    /// views over the same accesses, plus the per-pool, lock-traffic and
+    /// Reset counters — the cache's, plus the per-pool, lock-traffic and
     /// fault meters; resident tracks and head positions persist. The
     /// calling thread's batched hits are applied first, so they are
     /// counted before the reset, as if they had taken the lock. The
@@ -428,7 +416,6 @@ impl TrackCache {
         self.own_batch(|batch| self.apply(&mut state, batch));
         state.stats = PagedStoreStats::default();
         state.pools.clear();
-        *state.policy.stats_mut() = PolicyStats::default();
         self.lock_acquisitions.store(0, Ordering::Relaxed);
         self.lock_contended.store(0, Ordering::Relaxed);
         if let Some(f) = &self.faults {

@@ -34,8 +34,8 @@
 //! *live storage backend*: [`MvccClauseStore`] owns the clauses, and a
 //! [`Snapshot`] of it implements
 //! [`ClauseSource`](blog_logic::ClauseSource) over a track [`cache`]
-//! whose replacement algorithm is a [`policy`] seam — exact [`lru`],
-//! scan-resistant 2Q, CLOCK, or FIFO, selected by [`PolicyKind`] — so
+//! whose replacement algorithm is a [`policy`] seam — exact [`lru`] or
+//! scan-resistant 2Q, selected by [`PolicyKind`] — so
 //! the `blog-core` best-first engine resolves clauses through the cache
 //! and the paging statistics reflect the search's real access stream
 //! rather than a canned trace. A database that is only searched is a
@@ -65,6 +65,6 @@ pub use lru::{LruSet, Touch};
 pub use mvcc::{CommitMode, MvccClauseStore, MvccError, MvccStats, Snapshot, WriteTxn};
 pub use paged::{PagedStoreConfig, PagedStoreStats, PoolTouchStats, TouchOutcome, TrackId};
 pub use pager::{Pager, PagerStats};
-pub use policy::{Clock, Fifo, Lru, PolicyKind, PolicyStats, ReplacementPolicy, TwoQ};
+pub use policy::{Lru, PolicyKind, ReplacementPolicy, TwoQ};
 pub use spd::{PageRequest, PageResult, SpMode, SpdArray, SpdStats};
 pub use timing::{CostModel, Geometry};

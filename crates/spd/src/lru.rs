@@ -1,11 +1,13 @@
 //! A fixed-capacity LRU residency set with O(1) touch and eviction.
 //!
-//! This is the default page-replacement policy of the
-//! [`TrackCache`](crate::cache::TrackCache): it tracks *which* pages are
-//! resident, not their contents (clause data always lives in the store's
-//! page versions — the "disk"). Entries are
-//! kept in recency order by an intrusive doubly-linked list over a slot
-//! vector, so `touch` is a hash lookup plus pointer swaps.
+//! This is the list under both replacement policies of the
+//! [`TrackCache`](crate::cache::TrackCache): the whole of
+//! [`Lru`](crate::policy::Lru), the default, and each of
+//! [`TwoQ`](crate::policy::TwoQ)'s two resident queues. It tracks *which*
+//! pages are resident, not their contents (clause data always lives in
+//! the store's page versions — the "disk"). Entries are kept in recency
+//! order by an intrusive doubly-linked list over a slot vector, so
+//! `touch` is a hash lookup plus pointer swaps.
 //!
 //! LRU is a stack algorithm: for any fixed access trace, the hit set at
 //! capacity `k` is a subset of the hit set at capacity `k+1`. The paging

@@ -97,7 +97,6 @@ use serde::Serialize;
 use crate::bitidx::{ClauseIndex, IndexCounters, IndexPolicy, IndexedCandidates};
 use crate::cache::TrackCache;
 use crate::paged::{PagedStoreConfig, PagedStoreStats, PoolTouchStats, TrackId};
-use crate::policy::PolicyStats;
 use crate::timing::Geometry;
 
 /// How a committing writer treats in-flight readers. There is one way,
@@ -463,11 +462,6 @@ impl MvccClauseStore {
         s.index_prunes = prunes;
         s.candidates_scanned = scanned;
         s
-    }
-
-    /// The replacement policy's own counters.
-    pub fn policy_stats(&self) -> PolicyStats {
-        self.cache.policy_stats()
     }
 
     /// One pool's touch counters (zeros for a pool never seen).

@@ -19,11 +19,11 @@
 //! charges the cost model for the seek and track load and may **evict** a
 //! resident track, chosen by the configured
 //! [`ReplacementPolicy`](crate::policy::ReplacementPolicy) (LRU by
-//! default; see [`PolicyKind`] for the scan-resistant 2Q and the CLOCK
-//! approximation). Paging is semantically transparent: searches return
-//! exactly the solutions the in-memory database yields, while the store
-//! reports the hit/miss/eviction behavior of the access pattern the
-//! search actually generated. The integration tests in
+//! default; see [`PolicyKind`] for the scan-resistant 2Q). Paging is
+//! semantically transparent: searches return exactly the solutions the
+//! in-memory database yields, while the store reports the
+//! hit/miss/eviction behavior of the access pattern the search actually
+//! generated. The integration tests in
 //! `tests/paged_store.rs` assert both halves of that claim.
 
 use serde::Serialize;
@@ -356,7 +356,6 @@ mod tests {
         cache.try_touch(track(0), None).unwrap();
         cache.reset_stats();
         assert_eq!(cache.stats().accesses, 0);
-        assert_eq!(cache.policy_stats().touches, 0, "policy counters reset too");
         assert_eq!(cache.resident_tracks(), 1);
         assert!(
             cache.try_touch(track(0), None).unwrap().hit,
@@ -380,11 +379,12 @@ mod tests {
             let s = cache.stats();
             assert_eq!(s.accesses, 3 * u64::from(N_CLAUSES), "{policy}");
             assert_eq!(s.hits + s.misses, s.accesses, "{policy}");
-            // The policy's own counters and the cache's must agree.
-            let ps = cache.policy_stats();
-            assert_eq!(ps.touches, s.accesses, "{policy}");
-            assert_eq!(ps.hits, s.hits, "{policy}");
-            assert_eq!(ps.evictions, s.evictions, "{policy}");
+            // Every miss admitted a track; each eviction made room for one.
+            assert_eq!(
+                s.misses,
+                cache.resident_tracks() as u64 + s.evictions,
+                "{policy}"
+            );
         }
     }
 

@@ -16,7 +16,6 @@ use serde::Serialize;
 
 use crate::block::BlockId;
 use crate::bridge::DbLayout;
-use crate::policy::{PolicyKind, ReplacementPolicy};
 use crate::spd::{PageRequest, SpdArray};
 
 /// Paging statistics for one replayed trace.
@@ -46,21 +45,19 @@ impl PagerStats {
 
 /// Local-memory manager over an SPD-resident clause database.
 ///
-/// Local memory is either *unbounded* (the default: every paged-in block
-/// stays resident) or governed by a [`ReplacementPolicy`] installed with
-/// [`bound`](Self::bound) — FIFO to reproduce the pager's historical
-/// behavior, or any [`PolicyKind`] the paged clause store supports.
+/// Local memory is unbounded: every paged-in block stays resident, so a
+/// replay measures what the page distance and weight filter prefetch,
+/// never what an eviction policy throws away (that is the live
+/// [`TrackCache`](crate::cache::TrackCache)'s business).
 pub struct Pager<'a> {
     spd: &'a mut SpdArray,
     layout: &'a DbLayout,
-    /// Residency when unbounded (`policy.is_none()`).
+    /// Resident blocks.
     resident: HashSet<BlockId>,
     /// Semantic page distance requested on a miss.
     pub distance: u32,
     /// Optional weight ceiling for prefetch pointer-following.
     pub weight_max: Option<u32>,
-    /// Replacement policy bounding local memory (`None` = unbounded).
-    policy: Option<Box<dyn ReplacementPolicy<BlockId>>>,
     stats: PagerStats,
 }
 
@@ -73,26 +70,8 @@ impl<'a> Pager<'a> {
             resident: HashSet::new(),
             distance,
             weight_max: None,
-            policy: None,
             stats: PagerStats::default(),
         }
-    }
-
-    /// Bound local memory to `capacity` blocks evicted by `policy`.
-    /// Blocks already resident — whether unbounded or under a previous
-    /// bound — carry over (in arbitrary admission order) up to the new
-    /// capacity; the rest are dropped.
-    pub fn bound(&mut self, policy: PolicyKind, capacity: usize) {
-        let carried: Vec<BlockId> = match &self.policy {
-            Some(old) => old.resident_keys(),
-            None => self.resident.iter().copied().collect(),
-        };
-        let mut p = policy.build(capacity);
-        for b in carried.into_iter().take(capacity) {
-            p.admit(b);
-        }
-        self.resident.clear();
-        self.policy = Some(p);
     }
 
     /// Statistics so far.
@@ -102,45 +81,19 @@ impl<'a> Pager<'a> {
 
     /// Blocks currently resident.
     pub fn resident_len(&self) -> usize {
-        match &self.policy {
-            Some(p) => p.len(),
-            None => self.resident.len(),
-        }
+        self.resident.len()
     }
 
     /// Whether a clause is resident.
     pub fn is_resident(&self, cid: ClauseId) -> bool {
-        let block = self.layout.block_of(cid);
-        match &self.policy {
-            Some(p) => p.contains(&block),
-            None => self.resident.contains(&block),
-        }
-    }
-
-    /// Admit a paged-in block, evicting under the policy if bounded.
-    fn admit(&mut self, block: BlockId) {
-        match &mut self.policy {
-            Some(p) => {
-                if !p.contains(&block) {
-                    p.evict_candidate();
-                    p.admit(block);
-                }
-            }
-            None => {
-                self.resident.insert(block);
-            }
-        }
+        self.resident.contains(&self.layout.block_of(cid))
     }
 
     /// Touch one clause: count a hit, or fault its semantic page in.
     pub fn touch(&mut self, cid: ClauseId) -> bool {
         self.stats.accesses += 1;
         let block = self.layout.block_of(cid);
-        let hit = match &mut self.policy {
-            Some(p) => p.touch(block),
-            None => self.resident.contains(&block),
-        };
-        if hit {
+        if self.resident.contains(&block) {
             self.stats.hits += 1;
             return true;
         }
@@ -153,15 +106,8 @@ impl<'a> Pager<'a> {
         });
         self.stats.fault_ticks += page.ticks;
         self.stats.blocks_paged += page.blocks.len() as u64;
-        // The demanded block is admitted first: policies that route
-        // admissions on the preceding touch-miss (2Q's ghost promotion)
-        // must see it before any prefetched neighbor.
-        self.admit(block);
-        for b in page.blocks {
-            if b != block {
-                self.admit(b);
-            }
-        }
+        // The page includes its root, the demanded block.
+        self.resident.extend(page.blocks);
         false
     }
 
@@ -236,62 +182,6 @@ mod tests {
         let mut pager = Pager::new(&mut spd, &layout, 0);
         pager.touch(ClauseId(0));
         assert_eq!(pager.resident_len(), 1);
-    }
-
-    #[test]
-    fn capacity_evicts_fifo() {
-        let (mut spd, layout) = setup();
-        let mut pager = Pager::new(&mut spd, &layout, 0);
-        pager.bound(PolicyKind::Fifo, 2);
-        pager.touch(ClauseId(0));
-        pager.touch(ClauseId(1));
-        pager.touch(ClauseId(2)); // evicts clause 0's block
-        assert!(!pager.is_resident(ClauseId(0)));
-        assert!(!pager.touch(ClauseId(0)), "evicted block must re-fault");
-    }
-
-    #[test]
-    fn bounded_lru_keeps_the_rereferenced_block() {
-        let (mut spd, layout) = setup();
-        let mut pager = Pager::new(&mut spd, &layout, 0);
-        pager.bound(PolicyKind::Lru, 2);
-        pager.touch(ClauseId(0));
-        pager.touch(ClauseId(1));
-        pager.touch(ClauseId(0)); // refresh 0: LRU victim is now 1
-        pager.touch(ClauseId(2));
-        assert!(pager.is_resident(ClauseId(0)), "re-referenced block kept");
-        assert!(!pager.is_resident(ClauseId(1)), "stale block evicted");
-        assert_eq!(pager.resident_len(), 2);
-    }
-
-    #[test]
-    fn bound_carries_existing_residents_over() {
-        let (mut spd, layout) = setup();
-        let mut pager = Pager::new(&mut spd, &layout, 0);
-        pager.touch(ClauseId(0));
-        pager.touch(ClauseId(2));
-        pager.bound(PolicyKind::Lru, 2);
-        assert_eq!(pager.resident_len(), 2);
-        assert!(pager.touch(ClauseId(0)), "carried-over block still hits");
-        // Re-bounding under a different policy also carries residency.
-        pager.bound(PolicyKind::Fifo, 4);
-        assert_eq!(pager.resident_len(), 2);
-        assert!(pager.touch(ClauseId(2)), "re-bound kept the resident block");
-    }
-
-    #[test]
-    fn bounded_prefetch_respects_capacity() {
-        let (mut spd, layout) = setup();
-        // Distance 1 from rule 0 pages in 7 blocks; a 3-block bound must
-        // hold residency at 3 whatever the policy.
-        for policy in PolicyKind::ALL {
-            let mut pager = Pager::new(&mut spd, &layout, 1);
-            pager.bound(policy, 3);
-            pager.touch(ClauseId(0));
-            // A 7-block page through a 3-block bound: residency stays
-            // bounded (which blocks survive is the policy's business).
-            assert_eq!(pager.resident_len(), 3, "{policy}");
-        }
     }
 
     #[test]

@@ -99,9 +99,8 @@ fn eviction_is_semantically_invisible() {
 fn hit_rate_is_monotone_in_capacity() {
     // LRU is a stack algorithm, so for the identical access stream the
     // hit count can only grow with capacity. The stream *is* identical at
-    // every capacity because paging never alters the search. (2Q and
-    // CLOCK are deliberately *not* stack algorithms — this only holds
-    // for LRU.)
+    // every capacity because paging never alters the search. (2Q is
+    // deliberately *not* a stack algorithm — this only holds for LRU.)
     let program = family_workload();
     let mut last_hits = 0u64;
     let mut accesses = None;

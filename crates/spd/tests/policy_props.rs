@@ -4,8 +4,8 @@
 //!
 //! The reference models are deliberately naive — flat `Vec`s, linear
 //! scans, the textbook statement of each algorithm — so a bookkeeping
-//! bug in the real implementations' intrusive lists, ghost windows, or
-//! ring hands cannot hide in shared code.
+//! bug in the real implementations' intrusive lists or ghost windows
+//! cannot hide in shared code.
 //!
 //! Case counts honor the `PROPTEST_CASES` environment variable (the CI
 //! profile sets a reduced count; see `.github/workflows/ci.yml`).
@@ -26,10 +26,10 @@ trait Model {
     fn access(&mut self, key: u32) -> Step;
     fn resident(&self) -> Vec<u32>;
 
-    /// Admit `key` without touching it first, as the pager admits a
-    /// prefetched block: nothing happens if it is resident; otherwise
-    /// returns the victim that made room. For every policy but 2Q an
-    /// admission is exactly an access's miss path.
+    /// Admit `key` without touching it first (a prefetch, which the
+    /// trait allows): nothing happens if it is resident; otherwise
+    /// returns the victim that made room. For LRU an admission is
+    /// exactly an access's miss path.
     fn prefetch(&mut self, key: u32) -> Option<u32> {
         if self.resident().contains(&key) {
             return None;
@@ -58,40 +58,6 @@ impl Model for LruModel {
         if let Some(pos) = self.order.iter().position(|&k| k == key) {
             self.order.remove(pos);
             self.order.insert(0, key);
-            return (true, None);
-        }
-        let evicted = if self.order.len() == self.cap {
-            self.order.pop()
-        } else {
-            None
-        };
-        self.order.insert(0, key);
-        (false, evicted)
-    }
-
-    fn resident(&self) -> Vec<u32> {
-        self.order.clone()
-    }
-}
-
-/// FIFO as a flat vector, front = newest admission; hits do not reorder.
-struct FifoModel {
-    cap: usize,
-    order: Vec<u32>,
-}
-
-impl FifoModel {
-    fn new(cap: usize) -> Self {
-        FifoModel {
-            cap,
-            order: Vec::new(),
-        }
-    }
-}
-
-impl Model for FifoModel {
-    fn access(&mut self, key: u32) -> Step {
-        if self.order.contains(&key) {
             return (true, None);
         }
         let evicted = if self.order.len() == self.cap {
@@ -207,65 +173,10 @@ impl Model for TwoQModel {
     }
 }
 
-/// CLOCK stated directly: a fixed ring of `(key, referenced)` frames and
-/// a sweeping hand; admissions load with the bit set.
-struct ClockModel {
-    frames: Vec<Option<(u32, bool)>>,
-    hand: usize,
-}
-
-impl ClockModel {
-    fn new(cap: usize) -> Self {
-        ClockModel {
-            frames: vec![None; cap],
-            hand: 0,
-        }
-    }
-}
-
-impl Model for ClockModel {
-    fn access(&mut self, key: u32) -> Step {
-        for frame in self.frames.iter_mut().flatten() {
-            if frame.0 == key {
-                frame.1 = true;
-                return (true, None);
-            }
-        }
-        let mut evicted = None;
-        if self.frames.iter().all(|f| f.is_some()) {
-            loop {
-                let slot = self.hand;
-                self.hand = (self.hand + 1) % self.frames.len();
-                let (k, referenced) = self.frames[slot].expect("full ring");
-                if referenced {
-                    self.frames[slot] = Some((k, false));
-                } else {
-                    self.frames[slot] = None;
-                    evicted = Some(k);
-                    break;
-                }
-            }
-        }
-        let free = self
-            .frames
-            .iter()
-            .position(|f| f.is_none())
-            .expect("a frame is free after eviction");
-        self.frames[free] = Some((key, true));
-        (false, evicted)
-    }
-
-    fn resident(&self) -> Vec<u32> {
-        self.frames.iter().flatten().map(|&(k, _)| k).collect()
-    }
-}
-
 fn model_for(kind: PolicyKind, cap: usize) -> Box<dyn Model> {
     match kind {
         PolicyKind::Lru => Box::new(LruModel::new(cap)),
         PolicyKind::TwoQ => Box::new(TwoQModel::new(cap)),
-        PolicyKind::Clock => Box::new(ClockModel::new(cap)),
-        PolicyKind::Fifo => Box::new(FifoModel::new(cap)),
     }
 }
 
@@ -282,8 +193,8 @@ fn trace_strategy() -> impl Strategy<Value = Vec<u32>> {
 enum Op {
     /// [`ReplacementPolicy::access`].
     Access(u32),
-    /// An admission that skips `touch`, as the pager's prefetch does:
-    /// `evict_candidate` then `admit`, if the key is not resident.
+    /// An admission that skips `touch` (a prefetch): `evict_candidate`
+    /// then `admit`, if the key is not resident.
     Prefetch(u32),
 }
 
@@ -390,29 +301,6 @@ proptest! {
         }
     }
 
-    /// Counter consistency: touches == accesses, hits + misses == touches,
-    /// and evictions never exceed misses.
-    #[test]
-    fn hits_plus_misses_equals_touches(
-        cap in 1usize..=6,
-        trace in trace_strategy(),
-    ) {
-        for kind in PolicyKind::ALL {
-            let mut p = kind.build::<u32>(cap);
-            let mut hits = 0u64;
-            for &k in &trace {
-                if p.access(k).is_hit() {
-                    hits += 1;
-                }
-            }
-            let s = p.stats();
-            prop_assert_eq!(s.touches, trace.len() as u64, "{kind}");
-            prop_assert_eq!(s.hits, hits, "{kind}");
-            prop_assert_eq!(s.hits + s.misses, s.touches, "{kind}");
-            prop_assert!(s.evictions <= s.misses, "{kind}: evictions > misses");
-        }
-    }
-
     /// Driving the split primitives by hand: an eviction candidate is
     /// only ever produced at capacity, was resident immediately before
     /// the call, and is gone immediately after.
@@ -452,8 +340,8 @@ proptest! {
     }
 
     /// LRU keeps its stack property on arbitrary traces: every hit at
-    /// capacity `k` is a hit at capacity `k + 1`. (2Q and CLOCK are
-    /// deliberately not stack algorithms, so this is LRU-only.)
+    /// capacity `k` is a hit at capacity `k + 1`. (2Q is deliberately
+    /// not a stack algorithm, so this is LRU-only.)
     #[test]
     fn lru_stack_property_on_arbitrary_traces(
         cap in 1usize..=5,

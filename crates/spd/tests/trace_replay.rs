@@ -12,11 +12,10 @@
 //! - **LRU goldens are tolerance-free**: the policy's semantics are
 //!   frozen (it is the seed behavior), so replaying a fixed trace must
 //!   reproduce the hit count exactly.
-//! - **2Q and CLOCK goldens allow a bounded window** (±2.5 points of hit
-//!   rate): their tuning knobs (`kin`, `kout`, admission reference bits)
-//!   are legitimate things to adjust, so the fixtures pin them loosely
-//!   enough to tune but tightly enough to catch a scan-resistance
-//!   collapse.
+//! - **2Q goldens allow a bounded window** (±2.5 points of hit rate):
+//!   its tuning knobs (`kin`, `kout`) are legitimate things to adjust,
+//!   so the fixtures pin them loosely enough to tune but tightly enough
+//!   to catch a scan-resistance collapse.
 //!
 //! Regenerate with:
 //! `REGEN_TRACE_FIXTURES=1 cargo test -p blog-spd --test trace_replay`
@@ -38,7 +37,7 @@ use support::{family_workload, paged_config, paged_store, queens_workload, recor
 /// Blocks per track used by every replay in this file.
 const BLOCKS_PER_TRACK: u32 = 4;
 
-/// Hit-rate window (absolute) allowed for the tunable policies.
+/// Hit-rate window (absolute) allowed for the tunable policy, 2Q.
 const TUNABLE_WINDOW: f64 = 0.025;
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -165,7 +164,7 @@ fn family_fixture_replays_against_goldens() {
     // 186 clauses over 47 tracks; 794 recorded accesses. LRU shows the
     // PR-1 cliff (flat 430 hits at every sub-working-set capacity, 747
     // once everything fits); 2Q flattens it (455 at half, 599 at three
-    // quarters); CLOCK tracks LRU on this scan-shaped stream.
+    // quarters).
     let total_tracks = (program.db.len() as u32).div_ceil(BLOCKS_PER_TRACK) as usize;
     let quarter = (total_tracks / 4).max(1);
     let half = (total_tracks / 2).max(1);
@@ -204,16 +203,6 @@ fn family_fixture_replays_against_goldens() {
                 policy: PolicyKind::TwoQ,
                 capacity_tracks: three_quarters,
                 hits: 599,
-            },
-            Golden {
-                policy: PolicyKind::Clock,
-                capacity_tracks: quarter,
-                hits: 430,
-            },
-            Golden {
-                policy: PolicyKind::Clock,
-                capacity_tracks: half,
-                hits: 430,
             },
         ],
     );
@@ -254,7 +243,7 @@ fn queens_fixture_replays_against_goldens() {
 
     // 66 clauses over 17 tracks; 24521 recorded accesses. Same shape as
     // the family trace: LRU cliff at the working set, 2Q ahead at half
-    // capacity, CLOCK tracking LRU.
+    // capacity.
     let total_tracks = (program.db.len() as u32).div_ceil(BLOCKS_PER_TRACK) as usize;
     let half = (total_tracks / 2).max(1);
     check_goldens(
@@ -276,11 +265,6 @@ fn queens_fixture_replays_against_goldens() {
                 policy: PolicyKind::TwoQ,
                 capacity_tracks: half,
                 hits: 19347,
-            },
-            Golden {
-                policy: PolicyKind::Clock,
-                capacity_tracks: half,
-                hits: 18036,
             },
         ],
     );
@@ -349,7 +333,7 @@ fn mvcc_write_path_replay(
             epoch,
             accesses: s.accesses,
             hits: s.hits,
-            evictions: store.policy_stats().evictions,
+            evictions: s.evictions,
             stash: store.stash_depth(),
         });
     }
@@ -457,7 +441,7 @@ fn family_mvcc_write_path_replays_against_goldens() {
                 "{kind} seg {}: stash depth drifted",
                 g.seg
             );
-            if matches!(kind, PolicyKind::Lru | PolicyKind::Fifo) {
+            if kind == PolicyKind::Lru {
                 // Frozen semantics: exact.
                 assert_eq!(g.hits, w.hits, "{kind} seg {}: hits drifted", g.seg);
                 assert_eq!(
@@ -527,7 +511,7 @@ fn indexed_family_run(program: &Program, policy: PolicyKind, index: IndexPolicy)
         policy,
         accesses: s.accesses,
         hits: s.hits,
-        evictions: store.policy_stats().evictions,
+        evictions: s.evictions,
         index_hits: s.index_hits,
         index_prunes: s.index_prunes,
         candidates_scanned: s.candidates_scanned,
@@ -656,7 +640,7 @@ fn family_indexed_run_replays_against_goldens() {
             w.policy
         );
 
-        if matches!(w.policy, PolicyKind::Lru | PolicyKind::Fifo) {
+        if w.policy == PolicyKind::Lru {
             // Frozen semantics: exact.
             assert_eq!(g.hits, w.hits, "{}: hits drifted", w.policy);
             assert_eq!(g.evictions, w.evictions, "{}: evictions drifted", w.policy);
