@@ -40,8 +40,16 @@
 //! even an empty cache cannot fit another reservation — the reservation /
 //! spill discipline, applied to serving: shed load instead of thrashing
 //! the cache.
+//!
+//! The budget is one atomic word of charged bytes (resident entries plus
+//! reservations), and every charge is a compare-and-swap that succeeds
+//! only if the total stays within the budget, so the total never exceeds
+//! it. An admission that fits and every release touch only that word; the
+//! cache mutex is taken by fills, commits, evictions and an admission
+//! that has to evict.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::server::lock_unpoisoned;
@@ -238,10 +246,9 @@ struct Inner {
     /// Entries filled at an epoch other than `epoch`, settled by the
     /// next commit (may hold stale references).
     pending: Vec<FillRef>,
-    /// Bytes charged by resident entries.
+    /// Bytes charged by resident entries (also counted in
+    /// [`AnswerCache::charged`]).
     cache_bytes: usize,
-    /// Bytes reserved by admitted, unfinished requests.
-    reserved_bytes: usize,
     /// LRU clock.
     tick: u64,
     counters: Counters,
@@ -284,14 +291,16 @@ impl Inner {
         self.indexed_live += e.deps.len();
     }
 
-    /// Drop `key`'s entry and its charge. Its index references go stale.
-    fn remove(&mut self, key: &CacheKey) {
+    /// Drop `key`'s entry and its charge, returning the charge. Its index
+    /// references go stale.
+    fn remove(&mut self, key: &CacheKey) -> usize {
         let e = self.entries.remove(key).expect("resident entry");
         self.cache_bytes -= e.bytes;
         if e.valid_to == CURRENT {
             self.indexed_live -= e.deps.len();
             self.compact_index();
         }
+        e.bytes
     }
 
     /// Drop the index's stale references once they outnumber the live
@@ -396,23 +405,16 @@ impl Inner {
         }
     }
 
-    /// Evict least-recently-used entries until `need` more bytes fit
-    /// under `budget` (alongside reservations), or the cache is empty.
-    /// Returns whether the headroom was produced.
-    fn make_room(&mut self, budget: usize, need: usize) -> bool {
-        while self.cache_bytes + self.reserved_bytes + need > budget {
-            let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| Arc::clone(k))
-            else {
-                return false;
-            };
-            self.remove(&victim);
-            self.counters.evictions += 1;
-        }
-        true
+    /// Evict the least-recently-used entry; returns its charge, or
+    /// `None` when the cache is empty.
+    fn evict_lru(&mut self) -> Option<usize> {
+        let victim = self
+            .entries
+            .iter()
+            .min_by_key(|(_, e)| e.last_used)
+            .map(|(k, _)| Arc::clone(k))?;
+        self.counters.evictions += 1;
+        Some(self.remove(&victim))
     }
 }
 
@@ -420,6 +422,11 @@ impl Inner {
 /// protocol; [`QueryServer`](crate::QueryServer) owns exactly one.
 pub struct AnswerCache {
     config: CacheConfig,
+    /// Bytes charged against the budget: resident entries plus
+    /// admission reservations. Only [`charge`](Self::charge) raises it,
+    /// never past the budget; entry charges move only under `inner`'s
+    /// lock, together with `Inner::cache_bytes`.
+    charged: AtomicUsize,
     inner: Mutex<Inner>,
 }
 
@@ -428,6 +435,7 @@ impl AnswerCache {
     pub fn new(config: CacheConfig) -> AnswerCache {
         AnswerCache {
             config,
+            charged: AtomicUsize::new(0),
             inner: Mutex::new(Inner::default()),
         }
     }
@@ -486,13 +494,12 @@ impl AnswerCache {
                 return;
             }
             // Replacing a staler entry frees its charge first.
-            inner.remove(&key);
+            let freed = inner.remove(&key);
+            self.uncharge(freed);
         }
-        if let Some(budget) = self.config.budget_bytes {
-            if !inner.make_room(budget, bytes) {
-                inner.counters.skipped_fills += 1;
-                return;
-            }
+        if !self.charge_evicting(&mut inner, bytes) {
+            inner.counters.skipped_fills += 1;
+            return;
         }
         inner.tick += 1;
         let tick = inner.tick;
@@ -531,26 +538,33 @@ impl AnswerCache {
             return;
         }
         let mut inner = lock_unpoisoned(&self.inner);
+        let bytes_before = inner.cache_bytes;
         if inner.epoch == Some(base) && new_epoch > base {
             inner.commit_notified(base, new_epoch, touched);
         } else {
             inner.commit_full_pass(base, new_epoch, touched);
         }
         inner.epoch = Some(new_epoch);
+        self.uncharge(bytes_before - inner.cache_bytes);
     }
 
     /// Reserve one request's bytes under the budget, evicting LRU cache
     /// entries to make room. Returns `false` — refuse admission — when
     /// even an empty cache cannot fit the reservation. Ungoverned caches
     /// always admit. Pair every `true` with one [`release`](Self::release).
+    ///
+    /// A reservation that fits is one compare-and-swap on the charged
+    /// bytes; only one that does not takes the cache mutex, to evict.
     pub fn try_admit(&self) -> bool {
         let Some(budget) = self.config.budget_bytes else {
             return true;
         };
         let need = self.config.request_reserve_bytes;
+        if self.charge(budget, need) {
+            return true;
+        }
         let mut inner = lock_unpoisoned(&self.inner);
-        if inner.make_room(budget, need) {
-            inner.reserved_bytes += need;
+        if self.charge_evicting(&mut inner, need) {
             true
         } else {
             inner.counters.overloaded += 1;
@@ -558,13 +572,39 @@ impl AnswerCache {
         }
     }
 
-    /// Release one admitted request's reservation.
+    /// Release one admitted request's reservation (no lock).
     pub fn release(&self) {
-        if self.config.budget_bytes.is_none() {
-            return;
+        if self.config.budget_bytes.is_some() {
+            self.uncharge(self.config.request_reserve_bytes);
         }
-        let mut inner = lock_unpoisoned(&self.inner);
-        inner.reserved_bytes -= self.config.request_reserve_bytes;
+    }
+
+    /// Add `need` to the charged bytes if the total stays within
+    /// `budget`; returns whether it did.
+    fn charge(&self, budget: usize, need: usize) -> bool {
+        self.charged
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |charged| {
+                charged.checked_add(need).filter(|&total| total <= budget)
+            })
+            .is_ok()
+    }
+
+    /// [`charge`](Self::charge) `need` against the budget (unbounded when
+    /// ungoverned), evicting least-recently-used entries until it fits.
+    /// Returns `false`, having emptied the cache, when it cannot.
+    fn charge_evicting(&self, inner: &mut Inner, need: usize) -> bool {
+        let budget = self.config.budget_bytes.unwrap_or(usize::MAX);
+        while !self.charge(budget, need) {
+            match inner.evict_lru() {
+                Some(freed) => self.uncharge(freed),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    fn uncharge(&self, bytes: usize) {
+        self.charged.fetch_sub(bytes, Ordering::AcqRel);
     }
 
     /// Snapshot of the counters and gauges.
@@ -581,7 +621,9 @@ impl AnswerCache {
             overloaded: inner.counters.overloaded,
             entries: inner.entries.len(),
             bytes: inner.cache_bytes,
-            reserved_bytes: inner.reserved_bytes,
+            // Entry charges move only under the lock held here, so what
+            // the word holds beyond them is reservations.
+            reserved_bytes: self.charged.load(Ordering::Acquire) - inner.cache_bytes,
         }
     }
 }
@@ -765,6 +807,70 @@ mod tests {
         assert_eq!(cache.stats().reserved_bytes, 0);
         assert!(cache.try_admit(), "admits again after release");
         cache.release();
+    }
+
+    /// Four threads interleave admissions, releases and fills against a
+    /// budget a few entries wide: charged bytes never exceed the budget,
+    /// whichever path (lock-free admission, eviction under the lock)
+    /// moved them, and the books balance once every reservation is
+    /// released.
+    #[test]
+    fn budget_holds_under_concurrent_admits_releases_and_fills() {
+        const BUDGET: usize = 2048;
+        let cache = AnswerCache::new(CacheConfig {
+            mode: CacheMode::Precise,
+            budget_bytes: Some(BUDGET),
+            request_reserve_bytes: 300,
+        });
+        let within_budget = |cache: &AnswerCache| {
+            let s = cache.stats();
+            assert!(
+                s.bytes + s.reserved_bytes <= BUDGET,
+                "{} cached + {} reserved exceed the budget",
+                s.bytes,
+                s.reserved_bytes
+            );
+        };
+        // Released together, so the four streams overlap from the start.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (cache, start) = (&cache, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut held = 0;
+                    for i in 0..2_000u64 {
+                        match blog_obs::splitmix64(t << 32 | i) % 3 {
+                            0 => held += usize::from(cache.try_admit()),
+                            1 if held > 0 => {
+                                cache.release();
+                                held -= 1;
+                            }
+                            _ => cache.fill(
+                                key(&format!("t{t}_{}(_0)", i % 5)),
+                                i,
+                                vec![P],
+                                sols(&["_0 = a_solution_of_some_length", "_0 = another"]),
+                            ),
+                        }
+                        within_budget(cache);
+                    }
+                    for _ in 0..held {
+                        cache.release();
+                        within_budget(cache);
+                    }
+                });
+            }
+        });
+        let s = cache.stats();
+        assert!(s.fills > 0 && s.evictions > 0 && s.overloaded > 0);
+        assert_eq!(s.reserved_bytes, 0);
+        let resident: usize = lock_unpoisoned(&cache.inner)
+            .entries
+            .values()
+            .map(|e| e.bytes)
+            .sum();
+        assert_eq!(s.bytes, resident);
     }
 
     #[test]

@@ -65,7 +65,10 @@
 //!   store-wide byte budget covers cache entries and per-request
 //!   admission reservations; cache entries are evicted LRU under
 //!   pressure, and submissions that cannot fit are refused with
-//!   [`Outcome::Overloaded`] rather than queued.
+//!   [`Outcome::Overloaded`] rather than queued. The charged bytes are
+//!   one atomic word: an admission that fits and every release are a
+//!   compare-and-swap and a subtraction on it, and only an admission
+//!   that must evict takes the cache's mutex.
 //!
 //! **Resilience** hardens the request path against a faulty store. A
 //! deterministic [`FaultPlan`] on the store config

@@ -4,6 +4,16 @@
 //! with its crew of OR-parallel helpers, if any) and, in
 //! [`QueryServer::serve_mixed`], the update lane: a request's deadline
 //! rides in its cancel token, which the engine checks once per chain.
+//!
+//! A request's hand-off costs what it needs. [`Submitter::submit`] takes
+//! its pool queue's lock once and makes a wakeup call only when the
+//! pool's worker is parked; the worker takes everything queued in one
+//! lock and runs it in order; the submission and completion counts are
+//! atomics, and the progress mutex only pairs with the condvar
+//! [`Submitter::quiesce`] waits on. The byte budget is charged without
+//! the answer cache's mutex (see [`AnswerCache::try_admit`]), and a
+//! request that runs no engine reads neither the session ledger nor the
+//! store's counters (see [`EngineBaseline`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,6 +28,7 @@ use blog_logic::{
 use blog_parallel::{par_best_first_on, Crew, FrontierPolicy, ParallelConfig};
 use blog_spd::{
     CommitMode, IndexPolicy, MvccClauseStore, MvccError, PagedStoreConfig, PagedStoreStats,
+    PoolTouchStats,
 };
 
 use crate::breaker::{Breaker, BreakerConfig, Gate, Transition};
@@ -156,18 +167,32 @@ struct Job {
 }
 
 /// One pool's open queue: jobs, a wakeup for its worker, and live
-/// depth/peak gauges (depth is what overflow stealing compares).
+/// depth/peak gauges. `depth` counts the jobs admitted to the pool and
+/// not yet started, whether still queued or already taken by the
+/// worker's drain; it is what overflow stealing compares.
 struct PoolQueue {
-    jobs: Mutex<VecDeque<Job>>,
+    jobs: Mutex<Jobs>,
+    /// Notified only when the worker is parked on it (see
+    /// [`Jobs::parked`]) or admission closes.
     available: Condvar,
     depth: AtomicUsize,
     peak: AtomicUsize,
 }
 
+/// What a pool queue's mutex guards.
+#[derive(Default)]
+struct Jobs {
+    queue: VecDeque<Job>,
+    /// The worker found the queue empty and is waiting on
+    /// [`PoolQueue::available`]: the next submission must wake it. A
+    /// submission to a pool that is busy makes no wakeup call.
+    parked: bool,
+}
+
 impl PoolQueue {
     fn new() -> PoolQueue {
         PoolQueue {
-            jobs: Mutex::new(VecDeque::new()),
+            jobs: Mutex::new(Jobs::default()),
             available: Condvar::new(),
             depth: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
@@ -175,12 +200,28 @@ impl PoolQueue {
     }
 }
 
-/// Submission/completion ledger (under one mutex so
-/// [`Submitter::quiesce`] can wait on it).
+/// What a response's warmth and store traffic are measured against,
+/// read just before a request's first engine run: a request that runs no
+/// engine (a cache hit above all) reads neither the session ledger nor
+/// the store's counters.
+struct EngineBaseline {
+    /// The session's home was the serving pool.
+    warm: bool,
+    /// The serving pool's store counters.
+    touches: PoolTouchStats,
+}
+
+/// Submission/completion ledger. The counters are atomics; the mutex
+/// only pairs with `idle`, so that [`Submitter::quiesce`] cannot miss
+/// the wakeup of the completion that leaves nothing in flight.
 #[derive(Default)]
 struct Progress {
-    queued: usize,
-    finished: usize,
+    queued: AtomicUsize,
+    finished: AtomicUsize,
+    lock: Mutex<()>,
+    /// Notified under `lock` when a completion leaves nothing in flight —
+    /// the one condition [`Submitter::quiesce`] waits for.
+    idle: Condvar,
 }
 
 /// Everything one open serve run shares between the driver and the pool
@@ -190,10 +231,7 @@ struct OpenState {
     /// `true` while the driver may still submit; flipping it (with every
     /// queue's condvar notified under its lock) releases idle workers.
     accepting: AtomicBool,
-    progress: Mutex<Progress>,
-    /// Notified when a completion leaves nothing in flight — the one
-    /// condition [`Submitter::quiesce`] waits for.
-    idle: Condvar,
+    progress: Progress,
     next_query: AtomicUsize,
     next_update: AtomicUsize,
     overflow: AtomicU64,
@@ -208,8 +246,7 @@ impl OpenState {
         OpenState {
             queues: (0..n_pools).map(|_| PoolQueue::new()).collect(),
             accepting: AtomicBool::new(true),
-            progress: Mutex::new(Progress::default()),
-            idle: Condvar::new(),
+            progress: Progress::default(),
             next_query: AtomicUsize::new(0),
             next_update: AtomicUsize::new(0),
             overflow: AtomicU64::new(0),
@@ -260,8 +297,9 @@ impl Submitter<'_> {
     /// refuses — [`Admission::Overloaded`]), routing picks its pool
     /// (overflow stealing consults **live** queue depths, so it fires
     /// mid-flight), and its deadline goes into its cancel token. The
-    /// queue's worker is woken; the response is collected by the
-    /// enclosing [`QueryServer::serve_open`] call.
+    /// queue's worker is woken if it is parked (a busy worker finds the
+    /// job when it next drains its queue); the response is collected by
+    /// the enclosing [`QueryServer::serve_open`] call.
     pub fn submit(&self, request: QueryRequest) -> Admission {
         let state = self.state;
         let n_pools = state.queues.len();
@@ -332,11 +370,13 @@ impl Submitter<'_> {
         if let Some(h) = &trace {
             h.event(SpanId::ROOT, "admitted", format!("pool {pool}"));
         }
-        lock_unpoisoned(&state.progress).queued += 1;
+        // Counted before the job is visible to the worker, whose
+        // completion count must never pass it.
+        state.progress.queued.fetch_add(1, Ordering::Relaxed);
         let q = &state.queues[pool];
-        {
+        let wake = {
             let mut jobs = lock_unpoisoned(&q.jobs);
-            jobs.push_back(Job {
+            jobs.queue.push_back(Job {
                 idx,
                 request,
                 cancel,
@@ -345,6 +385,11 @@ impl Submitter<'_> {
             });
             let depth = q.depth.fetch_add(1, Ordering::Relaxed) + 1;
             q.peak.fetch_max(depth, Ordering::Relaxed);
+            // The worker read `parked` under this lock before waiting, so
+            // a notify after the unlock still reaches it.
+            std::mem::take(&mut jobs.parked)
+        };
+        if wake {
             q.available.notify_one();
         }
         Admission::Queued { request: idx, pool }
@@ -391,19 +436,25 @@ impl Submitter<'_> {
 
     /// Queries submitted but not yet answered.
     pub fn pending(&self) -> usize {
-        let p = lock_unpoisoned(&self.state.progress);
-        p.queued - p.finished
+        let progress = &self.state.progress;
+        // Completions first: every one was queued before it finished, so
+        // the queued count read after it is at least as large.
+        let finished = progress.finished.load(Ordering::Acquire);
+        progress.queued.load(Ordering::Acquire) - finished
     }
 
     /// Block until every query submitted so far has a response — the
     /// deterministic barrier interleaved commit/query schedules need.
     pub fn quiesce(&self) {
-        let mut prog = lock_unpoisoned(&self.state.progress);
-        while prog.finished < prog.queued {
-            prog = self
-                .state
+        let progress = &self.state.progress;
+        let mut guard = lock_unpoisoned(&progress.lock);
+        // Checked under the lock: the completion that makes the counts
+        // equal takes it before notifying, so it cannot notify between
+        // this check and the wait.
+        while self.pending() > 0 {
+            guard = progress
                 .idle
-                .wait(prog)
+                .wait(guard)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
     }
@@ -692,31 +743,42 @@ impl QueryServer {
                     let crew = Crew::start(scope, self.engine.n_workers - 1);
                     scope.spawn(move || {
                         let queue = &state.queues[p];
+                        let progress = &state.progress;
                         let mut out = Vec::new();
+                        // The worker's own batch: everything the queue
+                        // held at its last drain, run in order.
+                        let mut batch = VecDeque::new();
                         loop {
-                            let job = {
+                            {
                                 let mut jobs = lock_unpoisoned(&queue.jobs);
                                 loop {
-                                    if let Some(job) = jobs.pop_front() {
-                                        queue.depth.fetch_sub(1, Ordering::Relaxed);
-                                        break Some(job);
+                                    if !jobs.queue.is_empty() {
+                                        std::mem::swap(&mut batch, &mut jobs.queue);
+                                        break;
                                     }
                                     if !state.accepting.load(Ordering::Acquire) {
-                                        break None;
+                                        break;
                                     }
+                                    jobs.parked = true;
                                     jobs = queue
                                         .available
                                         .wait(jobs)
                                         .unwrap_or_else(|poisoned| poisoned.into_inner());
+                                    jobs.parked = false;
                                 }
-                            };
-                            let Some(job) = job else { break };
-                            out.push(self.execute(p, job, &crew));
-                            self.cache.release();
-                            let mut prog = lock_unpoisoned(&state.progress);
-                            prog.finished += 1;
-                            if prog.finished == prog.queued {
-                                state.idle.notify_all();
+                            }
+                            if batch.is_empty() {
+                                break;
+                            }
+                            while let Some(job) = batch.pop_front() {
+                                queue.depth.fetch_sub(1, Ordering::Relaxed);
+                                out.push(self.execute(p, job, &crew));
+                                self.cache.release();
+                                let finished = progress.finished.fetch_add(1, Ordering::AcqRel) + 1;
+                                if finished == progress.queued.load(Ordering::Acquire) {
+                                    let _idle = lock_unpoisoned(&progress.lock);
+                                    progress.idle.notify_all();
+                                }
                             }
                         }
                         out
@@ -884,10 +946,7 @@ impl QueryServer {
             // the whole time this job sat in the pool queue.
             h.span_at(SpanId::ROOT, "queue_wait", h.start_ns()).finish();
         }
-        let warm_before = lock_unpoisoned(&self.sessions)
-            .get(&session.0)
-            .is_some_and(|&home| home == p);
-        let pool_before = self.store.pool_stats(p);
+        let mut baseline = None;
 
         // A request whose deadline expired while queued is answered
         // without touching an engine (load shedding).
@@ -905,8 +964,16 @@ impl QueryServer {
                 ServedFrom::Engine,
             )
         } else {
-            self.execute_attempts(p, &job, started, crew)
+            self.execute_attempts(p, &job, started, crew, &mut baseline)
         };
+        // Warm = the session's tracks were already resident on this
+        // pool, or the answer itself was served from the cache — both
+        // are §5's "later searches become more efficient". Only a request
+        // that neither hit nor ran an engine reads the ledger here.
+        let warm = served_from == ServedFrom::Cache
+            || baseline
+                .as_ref()
+                .map_or_else(|| self.is_home(session.0, p), |b| b.warm);
         // The pool has now seen this session — but only if an engine ran
         // to an answer: a parse rejection, an expired-in-queue shed, a
         // failure, or an answer-cache hit touched none of the session's
@@ -918,7 +985,13 @@ impl QueryServer {
         {
             lock_unpoisoned(&self.sessions).insert(session.0, p);
         }
-        let pool_after = self.store.pool_stats(p);
+        let (store_accesses, store_hits) = baseline.map_or((0, 0), |b| {
+            let after = self.store.pool_stats(p);
+            (
+                after.accesses - b.touches.accesses,
+                after.hits - b.touches.hits,
+            )
+        });
         if let Some(h) = job.trace.take() {
             let label = match &outcome {
                 Outcome::Completed { .. } => "completed",
@@ -944,14 +1017,18 @@ impl QueryServer {
             stats,
             queue_wait,
             service: started.elapsed(),
-            // Warm = the session's tracks were already resident on this
-            // pool, or the answer itself was served from the cache — both
-            // are §5's "later searches become more efficient".
-            warm: warm_before || served_from == ServedFrom::Cache,
+            warm,
             served_from,
-            store_accesses: pool_after.accesses - pool_before.accesses,
-            store_hits: pool_after.hits - pool_before.hits,
+            store_accesses,
+            store_hits,
         }
+    }
+
+    /// Whether pool `p` last completed an engine run for `session`.
+    fn is_home(&self, session: u64, p: usize) -> bool {
+        lock_unpoisoned(&self.sessions)
+            .get(&session)
+            .is_some_and(|&home| home == p)
     }
 
     /// Answer one request on pool `p`. The breaker's gate is read once
@@ -962,6 +1039,9 @@ impl QueryServer {
     /// the sick storage path behind it — is never touched: a cache hit
     /// still answers (a degraded cache hit), a miss fails fast with the
     /// remaining cooldown as the client's retry hint.
+    ///
+    /// `baseline` is read just before the first engine run, if any (see
+    /// [`EngineBaseline`]).
     ///
     /// The soundness rule of the whole path: a response is either the
     /// pinned epoch's **exact** sequential solution set (engine ran
@@ -975,6 +1055,7 @@ impl QueryServer {
         job: &Job,
         now: Instant,
         crew: &Crew<'a>,
+        baseline: &mut Option<EngineBaseline>,
     ) -> (Outcome, SearchStats, u64, ServedFrom) {
         let h = job.trace.as_ref();
         let gate = lock_unpoisoned(&self.breakers[p]).gate(now);
@@ -1106,6 +1187,10 @@ impl QueryServer {
             let engine_span = h.map(|h| h.span(attempt_id, "engine"));
             let engine_id = engine_span.as_ref().map_or(attempt_id, |g| g.id());
             solve.trace = h.map(|h| SpanCtx::new(h.clone(), engine_id));
+            baseline.get_or_insert_with(|| EngineBaseline {
+                warm: self.is_home(job.request.session.0, p),
+                touches: self.store.pool_stats(p),
+            });
             // The engine runs behind a panic shield: an injected storage
             // panic (FaultKind::Panic) or any engine bug fails this
             // *attempt* instead of unwinding through the pool worker —

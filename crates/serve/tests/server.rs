@@ -3,6 +3,7 @@
 //! concurrent serving and sequential execution.
 
 use std::collections::HashMap;
+use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
 use blog_core::engine::{best_first, BestFirstConfig};
@@ -966,6 +967,55 @@ fn quiesce_returns_with_three_pools_and_refused_submissions_mixed_in() {
         .map(|r| r.pool)
         .collect();
     assert!(pools.len() > 1, "more than one pool served: {pools:?}");
+}
+
+#[test]
+fn a_lone_submission_always_wakes_a_parked_pool() {
+    // A submission wakes its pool only if the pool is parked, and a
+    // quiescing driver is woken only by the completion that leaves
+    // nothing in flight. One request per round, then a quiesce, lets the
+    // pool park between rounds, so a lost wakeup on either side hangs
+    // the run: a watchdog turns that hang into a failure.
+    const ROUNDS: u64 = 500;
+    for n_pools in [1, 3] {
+        let (done, finished) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let p = parse_program(FAMILY).unwrap();
+            let server = QueryServer::new(
+                &p.db,
+                store_cfg(p.db.len(), 8),
+                ServeConfig {
+                    n_pools,
+                    ..ServeConfig::default()
+                },
+            );
+            let (report, ()) = server.serve_open(|s| {
+                for round in 0..ROUNDS {
+                    s.submit(QueryRequest::new(round, "gf(sam, G)"));
+                    s.quiesce();
+                    assert_eq!(s.pending(), 0);
+                }
+            });
+            let _ = done.send(report);
+        });
+        // A hung run cannot be joined; one that ended is, so that its
+        // own panic is the one reported.
+        let report = match finished.recv_timeout(Duration::from_secs(60)) {
+            Ok(report) => report,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("{n_pools} pool(s): a submission or a quiesce was never woken")
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(run.join().expect_err("the run sent no report"))
+            }
+        };
+        run.join().expect("the run ended after sending its report");
+        assert_eq!(report.stats.completed, ROUNDS as usize, "{n_pools} pool(s)");
+        let expect = sequential_solutions(&parse_program(FAMILY).unwrap(), "gf(sam, G)");
+        for r in &report.responses {
+            assert_eq!(r.outcome.solutions(), expect);
+        }
+    }
 }
 
 // --- Resilience: retries, panic isolation, breakers, degraded serving.

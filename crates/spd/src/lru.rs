@@ -173,15 +173,6 @@ impl<K: Eq + Hash + Copy> LruSet<K> {
         Some(victim)
     }
 
-    /// Drop every resident key.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
     /// Resident keys from most- to least-recently used.
     pub fn iter_mru(&self) -> impl Iterator<Item = &K> {
         let mut cursor = self.head;
@@ -261,16 +252,6 @@ mod tests {
         assert_eq!(lru.touch('b'), Touch::Miss { evicted: Some('a') });
         assert_eq!(lru.touch('a'), Touch::Miss { evicted: Some('b') });
         assert_eq!(lru.len(), 1);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut lru = LruSet::new(2);
-        lru.touch(1);
-        lru.touch(2);
-        lru.clear();
-        assert!(lru.is_empty());
-        assert_eq!(lru.touch(1), Touch::Miss { evicted: None });
     }
 
     #[test]

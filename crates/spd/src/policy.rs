@@ -40,7 +40,8 @@ use crate::lru::{LruSet, Touch};
 ///
 /// The contract, checked by `tests/policy_props.rs`:
 ///
-/// - at most [`capacity`](Self::capacity) keys are resident at any time;
+/// - no more keys are resident at any time than the capacity it was
+///   built with;
 /// - [`touch`](Self::touch) updates recency state for a *resident* key and
 ///   reports whether it was resident — it never admits. On a miss it may
 ///   record admission-routing state *keyed to that key* (2Q's ghost
@@ -52,9 +53,6 @@ use crate::lru::{LruSet, Touch};
 /// - [`admit`](Self::admit) inserts an absent key; callers make room
 ///   first. [`access`](Self::access) is the canonical sequencing.
 pub trait ReplacementPolicy<K: Eq + Hash + Copy>: fmt::Debug + Send {
-    /// Maximum number of resident keys.
-    fn capacity(&self) -> usize;
-
     /// Number of resident keys.
     fn len(&self) -> usize;
 
@@ -172,10 +170,6 @@ impl<K: Eq + Hash + Copy> Lru<K> {
 }
 
 impl<K: Eq + Hash + Copy + fmt::Debug + Send> ReplacementPolicy<K> for Lru<K> {
-    fn capacity(&self) -> usize {
-        self.set.capacity()
-    }
-
     fn len(&self) -> usize {
         self.set.len()
     }
@@ -336,10 +330,6 @@ impl<K: Eq + Hash + Copy> TwoQ<K> {
 }
 
 impl<K: Eq + Hash + Copy + fmt::Debug + Send> ReplacementPolicy<K> for TwoQ<K> {
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn len(&self) -> usize {
         self.a1in.len() + self.am.len()
     }

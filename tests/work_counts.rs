@@ -11,7 +11,8 @@
 //!   churned by notified commits and one commit that bypasses the server
 //!   (written straight to the store, so the cache is never told). Pins
 //!   the cache's lookups, hits, fills, invalidations, expiries and
-//!   resident entries.
+//!   resident entries, and the track cache's lock acquisitions: a cache
+//!   hit takes none.
 //! - **b**: a churned tenant base whose 2Q track cache holds a tenth of
 //!   its tracks, with the answer cache off. Pins the store's clause
 //!   accesses, hits, misses, evictions, fault ticks and lock
@@ -154,8 +155,14 @@ fn tenant_mix_cache_row() -> String {
         Some((batches / 2, "t0_f(p0_0,bypass).")),
     );
     format!(
-        "a tenant_mix_cache lookups={} hits={} fills={} invalidations={} expired={} entries={}\n",
-        c.lookups, c.hits, c.fills, c.invalidations, c.expired, c.entries
+        "a tenant_mix_cache lookups={} hits={} fills={} invalidations={} expired={} entries={} store_locks={}\n",
+        c.lookups,
+        c.hits,
+        c.fills,
+        c.invalidations,
+        c.expired,
+        c.entries,
+        server.store().lock_stats().0
     )
 }
 
@@ -374,7 +381,14 @@ fn the_streams_do_work_worth_pinning() {
     let mut lines = GOLDEN.lines();
     let a = lines.next().expect("row a");
     let b = lines.next().expect("row b");
-    for name in ["hits", "fills", "invalidations", "expired", "entries"] {
+    for name in [
+        "hits",
+        "fills",
+        "invalidations",
+        "expired",
+        "entries",
+        "store_locks",
+    ] {
         assert!(field(a, name) > 0, "row a: {name} is zero");
     }
     for name in ["misses", "evictions", "fault_ticks"] {
